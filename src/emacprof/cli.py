@@ -54,9 +54,9 @@ from .calib import (
     predict_energy,
     read_observations_csv,
 )
-from .codec import EncodingMode, encode, load_input_tensor
-from .emac import METHOD_ANALYTIC, METHOD_EXACT, ann_mac_count
-from .engine import AggregateStats, run_dataset, run_inference
+from .codec import INPUT_SUFFIXES, EncodingMode, encode, load_input_tensor
+from .emac import ann_mac_count
+from .engine import AggregateStats, Stat, run_dataset, run_inference
 from .errors import (
     EmacProfError,
     IllConditioned,
@@ -76,9 +76,6 @@ EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_NUMERIC = 3
 EXIT_CALIBRATION = 4
-
-_INPUT_SUFFIXES = (".bin", ".csv")
-
 
 # ---------------------------------------------------------------------------
 # shared plumbing
@@ -116,12 +113,12 @@ def _collect_inputs(spec: str) -> list[Path]:
     root = Path(spec)
     if root.is_dir():
         paths = sorted(
-            p for p in root.iterdir() if p.suffix.lower() in _INPUT_SUFFIXES
+            p for p in root.iterdir() if p.suffix.lower() in INPUT_SUFFIXES
         )
         if not paths:
             raise SchemaError(f"{root}: no .bin or .csv input files")
         return paths
-    if root.suffix.lower() not in _INPUT_SUFFIXES:
+    if root.suffix.lower() not in INPUT_SUFFIXES:
         raise SchemaError(f"{root}: input files must end in .bin or .csv")
     return [root]
 
@@ -140,13 +137,6 @@ def _load_samples(net: NetworkSpec, args) -> list:
 def _num(value: float) -> float | None:
     v = float(value)
     return v if math.isfinite(v) else None
-
-
-def _ms(values) -> dict:
-    arr = np.asarray(values, dtype=np.float64)
-    if arr.size == 0:
-        return {"mean": None, "std": None}
-    return {"mean": _num(arr.mean()), "std": _num(arr.std())}
 
 
 def _write_json(path: Path, obj) -> None:
@@ -195,30 +185,24 @@ def cmd_inspect(args) -> int:
     return EXIT_OK
 
 
-def _method_block(stats: AggregateStats, attr: str) -> dict:
-    ok = [r for r in stats.results if r is not None]
-    reports = [getattr(r, attr) for r in ok]
-    per_layer = []
-    for index, name in enumerate(stats.layer_names):
-        layer_reports = [rep.per_layer[index] for rep in reports]
-        per_layer.append(
-            {
-                "name": name,
-                "kind": layer_reports[0].kind if layer_reports else None,
-                "E_syn": _ms([le.E_syn for le in layer_reports]),
-                "E_upd": _ms([le.E_upd for le in layer_reports]),
-                "E_rec": _ms([le.E_rec for le in layer_reports]),
-                "E_tot": _ms([le.E_tot for le in layer_reports]),
-            }
-        )
-    return {
-        "E_syn": _ms([rep.E_syn for rep in reports]),
-        "E_upd": _ms([rep.E_upd for rep in reports]),
-        "E_rec": _ms([rep.E_rec for rep in reports]),
-        "E_tot": _ms([rep.E_tot for rep in reports]),
-        "approx_padding": bool(any(rep.approx_padding for rep in reports)),
-        "per_layer": per_layer,
-    }
+def _stat_json(stat: Stat) -> dict:
+    return {"mean": _num(stat.mean), "std": _num(stat.std)}
+
+
+def _method_json(stats: AggregateStats, method: str, net: NetworkSpec) -> dict:
+    block = stats.methods[method]
+    out = {c: _stat_json(stat) for c, stat in block.total.items()}
+    out["approx_padding"] = block.approx_padding
+    out["per_layer"] = [
+        {
+            "name": net.layer_name(index),
+            # a layer's kind is only reported when some sample was priced
+            "kind": net.layers[index].kind.value if stats.n_ok else None,
+            **{c: _stat_json(stat) for c, stat in layer.items()},
+        }
+        for index, layer in enumerate(block.per_layer)
+    ]
+    return out
 
 
 def _energy_report(stats: AggregateStats, args, net: NetworkSpec) -> dict:
@@ -230,21 +214,15 @@ def _energy_report(stats: AggregateStats, args, net: NetworkSpec) -> dict:
             {"sample": index, "message": message}
             for index, message in stats.failures
         ],
-        "latency_T": _ms([r.trace.T_used for r in stats.results if r is not None]),
-        "methods": {
-            METHOD_ANALYTIC: _method_block(stats, "energy_analytic"),
-            METHOD_EXACT: _method_block(stats, "energy"),
-        },
+        "latency_T": _stat_json(stats.latency),
+        "methods": {m: _method_json(stats, m, net) for m in stats.methods},
         "n_ok": stats.n_ok,
         "n_samples": stats.n_samples,
         "reference_kind": stats.reference_kind,
         "seed": args.seed,
         "synaptic_events_mean": _num(stats.mean_synaptic_events),
         "t_max": args.t_max if args.t_max is not None else net.max_timesteps,
-        "total_spikes": {
-            "mean": _num(stats.total_spikes.mean),
-            "std": _num(stats.total_spikes.std),
-        },
+        "total_spikes": _stat_json(stats.total_spikes),
         "update_count_mean": _num(stats.mean_update_count),
     }
 
@@ -254,14 +232,9 @@ def _write_spikes_csv(path: Path, stats: AggregateStats, net: NetworkSpec) -> No
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["layer", "name", "kind", "spikes_mean", "spikes_std"])
         for index, stat in enumerate(stats.per_layer_spikes):
+            kind = net.layers[index].kind.value
             writer.writerow(
-                [
-                    index,
-                    stats.layer_names[index],
-                    net.layers[index].kind.value,
-                    repr(stat.mean),
-                    repr(stat.std),
-                ]
+                [index, net.layer_name(index), kind, repr(stat.mean), repr(stat.std)]
             )
 
 
@@ -271,32 +244,37 @@ def _write_latency_csv(path: Path, stats: AggregateStats) -> None:
         writer.writerow(
             ["sample", "status", "T_used", "class_index", "fallback_used"]
         )
-        for index, result in enumerate(stats.results):
-            if result is None:
+        for index, outcome in enumerate(stats.outcomes):
+            if outcome is None:
                 writer.writerow([index, "failed", "", "", ""])
-            else:
-                writer.writerow(
-                    [
-                        index,
-                        "ok",
-                        result.trace.T_used,
-                        result.decision.class_index,
-                        int(result.decision.fallback_used),
-                    ]
-                )
+                continue
+            d = outcome.decision
+            writer.writerow(
+                [index, "ok", outcome.T_used, d.class_index, int(d.fallback_used)]
+            )
 
 
-def cmd_profile(args) -> int:
+def _run_dataset(args) -> tuple[NetworkSpec, AggregateStats]:
     net = _load_net(args)
-    samples = _load_samples(net, args)
     stats = run_dataset(
         net,
-        samples,
+        _load_samples(net, args),
         jobs=args.jobs,
         t_max=args.t_max,
         coding=args.coding,
         encoder_per_step=args.encoder_per_step,
     )
+    return net, stats
+
+
+def _failures_exit(stats: AggregateStats) -> int:
+    for index, message in stats.failures:
+        print(f"sample {index} failed: {message}", file=sys.stderr)
+    return EXIT_NUMERIC if stats.failures else EXIT_OK
+
+
+def cmd_profile(args) -> int:
+    net, stats = _run_dataset(args)
     out = _out_dir(args)
     written = []
     if args.format in ("json", "both"):
@@ -316,11 +294,7 @@ def cmd_profile(args) -> int:
         f"std={stats.emac_analytic.std!r}"
     )
     print(f"wrote {', '.join(written)} to {out}")
-    if stats.failures:
-        for index, message in stats.failures:
-            print(f"sample {index} failed: {message}", file=sys.stderr)
-        return EXIT_NUMERIC
-    return EXIT_OK
+    return _failures_exit(stats)
 
 
 def cmd_trace(args) -> int:
@@ -331,7 +305,7 @@ def cmd_trace(args) -> int:
             f"--sample {args.sample} is out of range for {len(paths)} input file(s)"
         )
     values = load_input_tensor(paths[args.sample], net.input_shape)
-    sample = encode(values, EncodingMode(args.encoding), args.seed)
+    sample = encode(values, EncodingMode(args.encoding), args.seed % (1 << 64))
     result = run_inference(
         net,
         sample,
@@ -385,16 +359,7 @@ def cmd_calibrate(args) -> int:
 
 def cmd_predict(args) -> int:
     model = model_from_json(Path(args.model).read_bytes())
-    net = _load_net(args)
-    samples = _load_samples(net, args)
-    stats = run_dataset(
-        net,
-        samples,
-        jobs=args.jobs,
-        t_max=args.t_max,
-        coding=args.coding,
-        encoder_per_step=args.encoder_per_step,
-    )
+    _, stats = _run_dataset(args)
     energy, sigma = predict_energy(
         model, stats.mean_synaptic_events, stats.mean_update_count
     )
@@ -413,11 +378,7 @@ def cmd_predict(args) -> int:
     )
     print(f"E = {energy!r} J per inference (sigma {sigma!r})")
     print(f"wrote prediction.json to {out}")
-    if stats.failures:
-        for index, message in stats.failures:
-            print(f"sample {index} failed: {message}", file=sys.stderr)
-        return EXIT_NUMERIC
-    return EXIT_OK
+    return _failures_exit(stats)
 
 
 # ---------------------------------------------------------------------------

@@ -56,6 +56,9 @@ __all__ = [
 
 logger = logging.getLogger(__name__)
 
+#: input tensor file suffixes, matched case-insensitively
+INPUT_SUFFIXES = (".bin", ".csv")
+
 
 class EncodingMode(str, Enum):
     ANALOG = "analog"
@@ -76,20 +79,25 @@ def encode(
 ) -> EncodedInput:
     """Wrap an input tensor for simulation.
 
-    Poisson encoding requires values in [0, 1]; a value of 1.0 spikes on
-    every step and 0.0 never does. Analog values only need to be finite.
+    Poisson encoding requires values in [0, 1] (NaN is out of range); a
+    value of 1.0 spikes on every step and 0.0 never does. Analog values only
+    need to be finite. The seed keys a 64-bit stream, so it must lie in
+    [0, 2**64).
     """
     mode = EncodingMode(mode)
+    seed = int(seed)
+    if not 0 <= seed < 1 << 64:
+        raise SchemaError(f"the seed must be in [0, 2**64), got {seed}")
     arr = np.asarray(values, dtype=np.float64)
     if mode is EncodingMode.POISSON:
-        if arr.size and (arr.min() < 0.0 or arr.max() > 1.0):
+        if not ((arr >= 0.0) & (arr <= 1.0)).all():
             raise RateOutOfRange(
                 f"poisson encoding needs values in [0, 1], got range "
                 f"[{arr.min()}, {arr.max()}]"
             )
     elif not np.isfinite(arr).all():
         raise NonFiniteState("analog input contains non-finite values")
-    return EncodedInput(mode=mode, values=arr, seed=int(seed))
+    return EncodedInput(mode=mode, values=arr, seed=seed)
 
 
 def poisson_slice(encoded: EncodedInput, t: int) -> np.ndarray:
@@ -172,7 +180,8 @@ def load_input_tensor(
     reshape ``.csv`` data, which carries no shape of its own.
     """
     path = Path(path)
-    if path.suffix == ".bin":
+    suffix = path.suffix.lower()
+    if suffix == ".bin":
         raw = path.read_bytes()
         newline = raw.find(b"\n")
         if newline < 0 or not raw[:newline].startswith(b"shape="):
@@ -196,7 +205,7 @@ def load_input_tensor(
                 f"input {tuple(expected_shape)}"
             )
         return values
-    if path.suffix == ".csv":
+    if suffix == ".csv":
         try:
             flat = np.loadtxt(path, delimiter=",", dtype=np.float64).reshape(-1)
         except ValueError as exc:

@@ -44,6 +44,7 @@ from .netspec import (
     NetworkSpec,
     WEIGHTED_KINDS,
     layer_counts,
+    static_split,
 )
 from .neuron import AC_EMAC, MAC_EMAC
 
@@ -185,8 +186,6 @@ def _has_padding(net: NetworkSpec) -> bool:
 
 def _static_ids(net: NetworkSpec, input_mode: EncodingMode) -> set[int]:
     """Layers whose synaptic work is static analog arithmetic."""
-    from .engine import static_split  # local import to keep this module lean
-
     prefix, start = static_split(net, EncodingMode(input_mode))
     ids = set(prefix)
     if start is not None and EncodingMode(input_mode) is EncodingMode.ANALOG:

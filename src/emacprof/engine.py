@@ -25,15 +25,21 @@ Alongside the dynamics the engine keeps exact integer event counters:
 
 These counters, the per-step spike counts, and the step budget actually
 used are what the energy accounting consumes.
+
+Over a dataset, :func:`run_dataset` keeps each sample's outcome (step
+count and decision) and the per-sample scalars its statistics need, not
+the full results, and reduces every statistic once at the end.
 """
 
 from __future__ import annotations
 
 import logging
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
+from functools import partial
 from math import prod
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -56,6 +62,7 @@ from .netspec import (
     fanout_map,
     layer_counts,
     recurrent_weight_tensor,
+    static_split,
     weight_tensor,
 )
 from .neuron import (
@@ -69,10 +76,11 @@ __all__ = [
     "SpikeTrace",
     "InferenceResult",
     "Stat",
+    "MethodStats",
+    "SampleOutcome",
     "AggregateStats",
     "run_inference",
     "run_dataset",
-    "static_split",
 ]
 
 logger = logging.getLogger(__name__)
@@ -188,22 +196,6 @@ def _check_finite(state, index: int, t: int) -> None:
             f"layer {index} left the finite range at step {t}; check the "
             "weights and the integration step"
         )
-
-
-def static_split(
-    net: NetworkSpec, mode: EncodingMode
-) -> tuple[list[int], int | None]:
-    """Indices evaluated statically, and the first spiking layer (or None).
-
-    The first spiking layer is not part of the static stage, but with an
-    analog input its drive is static too and is priced the same way.
-    """
-    if mode is EncodingMode.POISSON:
-        return [], 0
-    for index, layer in enumerate(net.layers):
-        if layer.kind in WEIGHTED_KINDS and layer.neuron_model.kind.spiking:
-            return list(range(index)), index
-    return list(range(len(net.layers))), None
 
 
 def _apply_static(rt: _LayerRT, x: np.ndarray) -> np.ndarray:
@@ -363,15 +355,12 @@ def _run_compiled(
         )
         out_spikes = np.stack(spike_cols, axis=1)
         out_volt = np.stack(volt_cols, axis=1)
-        if raster_cols is not None:
-            rasters = []
-            for idx in range(L):
-                if raster_cols[idx]:
-                    rasters.append(np.stack(raster_cols[idx], axis=1))
-                else:
-                    rasters.append(np.zeros((rt[idx].neurons, T_used), dtype=bool))
-        else:
-            rasters = None
+        rasters = None
+        if raster_cols is not None:  # the static prefix records no steps
+            rasters = [
+                np.stack(cols, axis=1) if cols else np.zeros((r.neurons, T_used), bool)
+                for r, cols in zip(rt, raster_cols)
+            ]
 
         if coding is Coding.ROC:
             decision = decode_roc(out_spikes, out_volt)
@@ -426,10 +415,33 @@ def _stat(values: np.ndarray) -> Stat:
     return Stat(mean=float(np.mean(values)), std=float(np.std(values)))
 
 
+#: energy components reduced for every method, network total and per layer
+COMPONENTS = ("E_syn", "E_upd", "E_rec", "E_tot")
+
+
+@dataclass(frozen=True)
+class MethodStats:
+    """Dataset statistics of one energy view, keyed by component."""
+
+    total: dict[str, Stat]
+    per_layer: list[dict[str, Stat]]
+    approx_padding: bool
+
+
+@dataclass(frozen=True)
+class SampleOutcome:
+    """What a dataset run keeps of one successful sample."""
+
+    T_used: int
+    decision: Decision
+
+
 @dataclass
 class AggregateStats:
-    """Per-sample results plus dataset-level statistics.
+    """Dataset-level statistics plus each sample's outcome.
 
+    ``outcomes`` is in sample order, with ``None`` for a failed sample.
+    ``methods`` maps each energy method name to its statistics.
     ``mean_synaptic_events`` and ``mean_update_count`` are the calibration
     regressors: realized synaptic events and neuron updates per inference,
     each expressed in units of the first spiking layer's kind so that mixed
@@ -439,12 +451,8 @@ class AggregateStats:
     n_samples: int
     n_ok: int
     failures: list[tuple[int, str]]
-    results: list[InferenceResult | None]
-    layer_names: list[str]
-    emac_exact: Stat
-    emac_analytic: Stat
-    per_layer_emac_exact: list[Stat]
-    per_layer_emac_analytic: list[Stat]
+    outcomes: list[SampleOutcome | None]
+    methods: dict[str, MethodStats]
     per_layer_spikes: list[Stat]
     total_spikes: Stat
     latency: Stat
@@ -452,13 +460,42 @@ class AggregateStats:
     mean_update_count: float
     reference_kind: str | None
 
+    @property
+    def emac_exact(self) -> Stat:
+        return self.methods[_emac.METHOD_EXACT].total["E_tot"]
+
+    @property
+    def emac_analytic(self) -> Stat:
+        return self.methods[_emac.METHOD_ANALYTIC].total["E_tot"]
+
 
 def _reference_params(net: NetworkSpec) -> tuple[str | None, float, float]:
-    for layer in net.layers:
-        if layer.kind in WEIGHTED_KINDS and layer.neuron_model.kind.spiking:
-            p = layer.neuron_model.energy
-            return layer.neuron_model.kind.value, p.e_syn, p.e_upd
-    return None, 1.0, 1.0
+    _, start = static_split(net, EncodingMode.ANALOG)  # first spiking layer
+    if start is None:
+        return None, 1.0, 1.0
+    model = net.layers[start].neuron_model
+    return model.kind.value, model.energy.e_syn, model.energy.e_upd
+
+
+def _sample_scalars(
+    result: InferenceResult, counted: np.ndarray, e_syn_ref: float, e_upd_ref: float
+) -> Iterator[tuple[object, float]]:
+    """``(key, value)`` for every per-sample number a dataset statistic needs."""
+    for report in (result.energy, result.energy_analytic):
+        yield (report.method, "approx_padding"), report.approx_padding
+        for c in COMPONENTS:
+            yield (report.method, None, c), getattr(report, c)
+            for index, le in enumerate(report.per_layer):
+                yield (report.method, index, c), getattr(le, c)
+    spikes = result.trace.counts.sum(axis=1)
+    for index, count in enumerate(spikes):
+        yield ("spikes", index), count
+    # flatten rows re-emit upstream spikes; keep them out of the network total
+    yield ("spikes", None), spikes[counted].sum()
+    yield "T_used", result.trace.T_used
+    energy = result.energy
+    yield "S", (energy.E_syn + energy.E_rec) / e_syn_ref
+    yield "U", energy.E_upd / e_upd_ref
 
 
 def run_dataset(
@@ -468,89 +505,70 @@ def run_dataset(
     jobs: int = 1,
     t_max: int | None = None,
     coding: Coding | str | None = None,
-    record_raster: bool = False,
     encoder_per_step: bool = False,
 ) -> AggregateStats:
     """Run every sample and aggregate; numeric blow-ups are reported, not hidden.
 
     Samples are independent, so they may run on a bounded worker pool;
-    results are collected in sample order either way.
+    results are folded in sample order either way, keeping only the
+    per-sample scalars behind each statistic. Each statistic is reduced
+    once, over a 1-D array in sample order: a running sum or a 2-D
+    reduction would change the last bits of the reported moments.
     """
     if len(samples) == 0:
         raise EmptyDataset("the dataset holds no samples")
-    rt = _compile(net)
-
-    def one(sample: EncodedInput) -> InferenceResult:
-        return _run_compiled(
-            net,
-            rt,
-            sample,
-            t_max=t_max,
-            coding=coding,
-            record_raster=record_raster,
-            encoder_per_step=encoder_per_step,
-        )
-
-    results: list[InferenceResult | None] = [None] * len(samples)
+    one = partial(
+        _run_compiled,
+        net,
+        _compile(net),
+        t_max=t_max,
+        coding=coding,
+        record_raster=False,
+        encoder_per_step=encoder_per_step,
+    )
+    L = len(net.layers)
+    counted = np.array([layer.kind is not LayerKind.FLATTEN for layer in net.layers])
+    ref_kind, e_syn_ref, e_upd_ref = _reference_params(net)
+    columns: dict[object, list] = {}
+    outcomes: list[SampleOutcome | None] = []
     failures: list[tuple[int, str]] = []
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            futures = [pool.submit(one, s) for s in samples]
-            for index, future in enumerate(futures):
-                try:
-                    results[index] = future.result()
-                except NonFiniteState as exc:
-                    failures.append((index, str(exc)))
-    else:
-        for index, sample in enumerate(samples):
+    with ThreadPoolExecutor(max_workers=jobs) if jobs > 1 else nullcontext() as pool:
+        # one call per sample that returns its result, in sample order
+        runs = [pool.submit(one, s).result if pool else partial(one, s) for s in samples]
+        for index, run in enumerate(runs):
             try:
-                results[index] = one(sample)
+                result = run()
             except NonFiniteState as exc:
                 failures.append((index, str(exc)))
+                outcomes.append(None)
+                continue
+            outcomes.append(SampleOutcome(result.trace.T_used, result.decision))
+            for key, value in _sample_scalars(result, counted, e_syn_ref, e_upd_ref):
+                columns.setdefault(key, []).append(value)
     if failures:
         logger.warning("%d of %d samples aborted", len(failures), len(samples))
 
-    ok = [r for r in results if r is not None]
-    L = len(net.layers)
-    flat_kinds = [layer.kind is LayerKind.FLATTEN for layer in net.layers]
+    def stat(key) -> Stat:
+        return _stat(np.array(columns.get(key, ()), dtype=np.float64))
 
-    exact_tot = np.array([r.energy.E_tot for r in ok])
-    analytic_tot = np.array([r.energy_analytic.E_tot for r in ok])
-    per_layer_exact = np.array(
-        [[le.E_tot for le in r.energy.per_layer] for r in ok]
-    ).reshape(len(ok), L)
-    per_layer_analytic = np.array(
-        [[le.E_tot for le in r.energy_analytic.per_layer] for r in ok]
-    ).reshape(len(ok), L)
-    spikes = np.array([r.trace.counts.sum(axis=1) for r in ok]).reshape(len(ok), L)
-    # flatten rows re-emit upstream spikes; keep them out of the network total
-    totals = spikes[:, [not f for f in flat_kinds]].sum(axis=1) if ok else np.empty(0)
-    latency = np.array([r.trace.T_used for r in ok], dtype=np.float64)
-
-    ref_kind, e_syn_ref, e_upd_ref = _reference_params(net)
-    if ok:
-        s_values = np.array(
-            [(r.energy.E_syn + r.energy.E_rec) / e_syn_ref for r in ok]
+    methods = {
+        method: MethodStats(
+            total={c: stat((method, None, c)) for c in COMPONENTS},
+            per_layer=[{c: stat((method, i, c)) for c in COMPONENTS} for i in range(L)],
+            approx_padding=any(columns.get((method, "approx_padding"), ())),
         )
-        u_values = np.array([r.energy.E_upd / e_upd_ref for r in ok])
-        mean_s, mean_u = float(s_values.mean()), float(u_values.mean())
-    else:
-        mean_s = mean_u = float("nan")
-
+        for method in (_emac.METHOD_ANALYTIC, _emac.METHOD_EXACT)
+    }
     return AggregateStats(
         n_samples=len(samples),
-        n_ok=len(ok),
+        n_ok=len(samples) - len(failures),
         failures=failures,
-        results=results,
-        layer_names=[net.layer_name(i) for i in range(L)],
-        emac_exact=_stat(exact_tot),
-        emac_analytic=_stat(analytic_tot),
-        per_layer_emac_exact=[_stat(per_layer_exact[:, i]) for i in range(L)],
-        per_layer_emac_analytic=[_stat(per_layer_analytic[:, i]) for i in range(L)],
-        per_layer_spikes=[_stat(spikes[:, i]) for i in range(L)],
-        total_spikes=_stat(totals),
-        latency=_stat(latency),
-        mean_synaptic_events=mean_s,
-        mean_update_count=mean_u,
+        outcomes=outcomes,
+        methods=methods,
+        per_layer_spikes=[stat(("spikes", i)) for i in range(L)],
+        total_spikes=stat(("spikes", None)),
+        latency=stat("T_used"),
+        mean_synaptic_events=stat("S").mean,
+        mean_update_count=stat("U").mean,
         reference_kind=ref_kind,
     )

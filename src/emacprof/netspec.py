@@ -62,6 +62,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
+from .codec import EncodingMode
 from .errors import MaskViolation, SchemaError, ShapeMismatch, UnknownRef
 from .neuron import NeuronKind, NeuronModelSpec
 
@@ -77,6 +78,7 @@ __all__ = [
     "realized_connections",
     "layer_counts",
     "structural_counts",
+    "static_split",
     "weight_tensor",
     "recurrent_weight_tensor",
     "lcl_mask",
@@ -274,6 +276,22 @@ def structural_counts(net: NetworkSpec) -> list[LayerCounts]:
     return [layer_counts(layer) for layer in net.layers]
 
 
+def static_split(
+    net: NetworkSpec, mode: EncodingMode
+) -> tuple[list[int], int | None]:
+    """Indices evaluated statically, and the first spiking layer (or None).
+
+    The first spiking layer is not part of the static stage, but with an
+    analog input its drive is static too and is priced the same way.
+    """
+    if mode is EncodingMode.POISSON:
+        return [], 0
+    for index, layer in enumerate(net.layers):
+        if layer.kind in WEIGHTED_KINDS and layer.neuron_model.kind.spiking:
+            return list(range(index)), index
+    return list(range(len(net.layers))), None
+
+
 # ---------------------------------------------------------------------------
 # weight resolution
 
@@ -288,19 +306,18 @@ def _block(net: NetworkSpec, ref: str, index: int) -> np.ndarray:
         ) from None
 
 
+def _weight_shape(layer: LayerSpec) -> tuple[int, ...]:
+    """Natural shape of a weighted layer's block (see the module docstring)."""
+    if layer.kind is LayerKind.CONV2D:
+        return (layer.output_shape[0], layer.input_shape[0], *layer.kernel)
+    return (prod(layer.output_shape), prod(layer.input_shape))
+
+
 def weight_tensor(net: NetworkSpec, index: int) -> np.ndarray:
     """Layer weights as float64 in their natural shape."""
     layer = net.layers[index]
-    counts = layer_counts(layer)
     flat = _block(net, layer.weights_ref, index).astype(np.float64)
-    if layer.kind is LayerKind.CONV2D:
-        c_out = layer.output_shape[0]
-        c_in = layer.input_shape[0]
-        kh, kw = layer.kernel
-        return flat.reshape(c_out, c_in, kh, kw)
-    if layer.kind is LayerKind.LOCALLY_CONNECTED:
-        return flat.reshape(counts.neurons, prod(layer.input_shape))
-    return flat.reshape(counts.neurons, prod(layer.input_shape))
+    return flat.reshape(_weight_shape(layer))
 
 
 def recurrent_weight_tensor(net: NetworkSpec, index: int) -> np.ndarray:
@@ -401,15 +418,8 @@ def _validate_weights(net: NetworkSpec, index: int) -> None:
     layer = net.layers[index]
     counts = layer_counts(layer)
     name = f"layer {index} ({layer.kind.value})"
-    if layer.kind is LayerKind.CONV2D:
-        expected = (
-            layer.output_shape[0] * layer.input_shape[0]
-            * layer.kernel[0] * layer.kernel[1]
-        )
-    elif layer.kind is LayerKind.LOCALLY_CONNECTED:
-        expected = counts.neurons * prod(layer.input_shape)
-    else:
-        expected = counts.neurons * prod(layer.input_shape)
+    shape = _weight_shape(layer)
+    expected = prod(shape)
     block = _block(net, layer.weights_ref, index)
     if block.ndim != 1 or block.dtype != np.float32:
         raise SchemaError(f"{name}: weight blocks must be flat float32")
@@ -426,8 +436,7 @@ def _validate_weights(net: NetworkSpec, index: int) -> None:
                 f"{rec.size} values, expected {counts.neurons ** 2}"
             )
     if layer.kind is LayerKind.LOCALLY_CONNECTED:
-        matrix = block.reshape(counts.neurons, prod(layer.input_shape))
-        outside = matrix[~lcl_mask(layer)]
+        outside = block.reshape(shape)[~lcl_mask(layer)]
         if outside.size and np.any(outside != 0.0):
             bad = int(np.count_nonzero(outside))
             raise MaskViolation(

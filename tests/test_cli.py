@@ -237,6 +237,61 @@ def test_profile_numeric_blowup_exits_3(tmp_path, capsys):
     assert lines[2].startswith("1,ok")
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_profile_all_failed_dataset_reports_null_statistics(tmp_path, capsys):
+    w = np.full((3, 4), 1e38, dtype=np.float32)
+    net = (
+        NetworkBuilder((4,), coding=Coding.RATE, max_timesteps=6)
+        .dense(3, NeuronModelSpec(kind=NeuronKind.IFL, v_th=1e308), weights=w)
+        .build()
+    )
+    npath = write_net(tmp_path, net)
+    inputs = tmp_path / "inputs"
+    inputs.mkdir()
+    for name in ("a.csv", "b.csv"):
+        (inputs / name).write_text("1e300,1e300,1e300,1e300\n")
+    out = tmp_path / "blown"
+    rc = main(
+        ["profile", "--network", str(npath), "--inputs", str(inputs),
+         "--out", str(out)]
+    )
+    assert rc == 3
+    assert "samples: 0/2 ok" in capsys.readouterr().out
+    report = json.loads((out / "energy.json").read_text())
+    null = {"mean": None, "std": None}
+    assert report["n_ok"] == 0
+    assert report["latency_T"] == null
+    assert report["total_spikes"] == null
+    assert report["synaptic_events_mean"] is None
+    for block in report["methods"].values():
+        assert block["E_tot"] == null
+        assert block["approx_padding"] is False
+        assert block["per_layer"] == [
+            {"name": "0:dense", "kind": None, "E_syn": null, "E_upd": null,
+             "E_rec": null, "E_tot": null}
+        ]
+    spikes = (out / "spikes.csv").read_text().splitlines()
+    assert spikes[1] == "0,0:dense,dense,nan,nan"
+    assert (out / "latency.csv").read_text().splitlines()[1:] == [
+        "0,failed,,,", "1,failed,,,"
+    ]
+
+
+def test_profile_accepts_upper_case_suffixes(tmp_path, capsys):
+    npath = write_net(tmp_path, dense_ifl())
+    inputs = tmp_path / "inputs"
+    inputs.mkdir()
+    save_input_tensor(inputs / "x.BIN", np.full(4, 0.3))
+    (inputs / "y.CSV").write_text("0.3,0.3,0.3,0.3\n")
+    out = tmp_path / "upper"
+    rc = main(
+        ["profile", "--network", str(npath), "--inputs", str(inputs),
+         "--out", str(out)]
+    )
+    assert rc == 0, capsys.readouterr().err
+    assert json.loads((out / "energy.json").read_text())["n_ok"] == 2
+
+
 # ---------------------------------------------------------------------------
 # trace
 

@@ -7,6 +7,7 @@ from emacprof import (
     EncodingMode,
     NonFiniteState,
     RateOutOfRange,
+    SchemaError,
     ShapeMismatch,
     decode_max_membrane,
     decode_roc,
@@ -38,6 +39,17 @@ def test_poisson_rejects_out_of_range_rates():
         encode(np.array([0.2, 1.5]), EncodingMode.POISSON)
     with pytest.raises(RateOutOfRange):
         encode(np.array([-0.1]), EncodingMode.POISSON)
+
+
+def test_poisson_rejects_nan_rates():
+    with pytest.raises(RateOutOfRange):
+        encode(np.array([np.nan, 0.5]), EncodingMode.POISSON)
+
+
+@pytest.mark.parametrize("seed", [-1, 1 << 64])
+def test_seeds_outside_the_64_bit_range_are_schema_errors(seed):
+    with pytest.raises(SchemaError):
+        encode(np.array([0.5]), EncodingMode.POISSON, seed=seed)
 
 
 def test_poisson_extremes_are_deterministic():

@@ -300,7 +300,8 @@ def test_dataset_records_failures_without_raising():
     assert stats.n_samples == 3
     assert stats.n_ok == 2
     assert [i for i, _ in stats.failures] == [1]
-    assert stats.results[1] is None
+    assert stats.outcomes[1] is None
+    assert stats.outcomes[0] is not None and stats.outcomes[2] is not None
 
 
 def test_worker_pool_matches_serial_execution():
@@ -318,14 +319,15 @@ def test_worker_pool_matches_serial_execution():
     pooled = run_dataset(net, samples, jobs=4)
     assert serial.emac_exact == pooled.emac_exact
     assert serial.latency == pooled.latency
-    for a, b in zip(serial.results, pooled.results):
-        assert (a.trace.counts == b.trace.counts).all()
+    # per-sample outcomes in sample order, and every reduced statistic
+    assert pooled.outcomes == serial.outcomes
+    assert pooled == serial
 
 
 def test_calibration_regressors_use_plain_counts_for_uniform_nets():
     net = single_dense(0.4, coding=Coding.RATE, t_max=6)
     stats = run_dataset(net, [always_on(1)])
-    res = stats.results[0]
+    res = run_inference(net, always_on(1))
     events = int(
         res.trace.feedforward_events.sum() + res.trace.recurrent_events.sum()
     )
@@ -333,3 +335,86 @@ def test_calibration_regressors_use_plain_counts_for_uniform_nets():
     assert stats.reference_kind == "ifl"
     assert stats.mean_synaptic_events == pytest.approx(events, rel=1e-12)
     assert stats.mean_update_count == pytest.approx(6 * 1, rel=1e-12)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_dataset_statistics_equal_per_sample_reductions():
+    # conv (padded) -> pool -> flatten -> recurrent -> dense, one sample blows up
+    rng = np.random.default_rng(7)
+    lif = NeuronModelSpec(
+        kind=NeuronKind.LIF, dt=1e-3, tau_syn=5e-3, tau_mem=1e-2
+    )
+    net = (
+        NetworkBuilder((1, 6, 6), coding=Coding.RATE, max_timesteps=12)
+        .conv2d(2, (3, 3), lif, weights=rng.normal(0.3, 0.2, 18), padding=1)
+        .max_pool((2, 2))
+        .flatten()
+        .recurrent_dense(
+            5,
+            lif,
+            weights=rng.normal(0.1, 0.1, 5 * 18),
+            recurrent_weights=rng.normal(0.0, 0.1, 25),
+        )
+        .dense(3, lif, weights=rng.normal(0.2, 0.1, 15))
+        .build()
+    )
+    samples = [encode(rng.uniform(0.0, 1.0, (1, 6, 6))) for _ in range(5)]
+    samples[2] = encode(np.full((1, 6, 6), 1e308))
+    stats = run_dataset(net, samples)
+
+    results = []
+    for sample in samples:
+        try:
+            results.append(run_inference(net, sample))
+        except NonFiniteState:
+            results.append(None)
+    assert [r is None for r in results] == [False, False, True, False, False]
+    ok = [r for r in results if r is not None]
+
+    def moments(values):
+        return (np.mean(values), np.std(values))
+
+    def check(stat, values):
+        assert (stat.mean, stat.std) == moments(values)
+
+    components = ("E_syn", "E_upd", "E_rec", "E_tot")
+    for method, attr in (("exact_events", "energy"), ("analytic", "energy_analytic")):
+        block = stats.methods[method]
+        reports = [getattr(r, attr) for r in ok]
+        assert block.approx_padding
+        for c in components:
+            check(block.total[c], [getattr(rep, c) for rep in reports])
+            for index in range(len(net.layers)):
+                check(
+                    block.per_layer[index][c],
+                    [getattr(rep.per_layer[index], c) for rep in reports],
+                )
+    assert stats.emac_exact == stats.methods["exact_events"].total["E_tot"]
+
+    spikes = [r.trace.counts.sum(axis=1) for r in ok]
+    for index in range(len(net.layers)):
+        check(stats.per_layer_spikes[index], [s[index] for s in spikes])
+    # the flatten row (index 2) re-emits the pool's spikes and is not counted
+    check(stats.total_spikes, [s[[0, 1, 3, 4]].sum() for s in spikes])
+    check(stats.latency, [r.trace.T_used for r in ok])
+    e_syn, e_upd = lif.energy.e_syn, lif.energy.e_upd
+    assert stats.mean_synaptic_events == np.mean(
+        [(r.energy.E_syn + r.energy.E_rec) / e_syn for r in ok]
+    )
+    assert stats.mean_update_count == np.mean([r.energy.E_upd / e_upd for r in ok])
+    assert [
+        None if o is None else (o.T_used, o.decision) for o in stats.outcomes
+    ] == [None if r is None else (r.trace.T_used, r.decision) for r in results]
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_all_failed_dataset_has_nan_statistics():
+    net = single_dense(1e38, v_th=1e308, coding=Coding.RATE, t_max=6)
+    bad = encode(np.full(1, 1e300))
+    stats = run_dataset(net, [bad, bad])
+    assert stats.n_ok == 0
+    assert stats.outcomes == [None, None]
+    assert np.isnan(stats.emac_exact.mean) and np.isnan(stats.latency.std)
+    assert np.isnan(stats.per_layer_spikes[0].mean)
+    assert np.isnan(stats.mean_synaptic_events)
+    assert not stats.methods["analytic"].approx_padding
