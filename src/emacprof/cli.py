@@ -305,7 +305,9 @@ def cmd_trace(args) -> int:
             f"--sample {args.sample} is out of range for {len(paths)} input file(s)"
         )
     values = load_input_tensor(paths[args.sample], net.input_shape)
-    sample = encode(values, EncodingMode(args.encoding), args.seed % (1 << 64))
+    # the seed ``profile`` gives this sample, so the trace shows its draws
+    seed = (args.seed + args.sample) % (1 << 64)
+    sample = encode(values, EncodingMode(args.encoding), seed)
     result = run_inference(
         net,
         sample,
@@ -385,6 +387,13 @@ def cmd_predict(args) -> int:
 # parser
 
 
+def positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _add_network_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--network", required=True, help="network manifest (JSON)")
     p.add_argument(
@@ -451,7 +460,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("profile", help="run a dataset and write energy reports")
     _add_network_flags(p)
     _add_run_flags(p)
-    p.add_argument("--jobs", type=int, default=1, help="concurrent samples")
+    p.add_argument("--jobs", type=positive_int, default=1, help="concurrent samples")
     _add_out_flags(p)
     p.set_defaults(func=cmd_profile)
 
@@ -482,7 +491,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True, help="fitted model JSON")
     _add_network_flags(p)
     _add_run_flags(p)
-    p.add_argument("--jobs", type=int, default=1, help="concurrent samples")
+    p.add_argument("--jobs", type=positive_int, default=1, help="concurrent samples")
     _add_out_flags(p, formats=False)
     p.set_defaults(func=cmd_predict)
 

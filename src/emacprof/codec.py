@@ -26,6 +26,7 @@ input shape.
 from __future__ import annotations
 
 import logging
+import threading
 from dataclasses import dataclass
 from enum import Enum
 from math import prod
@@ -100,18 +101,36 @@ def encode(
     return EncodedInput(mode=mode, values=arr, seed=seed)
 
 
+class _Stream(threading.local):
+    """One Philox generator per thread, re-keyed for every slice.
+
+    Building a generator reads OS entropy for a seed sequence, which would
+    cost more than the draws of a slice; setting the state is cheap.
+    """
+
+    def __init__(self) -> None:
+        self.bits = np.random.Generator(np.random.Philox(key=0))
+        # the state of a fresh generator; only counter[3] and key[0] change
+        self.state = self.bits.bit_generator.state
+
+
+_STREAM = _Stream()
+
+
 def poisson_slice(encoded: EncodedInput, t: int) -> np.ndarray:
     """Boolean spike tensor for step ``t`` (1-based), regenerable at random.
 
-    Each step keys its own counter-based stream, so slices are independent
-    of how many other steps were drawn and reproducible in isolation.
+    Each step keys its own counter-based stream, Philox with counter
+    ``[0, 0, 0, t]`` and key ``[seed, 0]``, so slices are independent of
+    how many other steps were drawn and reproducible in isolation.
     """
     if encoded.mode is not EncodingMode.POISSON:
         raise SchemaError("spike slices are only defined for poisson encoding")
-    bits = np.random.Generator(
-        np.random.Philox(key=np.uint64(encoded.seed), counter=[0, 0, 0, t])
-    )
-    u = bits.random(encoded.values.shape)
+    stream = _STREAM
+    stream.state["state"]["counter"][3] = t
+    stream.state["state"]["key"][0] = encoded.seed
+    stream.bits.bit_generator.state = stream.state
+    u = stream.bits.random(encoded.values.shape)
     return u < encoded.values
 
 

@@ -26,6 +26,15 @@ Alongside the dynamics the engine keeps exact integer event counters:
 These counters, the per-step spike counts, and the step budget actually
 used are what the energy accounting consumes.
 
+Before it runs, each sample builds a step plan: one forward map per
+layer, with whatever it needs allocated once. A convolution writes its
+input into the interior of a zero-padded buffer and multiplies the
+kernel rows with a fixed window view of that buffer (the im2col product);
+a pool takes the elementwise maximum of precomputed strided slices, one
+per window tap; a dense-like layer copies its input into a float buffer.
+The static stage and the step loop use the same plans, so results do not
+depend on which of them evaluates a layer.
+
 Over a dataset, :func:`run_dataset` keeps each sample's outcome (step
 count and decision) and the per-sample scalars its statistics need, not
 the full results, and reduces every statistic once at the end.
@@ -132,10 +141,28 @@ class _LayerRT:
     recurrent_fanin: int
     weighted: bool
     spiking: bool
+    #: 2-D: (neurons, inputs), or (C_out, C_in * kh * kw) for a convolution
     weights: np.ndarray | None = None
     rec_weights: np.ndarray | None = None
+    #: flat, in input order
     fanout: np.ndarray | None = None
+    #: pooling: one strided slice of the input per window tap
+    pool_taps: tuple[tuple[slice, ...], ...] = ()
     step: Callable | None = None
+
+
+def _window_taps(layer: LayerSpec) -> tuple[tuple[slice, ...], ...]:
+    (kh, kw), (sh, sw) = layer.kernel, layer.stride
+    _, oh, ow = layer.output_shape
+    return tuple(
+        (
+            slice(None),
+            slice(dy, dy + sh * (oh - 1) + 1, sh),
+            slice(dx, dx + sw * (ow - 1) + 1, sw),
+        )
+        for dy in range(kh)
+        for dx in range(kw)
+    )
 
 
 def _compile(net: NetworkSpec) -> list[_LayerRT]:
@@ -154,40 +181,70 @@ def _compile(net: NetworkSpec) -> list[_LayerRT]:
             ),
         )
         if rt.weighted:
-            rt.weights = weight_tensor(net, index)
+            weights = weight_tensor(net, index)
+            rt.weights = weights.reshape(weights.shape[0], -1)
             if layer.kind is LayerKind.RECURRENT_DENSE:
                 rt.rec_weights = recurrent_weight_tensor(net, index)
             if rt.spiking:
                 rt.step = step_fn(layer.neuron_model.kind)
+        if layer.kind is LayerKind.MAX_POOL2D:
+            rt.pool_taps = _window_taps(layer)
         if layer.kind is not LayerKind.FLATTEN:
-            rt.fanout = fanout_map(layer)
+            rt.fanout = fanout_map(layer).reshape(-1)
         out.append(rt)
     return out
 
 
-def _window_view(x: np.ndarray, kernel, stride) -> np.ndarray:
-    kh, kw = kernel
-    sh, sw = stride
-    view = np.lib.stride_tricks.sliding_window_view(x, (kh, kw), axis=(1, 2))
-    return view[:, ::sh, ::sw]
+def _max_pool(x: np.ndarray, taps: tuple[tuple[slice, ...], ...]) -> np.ndarray:
+    # the elementwise max of the window taps; on spikes it is a logical OR
+    out = x[taps[0]].copy()
+    for tap in taps[1:]:
+        np.maximum(out, x[tap], out=out)
+    return out
 
 
-def _weighted_drive(rt: _LayerRT, x: np.ndarray) -> np.ndarray:
-    """Flat synaptic drive of a weighted layer for input tensor ``x``."""
+def _step_plan(rt: _LayerRT) -> Callable[[np.ndarray], np.ndarray] | None:
+    """One call's forward map of a layer, with its buffers built once.
+
+    A weighted layer maps its input to its flat synaptic drive, a pool to
+    the pooled tensor; flatten needs no plan. The buffers belong to one
+    call, not to ``rt``: ``run_dataset`` shares compiled layers across
+    threads.
+    """
     layer = rt.spec
+    if layer.kind is LayerKind.MAX_POOL2D:
+        return partial(_max_pool, taps=rt.pool_taps)
+    if not rt.weighted:
+        return None
+    weights = rt.weights
     if layer.kind is LayerKind.CONV2D:
-        if layer.padding:
-            p = layer.padding
-            x = np.pad(x, ((0, 0), (p, p), (p, p)))
-        view = _window_view(x, layer.kernel, layer.stride)
-        drive = np.tensordot(rt.weights, view, axes=([1, 2, 3], [0, 3, 4]))
-        return drive.reshape(-1)
-    return rt.weights @ x.reshape(-1)
+        c, h, w = layer.input_shape
+        p = layer.padding
+        padded = np.zeros((c, h + 2 * p, w + 2 * p))
+        interior = padded[:, p : p + h, p : p + w]
+        (kh, kw), (sh, sw) = layer.kernel, layer.stride
+        view = np.lib.stride_tricks.sliding_window_view(padded, (kh, kw), axis=(1, 2))
+        # (C, kh, kw, oh, ow): reshaped, the (taps, positions) im2col matrix
+        columns = view[:, ::sh, ::sw].transpose(0, 3, 4, 1, 2)
+        taps = weights.shape[1]
+
+        def conv_drive(x: np.ndarray) -> np.ndarray:
+            interior[...] = x
+            return np.dot(weights, columns.reshape(taps, -1)).reshape(-1)
+
+        return conv_drive
+    flat = np.empty(weights.shape[1])
+
+    def dense_drive(x: np.ndarray) -> np.ndarray:
+        flat[...] = x.reshape(-1)
+        return weights @ flat
+
+    return dense_drive
 
 
-def _pool(x: np.ndarray, layer: LayerSpec) -> np.ndarray:
-    # max over boolean windows is a logical OR of the pooled spikes
-    return _window_view(x, layer.kernel, layer.stride).max(axis=(-2, -1))
+def _synaptic_events(rt: _LayerRT, spikes: np.ndarray) -> int:
+    """Realized connections the spikes entering layer ``rt`` reach."""
+    return int(np.dot(rt.fanout, spikes.reshape(-1)))
 
 
 def _check_finite(state, index: int, t: int) -> None:
@@ -198,13 +255,13 @@ def _check_finite(state, index: int, t: int) -> None:
         )
 
 
-def _apply_static(rt: _LayerRT, x: np.ndarray) -> np.ndarray:
+def _apply_static(rt: _LayerRT, plan: Callable | None, x: np.ndarray) -> np.ndarray:
     layer = rt.spec
     if layer.kind is LayerKind.FLATTEN:
         return x.reshape(-1)
     if layer.kind is LayerKind.MAX_POOL2D:
-        return _pool(x, layer)
-    act = ann_activation(_weighted_drive(rt, x), layer.neuron_model)
+        return plan(x)
+    act = ann_activation(plan(x), layer.neuron_model)
     return act.reshape(layer.output_shape)
 
 
@@ -263,12 +320,13 @@ def _run_compiled(
     rec_events = np.zeros(L, dtype=np.int64)
     analog_base = np.zeros(L, dtype=np.int64)
 
+    plans = [_step_plan(r) for r in rt]
     static_ids, start = static_split(net, encoded.mode)
     x = encoded.values
     for idx in static_ids:
         if rt[idx].spec.kind is not LayerKind.FLATTEN:
             analog_base[idx] = rt[idx].fanin * rt[idx].neurons
-        x = _apply_static(rt[idx], x)
+        x = _apply_static(rt[idx], plans[idx], x)
         if not np.isfinite(x).all():
             raise NonFiniteState(
                 f"layer {idx} produced non-finite values in the static stage"
@@ -287,7 +345,7 @@ def _run_compiled(
     else:
         drive0 = None
         if encoded.mode is EncodingMode.ANALOG:
-            drive0 = _weighted_drive(rt[start], x)
+            drive0 = plans[start](x)
             analog_base[start] = rt[start].fanin * rt[start].neurons
 
         states = {r.index: state_zeros(r.neurons) for r in rt if r.spiking}
@@ -309,34 +367,35 @@ def _run_compiled(
             row = np.zeros(L, dtype=np.int64)
             if encoded.mode is EncodingMode.POISSON:
                 cur = poisson_slice(encoded, t)
-                in_counts.append(int(cur.sum()))
+                in_counts.append(np.count_nonzero(cur))
             else:
                 cur = None
             for r in rt[start:]:
                 idx = r.index
+                plan = plans[idx]
                 if r.weighted:
                     if idx == start and drive0 is not None:
                         drive = drive0
                     else:
-                        ff_events[idx] += int((cur * r.fanout).sum())
-                        drive = _weighted_drive(r, cur.astype(np.float64))
+                        ff_events[idx] += _synaptic_events(r, cur)
+                        drive = plan(cur)
                     if r.rec_weights is not None:
                         drive = drive + r.rec_weights @ prev_own[idx]
                     state, spikes = r.step(states[idx], drive, r.spec.neuron_model)
                     _check_finite(state, idx, t)
                     states[idx] = state
+                    row[idx] = np.count_nonzero(spikes)
                     if r.rec_weights is not None:
-                        rec_events[idx] += r.recurrent_fanin * int(spikes.sum())
+                        rec_events[idx] += r.recurrent_fanin * int(row[idx])
                         prev_own[idx] = spikes.astype(np.float64)
-                    row[idx] = int(spikes.sum())
                     out = spikes.reshape(r.spec.output_shape)
                 elif r.spec.kind is LayerKind.MAX_POOL2D:
-                    ff_events[idx] += int((cur * r.fanout).sum())
-                    out = _pool(cur, r.spec)
-                    row[idx] = int(out.sum())
+                    ff_events[idx] += _synaptic_events(r, cur)
+                    out = plan(cur)
+                    row[idx] = np.count_nonzero(out)
                 else:  # flatten: reshape and re-emit
                     out = cur.reshape(-1)
-                    row[idx] = int(np.count_nonzero(out))
+                    row[idx] = np.count_nonzero(out)
                 if raster_cols is not None:
                     raster_cols[idx].append(np.asarray(out, dtype=bool).reshape(-1))
                 cur = out

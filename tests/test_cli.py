@@ -9,8 +9,11 @@ from emacprof import (
     NeuronKind,
     NeuronModelSpec,
     Observation,
+    encode,
     fit_energy_model,
+    load_input_tensor,
     model_to_json,
+    run_inference,
     save_input_tensor,
     serialize_network,
     write_observations_csv,
@@ -362,6 +365,34 @@ def test_trace_sample_index_must_exist(tmp_path, capsys):
     assert "out of range" in capsys.readouterr().err
 
 
+def test_trace_sample_k_draws_with_the_seed_profile_gives_it(tmp_path):
+    # a fast leak keeps the counts following each step's input draws
+    fast = NeuronModelSpec(
+        kind=NeuronKind.LIF, dt=1e-3, tau_syn=2e-3, tau_mem=2e-3, v_th=0.5
+    )
+    net = (
+        NetworkBuilder((16,), coding=Coding.RATE, max_timesteps=8)
+        .dense(16, fast, weights=np.eye(16, dtype=np.float32))
+        .build()
+    )
+    rng = np.random.default_rng(3)
+    npath = write_net(tmp_path, net)
+    inputs = write_inputs(tmp_path, [rng.uniform(0.2, 0.8, 16) for _ in range(3)])
+    out = tmp_path / "t"
+    rc = main(
+        ["trace", "--network", str(npath), "--inputs", str(inputs),
+         "--encoding", "poisson", "--seed", "5", "--sample", "2", "--out", str(out)]
+    )
+    assert rc == 0
+    # sample k of a dataset draws from seed + k
+    values = load_input_tensor(sorted(inputs.iterdir())[2], net.input_shape)
+    counts = run_inference(net, encode(values, "poisson", 5 + 2)).trace.counts
+    expected = ["layer,t,spike_count"] + [
+        f"0,{t},{c}" for t, c in enumerate(counts[0].tolist(), start=1)
+    ]
+    assert (out / "trace.csv").read_text().splitlines() == expected
+
+
 # ---------------------------------------------------------------------------
 # calibrate / predict
 
@@ -453,3 +484,18 @@ def test_empty_input_directory_exits_2(tmp_path, capsys):
     )
     assert rc == 2
     assert "no .bin or .csv" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, jobs", [("profile", "0"), ("predict", "-1")])
+def test_jobs_below_one_is_a_usage_error(tmp_path, capsys, command, jobs):
+    npath = write_net(tmp_path, dense_ifl())
+    inputs = write_inputs(tmp_path, [np.full(4, 0.3)])
+    model = ["--model", str(tmp_path / "model.json")] if command == "predict" else []
+    with pytest.raises(SystemExit) as e:
+        main(
+            [command, *model, "--network", str(npath), "--inputs", str(inputs),
+             "--jobs", jobs, "--out", str(tmp_path / "o")]
+        )
+    assert e.value.code == 2
+    assert "--jobs: must be at least 1" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()

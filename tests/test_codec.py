@@ -1,3 +1,6 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -85,6 +88,50 @@ def test_poisson_slices_do_not_depend_on_draw_order():
     backward = [poisson_slice(enc, t) for t in (3, 2, 1)]
     for f, b in zip(forward, reversed(backward)):
         assert (f == b).all()
+
+
+@pytest.mark.parametrize("shape", [(13,), (2, 5, 7)])
+@pytest.mark.parametrize("t", [1, 64, 2**40])
+@pytest.mark.parametrize("seed", [0, 1, 2**64 - 1])
+def test_poisson_slice_is_a_fresh_philox_stream(seed, t, shape):
+    values = np.random.default_rng(4).uniform(0.0, 1.0, shape)
+    enc = encode(values, EncodingMode.POISSON, seed=seed)
+    fresh = np.random.Generator(
+        np.random.Philox(key=np.uint64(seed), counter=[0, 0, 0, t])
+    )
+    expected = fresh.random(shape) < values
+    got = poisson_slice(enc, t)
+    assert got.dtype == np.bool_ and got.shape == shape
+    assert got.tobytes() == expected.tobytes()
+
+
+def test_threads_drawing_interleaved_slices_get_the_serial_result():
+    values = np.random.default_rng(5).uniform(0.0, 1.0, (4, 6))
+    encoded = [encode(values, EncodingMode.POISSON, seed=s) for s in (3, 4, 5, 6)]
+    steps = range(1, 200)
+    serial = {(i, t): poisson_slice(enc, t) for i, enc in enumerate(encoded) for t in steps}
+    drawn = [{} for _ in encoded]
+    start = threading.Barrier(len(encoded))
+
+    def draw(i):
+        start.wait(timeout=30)
+        for t in steps:
+            drawn[i][t] = poisson_slice(encoded[i], t)
+
+    # more threads than cores, switching as often as the interpreter allows
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [threading.Thread(target=draw, args=(i,)) for i in range(len(encoded))]
+        for w in workers:
+            w.start()
+        for w in workers:
+            w.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(w.is_alive() for w in workers)
+    for (i, t), expected in serial.items():
+        assert np.array_equal(drawn[i][t], expected)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,9 @@
+import hashlib
+import threading
+
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
 from emacprof import (
     Coding,
@@ -15,6 +19,8 @@ from emacprof import (
     run_dataset,
     run_inference,
 )
+from emacprof.engine import _compile, _step_plan, _synaptic_events
+from emacprof.netspec import fanout_map, lcl_mask, weight_tensor
 
 IFL = NeuronModelSpec(kind=NeuronKind.IFL)
 ANN = NeuronModelSpec(kind=NeuronKind.ANN_RELU)
@@ -418,3 +424,217 @@ def test_all_failed_dataset_has_nan_statistics():
     assert np.isnan(stats.per_layer_spikes[0].mean)
     assert np.isnan(stats.mean_synaptic_events)
     assert not stats.methods["analytic"].approx_padding
+
+
+# ---------------------------------------------------------------------------
+# per-sample step plan
+
+
+def lif(v_th=0.5):
+    return NeuronModelSpec(
+        kind=NeuronKind.LIF, dt=1e-3, tau_syn=5e-3, tau_mem=1e-2, v_th=v_th
+    )
+
+
+def window_view(x, layer):
+    sh, sw = layer.stride
+    return sliding_window_view(x, layer.kernel, axis=(1, 2))[:, ::sh, ::sw]
+
+
+@pytest.mark.parametrize(
+    "kernel, stride, padding",
+    [((3, 2), (1, 1), 0), ((3, 2), (2, 1), 1), ((2, 5), (2, 3), 2), ((1, 1), (2, 2), 0)],
+)
+def test_conv_drive_is_bitwise_the_tensordot_over_windows(kernel, stride, padding):
+    rng = np.random.default_rng(sum(kernel) + padding)
+    shape = (3, 9, 11)
+    net = (
+        NetworkBuilder(shape, coding=Coding.RATE, max_timesteps=4)
+        .conv2d(
+            4, kernel, lif(), stride=stride, padding=padding,
+            weights=rng.normal(0.0, 0.3, 4 * 3 * kernel[0] * kernel[1]),
+        )
+        .build()
+    )
+    layer = net.layers[0]
+    weights = weight_tensor(net, 0)
+    drive = _step_plan(_compile(net)[0])
+    # spikes and analog values through one plan: its buffer is reused
+    for x in (rng.random(shape) < 0.4, rng.normal(size=shape), rng.random(shape) < 0.7):
+        p = layer.padding
+        padded = np.pad(x.astype(np.float64), ((0, 0), (p, p), (p, p)))
+        expected = np.tensordot(
+            weights, window_view(padded, layer), axes=([1, 2, 3], [0, 3, 4])
+        ).reshape(-1)
+        assert np.array_equal(drive(x), expected)
+
+
+@pytest.mark.parametrize(
+    "shape, pool, stride",
+    [
+        ((2, 8, 9), (3, 2), (2, 1)),  # overlapping rows, one row left over
+        ((3, 7, 7), (2, 2), None),  # one row and one column left over
+        ((1, 5, 7), (3, 3), (1, 2)),  # overlapping in both axes
+        ((2, 6, 5), (1, 1), None),
+    ],
+)
+def test_pool_equals_the_window_max(shape, pool, stride):
+    rng = np.random.default_rng(len(shape) + sum(pool))
+    net = (
+        NetworkBuilder(shape, coding=Coding.RATE, max_timesteps=4)
+        .max_pool(pool, stride=stride)
+        .flatten()
+        .dense(2, lif())
+        .build()
+    )
+    layer = net.layers[0]
+    plan = _step_plan(_compile(net)[0])
+    for x in (rng.random(shape) < 0.3, rng.normal(size=shape), np.zeros(shape, bool)):
+        expected = window_view(x, layer).max(axis=(-2, -1))
+        out = plan(x)
+        assert out.dtype == expected.dtype
+        assert np.array_equal(out, expected)
+
+
+def layered_net(t_max=16):
+    """conv (padded, strided) -> pool (overlapping) -> LCL -> recurrent -> dense.
+
+    Weights and analog inputs are multiples of 1/8, so every weighted sum is
+    exact in float64 whatever order a BLAS library adds it in.
+    """
+    rng = np.random.default_rng(5)
+
+    def eighths(lo, hi, shape):
+        return rng.integers(lo, hi, shape) / 8
+
+    builder = (
+        NetworkBuilder((1, 9, 9), coding=Coding.RATE, max_timesteps=t_max)
+        .conv2d(3, (3, 2), lif(), stride=(2, 1), padding=1, weights=eighths(0, 6, 18))
+        .max_pool((2, 3), stride=(1, 2))
+    )
+    mask = lcl_mask(
+        NetworkBuilder((3, 4, 4))
+        .locally_connected(2, (2, 2), lif(1.0), stride=(2, 2))
+        .build()
+        .layers[0]
+    )
+    return (
+        builder.locally_connected(
+            2, (2, 2), lif(1.0), stride=(2, 2), weights=eighths(0, 4, mask.shape) * mask
+        )
+        .recurrent_dense(
+            6, lif(0.5), weights=eighths(0, 5, (6, 8)),
+            recurrent_weights=eighths(-4, 3, (6, 6)),
+        )
+        .dense(3, lif(0.3), weights=eighths(0, 5, (3, 6)))
+        .build()
+    )
+
+
+def test_event_counter_equals_spikes_times_fanout():
+    rng = np.random.default_rng(6)
+    net = layered_net()
+    for rt in _compile(net):
+        spikes = rng.random(rt.spec.input_shape) < 0.5
+        expected = int((spikes * fanout_map(rt.spec)).sum())
+        assert _synaptic_events(rt, spikes) == expected
+
+
+def digest(arrays):
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(np.ascontiguousarray(a).astype("<f8").tobytes())
+    return h.hexdigest()[:16]
+
+
+# Recorded before conv/pool windows and the Poisson stream were built once per
+# sample (per-step sliding windows, np.tensordot, a fresh Philox per slice).
+LAYERED_RUNS = {
+    "poisson": dict(
+        counts=[
+            [0, 0, 17, 30, 43, 50, 52, 47, 54, 57, 42, 64, 56, 64, 58, 66],
+            [0, 0, 24, 27, 34, 42, 41, 39, 41, 44, 35, 45, 40, 45, 42, 46],
+            [0, 0, 0, 0, 0, 2, 7, 3, 6, 4, 7, 6, 5, 5, 8, 6],
+            [0, 0, 0, 0, 0, 0, 0, 3, 3, 3, 5, 3, 5, 3, 5, 4],
+            [0, 0, 0, 0, 0, 0, 0, 0, 0, 2, 3, 2, 3, 3, 2, 3],
+        ],
+        input_counts=[37, 35, 35, 40, 35, 36, 32, 33, 32, 32, 30, 36, 36, 36, 25, 32],
+        feedforward=[4824, 1595, 1090, 354, 102],
+        recurrent=[0, 0, 0, 204, 0],
+        analog=[0, 0, 0, 0, 0],
+        voltages="5a32654c88db5f99",
+        rasters="7c1377b4daac1b04",
+    ),
+    "analog": dict(
+        counts=[
+            [0, 1, 32, 50, 60, 64, 76, 74, 67, 81, 78, 80, 75, 88, 75, 87],
+            [0, 4, 28, 32, 44, 40, 48, 46, 45, 48, 48, 44, 46, 45, 46, 46],
+            [0, 0, 0, 0, 0, 6, 4, 4, 6, 7, 6, 8, 5, 7, 8, 6],
+            [0, 0, 0, 0, 0, 0, 1, 4, 3, 3, 5, 4, 5, 3, 6, 5],
+            [0, 0, 0, 0, 0, 0, 0, 0, 1, 2, 3, 3, 2, 3, 3, 3],
+        ],
+        input_counts=None,
+        feedforward=[0, 2229, 1220, 402, 117],
+        recurrent=[0, 0, 0, 234, 0],
+        analog=[900, 0, 0, 0, 0],
+        voltages="3f087faeead6e41b",
+        rasters="d47f3fd911a7bdce",
+    ),
+}
+
+
+@pytest.mark.parametrize("mode", ["poisson", "analog"])
+def test_layered_run_matches_recorded_values(mode):
+    x = np.random.default_rng(9).integers(0, 9, (1, 9, 9)) / 8
+    enc = encode(x * 0.75, mode, seed=11) if mode == "poisson" else encode(x, mode)
+    res = run_inference(layered_net(), enc, record_raster=True)
+    want = LAYERED_RUNS[mode]
+    trace = res.trace
+    assert trace.counts.tolist() == want["counts"]
+    got_inputs = None if trace.input_counts is None else trace.input_counts.tolist()
+    assert got_inputs == want["input_counts"]
+    assert trace.feedforward_events.tolist() == want["feedforward"]
+    assert trace.recurrent_events.tolist() == want["recurrent"]
+    assert trace.analog_events.tolist() == want["analog"]
+    assert digest([res.output_voltages]) == want["voltages"]
+    assert digest(res.rasters) == want["rasters"]
+    assert (res.decision.class_index, res.decision.latency_T) == (2, 16)
+
+
+def test_windows_and_the_poisson_stream_are_built_once_per_sample(monkeypatch):
+    calls = {"window": 0, "philox": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    stride_tricks = np.lib.stride_tricks
+    monkeypatch.setattr(
+        stride_tricks, "sliding_window_view",
+        counted("window", stride_tricks.sliding_window_view),
+    )
+    monkeypatch.setattr(np.random, "Philox", counted("philox", np.random.Philox))
+    rng = np.random.default_rng(10)
+    net = (
+        NetworkBuilder((1, 12, 12), coding=Coding.RATE, max_timesteps=20)
+        .conv2d(4, (3, 3), lif(), padding=1, weights=rng.normal(0.2, 0.1, 36))
+        .max_pool((2, 2))
+        .conv2d(4, (3, 3), lif(), weights=rng.normal(0.1, 0.1, 144))
+        .max_pool((2, 2), stride=(1, 1))
+        .flatten()
+        .dense(3, lif(), weights=rng.normal(0.1, 0.1, 3 * 36))
+        .build()
+    )
+    enc = encode(rng.uniform(0.0, 0.8, (1, 12, 12)), "poisson", seed=2)
+    results = []
+    # a fresh thread has no Poisson stream yet: it builds exactly its own
+    worker = threading.Thread(target=lambda: results.append(run_inference(net, enc)))
+    worker.start()
+    worker.join(timeout=60)
+    assert not worker.is_alive()
+    assert results[0].trace.T_used == 20
+    assert calls["window"] <= 2  # conv layers
+    assert calls["philox"] <= 1
