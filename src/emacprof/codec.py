@@ -68,37 +68,44 @@ class EncodingMode(str, Enum):
 
 @dataclass(frozen=True)
 class EncodedInput:
-    """An input tensor plus how the simulator should present it over time."""
+    """An input tensor plus how the simulator should present it over time.
+
+    Construction validates the input however it is built: Poisson values
+    must lie in [0, 1] (NaN is out of range, :class:`RateOutOfRange`),
+    analog values must be finite (:class:`NonFiniteState`), and the seed
+    keys a 64-bit stream, so it must lie in [0, 2**64)
+    (:class:`SchemaError`).
+    """
 
     mode: EncodingMode
     values: np.ndarray
     seed: int = 0
 
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "mode", EncodingMode(self.mode))
+        if not 0 <= self.seed < 1 << 64:
+            raise SchemaError(f"the seed must be in [0, 2**64), got {self.seed}")
+        arr = np.asarray(self.values)
+        if self.mode is EncodingMode.POISSON:
+            if not ((arr >= 0.0) & (arr <= 1.0)).all():
+                raise RateOutOfRange(
+                    f"poisson encoding needs values in [0, 1], got range "
+                    f"[{arr.min()}, {arr.max()}]"
+                )
+        elif not np.isfinite(arr).all():
+            raise NonFiniteState("analog input contains non-finite values")
+
 
 def encode(
     values: np.ndarray, mode: EncodingMode = EncodingMode.ANALOG, seed: int = 0
 ) -> EncodedInput:
-    """Wrap an input tensor for simulation.
+    """Wrap an input tensor as float64 for simulation.
 
-    Poisson encoding requires values in [0, 1] (NaN is out of range); a
-    value of 1.0 spikes on every step and 0.0 never does. Analog values only
-    need to be finite. The seed keys a 64-bit stream, so it must lie in
-    [0, 2**64).
+    A value of 1.0 spikes on every step under Poisson encoding and 0.0
+    never does; :class:`EncodedInput` lists what each mode accepts.
     """
-    mode = EncodingMode(mode)
-    seed = int(seed)
-    if not 0 <= seed < 1 << 64:
-        raise SchemaError(f"the seed must be in [0, 2**64), got {seed}")
     arr = np.asarray(values, dtype=np.float64)
-    if mode is EncodingMode.POISSON:
-        if not ((arr >= 0.0) & (arr <= 1.0)).all():
-            raise RateOutOfRange(
-                f"poisson encoding needs values in [0, 1], got range "
-                f"[{arr.min()}, {arr.max()}]"
-            )
-    elif not np.isfinite(arr).all():
-        raise NonFiniteState("analog input contains non-finite values")
-    return EncodedInput(mode=mode, values=arr, seed=seed)
+    return EncodedInput(mode=mode, values=arr, seed=int(seed))
 
 
 class _Stream(threading.local):

@@ -31,9 +31,21 @@ layer, with whatever it needs allocated once. A convolution writes its
 input into the interior of a zero-padded buffer and multiplies the
 kernel rows with a fixed window view of that buffer (the im2col product);
 a pool takes the elementwise maximum of precomputed strided slices, one
-per window tap; a dense-like layer copies its input into a float buffer.
+per window tap. A dense-like layer (dense, locally connected, and the
+recurrent term of a recurrent layer) is driven by events: for a boolean
+spike input it adds up the weight rows of the inputs that spiked, in
+blocks of at most 64 rows, so the cost follows the spike count and the
+temporary stays at 64 rows whatever the spike rate; a step with no input
+spikes yields +0.0. A float input (the static stage, or an analog first
+layer) takes the full matrix-vector product, and so does any input to a
+matrix of at most 16384 weights, where the product costs about what one
+gather's fixed overhead does. Both read the one float64 copy of the
+weights, stored input-major (see :func:`~emacprof.netspec.weight_tensor`).
 The static stage and the step loop use the same plans, so results do not
-depend on which of them evaluates a layer.
+depend on which of them evaluates a layer. The event sums add in another
+order than a dense product, so with arbitrary weights voltages may differ
+from one in the last bit; with sums that are exact (weights that are
+multiples of a power of two, say) they are equal.
 
 Over a dataset, :func:`run_dataset` keeps each sample's outcome (step
 count and decision) and the per-sample scalars its statistics need, not
@@ -141,8 +153,10 @@ class _LayerRT:
     recurrent_fanin: int
     weighted: bool
     spiking: bool
-    #: 2-D: (neurons, inputs), or (C_out, C_in * kh * kw) for a convolution
+    #: 2-D: (neurons, inputs), column-major, or (C_out, C_in * kh * kw) for
+    #: a convolution
     weights: np.ndarray | None = None
+    #: (neurons, neurons), column-major
     rec_weights: np.ndarray | None = None
     #: flat, in input order
     fanout: np.ndarray | None = None
@@ -233,13 +247,41 @@ def _step_plan(rt: _LayerRT) -> Callable[[np.ndarray], np.ndarray] | None:
             return np.dot(weights, columns.reshape(taps, -1)).reshape(-1)
 
         return conv_drive
-    flat = np.empty(weights.shape[1])
+    return _event_drive(weights)
 
-    def dense_drive(x: np.ndarray) -> np.ndarray:
-        flat[...] = x.reshape(-1)
-        return weights @ flat
 
-    return dense_drive
+#: most weight rows one event-driven product gathers
+_EVENT_BLOCK = 64
+#: a matrix of at most this many weights takes the full product even for
+#: spikes: that costs about what one gather's fixed overhead does
+_EVENT_MIN_WEIGHTS = 1 << 14
+
+
+def _event_drive(weights: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+    """Drive of a column-major ``(neurons, inputs)`` matrix.
+
+    A boolean input sums the rows of ``weights.T`` (one per input, each
+    contiguous) picked by its spikes; a float input, or any input to a
+    matrix of at most ``_EVENT_MIN_WEIGHTS`` weights, takes ``weights @ x``.
+    """
+    rows = weights.T
+    ones = np.ones(_EVENT_BLOCK)
+    small = weights.size <= _EVENT_MIN_WEIGHTS
+
+    def drive(x: np.ndarray) -> np.ndarray:
+        # np.dot and x.reshape(-1).nonzero() dispatch faster than @ and
+        # np.flatnonzero, which a narrow layer notices at every step
+        if small or x.dtype != bool:
+            return np.dot(weights, x.reshape(-1))
+        idx = x.reshape(-1).nonzero()[0]
+        first = idx[:_EVENT_BLOCK]  # empty without spikes: the product is +0.0
+        total = np.dot(ones[: first.size], rows.take(first, axis=0))
+        for k in range(_EVENT_BLOCK, idx.size, _EVENT_BLOCK):
+            block = idx[k : k + _EVENT_BLOCK]
+            total += np.dot(ones[: block.size], rows.take(block, axis=0))
+        return total
+
+    return drive
 
 
 def _synaptic_events(rt: _LayerRT, spikes: np.ndarray) -> int:
@@ -349,11 +391,10 @@ def _run_compiled(
             analog_base[start] = rt[start].fanin * rt[start].neurons
 
         states = {r.index: state_zeros(r.neurons) for r in rt if r.spiking}
-        prev_own = {
-            r.index: np.zeros(r.neurons, dtype=np.float64)
-            for r in rt
-            if r.rec_weights is not None
+        recurrent = {
+            r.index: _event_drive(r.rec_weights) for r in rt if r.rec_weights is not None
         }
+        prev_own = {index: np.zeros(rt[index].neurons, dtype=bool) for index in recurrent}
         count_rows: list[np.ndarray] = []
         in_counts: list[int] = []
         spike_cols: list[np.ndarray] = []
@@ -380,14 +421,14 @@ def _run_compiled(
                         ff_events[idx] += _synaptic_events(r, cur)
                         drive = plan(cur)
                     if r.rec_weights is not None:
-                        drive = drive + r.rec_weights @ prev_own[idx]
+                        drive = drive + recurrent[idx](prev_own[idx])
                     state, spikes = r.step(states[idx], drive, r.spec.neuron_model)
                     _check_finite(state, idx, t)
                     states[idx] = state
                     row[idx] = np.count_nonzero(spikes)
                     if r.rec_weights is not None:
                         rec_events[idx] += r.recurrent_fanin * int(row[idx])
-                        prev_own[idx] = spikes.astype(np.float64)
+                        prev_own[idx] = spikes
                     out = spikes.reshape(r.spec.output_shape)
                 elif r.spec.kind is LayerKind.MAX_POOL2D:
                     ff_events[idx] += _synaptic_events(r, cur)
@@ -574,6 +615,8 @@ def run_dataset(
     once, over a 1-D array in sample order: a running sum or a 2-D
     reduction would change the last bits of the reported moments.
     """
+    if jobs < 1:
+        raise SchemaError(f"jobs must be at least 1, got {jobs}")
     if len(samples) == 0:
         raise EmptyDataset("the dataset holds no samples")
     one = partial(

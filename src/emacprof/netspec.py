@@ -313,18 +313,40 @@ def _weight_shape(layer: LayerSpec) -> tuple[int, ...]:
     return (prod(layer.output_shape), prod(layer.input_shape))
 
 
-def weight_tensor(net: NetworkSpec, index: int) -> np.ndarray:
-    """Layer weights as float64 in their natural shape."""
+def _float64_block(net: NetworkSpec, index: int, ref: str, shape) -> np.ndarray:
     layer = net.layers[index]
-    flat = _block(net, layer.weights_ref, index).astype(np.float64)
-    return flat.reshape(_weight_shape(layer))
+    block = _block(net, ref, index)
+    if not np.isfinite(block).all():
+        raise SchemaError(
+            f"layer {index} ({layer.kind.value}): weight block {ref!r} holds "
+            "non-finite values"
+        )
+    if len(shape) != 2:  # a convolution keeps its C order
+        return block.astype(np.float64).reshape(shape)
+    # float32 straight to a transposed float64 copy, in one pass: a float64
+    # conversion followed by a transposed copy costs several times more
+    return block.reshape(shape).T.astype(np.float64, order="C").T
+
+
+def weight_tensor(net: NetworkSpec, index: int) -> np.ndarray:
+    """Layer weights as float64 in their natural shape.
+
+    Dense-like blocks, ``(n_n, fan-in)``, come back column-major: each
+    input's outgoing weights are contiguous, so ``.T`` is a C-contiguous
+    ``(fan-in, n_n)`` array whose rows an event-driven drive gathers.
+    Convolutions are C-contiguous ``(C_out, C_in, kh, kw)``. A block holding
+    NaN or an infinity raises :class:`SchemaError` naming the layer and the
+    block, whatever the layer kind.
+    """
+    layer = net.layers[index]
+    return _float64_block(net, index, layer.weights_ref, _weight_shape(layer))
 
 
 def recurrent_weight_tensor(net: NetworkSpec, index: int) -> np.ndarray:
+    """Recurrent ``(n_n, n_n)`` weights, laid out and checked like a dense block."""
     layer = net.layers[index]
     n_n = layer_counts(layer).neurons
-    flat = _block(net, layer.recurrent_weights_ref, index).astype(np.float64)
-    return flat.reshape(n_n, n_n)
+    return _float64_block(net, index, layer.recurrent_weights_ref, (n_n, n_n))
 
 
 def lcl_mask(layer: LayerSpec) -> np.ndarray:

@@ -240,6 +240,25 @@ def test_profile_numeric_blowup_exits_3(tmp_path, capsys):
     assert lines[2].startswith("1,ok")
 
 
+def test_profile_non_finite_weight_exits_2(tmp_path, capsys):
+    w = np.full((3, 4), 0.5, dtype=np.float32)
+    w[1, 0] = np.nan  # on an input held at zero, so no spike ever reads it
+    net = (
+        NetworkBuilder((4,), coding=Coding.RATE, max_timesteps=6)
+        .dense(3, IFL, weights=w)
+        .build()
+    )
+    npath = write_net(tmp_path, net)
+    inputs = write_inputs(tmp_path, [np.array([0.0, 0.5, 0.5, 0.5])])
+    rc = main(
+        ["profile", "--network", str(npath), "--inputs", str(inputs),
+         "--encoding", "poisson", "--out", str(tmp_path / "o")]
+    )
+    assert rc == 2
+    assert "non-finite" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_profile_all_failed_dataset_reports_null_statistics(tmp_path, capsys):
     w = np.full((3, 4), 1e38, dtype=np.float32)

@@ -7,6 +7,7 @@ import pytest
 from emacprof import (
     EmptyHistory,
     EmptyRaster,
+    EncodedInput,
     EncodingMode,
     NonFiniteState,
     RateOutOfRange,
@@ -53,6 +54,18 @@ def test_poisson_rejects_nan_rates():
 def test_seeds_outside_the_64_bit_range_are_schema_errors(seed):
     with pytest.raises(SchemaError):
         encode(np.array([0.5]), EncodingMode.POISSON, seed=seed)
+
+
+@pytest.mark.parametrize("seed", [-1, 1 << 64])
+def test_directly_built_inputs_reject_out_of_range_seeds(seed):
+    with pytest.raises(SchemaError):
+        EncodedInput(EncodingMode.POISSON, np.array([0.5]), seed=seed)
+
+
+@pytest.mark.parametrize("rate", [1.5, np.nan])
+def test_directly_built_poisson_inputs_reject_bad_rates(rate):
+    with pytest.raises(RateOutOfRange):
+        EncodedInput(EncodingMode.POISSON, np.array([0.5, rate]), seed=3)
 
 
 def test_poisson_extremes_are_deterministic():

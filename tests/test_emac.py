@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from emacprof import (
     Coding,
@@ -23,6 +25,9 @@ from emacprof.netspec import LayerSpec, layer_counts
 
 ANN = NeuronModelSpec(kind=NeuronKind.ANN_RELU)
 LIF = NeuronModelSpec(kind=NeuronKind.LIF, dt=1e-3, tau_syn=8e-3, tau_mem=2e-3)
+LIF_SPIKING = NeuronModelSpec(
+    kind=NeuronKind.LIF, dt=1e-3, tau_syn=5e-3, tau_mem=1e-2, v_th=0.5
+)
 
 
 def ifl(v_th=1.0, **kw):
@@ -208,6 +213,26 @@ def test_dense_exact_matches_analytic_from_measured_rates():
     ).E_tot
     assert exact == pytest.approx(analytic, rel=1e-9)
     assert exact > 0
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    sizes=st.lists(st.integers(1, 40), min_size=2, max_size=5),
+    models=st.lists(st.sampled_from(["ifl", "lif", "ifl_once"]), min_size=4, max_size=4),
+    coding=st.sampled_from([Coding.RATE, Coding.ROC]),
+    t_max=st.integers(1, 24),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_dense_stack_exact_equals_analytic(sizes, models, coding, t_max, seed):
+    """The paper's dense-stack invariant, on any dense IFL/LIF stack."""
+    rng = np.random.default_rng(seed)
+    kinds = {"ifl": ifl(0.6), "lif": LIF_SPIKING, "ifl_once": ifl(0.6, spike_once=True)}
+    b = NetworkBuilder((sizes[0],), coding=coding, max_timesteps=t_max)
+    for n_in, n_out, model in zip(sizes, sizes[1:], models):
+        b.dense(n_out, kinds[model], weights=rng.uniform(-1.0, 4.0, (n_out, n_in)) / n_in)
+    enc = encode(rng.uniform(0.0, 1.0, sizes[0]), EncodingMode.POISSON, seed=seed)
+    res = run_inference(b.build(), enc)
+    assert res.energy.E_tot == pytest.approx(res.energy_analytic.E_tot, rel=1e-9)
 
 
 def test_conv_events_match_bruteforce_fanout_enumeration():

@@ -1,8 +1,11 @@
 import hashlib
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 
 from emacprof import (
@@ -19,8 +22,14 @@ from emacprof import (
     run_dataset,
     run_inference,
 )
-from emacprof.engine import _compile, _step_plan, _synaptic_events
-from emacprof.netspec import fanout_map, lcl_mask, weight_tensor
+from emacprof.engine import (
+    _EVENT_MIN_WEIGHTS,
+    _compile,
+    _event_drive,
+    _step_plan,
+    _synaptic_events,
+)
+from emacprof.netspec import fanout_map, lcl_mask, recurrent_weight_tensor, weight_tensor
 
 IFL = NeuronModelSpec(kind=NeuronKind.IFL)
 ANN = NeuronModelSpec(kind=NeuronKind.ANN_RELU)
@@ -638,3 +647,165 @@ def test_windows_and_the_poisson_stream_are_built_once_per_sample(monkeypatch):
     assert results[0].trace.T_used == 20
     assert calls["window"] <= 2  # conv layers
     assert calls["philox"] <= 1
+
+
+# ---------------------------------------------------------------------------
+# event-driven drive of dense-like layers
+
+
+def spike_vector(rng, n, count):
+    """``count`` spikes at random positions, or a random density if a float."""
+    if isinstance(count, float):
+        return rng.random(n) < count
+    x = np.zeros(n, bool)
+    x[rng.choice(n, size=min(count, n), replace=False)] = True
+    return x
+
+
+def drive_case(kind, rng, dyadic):
+    """The (neurons, inputs) weights of a one-layer net of ``kind``, as the
+    engine holds them, and its drive (the recurrent term for ``recurrent``)."""
+
+    def weights(shape):  # as stored: float32
+        if dyadic:
+            return rng.integers(-16, 17, shape) / 8
+        return rng.normal(0.0, 0.3, shape).astype(np.float32).astype(np.float64)
+
+    if kind in ("dense", "small dense"):  # above and below _EVENT_MIN_WEIGHTS
+        n_in = int(rng.integers(130, 300))
+        n_out = int(rng.integers(1, 50) if kind == "small dense" else rng.integers(128, 200))
+        w = weights((n_out, n_in))
+        net = NetworkBuilder((n_in,)).dense(n_out, lif(), weights=w).build()
+        return w, _step_plan(_compile(net)[0])
+    if kind == "locally_connected":
+        geometry = NetworkBuilder((2, 12, 12)).locally_connected(4, (3, 3), lif())
+        mask = lcl_mask(geometry.build().layers[0])
+        w = weights(mask.shape) * mask
+        net = (
+            NetworkBuilder((2, 12, 12))
+            .locally_connected(4, (3, 3), lif(), weights=w)
+            .build()
+        )
+        return w, _step_plan(_compile(net)[0])
+    n = int(rng.integers(130, 200))
+    w = weights((n, n))
+    net = (
+        NetworkBuilder((3,))
+        .recurrent_dense(n, lif(), weights=weights((n, 3)), recurrent_weights=w)
+        .build()
+    )
+    return w, _event_drive(_compile(net)[0].rec_weights)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    kind=st.sampled_from(["dense", "small dense", "locally_connected", "recurrent"]),
+    count=st.one_of(
+        st.sampled_from([0, 1, 63, 64, 65, 129, 1 << 20]),
+        st.floats(0.0, 1.0),
+    ),
+    dyadic=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_event_drive_equals_the_dense_product(kind, count, dyadic, seed):
+    rng = np.random.default_rng(seed)
+    w, drive = drive_case(kind, rng, dyadic)
+    assert (w.size <= _EVENT_MIN_WEIGHTS) == (kind == "small dense")
+    n_in = w.shape[1]
+    x = spike_vector(rng, n_in, count)
+    analog = rng.integers(-16, 17, n_in) / 8 if dyadic else rng.normal(size=n_in)
+    for inputs in (x, analog):
+        expected = w @ inputs.astype(np.float64)
+        got = drive(inputs)
+        assert got.shape == expected.shape
+        if dyadic:
+            assert np.array_equal(got, expected)
+        else:
+            np.testing.assert_allclose(got, expected, rtol=1e-12, atol=1e-12)
+    if not x.any():
+        assert not np.signbit(drive(x)).any()  # +0.0, not -0.0
+
+
+def test_dense_like_weights_are_one_input_major_copy():
+    rng = np.random.default_rng(14)
+    w = rng.normal(size=(5, 7)).astype(np.float32)
+    rw = rng.normal(size=(5, 5)).astype(np.float32)
+    net = (
+        NetworkBuilder((7,))
+        .recurrent_dense(5, lif(), weights=w, recurrent_weights=rw)
+        .build()
+    )
+    for got, want in ((weight_tensor(net, 0), w), (recurrent_weight_tensor(net, 0), rw)):
+        assert got.dtype == np.float64 and got.shape == want.shape
+        assert got.T.flags.c_contiguous  # one input's weights per contiguous row
+        assert np.array_equal(got, want.astype(np.float64))
+    rt = _compile(net)[0]
+    assert rt.weights.T.flags.c_contiguous and rt.rec_weights.T.flags.c_contiguous
+
+
+def test_event_drive_temporary_is_bounded_by_the_row_block():
+    net = NetworkBuilder((784,)).dense(512, lif(), weights=np.full((512, 784), 0.125)).build()
+    drive = _step_plan(_compile(net)[0])
+    x = np.ones(784, bool)
+    drive(x)
+    tracemalloc.start()
+    try:
+        out = drive(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(out, np.full(512, 98.0))
+    assert peak <= 64 * 512 * 8 + 64 * 1024
+
+
+@pytest.mark.parametrize(
+    "kind, bad",
+    [
+        ("dense", np.nan),
+        ("conv2d", np.inf),
+        ("recurrent", np.nan),
+        ("locally_connected", -np.inf),
+    ],
+)
+def test_non_finite_weights_are_schema_errors(kind, bad):
+    # rejected when the block is read, even where no spike would reach the
+    # bad weight (in the dense case it sits on an input held at zero)
+    builder = NetworkBuilder((1, 4, 4), coding=Coding.RATE, max_timesteps=4)
+    if kind == "conv2d":
+        w = np.full(9, 0.5)
+        w[4] = bad
+        builder.conv2d(2, (3, 3), lif(), weights=np.tile(w, 2)).flatten().dense(2, lif())
+        ref = "'l0_w'"
+    elif kind == "locally_connected":
+        mask = lcl_mask(
+            NetworkBuilder((1, 4, 4)).locally_connected(1, (2, 2), lif()).build().layers[0]
+        )
+        w = mask * 0.5
+        w[0, 0] = bad
+        builder.locally_connected(1, (2, 2), lif(), weights=w)
+        ref = "'l0_w'"
+    else:
+        builder.flatten()
+        w = np.full((3, 16), 0.5)
+        if kind == "dense":
+            w[1, 0] = bad
+            builder.dense(3, lif(), weights=w)
+            ref = "'l1_w'"
+        else:
+            rw = np.zeros((3, 3))
+            rw[2, 0] = bad
+            builder.recurrent_dense(3, lif(), weights=w, recurrent_weights=rw)
+            ref = "'l1_rw'"
+    net = builder.build()
+    x = np.full((1, 4, 4), 0.5)
+    x[0, 0, 0] = 0.0
+    with pytest.raises(SchemaError, match=ref) as err:
+        run_inference(net, encode(x, "poisson", seed=1))
+    assert "non-finite" in str(err.value)
+
+
+def test_dataset_jobs_below_one_is_a_schema_error():
+    net = single_dense(0.4, coding=Coding.RATE, t_max=4)
+    for jobs in (0, -4):
+        with pytest.raises(SchemaError):
+            run_dataset(net, [always_on(1)], jobs=jobs)
