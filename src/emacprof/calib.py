@@ -27,6 +27,7 @@ import csv
 import io
 import json
 import logging
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -90,22 +91,24 @@ class EnergyModel:
 
 
 def _design(observations: Sequence[Observation], floor_power_W: float | None):
-    if any(
-        obs.E_joules is None or not np.isfinite(obs.E_joules)
-        for obs in observations
-    ):
-        bad = [o.name for o in observations
-               if o.E_joules is None or not np.isfinite(o.E_joules)]
+    bad = [o.name for o in observations
+           if o.E_joules is None or not np.isfinite(o.E_joules)]
+    if bad:
         raise MissingMeasurement(f"observations without usable energy: {bad}")
+    for obs in observations:
+        if floor_power_W is not None and obs.duration_s is None:
+            raise MissingMeasurement(
+                f"observation {obs.name!r} has no duration_s; the floor "
+                "power term needs one"
+            )
+        used = (obs.S, obs.U) + ((obs.duration_s,) if floor_power_W is not None else ())
+        if not np.isfinite(used).all():
+            raise SchemaError(
+                f"observation {obs.name!r} has a non-finite S, U or duration_s"
+            )
     X = np.array([[obs.S, obs.U] for obs in observations], dtype=np.float64)
     y = np.array([obs.E_joules for obs in observations], dtype=np.float64)
     if floor_power_W is not None:
-        for obs in observations:
-            if obs.duration_s is None:
-                raise MissingMeasurement(
-                    f"observation {obs.name!r} has no duration_s; the floor "
-                    "power term needs one"
-                )
         y = y - floor_power_W * np.array(
             [obs.duration_s for obs in observations], dtype=np.float64
         )
@@ -147,6 +150,8 @@ def fit_energy_model(
     MissingMeasurement
         An observation lacks a usable energy (or a duration when the
         floor-power term is requested).
+    SchemaError
+        An observation has a non-finite S, U, or (with floor power) duration.
     """
     X, y = _design(observations, floor_power_W)
     n = X.shape[0]
@@ -325,10 +330,19 @@ def model_from_json(data: bytes | str) -> EnergyModel:
     cov = obj["cov"]
     if not isinstance(cov, list) or len(cov) != 4:
         raise SchemaError("model cov must hold 4 row-major values")
+    if type(obj["n_obs"]) is not int:
+        raise SchemaError(f"model n_obs must be an integer, got {obj['n_obs']!r}")
     return EnergyModel(
-        e_syn_J=float(obj["e_syn_J"]),
-        e_upd_J=float(obj["e_upd_J"]),
-        cov=np.array(cov, dtype=np.float64).reshape(2, 2),
-        residual_rms=float(obj["residual_rms"]),
-        n_obs=int(obj["n_obs"]),
+        e_syn_J=_finite_number(obj["e_syn_J"], "e_syn_J"),
+        e_upd_J=_finite_number(obj["e_upd_J"], "e_upd_J"),
+        cov=np.array([_finite_number(v, "cov") for v in cov]).reshape(2, 2),
+        residual_rms=_finite_number(obj["residual_rms"], "residual_rms"),
+        n_obs=obj["n_obs"],
     )
+
+
+def _finite_number(value, field: str) -> float:
+    # bools are ints; NaN, infinities and integers past the float range fail the bound
+    if type(value) in (int, float) and abs(value) <= sys.float_info.max:
+        return float(value)
+    raise SchemaError(f"model {field} must be a finite number, got {value!r}")

@@ -259,7 +259,6 @@ def _run_dataset(args) -> tuple[NetworkSpec, AggregateStats]:
     stats = run_dataset(
         net,
         _load_samples(net, args),
-        jobs=args.jobs,
         t_max=args.t_max,
         coding=args.coding,
         encoder_per_step=args.encoder_per_step,
@@ -387,13 +386,6 @@ def cmd_predict(args) -> int:
 # parser
 
 
-def positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
-
-
 def _add_network_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--network", required=True, help="network manifest (JSON)")
     p.add_argument(
@@ -460,7 +452,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("profile", help="run a dataset and write energy reports")
     _add_network_flags(p)
     _add_run_flags(p)
-    p.add_argument("--jobs", type=positive_int, default=1, help="concurrent samples")
     _add_out_flags(p)
     p.set_defaults(func=cmd_profile)
 
@@ -491,7 +482,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True, help="fitted model JSON")
     _add_network_flags(p)
     _add_run_flags(p)
-    p.add_argument("--jobs", type=positive_int, default=1, help="concurrent samples")
     _add_out_flags(p, formats=False)
     p.set_defaults(func=cmd_predict)
 

@@ -55,8 +55,6 @@ the full results, and reduces every statistic once at the end.
 from __future__ import annotations
 
 import logging
-from concurrent.futures import ThreadPoolExecutor
-from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import partial
 from math import prod
@@ -222,8 +220,8 @@ def _step_plan(rt: _LayerRT) -> Callable[[np.ndarray], np.ndarray] | None:
 
     A weighted layer maps its input to its flat synaptic drive, a pool to
     the pooled tensor; flatten needs no plan. The buffers belong to one
-    call, not to ``rt``: ``run_dataset`` shares compiled layers across
-    threads.
+    call, not to ``rt``, so compiled layers stay read-only and one compiled
+    network can serve any number of calls.
     """
     layer = rt.spec
     if layer.kind is LayerKind.MAX_POOL2D:
@@ -602,51 +600,45 @@ def run_dataset(
     net: NetworkSpec,
     samples: Sequence[EncodedInput],
     *,
-    jobs: int = 1,
     t_max: int | None = None,
     coding: Coding | str | None = None,
     encoder_per_step: bool = False,
 ) -> AggregateStats:
     """Run every sample and aggregate; numeric blow-ups are reported, not hidden.
 
-    Samples are independent, so they may run on a bounded worker pool;
-    results are folded in sample order either way, keeping only the
-    per-sample scalars behind each statistic. Each statistic is reduced
-    once, over a 1-D array in sample order: a running sum or a 2-D
-    reduction would change the last bits of the reported moments.
+    The network is compiled once and the samples run one after another,
+    keeping only the per-sample scalars behind each statistic. Each
+    statistic is reduced once, over a 1-D array in sample order: a running
+    sum or a 2-D reduction would change the last bits of the reported
+    moments.
     """
-    if jobs < 1:
-        raise SchemaError(f"jobs must be at least 1, got {jobs}")
     if len(samples) == 0:
         raise EmptyDataset("the dataset holds no samples")
-    one = partial(
-        _run_compiled,
-        net,
-        _compile(net),
-        t_max=t_max,
-        coding=coding,
-        record_raster=False,
-        encoder_per_step=encoder_per_step,
-    )
+    rt = _compile(net)
     L = len(net.layers)
     counted = np.array([layer.kind is not LayerKind.FLATTEN for layer in net.layers])
     ref_kind, e_syn_ref, e_upd_ref = _reference_params(net)
     columns: dict[object, list] = {}
     outcomes: list[SampleOutcome | None] = []
     failures: list[tuple[int, str]] = []
-    with ThreadPoolExecutor(max_workers=jobs) if jobs > 1 else nullcontext() as pool:
-        # one call per sample that returns its result, in sample order
-        runs = [pool.submit(one, s).result if pool else partial(one, s) for s in samples]
-        for index, run in enumerate(runs):
-            try:
-                result = run()
-            except NonFiniteState as exc:
-                failures.append((index, str(exc)))
-                outcomes.append(None)
-                continue
-            outcomes.append(SampleOutcome(result.trace.T_used, result.decision))
-            for key, value in _sample_scalars(result, counted, e_syn_ref, e_upd_ref):
-                columns.setdefault(key, []).append(value)
+    for index, sample in enumerate(samples):
+        try:
+            result = _run_compiled(
+                net,
+                rt,
+                sample,
+                t_max=t_max,
+                coding=coding,
+                record_raster=False,
+                encoder_per_step=encoder_per_step,
+            )
+        except NonFiniteState as exc:
+            failures.append((index, str(exc)))
+            outcomes.append(None)
+            continue
+        outcomes.append(SampleOutcome(result.trace.T_used, result.decision))
+        for key, value in _sample_scalars(result, counted, e_syn_ref, e_upd_ref):
+            columns.setdefault(key, []).append(value)
     if failures:
         logger.warning("%d of %d samples aborted", len(failures), len(samples))
 

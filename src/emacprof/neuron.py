@@ -165,6 +165,9 @@ class NeuronModelSpec:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "kind", NeuronKind(self.kind))
+        for name in ("dt", "tau_syn", "tau_mem", "v_th", "bias"):
+            if not np.isfinite(getattr(self, name)):
+                raise SchemaError(f"{name} must be finite, got {getattr(self, name)}")
         if not self.dt > 0:
             raise SchemaError(f"dt must be positive, got {self.dt}")
         if self.kind is NeuronKind.LIF:

@@ -160,6 +160,34 @@ def test_non_finite_energy_is_rejected():
         fit_energy_model(obs)
 
 
+@pytest.mark.parametrize(
+    "bad",
+    [
+        {"S": float("nan")},
+        {"S": float("inf")},
+        {"U": float("-inf")},
+        {"U": float("nan")},
+    ],
+)
+def test_non_finite_counts_are_rejected(bad):
+    fields = {"S": 5.0, "U": 8.0, "E_joules": 34.0, **bad}
+    obs = [TWO_POINTS[0], Observation("hole", **fields)]
+    with pytest.raises(SchemaError, match="hole"):
+        fit_energy_model(obs)
+
+
+@pytest.mark.parametrize("duration", [float("nan"), float("inf")])
+def test_non_finite_durations_are_rejected_under_floor_power(duration):
+    obs = [
+        Observation("a", S=10.0, U=4.0, E_joules=32.0, duration_s=1.0),
+        Observation("hole", S=5.0, U=8.0, E_joules=34.0, duration_s=duration),
+    ]
+    with pytest.raises(SchemaError, match="hole"):
+        fit_energy_model(obs, floor_power_W=0.5)
+    # without a floor power term the duration is not read
+    fit_energy_model(obs)
+
+
 def test_negative_parameters_are_flagged_not_hidden(caplog):
     obs = [
         Observation("a", S=10.0, U=1.0, E_joules=1.0),
@@ -294,6 +322,36 @@ def test_model_json_round_trip():
                 "n_obs": 2,
             }
         ).encode(),
+        # parameters that are not finite JSON numbers, or a non-integer count
+        *(
+            json.dumps(
+                {
+                    "e_syn_J": 1.0,
+                    "e_upd_J": 2.0,
+                    "cov": [0.0, 0.0, 0.0, 0.0],
+                    "residual_rms": 0.0,
+                    "n_obs": 2,
+                    **bad,
+                }
+            ).encode()
+            for bad in (
+                {"e_syn_J": None},
+                {"e_syn_J": [1]},
+                {"e_upd_J": "2.0"},
+                {"e_upd_J": True},
+                {"e_syn_J": float("nan")},
+                {"e_upd_J": 2**1024},  # an integer past the float range
+                {"residual_rms": float("inf")},
+                {"residual_rms": None},
+                {"cov": [0.0, None, 0.0, 0.0]},
+                {"cov": [0.0, 0.0, float("nan"), 0.0]},
+                {"cov": [0.0, 0.0, 0.0, "0"]},
+                {"n_obs": None},
+                {"n_obs": 2.5},
+                {"n_obs": "2"},
+                {"n_obs": True},
+            )
+        ),
     ],
 )
 def test_malformed_model_files_are_rejected(data):

@@ -129,13 +129,13 @@ def test_unknown_encoding_is_a_usage_error(tmp_path):
 # profile
 
 
-def profile_run(tmp_path, out_name, extra=()):
+def profile_run(tmp_path, out_name):
     npath = write_net(tmp_path, dense_ifl())
     inputs = write_inputs(tmp_path, [np.full(4, 0.3)] * 3)
     out = tmp_path / out_name
     rc = main(
         ["profile", "--network", str(npath), "--inputs", str(inputs),
-         "--out", str(out), *extra]
+         "--out", str(out)]
     )
     return rc, out
 
@@ -167,11 +167,9 @@ def test_profile_writes_all_three_reports(tmp_path, capsys):
 def test_profile_reports_are_byte_stable(tmp_path):
     _, first = profile_run(tmp_path, "a")
     _, second = profile_run(tmp_path, "b")
-    _, parallel = profile_run(tmp_path, "c", extra=("--jobs", "4"))
     for name in ("energy.json", "spikes.csv", "latency.csv"):
         ref = (first / name).read_bytes()
         assert (second / name).read_bytes() == ref
-        assert (parallel / name).read_bytes() == ref
 
 
 def test_profile_poisson_seeds_change_the_draws(tmp_path):
@@ -256,6 +254,22 @@ def test_profile_non_finite_weight_exits_2(tmp_path, capsys):
     )
     assert rc == 2
     assert "non-finite" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("field, value", [("bias", np.nan), ("v_th", np.inf)])
+def test_profile_non_finite_neuron_parameter_exits_2(tmp_path, capsys, field, value):
+    npath = write_net(tmp_path, dense_ifl())
+    manifest = json.loads(npath.read_text())
+    manifest["layers"][0]["neuron_model"][field] = value
+    npath.write_text(json.dumps(manifest))  # a NaN or Infinity literal
+    inputs = write_inputs(tmp_path, [np.full(4, 0.3)])
+    rc = main(
+        ["profile", "--network", str(npath), "--inputs", str(inputs),
+         "--out", str(tmp_path / "o")]
+    )
+    assert rc == 2
+    assert f"{field} must be finite" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
 
 
@@ -493,6 +507,25 @@ def test_predict_missing_model_exits_2(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "field, value", [("e_syn_J", None), ("n_obs", None), ("e_syn_J", [1])]
+)
+def test_predict_malformed_model_exits_2(tmp_path, capsys, field, value):
+    model = json.loads(model_to_json(fit_energy_model(TWO_POINTS)))
+    model[field] = value
+    model_path = tmp_path / "model.json"
+    model_path.write_text(json.dumps(model))
+    npath = write_net(tmp_path, dense_ifl())
+    inputs = write_inputs(tmp_path, [np.full(4, 0.3)])
+    rc = main(
+        ["predict", "--model", str(model_path), "--network", str(npath),
+         "--inputs", str(inputs), "--out", str(tmp_path / "p")]
+    )
+    assert rc == 2
+    assert f"model {field} must be" in capsys.readouterr().err
+    assert not (tmp_path / "p").exists()
+
+
 def test_empty_input_directory_exits_2(tmp_path, capsys):
     npath = write_net(tmp_path, dense_ifl())
     empty = tmp_path / "empty"
@@ -503,18 +536,3 @@ def test_empty_input_directory_exits_2(tmp_path, capsys):
     )
     assert rc == 2
     assert "no .bin or .csv" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("command, jobs", [("profile", "0"), ("predict", "-1")])
-def test_jobs_below_one_is_a_usage_error(tmp_path, capsys, command, jobs):
-    npath = write_net(tmp_path, dense_ifl())
-    inputs = write_inputs(tmp_path, [np.full(4, 0.3)])
-    model = ["--model", str(tmp_path / "model.json")] if command == "predict" else []
-    with pytest.raises(SystemExit) as e:
-        main(
-            [command, *model, "--network", str(npath), "--inputs", str(inputs),
-             "--jobs", jobs, "--out", str(tmp_path / "o")]
-        )
-    assert e.value.code == 2
-    assert "--jobs: must be at least 1" in capsys.readouterr().err
-    assert not (tmp_path / "o").exists()

@@ -319,26 +319,6 @@ def test_dataset_records_failures_without_raising():
     assert stats.outcomes[0] is not None and stats.outcomes[2] is not None
 
 
-def test_worker_pool_matches_serial_execution():
-    rng = np.random.default_rng(44)
-    net = (
-        NetworkBuilder((5,), coding=Coding.RATE, max_timesteps=15)
-        .dense(6, ifl(0.5), weights=rng.uniform(0.0, 0.4, (6, 5)))
-        .build()
-    )
-    samples = [
-        encode(rng.uniform(0.0, 1.0, 5), EncodingMode.POISSON, seed=s)
-        for s in range(8)
-    ]
-    serial = run_dataset(net, samples, jobs=1)
-    pooled = run_dataset(net, samples, jobs=4)
-    assert serial.emac_exact == pooled.emac_exact
-    assert serial.latency == pooled.latency
-    # per-sample outcomes in sample order, and every reduced statistic
-    assert pooled.outcomes == serial.outcomes
-    assert pooled == serial
-
-
 def test_calibration_regressors_use_plain_counts_for_uniform_nets():
     net = single_dense(0.4, coding=Coding.RATE, t_max=6)
     stats = run_dataset(net, [always_on(1)])
@@ -802,10 +782,3 @@ def test_non_finite_weights_are_schema_errors(kind, bad):
     with pytest.raises(SchemaError, match=ref) as err:
         run_inference(net, encode(x, "poisson", seed=1))
     assert "non-finite" in str(err.value)
-
-
-def test_dataset_jobs_below_one_is_a_schema_error():
-    net = single_dense(0.4, coding=Coding.RATE, t_max=4)
-    for jobs in (0, -4):
-        with pytest.raises(SchemaError):
-            run_dataset(net, [always_on(1)], jobs=jobs)

@@ -87,6 +87,15 @@ def test_model_rejects_bad_timing():
         NeuronModelSpec(kind=NeuronKind.LIF, dt=2e-3, tau_syn=1e-3, tau_mem=1.0)
 
 
+@pytest.mark.parametrize("field", ["dt", "tau_syn", "tau_mem", "v_th", "bias"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_model_rejects_non_finite_parameters(field, value):
+    fields = {"dt": 1e-3, "tau_syn": 1e-2, "tau_mem": 1e-2, field: value}
+    for kind in NeuronKind:
+        with pytest.raises(SchemaError, match=field):
+            NeuronModelSpec(kind=kind, **fields)
+
+
 def test_model_rejects_bad_threshold_and_spike_once():
     with pytest.raises(SchemaError):
         NeuronModelSpec(kind=NeuronKind.IFL, v_th=0.0)
