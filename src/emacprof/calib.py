@@ -91,6 +91,12 @@ class EnergyModel:
 
 
 def _design(observations: Sequence[Observation], floor_power_W: float | None):
+    if floor_power_W is not None and not (
+        np.isfinite(floor_power_W) and floor_power_W >= 0
+    ):
+        raise SchemaError(
+            f"the floor power must be finite and >= 0 W, got {floor_power_W}"
+        )
     bad = [o.name for o in observations
            if o.E_joules is None or not np.isfinite(o.E_joules)]
     if bad:
@@ -151,7 +157,8 @@ def fit_energy_model(
         An observation lacks a usable energy (or a duration when the
         floor-power term is requested).
     SchemaError
-        An observation has a non-finite S, U, or (with floor power) duration.
+        An observation has a non-finite S, U, or (with floor power) duration,
+        or the floor power is negative or not finite.
     """
     X, y = _design(observations, floor_power_W)
     n = X.shape[0]

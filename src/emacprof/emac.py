@@ -147,15 +147,6 @@ class EnergyReport:
             ],
         }
 
-    def rows(self) -> list[tuple[str, str, float]]:
-        """Long-form (layer, component, emac) rows."""
-        out = []
-        for le in self.per_layer:
-            out.append((le.name, "E_syn", le.E_syn))
-            out.append((le.name, "E_upd", le.E_upd))
-            out.append((le.name, "E_rec", le.E_rec))
-        return out
-
 
 @dataclass(frozen=True)
 class LayerRates:

@@ -16,7 +16,9 @@ Alongside the dynamics the engine keeps exact integer event counters:
 
 * ``feedforward_events[l]``: for every presynaptic spike, the number of
   layer-``l`` neurons it actually reaches (border positions of a
-  convolution reach fewer than interior ones);
+  convolution reach fewer than interior ones; where every input reaches
+  the same number, as in a dense layer, that number times the upstream
+  spike count);
 * ``recurrent_events[l]``: each spike a recurrent layer emits books its
   all-to-all recurrent fan-out at emission time;
 * ``analog_events[l]``: statically evaluated weighted sums, counted once
@@ -47,6 +49,23 @@ order than a dense product, so with arbitrary weights voltages may differ
 from one in the last bit; with sums that are exact (weights that are
 multiples of a power of two, say) they are equal.
 
+Samples run in lockstep groups. :func:`run_inference` runs a group of
+one, and :func:`run_dataset` runs consecutive groups of samples that share
+an encoding mode, in sample order. Within a group, neuron state, spike
+counts, the finiteness check and the recurrent spike memory are
+``(samples, neurons)`` arrays, and each neuron step advances them in
+place, so one numpy call serves every sample: on a narrow layer the time
+goes to dispatching calls, not to arithmetic. The weighted drives stay one
+call per sample, through that sample's own step plan. One product over the
+group would add the sums in another order, and a last-bit change at
+``v == v_th`` flips a spike; kept per sample, every result is bit-identical
+whatever the group size. Under rank-order coding a sample that has decided
+leaves the group with its counters frozen, and a sample whose state leaves
+the finite range fails alone. A group holds as many samples as a fixed
+budget of step state allows (``_GROUP_STATE_BYTES``, 256 KiB). Wide
+convolutional networks get one sample per group: their state would raise
+the memory peak, and their wide steps gain little from batching.
+
 Over a dataset, :func:`run_dataset` keeps each sample's outcome (step
 count and decision) and the per-sample scalars its statistics need, not
 the full results, and reduces every statistic once at the end.
@@ -57,6 +76,7 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 from functools import partial
+from itertools import chain
 from math import prod
 from typing import Callable, Iterator, Sequence
 
@@ -86,6 +106,7 @@ from .netspec import (
 )
 from .neuron import (
     NeuronKind,
+    NeuronState,
     ann_activation,
     state_zeros,
     step_fn,
@@ -158,6 +179,8 @@ class _LayerRT:
     rec_weights: np.ndarray | None = None
     #: flat, in input order
     fanout: np.ndarray | None = None
+    #: the fan-out every input shares, or 0 where inputs differ
+    even_fanout: int = 0
     #: pooling: one strided slice of the input per window tap
     pool_taps: tuple[tuple[slice, ...], ...] = ()
     step: Callable | None = None
@@ -168,7 +191,7 @@ def _window_taps(layer: LayerSpec) -> tuple[tuple[slice, ...], ...]:
     _, oh, ow = layer.output_shape
     return tuple(
         (
-            slice(None),
+            Ellipsis,  # any leading (sample, channel) axes
             slice(dy, dy + sh * (oh - 1) + 1, sh),
             slice(dx, dx + sw * (ow - 1) + 1, sw),
         )
@@ -203,6 +226,8 @@ def _compile(net: NetworkSpec) -> list[_LayerRT]:
             rt.pool_taps = _window_taps(layer)
         if layer.kind is not LayerKind.FLATTEN:
             rt.fanout = fanout_map(layer).reshape(-1)
+            if (rt.fanout == rt.fanout[0]).all():
+                rt.even_fanout = int(rt.fanout[0])
         out.append(rt)
     return out
 
@@ -282,27 +307,84 @@ def _event_drive(weights: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
     return drive
 
 
-def _synaptic_events(rt: _LayerRT, spikes: np.ndarray) -> int:
-    """Realized connections the spikes entering layer ``rt`` reach."""
-    return int(np.dot(rt.fanout, spikes.reshape(-1)))
+def _synaptic_events(rt: _LayerRT, spikes: np.ndarray) -> np.ndarray:
+    """Realized connections the spikes entering layer ``rt`` reach, per sample."""
+    return np.dot(spikes.reshape(-1, rt.fanout.size), rt.fanout)
 
 
-def _check_finite(state, index: int, t: int) -> None:
-    if not (np.isfinite(state.i).all() and np.isfinite(state.v).all()):
-        raise NonFiniteState(
-            f"layer {index} left the finite range at step {t}; check the "
-            "weights and the integration step"
-        )
+def _spike_counts(x: np.ndarray) -> np.ndarray | int:
+    """Spikes in each row of a boolean ``(samples, ...)`` array.
+
+    One row gives a plain count, which broadcasts the same way.
+    """
+    if len(x) == 1:  # count_nonzero along an axis costs several times more
+        return np.count_nonzero(x)
+    return np.add.reduce(x.reshape(len(x), -1), axis=1)
 
 
-def _apply_static(rt: _LayerRT, plan: Callable | None, x: np.ndarray) -> np.ndarray:
-    layer = rt.spec
-    if layer.kind is LayerKind.FLATTEN:
-        return x.reshape(-1)
-    if layer.kind is LayerKind.MAX_POOL2D:
-        return plan(x)
-    act = ann_activation(plan(x), layer.neuron_model)
-    return act.reshape(layer.output_shape)
+def _stacked(rows: list[np.ndarray]) -> np.ndarray:
+    """Equally shaped per-sample arrays as one ``(samples, ...)`` array."""
+    return rows[0][np.newaxis] if len(rows) == 1 else np.array(rows)
+
+
+def _by_row(x: np.ndarray, live: list[int], size: int) -> np.ndarray:
+    """``x``, one row per live sample, spread over all ``size`` group rows."""
+    if len(live) == size:
+        return x
+    full = np.zeros((size, *x.shape[1:]), dtype=x.dtype)
+    full[live] = x
+    return full
+
+
+def _static_stage(
+    rt: list[_LayerRT], plans: list, static_ids: list[int], x: np.ndarray
+) -> np.ndarray:
+    for idx in static_ids:
+        layer = rt[idx].spec
+        if layer.kind is LayerKind.FLATTEN:
+            x = x.reshape(-1)
+        elif layer.kind is LayerKind.MAX_POOL2D:
+            x = plans[idx](x)
+        else:
+            x = ann_activation(plans[idx](x), layer.neuron_model)
+            x = x.reshape(layer.output_shape)
+        if not np.isfinite(x).all():
+            raise NonFiniteState(
+                f"layer {idx} produced non-finite values in the static stage"
+            )
+    return x
+
+
+#: the most bytes of step state one lockstep group holds, over all its samples
+_GROUP_STATE_BYTES = 1 << 18
+#: one spiking neuron's share of a sample's step state: current, voltage and
+#: half-step voltage (float64), its fired flag, and drive temporaries
+_NEURON_STATE_BYTES = 32
+
+
+def _group_size(rt: list[_LayerRT], t_max: int) -> int:
+    """How many samples one lockstep group steps together.
+
+    As many as :data:`_GROUP_STATE_BYTES` holds of each sample's neuron
+    state and step history, and at least one. Wide convolutional networks
+    get one: their wide steps gain little from batching, and their state
+    would raise the memory peak.
+    """
+    neurons = sum(r.neurons for r in rt if r.spiking)
+    # each step keeps the input's and every layer's spike count, and the
+    # output layer's voltages and spikes
+    history = t_max * (8 * (len(rt) + 1) + 9 * rt[-1].neurons)
+    return max(1, _GROUP_STATE_BYTES // (_NEURON_STATE_BYTES * neurons + history))
+
+
+def _settings(
+    net: NetworkSpec, t_max: int | None, coding: Coding | str | None
+) -> tuple[Coding, int]:
+    coding = Coding(coding) if coding is not None else net.coding
+    T_max = int(t_max) if t_max is not None else net.max_timesteps
+    if T_max < 1:
+        raise SchemaError(f"the step budget must be >= 1, got {T_max}")
+    return coding, T_max
 
 
 def run_inference(
@@ -316,183 +398,275 @@ def run_inference(
 ) -> InferenceResult:
     """Simulate one sample and account for every event it generates."""
     rt = _compile(net)
-    return _run_compiled(
+    coding, T_max = _settings(net, t_max, coding)
+    (result,) = _run_group(
         net,
         rt,
-        encoded,
-        t_max=t_max,
+        [encoded],
+        T_max=T_max,
         coding=coding,
         record_raster=record_raster,
         encoder_per_step=encoder_per_step,
     )
+    if isinstance(result, NonFiniteState):
+        raise result
+    return result
 
 
-def _run_compiled(
+def _run_group(
     net: NetworkSpec,
     rt: list[_LayerRT],
-    encoded: EncodedInput,
+    samples: Sequence[EncodedInput],
     *,
-    t_max: int | None,
-    coding: Coding | str | None,
+    T_max: int,
+    coding: Coding,
     record_raster: bool,
     encoder_per_step: bool,
-) -> InferenceResult:
-    coding = Coding(coding) if coding is not None else net.coding
-    T_max = int(t_max) if t_max is not None else net.max_timesteps
-    if T_max < 1:
-        raise SchemaError(f"the step budget must be >= 1, got {T_max}")
-    if tuple(encoded.values.shape) != net.input_shape:
-        raise ShapeMismatch(
-            f"input tensor shape {tuple(encoded.values.shape)} does not match "
-            f"the network input {net.input_shape}"
-        )
-    has_ann = any(
-        r.weighted and not r.spiking for r in rt
-    )
-    if has_ann and encoded.mode is EncodingMode.POISSON:
-        raise SchemaError(
-            "ann_relu layers consume static values; use analog encoding"
-        )
+) -> Iterator[InferenceResult | NonFiniteState]:
+    """Step samples of one encoding mode in lockstep; yield each one's result.
 
-    L = len(net.layers)
-    last = L - 1
-    ff_events = np.zeros(L, dtype=np.int64)
-    rec_events = np.zeros(L, dtype=np.int64)
+    Results come in sample order; a sample whose state leaves the finite
+    range yields its :class:`NonFiniteState` instead. Any other error is
+    raised for the first sample that causes it.
+    """
+    mode = samples[0].mode
+    B = len(samples)
+    L = len(rt)
+    static_ids, start = static_split(net, mode)
     analog_base = np.zeros(L, dtype=np.int64)
-
-    plans = [_step_plan(r) for r in rt]
-    static_ids, start = static_split(net, encoded.mode)
-    x = encoded.values
     for idx in static_ids:
         if rt[idx].spec.kind is not LayerKind.FLATTEN:
             analog_base[idx] = rt[idx].fanin * rt[idx].neurons
-        x = _apply_static(rt[idx], plans[idx], x)
-        if not np.isfinite(x).all():
-            raise NonFiniteState(
-                f"layer {idx} produced non-finite values in the static stage"
+    if start is not None and mode is EncodingMode.ANALOG:
+        analog_base[start] = rt[start].fanin * rt[start].neurons
+    has_ann = any(r.weighted and not r.spiking for r in rt)
+    rec_fanin = np.array([r.recurrent_fanin for r in rt], dtype=np.int64)
+    even_fanout = np.array([r.even_fanout for r in rt], dtype=np.int64)
+
+    failed: dict[int, NonFiniteState] = {}
+    live: list[int] = []  # group rows still stepping, in order
+    firsts: list[np.ndarray] = []  # per live row: the static result, or drive0
+    drives: dict[int, list[Callable]] = {}  # per stepped layer: each live row's drive
+    if start is not None:
+        drives = {r.index: [] for r in rt[start:] if r.weighted}
+        if mode is EncodingMode.ANALOG:
+            del drives[start]
+    for k, encoded in enumerate(samples):
+        if tuple(encoded.values.shape) != net.input_shape:
+            raise ShapeMismatch(
+                f"input tensor shape {tuple(encoded.values.shape)} does not match "
+                f"the network input {net.input_shape}"
             )
+        if has_ann and encoded.mode is EncodingMode.POISSON:
+            raise SchemaError(
+                "ann_relu layers consume static values; use analog encoding"
+            )
+        plans = [_step_plan(r) for r in rt]
+        try:
+            x = _static_stage(rt, plans, static_ids, encoded.values)
+        except NonFiniteState as exc:
+            failed[k] = exc
+            continue
+        if start is not None and mode is EncodingMode.ANALOG:
+            x = plans[start](x)
+        live.append(k)
+        firsts.append(x)
+        for idx, row_drives in drives.items():
+            row_drives.append(plans[idx])
 
-    if start is None:
-        # Conventional network: one pass, the decision is the top activation.
-        acts = x.reshape(-1)
-        T_used = 1
-        counts = np.zeros((L, 1), dtype=np.int64)
-        out_spikes = np.zeros((rt[last].neurons, 1), dtype=bool)
-        out_volt = acts.reshape(-1, 1).astype(np.float64)
-        decision = decode_max_membrane(out_volt)
-        rasters = [np.zeros((r.neurons, 1), dtype=bool) for r in rt] if record_raster else None
-        input_counts = None
-    else:
-        drive0 = None
-        if encoded.mode is EncodingMode.ANALOG:
-            drive0 = plans[start](x)
-            analog_base[start] = rt[start].fanin * rt[start].neurons
-
-        states = {r.index: state_zeros(r.neurons) for r in rt if r.spiking}
-        recurrent = {
-            r.index: _event_drive(r.rec_weights) for r in rt if r.rec_weights is not None
-        }
-        prev_own = {index: np.zeros(rt[index].neurons, dtype=bool) for index in recurrent}
-        count_rows: list[np.ndarray] = []
-        in_counts: list[int] = []
-        spike_cols: list[np.ndarray] = []
-        volt_cols: list[np.ndarray] = []
-        raster_cols: list[list[np.ndarray]] | None = (
-            [[] for _ in range(L)] if record_raster else None
-        )
-
-        T_used = T_max
-        for t in range(1, T_max + 1):
-            row = np.zeros(L, dtype=np.int64)
-            if encoded.mode is EncodingMode.POISSON:
-                cur = poisson_slice(encoded, t)
-                in_counts.append(np.count_nonzero(cur))
-            else:
-                cur = None
-            for r in rt[start:]:
-                idx = r.index
-                plan = plans[idx]
-                if r.weighted:
-                    if idx == start and drive0 is not None:
-                        drive = drive0
-                    else:
-                        ff_events[idx] += _synaptic_events(r, cur)
-                        drive = plan(cur)
-                    if r.rec_weights is not None:
-                        drive = drive + recurrent[idx](prev_own[idx])
-                    state, spikes = r.step(states[idx], drive, r.spec.neuron_model)
-                    _check_finite(state, idx, t)
-                    states[idx] = state
-                    row[idx] = np.count_nonzero(spikes)
-                    if r.rec_weights is not None:
-                        rec_events[idx] += r.recurrent_fanin * int(row[idx])
-                        prev_own[idx] = spikes
-                    out = spikes.reshape(r.spec.output_shape)
-                elif r.spec.kind is LayerKind.MAX_POOL2D:
-                    ff_events[idx] += _synaptic_events(r, cur)
-                    out = plan(cur)
-                    row[idx] = np.count_nonzero(out)
-                else:  # flatten: reshape and re-emit
-                    out = cur.reshape(-1)
-                    row[idx] = np.count_nonzero(out)
-                if raster_cols is not None:
-                    raster_cols[idx].append(np.asarray(out, dtype=bool).reshape(-1))
-                cur = out
-            count_rows.append(row)
-            spike_cols.append(np.asarray(cur, dtype=bool).reshape(-1))
-            volt_cols.append(np.asarray(states[last].v_peak, dtype=np.float64).copy())
-            if coding is Coding.ROC and row[last] > 0:
-                T_used = t
-                break
-
-        counts = np.stack(count_rows, axis=1)
-        input_counts = (
-            np.asarray(in_counts, dtype=np.int64)
-            if encoded.mode is EncodingMode.POISSON
-            else None
-        )
-        out_spikes = np.stack(spike_cols, axis=1)
-        out_volt = np.stack(volt_cols, axis=1)
-        rasters = None
-        if raster_cols is not None:  # the static prefix records no steps
-            rasters = [
-                np.stack(cols, axis=1) if cols else np.zeros((r.neurons, T_used), bool)
-                for r, cols in zip(rt, raster_cols)
-            ]
-
-        if coding is Coding.ROC:
+    def priced(counts, ff, T_used, out_spikes, out_volt, rasters):
+        # counts: (layers + 1, steps), row 0 the input's spikes
+        if start is not None and coding is Coding.ROC:
             decision = decode_roc(out_spikes, out_volt)
         else:
             decision = decode_max_membrane(out_volt)
+        trace = SpikeTrace(
+            counts=counts[1:].copy(),
+            input_counts=counts[0].copy() if mode is EncodingMode.POISSON else None,
+            # an input of a layer whose inputs all reach the same number of
+            # neurons books that many events per spike
+            feedforward_events=ff + even_fanout * counts[:-1].sum(axis=1),
+            # each spike books its layer's recurrent fan-out
+            recurrent_events=rec_fanin * counts[1:].sum(axis=1),
+            analog_events=analog_base * (T_used if encoder_per_step else 1),
+            T_used=T_used,
+            layer_neurons=tuple(r.neurons for r in rt),
+            n_inputs=prod(net.input_shape),
+        )
+        energy = _emac.emac_exact(net, trace)
+        energy_analytic = _emac.emac_analytic(
+            net,
+            _emac.rates_from_trace(trace),
+            T_used,
+            input_mode=mode,
+            encoder_per_step=encoder_per_step,
+        )
+        return InferenceResult(
+            decision=decision,
+            trace=trace,
+            energy=energy,
+            energy_analytic=energy_analytic,
+            output_spikes=out_spikes,
+            output_voltages=out_volt,
+            rasters=rasters,
+        )
 
-    analog_events = analog_base * (T_used if encoder_per_step else 1)
-    trace = SpikeTrace(
-        counts=counts,
-        input_counts=input_counts,
-        feedforward_events=ff_events,
-        recurrent_events=rec_events,
-        analog_events=analog_events,
-        T_used=T_used,
-        layer_neurons=tuple(r.neurons for r in rt),
-        n_inputs=prod(net.input_shape),
+    if start is None:
+        # Conventional network: one pass, the decision is the top activation.
+        acts = dict(zip(live, firsts))
+        for k in range(B):
+            if k in failed:
+                yield failed[k]
+                continue
+            yield priced(
+                counts=np.zeros((L + 1, 1), dtype=np.int64),
+                ff=np.zeros(L, dtype=np.int64),
+                T_used=1,
+                out_spikes=np.zeros((rt[-1].neurons, 1), dtype=bool),
+                out_volt=acts[k].reshape(-1, 1).astype(np.float64),
+                rasters=(
+                    [np.zeros((r.neurons, 1), dtype=bool) for r in rt]
+                    if record_raster
+                    else None
+                ),
+            )
+        return
+
+    # Below, arrays hold one row per live sample, in group order. Each
+    # sample's drive is its own call, so its sums add up in the same order
+    # whatever the group size; the neuron step, the counters and the checks
+    # serve all rows at once.
+    n = len(live)
+    poisson = mode is EncodingMode.POISSON
+    drive0 = None if poisson else np.array(firsts)
+    del firsts
+    states = {r.index: state_zeros((n, r.neurons)) for r in rt if r.spiking}
+    prev_own = {
+        r.index: np.zeros((n, r.neurons), dtype=bool)
+        for r in rt
+        if r.rec_weights is not None
+    }
+    recurrent = {index: _event_drive(rt[index].rec_weights) for index in prev_own}
+    ff_events = np.zeros((L, n), dtype=np.int64)  # layers of uneven fan-out
+    # per group row, once it stops: T_used and its ff_events column
+    stopped: dict[int, tuple[int, np.ndarray]] = {}
+    # one array per step, with a row for every group row (see _by_row)
+    count_hist: list[np.ndarray] = []
+    spike_hist: list[np.ndarray] = []
+    volt_hist: list[np.ndarray] = []
+    raster_hist: list[list[np.ndarray]] = [[] for _ in range(L)]
+
+    for t in range(1, T_max + 1):
+        if not live:
+            break
+        counts = np.zeros((L + 1, n), dtype=np.int64)  # row 0: the input
+        if poisson:
+            cur = _stacked([poisson_slice(samples[k], t) for k in live])
+            counts[0] = _spike_counts(cur)
+        else:
+            cur = None
+        bad: dict[int, NonFiniteState] = {}  # by live position
+        for r in rt[start:]:
+            idx = r.index
+            if r.weighted:
+                if idx in drives:
+                    if not r.even_fanout:
+                        ff_events[idx] += _synaptic_events(r, cur)
+                    drive = _stacked([fn(x) for fn, x in zip(drives[idx], cur)])
+                else:
+                    drive = drive0
+                if r.rec_weights is not None:
+                    own = recurrent[idx]
+                    drive = drive + _stacked([own(x) for x in prev_own[idx]])
+                state, spikes = r.step(
+                    states[idx], drive, r.spec.neuron_model, out=states[idx]
+                )
+                # a non-finite current makes the half-step voltage non-finite,
+                # and the reset only subtracts a finite threshold
+                if not np.isfinite(state.v_peak).all():
+                    rows = ~np.isfinite(state.v_peak).all(axis=1)
+                    for p in np.flatnonzero(rows).tolist():
+                        bad.setdefault(p, NonFiniteState(
+                            f"layer {idx} left the finite range at step {t}; "
+                            "check the weights and the integration step"
+                        ))
+                if r.rec_weights is not None:
+                    prev_own[idx] = spikes
+                out = spikes.reshape(n, *r.spec.output_shape)
+            elif r.spec.kind is LayerKind.MAX_POOL2D:
+                if not r.even_fanout:
+                    ff_events[idx] += _synaptic_events(r, cur)
+                out = _max_pool(cur, r.pool_taps)
+            else:  # flatten: reshape and re-emit
+                out = cur.reshape(n, -1)
+            counts[idx + 1] = _spike_counts(out)
+            if record_raster:
+                raster_hist[idx].append(_by_row(out.reshape(n, -1), live, B))
+            cur = out
+        count_hist.append(_by_row(counts.T, live, B))
+        spike_hist.append(_by_row(cur.reshape(n, -1), live, B))
+        volt_hist.append(_by_row(states[L - 1].v_peak.copy(), live, B))
+
+        leaving = set(bad)
+        if t == T_max:
+            leaving.update(range(n))
+        elif coding is Coding.ROC:
+            leaving.update(np.flatnonzero(counts[L]).tolist())
+        if not leaving:
+            continue
+        for p in leaving:
+            if p in bad:
+                failed[live[p]] = bad[p]
+            else:
+                stopped[live[p]] = (t, ff_events[:, p].copy())
+        keep = [p for p in range(n) if p not in leaving]
+        n = len(keep)
+        live = [live[p] for p in keep]
+        drives = {idx: [fns[p] for p in keep] for idx, fns in drives.items()}
+        if drive0 is not None:
+            drive0 = drive0[keep]
+        for index, st in states.items():
+            states[index] = NeuronState(
+                i=st.i[keep], v=st.v[keep], has_spiked=st.has_spiked[keep],
+                v_peak=st.v_peak[keep],
+            )
+        for index in prev_own:
+            prev_own[index] = prev_own[index][keep]
+        ff_events = ff_events[:, keep]
+
+    # A generator keeps its locals until it ends: drop the step state, then
+    # turn each history into one (steps, group rows, ...) array, where sample
+    # k's history is [:T_used, k], and drop its per-step arrays
+    del states, prev_own, recurrent, drives, drive0, ff_events
+
+    def joined(hist: list[np.ndarray]) -> np.ndarray | None:
+        steps = np.stack(hist) if hist else None
+        hist.clear()
+        return steps
+
+    counts_all, spikes_all, volts_all = (
+        joined(h) for h in (count_hist, spike_hist, volt_hist)
     )
-    energy = _emac.emac_exact(net, trace)
-    energy_analytic = _emac.emac_analytic(
-        net,
-        _emac.rates_from_trace(trace),
-        T_used,
-        input_mode=encoded.mode,
-        encoder_per_step=encoder_per_step,
-    )
-    return InferenceResult(
-        decision=decision,
-        trace=trace,
-        energy=energy,
-        energy_analytic=energy_analytic,
-        output_spikes=out_spikes,
-        output_voltages=out_volt,
-        rasters=rasters,
-    )
+    rasters_all = [joined(h) for h in raster_hist]
+    for k in range(B):
+        if k in failed:
+            yield failed[k]
+            continue
+        T_used, ff = stopped[k]
+        rasters = None
+        if record_raster:  # the static prefix records no steps
+            rasters = [
+                np.zeros((r.neurons, T_used), bool) if h is None else h[:T_used, k].T.copy()
+                for r, h in zip(rt, rasters_all)
+            ]
+        yield priced(
+            counts=counts_all[:T_used, k].T,
+            ff=ff,
+            T_used=T_used,
+            out_spikes=spikes_all[:T_used, k].T.copy(),
+            out_volt=volts_all[:T_used, k].T.copy(),
+            rasters=rasters,
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -596,6 +770,19 @@ def _sample_scalars(
     yield "U", energy.E_upd / e_upd_ref
 
 
+def _groups(
+    samples: Sequence[EncodedInput], size: int
+) -> Iterator[list[EncodedInput]]:
+    """Consecutive runs of at most ``size`` samples that share an encoding mode."""
+    group: list[EncodedInput] = []
+    for sample in samples:
+        if group and (len(group) == size or sample.mode is not group[0].mode):
+            yield group
+            group = []
+        group.append(sample)
+    yield group
+
+
 def run_dataset(
     net: NetworkSpec,
     samples: Sequence[EncodedInput],
@@ -606,7 +793,7 @@ def run_dataset(
 ) -> AggregateStats:
     """Run every sample and aggregate; numeric blow-ups are reported, not hidden.
 
-    The network is compiled once and the samples run one after another,
+    The network is compiled once and the samples run in lockstep groups,
     keeping only the per-sample scalars behind each statistic. Each
     statistic is reduced once, over a 1-D array in sample order: a running
     sum or a 2-D reduction would change the last bits of the reported
@@ -615,25 +802,29 @@ def run_dataset(
     if len(samples) == 0:
         raise EmptyDataset("the dataset holds no samples")
     rt = _compile(net)
+    coding, T_max = _settings(net, t_max, coding)
+    size = _group_size(rt, T_max)
     L = len(net.layers)
     counted = np.array([layer.kind is not LayerKind.FLATTEN for layer in net.layers])
     ref_kind, e_syn_ref, e_upd_ref = _reference_params(net)
     columns: dict[object, list] = {}
     outcomes: list[SampleOutcome | None] = []
     failures: list[tuple[int, str]] = []
-    for index, sample in enumerate(samples):
-        try:
-            result = _run_compiled(
-                net,
-                rt,
-                sample,
-                t_max=t_max,
-                coding=coding,
-                record_raster=False,
-                encoder_per_step=encoder_per_step,
-            )
-        except NonFiniteState as exc:
-            failures.append((index, str(exc)))
+    results = chain.from_iterable(
+        _run_group(
+            net,
+            rt,
+            group,
+            T_max=T_max,
+            coding=coding,
+            record_raster=False,
+            encoder_per_step=encoder_per_step,
+        )
+        for group in _groups(samples, size)
+    )
+    for index, result in enumerate(results):
+        if isinstance(result, NonFiniteState):
+            failures.append((index, str(result)))
             outcomes.append(None)
             continue
         outcomes.append(SampleOutcome(result.trace.T_used, result.decision))

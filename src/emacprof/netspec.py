@@ -619,7 +619,12 @@ def _parse_model(obj, index: int) -> NeuronModelSpec:
             value = obj[key]
             if not isinstance(value, (int, float)) or isinstance(value, bool):
                 raise SchemaError(f"layer {index}: {key} must be numeric")
-            kwargs[key] = float(value)
+            try:
+                kwargs[key] = float(value)
+            except OverflowError:  # an integer literal past the float range
+                raise SchemaError(
+                    f"layer {index}: {key} is out of the float range"
+                ) from None
     if "spike_once" in obj:
         if not isinstance(obj["spike_once"], bool):
             raise SchemaError(f"layer {index}: spike_once must be boolean")

@@ -207,8 +207,11 @@ class NeuronState:
     v_peak: Array = 0.0
 
 
-def state_zeros(n: int) -> NeuronState:
-    """Fresh state for ``n`` neurons: zero current, zero voltage, no spikes."""
+def state_zeros(n: int | tuple[int, ...]) -> NeuronState:
+    """Fresh state for ``n`` neurons: zero current, zero voltage, no spikes.
+
+    ``n`` may be a shape, such as ``(samples, neurons)``.
+    """
     return NeuronState(
         i=np.zeros(n, dtype=np.float64),
         v=np.zeros(n, dtype=np.float64),
@@ -217,38 +220,76 @@ def state_zeros(n: int) -> NeuronState:
     )
 
 
+def _fresh(state: NeuronState, weighted_input: Array) -> NeuronState:
+    shape = np.broadcast(state.i, state.v, weighted_input).shape
+    return NeuronState(
+        i=np.empty(shape),
+        v=np.empty(shape),
+        has_spiked=np.empty(shape, dtype=bool),
+        v_peak=np.empty(shape),
+    )
+
+
 def _spike_and_reset(
-    v_half: Array, state: NeuronState, model: NeuronModelSpec
-) -> tuple[Array, Array, Array]:
-    spike = v_half >= model.v_th
+    state: NeuronState, model: NeuronModelSpec, out: NeuronState
+) -> np.ndarray:
+    # out.v_peak holds the half-step voltage; out may be state itself
+    spike = out.v_peak >= model.v_th
     if model.spike_once:
-        spike = spike & ~state.has_spiked
-    v_new = v_half - model.v_th * spike
-    return spike, v_new, state.has_spiked | spike
+        spike &= ~state.has_spiked
+    np.multiply(spike, model.v_th, out=out.v)
+    np.subtract(out.v_peak, out.v, out=out.v)
+    np.logical_or(state.has_spiked, spike, out=out.has_spiked)
+    return spike
 
 
 def lif_step(
-    state: NeuronState, weighted_input: Array, model: NeuronModelSpec
-) -> tuple[NeuronState, Array]:
+    state: NeuronState,
+    weighted_input: Array,
+    model: NeuronModelSpec,
+    out: NeuronState | None = None,
+) -> tuple[NeuronState, np.ndarray]:
     """Advance leaky integrate-and-fire neurons by one step.
 
     ``weighted_input`` is the summed synaptic drive for this step. Returns
-    the new state and the boolean spike output.
+    the new state and the boolean spike output. The new state is written
+    into the float64 and boolean arrays of ``out``, which may be ``state``
+    itself (an in-place step); without ``out`` a new state is allocated.
+    Either way every value is computed by the same operations in the same
+    order, so the two are bitwise equal. The neurons may carry leading
+    axes, such as one row per sample.
     """
-    i_new = state.i - state.i * (model.dt / model.tau_syn) + weighted_input + model.bias
-    v_half = state.v + (i_new - state.v) * (model.dt / model.tau_mem)
-    spike, v_new, fired = _spike_and_reset(v_half, state, model)
-    return NeuronState(i=i_new, v=v_new, has_spiked=fired, v_peak=v_half), spike
+    if out is None:
+        out = _fresh(state, weighted_input)
+    # i - i * dt/tau_syn + drive + bias, left to right, with v_peak as the
+    # temporary for i * dt/tau_syn
+    np.multiply(state.i, model.dt / model.tau_syn, out=out.v_peak)
+    np.subtract(state.i, out.v_peak, out=out.i)
+    np.add(out.i, weighted_input, out=out.i)
+    np.add(out.i, model.bias, out=out.i)
+    # v + (i_new - v) * dt/tau_mem
+    np.subtract(out.i, state.v, out=out.v_peak)
+    np.multiply(out.v_peak, model.dt / model.tau_mem, out=out.v_peak)
+    np.add(state.v, out.v_peak, out=out.v_peak)
+    return out, _spike_and_reset(state, model, out)
 
 
 def ifl_step(
-    state: NeuronState, weighted_input: Array, model: NeuronModelSpec
-) -> tuple[NeuronState, Array]:
-    """Advance non-leaky linear integrate-and-fire neurons by one step."""
-    i_new = state.i + weighted_input + model.bias
-    v_half = state.v + i_new
-    spike, v_new, fired = _spike_and_reset(v_half, state, model)
-    return NeuronState(i=i_new, v=v_new, has_spiked=fired, v_peak=v_half), spike
+    state: NeuronState,
+    weighted_input: Array,
+    model: NeuronModelSpec,
+    out: NeuronState | None = None,
+) -> tuple[NeuronState, np.ndarray]:
+    """Advance non-leaky linear integrate-and-fire neurons by one step.
+
+    ``out`` works as in :func:`lif_step`.
+    """
+    if out is None:
+        out = _fresh(state, weighted_input)
+    np.add(state.i, weighted_input, out=out.i)
+    np.add(out.i, model.bias, out=out.i)
+    np.add(state.v, out.i, out=out.v_peak)
+    return out, _spike_and_reset(state, model, out)
 
 
 def step_fn(kind: NeuronKind):

@@ -154,6 +154,18 @@ def test_floor_power_needs_durations():
         fit_energy_model(TWO_POINTS, floor_power_W=0.5)
 
 
+@pytest.mark.parametrize("floor", [float("nan"), float("inf"), -float("inf"), -0.5])
+def test_bad_floor_power_is_rejected(floor):
+    obs = [
+        Observation("a", S=10.0, U=4.0, E_joules=32.0, duration_s=1.0),
+        Observation("b", S=5.0, U=8.0, E_joules=34.0, duration_s=2.0),
+    ]
+    with pytest.raises(SchemaError, match="floor power"):
+        fit_energy_model(obs, floor_power_W=floor)
+    # no floor power at all is fine, and so is a floor of zero
+    assert fit_energy_model(obs).e_syn_J == fit_energy_model(obs, floor_power_W=0.0).e_syn_J
+
+
 def test_non_finite_energy_is_rejected():
     obs = [TWO_POINTS[0], Observation("hole", S=5.0, U=8.0, E_joules=float("nan"))]
     with pytest.raises(MissingMeasurement, match="hole"):

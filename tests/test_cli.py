@@ -103,6 +103,16 @@ def test_broken_manifest_exits_2(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_inspect_neuron_parameter_past_the_float_range_exits_2(tmp_path, capsys):
+    npath = write_net(tmp_path, dense_ifl())
+    manifest = json.loads(npath.read_text())
+    manifest["layers"][0]["neuron_model"]["bias"] = 10**400
+    npath.write_text(json.dumps(manifest))
+    rc = main(["inspect", "--network", str(npath)])
+    assert rc == 2
+    assert "bias is out of the float range" in capsys.readouterr().err
+
+
 def test_weights_flag_overrides_the_default_suffix(tmp_path, capsys):
     net = dense_ifl()
     manifest, weights = serialize_network(net)
@@ -462,6 +472,26 @@ def test_calibrate_collinear_observations_exit_4(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "rank deficient" in err
     assert "collinear" in err
+
+
+@pytest.mark.parametrize("floor", ["nan", "inf", "-0.5"])
+def test_calibrate_bad_floor_power_exits_2(tmp_path, capsys, floor):
+    obs = tmp_path / "obs.csv"
+    write_observations_csv(
+        obs,
+        [
+            Observation("a", S=10.0, U=4.0, E_joules=32.0, duration_s=1.0),
+            Observation("b", S=5.0, U=8.0, E_joules=34.0, duration_s=2.0),
+        ],
+    )
+    out = tmp_path / "cal"
+    rc = main(
+        ["calibrate", "--observations", str(obs), "--floor-power", floor,
+         "--out", str(out)]
+    )
+    assert rc == 2
+    assert "floor power" in capsys.readouterr().err
+    assert not (out / "model.json").exists()
 
 
 def test_calibrate_floor_power_needs_durations(tmp_path, capsys):

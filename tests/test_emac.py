@@ -375,7 +375,3 @@ def test_report_serialization_round_trip():
     assert obj["method"] == METHOD_EXACT
     assert obj["T_used"] == 5
     assert obj["E_tot"] == pytest.approx(report.E_tot, rel=1e-15)
-    rows = report.rows()
-    assert len(rows) == 3 * len(report.per_layer)
-    assert {r[1] for r in rows} == {"E_syn", "E_upd", "E_rec"}
-    assert sum(v for _, comp, v in rows if comp == "E_syn") == report.E_syn

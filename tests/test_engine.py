@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 
@@ -22,10 +22,13 @@ from emacprof import (
     run_dataset,
     run_inference,
 )
+from emacprof import engine
 from emacprof.engine import (
     _EVENT_MIN_WEIGHTS,
     _compile,
     _event_drive,
+    _group_size,
+    _run_group,
     _step_plan,
     _synaptic_events,
 )
@@ -782,3 +785,266 @@ def test_non_finite_weights_are_schema_errors(kind, bad):
     with pytest.raises(SchemaError, match=ref) as err:
         run_inference(net, encode(x, "poisson", seed=1))
     assert "non-finite" in str(err.value)
+
+
+# ---------------------------------------------------------------------------
+# lockstep sample groups
+
+
+def force_group_size(monkeypatch, net, t_max, size):
+    """Set the private state budget so that ``net`` runs ``size`` samples a group."""
+    rt = _compile(net)
+    monkeypatch.setattr(engine, "_GROUP_STATE_BYTES", 1 << 60)
+    per_sample = (1 << 60) // _group_size(rt, t_max)
+    monkeypatch.setattr(engine, "_GROUP_STATE_BYTES", size * per_sample)
+    assert _group_size(rt, t_max) == size
+
+
+def random_spiking_model(draw):
+    v_th = draw(st.sampled_from([0.25, 0.5, 1.0]))
+    spike_once = draw(st.booleans())
+    if draw(st.booleans()):
+        return NeuronModelSpec(
+            kind=NeuronKind.LIF, dt=1e-3, tau_syn=draw(st.sampled_from([2e-3, 5e-3])),
+            tau_mem=draw(st.sampled_from([2e-3, 1e-2])), v_th=v_th, spike_once=spike_once,
+        )
+    return ifl(v_th, spike_once=spike_once)
+
+
+@st.composite
+def lockstep_cases(draw):
+    """A random network, a dataset for it, and the run settings."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    arch = draw(st.sampled_from(["dense", "conv", "locally_connected", "ann"]))
+    t_max = draw(st.sampled_from([1, 3, 8, 16]))
+    # weaker weights make later and more varied first spikes
+    g = draw(st.sampled_from([0.05, 0.15, 0.5]))
+    if arch == "dense":
+        n_in = draw(st.integers(3, 12))
+        builder = NetworkBuilder((n_in,), coding=Coding.RATE, max_timesteps=t_max)
+        # a huge weight from input 0 to neuron 0: only a sample whose input 0
+        # is large overflows, after a few steps of accumulating it
+        units = draw(st.integers(2, 8))
+        w = rng.normal(g, g, (units, n_in))
+        w[0, 0] = 1e38
+        builder.dense(units, random_spiking_model(draw), weights=w)
+        n_prev = units
+    else:
+        shape = (draw(st.integers(1, 2)), draw(st.integers(5, 8)), draw(st.integers(5, 8)))
+        builder = NetworkBuilder(shape, coding=Coding.RATE, max_timesteps=t_max)
+        model = ANN if arch == "ann" else random_spiking_model(draw)
+        if arch == "locally_connected":
+            kernel, stride = (3, 3), (draw(st.integers(1, 2)),) * 2
+            geometry = NetworkBuilder(shape).locally_connected(2, kernel, model, stride=stride)
+            mask = lcl_mask(geometry.build().layers[0])
+            builder.locally_connected(
+                2, kernel, model, stride=stride,
+                weights=rng.normal(g, g, mask.shape) * mask,
+            )
+        else:
+            kernel = (draw(st.integers(2, 3)), draw(st.integers(2, 3)))
+            builder.conv2d(
+                2, kernel, model, stride=(draw(st.integers(1, 2)),) * 2,
+                padding=draw(st.integers(0, 1)),
+                weights=rng.normal(g, g, 2 * shape[0] * kernel[0] * kernel[1]),
+            )
+        if draw(st.booleans()) and min(builder._shape[1:]) >= 2:
+            builder.max_pool((2, 2), stride=(draw(st.integers(1, 2)),) * 2)
+        builder.flatten()
+        n_prev = int(np.prod(builder._shape))
+    if draw(st.booleans()):
+        units = draw(st.integers(2, 8))
+        builder.recurrent_dense(
+            units, random_spiking_model(draw),
+            weights=rng.normal(g, g, (units, n_prev)),
+            recurrent_weights=rng.normal(0.0, 0.4, (units, units)),
+        )
+        n_prev = units
+    n_out = draw(st.integers(1, 4))
+    builder.dense(n_out, random_spiking_model(draw), weights=rng.normal(g, g, (n_out, n_prev)))
+    net = builder.build()
+
+    if arch == "ann":
+        modes = ["analog"]
+    else:
+        modes = draw(st.sampled_from([["poisson"], ["analog"], ["poisson", "analog"]]))
+    samples = []
+    for k in range(draw(st.integers(2, 6))):
+        mode = modes[k % len(modes)] if len(modes) == 1 else draw(st.sampled_from(modes))
+        # inputs of varied strength: samples first spike at varied steps
+        x = rng.uniform(0.0, 1.0, net.input_shape) * rng.choice([0.1, 0.3, 1.0])
+        if arch == "dense":
+            x[0] = 0.0
+        samples.append(encode(x, mode, seed=int(rng.integers(0, 2**64, dtype=np.uint64))))
+    if draw(st.booleans()):  # one sample's state overflows
+        bad = draw(st.integers(0, len(samples) - 1))
+        x = samples[bad].values.copy()
+        if arch == "dense":  # after 1 to about 20 steps
+            x[0] = draw(st.sampled_from([1e270, 1e269, 1e268]))
+        else:  # the first layer's sums overflow
+            x[:] = 1e308
+        samples[bad] = encode(x, "analog")
+    settings_ = dict(
+        t_max=t_max,
+        coding=draw(st.sampled_from([Coding.RATE, Coding.ROC, Coding.ROC])),
+        encoder_per_step=draw(st.booleans()),
+    )
+    return net, samples, settings_
+
+
+def assert_same_result(got, want):
+    if isinstance(want, NonFiniteState):
+        assert isinstance(got, NonFiniteState) and str(got) == str(want)
+        return
+    assert got.decision == want.decision
+    for field in ("counts", "input_counts", "feedforward_events", "recurrent_events",
+                  "analog_events"):
+        a, b = getattr(got.trace, field), getattr(want.trace, field)
+        if b is None:
+            assert a is None
+        else:
+            assert a.dtype == b.dtype and np.array_equal(a, b), field
+    assert got.trace.T_used == want.trace.T_used
+    assert got.trace.layer_neurons == want.trace.layer_neurons
+    assert got.trace.n_inputs == want.trace.n_inputs
+    for a, b in [(got.output_spikes, want.output_spikes),
+                 (got.output_voltages, want.output_voltages),
+                 *zip(got.rasters, want.rasters)]:
+        assert a.shape == b.shape and a.dtype == b.dtype
+        assert a.tobytes() == b.tobytes()  # bitwise, signed zeros included
+    assert got.energy == want.energy
+    assert got.energy_analytic == want.energy_analytic
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+@settings(max_examples=100, deadline=None)
+@given(case=lockstep_cases())
+def test_lockstep_groups_equal_one_sample_at_a_time(case):
+    net, samples, run = case
+    t_max, coding = run["t_max"], run["coding"]
+    # per sample: one group of every sample that shares a mode, against
+    # run_inference, which runs a group of one
+    rt = _compile(net)
+    for mode in {s.mode for s in samples}:
+        subset = [s for s in samples if s.mode is mode]
+        grouped = list(
+            _run_group(
+                net, rt, subset, T_max=t_max, coding=coding, record_raster=True,
+                encoder_per_step=run["encoder_per_step"],
+            )
+        )
+        assert len(grouped) == len(subset)
+        for sample, got in zip(subset, grouped):
+            try:
+                want = run_inference(net, sample, record_raster=True, **run)
+            except NonFiniteState as exc:
+                want = exc
+            assert_same_result(got, want)
+
+    # the dataset summary, with every group size the dataset allows
+    with pytest.MonkeyPatch.context() as mp:
+        force_group_size(mp, net, t_max, 1)
+        want = run_dataset(net, samples, **run)
+        event(f"{len(want.failures)} failed")
+        event(f"{len({o.T_used for o in want.outcomes if o is not None})} distinct T_used")
+        event(f"coding {run['coding'].value}")
+        event(f"modes: {sorted({s.mode.value for s in samples})}")
+        for size in range(2, len(samples) + 1):
+            force_group_size(mp, net, t_max, size)
+            assert run_dataset(net, samples, **run) == want
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+def test_a_sample_that_overflows_mid_run_fails_alone(monkeypatch):
+    # IFL under a constant drive d: v after t steps is d * t * (t + 1) / 2.
+    # Input 0 drives only neuron 0, which the output does not listen to.
+    w = np.array([[1e38, 0.5], [0.0, 0.5]])
+    net = (
+        NetworkBuilder((2,), coding=Coding.ROC, max_timesteps=12)
+        .dense(2, ifl(2.0), weights=w)
+        .dense(2, ifl(1.0), weights=np.array([[0.0, 0.5], [0.0, 0.25]]))
+        .build()
+    )
+    bad = encode(np.array([1e269, 0.0]))  # v passes 1.8e308 at step 6
+    good = [encode(np.array([0.0, v])) for v in (0.5, 1.0, 0.25)]
+    samples = [good[0], bad, good[1], good[2]]
+    force_group_size(monkeypatch, net, 12, 4)
+    stats = run_dataset(net, samples)
+    assert stats.failures == [
+        (1, "layer 0 left the finite range at step 6; check the weights and the "
+            "integration step")
+    ]
+    alone = [run_inference(net, s) for s in good]
+    assert [o.T_used for o in stats.outcomes if o is not None] == [
+        r.trace.T_used for r in alone
+    ]
+    assert len({r.trace.T_used for r in alone}) > 1  # they stop at different steps
+    with pytest.raises(NonFiniteState, match="at step 6"):
+        run_inference(net, bad)
+
+
+def test_samples_that_decide_early_leave_the_group():
+    # padded conv and pool: border inputs reach fewer neurons, so these
+    # layers count their events per step; samples decide at varied steps
+    rng = np.random.default_rng(16)
+    net = (
+        NetworkBuilder((1, 6, 6), coding=Coding.ROC, max_timesteps=24)
+        .conv2d(2, (3, 3), ifl(1.0), padding=1, weights=rng.uniform(0.0, 0.3, 18))
+        .max_pool((3, 3), stride=(2, 2))
+        .flatten()
+        .dense(3, ifl(2.0), weights=rng.uniform(0.0, 0.4, (3, 8)))
+        .build()
+    )
+    samples = [
+        encode(rng.uniform(0.0, 1.0, (1, 6, 6)) * scale, "poisson", seed=k)
+        for k, scale in enumerate([0.9, 0.15, 0.5, 0.05, 0.3, 1.0])
+    ]
+    rt = _compile(net)
+    grouped = list(
+        _run_group(net, rt, samples, T_max=24, coding=Coding.ROC, record_raster=True,
+                   encoder_per_step=False)
+    )
+    alone = [run_inference(net, s, record_raster=True) for s in samples]
+    assert len({r.trace.T_used for r in alone}) >= 4
+    for got, want in zip(grouped, alone):
+        assert_same_result(got, want)
+
+
+def test_group_size_follows_the_state_budget():
+    rng = np.random.default_rng(15)
+    lif_ = NeuronModelSpec(kind=NeuronKind.LIF, dt=1e-3, tau_syn=5e-3, tau_mem=1e-2)
+    conv = (  # shaped like the conv_poisson_rate workload
+        NetworkBuilder((1, 28, 28), coding=Coding.RATE, max_timesteps=64)
+        .conv2d(8, (3, 3), lif_)
+        .max_pool((2, 2))
+        .conv2d(16, (3, 3), lif_)
+        .max_pool((2, 2))
+        .flatten()
+        .dense(10, lif_)
+        .build()
+    )
+    sizes = (784, 512, 512, 256, 256, 10)
+    builder = NetworkBuilder((784,), coding=Coding.ROC, max_timesteps=128)
+    for units in sizes[1:]:  # like dense_poisson_roc
+        builder.dense(units, ifl(spike_once=True))
+    dense = builder.build()
+    mixed = (  # like mixed_analog_recurrent
+        NetworkBuilder((1, 28, 28), coding=Coding.RATE, max_timesteps=64)
+        .conv2d(8, (3, 3), ANN, weights=rng.normal(0.0, 0.3, 72))
+        .max_pool((2, 2))
+        .flatten()
+        .recurrent_dense(256, lif_)
+        .dense(10, lif_)
+        .build()
+    )
+    size = {
+        name: _group_size(_compile(net), net.max_timesteps)
+        for name, net in (("conv", conv), ("dense", dense), ("mixed", mixed))
+    }
+    assert size["conv"] == 1
+    assert size["dense"] > 1
+    assert size["mixed"] > size["dense"]
+    # a longer step budget keeps a longer history per sample
+    assert _group_size(_compile(mixed), 4096) < size["mixed"]

@@ -209,6 +209,14 @@ def test_malformed_manifests_are_rejected(mutate):
         parse_network(json.dumps(manifest), dense_weights())
 
 
+@pytest.mark.parametrize("field", ["bias", "v_th", "dt"])
+def test_neuron_parameters_past_the_float_range_are_schema_errors(field):
+    manifest = dense_manifest()
+    manifest["layers"][0]["neuron_model"][field] = 10**400  # a valid JSON integer
+    with pytest.raises(SchemaError, match=f"{field} is out of the float range"):
+        parse_network(json.dumps(manifest), dense_weights())
+
+
 def test_manifest_must_be_json():
     with pytest.raises(SchemaError):
         parse_manifest(b"not json at all {")

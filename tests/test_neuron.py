@@ -1,11 +1,16 @@
+import copy
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from emacprof import (
     AC_EMAC,
     MAC_EMAC,
     NeuronKind,
     NeuronModelSpec,
+    NeuronState,
     SchemaError,
     classify_synaptic_ops,
     classify_update_ops,
@@ -251,3 +256,124 @@ def test_step_fn_dispatch():
     assert step_fn(NeuronKind.IFL) is ifl_step
     with pytest.raises(SchemaError):
         step_fn(NeuronKind.ANN_RELU)
+
+
+# ---------------------------------------------------------------------------
+# in-place steps and the finiteness check
+
+
+def reference_step(state, drive, model):
+    """The step as plain array expressions: the arithmetic both steps keep."""
+    if model.kind is NeuronKind.LIF:
+        i_new = state.i - state.i * (model.dt / model.tau_syn) + drive + model.bias
+        v_half = state.v + (i_new - state.v) * (model.dt / model.tau_mem)
+    else:
+        i_new = state.i + drive + model.bias
+        v_half = state.v + i_new
+    spike = v_half >= model.v_th
+    if model.spike_once:
+        spike = spike & ~state.has_spiked
+    v_new = v_half - model.v_th * spike
+    fired = state.has_spiked | spike
+    return NeuronState(i=i_new, v=v_new, has_spiked=fired, v_peak=v_half), spike
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def same_state(a, b):
+    return all(
+        same_bits(getattr(a, f), getattr(b, f)) for f in ("i", "v", "has_spiked", "v_peak")
+    )
+
+
+def random_model(rng, kind, spike_once):
+    v_th = float(rng.choice([0.25, 0.5, 1.0, 3.0]))
+    bias = float(rng.choice([0.0, 0.125, -0.1, 0.3]))
+    if kind == "lif":
+        return NeuronModelSpec(
+            kind=NeuronKind.LIF, dt=1e-3, tau_syn=float(rng.choice([2e-3, 5e-3, 3e-2])),
+            tau_mem=float(rng.choice([2e-3, 1e-2, 7e-3])), v_th=v_th, bias=bias,
+            spike_once=spike_once,
+        )
+    return NeuronModelSpec(kind=NeuronKind.IFL, v_th=v_th, bias=bias, spike_once=spike_once)
+
+
+def random_state(rng, shape, scale=1.0):
+    return NeuronState(
+        i=rng.normal(0.0, scale, shape),
+        v=rng.normal(0.0, scale, shape),
+        has_spiked=rng.random(shape) < 0.3,
+        v_peak=rng.normal(0.0, scale, shape),
+    )
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    kind=st.sampled_from(["lif", "ifl"]),
+    spike_once=st.booleans(),
+    shape=st.sampled_from([(1,), (7,), (1, 5), (4, 9), (3, 1)]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_step_into_out_is_bitwise_the_allocating_step(kind, spike_once, shape, seed):
+    rng = np.random.default_rng(seed)
+    model = random_model(rng, kind, spike_once)
+    step = lif_step if kind == "lif" else ifl_step
+    allocated = random_state(rng, shape)
+    in_place = copy.deepcopy(allocated)
+    elsewhere = copy.deepcopy(allocated)
+    for _ in range(6):
+        drive = rng.normal(0.4, 0.6, shape)
+        want, want_spike = reference_step(allocated, drive, model)
+        allocated, spike = step(allocated, drive, model)
+        target = random_state(rng, shape)  # overwritten, whatever it held
+        elsewhere, spike_elsewhere = step(elsewhere, drive, model, out=target)
+        buffers = [in_place.i, in_place.v, in_place.has_spiked, in_place.v_peak]
+        got, spike_in_place = step(in_place, drive, model, out=in_place)
+        assert got is in_place and elsewhere is target
+        assert all(a is b for a, b in zip(buffers, [got.i, got.v, got.has_spiked, got.v_peak]))
+        for state, s in ((allocated, spike), (in_place, spike_in_place), (elsewhere, spike_elsewhere)):
+            assert same_state(state, want)
+            assert same_bits(s, want_spike)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    kind=st.sampled_from(["lif", "ifl"]),
+    spike_once=st.booleans(),
+    shape=st.sampled_from([(1,), (6,), (1, 4), (3, 5)]),
+    drive_values=st.lists(
+        st.one_of(
+            st.sampled_from([np.inf, -np.inf, np.nan, 1e308, -1e308, 1.7e308]),
+            st.floats(-1e3, 1e3),
+            st.floats(allow_nan=False, allow_infinity=False),
+        ),
+        min_size=1,
+        max_size=20,
+    ),
+    state_scale=st.sampled_from([1.0, 1e300, 1e308]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_the_peak_voltage_check_equals_the_current_and_voltage_check(
+    kind, spike_once, shape, drive_values, state_scale, seed
+):
+    # from a finite state, the step leaves i or v non-finite exactly when it
+    # leaves v_peak non-finite: one check of v_peak replaces the two
+    rng = np.random.default_rng(seed)
+    model = random_model(rng, kind, spike_once)
+    step = lif_step if kind == "lif" else ifl_step
+    state = random_state(rng, shape, state_scale)
+    state.i = np.clip(state.i, -1.7e308, 1.7e308)
+    state.v = np.clip(state.v, -1.7e308, 1.7e308)
+    drive = rng.choice(np.array(drive_values), size=shape)
+    with np.errstate(all="ignore"):
+        if rng.random() < 0.3:  # a synaptic sum that overflowed on a huge weight
+            drive.flat[0] *= 1e300
+        new, _ = step(state, drive, model, out=state)
+    old_check = np.isfinite(new.i).all() and np.isfinite(new.v).all()
+    assert np.isfinite(new.v_peak).all() == old_check
+    if new.v_peak.ndim == 2:  # and per row of a group
+        rows_old = np.isfinite(new.i).all(axis=1) & np.isfinite(new.v).all(axis=1)
+        assert np.array_equal(np.isfinite(new.v_peak).all(axis=1), rows_old)
