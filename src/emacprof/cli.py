@@ -55,7 +55,7 @@ from .calib import (
     read_observations_csv,
 )
 from .codec import INPUT_SUFFIXES, EncodingMode, encode, load_input_tensor
-from .emac import ann_mac_count
+from .emac import ann_mac_count, event_price, update_price
 from .engine import AggregateStats, Stat, run_dataset, run_inference
 from .errors import (
     EmacProfError,
@@ -65,8 +65,7 @@ from .errors import (
     RankDeficient,
     SchemaError,
 )
-from .netspec import Coding, NetworkSpec, parse_network, structural_counts
-from .neuron import AC_EMAC
+from .netspec import Coding, NetworkSpec, layer_counts, parse_network
 
 __all__ = ["main", "entrypoint"]
 
@@ -160,21 +159,13 @@ def _out_dir(args) -> Path:
 
 def cmd_inspect(args) -> int:
     net = _load_net(args)
-    counts = structural_counts(net)
     static_upd = 0.0
     print(f"{'layer':<6}{'name':<22}{'kind':<20}{'n_n':>8}{'n_s':>7}"
           f"{'n_sr':>7}  e=(e_syn,e_upd)")
     for index, layer in enumerate(net.layers):
-        c = counts[index]
-        if layer.neuron_model is not None:
-            p = layer.neuron_model.energy
-            e_syn, e_upd = p.e_syn, p.e_upd
-            if layer.neuron_model.kind.spiking:
-                static_upd += c.neurons * e_upd
-        elif layer.kind.value == "max_pool2d":
-            e_syn, e_upd = AC_EMAC, 0.0
-        else:
-            e_syn, e_upd = 0.0, 0.0
+        c = layer_counts(layer)
+        e_syn, e_upd = event_price(layer), update_price(layer)
+        static_upd += c.neurons * e_upd
         print(
             f"{index:<6}{net.layer_name(index):<22}{layer.kind.value:<20}"
             f"n_n={c.neurons:<7} n_s={c.fanin:<5} n_sr={c.recurrent_fanin:<5}"

@@ -19,6 +19,16 @@ model). Two views of the same run are provided:
   inference of the upstream layer. The step count cancels out of the
   synaptic term, which is why per-inference rates suffice.
 
+Both views fill the same three counts per layer, static analog MACs,
+synaptic events and recurrent events, and one function prices them:
+
+    E_syn = static * MAC_EMAC + syn * event_price(layer)
+    E_rec = rec * event_price(layer)
+    E_upd = T * neurons * e_upd          (spiking layers only)
+
+so a layer's exact-vs-analytic gap is the difference of its two count
+vectors at one price.
+
 Special cases: a layer whose drive comes from a static analog stage is
 priced as full multiply-accumulate work counted once per inference (or
 once per step under per-step encoder pricing); stateless rectifier layers
@@ -27,6 +37,13 @@ total equal its classical MAC count; pooling layers do no weighted
 arithmetic, but each realized pool input spike is charged one accumulate,
 reported in the pool column so it can be excluded from comparisons that
 ignore pooling.
+
+A ``max_pool2d`` in the analog static prefix is charged ``fanin * neurons``
+MACs, ``kh * kw`` per output, like every other static layer. The static
+stage reads each window's ``kh * kw`` analog values whatever they are, so
+there are no events to count, and :func:`ann_mac_count` counts pool
+windows the same way: priced so, a fully static network's total stays its
+classical MAC count.
 """
 
 from __future__ import annotations
@@ -171,17 +188,66 @@ def rates_from_trace(trace: "SpikeTrace") -> LayerRates:
     return LayerRates(input_rate=input_rate, per_layer=per_layer)
 
 
-def _has_padding(net: NetworkSpec) -> bool:
-    return any(layer.padding > 0 for layer in net.layers)
+def event_price(layer: LayerSpec) -> float:
+    """EMAC of one synaptic event into ``layer``.
+
+    A weighted layer's neuron model sets the price; a pool charges one
+    accumulate per input spike; flatten does no work.
+    """
+    if layer.kind is LayerKind.MAX_POOL2D:
+        return AC_EMAC
+    if layer.kind in WEIGHTED_KINDS:
+        return layer.neuron_model.energy.e_syn
+    return 0.0
 
 
-def _static_ids(net: NetworkSpec, input_mode: EncodingMode) -> set[int]:
-    """Layers whose synaptic work is static analog arithmetic."""
-    prefix, start = static_split(net, EncodingMode(input_mode))
-    ids = set(prefix)
-    if start is not None and EncodingMode(input_mode) is EncodingMode.ANALOG:
-        ids.add(start)
-    return ids
+def update_price(layer: LayerSpec) -> float:
+    """EMAC of one neuron update of ``layer``; only spiking layers update."""
+    model = layer.neuron_model
+    if model is None or not model.kind.spiking:
+        return 0.0
+    return model.energy.e_upd
+
+
+def static_macs(net: NetworkSpec, input_mode: EncodingMode) -> list[int]:
+    """Per layer, the multiply-accumulates of one static analog evaluation.
+
+    ``fanin * neurons`` for every layer of the static prefix, and for the
+    first spiking layer when an analog input makes its drive static too;
+    zero for every other layer (and for flatten, which has no fan-in).
+    """
+    prefix, start = static_split(net, input_mode)
+    if start is not None and input_mode is EncodingMode.ANALOG:
+        prefix = [*prefix, start]
+    macs = [0] * len(net.layers)
+    for idx in prefix:
+        counts = layer_counts(net.layers[idx])
+        macs[idx] = counts.fanin * counts.neurons
+    return macs
+
+
+def _report(method: str, net: NetworkSpec, T_used: int, counts) -> EnergyReport:
+    """Price each layer's ``(static MACs, synaptic events, recurrent events)``.
+
+    Both views go through here, so they differ only in their counts.
+    """
+    per_layer = []
+    for idx, (layer, (static, syn, rec)) in enumerate(zip(net.layers, counts)):
+        price = event_price(layer)
+        neurons = layer_counts(layer).neurons
+        per_layer.append(LayerEnergy(
+            name=net.layer_name(idx),
+            kind=layer.kind.value,
+            E_syn=float(static) * MAC_EMAC + float(syn) * price,
+            E_upd=float(T_used * neurons * update_price(layer)),
+            E_rec=float(rec) * price,
+        ))
+    return EnergyReport(
+        method=method,
+        T_used=T_used,
+        per_layer=tuple(per_layer),
+        approx_padding=any(layer.padding > 0 for layer in net.layers),
+    )
 
 
 def emac_analytic(
@@ -203,62 +269,32 @@ def emac_analytic(
             f"got rates for {len(rates.per_layer)} layers, network has "
             f"{len(net.layers)}"
         )
-    static = _static_ids(net, input_mode)
-    static_steps = T_used if encoder_per_step else 1
-    per_layer = []
-    for idx, layer in enumerate(net.layers):
-        counts = layer_counts(layer)
-        name = net.layer_name(idx)
-        e_syn_l = e_upd_l = e_rec_l = 0.0
-        if layer.kind is not LayerKind.FLATTEN:
-            if idx in static:
-                e_syn_l = counts.fanin * counts.neurons * MAC_EMAC * static_steps
-            else:
-                if rates is None:
-                    raise MissingRates(
-                        f"layer {idx} consumes spikes but no rates were given"
-                    )
-                if idx == 0:
-                    if rates.input_rate is None:
-                        raise MissingRates(
-                            "layer 0 consumes encoder spikes but no input rate "
-                            "was given"
-                        )
-                    f_prev = rates.input_rate
-                else:
-                    f_prev = float(rates.per_layer[idx - 1])
-                if layer.kind is LayerKind.MAX_POOL2D:
-                    per_event = AC_EMAC
-                else:
-                    per_event = layer.neuron_model.energy.e_syn
-                e_syn_l = counts.fanin * counts.neurons * f_prev * per_event
-            if layer.kind in WEIGHTED_KINDS:
-                model = layer.neuron_model
-                if model.kind.spiking:
-                    e_upd_l = T_used * counts.neurons * model.energy.e_upd
-                if counts.recurrent_fanin:
-                    f_self = float(rates.per_layer[idx])
-                    e_rec_l = (
-                        counts.recurrent_fanin
-                        * counts.neurons
-                        * f_self
-                        * model.energy.e_syn
-                    )
-        per_layer.append(
-            LayerEnergy(
-                name=name,
-                kind=layer.kind.value,
-                E_syn=float(e_syn_l),
-                E_upd=float(e_upd_l),
-                E_rec=float(e_rec_l),
+
+    def rate(idx: int, of: int) -> float:
+        """The rate of layer ``of`` (-1: the encoder), which layer ``idx`` consumes."""
+        if rates is None:
+            raise MissingRates(f"layer {idx} consumes spikes but no rates were given")
+        if of >= 0:
+            return float(rates.per_layer[of])
+        if rates.input_rate is None:
+            raise MissingRates(
+                "layer 0 consumes encoder spikes but no input rate was given"
             )
-        )
-    return EnergyReport(
-        method=METHOD_ANALYTIC,
-        T_used=T_used,
-        per_layer=tuple(per_layer),
-        approx_padding=_has_padding(net),
-    )
+        return rates.input_rate
+
+    static = static_macs(net, input_mode)
+    static_steps = T_used if encoder_per_step else 1
+    counts = []
+    for idx, layer in enumerate(net.layers):
+        c = layer_counts(layer)
+        syn = rec = 0
+        # a static layer costs MACs, not events; flatten has no fan-in
+        if not static[idx] and c.fanin:
+            syn = c.fanin * c.neurons * rate(idx, idx - 1)
+        if c.recurrent_fanin:
+            rec = c.recurrent_fanin * c.neurons * rate(idx, idx)
+        counts.append((static[idx] * static_steps, syn, rec))
+    return _report(METHOD_ANALYTIC, net, T_used, counts)
 
 
 def emac_exact(net: NetworkSpec, trace: "SpikeTrace") -> EnergyReport:
@@ -272,34 +308,8 @@ def emac_exact(net: NetworkSpec, trace: "SpikeTrace") -> EnergyReport:
         raise TraceNetMismatch(
             "the trace does not describe this network (layer count or sizes differ)"
         )
-    per_layer = []
-    for idx, layer in enumerate(net.layers):
-        counts = layer_counts(layer)
-        e_syn_l = float(trace.analog_events[idx]) * MAC_EMAC
-        e_upd_l = e_rec_l = 0.0
-        if layer.kind is LayerKind.MAX_POOL2D:
-            e_syn_l += float(trace.feedforward_events[idx]) * AC_EMAC
-        elif layer.kind in WEIGHTED_KINDS:
-            model = layer.neuron_model
-            e_syn_l += float(trace.feedforward_events[idx]) * model.energy.e_syn
-            e_rec_l = float(trace.recurrent_events[idx]) * model.energy.e_syn
-            if model.kind.spiking:
-                e_upd_l = trace.T_used * counts.neurons * model.energy.e_upd
-        per_layer.append(
-            LayerEnergy(
-                name=net.layer_name(idx),
-                kind=layer.kind.value,
-                E_syn=e_syn_l,
-                E_upd=e_upd_l,
-                E_rec=e_rec_l,
-            )
-        )
-    return EnergyReport(
-        method=METHOD_EXACT,
-        T_used=trace.T_used,
-        per_layer=tuple(per_layer),
-        approx_padding=_has_padding(net),
-    )
+    counts = zip(trace.analog_events, trace.feedforward_events, trace.recurrent_events)
+    return _report(METHOD_EXACT, net, trace.T_used, counts)
 
 
 def ann_mac_count(net: NetworkSpec | Iterable[LayerSpec]) -> int:

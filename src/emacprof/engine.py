@@ -28,10 +28,11 @@ Alongside the dynamics the engine keeps exact integer event counters:
 These counters, the per-step spike counts, and the step budget actually
 used are what the energy accounting consumes.
 
-Before it runs, each sample builds a step plan: one forward map per
-layer, with whatever it needs allocated once. A convolution writes its
-input into the interior of a zero-padded buffer and multiplies the
-kernel rows with a fixed window view of that buffer (the im2col product);
+Before it runs, each group of samples builds a step plan: one forward
+map per layer, with whatever it needs allocated once, which every sample
+of the group calls in turn. A convolution writes its input into the
+interior of a zero-padded buffer and multiplies the kernel rows with a
+fixed window view of that buffer (the im2col product);
 a pool takes the elementwise maximum of precomputed strided slices, one
 per window tap. A dense-like layer (dense, locally connected, and the
 recurrent term of a recurrent layer) is driven by events: for a boolean
@@ -56,7 +57,7 @@ counts, the finiteness check and the recurrent spike memory are
 ``(samples, neurons)`` arrays, and each neuron step advances them in
 place, so one numpy call serves every sample: on a narrow layer the time
 goes to dispatching calls, not to arithmetic. The weighted drives stay one
-call per sample, through that sample's own step plan. One product over the
+call per sample, through the group's step plan. One product over the
 group would add the sums in another order, and a last-bit change at
 ``v == v_th`` flips a spike; kept per sample, every result is bit-identical
 whatever the group size. Under rank-order coding a sample that has decided
@@ -168,7 +169,6 @@ class _LayerRT:
     spec: LayerSpec
     index: int
     neurons: int
-    fanin: int
     recurrent_fanin: int
     weighted: bool
     spiking: bool
@@ -208,7 +208,6 @@ def _compile(net: NetworkSpec) -> list[_LayerRT]:
             spec=layer,
             index=index,
             neurons=counts.neurons,
-            fanin=counts.fanin,
             recurrent_fanin=counts.recurrent_fanin,
             weighted=layer.kind in WEIGHTED_KINDS,
             spiking=(
@@ -241,10 +240,11 @@ def _max_pool(x: np.ndarray, taps: tuple[tuple[slice, ...], ...]) -> np.ndarray:
 
 
 def _step_plan(rt: _LayerRT) -> Callable[[np.ndarray], np.ndarray] | None:
-    """One call's forward map of a layer, with its buffers built once.
+    """One group's forward map of a layer, with its buffers built once.
 
     A weighted layer maps its input to its flat synaptic drive, a pool to
-    the pooled tensor; flatten needs no plan. The buffers belong to one
+    the pooled tensor; flatten needs no plan. The samples of a group call
+    it one after another. The buffers belong to one :func:`_run_group`
     call, not to ``rt``, so compiled layers stay read-only and one compiled
     network can serve any number of calls.
     """
@@ -325,6 +325,16 @@ def _spike_counts(x: np.ndarray) -> np.ndarray | int:
 def _stacked(rows: list[np.ndarray]) -> np.ndarray:
     """Equally shaped per-sample arrays as one ``(samples, ...)`` array."""
     return rows[0][np.newaxis] if len(rows) == 1 else np.array(rows)
+
+
+def _per_row(fn: Callable, x: np.ndarray) -> np.ndarray:
+    """``fn`` of each row of ``x``, as one ``(rows, ...)`` array.
+
+    Rows are taken by index: running a numpy array's iterator to its end
+    raises and discards an IndexError, about a microsecond that a group of
+    one would pay at every layer and step.
+    """
+    return _stacked([fn(x[p]) for p in range(len(x))])
 
 
 def _by_row(x: np.ndarray, live: list[int], size: int) -> np.ndarray:
@@ -433,24 +443,19 @@ def _run_group(
     B = len(samples)
     L = len(rt)
     static_ids, start = static_split(net, mode)
-    analog_base = np.zeros(L, dtype=np.int64)
-    for idx in static_ids:
-        if rt[idx].spec.kind is not LayerKind.FLATTEN:
-            analog_base[idx] = rt[idx].fanin * rt[idx].neurons
-    if start is not None and mode is EncodingMode.ANALOG:
-        analog_base[start] = rt[start].fanin * rt[start].neurons
+    analog_base = np.array(_emac.static_macs(net, mode), dtype=np.int64)
     has_ann = any(r.weighted and not r.spiking for r in rt)
     rec_fanin = np.array([r.recurrent_fanin for r in rt], dtype=np.int64)
     even_fanout = np.array([r.even_fanout for r in rt], dtype=np.int64)
 
+    # one plan per layer, which every row of the group calls in turn
+    plans = [_step_plan(r) for r in rt]
+    recurrent = {
+        r.index: _event_drive(r.rec_weights) for r in rt if r.rec_weights is not None
+    }
     failed: dict[int, NonFiniteState] = {}
     live: list[int] = []  # group rows still stepping, in order
     firsts: list[np.ndarray] = []  # per live row: the static result, or drive0
-    drives: dict[int, list[Callable]] = {}  # per stepped layer: each live row's drive
-    if start is not None:
-        drives = {r.index: [] for r in rt[start:] if r.weighted}
-        if mode is EncodingMode.ANALOG:
-            del drives[start]
     for k, encoded in enumerate(samples):
         if tuple(encoded.values.shape) != net.input_shape:
             raise ShapeMismatch(
@@ -461,7 +466,6 @@ def _run_group(
             raise SchemaError(
                 "ann_relu layers consume static values; use analog encoding"
             )
-        plans = [_step_plan(r) for r in rt]
         try:
             x = _static_stage(rt, plans, static_ids, encoded.values)
         except NonFiniteState as exc:
@@ -471,8 +475,6 @@ def _run_group(
             x = plans[start](x)
         live.append(k)
         firsts.append(x)
-        for idx, row_drives in drives.items():
-            row_drives.append(plans[idx])
 
     def priced(counts, ff, T_used, out_spikes, out_volt, rasters):
         # counts: (layers + 1, steps), row 0 the input's spikes
@@ -541,12 +543,7 @@ def _run_group(
     drive0 = None if poisson else np.array(firsts)
     del firsts
     states = {r.index: state_zeros((n, r.neurons)) for r in rt if r.spiking}
-    prev_own = {
-        r.index: np.zeros((n, r.neurons), dtype=bool)
-        for r in rt
-        if r.rec_weights is not None
-    }
-    recurrent = {index: _event_drive(rt[index].rec_weights) for index in prev_own}
+    prev_own = {idx: np.zeros((n, rt[idx].neurons), dtype=bool) for idx in recurrent}
     ff_events = np.zeros((L, n), dtype=np.int64)  # layers of uneven fan-out
     # per group row, once it stops: T_used and its ff_events column
     stopped: dict[int, tuple[int, np.ndarray]] = {}
@@ -569,15 +566,14 @@ def _run_group(
         for r in rt[start:]:
             idx = r.index
             if r.weighted:
-                if idx in drives:
+                if cur is None:  # the analog-fed first spiking layer
+                    drive = drive0
+                else:
                     if not r.even_fanout:
                         ff_events[idx] += _synaptic_events(r, cur)
-                    drive = _stacked([fn(x) for fn, x in zip(drives[idx], cur)])
-                else:
-                    drive = drive0
-                if r.rec_weights is not None:
-                    own = recurrent[idx]
-                    drive = drive + _stacked([own(x) for x in prev_own[idx]])
+                    drive = _per_row(plans[idx], cur)
+                if idx in recurrent:
+                    drive = drive + _per_row(recurrent[idx], prev_own[idx])
                 state, spikes = r.step(
                     states[idx], drive, r.spec.neuron_model, out=states[idx]
                 )
@@ -590,7 +586,7 @@ def _run_group(
                             f"layer {idx} left the finite range at step {t}; "
                             "check the weights and the integration step"
                         ))
-                if r.rec_weights is not None:
+                if idx in recurrent:
                     prev_own[idx] = spikes
                 out = spikes.reshape(n, *r.spec.output_shape)
             elif r.spec.kind is LayerKind.MAX_POOL2D:
@@ -622,7 +618,6 @@ def _run_group(
         keep = [p for p in range(n) if p not in leaving]
         n = len(keep)
         live = [live[p] for p in keep]
-        drives = {idx: [fns[p] for p in keep] for idx, fns in drives.items()}
         if drive0 is not None:
             drive0 = drive0[keep]
         for index, st in states.items():
@@ -637,7 +632,7 @@ def _run_group(
     # A generator keeps its locals until it ends: drop the step state, then
     # turn each history into one (steps, group rows, ...) array, where sample
     # k's history is [:T_used, k], and drop its per-step arrays
-    del states, prev_own, recurrent, drives, drive0, ff_events
+    del states, prev_own, plans, recurrent, drive0, ff_events
 
     def joined(hist: list[np.ndarray]) -> np.ndarray | None:
         steps = np.stack(hist) if hist else None

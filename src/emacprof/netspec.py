@@ -77,7 +77,6 @@ __all__ = [
     "fanout_map",
     "realized_connections",
     "layer_counts",
-    "structural_counts",
     "static_split",
     "weight_tensor",
     "recurrent_weight_tensor",
@@ -272,10 +271,6 @@ def layer_counts(layer: LayerSpec) -> LayerCounts:
     return LayerCounts(neurons=n_n, fanin=fanin, recurrent_fanin=rec)
 
 
-def structural_counts(net: NetworkSpec) -> list[LayerCounts]:
-    return [layer_counts(layer) for layer in net.layers]
-
-
 def static_split(
     net: NetworkSpec, mode: EncodingMode
 ) -> tuple[list[int], int | None]:
@@ -432,6 +427,8 @@ def _validate_layer_geometry(layer: LayerSpec, index: int) -> None:
     if kind is LayerKind.RECURRENT_DENSE:
         if layer.recurrent_weights_ref is None:
             raise SchemaError(f"{name}: recurrent_weights_ref is required")
+        if not layer.neuron_model.kind.spiking:  # the static stage runs it once
+            raise SchemaError(f"{name}: a rectifier would ignore the recurrent weights")
     elif layer.recurrent_weights_ref is not None:
         raise SchemaError(f"{name}: only recurrent_dense takes recurrent weights")
 

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cache
 from typing import Union
 
 import numpy as np
@@ -130,6 +131,7 @@ def _weigh(ops: tuple[OpCount, ...]) -> float:
     return float(sum(OP_WEIGHTS[oc.op] * oc.count for oc in ops))
 
 
+@cache  # every priced layer asks; the answer depends on the kind alone
 def energy_params(kind: NeuronKind) -> EnergyParams:
     """Energy parameters derived from the operation classification.
 

@@ -113,6 +113,26 @@ def test_inspect_neuron_parameter_past_the_float_range_exits_2(tmp_path, capsys)
     assert "bias is out of the float range" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["inspect", "profile"])
+def test_recurrent_rectifier_layer_exits_2(tmp_path, capsys, command):
+    net = (
+        NetworkBuilder((4,), coding=Coding.RATE, max_timesteps=4)
+        .recurrent_dense(3, IFL)
+        .dense(2, IFL)
+        .build()
+    )
+    npath = write_net(tmp_path, net)
+    manifest = json.loads(npath.read_text())
+    manifest["layers"][0]["neuron_model"] = {"kind": "ann_relu"}
+    npath.write_text(json.dumps(manifest))
+    argv = [command, "--network", str(npath)]
+    if command == "profile":
+        inputs = write_inputs(tmp_path, [np.full(4, 0.3)])
+        argv += ["--inputs", str(inputs), "--out", str(tmp_path / "o")]
+    assert main(argv) == 2
+    assert "ignore the recurrent weights" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
 def test_weights_flag_overrides_the_default_suffix(tmp_path, capsys):
     net = dense_ifl()
     manifest, weights = serialize_network(net)

@@ -124,6 +124,48 @@ def test_missing_rates_are_rejected():
         )
 
 
+def test_missing_rates_for_a_recurrent_layers_own_rate():
+    # an analog input makes the feedforward drive static, so only the
+    # recurrent term needs a rate: the layer's own
+    net = (
+        NetworkBuilder((4,), coding=Coding.RATE, max_timesteps=4)
+        .recurrent_dense(3, LIF)
+        .dense(2, LIF)
+        .build()
+    )
+    with pytest.raises(MissingRates):
+        emac_analytic(net, None, 4)
+    report = emac_analytic(net, LayerRates(input_rate=None, per_layer=[0.5, 0.0]), 4)
+    assert report.per_layer[0].E_syn == 4 * 3
+    assert report.per_layer[0].E_rec == pytest.approx(3 * 3 * 0.5 * (2 / 3), rel=1e-12)
+
+
+@pytest.mark.parametrize("encoder_per_step", [False, True])
+def test_pool_in_the_static_prefix_costs_its_window_macs(encoder_per_step):
+    # a static pool reads all kh*kw values of every window: kh*kw MACs an output
+    rng = np.random.default_rng(3)
+    net = (
+        NetworkBuilder((1, 6, 6), coding=Coding.RATE, max_timesteps=5)
+        .conv2d(2, (3, 3), ANN, weights=rng.uniform(0.0, 0.5, 2 * 9))
+        .max_pool((2, 2))
+        .flatten()
+        .dense(3, LIF_SPIKING, weights=rng.uniform(0.0, 0.5, 3 * 8))
+        .build()
+    )
+    pool = net.layers[1]
+    assert pool.kind is LayerKind.MAX_POOL2D
+    result = run_inference(
+        net, encode(rng.uniform(0, 1, (1, 6, 6))), encoder_per_step=encoder_per_step
+    )
+    assert result.trace.T_used == 5  # rate coding runs the whole window
+    steps = 5 if encoder_per_step else 1
+    expected = 2 * 2 * layer_counts(pool).neurons * steps
+    for report in (result.energy, result.energy_analytic):
+        assert report.per_layer[1].E_syn == expected
+        assert report.per_layer[1].E_upd == report.per_layer[1].E_rec == 0
+        assert report.E_pool == expected
+
+
 # ---------------------------------------------------------------------------
 # exact pricing
 

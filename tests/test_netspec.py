@@ -2,9 +2,13 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from emacprof import (
     Coding,
+    EmacProfError,
     LayerKind,
     MaskViolation,
     NetworkBuilder,
@@ -17,8 +21,8 @@ from emacprof import (
     parse_manifest,
     parse_network,
     read_weights_container,
+    layer_counts,
     serialize_network,
-    structural_counts,
     write_weights_container,
 )
 from emacprof.netspec import (
@@ -78,7 +82,7 @@ def enumerate_conv_connections(in_shape, out_hw, kernel, stride, padding):
 
 def test_dense_manifest_parses_with_counts():
     net = parse_network(json.dumps(dense_manifest()), dense_weights())
-    counts = structural_counts(net)
+    counts = [layer_counts(layer) for layer in net.layers]
     assert len(net.layers) == 1
     assert counts[0].neurons == 3
     assert counts[0].fanin == 4
@@ -123,7 +127,7 @@ def test_conv_manifest_counts():
         }
     )
     net = parse_network(json.dumps(manifest), weights)
-    counts = structural_counts(net)
+    counts = [layer_counts(layer) for layer in net.layers]
     assert net.layers[0].output_shape == (16, 62, 62)
     assert counts[0].neurons == 61504
     assert counts[0].fanin == 27
@@ -380,7 +384,7 @@ def test_lcl_weights_outside_receptive_field_are_rejected():
         coding=Coding.RATE,
         max_timesteps=4,
     )
-    assert structural_counts(net)[0].fanin == 9
+    assert layer_counts(net.layers[0]).fanin == 9
 
     bad = weights.copy()
     outside = np.argwhere(~mask)[0]
@@ -463,6 +467,164 @@ def test_network_round_trip_is_identical():
     assert weights2 == weights
 
 
+FINITE32 = st.floats(width=32, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def neuron_models(draw, spiking: bool) -> NeuronModelSpec:
+    bias = draw(st.floats(-1.0, 1.0))
+    if not spiking:
+        return NeuronModelSpec(kind=NeuronKind.ANN_RELU, bias=bias)
+    dt = draw(st.sampled_from([1e-4, 1e-3, 0.1, 1.0]))
+    kind = draw(st.sampled_from([NeuronKind.LIF, NeuronKind.IFL]))
+    taus = {}
+    if kind is NeuronKind.LIF:
+        taus = {
+            "tau_syn": dt * draw(st.floats(1.5, 100.0)),
+            "tau_mem": dt * draw(st.floats(1.5, 100.0)),
+        }
+    return NeuronModelSpec(
+        kind=kind,
+        dt=dt,
+        v_th=draw(st.floats(1e-3, 10.0)),
+        bias=bias,
+        spike_once=draw(st.booleans()),
+        **taus,
+    )
+
+
+@st.composite
+def networks(draw) -> NetworkSpec:
+    """Small valid networks of every layer kind, with arbitrary finite weights."""
+    c, h, w = draw(st.integers(1, 2)), draw(st.integers(3, 8)), draw(st.integers(3, 8))
+    b = NetworkBuilder(
+        (c, h, w),
+        coding=draw(st.sampled_from(list(Coding))),
+        max_timesteps=draw(st.integers(1, 64)),
+    )
+    spiking = draw(st.booleans())  # False: a rectifier prefix comes first
+
+    def model() -> NeuronModelSpec:
+        nonlocal spiking
+        spiking = spiking or draw(st.booleans())
+        return draw(neuron_models(spiking))
+
+    def weights(n: int) -> np.ndarray:
+        return draw(hnp.arrays(np.float32, n, elements=FINITE32))
+
+    for _ in range(draw(st.integers(0, 2))):
+        op = draw(st.sampled_from(["conv", "pool", "lcl"]))
+        p = draw(st.integers(0, 1)) if op == "conv" else 0
+        kh = draw(st.integers(1, min(3, h + 2 * p)))
+        kw = draw(st.integers(1, min(3, w + 2 * p)))
+        stride = (draw(st.integers(1, 2)), draw(st.integers(1, 2)))
+        oh, ow = conv_output_hw((h, w), (kh, kw), stride, p)
+        if op == "pool":
+            b.max_pool((kh, kw), stride=stride)
+            h, w = oh, ow
+            continue
+        f = draw(st.integers(1, 3))
+        if op == "conv":
+            b.conv2d(f, (kh, kw), model(), stride=stride, padding=p,
+                     weights=weights(f * c * kh * kw))
+        else:
+            mask = lcl_mask(LayerSpec(
+                kind=LayerKind.LOCALLY_CONNECTED, input_shape=(c, h, w),
+                output_shape=(f, oh, ow), kernel=(kh, kw), stride=stride,
+            ))
+            values = np.where(mask, weights(mask.size).reshape(mask.shape), 0)
+            b.locally_connected(f, (kh, kw), model(), stride=stride, weights=values)
+        c, h, w = f, oh, ow
+    b.flatten()
+    n_in = c * h * w
+    for _ in range(draw(st.integers(0, 2))):
+        units = draw(st.integers(1, 6))
+        m = model()
+        if m.kind.spiking and draw(st.booleans()):
+            b.recurrent_dense(units, m, weights=weights(units * n_in),
+                              recurrent_weights=weights(units * units))
+        else:
+            b.dense(units, m, weights=weights(units * n_in))
+        n_in = units
+    units = draw(st.integers(1, 4))
+    return b.dense(units, model(), weights=weights(units * n_in)).build()
+
+
+@settings(max_examples=50, deadline=None)
+@given(net=networks())
+def test_any_network_round_trips_byte_identically(net):
+    manifest, weights = serialize_network(net)
+    back = parse_network(manifest, weights)
+    assert networks_equal(net, back)
+    assert serialize_network(back) == (manifest, weights)
+
+
+JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.sampled_from([0, -1, 2**31, 2**64, 10**400])
+    | st.floats()
+    | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+@st.composite
+def mutated_bytes(draw, blob: bytes) -> bytes:
+    """``blob`` with a few bytes overwritten, inserted, deleted or cut off."""
+    out = bytearray(blob)
+    for _ in range(draw(st.integers(1, 3))):
+        at = draw(st.integers(0, len(out)))
+        how = draw(st.sampled_from(["overwrite", "insert", "delete", "truncate"]))
+        if how == "truncate":
+            del out[at:]
+        elif how == "delete":
+            del out[at : at + draw(st.integers(1, 8))]
+        else:
+            chunk = draw(st.binary(min_size=1, max_size=8))
+            out[at : at + (len(chunk) if how == "overwrite" else 0)] = chunk
+    return bytes(out)
+
+
+@st.composite
+def mutated_fields(draw, manifest: bytes) -> bytes:
+    """``manifest`` with one field replaced by an arbitrary JSON value, or removed."""
+    doc = json.loads(manifest)
+    parent, key, node = None, None, doc
+    # walk down from the root, at least one level, stopping at random
+    while isinstance(node, (dict, list)) and node:
+        keys = sorted(node) if isinstance(node, dict) else range(len(node))
+        parent, key = node, draw(st.sampled_from(keys))
+        node = node[key]
+        if not draw(st.booleans()):
+            break
+    if isinstance(parent, dict) and draw(st.booleans()):
+        del parent[key]
+    else:
+        parent[key] = draw(JSON_VALUES)
+    return json.dumps(doc).encode()
+
+
+@settings(max_examples=100, deadline=None)
+@given(net=networks(), data=st.data())
+def test_mutated_files_raise_only_package_errors(net, data):
+    manifest, weights = serialize_network(net)
+    which = data.draw(st.sampled_from(["manifest bytes", "manifest field", "weights"]))
+    if which == "manifest bytes":
+        manifest = data.draw(mutated_bytes(manifest))
+    elif which == "manifest field":
+        manifest = data.draw(mutated_fields(manifest))
+    else:
+        weights = data.draw(mutated_bytes(weights))
+    try:
+        parse_network(manifest, weights)
+    except EmacProfError:
+        pass
+
+
 def test_last_layer_must_be_weighted():
     with pytest.raises(SchemaError):
         NetworkBuilder((1, 4, 4), max_timesteps=4).max_pool((2, 2)).build()
@@ -479,3 +641,15 @@ def test_ann_layers_only_in_a_leading_prefix():
     # the other order is the supported static-preprocessing arrangement
     net = NetworkBuilder((6,), max_timesteps=4).dense(4, ANN).dense(3, IFL).build()
     assert net.layers[0].neuron_model.kind is NeuronKind.ANN_RELU
+
+
+def test_recurrent_rectifier_layers_are_rejected():
+    # the static stage evaluates a rectifier layer once, so its recurrent
+    # weights could never act
+    with pytest.raises(SchemaError, match="ignore the recurrent weights"):
+        (
+            NetworkBuilder((6,), max_timesteps=4)
+            .recurrent_dense(4, ANN)
+            .dense(3, IFL)
+            .build()
+        )
