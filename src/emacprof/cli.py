@@ -7,9 +7,10 @@ Subcommands:
     fanin, per-event energy parameters), the conventional MAC count, and
     the update energy one timestep costs.
 ``profile``
-    Run a dataset and write ``energy.json`` (structural estimate and exact
-    event count side by side, mean and std over samples), ``spikes.csv``
-    (per-layer totals), and ``latency.csv`` (per-sample outcome).
+    Run a dataset and write all three of ``energy.json`` (structural
+    estimate and exact event count side by side, mean and std over
+    samples), ``spikes.csv`` (per-layer totals), and ``latency.csv``
+    (per-sample outcome).
 ``trace``
     Run one sample and write ``trace.csv`` with rows ``layer,t,spike_count``
     over the full (layer, t) grid; ``--raster`` adds a per-spike
@@ -266,14 +267,9 @@ def _failures_exit(stats: AggregateStats) -> int:
 def cmd_profile(args) -> int:
     net, stats = _run_dataset(args)
     out = _out_dir(args)
-    written = []
-    if args.format in ("json", "both"):
-        _write_json(out / "energy.json", _energy_report(stats, args, net))
-        written.append("energy.json")
-    if args.format in ("csv", "both"):
-        _write_spikes_csv(out / "spikes.csv", stats, net)
-        _write_latency_csv(out / "latency.csv", stats)
-        written.extend(["spikes.csv", "latency.csv"])
+    _write_json(out / "energy.json", _energy_report(stats, args, net))
+    _write_spikes_csv(out / "spikes.csv", stats, net)
+    _write_latency_csv(out / "latency.csv", stats)
     print(f"samples: {stats.n_ok}/{stats.n_samples} ok")
     print(
         f"E_tot exact_events: mean={stats.emac_exact.mean!r} "
@@ -283,7 +279,7 @@ def cmd_profile(args) -> int:
         f"E_tot analytic:     mean={stats.emac_analytic.mean!r} "
         f"std={stats.emac_analytic.std!r}"
     )
-    print(f"wrote {', '.join(written)} to {out}")
+    print(f"wrote energy.json, spikes.csv, latency.csv to {out}")
     return _failures_exit(stats)
 
 
@@ -415,15 +411,8 @@ def _add_run_flags(p: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_out_flags(p: argparse.ArgumentParser, *, formats: bool = True) -> None:
+def _add_out_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", default=".", help="directory for report files")
-    if formats:
-        p.add_argument(
-            "--format",
-            choices=["json", "csv", "both"],
-            default="both",
-            help="which report files to write",
-        )
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -453,7 +442,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--sample", type=int, default=0, help="index into the sorted input files"
     )
     p.add_argument("--raster", action="store_true", help="also write raster.csv")
-    _add_out_flags(p, formats=False)
+    _add_out_flags(p)
     p.set_defaults(func=cmd_trace)
 
     p = sub.add_parser("calibrate", help="fit joules-per-event parameters")
@@ -466,14 +455,14 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         help="constant platform watts to subtract via each row's duration_s",
     )
-    _add_out_flags(p, formats=False)
+    _add_out_flags(p)
     p.set_defaults(func=cmd_calibrate)
 
     p = sub.add_parser("predict", help="apply a fitted model to a new network")
     p.add_argument("--model", required=True, help="fitted model JSON")
     _add_network_flags(p)
     _add_run_flags(p)
-    _add_out_flags(p, formats=False)
+    _add_out_flags(p)
     p.set_defaults(func=cmd_predict)
 
     return parser

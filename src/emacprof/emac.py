@@ -54,7 +54,7 @@ from typing import TYPE_CHECKING, Iterable
 import numpy as np
 
 from .codec import EncodingMode
-from .errors import MissingRates, TraceNetMismatch
+from .errors import MissingRates, RateOutOfRange, TraceNetMismatch
 from .netspec import (
     LayerKind,
     LayerSpec,
@@ -167,15 +167,24 @@ class EnergyReport:
 
 @dataclass(frozen=True)
 class LayerRates:
-    """Spikes per neuron per inference, for the encoder and every layer."""
+    """Spikes per neuron per inference, for the encoder and every layer.
+
+    A rate may exceed 1 (a neuron can spike at several steps), but a NaN,
+    infinite or negative one is a :class:`RateOutOfRange`.
+    """
 
     input_rate: float | None
     per_layer: np.ndarray
 
     def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "per_layer", np.asarray(self.per_layer, dtype=np.float64)
-        )
+        per_layer = np.asarray(self.per_layer, dtype=np.float64)
+        rates = per_layer if self.input_rate is None else np.append(per_layer, self.input_rate)
+        if not ((rates >= 0.0) & (rates < np.inf)).all():
+            raise RateOutOfRange(
+                f"rates must be finite and >= 0, got input {self.input_rate} "
+                f"and per layer {per_layer.tolist()}"
+            )
+        object.__setattr__(self, "per_layer", per_layer)
 
 
 def rates_from_trace(trace: "SpikeTrace") -> LayerRates:

@@ -10,7 +10,8 @@ Stateless rectifier layers (and any pooling or flattening around them)
 form a static preprocessing stage: with an analog input their values do
 not change over time, so they are evaluated once and the first spiking
 layer reuses the resulting drive every step. Stochastic spike inputs are
-incompatible with that stage and are rejected.
+incompatible with that stage and are rejected. A network with no spiking
+layer is a run of one step, whose output voltages are its head activation.
 
 Alongside the dynamics the engine keeps exact integer event counters:
 
@@ -62,10 +63,14 @@ group would add the sums in another order, and a last-bit change at
 ``v == v_th`` flips a spike; kept per sample, every result is bit-identical
 whatever the group size. Under rank-order coding a sample that has decided
 leaves the group with its counters frozen, and a sample whose state leaves
-the finite range fails alone. A group holds as many samples as a fixed
-budget of step state allows (``_GROUP_STATE_BYTES``, 256 KiB). Wide
-convolutional networks get one sample per group: their state would raise
-the memory peak, and their wide steps gain little from batching.
+the finite range fails alone. A group's histories (spike counts, output
+spikes and voltages, rasters when recorded) are allocated once at the step
+budget, a row per sample; each step writes its live rows, and one loop at
+the end decodes, traces and prices every sample. A group holds as many
+samples as a budget of step state and history allows
+(``_GROUP_STATE_BYTES``, 256 KiB). Wide convolutional networks get one
+sample per group: their state would raise the memory peak, and their wide
+steps gain little from batching.
 
 Over a dataset, :func:`run_dataset` keeps each sample's outcome (step
 count and decision) and the per-sample scalars its statistics need, not
@@ -106,7 +111,6 @@ from .netspec import (
     weight_tensor,
 )
 from .neuron import (
-    NeuronKind,
     NeuronState,
     ann_activation,
     state_zeros,
@@ -337,15 +341,6 @@ def _per_row(fn: Callable, x: np.ndarray) -> np.ndarray:
     return _stacked([fn(x[p]) for p in range(len(x))])
 
 
-def _by_row(x: np.ndarray, live: list[int], size: int) -> np.ndarray:
-    """``x``, one row per live sample, spread over all ``size`` group rows."""
-    if len(live) == size:
-        return x
-    full = np.zeros((size, *x.shape[1:]), dtype=x.dtype)
-    full[live] = x
-    return full
-
-
 def _static_stage(
     rt: list[_LayerRT], plans: list, static_ids: list[int], x: np.ndarray
 ) -> np.ndarray:
@@ -376,14 +371,17 @@ def _group_size(rt: list[_LayerRT], t_max: int) -> int:
     """How many samples one lockstep group steps together.
 
     As many as :data:`_GROUP_STATE_BYTES` holds of each sample's neuron
-    state and step history, and at least one. Wide convolutional networks
-    get one: their wide steps gain little from batching, and their state
-    would raise the memory peak.
+    state and step history, and at least one. The history term is exact,
+    since a group allocates its histories at the step budget (one step
+    without spiking layers); rasters, which only :func:`run_inference`
+    records, are not counted. Wide convolutional networks get one: their
+    wide steps gain little from batching, and their state would raise the
+    memory peak.
     """
     neurons = sum(r.neurons for r in rt if r.spiking)
     # each step keeps the input's and every layer's spike count, and the
     # output layer's voltages and spikes
-    history = t_max * (8 * (len(rt) + 1) + 9 * rt[-1].neurons)
+    history = (t_max if neurons else 1) * (8 * (len(rt) + 1) + 9 * rt[-1].neurons)
     return max(1, _GROUP_STATE_BYTES // (_NEURON_STATE_BYTES * neurons + history))
 
 
@@ -406,7 +404,11 @@ def run_inference(
     record_raster: bool = False,
     encoder_per_step: bool = False,
 ) -> InferenceResult:
-    """Simulate one sample and account for every event it generates."""
+    """Simulate one sample and account for every event it generates.
+
+    With ``record_raster``, every layer's ``(neurons, T_used)`` spike raster
+    is kept; like the other histories it is allocated at the step budget.
+    """
     rt = _compile(net)
     coding, T_max = _settings(net, t_max, coding)
     (result,) = _run_group(
@@ -444,7 +446,6 @@ def _run_group(
     L = len(rt)
     static_ids, start = static_split(net, mode)
     analog_base = np.array(_emac.static_macs(net, mode), dtype=np.int64)
-    has_ann = any(r.weighted and not r.spiking for r in rt)
     rec_fanin = np.array([r.recurrent_fanin for r in rt], dtype=np.int64)
     even_fanout = np.array([r.even_fanout for r in rt], dtype=np.int64)
 
@@ -453,6 +454,16 @@ def _run_group(
     recurrent = {
         r.index: _event_drive(r.rec_weights) for r in rt if r.rec_weights is not None
     }
+    # Histories, allocated at the step budget: sample k's steps are
+    # [:T_used[k], k]. A static-only network runs one step, whose output
+    # voltages are its head activation.
+    steps = T_max if start is not None else 1
+    count_hist = np.zeros((steps, B, L + 1), dtype=np.int64)  # [..., 0]: the input
+    spike_hist = np.zeros((steps, B, rt[-1].neurons), dtype=bool)
+    volt_hist = np.zeros((steps, B, rt[-1].neurons))
+    raster_hist = [np.zeros((steps, B, r.neurons), bool) for r in rt if record_raster]
+    ff_events = np.zeros((L, B), dtype=np.int64)  # layers of uneven fan-out
+    T_used = [1] * B
     failed: dict[int, NonFiniteState] = {}
     live: list[int] = []  # group rows still stepping, in order
     firsts: list[np.ndarray] = []  # per live row: the static result, or drive0
@@ -462,96 +473,32 @@ def _run_group(
                 f"input tensor shape {tuple(encoded.values.shape)} does not match "
                 f"the network input {net.input_shape}"
             )
-        if has_ann and encoded.mode is EncodingMode.POISSON:
-            raise SchemaError(
-                "ann_relu layers consume static values; use analog encoding"
-            )
         try:
             x = _static_stage(rt, plans, static_ids, encoded.values)
         except NonFiniteState as exc:
             failed[k] = exc
             continue
-        if start is not None and mode is EncodingMode.ANALOG:
+        if start is None:
+            volt_hist[0, k] = x.reshape(-1)
+            continue
+        if mode is EncodingMode.ANALOG:
             x = plans[start](x)
         live.append(k)
         firsts.append(x)
 
-    def priced(counts, ff, T_used, out_spikes, out_volt, rasters):
-        # counts: (layers + 1, steps), row 0 the input's spikes
-        if start is not None and coding is Coding.ROC:
-            decision = decode_roc(out_spikes, out_volt)
-        else:
-            decision = decode_max_membrane(out_volt)
-        trace = SpikeTrace(
-            counts=counts[1:].copy(),
-            input_counts=counts[0].copy() if mode is EncodingMode.POISSON else None,
-            # an input of a layer whose inputs all reach the same number of
-            # neurons books that many events per spike
-            feedforward_events=ff + even_fanout * counts[:-1].sum(axis=1),
-            # each spike books its layer's recurrent fan-out
-            recurrent_events=rec_fanin * counts[1:].sum(axis=1),
-            analog_events=analog_base * (T_used if encoder_per_step else 1),
-            T_used=T_used,
-            layer_neurons=tuple(r.neurons for r in rt),
-            n_inputs=prod(net.input_shape),
-        )
-        energy = _emac.emac_exact(net, trace)
-        energy_analytic = _emac.emac_analytic(
-            net,
-            _emac.rates_from_trace(trace),
-            T_used,
-            input_mode=mode,
-            encoder_per_step=encoder_per_step,
-        )
-        return InferenceResult(
-            decision=decision,
-            trace=trace,
-            energy=energy,
-            energy_analytic=energy_analytic,
-            output_spikes=out_spikes,
-            output_voltages=out_volt,
-            rasters=rasters,
-        )
-
-    if start is None:
-        # Conventional network: one pass, the decision is the top activation.
-        acts = dict(zip(live, firsts))
-        for k in range(B):
-            if k in failed:
-                yield failed[k]
-                continue
-            yield priced(
-                counts=np.zeros((L + 1, 1), dtype=np.int64),
-                ff=np.zeros(L, dtype=np.int64),
-                T_used=1,
-                out_spikes=np.zeros((rt[-1].neurons, 1), dtype=bool),
-                out_volt=acts[k].reshape(-1, 1).astype(np.float64),
-                rasters=(
-                    [np.zeros((r.neurons, 1), dtype=bool) for r in rt]
-                    if record_raster
-                    else None
-                ),
-            )
-        return
-
-    # Below, arrays hold one row per live sample, in group order. Each
+    # Below, arrays hold one row per live sample, in group order, and
+    # ``rows`` picks their group rows: a plain slice while none has left,
+    # since a fancy index costs several times more per write. Each
     # sample's drive is its own call, so its sums add up in the same order
     # whatever the group size; the neuron step, the counters and the checks
     # serve all rows at once.
     n = len(live)
+    rows = slice(None) if n == B else np.array(live, dtype=np.intp)
     poisson = mode is EncodingMode.POISSON
     drive0 = None if poisson else np.array(firsts)
     del firsts
     states = {r.index: state_zeros((n, r.neurons)) for r in rt if r.spiking}
     prev_own = {idx: np.zeros((n, rt[idx].neurons), dtype=bool) for idx in recurrent}
-    ff_events = np.zeros((L, n), dtype=np.int64)  # layers of uneven fan-out
-    # per group row, once it stops: T_used and its ff_events column
-    stopped: dict[int, tuple[int, np.ndarray]] = {}
-    # one array per step, with a row for every group row (see _by_row)
-    count_hist: list[np.ndarray] = []
-    spike_hist: list[np.ndarray] = []
-    volt_hist: list[np.ndarray] = []
-    raster_hist: list[list[np.ndarray]] = [[] for _ in range(L)]
 
     for t in range(1, T_max + 1):
         if not live:
@@ -570,7 +517,7 @@ def _run_group(
                     drive = drive0
                 else:
                     if not r.even_fanout:
-                        ff_events[idx] += _synaptic_events(r, cur)
+                        ff_events[idx, rows] += _synaptic_events(r, cur)
                     drive = _per_row(plans[idx], cur)
                 if idx in recurrent:
                     drive = drive + _per_row(recurrent[idx], prev_own[idx])
@@ -580,8 +527,8 @@ def _run_group(
                 # a non-finite current makes the half-step voltage non-finite,
                 # and the reset only subtracts a finite threshold
                 if not np.isfinite(state.v_peak).all():
-                    rows = ~np.isfinite(state.v_peak).all(axis=1)
-                    for p in np.flatnonzero(rows).tolist():
+                    bad_rows = ~np.isfinite(state.v_peak).all(axis=1)
+                    for p in np.flatnonzero(bad_rows).tolist():
                         bad.setdefault(p, NonFiniteState(
                             f"layer {idx} left the finite range at step {t}; "
                             "check the weights and the integration step"
@@ -591,17 +538,17 @@ def _run_group(
                 out = spikes.reshape(n, *r.spec.output_shape)
             elif r.spec.kind is LayerKind.MAX_POOL2D:
                 if not r.even_fanout:
-                    ff_events[idx] += _synaptic_events(r, cur)
+                    ff_events[idx, rows] += _synaptic_events(r, cur)
                 out = _max_pool(cur, r.pool_taps)
             else:  # flatten: reshape and re-emit
                 out = cur.reshape(n, -1)
             counts[idx + 1] = _spike_counts(out)
             if record_raster:
-                raster_hist[idx].append(_by_row(out.reshape(n, -1), live, B))
+                raster_hist[idx][t - 1, rows] = out.reshape(n, -1)
             cur = out
-        count_hist.append(_by_row(counts.T, live, B))
-        spike_hist.append(_by_row(cur.reshape(n, -1), live, B))
-        volt_hist.append(_by_row(states[L - 1].v_peak.copy(), live, B))
+        count_hist[t - 1, rows] = counts.T
+        spike_hist[t - 1, rows] = cur.reshape(n, -1)
+        volt_hist[t - 1, rows] = states[L - 1].v_peak
 
         leaving = set(bad)
         if t == T_max:
@@ -614,10 +561,11 @@ def _run_group(
             if p in bad:
                 failed[live[p]] = bad[p]
             else:
-                stopped[live[p]] = (t, ff_events[:, p].copy())
+                T_used[live[p]] = t
         keep = [p for p in range(n) if p not in leaving]
         n = len(keep)
         live = [live[p] for p in keep]
+        rows = np.array(live, dtype=np.intp)
         if drive0 is not None:
             drive0 = drive0[keep]
         for index, st in states.items():
@@ -627,40 +575,48 @@ def _run_group(
             )
         for index in prev_own:
             prev_own[index] = prev_own[index][keep]
-        ff_events = ff_events[:, keep]
 
-    # A generator keeps its locals until it ends: drop the step state, then
-    # turn each history into one (steps, group rows, ...) array, where sample
-    # k's history is [:T_used, k], and drop its per-step arrays
-    del states, prev_own, plans, recurrent, drive0, ff_events
-
-    def joined(hist: list[np.ndarray]) -> np.ndarray | None:
-        steps = np.stack(hist) if hist else None
-        hist.clear()
-        return steps
-
-    counts_all, spikes_all, volts_all = (
-        joined(h) for h in (count_hist, spike_hist, volt_hist)
-    )
-    rasters_all = [joined(h) for h in raster_hist]
+    # a generator keeps its locals until it ends: drop the step state
+    del states, prev_own, plans, recurrent, drive0
     for k in range(B):
         if k in failed:
             yield failed[k]
             continue
-        T_used, ff = stopped[k]
-        rasters = None
-        if record_raster:  # the static prefix records no steps
-            rasters = [
-                np.zeros((r.neurons, T_used), bool) if h is None else h[:T_used, k].T.copy()
-                for r, h in zip(rt, rasters_all)
-            ]
-        yield priced(
-            counts=counts_all[:T_used, k].T,
-            ff=ff,
-            T_used=T_used,
-            out_spikes=spikes_all[:T_used, k].T.copy(),
-            out_volt=volts_all[:T_used, k].T.copy(),
-            rasters=rasters,
+        T = T_used[k]
+        counts = count_hist[:T, k].T  # (layers + 1, steps)
+        out_spikes = spike_hist[:T, k].T.copy()
+        out_volt = volt_hist[:T, k].T.copy()
+        if start is not None and coding is Coding.ROC:
+            decision = decode_roc(out_spikes, out_volt)
+        else:
+            decision = decode_max_membrane(out_volt)
+        trace = SpikeTrace(
+            counts=counts[1:].copy(),
+            input_counts=counts[0].copy() if poisson else None,
+            # an input of a layer whose inputs all reach the same number of
+            # neurons books that many events per spike
+            feedforward_events=ff_events[:, k] + even_fanout * counts[:-1].sum(axis=1),
+            # each spike books its layer's recurrent fan-out
+            recurrent_events=rec_fanin * counts[1:].sum(axis=1),
+            analog_events=analog_base * (T if encoder_per_step else 1),
+            T_used=T,
+            layer_neurons=tuple(r.neurons for r in rt),
+            n_inputs=prod(net.input_shape),
+        )
+        yield InferenceResult(
+            decision=decision,
+            trace=trace,
+            energy=_emac.emac_exact(net, trace),
+            energy_analytic=_emac.emac_analytic(
+                net,
+                _emac.rates_from_trace(trace),
+                T,
+                input_mode=mode,
+                encoder_per_step=encoder_per_step,
+            ),
+            output_spikes=out_spikes,
+            output_voltages=out_volt,
+            rasters=[h[:T, k].T.copy() for h in raster_hist] if record_raster else None,
         )
 
 

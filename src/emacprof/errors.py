@@ -30,7 +30,8 @@ class UnknownRef(EmacProfError):
 
 
 class RateOutOfRange(EmacProfError):
-    """Stochastic encoding was given values outside the unit interval."""
+    """A rate is out of range: a stochastic encoding value outside the unit
+    interval, or an analytic spike rate that is NaN, infinite or negative."""
 
 
 # --- decoding ---

@@ -73,7 +73,6 @@ __all__ = [
     "LayerCounts",
     "NetworkSpec",
     "conv_output_hw",
-    "axis_coverage",
     "fanout_map",
     "realized_connections",
     "layer_counts",
@@ -203,7 +202,7 @@ def conv_output_hw(
     return out[0], out[1]
 
 
-def axis_coverage(in_size: int, k: int, s: int, p: int, out_size: int) -> np.ndarray:
+def _axis_coverage(in_size: int, k: int, s: int, p: int, out_size: int) -> np.ndarray:
     """How many kernel placements cover each input position along one axis.
 
     Placement ``o`` reads positions ``o*s - p .. o*s - p + k - 1``; positions
@@ -233,8 +232,8 @@ def fanout_map(layer: LayerSpec) -> np.ndarray:
     sh, sw = layer.stride
     oh, ow = layer.output_shape[-2:]
     cov = np.outer(
-        axis_coverage(h, kh, sh, layer.padding, oh),
-        axis_coverage(w, kw, sw, layer.padding, ow),
+        _axis_coverage(h, kh, sh, layer.padding, oh),
+        _axis_coverage(w, kw, sw, layer.padding, ow),
     )
     if layer.kind is LayerKind.MAX_POOL2D:
         per_channel = cov  # pooling windows stay within one channel
@@ -277,9 +276,18 @@ def static_split(
     """Indices evaluated statically, and the first spiking layer (or None).
 
     The first spiking layer is not part of the static stage, but with an
-    analog input its drive is static too and is priced the same way.
+    analog input its drive is static too and is priced the same way. A
+    stochastic spike input cannot feed rectifier layers, so it is rejected
+    on a network that has any.
     """
     if mode is EncodingMode.POISSON:
+        if any(
+            layer.kind in WEIGHTED_KINDS and not layer.neuron_model.kind.spiking
+            for layer in net.layers
+        ):
+            raise SchemaError(
+                "ann_relu layers consume static values; use analog encoding"
+            )
         return [], 0
     for index, layer in enumerate(net.layers):
         if layer.kind in WEIGHTED_KINDS and layer.neuron_model.kind.spiking:

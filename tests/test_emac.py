@@ -11,6 +11,8 @@ from emacprof import (
     NetworkBuilder,
     NeuronKind,
     NeuronModelSpec,
+    RateOutOfRange,
+    SchemaError,
     TraceNetMismatch,
     ann_mac_count,
     emac_analytic,
@@ -138,6 +140,34 @@ def test_missing_rates_for_a_recurrent_layers_own_rate():
     report = emac_analytic(net, LayerRates(input_rate=None, per_layer=[0.5, 0.0]), 4)
     assert report.per_layer[0].E_syn == 4 * 3
     assert report.per_layer[0].E_rec == pytest.approx(3 * 3 * 0.5 * (2 / 3), rel=1e-12)
+
+
+def test_poisson_input_into_rectifier_layers_is_rejected():
+    # the engine refuses this input, so the estimate must not price it
+    net = NetworkBuilder((4,)).dense(3, ANN).dense(2, ifl()).build()
+    rates = LayerRates(input_rate=0.5, per_layer=[1.0, 0.2])
+    with pytest.raises(SchemaError, match="ann_relu layers consume static values"):
+        emac_analytic(net, rates, 8, input_mode="poisson")
+    with pytest.raises(SchemaError, match="ann_relu layers consume static values"):
+        run_inference(net, encode(np.full(4, 0.5), EncodingMode.POISSON, seed=0))
+    assert emac_analytic(net, rates, 8).per_layer[0].E_syn == 12.0
+
+
+@pytest.mark.parametrize(
+    "input_rate, per_layer",
+    [(-1.0, [0.1, 0.2]), (None, [np.nan, 0.2]), (0.1, [0.1, np.inf]),
+     (np.nan, [0.1, 0.2]), (np.inf, [0.1, 0.2]), (None, [0.1, -0.5])],
+)
+def test_rates_must_be_finite_and_non_negative(input_rate, per_layer):
+    with pytest.raises(RateOutOfRange):
+        LayerRates(input_rate=input_rate, per_layer=per_layer)
+
+
+def test_rates_above_one_are_spikes_per_inference():
+    net = dense_net([4, 3, 2], ifl())
+    rates = LayerRates(input_rate=2.5, per_layer=[3.0, 0.0])
+    report = emac_analytic(net, rates, 8, input_mode="poisson")
+    assert report.per_layer[0].E_syn == pytest.approx(4 * 3 * 2.5 * (2 / 3), rel=1e-12)
 
 
 @pytest.mark.parametrize("encoder_per_step", [False, True])

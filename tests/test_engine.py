@@ -1012,6 +1012,56 @@ def test_samples_that_decide_early_leave_the_group():
         assert_same_result(got, want)
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+def test_a_network_without_spiking_layers_runs_one_step(monkeypatch):
+    rng = np.random.default_rng(36)
+    kernels = rng.normal(0.0, 0.5, (2, 1, 3, 3)).astype(np.float32)
+    dense_w = rng.normal(0.0, 1.0, (3, 8)).astype(np.float32)
+    net = (  # rank-order coding: without output spikes, the activation decides
+        NetworkBuilder((1, 6, 6), coding=Coding.ROC, max_timesteps=8)
+        .conv2d(2, (3, 3), ANN, weights=kernels)
+        .max_pool((2, 2))
+        .flatten()
+        .dense(3, ANN, weights=dense_w)
+        .build()
+    )
+
+    def head(x):
+        windows = sliding_window_view(x[0], (3, 3))  # (4, 4, 3, 3)
+        conv = np.maximum(np.einsum("cij,yxij->cyx", kernels[:, 0], windows), 0.0)
+        pooled = conv.reshape(2, 2, 2, 2, 2).max(axis=(2, 4))
+        return np.maximum(dense_w @ pooled.reshape(-1), 0.0)
+
+    # one step of history whatever the step budget
+    assert _group_size(_compile(net), 8) == _group_size(_compile(net), 4096) > 5
+    samples = [encode(rng.uniform(0.0, 1.0, (1, 6, 6))) for _ in range(5)]
+    samples[2] = encode(np.full((1, 6, 6), -1e308))  # fails in the static stage
+    force_group_size(monkeypatch, net, 8, 1)
+    want = run_dataset(net, samples)
+    for size in range(2, len(samples) + 1):
+        force_group_size(monkeypatch, net, 8, size)
+        assert run_dataset(net, samples) == want
+    assert [index for index, _ in want.failures] == [2]
+
+    classes = set()
+    for sample, outcome in zip(samples, want.outcomes):
+        if outcome is None:
+            continue
+        res = run_inference(net, sample, record_raster=True)
+        assert res.trace.T_used == outcome.T_used == 1
+        assert [(r.shape, r.dtype) for r in res.rasters] == [
+            ((n, 1), np.dtype(bool)) for n in (32, 8, 8, 3)
+        ]
+        assert not any(r.any() for r in res.rasters)
+        expected = head(sample.values)
+        np.testing.assert_allclose(res.output_voltages[:, 0], expected, rtol=1e-12)
+        assert res.decision.class_index == outcome.decision.class_index
+        assert res.decision.class_index == int(np.argmax(expected))
+        classes.add(res.decision.class_index)
+    assert len(classes) > 1
+
+
 def test_group_size_follows_the_state_budget():
     rng = np.random.default_rng(15)
     lif_ = NeuronModelSpec(kind=NeuronKind.LIF, dt=1e-3, tau_syn=5e-3, tau_mem=1e-2)
