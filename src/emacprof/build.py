@@ -26,9 +26,14 @@ __all__ = ["NetworkBuilder"]
 
 
 def _flat32(values, size: int, what: str) -> np.ndarray:
-    arr = np.asarray(values, dtype=np.float32).reshape(-1)
+    """A read-only float32 copy of ``values``, which every built spec keeps.
+
+    The caller's array stays theirs to change; the copy is what was validated.
+    """
+    arr = np.asarray(values, dtype=np.float32).flatten()
     if arr.size != size:
         raise ShapeMismatch(f"{what}: expected {size} weights, got {arr.size}")
+    arr.setflags(write=False)
     return arr
 
 

@@ -54,7 +54,7 @@ from typing import TYPE_CHECKING, Iterable
 import numpy as np
 
 from .codec import EncodingMode
-from .errors import MissingRates, RateOutOfRange, TraceNetMismatch
+from .errors import MissingRates, RateOutOfRange, SchemaError, TraceNetMismatch
 from .netspec import (
     LayerKind,
     LayerSpec,
@@ -271,7 +271,16 @@ def emac_analytic(
 
     ``rates`` may be ``None`` only when no layer needs one (a fully static
     network). A spike-consuming first layer needs ``rates.input_rate``.
+    ``T_used`` is a step count: an integer (``bool`` excluded) of at least 1,
+    else :class:`SchemaError`.
     """
+    if (
+        isinstance(T_used, bool)
+        or not isinstance(T_used, (int, np.integer))
+        or T_used < 1
+    ):
+        raise SchemaError(f"T_used must be an integer >= 1, got {T_used!r}")
+    T_used = int(T_used)
     input_mode = EncodingMode(input_mode)
     if rates is not None and len(rates.per_layer) != len(net.layers):
         raise MissingRates(

@@ -29,6 +29,14 @@ Alongside the dynamics the engine keeps exact integer event counters:
 These counters, the per-step spike counts, and the step budget actually
 used are what the energy accounting consumes.
 
+Compilation happens once per network: on its first run the engine
+converts the weight blocks to float64, checks that they are finite and
+builds the fan-out maps, and it keeps the result for as long as the
+:class:`~emacprof.netspec.NetworkSpec` lives, which cannot change once
+built. :func:`run_inference` and :func:`run_dataset`, and through them
+every caller, reuse it. The cost is memory: the float64 copy stays next to
+the spec's float32 blocks between runs too.
+
 Before it runs, each group of samples builds a step plan: one forward
 map per layer, with whatever it needs allocated once, which every sample
 of the group calls in turn. A convolution writes its input into the
@@ -80,6 +88,7 @@ the full results, and reduces every statistic once at the end.
 from __future__ import annotations
 
 import logging
+import weakref
 from dataclasses import dataclass
 from functools import partial
 from itertools import chain
@@ -233,6 +242,25 @@ def _compile(net: NetworkSpec) -> list[_LayerRT]:
                 rt.even_fanout = int(rt.fanout[0])
         out.append(rt)
     return out
+
+
+#: each network's compiled layers, kept for as long as the network lives
+_COMPILED: weakref.WeakKeyDictionary[NetworkSpec, list[_LayerRT]] = (
+    weakref.WeakKeyDictionary()
+)
+
+
+def _compiled(net: NetworkSpec) -> list[_LayerRT]:
+    """``net``'s compiled layers: compiled on its first run, then reused.
+
+    Sound because a spec cannot change once validated, and nothing writes
+    to compiled layers. Two threads whose first runs race compile twice and
+    keep either result; both are the same.
+    """
+    rt = _COMPILED.get(net)
+    if rt is None:
+        rt = _COMPILED[net] = _compile(net)
+    return rt
 
 
 def _max_pool(x: np.ndarray, taps: tuple[tuple[slice, ...], ...]) -> np.ndarray:
@@ -409,7 +437,7 @@ def run_inference(
     With ``record_raster``, every layer's ``(neurons, T_used)`` spike raster
     is kept; like the other histories it is allocated at the step budget.
     """
-    rt = _compile(net)
+    rt = _compiled(net)
     coding, T_max = _settings(net, t_max, coding)
     (result,) = _run_group(
         net,
@@ -744,15 +772,15 @@ def run_dataset(
 ) -> AggregateStats:
     """Run every sample and aggregate; numeric blow-ups are reported, not hidden.
 
-    The network is compiled once and the samples run in lockstep groups,
-    keeping only the per-sample scalars behind each statistic. Each
-    statistic is reduced once, over a 1-D array in sample order: a running
-    sum or a 2-D reduction would change the last bits of the reported
-    moments.
+    Compilation happens once per network (see :func:`_compiled`), and the
+    samples run in lockstep groups, keeping only the per-sample scalars
+    behind each statistic. Each statistic is reduced once, over a 1-D array
+    in sample order: a running sum or a 2-D reduction would change the last
+    bits of the reported moments.
     """
     if len(samples) == 0:
         raise EmptyDataset("the dataset holds no samples")
-    rt = _compile(net)
+    rt = _compiled(net)
     coding, T_max = _settings(net, t_max, coding)
     size = _group_size(rt, T_max)
     L = len(net.layers)

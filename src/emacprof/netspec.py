@@ -58,6 +58,7 @@ import struct
 from dataclasses import dataclass, field
 from enum import Enum
 from math import prod
+from types import MappingProxyType
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -155,19 +156,33 @@ class LayerCounts:
     recurrent_fanin: int
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class NetworkSpec:
-    """A validated layer stack plus its weight blocks (flat float32)."""
+    """A validated layer stack plus its weight blocks (flat float32).
+
+    A spec cannot change once constructed, so what is derived from it, such
+    as the engine's compiled layers, holds for as long as it lives.
+    ``weights`` is a read-only mapping of read-only blocks that the spec
+    owns: a block that is writable, or that does not own its memory, is
+    copied once; a read-only block that owns its memory is kept as it is.
+    """
 
     layers: tuple[LayerSpec, ...]
-    weights: dict[str, np.ndarray]
+    weights: Mapping[str, np.ndarray]
     coding: Coding
     max_timesteps: int
 
     def __post_init__(self) -> None:
-        self.layers = tuple(self.layers)
-        self.coding = Coding(self.coding)
+        object.__setattr__(self, "layers", tuple(self.layers))
+        object.__setattr__(self, "coding", Coding(self.coding))
+        blocks = {name: _owned(block) for name, block in self.weights.items()}
+        object.__setattr__(self, "weights", MappingProxyType(blocks))
         validate_network(self)
+
+    def __reduce__(self):
+        # a mapping proxy does not pickle: rebuild the spec from a plain dict
+        weights = dict(self.weights)
+        return NetworkSpec, (self.layers, weights, self.coding, self.max_timesteps)
 
     @property
     def input_shape(self) -> tuple[int, ...]:
@@ -175,6 +190,18 @@ class NetworkSpec:
 
     def layer_name(self, index: int) -> str:
         return f"{index}:{self.layers[index].kind.value}"
+
+
+def _owned(block) -> np.ndarray:
+    """``block`` if it is a read-only array owning its memory, else a read-only copy."""
+    if (
+        not isinstance(block, np.ndarray)
+        or block.flags.writeable
+        or not block.flags.owndata
+    ):
+        block = np.array(block)
+        block.setflags(write=False)
+    return block
 
 
 # ---------------------------------------------------------------------------
@@ -777,6 +804,8 @@ def parse_network(manifest: bytes | str, weights: bytes) -> NetworkSpec:
     """Build a validated network from its two serialized artifacts."""
     layers, coding, t_max = parse_manifest(manifest)
     blocks = read_weights_container(weights)
+    for block in blocks.values():  # fresh copies: the spec keeps them as they are
+        block.setflags(write=False)
     net = NetworkSpec(
         layers=tuple(layers), weights=blocks, coding=coding, max_timesteps=t_max
     )

@@ -170,6 +170,17 @@ def test_rates_above_one_are_spikes_per_inference():
     assert report.per_layer[0].E_syn == pytest.approx(4 * 3 * 2.5 * (2 / 3), rel=1e-12)
 
 
+@pytest.mark.parametrize("steps", [-5, 0, 2.5, True])
+def test_the_step_count_must_be_a_positive_integer(steps):
+    net = dense_net([4, 3, 2], ifl())
+    rates = LayerRates(input_rate=0.5, per_layer=[0.2, 0.1])
+    with pytest.raises(SchemaError, match="T_used"):
+        emac_analytic(net, rates, steps)
+    report = emac_analytic(net, rates, np.int64(5))  # numpy integers are step counts
+    assert type(report.T_used) is int
+    assert report == emac_analytic(net, rates, 5)
+
+
 @pytest.mark.parametrize("encoder_per_step", [False, True])
 def test_pool_in_the_static_prefix_costs_its_window_macs(encoder_per_step):
     # a static pool reads all kh*kw values of every window: kh*kw MACs an output

@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import threading
 import tracemalloc
@@ -19,8 +20,10 @@ from emacprof import (
     SchemaError,
     ShapeMismatch,
     encode,
+    parse_network,
     run_dataset,
     run_inference,
+    serialize_network,
 )
 from emacprof import engine
 from emacprof.engine import (
@@ -1098,3 +1101,53 @@ def test_group_size_follows_the_state_budget():
     assert size["mixed"] > size["dense"]
     # a longer step budget keeps a longer history per sample
     assert _group_size(_compile(mixed), 4096) < size["mixed"]
+
+
+# ---------------------------------------------------------------------------
+# one compile per network
+
+
+def layered_samples(count):
+    x = np.random.default_rng(9).integers(0, 9, (1, 9, 9)) / 8
+    return [encode(x * 0.75, "poisson", seed=k) for k in range(count)]
+
+
+def test_a_network_is_compiled_once(monkeypatch):
+    compiled = []
+
+    def counted(net):
+        compiled.append(net)
+        return _compile(net)
+
+    monkeypatch.setattr(engine, "_compile", counted)
+    net = layered_net()
+    samples = layered_samples(3)
+    for sample in samples:
+        run_inference(net, sample)
+    run_dataset(net, samples)
+    assert len(compiled) == 1 and compiled[0] is net
+    # the same bytes parsed again are another network, with its own compile
+    twin = parse_network(*serialize_network(net))
+    run_inference(twin, samples[0])
+    run_inference(net, samples[0])
+    assert len(compiled) == 2 and compiled[1] is twin
+
+
+def test_the_compile_is_dropped_with_its_network():
+    net = layered_net()
+    run_inference(net, layered_samples(1)[0])
+    (key,) = [ref for ref in engine._COMPILED.keyrefs() if ref() is net]
+    del net
+    gc.collect()
+    assert key() is None
+    assert key not in engine._COMPILED.keyrefs()
+
+
+def test_a_cached_compile_gives_the_same_result():
+    net = layered_net()
+    sample = layered_samples(1)[0]
+    assert net not in engine._COMPILED
+    first = run_inference(net, sample, record_raster=True)
+    assert net in engine._COMPILED
+    again = run_inference(net, sample, record_raster=True)
+    assert_same_result(again, first)  # traces, rasters and both energy reports

@@ -1,4 +1,7 @@
+import copy
+import dataclasses
 import json
+import pickle
 
 import numpy as np
 import pytest
@@ -557,6 +560,8 @@ def test_any_network_round_trips_byte_identically(net):
     back = parse_network(manifest, weights)
     assert networks_equal(net, back)
     assert serialize_network(back) == (manifest, weights)
+    for spec in (net, back):
+        assert not any(block.flags.writeable for block in spec.weights.values())
 
 
 JSON_VALUES = st.recursive(
@@ -623,6 +628,79 @@ def test_mutated_files_raise_only_package_errors(net, data):
         parse_network(manifest, weights)
     except EmacProfError:
         pass
+
+
+# ---------------------------------------------------------------------------
+# immutability
+
+
+def built_spec() -> NetworkSpec:
+    rng = np.random.default_rng(7)
+    return (
+        NetworkBuilder((1, 5, 5), max_timesteps=8)
+        .conv2d(2, (3, 3), IFL, weights=rng.standard_normal(18))
+        .flatten()
+        .recurrent_dense(4, IFL, weights=rng.standard_normal(72),
+                         recurrent_weights=rng.standard_normal(16))
+        .dense(3, IFL, weights=rng.standard_normal(12))
+        .build()
+    )
+
+
+def parsed_spec() -> NetworkSpec:
+    return parse_network(*serialize_network(built_spec()))
+
+
+@pytest.mark.parametrize("make", [built_spec, parsed_spec])
+def test_a_spec_cannot_change(make):
+    net = make()
+    files = serialize_network(net)
+    assert set(net.weights) == {"l0_w", "l2_w", "l2_rw", "l3_w"}
+    for name in net.weights:
+        with pytest.raises(ValueError, match="read-only"):
+            net.weights[name][0] = 1.0
+        with pytest.raises(TypeError):
+            net.weights[name] = np.zeros(net.weights[name].size, np.float32)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        net.layers = net.layers[:1]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        net.weights = {}
+    assert serialize_network(net) == files
+    assert networks_equal(net, parsed_spec())
+
+
+def test_a_spec_pickles_and_deep_copies_as_a_frozen_spec():
+    net = built_spec()
+    for twin in (pickle.loads(pickle.dumps(net)), copy.deepcopy(net)):
+        assert networks_equal(twin, net)
+        assert not any(block.flags.writeable for block in twin.weights.values())
+
+
+def test_the_builder_copies_the_callers_weights():
+    values = np.ones(12, dtype=np.float32)
+    builder = NetworkBuilder((4,), max_timesteps=4).dense(3, IFL, weights=values)
+    net = builder.build()
+    values[0] = np.nan  # would get past the finiteness check if it were shared
+    assert not np.shares_memory(values, net.weights["l0_w"])
+    assert (net.weights["l0_w"] == 1.0).all()
+    assert (builder.build().weights["l0_w"] == 1.0).all()
+    assert values.flags.writeable  # the caller's array stays theirs
+
+
+def test_a_spec_copies_blocks_it_does_not_own():
+    layer = LayerSpec(kind=LayerKind.DENSE, input_shape=(4,), output_shape=(3,),
+                      neuron_model=IFL, weights_ref="w")
+    values = np.ones(12, dtype=np.float32)
+    read_only_view = values[:]
+    read_only_view.setflags(write=False)
+    for block in (values, read_only_view):
+        net = NetworkSpec(layers=(layer,), weights={"w": block},
+                          coding=Coding.RATE, max_timesteps=4)
+        values[0] = np.nan
+        assert not np.shares_memory(values, net.weights["w"])
+        assert (net.weights["w"] == 1.0).all()
+        values[0] = 1.0
+    assert values.flags.writeable
 
 
 def test_last_layer_must_be_weighted():
