@@ -26,15 +26,15 @@ __all__ = ["NetworkBuilder"]
 
 
 def _flat32(values, size: int, what: str) -> np.ndarray:
-    """A read-only float32 copy of ``values``, which every built spec keeps.
+    """A float32 copy of ``values`` backed by ``bytes``, which every built spec keeps.
 
-    The caller's array stays theirs to change; the copy is what was validated.
+    The caller's array stays theirs to change; the copy is what was validated,
+    and the spec keeps it without copying it again.
     """
-    arr = np.asarray(values, dtype=np.float32).flatten()
+    arr = np.asarray(values, dtype=np.float32)
     if arr.size != size:
         raise ShapeMismatch(f"{what}: expected {size} weights, got {arr.size}")
-    arr.setflags(write=False)
-    return arr
+    return np.frombuffer(arr.tobytes(), dtype=np.float32)
 
 
 class NetworkBuilder:

@@ -66,7 +66,8 @@ counts, the finiteness check and the recurrent spike memory are
 ``(samples, neurons)`` arrays, and each neuron step advances them in
 place, so one numpy call serves every sample: on a narrow layer the time
 goes to dispatching calls, not to arithmetic. The weighted drives stay one
-call per sample, through the group's step plan. One product over the
+call per sample, through the group's step plan, each written into its row
+of a drive buffer the group allocates once. One product over the
 group would add the sums in another order, and a last-bit change at
 ``v == v_th`` flips a spike; kept per sample, every result is bit-identical
 whatever the group size. Under rank-order coding a sample that has decided
@@ -75,10 +76,12 @@ the finite range fails alone. A group's histories (spike counts, output
 spikes and voltages, rasters when recorded) are allocated once at the step
 budget, a row per sample; each step writes its live rows, and one loop at
 the end decodes, traces and prices every sample. A group holds as many
-samples as a budget of step state and history allows
-(``_GROUP_STATE_BYTES``, 256 KiB). Wide convolutional networks get one
-sample per group: their state would raise the memory peak, and their wide
-steps gain little from batching.
+samples as a budget of step state and history allows: the larger of
+``_GROUP_STATE_BYTES`` (256 KiB) and the compiled float64 weights over
+``_WEIGHT_BUDGET_SHARE`` (16), since the resident weights dominate the
+memory peak. A 784-512-512-256-256-10 stack gets 6 samples a group. Wide
+convolutional networks get one: batching would make their steps faster,
+but their state, next to small weights, would double the memory peak.
 
 Over a dataset, :func:`run_dataset` keeps each sample's outcome (step
 count and decision) and the per-sample scalars its statistics need, not
@@ -190,10 +193,10 @@ class _LayerRT:
     weights: np.ndarray | None = None
     #: (neurons, neurons), column-major
     rec_weights: np.ndarray | None = None
-    #: flat, in input order
-    fanout: np.ndarray | None = None
     #: the fan-out every input shares, or 0 where inputs differ
     even_fanout: int = 0
+    #: where inputs differ, each input's fan-out: flat, in input order
+    fanout: np.ndarray | None = None
     #: pooling: one strided slice of the input per window tap
     pool_taps: tuple[tuple[slice, ...], ...] = ()
     step: Callable | None = None
@@ -237,9 +240,11 @@ def _compile(net: NetworkSpec) -> list[_LayerRT]:
         if layer.kind is LayerKind.MAX_POOL2D:
             rt.pool_taps = _window_taps(layer)
         if layer.kind is not LayerKind.FLATTEN:
-            rt.fanout = fanout_map(layer).reshape(-1)
-            if (rt.fanout == rt.fanout[0]).all():
-                rt.even_fanout = int(rt.fanout[0])
+            fanout = fanout_map(layer).reshape(-1)
+            if (fanout == fanout[0]).all():
+                rt.even_fanout = int(fanout[0])
+            else:
+                rt.fanout = fanout
         out.append(rt)
     return out
 
@@ -271,12 +276,15 @@ def _max_pool(x: np.ndarray, taps: tuple[tuple[slice, ...], ...]) -> np.ndarray:
     return out
 
 
-def _step_plan(rt: _LayerRT) -> Callable[[np.ndarray], np.ndarray] | None:
+def _step_plan(rt: _LayerRT) -> Callable | None:
     """One group's forward map of a layer, with its buffers built once.
 
     A weighted layer maps its input to its flat synaptic drive, a pool to
     the pooled tensor; flatten needs no plan. The samples of a group call
-    it one after another. The buffers belong to one :func:`_run_group`
+    it one after another. A weighted layer's plan takes an optional ``out``,
+    a contiguous float64 row that receives the drive (by the same BLAS call
+    as without it, so the two are bitwise equal); without ``out`` it
+    returns a new array. The buffers belong to one :func:`_run_group`
     call, not to ``rt``, so compiled layers stay read-only and one compiled
     network can serve any number of calls.
     """
@@ -297,9 +305,12 @@ def _step_plan(rt: _LayerRT) -> Callable[[np.ndarray], np.ndarray] | None:
         columns = view[:, ::sh, ::sw].transpose(0, 3, 4, 1, 2)
         taps = weights.shape[1]
 
-        def conv_drive(x: np.ndarray) -> np.ndarray:
+        def conv_drive(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
             interior[...] = x
-            return np.dot(weights, columns.reshape(taps, -1)).reshape(-1)
+            if out is None:
+                return np.dot(weights, columns.reshape(taps, -1)).reshape(-1)
+            np.dot(weights, columns.reshape(taps, -1), out=out.reshape(len(weights), -1))
+            return out
 
         return conv_drive
     return _event_drive(weights)
@@ -318,19 +329,20 @@ def _event_drive(weights: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
     A boolean input sums the rows of ``weights.T`` (one per input, each
     contiguous) picked by its spikes; a float input, or any input to a
     matrix of at most ``_EVENT_MIN_WEIGHTS`` weights, takes ``weights @ x``.
+    ``out`` works as in :func:`_step_plan`.
     """
     rows = weights.T
     ones = np.ones(_EVENT_BLOCK)
     small = weights.size <= _EVENT_MIN_WEIGHTS
 
-    def drive(x: np.ndarray) -> np.ndarray:
+    def drive(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         # np.dot and x.reshape(-1).nonzero() dispatch faster than @ and
         # np.flatnonzero, which a narrow layer notices at every step
         if small or x.dtype != bool:
-            return np.dot(weights, x.reshape(-1))
+            return np.dot(weights, x.reshape(-1), out=out)
         idx = x.reshape(-1).nonzero()[0]
         first = idx[:_EVENT_BLOCK]  # empty without spikes: the product is +0.0
-        total = np.dot(ones[: first.size], rows.take(first, axis=0))
+        total = np.dot(ones[: first.size], rows.take(first, axis=0), out=out)
         for k in range(_EVENT_BLOCK, idx.size, _EVENT_BLOCK):
             block = idx[k : k + _EVENT_BLOCK]
             total += np.dot(ones[: block.size], rows.take(block, axis=0))
@@ -359,16 +371,6 @@ def _stacked(rows: list[np.ndarray]) -> np.ndarray:
     return rows[0][np.newaxis] if len(rows) == 1 else np.array(rows)
 
 
-def _per_row(fn: Callable, x: np.ndarray) -> np.ndarray:
-    """``fn`` of each row of ``x``, as one ``(rows, ...)`` array.
-
-    Rows are taken by index: running a numpy array's iterator to its end
-    raises and discards an IndexError, about a microsecond that a group of
-    one would pay at every layer and step.
-    """
-    return _stacked([fn(x[p]) for p in range(len(x))])
-
-
 def _static_stage(
     rt: list[_LayerRT], plans: list, static_ids: list[int], x: np.ndarray
 ) -> np.ndarray:
@@ -388,8 +390,11 @@ def _static_stage(
     return x
 
 
-#: the most bytes of step state one lockstep group holds, over all its samples
+#: the least budget of step state one lockstep group holds, over all its samples
 _GROUP_STATE_BYTES = 1 << 18
+#: a network's group budget is at least its compiled weight bytes over this:
+#: the weights dominate the memory peak, so a group may grow in proportion
+_WEIGHT_BUDGET_SHARE = 16
 #: one spiking neuron's share of a sample's step state: current, voltage and
 #: half-step voltage (float64), its fired flag, and drive temporaries
 _NEURON_STATE_BYTES = 32
@@ -398,19 +403,29 @@ _NEURON_STATE_BYTES = 32
 def _group_size(rt: list[_LayerRT], t_max: int) -> int:
     """How many samples one lockstep group steps together.
 
-    As many as :data:`_GROUP_STATE_BYTES` holds of each sample's neuron
-    state and step history, and at least one. The history term is exact,
-    since a group allocates its histories at the step budget (one step
-    without spiking layers); rasters, which only :func:`run_inference`
-    records, are not counted. Wide convolutional networks get one: their
-    wide steps gain little from batching, and their state would raise the
-    memory peak.
+    As many as the group budget holds of each sample's neuron state and
+    step history, and at least one. The budget is the larger of
+    :data:`_GROUP_STATE_BYTES` (256 KiB) and the compiled float64 weights
+    over :data:`_WEIGHT_BUDGET_SHARE` (16): the weights stay resident for
+    the whole run, so a group of that size raises the memory peak by a few
+    percent at most. The history term is exact, since a group allocates its
+    histories at the step budget (one step without spiking layers); rasters,
+    which only :func:`run_inference` records, are not counted. The
+    reference workloads get 6 samples a group on ``dense_poisson_roc``
+    (784-512-512-256-256-10), 15 on ``mixed_analog_recurrent`` and 1 on
+    ``conv_poisson_rate``: a wide convolutional network has small weights
+    and much state, and more samples a group, though faster per sample,
+    would double its memory peak.
     """
     neurons = sum(r.neurons for r in rt if r.spiking)
     # each step keeps the input's and every layer's spike count, and the
     # output layer's voltages and spikes
     history = (t_max if neurons else 1) * (8 * (len(rt) + 1) + 9 * rt[-1].neurons)
-    return max(1, _GROUP_STATE_BYTES // (_NEURON_STATE_BYTES * neurons + history))
+    weight_bytes = sum(
+        w.nbytes for r in rt for w in (r.weights, r.rec_weights) if w is not None
+    )
+    budget = max(_GROUP_STATE_BYTES, weight_bytes // _WEIGHT_BUDGET_SHARE)
+    return max(1, budget // (_NEURON_STATE_BYTES * neurons + history))
 
 
 def _settings(
@@ -477,11 +492,16 @@ def _run_group(
     rec_fanin = np.array([r.recurrent_fanin for r in rt], dtype=np.int64)
     even_fanout = np.array([r.even_fanout for r in rt], dtype=np.int64)
 
-    # one plan per layer, which every row of the group calls in turn
+    # one plan per layer, which every row of the group calls in turn, and
+    # the buffers the rows' drives are written into: a spiking layer's
+    # (samples, neurons) drive is a prefix of one, its recurrent term of the
+    # other
     plans = [_step_plan(r) for r in rt]
     recurrent = {
         r.index: _event_drive(r.rec_weights) for r in rt if r.rec_weights is not None
     }
+    drive_buf = np.empty(B * max((r.neurons for r in rt if r.spiking), default=0))
+    rec_buf = np.empty(B * max((rt[idx].neurons for idx in recurrent), default=0))
     # Histories, allocated at the step budget: sample k's steps are
     # [:T_used[k], k]. A static-only network runs one step, whose output
     # voltages are its head activation.
@@ -541,14 +561,23 @@ def _run_group(
         for r in rt[start:]:
             idx = r.index
             if r.weighted:
+                # rows are taken by index: running a numpy array's iterator to
+                # its end raises and discards an IndexError, about a
+                # microsecond a group of one would pay at every layer and step
+                buf = drive_buf[: n * r.neurons].reshape(n, r.neurons)
                 if cur is None:  # the analog-fed first spiking layer
                     drive = drive0
                 else:
-                    if not r.even_fanout:
+                    if r.fanout is not None:
                         ff_events[idx, rows] += _synaptic_events(r, cur)
-                    drive = _per_row(plans[idx], cur)
+                    for p in range(n):
+                        plans[idx](cur[p], out=buf[p])
+                    drive = buf
                 if idx in recurrent:
-                    drive = drive + _per_row(recurrent[idx], prev_own[idx])
+                    rec = rec_buf[: n * r.neurons].reshape(n, r.neurons)
+                    for p in range(n):
+                        recurrent[idx](prev_own[idx][p], out=rec[p])
+                    drive = np.add(drive, rec, out=buf)
                 state, spikes = r.step(
                     states[idx], drive, r.spec.neuron_model, out=states[idx]
                 )
@@ -565,7 +594,7 @@ def _run_group(
                     prev_own[idx] = spikes
                 out = spikes.reshape(n, *r.spec.output_shape)
             elif r.spec.kind is LayerKind.MAX_POOL2D:
-                if not r.even_fanout:
+                if r.fanout is not None:
                     ff_events[idx, rows] += _synaptic_events(r, cur)
                 out = _max_pool(cur, r.pool_taps)
             else:  # flatten: reshape and re-emit
@@ -605,7 +634,7 @@ def _run_group(
             prev_own[index] = prev_own[index][keep]
 
     # a generator keeps its locals until it ends: drop the step state
-    del states, prev_own, plans, recurrent, drive0
+    del states, prev_own, plans, recurrent, drive0, drive_buf, rec_buf
     for k in range(B):
         if k in failed:
             yield failed[k]

@@ -55,7 +55,7 @@ import io
 import json
 import logging
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from math import prod
 from types import MappingProxyType
@@ -162,9 +162,9 @@ class NetworkSpec:
 
     A spec cannot change once constructed, so what is derived from it, such
     as the engine's compiled layers, holds for as long as it lives.
-    ``weights`` is a read-only mapping of read-only blocks that the spec
-    owns: a block that is writable, or that does not own its memory, is
-    copied once; a read-only block that owns its memory is kept as it is.
+    ``weights`` is a read-only mapping of blocks backed by immutable
+    ``bytes``, so no holder can make one writable again: a block whose memory
+    is a ``bytes`` object is kept as it is, any other is copied into one.
     """
 
     layers: tuple[LayerSpec, ...]
@@ -175,7 +175,7 @@ class NetworkSpec:
     def __post_init__(self) -> None:
         object.__setattr__(self, "layers", tuple(self.layers))
         object.__setattr__(self, "coding", Coding(self.coding))
-        blocks = {name: _owned(block) for name, block in self.weights.items()}
+        blocks = {name: _frozen(block) for name, block in self.weights.items()}
         object.__setattr__(self, "weights", MappingProxyType(blocks))
         validate_network(self)
 
@@ -192,16 +192,22 @@ class NetworkSpec:
         return f"{index}:{self.layers[index].kind.value}"
 
 
-def _owned(block) -> np.ndarray:
-    """``block`` if it is a read-only array owning its memory, else a read-only copy."""
-    if (
-        not isinstance(block, np.ndarray)
-        or block.flags.writeable
-        or not block.flags.owndata
-    ):
-        block = np.array(block)
-        block.setflags(write=False)
-    return block
+def _frozen(block) -> np.ndarray:
+    """``block`` if its memory is a ``bytes`` object, else a copy backed by one.
+
+    numpy refuses ``setflags(write=True)`` on an array over an immutable
+    buffer, while a read-only array that owns its memory can be made
+    writable by anyone who holds it.
+    """
+    base = block
+    while isinstance(base, np.ndarray):
+        base = base.base
+    if isinstance(base, bytes):
+        return block
+    block = np.asarray(block)
+    if block.dtype.hasobject:  # no buffer to view; validation rejects it
+        return block
+    return np.frombuffer(block.tobytes(), dtype=block.dtype).reshape(block.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -561,7 +567,13 @@ def write_weights_container(blocks: Mapping[str, np.ndarray]) -> bytes:
 
 
 def read_weights_container(data: bytes) -> dict[str, np.ndarray]:
-    """Parse a weights container into flat float32 arrays keyed by name."""
+    """Parse a weights container into flat float32 arrays keyed by name.
+
+    The arrays are read-only views of ``data``; a buffer other than
+    ``bytes``, such as a ``bytearray``, is copied into ``bytes`` once first.
+    """
+    if not isinstance(data, bytes):
+        data = bytes(data)
     if len(data) < 12 or data[:4] != WEIGHTS_MAGIC:
         raise SchemaError("not a weights container (bad magic)")
     version, count = struct.unpack_from("<II", data, 4)
@@ -594,7 +606,7 @@ def read_weights_container(data: bytes) -> dict[str, np.ndarray]:
             )
         if name in blocks:
             raise SchemaError(f"duplicate weight block name {name!r}")
-        blocks[name] = np.frombuffer(data, dtype="<f4", count=size, offset=offset).copy()
+        blocks[name] = np.frombuffer(data, dtype="<f4", count=size, offset=offset)
     return blocks
 
 
@@ -803,11 +815,11 @@ def serialize_manifest(net: NetworkSpec) -> bytes:
 def parse_network(manifest: bytes | str, weights: bytes) -> NetworkSpec:
     """Build a validated network from its two serialized artifacts."""
     layers, coding, t_max = parse_manifest(manifest)
-    blocks = read_weights_container(weights)
-    for block in blocks.values():  # fresh copies: the spec keeps them as they are
-        block.setflags(write=False)
     net = NetworkSpec(
-        layers=tuple(layers), weights=blocks, coding=coding, max_timesteps=t_max
+        layers=tuple(layers),
+        weights=read_weights_container(weights),
+        coding=coding,
+        max_timesteps=t_max,
     )
     logger.debug(
         "parsed network: %d layers, coding=%s, T=%d", len(layers), coding.value, t_max

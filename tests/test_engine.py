@@ -529,10 +529,16 @@ def layered_net(t_max=16):
 def test_event_counter_equals_spikes_times_fanout():
     rng = np.random.default_rng(6)
     net = layered_net()
+    uneven = 0
     for rt in _compile(net):
         spikes = rng.random(rt.spec.input_shape) < 0.5
         expected = int((spikes * fanout_map(rt.spec)).sum())
-        assert _synaptic_events(rt, spikes) == expected
+        if rt.fanout is None:  # every input reaches the same number of neurons
+            assert rt.even_fanout * int(spikes.sum()) == expected
+        else:  # only layers whose inputs differ keep a fan-out map
+            uneven += 1
+            assert _synaptic_events(rt, spikes) == expected
+    assert uneven >= 2
 
 
 def digest(arrays):
@@ -710,6 +716,54 @@ def test_event_drive_equals_the_dense_product(kind, count, dyadic, seed):
             np.testing.assert_allclose(got, expected, rtol=1e-12, atol=1e-12)
     if not x.any():
         assert not np.signbit(drive(x)).any()  # +0.0, not -0.0
+
+
+@pytest.mark.parametrize(
+    "kind, count",
+    [
+        ("dense", 0),
+        ("dense", 1),
+        ("dense", 64),
+        ("dense", 65),
+        ("dense", 130),
+        ("dense", "float"),
+        ("small dense", 0.3),
+        ("locally_connected", 0.3),
+        ("recurrent", 0.3),
+        ("conv", 0.4),
+        ("conv", "float"),
+    ],
+)
+def test_a_drive_written_in_place_equals_a_new_one(kind, count):
+    rng = np.random.default_rng(16)
+    if kind == "conv":
+        shape = (3, 9, 11)
+        net = (
+            NetworkBuilder(shape)
+            .conv2d(4, (3, 2), lif(), stride=(2, 1), padding=1,
+                    weights=rng.normal(0.0, 0.3, 72))
+            .build()
+        )
+        plan = _step_plan(_compile(net)[0])
+    else:
+        w, plan = drive_case(kind, rng, dyadic=False)
+        shape = (w.shape[1],)
+    if count == "float":
+        x = rng.normal(size=shape)
+    elif kind == "conv":
+        x = rng.random(shape) < count
+    else:
+        x = spike_vector(rng, shape[0], count)
+    want = plan(x)
+    # a row of a larger buffer, as a group writes it; without spikes the
+    # product must overwrite a -0.0 with +0.0
+    buf = np.full((3, want.size), np.nan if x.any() else -0.0)
+    got = plan(x, out=buf[1])
+    assert np.shares_memory(got, buf[1])
+    assert buf[1].tobytes() == want.tobytes()
+    assert np.isnan(buf[[0, 2]]).all() or not x.any()
+    if not x.any():
+        assert not np.signbit(buf[1]).any()
 
 
 def test_dense_like_weights_are_one_input_major_copy():
@@ -1101,6 +1155,27 @@ def test_group_size_follows_the_state_budget():
     assert size["mixed"] > size["dense"]
     # a longer step budget keeps a longer history per sample
     assert _group_size(_compile(mixed), 4096) < size["mixed"]
+    assert _group_size(_compile(dense), 4096) < size["dense"]
+
+
+def test_large_weights_raise_the_group_budget(monkeypatch):
+    dense = (
+        NetworkBuilder((2048,), coding=Coding.ROC, max_timesteps=128)
+        .dense(512, ifl(spike_once=True))
+        .dense(10, ifl(spike_once=True))
+        .build()
+    )
+    rt = _compile(dense)
+    weight_bytes = sum(r.weights.nbytes for r in rt)
+    assert weight_bytes // engine._WEIGHT_BUDGET_SHARE > engine._GROUP_STATE_BYTES
+    size = _group_size(rt, 128)
+    # the 256 KiB floor alone holds fewer samples
+    monkeypatch.setattr(engine, "_WEIGHT_BUDGET_SHARE", 1 << 60)
+    floor = _group_size(rt, 128)
+    assert size > floor >= 1
+    monkeypatch.undo()
+    # a long step budget still shrinks the group
+    assert _group_size(rt, 4096) < size
 
 
 # ---------------------------------------------------------------------------

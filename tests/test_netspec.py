@@ -669,11 +669,40 @@ def test_a_spec_cannot_change(make):
     assert networks_equal(net, parsed_spec())
 
 
+def cannot_be_made_writable(net: NetworkSpec) -> bool:
+    for block in net.weights.values():
+        with pytest.raises(ValueError, match="WRITEABLE"):
+            block.setflags(write=True)
+    return not any(block.flags.writeable for block in net.weights.values())
+
+
+@pytest.mark.parametrize("make", [built_spec, parsed_spec])
+def test_a_spec_block_cannot_be_made_writable_again(make):
+    net = make()
+    files = serialize_network(net)
+    assert cannot_be_made_writable(net)
+    assert serialize_network(net) == files
+
+
+def test_a_parsed_spec_views_the_container_bytes():
+    manifest, container = serialize_network(built_spec())
+    net = parse_network(manifest, container)
+    assert all(block.base is container for block in net.weights.values())
+    # any other buffer is copied once, so the caller's stays theirs
+    buffer = bytearray(container)
+    net = parse_network(manifest, buffer)
+    assert cannot_be_made_writable(net)
+    assert not any(np.shares_memory(b, np.frombuffer(buffer, np.uint8))
+                   for b in net.weights.values())
+    buffer[-4:] = np.float32(np.nan).tobytes()
+    assert networks_equal(net, parsed_spec())
+
+
 def test_a_spec_pickles_and_deep_copies_as_a_frozen_spec():
     net = built_spec()
     for twin in (pickle.loads(pickle.dumps(net)), copy.deepcopy(net)):
         assert networks_equal(twin, net)
-        assert not any(block.flags.writeable for block in twin.weights.values())
+        assert cannot_be_made_writable(twin)
 
 
 def test_the_builder_copies_the_callers_weights():
