@@ -112,6 +112,8 @@ def _design(observations: Sequence[Observation], floor_power_W: float | None):
             raise SchemaError(
                 f"observation {obs.name!r} has a non-finite S, U or duration_s"
             )
+        if floor_power_W is not None and obs.duration_s < 0:
+            raise SchemaError(f"observation {obs.name!r} has a negative duration_s")
     X = np.array([[obs.S, obs.U] for obs in observations], dtype=np.float64)
     y = np.array([obs.E_joules for obs in observations], dtype=np.float64)
     if floor_power_W is not None:
@@ -157,8 +159,9 @@ def fit_energy_model(
         An observation lacks a usable energy (or a duration when the
         floor-power term is requested).
     SchemaError
-        An observation has a non-finite S, U, or (with floor power) duration,
-        or the floor power is negative or not finite.
+        An observation has a non-finite S, U, or (with floor power) a
+        non-finite or negative duration; the floor power is negative or not
+        finite; or a variance is not positive (NaN included).
     """
     X, y = _design(observations, floor_power_W)
     n = X.shape[0]
@@ -166,7 +169,7 @@ def fit_energy_model(
         raise RankDeficient(f"need at least 2 observations, got {n}")
     if variances is not None:
         var = np.asarray(variances, dtype=np.float64)
-        if var.shape != (n,) or np.any(var <= 0):
+        if var.shape != (n,) or not (var > 0).all():
             raise SchemaError("variances must be positive, one per observation")
         scale = 1.0 / np.sqrt(var)
         Xw = X * scale[:, None]

@@ -70,11 +70,12 @@ class EncodingMode(str, Enum):
 class EncodedInput:
     """An input tensor plus how the simulator should present it over time.
 
-    Construction validates the input however it is built: Poisson values
-    must lie in [0, 1] (NaN is out of range, :class:`RateOutOfRange`),
-    analog values must be finite (:class:`NonFiniteState`), and the seed
-    keys a 64-bit stream, so it must lie in [0, 2**64)
-    (:class:`SchemaError`).
+    Construction keeps the values as a float64 array, as :func:`encode`
+    builds them (a list is converted), and validates the input however it is
+    built: Poisson values must lie in [0, 1] (NaN is out of range,
+    :class:`RateOutOfRange`), analog values must be finite
+    (:class:`NonFiniteState`), and the seed keys a 64-bit stream, so it must
+    lie in [0, 2**64) (:class:`SchemaError`).
     """
 
     mode: EncodingMode
@@ -85,7 +86,7 @@ class EncodedInput:
         object.__setattr__(self, "mode", EncodingMode(self.mode))
         if not 0 <= self.seed < 1 << 64:
             raise SchemaError(f"the seed must be in [0, 2**64), got {self.seed}")
-        arr = np.asarray(self.values)
+        arr = np.asarray(self.values, dtype=np.float64)
         if self.mode is EncodingMode.POISSON:
             if not ((arr >= 0.0) & (arr <= 1.0)).all():
                 raise RateOutOfRange(
@@ -94,6 +95,7 @@ class EncodedInput:
                 )
         elif not np.isfinite(arr).all():
             raise NonFiniteState("analog input contains non-finite values")
+        object.__setattr__(self, "values", arr)
 
 
 def encode(
@@ -104,8 +106,7 @@ def encode(
     A value of 1.0 spikes on every step under Poisson encoding and 0.0
     never does; :class:`EncodedInput` lists what each mode accepts.
     """
-    arr = np.asarray(values, dtype=np.float64)
-    return EncodedInput(mode=mode, values=arr, seed=int(seed))
+    return EncodedInput(mode=mode, values=values, seed=int(seed))
 
 
 class _Stream(threading.local):

@@ -49,6 +49,8 @@ classical MAC count.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from operator import add
 from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
@@ -84,6 +86,17 @@ METHOD_ANALYTIC = "analytic"
 METHOD_EXACT = "exact_events"
 
 
+def _added(values: Iterable) -> float:
+    """``values`` added one at a time from the left, starting at 0.
+
+    From Python 3.12 on, builtin ``sum`` compensates the rounding of float
+    items but adds numpy arrays plainly. Added here, a report whose fields
+    are columns over samples (as :func:`~emacprof.engine.run_dataset`
+    builds) totals every sample bit for bit as the sample's own report does.
+    """
+    return reduce(add, values, 0.0)
+
+
 @dataclass(frozen=True)
 class LayerEnergy:
     """One layer's EMAC breakdown."""
@@ -116,15 +129,15 @@ class EnergyReport:
 
     @property
     def E_syn(self) -> float:
-        return sum(le.E_syn for le in self.per_layer)
+        return _added(le.E_syn for le in self.per_layer)
 
     @property
     def E_upd(self) -> float:
-        return sum(le.E_upd for le in self.per_layer)
+        return _added(le.E_upd for le in self.per_layer)
 
     @property
     def E_rec(self) -> float:
-        return sum(le.E_rec for le in self.per_layer)
+        return _added(le.E_rec for le in self.per_layer)
 
     @property
     def E_tot(self) -> float:

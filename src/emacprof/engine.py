@@ -84,8 +84,8 @@ convolutional networks get one: batching would make their steps faster,
 but their state, next to small weights, would double the memory peak.
 
 Over a dataset, :func:`run_dataset` keeps each sample's outcome (step
-count and decision) and the per-sample scalars its statistics need, not
-the full results, and reduces every statistic once at the end.
+count and decision) and a column of per-layer energies and spike totals,
+not the full results, and reduces every statistic once at the end.
 """
 
 from __future__ import annotations
@@ -757,27 +757,6 @@ def _reference_params(net: NetworkSpec) -> tuple[str | None, float, float]:
     return model.kind.value, model.energy.e_syn, model.energy.e_upd
 
 
-def _sample_scalars(
-    result: InferenceResult, counted: np.ndarray, e_syn_ref: float, e_upd_ref: float
-) -> Iterator[tuple[object, float]]:
-    """``(key, value)`` for every per-sample number a dataset statistic needs."""
-    for report in (result.energy, result.energy_analytic):
-        yield (report.method, "approx_padding"), report.approx_padding
-        for c in COMPONENTS:
-            yield (report.method, None, c), getattr(report, c)
-            for index, le in enumerate(report.per_layer):
-                yield (report.method, index, c), getattr(le, c)
-    spikes = result.trace.counts.sum(axis=1)
-    for index, count in enumerate(spikes):
-        yield ("spikes", index), count
-    # flatten rows re-emit upstream spikes; keep them out of the network total
-    yield ("spikes", None), spikes[counted].sum()
-    yield "T_used", result.trace.T_used
-    energy = result.energy
-    yield "S", (energy.E_syn + energy.E_rec) / e_syn_ref
-    yield "U", energy.E_upd / e_upd_ref
-
-
 def _groups(
     samples: Sequence[EncodedInput], size: int
 ) -> Iterator[list[EncodedInput]]:
@@ -802,20 +781,23 @@ def run_dataset(
     """Run every sample and aggregate; numeric blow-ups are reported, not hidden.
 
     Compilation happens once per network (see :func:`_compiled`), and the
-    samples run in lockstep groups, keeping only the per-sample scalars
-    behind each statistic. Each statistic is reduced once, over a 1-D array
-    in sample order: a running sum or a 2-D reduction would change the last
-    bits of the reported moments.
+    samples run in lockstep groups. Each success keeps its outcome and one
+    column of ``kept``; each method's columns make one energy report, whose
+    own totals add them as a report adds one sample's values. Each statistic
+    is reduced once, over a 1-D array in sample order: a running sum or a 2-D
+    reduction would change the last bits of the reported moments.
     """
     if len(samples) == 0:
         raise EmptyDataset("the dataset holds no samples")
     rt = _compiled(net)
     coding, T_max = _settings(net, t_max, coding)
     size = _group_size(rt, T_max)
-    L = len(net.layers)
+    # flatten rows re-emit upstream spikes; keep them out of the network total
     counted = np.array([layer.kind is not LayerKind.FLATTEN for layer in net.layers])
     ref_kind, e_syn_ref, e_upd_ref = _reference_params(net)
-    columns: dict[object, list] = {}
+    # kept[l, :, k]: sample k's layer l: exact, analytic (E_syn, E_upd, E_rec), spikes
+    kept = np.empty((len(net.layers), 7, len(samples)))
+    reports: tuple[_emac.EnergyReport, ...] = ()  # the last success's
     outcomes: list[SampleOutcome | None] = []
     failures: list[tuple[int, str]] = []
     results = chain.from_iterable(
@@ -836,21 +818,37 @@ def run_dataset(
             outcomes.append(None)
             continue
         outcomes.append(SampleOutcome(result.trace.T_used, result.decision))
-        for key, value in _sample_scalars(result, counted, e_syn_ref, e_upd_ref):
-            columns.setdefault(key, []).append(value)
+        reports = (result.energy, result.energy_analytic)
+        kept[:, :, index] = [
+            (e.E_syn, e.E_upd, e.E_rec, a.E_syn, a.E_upd, a.E_rec, s) for e, a, s in
+            zip(*(r.per_layer for r in reports), result.trace.counts.sum(axis=1))
+        ]
     if failures:
         logger.warning("%d of %d samples aborted", len(failures), len(samples))
 
-    def stat(key) -> Stat:
-        return _stat(np.array(columns.get(key, ()), dtype=np.float64))
-
-    methods = {
-        method: MethodStats(
-            total={c: stat((method, None, c)) for c in COMPONENTS},
-            per_layer=[{c: stat((method, i, c)) for c in COMPONENTS} for i in range(L)],
-            approx_padding=any(columns.get((method, "approx_padding"), ())),
+    kept = kept[..., [o is not None for o in outcomes]]
+    T_used = np.array([o.T_used for o in outcomes if o is not None], dtype=np.float64)
+    analytic, exact = (
+        _emac.EnergyReport(
+            method=method,
+            T_used=T_used,
+            per_layer=tuple(
+                _emac.LayerEnergy(net.layer_name(i), layer.kind.value, *kept[i, j : j + 3])
+                for i, layer in enumerate(net.layers)
+            ),
+            approx_padding=any(r.approx_padding for r in reports if r.method == method),
         )
-        for method in (_emac.METHOD_ANALYTIC, _emac.METHOD_EXACT)
+        for method, j in ((_emac.METHOD_ANALYTIC, 3), (_emac.METHOD_EXACT, 0))
+    )
+    methods = {
+        report.method: MethodStats(
+            total={c: _stat(getattr(report, c)) for c in COMPONENTS},
+            per_layer=[
+                {c: _stat(getattr(le, c)) for c in COMPONENTS} for le in report.per_layer
+            ],
+            approx_padding=report.approx_padding,
+        )
+        for report in (analytic, exact)
     }
     return AggregateStats(
         n_samples=len(samples),
@@ -858,10 +856,10 @@ def run_dataset(
         failures=failures,
         outcomes=outcomes,
         methods=methods,
-        per_layer_spikes=[stat(("spikes", i)) for i in range(L)],
-        total_spikes=stat(("spikes", None)),
-        latency=stat("T_used"),
-        mean_synaptic_events=stat("S").mean,
-        mean_update_count=stat("U").mean,
+        per_layer_spikes=[_stat(spikes) for spikes in kept[:, 6]],
+        total_spikes=_stat(kept[counted, 6].sum(axis=0)),
+        latency=_stat(exact.T_used),
+        mean_synaptic_events=_stat(exact.E_syn_plus_rec / e_syn_ref).mean,
+        mean_update_count=_stat(exact.E_upd / e_upd_ref).mean,
         reference_kind=ref_kind,
     )

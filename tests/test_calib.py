@@ -131,7 +131,9 @@ def test_weighted_fit_discounts_noisy_rows():
     assert model.e_upd_J == pytest.approx(3.0, rel=1e-6)
 
 
-@pytest.mark.parametrize("variances", [[1.0], [1.0, 0.0, 1.0], [1.0, -2.0, 1.0]])
+@pytest.mark.parametrize(
+    "variances", [[1.0], [1.0, 0.0, 1.0], [1.0, -2.0, 1.0], [1.0, float("nan"), 1.0]]
+)
 def test_bad_variances_are_rejected(variances):
     outlier = Observation("c", S=8.0, U=8.0, E_joules=40.0)
     with pytest.raises(SchemaError, match="variances"):
@@ -196,6 +198,19 @@ def test_non_finite_durations_are_rejected_under_floor_power(duration):
     ]
     with pytest.raises(SchemaError, match="hole"):
         fit_energy_model(obs, floor_power_W=0.5)
+    # without a floor power term the duration is not read
+    fit_energy_model(obs)
+
+
+@pytest.mark.parametrize("duration", [-4.0, -1e-300])
+def test_negative_durations_are_rejected_under_floor_power(duration):
+    obs = [
+        Observation("a", S=10.0, U=4.0, E_joules=32.0, duration_s=1.0),
+        Observation("hole", S=5.0, U=8.0, E_joules=34.0, duration_s=duration),
+        Observation("c", S=12.0, U=12.0, E_joules=60.0, duration_s=1.0),
+    ]
+    with pytest.raises(SchemaError, match="hole"):
+        fit_energy_model(obs, floor_power_W=0.1)
     # without a floor power term the duration is not read
     fit_energy_model(obs)
 

@@ -514,6 +514,26 @@ def test_calibrate_bad_floor_power_exits_2(tmp_path, capsys, floor):
     assert not (out / "model.json").exists()
 
 
+def test_calibrate_negative_duration_under_floor_power_exits_2(tmp_path, capsys):
+    obs = tmp_path / "obs.csv"
+    write_observations_csv(
+        obs,
+        [
+            Observation("a", S=10.0, U=4.0, E_joules=32.0, duration_s=1.0),
+            Observation("back", S=5.0, U=8.0, E_joules=34.0, duration_s=-4.0),
+            Observation("c", S=12.0, U=12.0, E_joules=60.0, duration_s=1.0),
+        ],
+    )
+    out = tmp_path / "cal"
+    rc = main(
+        ["calibrate", "--observations", str(obs), "--floor-power", "0.1",
+         "--out", str(out)]
+    )
+    assert rc == 2
+    assert "negative duration_s" in capsys.readouterr().err
+    assert not (out / "model.json").exists()
+
+
 def test_calibrate_floor_power_needs_durations(tmp_path, capsys):
     obs = tmp_path / "obs.csv"
     write_observations_csv(obs, TWO_POINTS)

@@ -21,7 +21,13 @@ from emacprof import (
     rates_from_trace,
     run_inference,
 )
-from emacprof.emac import METHOD_ANALYTIC, METHOD_EXACT, LayerRates
+from emacprof.emac import (
+    METHOD_ANALYTIC,
+    METHOD_EXACT,
+    EnergyReport,
+    LayerEnergy,
+    LayerRates,
+)
 from emacprof.engine import SpikeTrace
 from emacprof.netspec import LayerSpec, layer_counts
 
@@ -448,6 +454,24 @@ def test_pool_events_are_priced_as_accumulates():
     # flatten carries nothing
     assert report.per_layer[2].E_tot == 0
     assert report.E_tot == report.E_syn + report.E_upd + report.E_rec
+
+
+def test_report_totals_add_layers_left_to_right():
+    def report(values):
+        layers = tuple(
+            LayerEnergy(f"{k}:dense", "dense", v, v, v) for k, v in enumerate(values)
+        )
+        return EnergyReport(METHOD_EXACT, 1, layers)
+
+    # a compensated sum (builtin sum from Python 3.12 on) gives 1.0 and 0.6
+    big, small = report([1e16, 1.0, -1e16]), report([0.1, 0.2, 0.3])
+    assert (big.E_syn, big.E_upd, big.E_rec) == (0.0, 0.0, 0.0)
+    assert small.E_syn == (0.1 + 0.2) + 0.3 != 0.6
+    # a report of columns over samples totals each as its own report does
+    columns = report(
+        [np.array([b.E_syn, s.E_syn]) for b, s in zip(big.per_layer, small.per_layer)]
+    )
+    assert columns.E_tot.tolist() == [big.E_tot, small.E_tot]
 
 
 def test_report_serialization_round_trip():

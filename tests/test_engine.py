@@ -12,6 +12,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from emacprof import (
     Coding,
     EmptyDataset,
+    EncodedInput,
     EncodingMode,
     NetworkBuilder,
     NeuronKind,
@@ -339,8 +340,10 @@ def test_calibration_regressors_use_plain_counts_for_uniform_nets():
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-def test_dataset_statistics_equal_per_sample_reductions():
-    # conv (padded) -> pool -> flatten -> recurrent -> dense, one sample blows up
+def test_dataset_statistics_equal_per_sample_reductions(monkeypatch):
+    # conv (padded) -> pool -> flatten -> recurrent -> dense, one sample blows up.
+    # From 8 values on, np.mean adds pairwise, not as a running sum, so with
+    # 10 successes a statistic reduced in another order shows (checked below).
     rng = np.random.default_rng(7)
     lif = NeuronModelSpec(
         kind=NeuronKind.LIF, dt=1e-3, tau_syn=5e-3, tau_mem=1e-2
@@ -359,8 +362,13 @@ def test_dataset_statistics_equal_per_sample_reductions():
         .dense(3, lif, weights=rng.normal(0.2, 0.1, 15))
         .build()
     )
-    samples = [encode(rng.uniform(0.0, 1.0, (1, 6, 6))) for _ in range(5)]
-    samples[2] = encode(np.full((1, 6, 6), 1e308))
+    samples = [
+        encode(rng.uniform(0.0, 1.0, (1, 6, 6)), EncodingMode.POISSON, seed=k)
+        for k in range(11)
+    ]
+    samples[5] = encode(np.full((1, 6, 6), 1e308))
+    samples[8] = encode(rng.uniform(0.0, 1.0, (1, 6, 6)))  # analog, static first layer
+    force_group_size(monkeypatch, net, 12, 4)  # groups 0-3, 4, 5, 6-7, 8, 9-10
     stats = run_dataset(net, samples)
 
     results = []
@@ -369,14 +377,17 @@ def test_dataset_statistics_equal_per_sample_reductions():
             results.append(run_inference(net, sample))
         except NonFiniteState:
             results.append(None)
-    assert [r is None for r in results] == [False, False, True, False, False]
+    assert [r is None for r in results] == [k == 5 for k in range(11)]
     ok = [r for r in results if r is not None]
 
     def moments(values):
         return (np.mean(values), np.std(values))
 
+    running_sum_differs = []
+
     def check(stat, values):
         assert (stat.mean, stat.std) == moments(values)
+        running_sum_differs.append(np.cumsum(values)[-1] / len(values) != stat.mean)
 
     components = ("E_syn", "E_upd", "E_rec", "E_tot")
     for method, attr in (("exact_events", "energy"), ("analytic", "energy_analytic")):
@@ -398,6 +409,8 @@ def test_dataset_statistics_equal_per_sample_reductions():
     # the flatten row (index 2) re-emits the pool's spikes and is not counted
     check(stats.total_spikes, [s[[0, 1, 3, 4]].sum() for s in spikes])
     check(stats.latency, [r.trace.T_used for r in ok])
+    # the data can tell a pairwise reduction from a running sum
+    assert any(running_sum_differs)
     e_syn, e_upd = lif.energy.e_syn, lif.energy.e_upd
     assert stats.mean_synaptic_events == np.mean(
         [(r.energy.E_syn + r.energy.E_rec) / e_syn for r in ok]
@@ -406,6 +419,23 @@ def test_dataset_statistics_equal_per_sample_reductions():
     assert [
         None if o is None else (o.T_used, o.decision) for o in stats.outcomes
     ] == [None if r is None else (r.trace.T_used, r.decision) for r in results]
+
+
+@pytest.mark.parametrize("mode", list(EncodingMode))
+def test_a_list_input_runs_like_its_encoded_array(mode):
+    values = [0.1, 0.2, 0.3, 0.4]
+    direct = EncodedInput(mode, values, seed=5)
+    encoded = encode(np.array(values), mode, seed=5)
+    assert direct.values.dtype == np.float64
+    assert (direct.values == encoded.values).all()
+    net = single_dense(0.4, n_in=4, n_out=2, coding=Coding.RATE, t_max=8)
+    got, want = run_inference(net, direct), run_inference(net, encoded)
+    assert got.decision == want.decision
+    assert (got.trace.counts == want.trace.counts).all()
+    assert (got.output_voltages == want.output_voltages).all()
+    assert got.energy.to_dict() == want.energy.to_dict()
+    assert got.energy_analytic.to_dict() == want.energy_analytic.to_dict()
+    assert run_dataset(net, [direct]) == run_dataset(net, [encoded])
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
