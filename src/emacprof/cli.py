@@ -55,7 +55,7 @@ from .calib import (
     predict_energy,
     read_observations_csv,
 )
-from .codec import INPUT_SUFFIXES, EncodingMode, encode, load_input_tensor
+from .codec import INPUT_SUFFIXES, EncodedInput, EncodingMode, encode, load_input_tensor
 from .emac import ann_mac_count, event_price, update_price
 from .engine import AggregateStats, Stat, run_dataset, run_inference
 from .errors import (
@@ -123,15 +123,20 @@ def _collect_inputs(spec: str) -> list[Path]:
     return [root]
 
 
-def _load_samples(net: NetworkSpec, args) -> list:
-    mode = EncodingMode(args.encoding)
-    samples = []
-    for index, path in enumerate(_collect_inputs(args.inputs)):
-        values = load_input_tensor(path, net.input_shape)
-        # each sample gets its own counter-based stream
-        seed = (args.seed + index) % (1 << 64)
-        samples.append(encode(values, mode, seed))
-    return samples
+def _load_sample(net: NetworkSpec, args, path: Path, index: int) -> EncodedInput:
+    """The input file of sample ``index``, encoded with that sample's seed.
+
+    Each sample gets its own counter-based stream, keyed by
+    ``(--seed + index) mod 2**64``, so ``trace --sample k`` shows the draws
+    ``profile`` gives sample k.
+    """
+    values = load_input_tensor(path, net.input_shape)
+    return encode(values, EncodingMode(args.encoding), (args.seed + index) % (1 << 64))
+
+
+def _load_samples(net: NetworkSpec, args) -> list[EncodedInput]:
+    paths = _collect_inputs(args.inputs)
+    return [_load_sample(net, args, path, index) for index, path in enumerate(paths)]
 
 
 def _num(value: float) -> float | None:
@@ -290,13 +295,9 @@ def cmd_trace(args) -> int:
         raise SchemaError(
             f"--sample {args.sample} is out of range for {len(paths)} input file(s)"
         )
-    values = load_input_tensor(paths[args.sample], net.input_shape)
-    # the seed ``profile`` gives this sample, so the trace shows its draws
-    seed = (args.seed + args.sample) % (1 << 64)
-    sample = encode(values, EncodingMode(args.encoding), seed)
     result = run_inference(
         net,
-        sample,
+        _load_sample(net, args, paths[args.sample], args.sample),
         t_max=args.t_max,
         coding=args.coding,
         record_raster=args.raster,

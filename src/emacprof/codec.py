@@ -72,8 +72,9 @@ class EncodedInput:
 
     Construction keeps the values as a float64 array, as :func:`encode`
     builds them (a list is converted), and validates the input however it is
-    built: Poisson values must lie in [0, 1] (NaN is out of range,
-    :class:`RateOutOfRange`), analog values must be finite
+    built: the values must form a numeric array, not strings or ragged
+    lists (:class:`SchemaError`), Poisson values must lie in [0, 1] (NaN is
+    out of range, :class:`RateOutOfRange`), analog values must be finite
     (:class:`NonFiniteState`), and the seed keys a 64-bit stream, so it must
     lie in [0, 2**64) (:class:`SchemaError`).
     """
@@ -86,7 +87,12 @@ class EncodedInput:
         object.__setattr__(self, "mode", EncodingMode(self.mode))
         if not 0 <= self.seed < 1 << 64:
             raise SchemaError(f"the seed must be in [0, 2**64), got {self.seed}")
-        arr = np.asarray(self.values, dtype=np.float64)
+        try:
+            arr = np.asarray(self.values, dtype=np.float64)
+        except (TypeError, ValueError) as exc:  # strings, ragged nesting
+            raise SchemaError(
+                f"{self.mode.value} input values must form a numeric array: {exc}"
+            ) from None
         if self.mode is EncodingMode.POISSON:
             if not ((arr >= 0.0) & (arr <= 1.0)).all():
                 raise RateOutOfRange(
@@ -152,16 +158,15 @@ class Decision:
     fallback_used: bool = False
 
 
-def decode_roc(
-    output_spikes: np.ndarray, output_voltages: np.ndarray | None = None
-) -> Decision:
+def decode_roc(output_spikes: np.ndarray, output_voltages: np.ndarray) -> Decision:
     """First-spike decoding over an (neurons, steps) boolean raster.
 
     The winner is the earliest spike; among simultaneous firsts the lowest
     neuron index wins. Anything after the first spike step cannot change
     the outcome. If no output neuron spiked, falls back to
-    :func:`decode_max_membrane` over ``output_voltages`` (flagged, with the
-    latency charged as the full window).
+    :func:`decode_max_membrane` over ``output_voltages``, the same window's
+    (neurons, steps) voltage history (flagged, with the latency charged as
+    the full window). An empty or non-2-D raster is an :class:`EmptyRaster`.
     """
     raster = np.asarray(output_spikes, dtype=bool)
     if raster.ndim != 2 or raster.size == 0:
@@ -169,10 +174,6 @@ def decode_roc(
                           f"got shape {raster.shape}")
     spiked = raster.any(axis=1)
     if not spiked.any():
-        if output_voltages is None:
-            raise EmptyRaster(
-                "no output spikes and no voltage history to fall back on"
-            )
         inner = decode_max_membrane(output_voltages)
         return Decision(
             class_index=inner.class_index,
@@ -198,15 +199,15 @@ def decode_max_membrane(output_voltages: np.ndarray) -> Decision:
 # input tensor files
 
 
-def load_input_tensor(
-    path: str | Path, expected_shape: tuple[int, ...] | None = None
-) -> np.ndarray:
+def load_input_tensor(path: str | Path, expected_shape: tuple[int, ...]) -> np.ndarray:
     """Read a ``.bin`` (self-describing) or ``.csv`` (flat) input tensor.
 
-    ``expected_shape`` is checked against a ``.bin`` header and used to
-    reshape ``.csv`` data, which carries no shape of its own.
+    ``expected_shape``, the network's input shape, is checked against a
+    ``.bin`` header and used to reshape ``.csv`` data, which carries no
+    shape of its own; a mismatch is a :class:`ShapeMismatch`.
     """
     path = Path(path)
+    expected_shape = tuple(expected_shape)
     suffix = path.suffix.lower()
     if suffix == ".bin":
         raw = path.read_bytes()
@@ -225,24 +226,21 @@ def load_input_tensor(
                 f"{path.name}: header says {prod(shape)} float32 values but the "
                 f"payload holds {len(body) // 4}"
             )
-        values = np.frombuffer(body, dtype="<f4").astype(np.float64).reshape(shape)
-        if expected_shape is not None and shape != tuple(expected_shape):
+        if shape != expected_shape:
             raise ShapeMismatch(
                 f"{path.name}: tensor shape {shape} does not match the network "
-                f"input {tuple(expected_shape)}"
+                f"input {expected_shape}"
             )
-        return values
+        return np.frombuffer(body, dtype="<f4").astype(np.float64).reshape(shape)
     if suffix == ".csv":
         try:
             flat = np.loadtxt(path, delimiter=",", dtype=np.float64).reshape(-1)
         except ValueError as exc:
             raise SchemaError(f"{path.name}: {exc}") from exc
-        if expected_shape is None:
-            return flat
         if flat.size != prod(expected_shape):
             raise ShapeMismatch(
                 f"{path.name}: {flat.size} values cannot fill the network input "
-                f"{tuple(expected_shape)}"
+                f"{expected_shape}"
             )
         return flat.reshape(expected_shape)
     raise SchemaError(f"{path.name}: input tensors must be .bin or .csv")

@@ -343,15 +343,10 @@ def emac_exact(net: NetworkSpec, trace: "SpikeTrace") -> EnergyReport:
     return _report(METHOD_EXACT, net, trace.T_used, counts)
 
 
-def ann_mac_count(net: NetworkSpec | Iterable[LayerSpec]) -> int:
-    """Classical multiply-accumulate count: sum of fanin * neurons per layer.
-
-    Accepts a bare layer iterable too, since a validated network is never
-    empty but the count of zero layers is still well defined (zero).
-    """
-    layers = net.layers if isinstance(net, NetworkSpec) else tuple(net)
+def ann_mac_count(net: NetworkSpec) -> int:
+    """Classical multiply-accumulate count: sum of fanin * neurons per layer."""
     total = 0
-    for layer in layers:
+    for layer in net.layers:
         counts = layer_counts(layer)
         total += counts.fanin * counts.neurons
     return total

@@ -515,123 +515,127 @@ def _run_group(
     failed: dict[int, NonFiniteState] = {}
     live: list[int] = []  # group rows still stepping, in order
     firsts: list[np.ndarray] = []  # per live row: the static result, or drive0
-    for k, encoded in enumerate(samples):
-        if tuple(encoded.values.shape) != net.input_shape:
-            raise ShapeMismatch(
-                f"input tensor shape {tuple(encoded.values.shape)} does not match "
-                f"the network input {net.input_shape}"
-            )
-        try:
-            x = _static_stage(rt, plans, static_ids, encoded.values)
-        except NonFiniteState as exc:
-            failed[k] = exc
-            continue
-        if start is None:
-            volt_hist[0, k] = x.reshape(-1)
-            continue
-        if mode is EncodingMode.ANALOG:
-            x = plans[start](x)
-        live.append(k)
-        firsts.append(x)
+    # Overflow is expected where a sample leaves the finite range, and the
+    # checks below report it per sample, so numpy stays quiet. The block ends
+    # before the first yield: a generator suspended inside it would carry
+    # numpy's error state out to its caller.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k, encoded in enumerate(samples):
+            if tuple(encoded.values.shape) != net.input_shape:
+                raise ShapeMismatch(
+                    f"input tensor shape {tuple(encoded.values.shape)} does not match "
+                    f"the network input {net.input_shape}"
+                )
+            try:
+                x = _static_stage(rt, plans, static_ids, encoded.values)
+            except NonFiniteState as exc:
+                failed[k] = exc
+                continue
+            if start is None:
+                volt_hist[0, k] = x.reshape(-1)
+                continue
+            if mode is EncodingMode.ANALOG:
+                x = plans[start](x)
+            live.append(k)
+            firsts.append(x)
 
-    # Below, arrays hold one row per live sample, in group order, and
-    # ``rows`` picks their group rows: a plain slice while none has left,
-    # since a fancy index costs several times more per write. Each
-    # sample's drive is its own call, so its sums add up in the same order
-    # whatever the group size; the neuron step, the counters and the checks
-    # serve all rows at once.
-    n = len(live)
-    rows = slice(None) if n == B else np.array(live, dtype=np.intp)
-    poisson = mode is EncodingMode.POISSON
-    drive0 = None if poisson else np.array(firsts)
-    del firsts
-    states = {r.index: state_zeros((n, r.neurons)) for r in rt if r.spiking}
-    prev_own = {idx: np.zeros((n, rt[idx].neurons), dtype=bool) for idx in recurrent}
+        # Below, arrays hold one row per live sample, in group order, and
+        # ``rows`` picks their group rows: a plain slice while none has left,
+        # since a fancy index costs several times more per write. Each
+        # sample's drive is its own call, so its sums add up in the same order
+        # whatever the group size; the neuron step, the counters and the checks
+        # serve all rows at once.
+        n = len(live)
+        rows = slice(None) if n == B else np.array(live, dtype=np.intp)
+        poisson = mode is EncodingMode.POISSON
+        drive0 = None if poisson else np.array(firsts)
+        del firsts
+        states = {r.index: state_zeros((n, r.neurons)) for r in rt if r.spiking}
+        prev_own = {idx: np.zeros((n, rt[idx].neurons), dtype=bool) for idx in recurrent}
 
-    for t in range(1, T_max + 1):
-        if not live:
-            break
-        counts = np.zeros((L + 1, n), dtype=np.int64)  # row 0: the input
-        if poisson:
-            cur = _stacked([poisson_slice(samples[k], t) for k in live])
-            counts[0] = _spike_counts(cur)
-        else:
-            cur = None
-        bad: dict[int, NonFiniteState] = {}  # by live position
-        for r in rt[start:]:
-            idx = r.index
-            if r.weighted:
-                # rows are taken by index: running a numpy array's iterator to
-                # its end raises and discards an IndexError, about a
-                # microsecond a group of one would pay at every layer and step
-                buf = drive_buf[: n * r.neurons].reshape(n, r.neurons)
-                if cur is None:  # the analog-fed first spiking layer
-                    drive = drive0
-                else:
+        for t in range(1, T_max + 1):
+            if not live:
+                break
+            counts = np.zeros((L + 1, n), dtype=np.int64)  # row 0: the input
+            if poisson:
+                cur = _stacked([poisson_slice(samples[k], t) for k in live])
+                counts[0] = _spike_counts(cur)
+            else:
+                cur = None
+            bad: dict[int, NonFiniteState] = {}  # by live position
+            for r in rt[start:]:
+                idx = r.index
+                if r.weighted:
+                    # rows are taken by index: running a numpy array's iterator to
+                    # its end raises and discards an IndexError, about a
+                    # microsecond a group of one would pay at every layer and step
+                    buf = drive_buf[: n * r.neurons].reshape(n, r.neurons)
+                    if cur is None:  # the analog-fed first spiking layer
+                        drive = drive0
+                    else:
+                        if r.fanout is not None:
+                            ff_events[idx, rows] += _synaptic_events(r, cur)
+                        for p in range(n):
+                            plans[idx](cur[p], out=buf[p])
+                        drive = buf
+                    if idx in recurrent:
+                        rec = rec_buf[: n * r.neurons].reshape(n, r.neurons)
+                        for p in range(n):
+                            recurrent[idx](prev_own[idx][p], out=rec[p])
+                        drive = np.add(drive, rec, out=buf)
+                    state = states[idx]
+                    spikes = r.step(state, drive, r.spec.neuron_model)
+                    # a non-finite current makes the half-step voltage non-finite,
+                    # and the reset only subtracts a finite threshold
+                    if not np.isfinite(state.v_peak).all():
+                        bad_rows = ~np.isfinite(state.v_peak).all(axis=1)
+                        for p in np.flatnonzero(bad_rows).tolist():
+                            bad.setdefault(p, NonFiniteState(
+                                f"layer {idx} left the finite range at step {t}; "
+                                "check the weights and the integration step"
+                            ))
+                    if idx in recurrent:
+                        prev_own[idx] = spikes
+                    out = spikes.reshape(n, *r.spec.output_shape)
+                elif r.spec.kind is LayerKind.MAX_POOL2D:
                     if r.fanout is not None:
                         ff_events[idx, rows] += _synaptic_events(r, cur)
-                    for p in range(n):
-                        plans[idx](cur[p], out=buf[p])
-                    drive = buf
-                if idx in recurrent:
-                    rec = rec_buf[: n * r.neurons].reshape(n, r.neurons)
-                    for p in range(n):
-                        recurrent[idx](prev_own[idx][p], out=rec[p])
-                    drive = np.add(drive, rec, out=buf)
-                state, spikes = r.step(
-                    states[idx], drive, r.spec.neuron_model, out=states[idx]
-                )
-                # a non-finite current makes the half-step voltage non-finite,
-                # and the reset only subtracts a finite threshold
-                if not np.isfinite(state.v_peak).all():
-                    bad_rows = ~np.isfinite(state.v_peak).all(axis=1)
-                    for p in np.flatnonzero(bad_rows).tolist():
-                        bad.setdefault(p, NonFiniteState(
-                            f"layer {idx} left the finite range at step {t}; "
-                            "check the weights and the integration step"
-                        ))
-                if idx in recurrent:
-                    prev_own[idx] = spikes
-                out = spikes.reshape(n, *r.spec.output_shape)
-            elif r.spec.kind is LayerKind.MAX_POOL2D:
-                if r.fanout is not None:
-                    ff_events[idx, rows] += _synaptic_events(r, cur)
-                out = _max_pool(cur, r.pool_taps)
-            else:  # flatten: reshape and re-emit
-                out = cur.reshape(n, -1)
-            counts[idx + 1] = _spike_counts(out)
-            if record_raster:
-                raster_hist[idx][t - 1, rows] = out.reshape(n, -1)
-            cur = out
-        count_hist[t - 1, rows] = counts.T
-        spike_hist[t - 1, rows] = cur.reshape(n, -1)
-        volt_hist[t - 1, rows] = states[L - 1].v_peak
+                    out = _max_pool(cur, r.pool_taps)
+                else:  # flatten: reshape and re-emit
+                    out = cur.reshape(n, -1)
+                counts[idx + 1] = _spike_counts(out)
+                if record_raster:
+                    raster_hist[idx][t - 1, rows] = out.reshape(n, -1)
+                cur = out
+            count_hist[t - 1, rows] = counts.T
+            spike_hist[t - 1, rows] = cur.reshape(n, -1)
+            volt_hist[t - 1, rows] = states[L - 1].v_peak
 
-        leaving = set(bad)
-        if t == T_max:
-            leaving.update(range(n))
-        elif coding is Coding.ROC:
-            leaving.update(np.flatnonzero(counts[L]).tolist())
-        if not leaving:
-            continue
-        for p in leaving:
-            if p in bad:
-                failed[live[p]] = bad[p]
-            else:
-                T_used[live[p]] = t
-        keep = [p for p in range(n) if p not in leaving]
-        n = len(keep)
-        live = [live[p] for p in keep]
-        rows = np.array(live, dtype=np.intp)
-        if drive0 is not None:
-            drive0 = drive0[keep]
-        for index, st in states.items():
-            states[index] = NeuronState(
-                i=st.i[keep], v=st.v[keep], has_spiked=st.has_spiked[keep],
-                v_peak=st.v_peak[keep],
-            )
-        for index in prev_own:
-            prev_own[index] = prev_own[index][keep]
+            leaving = set(bad)
+            if t == T_max:
+                leaving.update(range(n))
+            elif coding is Coding.ROC:
+                leaving.update(np.flatnonzero(counts[L]).tolist())
+            if not leaving:
+                continue
+            for p in leaving:
+                if p in bad:
+                    failed[live[p]] = bad[p]
+                else:
+                    T_used[live[p]] = t
+            keep = [p for p in range(n) if p not in leaving]
+            n = len(keep)
+            live = [live[p] for p in keep]
+            rows = np.array(live, dtype=np.intp)
+            if drive0 is not None:
+                drive0 = drive0[keep]
+            for index, st in states.items():
+                states[index] = NeuronState(
+                    i=st.i[keep], v=st.v[keep], has_spiked=st.has_spiked[keep],
+                    v_peak=st.v_peak[keep],
+                )
+            for index in prev_own:
+                prev_own[index] = prev_own[index][keep]
 
     # a generator keeps its locals until it ends: drop the step state
     del states, prev_own, plans, recurrent, drive0, drive_buf, rec_buf

@@ -37,7 +37,7 @@ class RateOutOfRange(EmacProfError):
 # --- decoding ---
 
 class EmptyRaster(EmacProfError):
-    """First-spike decoding got an empty raster and no voltage fallback."""
+    """First-spike decoding got an empty or non-2-D raster."""
 
 
 class EmptyHistory(EmacProfError):

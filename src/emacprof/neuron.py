@@ -16,8 +16,9 @@ the step size, so no time constants appear:
 
 In both cases a spike is emitted when the half-step voltage reaches the
 threshold (``v >= v_th``), and the reset subtracts the threshold rather
-than clamping to zero. ``ann_relu`` is the stateless rectifier used for
-conventional layers.
+than clamping to zero. :func:`lif_step` and :func:`ifl_step` advance the
+state in place, overwriting its arrays, and return the spikes.
+``ann_relu`` is the stateless rectifier used for conventional layers.
 
 Energy parameters are not tuned constants. Each model's update rule is
 classified operation by operation into multiply-accumulate (MAC) and
@@ -32,7 +33,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import cache
-from typing import Union
 
 import numpy as np
 
@@ -56,8 +56,6 @@ __all__ = [
     "ifl_step",
     "ann_activation",
 ]
-
-Array = Union[float, np.ndarray]
 
 
 class NeuronKind(str, Enum):
@@ -196,17 +194,18 @@ class NeuronModelSpec:
 @dataclass
 class NeuronState:
     """State carried between steps: synaptic current, membrane voltage,
-    and the fired-before mask used by ``spike_once``.
+    and the fired-before mask used by ``spike_once``, as equally shaped
+    arrays that each step overwrites.
 
     ``v_peak`` records the pre-reset half-step voltage of the latest step;
     it is what membrane-voltage decoding reads, since the post-reset ``v``
     has already had the threshold subtracted on spiking steps.
     """
 
-    i: Array
-    v: Array
-    has_spiked: Array
-    v_peak: Array = 0.0
+    i: np.ndarray
+    v: np.ndarray
+    has_spiked: np.ndarray
+    v_peak: np.ndarray
 
 
 def state_zeros(n: int | tuple[int, ...]) -> NeuronState:
@@ -222,76 +221,50 @@ def state_zeros(n: int | tuple[int, ...]) -> NeuronState:
     )
 
 
-def _fresh(state: NeuronState, weighted_input: Array) -> NeuronState:
-    shape = np.broadcast(state.i, state.v, weighted_input).shape
-    return NeuronState(
-        i=np.empty(shape),
-        v=np.empty(shape),
-        has_spiked=np.empty(shape, dtype=bool),
-        v_peak=np.empty(shape),
-    )
-
-
-def _spike_and_reset(
-    state: NeuronState, model: NeuronModelSpec, out: NeuronState
-) -> np.ndarray:
-    # out.v_peak holds the half-step voltage; out may be state itself
-    spike = out.v_peak >= model.v_th
+def _spike_and_reset(state: NeuronState, model: NeuronModelSpec) -> np.ndarray:
+    # state.v_peak holds the half-step voltage
+    spike = state.v_peak >= model.v_th
     if model.spike_once:
         spike &= ~state.has_spiked
-    np.multiply(spike, model.v_th, out=out.v)
-    np.subtract(out.v_peak, out.v, out=out.v)
-    np.logical_or(state.has_spiked, spike, out=out.has_spiked)
+    np.multiply(spike, model.v_th, out=state.v)
+    np.subtract(state.v_peak, state.v, out=state.v)
+    np.logical_or(state.has_spiked, spike, out=state.has_spiked)
     return spike
 
 
 def lif_step(
-    state: NeuronState,
-    weighted_input: Array,
-    model: NeuronModelSpec,
-    out: NeuronState | None = None,
-) -> tuple[NeuronState, np.ndarray]:
-    """Advance leaky integrate-and-fire neurons by one step.
+    state: NeuronState, weighted_input: np.ndarray, model: NeuronModelSpec
+) -> np.ndarray:
+    """Advance leaky integrate-and-fire neurons by one step, in place.
 
-    ``weighted_input`` is the summed synaptic drive for this step. Returns
-    the new state and the boolean spike output. The new state is written
-    into the float64 and boolean arrays of ``out``, which may be ``state``
-    itself (an in-place step); without ``out`` a new state is allocated.
-    Either way every value is computed by the same operations in the same
-    order, so the two are bitwise equal. The neurons may carry leading
-    axes, such as one row per sample.
+    ``weighted_input`` is the summed synaptic drive for this step. The new
+    state overwrites ``state``'s arrays, and the boolean spikes are returned.
+    The neurons may carry leading axes, such as one row per sample.
     """
-    if out is None:
-        out = _fresh(state, weighted_input)
     # i - i * dt/tau_syn + drive + bias, left to right, with v_peak as the
     # temporary for i * dt/tau_syn
-    np.multiply(state.i, model.dt / model.tau_syn, out=out.v_peak)
-    np.subtract(state.i, out.v_peak, out=out.i)
-    np.add(out.i, weighted_input, out=out.i)
-    np.add(out.i, model.bias, out=out.i)
+    np.multiply(state.i, model.dt / model.tau_syn, out=state.v_peak)
+    np.subtract(state.i, state.v_peak, out=state.i)
+    np.add(state.i, weighted_input, out=state.i)
+    np.add(state.i, model.bias, out=state.i)
     # v + (i_new - v) * dt/tau_mem
-    np.subtract(out.i, state.v, out=out.v_peak)
-    np.multiply(out.v_peak, model.dt / model.tau_mem, out=out.v_peak)
-    np.add(state.v, out.v_peak, out=out.v_peak)
-    return out, _spike_and_reset(state, model, out)
+    np.subtract(state.i, state.v, out=state.v_peak)
+    np.multiply(state.v_peak, model.dt / model.tau_mem, out=state.v_peak)
+    np.add(state.v, state.v_peak, out=state.v_peak)
+    return _spike_and_reset(state, model)
 
 
 def ifl_step(
-    state: NeuronState,
-    weighted_input: Array,
-    model: NeuronModelSpec,
-    out: NeuronState | None = None,
-) -> tuple[NeuronState, np.ndarray]:
-    """Advance non-leaky linear integrate-and-fire neurons by one step.
+    state: NeuronState, weighted_input: np.ndarray, model: NeuronModelSpec
+) -> np.ndarray:
+    """Advance non-leaky linear integrate-and-fire neurons by one step, in place.
 
-    ``out`` works as in :func:`lif_step`.
+    State and return value work as in :func:`lif_step`.
     """
-    if out is None:
-        out = _fresh(state, weighted_input)
-    np.add(state.i, weighted_input, out=out.i)
-    np.add(out.i, model.bias, out=out.i)
-    np.add(state.v, out.i, out=out.v_peak)
-    return out, _spike_and_reset(state, model, out)
+    np.add(state.i, weighted_input, out=state.i)
+    np.add(state.i, model.bias, out=state.i)
+    np.add(state.v, state.i, out=state.v_peak)
+    return _spike_and_reset(state, model)
 
 
 def step_fn(kind: NeuronKind):
@@ -304,6 +277,6 @@ def step_fn(kind: NeuronKind):
     raise SchemaError("ann_relu has no stepwise dynamics")
 
 
-def ann_activation(weighted_input: Array, model: NeuronModelSpec) -> Array:
+def ann_activation(weighted_input: np.ndarray, model: NeuronModelSpec) -> np.ndarray:
     """Rectified activation for a conventional layer: max(drive + bias, 0)."""
     return np.maximum(weighted_input + model.bias, 0.0)

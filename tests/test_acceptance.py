@@ -277,7 +277,7 @@ def test_criterion_05_neuron_closed_forms():
         )
         zero = np.zeros(1)
         for k in range(1, 1001):
-            st, _ = lif_step(st, zero, model)
+            lif_step(st, zero, model)
             expected = ratio**k
             assert abs(st.i[0] - expected) <= 8 * k * np.spacing(expected)
 
@@ -305,7 +305,7 @@ def test_criterion_05_neuron_closed_forms():
         )
         drive = np.full(1, 0.125)
         for k in range(1, 11):
-            st, spike = lif_step(st, drive, fix)
+            spike = lif_step(st, drive, fix)
             if spike[0]:
                 assert k == 4
                 assert st.v_peak[0] == pytest.approx(0.9375, rel=1e-12)
@@ -322,7 +322,7 @@ def test_criterion_05_neuron_closed_forms():
         drive = np.full(1, 0.3)
         seen = []
         for k in range(1, 5):
-            st, spike = ifl_step(st, drive, ifl(1.0))
+            spike = ifl_step(st, drive, ifl(1.0))
             seen.append(bool(spike[0]))
         assert seen[:3] == [False, False, True]
         i = v = 0.0
@@ -362,14 +362,15 @@ def test_criterion_06_roc_semantics():
         for trial in range(1000):
             raster = rng.random((4, 9)) < 0.12
             raster[rng.integers(4), rng.integers(9)] = True
-            before = decode_roc(raster)
+            volts = np.zeros(raster.shape)  # not read: the raster has a spike
+            before = decode_roc(raster, volts)
             mutated = raster.copy()
             first_t = int(np.where(raster.any(axis=0))[0][0])
             if first_t + 1 < raster.shape[1]:
                 later = rng.integers(first_t + 1, raster.shape[1], 5)
                 rows = rng.integers(0, raster.shape[0], 5)
                 mutated[rows, later] = ~mutated[rows, later]
-            after = decode_roc(mutated)
+            after = decode_roc(mutated, volts)
             assert after == before
 
         # (c) spike_once never emits twice

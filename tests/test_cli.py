@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -240,7 +241,6 @@ def test_profile_pure_ann_equals_the_mac_count(tmp_path):
     assert report["total_spikes"]["mean"] == 0.0
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_profile_numeric_blowup_exits_3(tmp_path, capsys):
     w = np.full((3, 4), 1e38, dtype=np.float32)
     net = (
@@ -254,10 +254,12 @@ def test_profile_numeric_blowup_exits_3(tmp_path, capsys):
     (inputs / "sample00.bin").rename(inputs / "sample99.bin")
     (inputs / "sample00.csv").write_text("1e300,1e300,1e300,1e300\n")
     out = tmp_path / "blown"
-    rc = main(
-        ["profile", "--network", str(npath), "--inputs", str(inputs),
-         "--out", str(out)]
-    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the typed failure line is all stderr says
+        rc = main(
+            ["profile", "--network", str(npath), "--inputs", str(inputs),
+             "--out", str(out)]
+        )
     assert rc == 3
     assert "sample 0 failed" in capsys.readouterr().err
     report = json.loads((out / "energy.json").read_text())
@@ -303,7 +305,6 @@ def test_profile_non_finite_neuron_parameter_exits_2(tmp_path, capsys, field, va
     assert not (tmp_path / "o").exists()
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_profile_all_failed_dataset_reports_null_statistics(tmp_path, capsys):
     w = np.full((3, 4), 1e38, dtype=np.float32)
     net = (

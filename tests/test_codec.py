@@ -68,6 +68,13 @@ def test_directly_built_poisson_inputs_reject_bad_rates(rate):
         EncodedInput(EncodingMode.POISSON, np.array([0.5, rate]), seed=3)
 
 
+@pytest.mark.parametrize("mode", list(EncodingMode))
+@pytest.mark.parametrize("values", [["a", "b"], [[1.0, 2.0], [3.0]]])
+def test_values_that_make_no_numeric_array_are_schema_errors(mode, values):
+    with pytest.raises(SchemaError, match="numeric array"):
+        EncodedInput(mode, values)
+
+
 def test_poisson_extremes_are_deterministic():
     enc = encode(np.array([1.0, 0.0]), EncodingMode.POISSON, seed=9)
     for t in range(1, 50):
@@ -158,15 +165,22 @@ def raster(n, T, events):
     return out
 
 
+def unread_voltages(spikes):
+    """A voltage history for a raster that spikes, where it is not read."""
+    return np.zeros(spikes.shape)
+
+
 def test_roc_picks_earliest_spike():
-    d = decode_roc(raster(6, 12, [(3, 7), (1, 9)]))
+    spikes = raster(6, 12, [(3, 7), (1, 9)])
+    d = decode_roc(spikes, unread_voltages(spikes))
     assert d.class_index == 3
     assert d.latency_T == 7
     assert not d.fallback_used
 
 
 def test_roc_breaks_ties_by_lowest_index():
-    d = decode_roc(raster(6, 6, [(5, 4), (2, 4)]))
+    spikes = raster(6, 6, [(5, 4), (2, 4)])
+    d = decode_roc(spikes, unread_voltages(spikes))
     assert d.class_index == 2
     assert d.latency_T == 4
 
@@ -179,21 +193,21 @@ def test_roc_silent_falls_back_to_membrane():
     assert d.latency_T == 2
 
 
-def test_roc_silent_without_voltages_is_an_error():
+def test_roc_empty_or_one_dimensional_rasters_are_errors():
     with pytest.raises(EmptyRaster):
-        decode_roc(np.zeros((3, 4), dtype=bool))
+        decode_roc(np.zeros((3, 0), dtype=bool), np.zeros((3, 0)))
     with pytest.raises(EmptyRaster):
-        decode_roc(np.zeros((3, 0), dtype=bool))
+        decode_roc(np.ones(4, dtype=bool), np.zeros(4))
 
 
 def test_roc_ignores_everything_after_the_first_spike():
     base = raster(5, 10, [(2, 3)])
-    d0 = decode_roc(base)
+    d0 = decode_roc(base, unread_voltages(base))
     rng = np.random.default_rng(31)
     for _ in range(50):
         mutated = base.copy()
         mutated[:, 3:] = rng.random((5, 7)) < 0.5
-        d1 = decode_roc(mutated)
+        d1 = decode_roc(mutated, unread_voltages(mutated))
         assert (d1.class_index, d1.latency_T) == (d0.class_index, d0.latency_T)
 
 

@@ -29,7 +29,7 @@ from emacprof.emac import (
     LayerRates,
 )
 from emacprof.engine import SpikeTrace
-from emacprof.netspec import LayerSpec, layer_counts
+from emacprof.netspec import layer_counts
 
 ANN = NeuronModelSpec(kind=NeuronKind.ANN_RELU)
 LIF = NeuronModelSpec(kind=NeuronKind.LIF, dt=1e-3, tau_syn=8e-3, tau_mem=2e-3)
@@ -392,39 +392,22 @@ def test_uniform_full_rate_closes_the_conv_gap():
 
 def test_mac_count_examples():
     assert ann_mac_count(dense_net([4, 3], ANN)) == 12
-    conv = LayerSpec(
-        kind=LayerKind.CONV2D,
-        input_shape=(3, 64, 64),
-        output_shape=(16, 62, 62),
-        kernel=(3, 3),
-        stride=(1, 1),
-        padding=0,
-        neuron_model=ANN,
-        weights_ref="k",
-    )
-    assert ann_mac_count([conv]) == 27 * 61504 == 1660608
-    assert ann_mac_count([]) == 0
+    conv = NetworkBuilder((3, 64, 64)).conv2d(16, (3, 3), ANN).build()
+    assert conv.layers[0].output_shape == (16, 62, 62)
+    assert ann_mac_count(conv) == 27 * 61504 == 1660608
 
 
 def test_mac_count_matches_reduced_enumeration():
     # structural count on a small conv equals per-connection enumeration
-    layer = LayerSpec(
-        kind=LayerKind.CONV2D,
-        input_shape=(3, 8, 8),
-        output_shape=(4, 6, 6),
-        kernel=(3, 3),
-        stride=(1, 1),
-        padding=0,
-        neuron_model=ANN,
-        weights_ref="k",
-    )
+    net = NetworkBuilder((3, 8, 8)).conv2d(4, (3, 3), ANN).build()
+    assert net.layers[0].output_shape == (4, 6, 6)
     taps = 0
     for oy in range(6):
         for ox in range(6):
             for ky in range(3):
                 for kx in range(3):
                     taps += 3  # in-bounds by construction for valid padding
-    assert ann_mac_count([layer]) == taps * 4
+    assert ann_mac_count(net) == taps * 4
 
 
 # ---------------------------------------------------------------------------

@@ -154,12 +154,23 @@ def test_spike_once_caps_every_neuron_at_one_spike():
     assert res.trace.counts[0].sum() == per_neuron.sum()
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_non_finite_state_is_reported():
     # 1e38 weight on a 1e300 analog drive overflows the synaptic sum
     net = single_dense(1e38, v_th=1e308, coding=Coding.RATE, t_max=50)
     with pytest.raises(NonFiniteState):
         run_inference(net, encode(np.full(1, 1e300)))
+
+
+def test_a_suspended_group_leaves_numpy_error_state_to_its_caller():
+    net = single_dense(1e38, v_th=1e308, coding=Coding.RATE, t_max=50)
+    samples = [encode(np.full(1, 1e300)), encode(np.full(1, 0.5))]
+    with np.errstate(all="raise"):
+        group = _run_group(net, _compile(net), samples, T_max=50, coding=Coding.RATE,
+                           record_raster=False, encoder_per_step=False)
+        assert isinstance(next(group), NonFiniteState)  # suspended at a yield
+        assert np.geterr() == {"divide": "raise", "over": "raise", "under": "raise",
+                               "invalid": "raise"}
+        group.close()
 
 
 # ---------------------------------------------------------------------------
@@ -313,7 +324,6 @@ def test_mean_latency_over_mixed_roc_runs():
     assert stats.latency.mean == pytest.approx((2 + 2 + 5) / 3, rel=1e-12)
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_dataset_records_failures_without_raising():
     net = single_dense(1e38, v_th=1e308, coding=Coding.RATE, t_max=60)
     ok = encode(np.ones(1))
@@ -339,7 +349,6 @@ def test_calibration_regressors_use_plain_counts_for_uniform_nets():
     assert stats.mean_update_count == pytest.approx(6 * 1, rel=1e-12)
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_dataset_statistics_equal_per_sample_reductions(monkeypatch):
     # conv (padded) -> pool -> flatten -> recurrent -> dense, one sample blows up.
     # From 8 values on, np.mean adds pairwise, not as a running sum, so with
@@ -438,7 +447,6 @@ def test_a_list_input_runs_like_its_encoded_array(mode):
     assert run_dataset(net, [direct]) == run_dataset(net, [encoded])
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_all_failed_dataset_has_nan_statistics():
     net = single_dense(1e38, v_th=1e308, coding=Coding.RATE, t_max=6)
     bad = encode(np.full(1, 1e300))
@@ -1003,8 +1011,6 @@ def assert_same_result(got, want):
     assert got.energy_analytic == want.energy_analytic
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
 @settings(max_examples=100, deadline=None)
 @given(case=lockstep_cases())
 def test_lockstep_groups_equal_one_sample_at_a_time(case):
@@ -1042,8 +1048,6 @@ def test_lockstep_groups_equal_one_sample_at_a_time(case):
             assert run_dataset(net, samples, **run) == want
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
 def test_a_sample_that_overflows_mid_run_fails_alone(monkeypatch):
     # IFL under a constant drive d: v after t steps is d * t * (t + 1) / 2.
     # Input 0 drives only neuron 0, which the output does not listen to.
@@ -1099,8 +1103,6 @@ def test_samples_that_decide_early_leave_the_group():
         assert_same_result(got, want)
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
 def test_a_network_without_spiking_layers_runs_one_step(monkeypatch):
     rng = np.random.default_rng(36)
     kernels = rng.normal(0.0, 0.5, (2, 1, 3, 3)).astype(np.float32)

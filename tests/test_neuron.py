@@ -1,5 +1,3 @@
-import copy
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -118,18 +116,18 @@ def test_lif_single_step_substitution():
     model = lif_model(q_syn=0.1, q_mem=0.1)
     st = state_zeros(1)
     st.i[:] = 1.0
-    new, spike = lif_step(st, np.zeros(1), model)
-    assert new.i[0] == pytest.approx(0.9, rel=1e-12)
-    assert new.v[0] == pytest.approx(0.09, rel=1e-12)
+    spike = lif_step(st, np.zeros(1), model)
+    assert st.i[0] == pytest.approx(0.9, rel=1e-12)
+    assert st.v[0] == pytest.approx(0.09, rel=1e-12)
     assert not spike[0]
 
 
 def test_lif_zero_state_is_a_fixed_point():
     model = lif_model()
     st = state_zeros(3)
-    new, spike = lif_step(st, np.zeros(3), model)
+    spike = lif_step(st, np.zeros(3), model)
     assert not spike.any()
-    assert (new.i == 0).all() and (new.v == 0).all()
+    assert (st.i == 0).all() and (st.v == 0).all()
 
 
 def test_lif_pinned_current_fixture():
@@ -143,7 +141,7 @@ def test_lif_pinned_current_fixture():
     seen = []
     first_spike = None
     for step in range(1, 7):
-        st, spike = lif_step(st, drive, model)
+        spike = lif_step(st, drive, model)
         assert st.i[0] == 1.0
         seen.append(st.v_peak[0])
         if spike[0] and first_spike is None:
@@ -163,7 +161,7 @@ def test_lif_never_crosses_unit_threshold_under_pinned_drive():
     st.i[:] = 1.0
     drive = np.full(1, 0.125)
     for k in range(1, 41):
-        st, spike = lif_step(st, drive, model)
+        spike = lif_step(st, drive, model)
         assert not spike[0]
         assert st.v[0] == 1.0 - 0.5**k
 
@@ -174,7 +172,7 @@ def test_lif_geometric_current_decay():
     st = state_zeros(1)
     st.i[:] = 1.0
     for k in range(1, 1001):
-        st, _ = lif_step(st, np.zeros(1), model)
+        lif_step(st, np.zeros(1), model)
         expected = (1.0 - q) ** k
         tol = 8 * k * np.spacing(expected)
         assert abs(st.i[0] - expected) <= tol
@@ -186,13 +184,11 @@ def test_lif_reset_by_subtraction_is_exact():
     st = state_zeros(64)
     spiked_at_least_once = False
     for _ in range(50):
-        peak_before = None
-        new, spike = lif_step(st, rng.uniform(0.0, 0.8, size=64), model)
+        spike = lif_step(st, rng.uniform(0.0, 0.8, size=64), model)
         if spike.any():
             spiked_at_least_once = True
-            assert (new.v[spike] == new.v_peak[spike] - model.v_th).all()
-        assert (new.v[~spike] == new.v_peak[~spike]).all()
-        st = new
+            assert (st.v[spike] == st.v_peak[spike] - model.v_th).all()
+        assert (st.v[~spike] == st.v_peak[~spike]).all()
     assert spiked_at_least_once
 
 
@@ -206,7 +202,7 @@ def test_ifl_constant_drive_fixture():
     drive = np.full(1, 0.3)
     currents, volts, spikes = [], [], []
     for _ in range(3):
-        st, spike = ifl_step(st, drive, model)
+        spike = ifl_step(st, drive, model)
         currents.append(st.i[0])
         volts.append(st.v_peak[0])
         spikes.append(bool(spike[0]))
@@ -222,12 +218,12 @@ def test_ifl_has_no_leak():
     st.i[:] = [0.4, -0.2]
     st.v[:] = [0.1, 0.3]
     for _ in range(10):
-        new, spike = ifl_step(st, np.zeros(2), model)
+        i_before, v_before = st.i.copy(), st.v.copy()
+        spike = ifl_step(st, np.zeros(2), model)
         assert not spike.any()
-        assert (new.i == st.i).all()
+        assert (st.i == i_before).all()
         # v keeps integrating the frozen current
-        assert (new.v == st.v + st.i).all()
-        st = new
+        assert (st.v == v_before + i_before).all()
     assert st.i[0] == 0.4
 
 
@@ -237,7 +233,7 @@ def test_spike_once_suppresses_later_spikes():
     drive = np.full(1, 0.6)
     total = 0
     for _ in range(20):
-        st, spike = ifl_step(st, drive, model)
+        spike = ifl_step(st, drive, model)
         total += int(spike[0])
     assert total == 1
     assert st.has_spiked[0]
@@ -247,7 +243,7 @@ def test_bias_feeds_the_current_every_step():
     model = ifl_model(v_th=10.0, bias=0.25)
     st = state_zeros(1)
     for k in range(1, 5):
-        st, _ = ifl_step(st, np.zeros(1), model)
+        ifl_step(st, np.zeros(1), model)
         assert st.i[0] == pytest.approx(0.25 * k, rel=1e-12)
 
 
@@ -263,7 +259,7 @@ def test_step_fn_dispatch():
 
 
 def reference_step(state, drive, model):
-    """The step as plain array expressions: the arithmetic both steps keep."""
+    """The step as plain array expressions: the arithmetic the in-place step keeps."""
     if model.kind is NeuronKind.LIF:
         i_new = state.i - state.i * (model.dt / model.tau_syn) + drive + model.bias
         v_half = state.v + (i_new - state.v) * (model.dt / model.tau_mem)
@@ -317,26 +313,20 @@ def random_state(rng, shape, scale=1.0):
     shape=st.sampled_from([(1,), (7,), (1, 5), (4, 9), (3, 1)]),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_step_into_out_is_bitwise_the_allocating_step(kind, spike_once, shape, seed):
+def test_the_in_place_step_is_bitwise_the_array_expressions(kind, spike_once, shape, seed):
     rng = np.random.default_rng(seed)
     model = random_model(rng, kind, spike_once)
     step = lif_step if kind == "lif" else ifl_step
-    allocated = random_state(rng, shape)
-    in_place = copy.deepcopy(allocated)
-    elsewhere = copy.deepcopy(allocated)
+    state = random_state(rng, shape)
+    buffers = [state.i, state.v, state.has_spiked, state.v_peak]
     for _ in range(6):
         drive = rng.normal(0.4, 0.6, shape)
-        want, want_spike = reference_step(allocated, drive, model)
-        allocated, spike = step(allocated, drive, model)
-        target = random_state(rng, shape)  # overwritten, whatever it held
-        elsewhere, spike_elsewhere = step(elsewhere, drive, model, out=target)
-        buffers = [in_place.i, in_place.v, in_place.has_spiked, in_place.v_peak]
-        got, spike_in_place = step(in_place, drive, model, out=in_place)
-        assert got is in_place and elsewhere is target
-        assert all(a is b for a, b in zip(buffers, [got.i, got.v, got.has_spiked, got.v_peak]))
-        for state, s in ((allocated, spike), (in_place, spike_in_place), (elsewhere, spike_elsewhere)):
-            assert same_state(state, want)
-            assert same_bits(s, want_spike)
+        want, want_spike = reference_step(state, drive, model)
+        spike = step(state, drive, model)
+        after = [state.i, state.v, state.has_spiked, state.v_peak]
+        assert all(a is b for a, b in zip(buffers, after))
+        assert same_state(state, want)
+        assert same_bits(spike, want_spike)
 
 
 @settings(max_examples=80, deadline=None)
@@ -371,9 +361,9 @@ def test_the_peak_voltage_check_equals_the_current_and_voltage_check(
     with np.errstate(all="ignore"):
         if rng.random() < 0.3:  # a synaptic sum that overflowed on a huge weight
             drive.flat[0] *= 1e300
-        new, _ = step(state, drive, model, out=state)
-    old_check = np.isfinite(new.i).all() and np.isfinite(new.v).all()
-    assert np.isfinite(new.v_peak).all() == old_check
-    if new.v_peak.ndim == 2:  # and per row of a group
-        rows_old = np.isfinite(new.i).all(axis=1) & np.isfinite(new.v).all(axis=1)
-        assert np.array_equal(np.isfinite(new.v_peak).all(axis=1), rows_old)
+        step(state, drive, model)
+    old_check = np.isfinite(state.i).all() and np.isfinite(state.v).all()
+    assert np.isfinite(state.v_peak).all() == old_check
+    if state.v_peak.ndim == 2:  # and per row of a group
+        rows_old = np.isfinite(state.i).all(axis=1) & np.isfinite(state.v).all(axis=1)
+        assert np.array_equal(np.isfinite(state.v_peak).all(axis=1), rows_old)
