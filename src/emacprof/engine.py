@@ -1,10 +1,29 @@
 """Time-stepped inference over a validated network.
 
 Propagation is feedforward within a step: layer ``l`` consumes the spikes
-layer ``l-1`` emitted at the same step, so one sweep over the stack
-completes a step. Recurrent layers are the exception; they see their own
-spikes from the previous step. Under rank-order coding the run stops at
-the end of the first step in which the output layer spikes.
+layer ``l-1`` emitted at the same step. Recurrent layers are the
+exception; they see their own spikes from the previous step. Under
+rank-order coding the run stops at the end of the first step in which the
+output layer spikes.
+
+The engine runs those steps as a pipeline of ticks. At tick ``tau`` the
+``k``-th spiking layer (counted from the first one that steps) takes its
+step ``tau - k``, whose input the layer before it made at the previous
+tick, so no layer waits for another within a tick: every active layer's
+drive is computed first, and then consecutive spiking layers with one
+neuron model (a block) take their steps in one call of the compiled step
+function, followed by one finiteness check. A pool or flatten layer runs
+in the tick of the spiking layer that feeds it, and one before the first
+spiking layer runs in the encoder's. Each neuron still sees the same
+operations on the same operands in the same order as in a layer-by-layer
+sweep, so the results are bit-identical to one; with ``K`` spiking layers,
+a run takes ``K - 1`` more ticks than steps. Every counter, history and
+raster is written at the row of its own step. Under rank-order coding the
+output layer decides step ``t`` at tick ``t + K - 1``, by which time the
+layers before it have run up to ``K - 1`` steps past it: those steps
+are never counted. A sample whose state leaves the finite range fails at
+its lowest (step, layer), which is known once the output layer has taken
+that step; a decision at an earlier step still wins.
 
 Stateless rectifier layers (and any pooling or flattening around them)
 form a static preprocessing stage: with an analog input their values do
@@ -48,11 +67,14 @@ recurrent term of a recurrent layer) is driven by events: for a boolean
 spike input it adds up the weight rows of the inputs that spiked, in
 blocks of at most 64 rows, so the cost follows the spike count and the
 temporary stays at 64 rows whatever the spike rate; a step with no input
-spikes yields +0.0. A float input (the static stage, or an analog first
-layer) takes the full matrix-vector product, and so does any input to a
-matrix of at most 16384 weights, where the product costs about what one
-gather's fixed overhead does. Both read the one float64 copy of the
-weights, stored input-major (see :func:`~emacprof.netspec.weight_tensor`).
+spikes yields +0.0, which the step loop writes without a call when the
+input's spike count is zero. A float input (the static stage, or an
+analog first layer) takes the full matrix-vector product, and so does any
+input to a matrix of at most 16384 weights, where the product costs about
+what one gather's fixed overhead does; the step loop casts such a layer's
+spikes to float64 once for all samples of a group. Both read the one
+float64 copy of the weights, stored input-major (see
+:func:`~emacprof.netspec.weight_tensor`).
 The static stage and the step loop use the same plans, so results do not
 depend on which of them evaluates a layer. The event sums add in another
 order than a dense product, so with arbitrary weights voltages may differ
@@ -61,20 +83,22 @@ multiples of a power of two, say) they are equal.
 
 Samples run in lockstep groups. :func:`run_inference` runs a group of
 one, and :func:`run_dataset` runs consecutive groups of samples that share
-an encoding mode, in sample order. Within a group, neuron state, spike
-counts, the finiteness check and the recurrent spike memory are
-``(samples, neurons)`` arrays, and each neuron step advances them in
-place, so one numpy call serves every sample: on a narrow layer the time
-goes to dispatching calls, not to arithmetic. The weighted drives stay one
-call per sample, through the group's step plan, each written into its row
-of a drive buffer the group allocates once. One product over the
-group would add the sums in another order, and a last-bit change at
-``v == v_th`` flips a spike; kept per sample, every result is bit-identical
-whatever the group size. Under rank-order coding a sample that has decided
-leaves the group with its counters frozen, and a sample whose state leaves
-the finite range fails alone. A group's histories (spike counts, output
-spikes and voltages, rasters when recorded) are allocated once at the step
-budget, a row per sample; each step writes its live rows, and one loop at
+an encoding mode, in sample order. Within a group, a block's neuron state
+and drive buffer hold every sample's row of every layer of the block, flat
+and layer by layer, so that the layers active at a tick are one contiguous
+range; each neuron step advances that range in place, so one numpy call
+serves every sample and layer of the block: on narrow layers the time goes
+to dispatching calls, not to arithmetic. The weighted drives stay one call
+per sample, through the group's step plan, each written into its row of
+the block's drive buffer. One product over the group would add the sums in
+another order, and a last-bit change at ``v == v_th`` flips a spike; kept
+per sample, every result is bit-identical whatever the group size. Under
+rank-order coding a sample that has decided leaves the group with its
+counters frozen, and a sample whose state leaves the finite range fails
+alone; the rows that stay move forward in place. A group's histories
+(spike counts, the events reaching layers of uneven fan-out, output spikes
+and voltages, rasters when recorded) are allocated once at the step
+budget, a row per sample; each tick writes its live rows, and one loop at
 the end decodes, traces and prices every sample. A group holds as many
 samples as a budget of step state and history allows: the larger of
 ``_GROUP_STATE_BYTES`` (256 KiB) and the compiled float64 weights over
@@ -94,7 +118,7 @@ import logging
 import weakref
 from dataclasses import dataclass
 from functools import partial
-from itertools import chain
+from itertools import accumulate, chain, groupby
 from math import prod
 from typing import Callable, Iterator, Sequence
 
@@ -123,6 +147,7 @@ from .netspec import (
     weight_tensor,
 )
 from .neuron import (
+    NeuronModelSpec,
     NeuronState,
     ann_activation,
     state_zeros,
@@ -195,7 +220,8 @@ class _LayerRT:
     rec_weights: np.ndarray | None = None
     #: the fan-out every input shares, or 0 where inputs differ
     even_fanout: int = 0
-    #: where inputs differ, each input's fan-out: flat, in input order
+    #: where inputs differ, each input's fan-out: flat, in input order, and
+    #: as narrow as every step's event count allows
     fanout: np.ndarray | None = None
     #: pooling: one strided slice of the input per window tap
     pool_taps: tuple[tuple[slice, ...], ...] = ()
@@ -243,8 +269,8 @@ def _compile(net: NetworkSpec) -> list[_LayerRT]:
             fanout = fanout_map(layer).reshape(-1)
             if (fanout == fanout[0]).all():
                 rt.even_fanout = int(fanout[0])
-            else:
-                rt.fanout = fanout
+            else:  # int32 where it holds the most events a step can reach
+                rt.fanout = fanout.astype(np.int32 if fanout.sum() < 2**31 else np.int64)
         out.append(rt)
     return out
 
@@ -284,7 +310,7 @@ def _step_plan(rt: _LayerRT) -> Callable | None:
     it one after another. A weighted layer's plan takes an optional ``out``,
     a contiguous float64 row that receives the drive (by the same BLAS call
     as without it, so the two are bitwise equal); without ``out`` it
-    returns a new array. The buffers belong to one :func:`_run_group`
+    returns a new array. The buffers belong to one :func:`_step_group`
     call, not to ``rt``, so compiled layers stay read-only and one compiled
     network can serve any number of calls.
     """
@@ -351,6 +377,36 @@ def _event_drive(weights: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
     return drive
 
 
+def _each_row(plan: Callable, weights: np.ndarray | None = None) -> Callable:
+    """``plan`` applied to every row of a group, as ``drives(x, out, counts)``.
+
+    Each row's drive by ``x`` is written into its row of ``out``, one call per
+    row. ``weights`` is a dense-like plan's matrix. Where it sums weight rows
+    for spikes (see :func:`_event_drive`), a row whose input has no spikes
+    (``counts``) is not summed: its drive is the +0.0 an empty sum gives.
+    Where it takes the full product, a boolean input is cast once for all
+    rows, to the float64 operand the product casts each row to. Anything else
+    (a convolution's plan) gets ``x`` as it is.
+    """
+
+    def each(x: np.ndarray, out: np.ndarray, counts: np.ndarray) -> None:
+        for p in range(len(out)):
+            plan(x[p], out=out[p])
+
+    def events(x: np.ndarray, out: np.ndarray, counts: np.ndarray) -> None:
+        for p, count in enumerate(counts.tolist()):
+            if count:
+                plan(x[p], out=out[p])
+            else:
+                out[p] = 0.0
+
+    if weights is None:
+        return each
+    if weights.size > _EVENT_MIN_WEIGHTS:
+        return events
+    return lambda x, out, counts: each(x.astype(np.float64), out, counts)
+
+
 def _synaptic_events(rt: _LayerRT, spikes: np.ndarray) -> np.ndarray:
     """Realized connections the spikes entering layer ``rt`` reach, per sample."""
     return np.dot(spikes.reshape(-1, rt.fanout.size), rt.fanout)
@@ -369,6 +425,66 @@ def _spike_counts(x: np.ndarray) -> np.ndarray | int:
 def _stacked(rows: list[np.ndarray]) -> np.ndarray:
     """Equally shaped per-sample arrays as one ``(samples, ...)`` array."""
     return rows[0][np.newaxis] if len(rows) == 1 else np.array(rows)
+
+
+@dataclass
+class _Block:
+    """Consecutive spiking layers of one neuron model, stepped by one call.
+
+    The state arrays and the drive buffer are flat and layer-major: with
+    ``n`` live rows, the block's ``j``-th layer keeps its ``(n, neurons)``
+    values from ``n * cols[j]`` on. The layers of any span are then one
+    contiguous range, which one numpy call steps without the buffers numpy
+    allocates to iterate a strided 2-D view. ``first`` and ``stop`` delimit
+    the layers' positions among the spiking layers.
+    """
+
+    first: int
+    stop: int
+    cols: list[int]
+    step: Callable
+    model: NeuronModelSpec
+    state: NeuronState
+    drive: np.ndarray
+
+    def span(self, n: int, k: int, stop: int | None = None) -> slice:
+        """Where ``n`` rows of the layers at positions ``k`` to ``stop`` lie
+        (of the layer at ``k`` alone by default)."""
+        stop = k + 1 if stop is None else stop
+        return slice(n * self.cols[k - self.first], n * self.cols[stop - self.first])
+
+    def compact(self, n: int, keep: np.ndarray) -> None:
+        """Move rows ``keep`` (ascending) of ``n`` into the layout of ``len(keep)`` rows.
+
+        Layer by layer in order, each layer's kept rows move down to their
+        new place, which overlaps no later layer's rows; at most one
+        layer's rows of one array are copied at a time.
+        """
+        m = len(keep)
+        for a in (self.state.i, self.state.v, self.state.has_spiked, self.state.v_peak):
+            for lo, hi in zip(self.cols, self.cols[1:]):
+                kept = a[n * lo : n * hi].reshape(n, hi - lo).take(keep, axis=0)
+                a[m * lo : m * hi] = kept.reshape(-1)
+
+
+def _blocks(spiking: list[_LayerRT], samples: int) -> list[_Block]:
+    """Consecutive spiking layers that share a neuron model, as blocks."""
+    blocks = []
+    for model, members in groupby(enumerate(spiking), key=lambda m: m[1].spec.neuron_model):
+        members = list(members)
+        cols = [0, *accumulate(r.neurons for _, r in members)]
+        blocks.append(
+            _Block(
+                first=members[0][0],
+                stop=members[-1][0] + 1,
+                cols=cols,
+                step=members[0][1].step,
+                model=model,
+                state=state_zeros(samples * cols[-1]),
+                drive=np.empty(samples * cols[-1]),
+            )
+        )
+    return blocks
 
 
 def _static_stage(
@@ -409,8 +525,10 @@ def _group_size(rt: list[_LayerRT], t_max: int) -> int:
     over :data:`_WEIGHT_BUDGET_SHARE` (16): the weights stay resident for
     the whole run, so a group of that size raises the memory peak by a few
     percent at most. The history term is exact, since a group allocates its
-    histories at the step budget (one step without spiking layers); rasters,
-    which only :func:`run_inference` records, are not counted. The
+    histories at the step budget (one step without spiking layers), except
+    that a pool of uneven fan-out before the first spiking layer is counted
+    as if it stepped; rasters, which only :func:`run_inference` records,
+    are not counted. The
     reference workloads get 6 samples a group on ``dense_poisson_roc``
     (784-512-512-256-256-10), 15 on ``mixed_analog_recurrent`` and 1 on
     ``conv_poisson_rate``: a wide convolutional network has small weights
@@ -418,9 +536,12 @@ def _group_size(rt: list[_LayerRT], t_max: int) -> int:
     would double its memory peak.
     """
     neurons = sum(r.neurons for r in rt if r.spiking)
-    # each step keeps the input's and every layer's spike count, and the
-    # output layer's voltages and spikes
-    history = (t_max if neurons else 1) * (8 * (len(rt) + 1) + 9 * rt[-1].neurons)
+    # each step keeps the input's and every layer's spike count, the events
+    # reaching each layer of uneven fan-out (but a rectifier, which never
+    # steps), and the output layer's voltages and spikes
+    uneven = sum(r.fanout is not None for r in rt if r.spiking or not r.weighted)
+    counters = len(rt) + 1 + uneven
+    history = (t_max if neurons else 1) * (8 * counters + 9 * rt[-1].neurons)
     weight_bytes = sum(
         w.nbytes for r in rt for w in (r.weights, r.rec_weights) if w is not None
     )
@@ -485,23 +606,119 @@ def _run_group(
     raised for the first sample that causes it.
     """
     mode = samples[0].mode
-    B = len(samples)
-    L = len(rt)
     static_ids, start = static_split(net, mode)
+    run = _step_group(
+        net, rt, samples, static_ids, start,
+        T_max=T_max, coding=coding, record_raster=record_raster,
+    )
     analog_base = np.array(_emac.static_macs(net, mode), dtype=np.int64)
     rec_fanin = np.array([r.recurrent_fanin for r in rt], dtype=np.int64)
     even_fanout = np.array([r.even_fanout for r in rt], dtype=np.int64)
+    for k in range(len(samples)):
+        if k in run.failed:
+            yield run.failed[k]
+            continue
+        T = run.T_used[k]
+        counts = run.counts[:T, k].T  # (layers + 1, steps)
+        out_spikes = run.spikes[:T, k].T.copy()
+        out_volt = run.volts[:T, k].T.copy()
+        if start is not None and coding is Coding.ROC:
+            decision = decode_roc(out_spikes, out_volt)
+        else:
+            decision = decode_max_membrane(out_volt)
+        # an input of a layer whose inputs all reach the same number of
+        # neurons books that many events per spike
+        ff_events = even_fanout * counts[:-1].sum(axis=1)
+        ff_events[run.uneven] += run.events[:T, k].sum(axis=0)
+        trace = SpikeTrace(
+            counts=counts[1:].copy(),
+            input_counts=counts[0].copy() if mode is EncodingMode.POISSON else None,
+            feedforward_events=ff_events,
+            # each spike books its layer's recurrent fan-out
+            recurrent_events=rec_fanin * counts[1:].sum(axis=1),
+            analog_events=analog_base * (T if encoder_per_step else 1),
+            T_used=T,
+            layer_neurons=tuple(r.neurons for r in rt),
+            n_inputs=prod(net.input_shape),
+        )
+        yield InferenceResult(
+            decision=decision,
+            trace=trace,
+            energy=_emac.emac_exact(net, trace),
+            energy_analytic=_emac.emac_analytic(
+                net,
+                _emac.rates_from_trace(trace),
+                T,
+                input_mode=mode,
+                encoder_per_step=encoder_per_step,
+            ),
+            output_spikes=out_spikes,
+            output_voltages=out_volt,
+            rasters=[h[:T, k].T.copy() for h in run.rasters] if record_raster else None,
+        )
 
-    # one plan per layer, which every row of the group calls in turn, and
-    # the buffers the rows' drives are written into: a spiking layer's
-    # (samples, neurons) drive is a prefix of one, its recurrent term of the
-    # other
+
+@dataclass
+class _Histories:
+    """What stepping one group leaves: a row per sample, at the step budget.
+
+    Sample ``k``'s steps are ``[:T_used[k], k]``, unless it is in ``failed``.
+    ``counts[..., 0]`` are the input's spikes and ``counts[..., l + 1]``
+    layer ``l``'s; ``spikes`` and ``volts`` are the output layer's.
+    ``events[..., j]`` counts the events that reach layer ``uneven[j]``, one
+    whose inputs reach differing numbers of neurons.
+    """
+
+    T_used: list[int]
+    failed: dict[int, NonFiniteState]
+    counts: np.ndarray
+    spikes: np.ndarray
+    volts: np.ndarray
+    rasters: list[np.ndarray]
+    events: np.ndarray
+    uneven: list[int]
+
+
+def _step_group(
+    net: NetworkSpec,
+    rt: list[_LayerRT],
+    samples: Sequence[EncodedInput],
+    static_ids: list[int],
+    start: int | None,
+    *,
+    T_max: int,
+    coding: Coding,
+    record_raster: bool,
+) -> _Histories:
+    """Run the static stage and the time steps of one group (see :func:`_run_group`)."""
+    mode = samples[0].mode
+    B = len(samples)
+    L = len(rt)
+
+    # The stepped layers: the spiking ones, in order, and the stateless layers
+    # each feeds; tails[0] are those the encoder feeds, tails[k + 1] those
+    # after spiking layer k. Spiking layer k reads its input from tails[k].
+    stepped = rt[start:] if start is not None else []
+    spiking = [r for r in stepped if r.spiking]
+    K = len(spiking)
+    tails: list[list[_LayerRT]] = [[]]
+    for r in stepped:
+        if r.spiking:
+            tails.append([])
+        else:
+            tails[-1].append(r)
+    # one plan per layer, which every row of the group calls in turn, and by
+    # position among the spiking layers, the drive of every row
     plans = [_step_plan(r) for r in rt]
-    recurrent = {
-        r.index: _event_drive(r.rec_weights) for r in rt if r.rec_weights is not None
+    ff_drives = [
+        _each_row(plans[r.index], None if r.spec.kind is LayerKind.CONV2D else r.weights)
+        for r in spiking
+    ]
+    rec_drives = {
+        k: _each_row(_event_drive(r.rec_weights), r.rec_weights)
+        for k, r in enumerate(spiking)
+        if r.rec_weights is not None
     }
-    drive_buf = np.empty(B * max((r.neurons for r in rt if r.spiking), default=0))
-    rec_buf = np.empty(B * max((rt[idx].neurons for idx in recurrent), default=0))
     # Histories, allocated at the step budget: sample k's steps are
     # [:T_used[k], k]. A static-only network runs one step, whose output
     # voltages are its head activation.
@@ -510,15 +727,16 @@ def _run_group(
     spike_hist = np.zeros((steps, B, rt[-1].neurons), dtype=bool)
     volt_hist = np.zeros((steps, B, rt[-1].neurons))
     raster_hist = [np.zeros((steps, B, r.neurons), bool) for r in rt if record_raster]
-    ff_events = np.zeros((L, B), dtype=np.int64)  # layers of uneven fan-out
+    # the events that reach layers of uneven fan-out, one column each
+    uneven = [r.index for r in stepped if r.fanout is not None]
+    ff_hist = np.zeros((steps, B, len(uneven)), dtype=np.int64)
+    ff_col = {index: j for j, index in enumerate(uneven)}
     T_used = [1] * B
     failed: dict[int, NonFiniteState] = {}
     live: list[int] = []  # group rows still stepping, in order
     firsts: list[np.ndarray] = []  # per live row: the static result, or drive0
     # Overflow is expected where a sample leaves the finite range, and the
-    # checks below report it per sample, so numpy stays quiet. The block ends
-    # before the first yield: a generator suspended inside it would carry
-    # numpy's error state out to its caller.
+    # checks below report it per sample, so numpy stays quiet.
     with np.errstate(over="ignore", invalid="ignore"):
         for k, encoded in enumerate(samples):
             if tuple(encoded.values.shape) != net.input_shape:
@@ -543,142 +761,181 @@ def _run_group(
         # ``rows`` picks their group rows: a plain slice while none has left,
         # since a fancy index costs several times more per write. Each
         # sample's drive is its own call, so its sums add up in the same order
-        # whatever the group size; the neuron step, the counters and the checks
-        # serve all rows at once.
+        # whatever the group size; the neuron steps, the counters and the
+        # checks serve all rows at once.
         n = len(live)
         rows = slice(None) if n == B else np.array(live, dtype=np.intp)
         poisson = mode is EncodingMode.POISSON
         drive0 = None if poisson else np.array(firsts)
         del firsts
-        states = {r.index: state_zeros((n, r.neurons)) for r in rt if r.spiking}
-        prev_own = {idx: np.zeros((n, rt[idx].neurons), dtype=bool) for idx in recurrent}
+        blocks = _blocks(spiking, n)
+        block_of = [b for b in blocks for _ in range(b.first, b.stop)]
+        rec_buf = np.empty(n * max((spiking[k].neurons for k in rec_drives), default=0))
+        no_counts = np.zeros(n, dtype=np.int64)
 
-        for t in range(1, T_max + 1):
+        def views() -> tuple[list[np.ndarray], dict[int, np.ndarray], np.ndarray]:
+            # the live rows' drives and recurrent terms, and output voltages
+            return (
+                [
+                    b.drive[b.span(n, k)].reshape(n, spiking[k].neurons)
+                    for k, b in enumerate(block_of)
+                ],
+                {
+                    k: rec_buf[: n * spiking[k].neurons].reshape(n, spiking[k].neurons)
+                    for k in rec_drives
+                },
+                block_of[-1].state.v_peak[block_of[-1].span(n, K - 1)].reshape(
+                    n, rt[-1].neurons
+                ) if K else None,
+            )
+
+        drives, recs, out_volt = views()
+        spans: dict[tuple[int, int, int], tuple] = {}  # per active span of a block
+        # feed[k]: spiking layer k's input for its next step; own[k]: a
+        # recurrent layer's spikes of its latest step
+        feed: list[np.ndarray | None] = [None] * K
+        own = {k: np.zeros((n, spiking[k].neurons), dtype=bool) for k in rec_drives}
+        # a group row's lowest non-finite (step, layer) so far
+        pending: dict[int, tuple[int, int]] = {}
+
+        def emit(j: int, x: np.ndarray, count, s: int) -> np.ndarray:
+            """Run the stateless layers ``tails[j]`` on a step-``s`` output."""
+            for r in tails[j]:
+                if r.spec.kind is LayerKind.MAX_POOL2D:
+                    if r.fanout is not None:
+                        ff_hist[s - 1, rows, ff_col[r.index]] = _synaptic_events(r, x)
+                    x = _max_pool(x, r.pool_taps)
+                    count = _spike_counts(x)
+                else:  # flatten: reshape and re-emit
+                    x = x.reshape(n, -1)
+                count_hist[s - 1, rows, r.index + 1] = count
+                if record_raster:
+                    raster_hist[r.index][s - 1, rows] = x.reshape(n, -1)
+            return x
+
+        # Tick tau advances spiking layer k by step tau - k: every drive reads
+        # outputs of the previous tick (the first layer's, the encoder's of
+        # this one), so each block steps all its active layers at once.
+        for tau in range(1, T_max + K):
             if not live:
                 break
-            counts = np.zeros((L + 1, n), dtype=np.int64)  # row 0: the input
-            if poisson:
-                cur = _stacked([poisson_slice(samples[k], t) for k in live])
-                counts[0] = _spike_counts(cur)
-            else:
-                cur = None
-            bad: dict[int, NonFiniteState] = {}  # by live position
-            for r in rt[start:]:
-                idx = r.index
-                if r.weighted:
-                    # rows are taken by index: running a numpy array's iterator to
-                    # its end raises and discards an IndexError, about a
-                    # microsecond a group of one would pay at every layer and step
-                    buf = drive_buf[: n * r.neurons].reshape(n, r.neurons)
-                    if cur is None:  # the analog-fed first spiking layer
-                        drive = drive0
-                    else:
-                        if r.fanout is not None:
-                            ff_events[idx, rows] += _synaptic_events(r, cur)
-                        for p in range(n):
-                            plans[idx](cur[p], out=buf[p])
-                        drive = buf
-                    if idx in recurrent:
-                        rec = rec_buf[: n * r.neurons].reshape(n, r.neurons)
-                        for p in range(n):
-                            recurrent[idx](prev_own[idx][p], out=rec[p])
-                        drive = np.add(drive, rec, out=buf)
-                    state = states[idx]
-                    spikes = r.step(state, drive, r.spec.neuron_model)
-                    # a non-finite current makes the half-step voltage non-finite,
-                    # and the reset only subtracts a finite threshold
-                    if not np.isfinite(state.v_peak).all():
-                        bad_rows = ~np.isfinite(state.v_peak).all(axis=1)
-                        for p in np.flatnonzero(bad_rows).tolist():
-                            bad.setdefault(p, NonFiniteState(
-                                f"layer {idx} left the finite range at step {t}; "
-                                "check the weights and the integration step"
-                            ))
-                    if idx in recurrent:
-                        prev_own[idx] = spikes
-                    out = spikes.reshape(n, *r.spec.output_shape)
-                elif r.spec.kind is LayerKind.MAX_POOL2D:
+            lo, hi = max(0, tau - T_max), min(K, tau)  # the active positions
+            # this tick's spikes; the last tick's live on in feed and own only
+            out: list[np.ndarray | None] = [None] * K
+            spikes = None
+            if poisson and tau <= T_max:
+                x = _stacked([poisson_slice(samples[k], tau) for k in live])
+                count = _spike_counts(x)
+                count_hist[tau - 1, rows, 0] = count
+                feed[0] = emit(0, x, count, tau)
+            for k in range(lo, hi):
+                r, s, drive = spiking[k], tau - k, drives[k]
+                if k == 0 and drive0 is not None:  # the analog-fed first layer
+                    base = drive0[:n]
+                else:
+                    x = feed[k]
                     if r.fanout is not None:
-                        ff_events[idx, rows] += _synaptic_events(r, cur)
-                    out = _max_pool(cur, r.pool_taps)
-                else:  # flatten: reshape and re-emit
-                    out = cur.reshape(n, -1)
-                counts[idx + 1] = _spike_counts(out)
+                        ff_hist[s - 1, rows, ff_col[r.index]] = _synaptic_events(r, x)
+                    ff_drives[k](x, drive, count_hist[s - 1, rows, r.index])
+                    base = drive
+                if k in rec_drives:
+                    rec_drives[k](
+                        own[k], recs[k],
+                        count_hist[s - 2, rows, r.index + 1] if s > 1 else no_counts,
+                    )
+                    np.add(base, recs[k], out=drive)
+                elif base is not drive:
+                    np.copyto(drive, base)
+            for j, b in enumerate(blocks):
+                first, stop = max(lo, b.first), min(hi, b.stop)
+                if first >= stop:
+                    continue
+                view = spans.get((j, first, stop))
+                if view is None:
+                    span = b.span(n, first, stop)
+                    st = b.state
+                    view = spans[j, first, stop] = (
+                        NeuronState(
+                            i=st.i[span], v=st.v[span],
+                            has_spiked=st.has_spiked[span], v_peak=st.v_peak[span],
+                        ),
+                        b.drive[span],
+                        [  # each layer's part of the span
+                            slice(b.span(n, k).start - span.start, b.span(n, k).stop - span.start)
+                            for k in range(first, stop)
+                        ],
+                    )
+                state, drive, parts = view
+                spikes = b.step(state, drive, b.model)
+                # a non-finite current makes the half-step voltage non-finite,
+                # and the reset only subtracts a finite threshold
+                if not np.isfinite(state.v_peak).all():
+                    for k, part in enumerate(parts, first):
+                        v_peak = state.v_peak[part].reshape(n, -1)
+                        bad_rows = ~np.isfinite(v_peak).all(axis=1)
+                        for p in np.flatnonzero(bad_rows).tolist():
+                            found = (tau - k, spiking[k].index)
+                            pending[live[p]] = min(pending.get(live[p], found), found)
+                for k, part in enumerate(parts, first):
+                    out[k] = spikes[part].reshape(n, -1)
+            for k in range(lo, hi):
+                r, s, x = spiking[k], tau - k, out[k]
+                count = _spike_counts(x)
+                count_hist[s - 1, rows, r.index + 1] = count
                 if record_raster:
-                    raster_hist[idx][t - 1, rows] = out.reshape(n, -1)
-                cur = out
-            count_hist[t - 1, rows] = counts.T
-            spike_hist[t - 1, rows] = cur.reshape(n, -1)
-            volt_hist[t - 1, rows] = states[L - 1].v_peak
+                    raster_hist[r.index][s - 1, rows] = x
+                if k in own:
+                    own[k] = x
+                if k + 1 < K:
+                    feed[k + 1] = emit(k + 1, x.reshape(n, *r.spec.output_shape), count, s)
+            t = tau - K + 1  # the output layer's step
+            if t < 1:
+                continue
+            spike_hist[t - 1, rows] = out[-1]
+            volt_hist[t - 1, rows] = out_volt
 
-            leaving = set(bad)
+            # A sample fails at its lowest non-finite (step, layer), known once
+            # the output layer has taken that step, unless it decided earlier.
+            leaving = {
+                p for p, k in enumerate(live) if k in pending and pending[k][0] <= t
+            } if pending else set()
             if t == T_max:
                 leaving.update(range(n))
-            elif coding is Coding.ROC:
-                leaving.update(np.flatnonzero(counts[L]).tolist())
+            elif coding is Coding.ROC:  # the rows whose output layer spiked
+                leaving.update(p for p, c in enumerate(count_hist[t - 1, rows, L].tolist()) if c)
             if not leaving:
                 continue
             for p in leaving:
-                if p in bad:
-                    failed[live[p]] = bad[p]
+                k = live[p]
+                if k in pending and pending[k][0] <= t:
+                    step, index = pending[k]
+                    failed[k] = NonFiniteState(
+                        f"layer {index} left the finite range at step {step}; "
+                        "check the weights and the integration step"
+                    )
                 else:
-                    T_used[live[p]] = t
-            keep = [p for p in range(n) if p not in leaving]
-            n = len(keep)
-            live = [live[p] for p in keep]
-            rows = np.array(live, dtype=np.intp)
+                    T_used[k] = t
+                pending.pop(k, None)
+            # the rows that stay move to the front, in place
+            keep = np.array([p for p in range(n) if p not in leaving], dtype=np.intp)
+            if not keep.size:
+                break
+            for b in blocks:
+                b.compact(n, keep)
             if drive0 is not None:
-                drive0 = drive0[keep]
-            for index, st in states.items():
-                states[index] = NeuronState(
-                    i=st.i[keep], v=st.v[keep], has_spiked=st.has_spiked[keep],
-                    v_peak=st.v_peak[keep],
-                )
-            for index in prev_own:
-                prev_own[index] = prev_own[index][keep]
+                drive0[: len(keep)] = drive0[keep]
+            n = len(keep)
+            live = [live[p] for p in keep.tolist()]
+            rows = np.array(live, dtype=np.intp)
+            feed = [None if x is None else x[keep] for x in feed]
+            own = {k: x[keep] for k, x in own.items()}
+            no_counts = no_counts[:n]
+            drives, recs, out_volt = views()
+            spans.clear()
 
-    # a generator keeps its locals until it ends: drop the step state
-    del states, prev_own, plans, recurrent, drive0, drive_buf, rec_buf
-    for k in range(B):
-        if k in failed:
-            yield failed[k]
-            continue
-        T = T_used[k]
-        counts = count_hist[:T, k].T  # (layers + 1, steps)
-        out_spikes = spike_hist[:T, k].T.copy()
-        out_volt = volt_hist[:T, k].T.copy()
-        if start is not None and coding is Coding.ROC:
-            decision = decode_roc(out_spikes, out_volt)
-        else:
-            decision = decode_max_membrane(out_volt)
-        trace = SpikeTrace(
-            counts=counts[1:].copy(),
-            input_counts=counts[0].copy() if poisson else None,
-            # an input of a layer whose inputs all reach the same number of
-            # neurons books that many events per spike
-            feedforward_events=ff_events[:, k] + even_fanout * counts[:-1].sum(axis=1),
-            # each spike books its layer's recurrent fan-out
-            recurrent_events=rec_fanin * counts[1:].sum(axis=1),
-            analog_events=analog_base * (T if encoder_per_step else 1),
-            T_used=T,
-            layer_neurons=tuple(r.neurons for r in rt),
-            n_inputs=prod(net.input_shape),
-        )
-        yield InferenceResult(
-            decision=decision,
-            trace=trace,
-            energy=_emac.emac_exact(net, trace),
-            energy_analytic=_emac.emac_analytic(
-                net,
-                _emac.rates_from_trace(trace),
-                T,
-                input_mode=mode,
-                encoder_per_step=encoder_per_step,
-            ),
-            output_spikes=out_spikes,
-            output_voltages=out_volt,
-            rasters=[h[:T, k].T.copy() for h in raster_hist] if record_raster else None,
-        )
+    return _Histories(
+        T_used, failed, count_hist, spike_hist, volt_hist, raster_hist, ff_hist, uneven
+    )
 
 
 # ---------------------------------------------------------------------------

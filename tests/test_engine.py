@@ -28,8 +28,10 @@ from emacprof import (
 )
 from emacprof import engine
 from emacprof.engine import (
+    SampleOutcome,
     _EVENT_MIN_WEIGHTS,
     _compile,
+    _each_row,
     _event_drive,
     _group_size,
     _run_group,
@@ -37,6 +39,7 @@ from emacprof.engine import (
     _synaptic_events,
 )
 from emacprof.netspec import fanout_map, lcl_mask, recurrent_weight_tensor, weight_tensor
+from reference_sim import simulate
 
 IFL = NeuronModelSpec(kind=NeuronKind.IFL)
 ANN = NeuronModelSpec(kind=NeuronKind.ANN_RELU)
@@ -804,6 +807,20 @@ def test_a_drive_written_in_place_equals_a_new_one(kind, count):
         assert not np.signbit(buf[1]).any()
 
 
+@pytest.mark.parametrize("kind", ["dense", "small dense", "locally_connected", "recurrent"])
+def test_a_group_drive_equals_each_row_alone(kind):
+    # a group writes each row's drive: an event-driven matrix skips a row
+    # without spikes, and a small one casts the spikes of every row at once
+    rng = np.random.default_rng(17)
+    w, plan = drive_case(kind, rng, dyadic=False)
+    x = rng.random((4, w.shape[1])) < 0.05
+    x[1] = False
+    out = np.full((4, w.shape[0]), -0.0)
+    _each_row(plan, w)(x, out, x.sum(axis=1))
+    for p in range(4):
+        assert out[p].tobytes() == plan(x[p]).tobytes()  # +0.0 for the silent row
+
+
 def test_dense_like_weights_are_one_input_major_copy():
     rng = np.random.default_rng(14)
     w = rng.normal(size=(5, 7)).astype(np.float32)
@@ -1101,6 +1118,101 @@ def test_samples_that_decide_early_leave_the_group():
     assert len({r.trace.T_used for r in alone}) >= 4
     for got, want in zip(grouped, alone):
         assert_same_result(got, want)
+
+
+@pytest.mark.parametrize("coding", [Coding.RATE, Coding.ROC])
+def test_a_sample_fails_at_its_lowest_non_finite_step(monkeypatch, coding):
+    # IFL under a constant drive e per step: v after t steps is e * t * (t + 1) / 2,
+    # past the float range at step 5 for e = 1.5e307 and at step 4 for e = 2e307.
+    # Layer 0 gets 1.5e307 from its analog input, layer 2 gets 2e307 from its
+    # bias: layer 2 fails first, though layer 0 reaches its step 5 earlier in
+    # a schedule that runs each layer a step ahead of the next. The output
+    # spikes first at step 3, where rank-order coding stops before any overflow.
+    net = (
+        NetworkBuilder((1,), coding=coding, max_timesteps=8)
+        .dense(1, ifl(1.0), weights=np.ones((1, 1)))
+        .dense(1, ifl(1.0), weights=np.full((1, 1), 0.5))
+        .dense(1, ifl(1.0, bias=2e307), weights=np.full((1, 1), 0.5))
+        .dense(1, ifl(6.0), weights=np.ones((1, 1)))
+        .build()
+    )
+    bad = encode(np.array([1.5e307]))
+    # in a group too, with a sample whose layer 0 stays finite
+    samples = [encode(np.array([0.5])), bad]
+    force_group_size(monkeypatch, net, 8, 2)
+    stats = run_dataset(net, samples)
+    if coding is Coding.RATE:
+        message = ("layer 2 left the finite range at step 4; check the weights and "
+                   "the integration step")
+        assert stats.failures == [(0, message), (1, message)]
+        with pytest.raises(NonFiniteState, match="^layer 2 .* at step 4;"):
+            run_inference(net, bad)
+    else:
+        res = run_inference(net, bad)
+        assert (res.decision.class_index, res.decision.latency_T) == (0, 3)
+        assert stats.outcomes == [SampleOutcome(3, res.decision)] * 2
+
+
+def rank_order_run_matches_the_reference(net, samples, budget):
+    """Run ``samples`` as one group, each alone and through the reference
+    simulator; return each one's step count, which all three must agree on."""
+    grouped = list(
+        _run_group(net, _compile(net), samples, T_max=budget, coding=Coding.ROC,
+                   record_raster=True, encoder_per_step=False)
+    )
+    steps = []
+    for sample, got in zip(samples, grouped):
+        assert_same_result(got, run_inference(net, sample, record_raster=True))
+        want = simulate(net, sample)
+        assert got.decision == want.decision
+        assert got.trace.T_used == want.T_used
+        for field in ("counts", "input_counts", "feedforward_events", "recurrent_events"):
+            assert np.array_equal(getattr(got.trace, field), getattr(want, field)), field
+        assert np.array_equal(got.output_voltages, want.output_voltages)
+        steps.append(want.T_used)
+    return steps
+
+
+def test_rank_order_counts_no_events_past_the_decision():
+    # The layers before the output run up to two steps past the step its
+    # first spike decides. Padded convolutions, whose border inputs reach
+    # fewer neurons, and a pool whose last row is cut off count their events
+    # step by step: the steps past the decision must not add to them.
+    rng = np.random.default_rng(41)
+    model = ifl(0.5)
+    net = (
+        NetworkBuilder((1, 7, 7), coding=Coding.ROC, max_timesteps=20)
+        .conv2d(2, (3, 3), model, padding=1, weights=rng.integers(0, 4, 18) / 8)
+        .max_pool((2, 2))
+        .conv2d(2, (3, 3), model, padding=1, weights=rng.integers(0, 4, 36) / 8)
+        .flatten()
+        .dense(3, ifl(1.5), weights=rng.integers(0, 3, (3, 18)) / 8)
+        .build()
+    )
+    assert sum(r.fanout is not None for r in _compile(net)) == 3
+    samples = [
+        encode(rng.integers(0, 9, (1, 7, 7)) / 8 * scale, "poisson", seed=k)
+        for k, scale in enumerate([1.0, 0.5, 0.3, 0.8])
+    ]
+    steps = rank_order_run_matches_the_reference(net, samples, 20)
+    assert max(steps) < 20
+
+
+def test_a_group_whose_samples_decide_at_different_steps():
+    # four spiking layers of one model step as one block; as samples decide,
+    # the rows that stay move up and the block steps fewer rows
+    rng = np.random.default_rng(42)
+    model = ifl(0.75, spike_once=True)
+    builder = NetworkBuilder((10,), coding=Coding.ROC, max_timesteps=40)
+    for n_in, units in ((10, 8), (8, 8), (8, 6), (6, 4)):
+        builder.dense(units, model, weights=rng.integers(-1, 4, (units, n_in)) / 8)
+    net = builder.build()
+    samples = [
+        encode(rng.uniform(0.0, 1.0, 10) * scale, "poisson", seed=k)
+        for k, scale in enumerate([1.0, 0.2, 0.6, 0.1, 0.4, 0.8])
+    ]
+    steps = rank_order_run_matches_the_reference(net, samples, 40)
+    assert len(set(steps)) >= 4
 
 
 def test_a_network_without_spiking_layers_runs_one_step(monkeypatch):

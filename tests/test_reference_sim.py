@@ -95,14 +95,21 @@ def cases(draw):
     # analog inputs may pass a rectifier prefix first; it may be the whole net
     static = draw(st.integers(0, 2)) if mode is EncodingMode.ANALOG else 0
     spiking = draw(st.integers(0 if static else 1, 3))
+    # about half the networks share one spiking model: adjacent spiking
+    # layers of one model step together, and start and stop one at a time
+    shared = spiking_model(draw) if draw(st.booleans()) else None
+
+    def next_model():
+        return spiking_model(draw) if shared is None else shared
+
     while static or spiking:
         is_static = static > 0
-        model = rectifier(draw) if is_static else spiking_model(draw)
+        model = rectifier(draw) if is_static else next_model()
         if add_layer(draw, rng, b, model, allow_recurrent=not is_static):
             static, spiking = (static - 1, spiking) if is_static else (static, spiking - 1)
     if len(b._shape) == 3 and draw(st.booleans()):  # end on a dense head
         units = draw(st.integers(1, 4))
-        b.flatten().dense(units, spiking_model(draw),
+        b.flatten().dense(units, next_model(),
                           weights=dyadic(rng, (units, b._shape[0])))
     net = b.build()
     if mode is EncodingMode.POISSON:
@@ -141,3 +148,37 @@ def test_the_engine_matches_the_reference_simulator(case):
     assert stats.outcomes == [SampleOutcome(r.T_used, r.decision) for r in want]
     assert stats.emac_exact.mean == np.mean([r.energy.E_tot for r in want])
     assert stats.emac_analytic.mean == np.mean([r.energy_analytic.E_tot for r in want])
+
+
+def test_event_driven_layers_match_the_reference_simulator():
+    # A matrix of more than 16384 weights sums the weight rows of the inputs
+    # that spiked, and skips a sample's drive in a step whose input was silent;
+    # so does a recurrent term, at its first step and after a silent step.
+    rng = np.random.default_rng(3)
+    model = NeuronModelSpec(kind=NeuronKind.IFL, v_th=0.5)
+    n = 130  # 130 * 130 weights take the event path
+    net = (
+        NetworkBuilder((n,), coding=Coding.RATE, max_timesteps=10)
+        .dense(n, model, weights=dyadic(rng, (n, n), -1, 3))
+        .recurrent_dense(n, model, weights=dyadic(rng, (n, n), -1, 1),
+                         recurrent_weights=dyadic(rng, (n, n), -1, 2))
+        .dense(3, model, weights=dyadic(rng, (3, n)))
+        .build()
+    )
+    samples = [encode(np.full(n, rate), "poisson", seed=k)
+               for k, rate in enumerate([0.004, 0.01, 0.03])]
+    want = [simulate(net, sample) for sample in samples]
+    silent = [0, 0]  # steps without input spikes, and without layer 0 spikes
+    for sample, ref in zip(samples, want):
+        got = run_inference(net, sample)
+        assert got.decision == ref.decision
+        for field in ("counts", "input_counts", "feedforward_events", "recurrent_events"):
+            assert np.array_equal(getattr(got.trace, field), getattr(ref, field)), field
+        assert np.array_equal(got.output_voltages, ref.output_voltages)
+        silent[0] += int((ref.input_counts == 0).sum())
+        silent[1] += int((ref.counts[1] == 0).sum())
+    assert min(silent) > 0
+    assert want[1].counts[1].min() == 0 < want[1].counts[1].max()  # the recurrent layer
+    stats = run_dataset(net, samples)
+    assert stats.outcomes == [SampleOutcome(r.T_used, r.decision) for r in want]
+    assert stats.emac_exact.mean == np.mean([r.energy.E_tot for r in want])
