@@ -95,17 +95,20 @@ another order, and a last-bit change at ``v == v_th`` flips a spike; kept
 per sample, every result is bit-identical whatever the group size. Under
 rank-order coding a sample that has decided leaves the group with its
 counters frozen, and a sample whose state leaves the finite range fails
-alone; the rows that stay move forward in place. A group's histories
-(spike counts, the events reaching layers of uneven fan-out, output spikes
-and voltages, rasters when recorded) are allocated once at the step
-budget, a row per sample; each tick writes its live rows, and one loop at
-the end decodes, traces and prices every sample. A group holds as many
-samples as a budget of step state and history allows: the larger of
-``_GROUP_STATE_BYTES`` (256 KiB) and the compiled float64 weights over
-``_WEIGHT_BUDGET_SHARE`` (16), since the resident weights dominate the
-memory peak. A 784-512-512-256-256-10 stack gets 6 samples a group. Wide
-convolutional networks get one: batching would make their steps faster,
-but their state, next to small weights, would double the memory peak.
+alone. Every sample keeps its row for the whole run: a sample that leaves
+only stops getting drives, decisions and finiteness checks, and nothing
+reads its row again, whatever the steps after it write there. A group's
+histories (spike counts, the events reaching layers of uneven fan-out,
+output spikes and voltages, rasters when recorded) are allocated once at
+the step budget, a row per sample; each tick writes every row, and one
+loop at the end decodes, traces and prices each sample from its own steps.
+A group holds as many samples as a budget of step state and history
+allows: the larger of ``_GROUP_STATE_BYTES`` (256 KiB) and the compiled
+float64 weights over ``_WEIGHT_BUDGET_SHARE`` (16), since the resident
+weights dominate the memory peak. A 784-512-512-256-256-10 stack gets 6
+samples a group. Wide convolutional networks get one: batching would make
+their steps faster, but their state, next to small weights, would double
+the memory peak.
 
 Over a dataset, :func:`run_dataset` keeps each sample's outcome (step
 count and decision) and a column of per-layer energies and spike totals,
@@ -378,24 +381,26 @@ def _event_drive(weights: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
 
 
 def _each_row(plan: Callable, weights: np.ndarray | None = None) -> Callable:
-    """``plan`` applied to every row of a group, as ``drives(x, out, counts)``.
+    """``plan`` applied to rows of a group, as ``drives(x, out, counts, live)``.
 
-    Each row's drive by ``x`` is written into its row of ``out``, one call per
-    row. ``weights`` is a dense-like plan's matrix. Where it sums weight rows
-    for spikes (see :func:`_event_drive`), a row whose input has no spikes
+    Each row in ``live`` gets its drive by ``x`` written into its row of
+    ``out``, one call per row; other rows of ``out`` keep what they hold.
+    ``weights`` is a dense-like plan's matrix. Where it sums weight rows for
+    spikes (see :func:`_event_drive`), a row whose input has no spikes
     (``counts``) is not summed: its drive is the +0.0 an empty sum gives.
     Where it takes the full product, a boolean input is cast once for all
     rows, to the float64 operand the product casts each row to. Anything else
     (a convolution's plan) gets ``x`` as it is.
     """
 
-    def each(x: np.ndarray, out: np.ndarray, counts: np.ndarray) -> None:
-        for p in range(len(out)):
+    def each(x: np.ndarray, out: np.ndarray, counts: np.ndarray, live: list[int]) -> None:
+        for p in live:
             plan(x[p], out=out[p])
 
-    def events(x: np.ndarray, out: np.ndarray, counts: np.ndarray) -> None:
-        for p, count in enumerate(counts.tolist()):
-            if count:
+    def events(x: np.ndarray, out: np.ndarray, counts: np.ndarray, live: list[int]) -> None:
+        counts = counts.tolist()
+        for p in live:
+            if counts[p]:
                 plan(x[p], out=out[p])
             else:
                 out[p] = 0.0
@@ -404,7 +409,7 @@ def _each_row(plan: Callable, weights: np.ndarray | None = None) -> Callable:
         return each
     if weights.size > _EVENT_MIN_WEIGHTS:
         return events
-    return lambda x, out, counts: each(x.astype(np.float64), out, counts)
+    return lambda x, out, counts, live: each(x.astype(np.float64), out, counts, live)
 
 
 def _synaptic_events(rt: _LayerRT, spikes: np.ndarray) -> np.ndarray:
@@ -422,49 +427,33 @@ def _spike_counts(x: np.ndarray) -> np.ndarray | int:
     return np.add.reduce(x.reshape(len(x), -1), axis=1)
 
 
-def _stacked(rows: list[np.ndarray]) -> np.ndarray:
-    """Equally shaped per-sample arrays as one ``(samples, ...)`` array."""
-    return rows[0][np.newaxis] if len(rows) == 1 else np.array(rows)
-
-
 @dataclass
 class _Block:
     """Consecutive spiking layers of one neuron model, stepped by one call.
 
-    The state arrays and the drive buffer are flat and layer-major: with
-    ``n`` live rows, the block's ``j``-th layer keeps its ``(n, neurons)``
-    values from ``n * cols[j]`` on. The layers of any span are then one
-    contiguous range, which one numpy call steps without the buffers numpy
-    allocates to iterate a strided 2-D view. ``first`` and ``stop`` delimit
-    the layers' positions among the spiking layers.
+    The state arrays and the drive buffer are flat and layer-major: the
+    block's ``j``-th layer keeps its ``(rows, neurons)`` values from
+    ``rows * cols[j]`` on, a row per sample of the group. The layers of any
+    span are then one contiguous range, which one numpy call steps without
+    the buffers numpy allocates to iterate a strided 2-D view. ``first`` and
+    ``stop`` delimit the layers' positions among the spiking layers.
     """
 
     first: int
     stop: int
     cols: list[int]
+    rows: int
     step: Callable
     model: NeuronModelSpec
     state: NeuronState
     drive: np.ndarray
 
-    def span(self, n: int, k: int, stop: int | None = None) -> slice:
-        """Where ``n`` rows of the layers at positions ``k`` to ``stop`` lie
-        (of the layer at ``k`` alone by default)."""
+    def span(self, k: int, stop: int | None = None) -> slice:
+        """Where the layers at positions ``k`` to ``stop`` lie (the layer at
+        ``k`` alone by default)."""
         stop = k + 1 if stop is None else stop
-        return slice(n * self.cols[k - self.first], n * self.cols[stop - self.first])
-
-    def compact(self, n: int, keep: np.ndarray) -> None:
-        """Move rows ``keep`` (ascending) of ``n`` into the layout of ``len(keep)`` rows.
-
-        Layer by layer in order, each layer's kept rows move down to their
-        new place, which overlaps no later layer's rows; at most one
-        layer's rows of one array are copied at a time.
-        """
-        m = len(keep)
-        for a in (self.state.i, self.state.v, self.state.has_spiked, self.state.v_peak):
-            for lo, hi in zip(self.cols, self.cols[1:]):
-                kept = a[n * lo : n * hi].reshape(n, hi - lo).take(keep, axis=0)
-                a[m * lo : m * hi] = kept.reshape(-1)
+        lo, hi = self.cols[k - self.first], self.cols[stop - self.first]
+        return slice(self.rows * lo, self.rows * hi)
 
 
 def _blocks(spiking: list[_LayerRT], samples: int) -> list[_Block]:
@@ -478,6 +467,7 @@ def _blocks(spiking: list[_LayerRT], samples: int) -> list[_Block]:
                 first=members[0][0],
                 stop=members[-1][0] + 1,
                 cols=cols,
+                rows=samples,
                 step=members[0][1].step,
                 model=model,
                 state=state_zeros(samples * cols[-1]),
@@ -511,9 +501,9 @@ _GROUP_STATE_BYTES = 1 << 18
 #: a network's group budget is at least its compiled weight bytes over this:
 #: the weights dominate the memory peak, so a group may grow in proportion
 _WEIGHT_BUDGET_SHARE = 16
-#: one spiking neuron's share of a sample's step state: current, voltage and
-#: half-step voltage (float64), its fired flag, and drive temporaries
-_NEURON_STATE_BYTES = 32
+#: one spiking neuron's share of a sample's step state, as :func:`_blocks`
+#: allocates it: current, voltage, half-step voltage, fired flag and drive
+_NEURON_STATE_BYTES = sum(a.nbytes for a in (*vars(state_zeros(1)).values(), np.empty(1)))
 
 
 def _group_size(rt: list[_LayerRT], t_max: int) -> int:
@@ -530,7 +520,7 @@ def _group_size(rt: list[_LayerRT], t_max: int) -> int:
     as if it stepped; rasters, which only :func:`run_inference` records,
     are not counted. The
     reference workloads get 6 samples a group on ``dense_poisson_roc``
-    (784-512-512-256-256-10), 15 on ``mixed_analog_recurrent`` and 1 on
+    (784-512-512-256-256-10), 14 on ``mixed_analog_recurrent`` and 1 on
     ``conv_poisson_rate``: a wide convolutional network has small weights
     and much state, and more samples a group, though faster per sample,
     would double its memory peak.
@@ -734,7 +724,9 @@ def _step_group(
     T_used = [1] * B
     failed: dict[int, NonFiniteState] = {}
     live: list[int] = []  # group rows still stepping, in order
-    firsts: list[np.ndarray] = []  # per live row: the static result, or drive0
+    poisson = mode is EncodingMode.POISSON
+    # the analog-fed first layer's drive, the same at every step
+    drive0 = np.zeros((B, rt[start].neurons)) if start is not None and not poisson else None
     # Overflow is expected where a sample leaves the finite range, and the
     # checks below report it per sample, so numpy stays quiet.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -752,50 +744,39 @@ def _step_group(
             if start is None:
                 volt_hist[0, k] = x.reshape(-1)
                 continue
-            if mode is EncodingMode.ANALOG:
-                x = plans[start](x)
+            if drive0 is not None:
+                plans[start](x, out=drive0[k])
             live.append(k)
-            firsts.append(x)
 
-        # Below, arrays hold one row per live sample, in group order, and
-        # ``rows`` picks their group rows: a plain slice while none has left,
-        # since a fancy index costs several times more per write. Each
+        # Below, arrays hold a row per sample of the group, which keeps its
+        # place for the whole run: a sample that decides or fails leaves
+        # ``live``, and nothing reads its row again, so past its last step
+        # the row's state, drives and histories may hold anything. Each live
         # sample's drive is its own call, so its sums add up in the same order
         # whatever the group size; the neuron steps, the counters and the
-        # checks serve all rows at once.
-        n = len(live)
-        rows = slice(None) if n == B else np.array(live, dtype=np.intp)
-        poisson = mode is EncodingMode.POISSON
-        drive0 = None if poisson else np.array(firsts)
-        del firsts
-        blocks = _blocks(spiking, n)
+        # history writes serve all rows at once.
+        x_in = np.zeros((B, *net.input_shape), dtype=bool) if poisson else None
+        blocks = _blocks(spiking, B)
         block_of = [b for b in blocks for _ in range(b.first, b.stop)]
-        rec_buf = np.empty(n * max((spiking[k].neurons for k in rec_drives), default=0))
-        no_counts = np.zeros(n, dtype=np.int64)
-
-        def views() -> tuple[list[np.ndarray], dict[int, np.ndarray], np.ndarray]:
-            # the live rows' drives and recurrent terms, and output voltages
-            return (
-                [
-                    b.drive[b.span(n, k)].reshape(n, spiking[k].neurons)
-                    for k, b in enumerate(block_of)
-                ],
-                {
-                    k: rec_buf[: n * spiking[k].neurons].reshape(n, spiking[k].neurons)
-                    for k in rec_drives
-                },
-                block_of[-1].state.v_peak[block_of[-1].span(n, K - 1)].reshape(
-                    n, rt[-1].neurons
-                ) if K else None,
-            )
-
-        drives, recs, out_volt = views()
+        drives = [
+            b.drive[b.span(k)].reshape(B, spiking[k].neurons) for k, b in enumerate(block_of)
+        ]
+        # one buffer serves every recurrent term, each added as soon as made
+        rec_buf = np.empty(B * max((spiking[k].neurons for k in rec_drives), default=0))
+        recs = {
+            k: rec_buf[: B * spiking[k].neurons].reshape(B, spiking[k].neurons)
+            for k in rec_drives
+        }
+        out_volt = block_of[-1].state.v_peak[block_of[-1].span(K - 1)].reshape(
+            B, rt[-1].neurons
+        ) if K else None
+        no_counts = np.zeros(B, dtype=np.int64)
         spans: dict[tuple[int, int, int], tuple] = {}  # per active span of a block
         # feed[k]: spiking layer k's input for its next step; own[k]: a
         # recurrent layer's spikes of its latest step
         feed: list[np.ndarray | None] = [None] * K
-        own = {k: np.zeros((n, spiking[k].neurons), dtype=bool) for k in rec_drives}
-        # a group row's lowest non-finite (step, layer) so far
+        own = {k: np.zeros((B, spiking[k].neurons), dtype=bool) for k in rec_drives}
+        # a live row's lowest non-finite (step, layer) so far
         pending: dict[int, tuple[int, int]] = {}
 
         def emit(j: int, x: np.ndarray, count, s: int) -> np.ndarray:
@@ -803,14 +784,14 @@ def _step_group(
             for r in tails[j]:
                 if r.spec.kind is LayerKind.MAX_POOL2D:
                     if r.fanout is not None:
-                        ff_hist[s - 1, rows, ff_col[r.index]] = _synaptic_events(r, x)
+                        ff_hist[s - 1, :, ff_col[r.index]] = _synaptic_events(r, x)
                     x = _max_pool(x, r.pool_taps)
                     count = _spike_counts(x)
                 else:  # flatten: reshape and re-emit
-                    x = x.reshape(n, -1)
-                count_hist[s - 1, rows, r.index + 1] = count
+                    x = x.reshape(B, -1)
+                count_hist[s - 1, :, r.index + 1] = count
                 if record_raster:
-                    raster_hist[r.index][s - 1, rows] = x.reshape(n, -1)
+                    raster_hist[r.index][s - 1] = x.reshape(B, -1)
             return x
 
         # Tick tau advances spiking layer k by step tau - k: every drive reads
@@ -822,26 +803,27 @@ def _step_group(
             lo, hi = max(0, tau - T_max), min(K, tau)  # the active positions
             # this tick's spikes; the last tick's live on in feed and own only
             out: list[np.ndarray | None] = [None] * K
-            spikes = None
+            x = spikes = None
             if poisson and tau <= T_max:
-                x = _stacked([poisson_slice(samples[k], tau) for k in live])
-                count = _spike_counts(x)
-                count_hist[tau - 1, rows, 0] = count
-                feed[0] = emit(0, x, count, tau)
+                for k in live:
+                    x_in[k] = poisson_slice(samples[k], tau)
+                count = _spike_counts(x_in)
+                count_hist[tau - 1, :, 0] = count
+                feed[0] = emit(0, x_in, count, tau)
             for k in range(lo, hi):
                 r, s, drive = spiking[k], tau - k, drives[k]
-                if k == 0 and drive0 is not None:  # the analog-fed first layer
-                    base = drive0[:n]
+                if k == 0 and drive0 is not None:
+                    base = drive0
                 else:
                     x = feed[k]
                     if r.fanout is not None:
-                        ff_hist[s - 1, rows, ff_col[r.index]] = _synaptic_events(r, x)
-                    ff_drives[k](x, drive, count_hist[s - 1, rows, r.index])
+                        ff_hist[s - 1, :, ff_col[r.index]] = _synaptic_events(r, x)
+                    ff_drives[k](x, drive, count_hist[s - 1, :, r.index], live)
                     base = drive
                 if k in rec_drives:
                     rec_drives[k](
                         own[k], recs[k],
-                        count_hist[s - 2, rows, r.index + 1] if s > 1 else no_counts,
+                        count_hist[s - 2, :, r.index + 1] if s > 1 else no_counts, live,
                     )
                     np.add(base, recs[k], out=drive)
                 elif base is not drive:
@@ -852,7 +834,7 @@ def _step_group(
                     continue
                 view = spans.get((j, first, stop))
                 if view is None:
-                    span = b.span(n, first, stop)
+                    span = b.span(first, stop)
                     st = b.state
                     view = spans[j, first, stop] = (
                         NeuronState(
@@ -861,7 +843,7 @@ def _step_group(
                         ),
                         b.drive[span],
                         [  # each layer's part of the span
-                            slice(b.span(n, k).start - span.start, b.span(n, k).stop - span.start)
+                            slice(b.span(k).start - span.start, b.span(k).stop - span.start)
                             for k in range(first, stop)
                         ],
                     )
@@ -871,42 +853,40 @@ def _step_group(
                 # and the reset only subtracts a finite threshold
                 if not np.isfinite(state.v_peak).all():
                     for k, part in enumerate(parts, first):
-                        v_peak = state.v_peak[part].reshape(n, -1)
+                        v_peak = state.v_peak[part].reshape(B, -1)[live]
                         bad_rows = ~np.isfinite(v_peak).all(axis=1)
                         for p in np.flatnonzero(bad_rows).tolist():
                             found = (tau - k, spiking[k].index)
                             pending[live[p]] = min(pending.get(live[p], found), found)
                 for k, part in enumerate(parts, first):
-                    out[k] = spikes[part].reshape(n, -1)
+                    out[k] = spikes[part].reshape(B, -1)
             for k in range(lo, hi):
                 r, s, x = spiking[k], tau - k, out[k]
                 count = _spike_counts(x)
-                count_hist[s - 1, rows, r.index + 1] = count
+                count_hist[s - 1, :, r.index + 1] = count
                 if record_raster:
-                    raster_hist[r.index][s - 1, rows] = x
+                    raster_hist[r.index][s - 1] = x
                 if k in own:
                     own[k] = x
                 if k + 1 < K:
-                    feed[k + 1] = emit(k + 1, x.reshape(n, *r.spec.output_shape), count, s)
+                    feed[k + 1] = emit(k + 1, x.reshape(B, *r.spec.output_shape), count, s)
             t = tau - K + 1  # the output layer's step
             if t < 1:
                 continue
-            spike_hist[t - 1, rows] = out[-1]
-            volt_hist[t - 1, rows] = out_volt
+            spike_hist[t - 1] = out[-1]
+            volt_hist[t - 1] = out_volt
 
             # A sample fails at its lowest non-finite (step, layer), known once
             # the output layer has taken that step, unless it decided earlier.
-            leaving = {
-                p for p, k in enumerate(live) if k in pending and pending[k][0] <= t
-            } if pending else set()
+            leaving = {k for k, (step, _) in pending.items() if step <= t}
             if t == T_max:
-                leaving.update(range(n))
+                leaving.update(live)
             elif coding is Coding.ROC:  # the rows whose output layer spiked
-                leaving.update(p for p, c in enumerate(count_hist[t - 1, rows, L].tolist()) if c)
+                spiked = count_hist[t - 1, :, L].tolist()
+                leaving.update(k for k in live if spiked[k])
             if not leaving:
                 continue
-            for p in leaving:
-                k = live[p]
+            for k in leaving:
                 if k in pending and pending[k][0] <= t:
                     step, index = pending[k]
                     failed[k] = NonFiniteState(
@@ -916,22 +896,7 @@ def _step_group(
                 else:
                     T_used[k] = t
                 pending.pop(k, None)
-            # the rows that stay move to the front, in place
-            keep = np.array([p for p in range(n) if p not in leaving], dtype=np.intp)
-            if not keep.size:
-                break
-            for b in blocks:
-                b.compact(n, keep)
-            if drive0 is not None:
-                drive0[: len(keep)] = drive0[keep]
-            n = len(keep)
-            live = [live[p] for p in keep.tolist()]
-            rows = np.array(live, dtype=np.intp)
-            feed = [None if x is None else x[keep] for x in feed]
-            own = {k: x[keep] for k, x in own.items()}
-            no_counts = no_counts[:n]
-            drives, recs, out_volt = views()
-            spans.clear()
+            live = [k for k in live if k not in leaving]
 
     return _Histories(
         T_used, failed, count_hist, spike_hist, volt_hist, raster_hist, ff_hist, uneven

@@ -809,16 +809,21 @@ def test_a_drive_written_in_place_equals_a_new_one(kind, count):
 
 @pytest.mark.parametrize("kind", ["dense", "small dense", "locally_connected", "recurrent"])
 def test_a_group_drive_equals_each_row_alone(kind):
-    # a group writes each row's drive: an event-driven matrix skips a row
-    # without spikes, and a small one casts the spikes of every row at once
+    # a group writes the drive of each row still stepping: an event-driven
+    # matrix skips a row without spikes, and a small one casts the spikes of
+    # every row at once; a row that has left keeps what it holds
     rng = np.random.default_rng(17)
     w, plan = drive_case(kind, rng, dyadic=False)
-    x = rng.random((4, w.shape[1])) < 0.05
+    x = rng.random((5, w.shape[1])) < 0.05
     x[1] = False
-    out = np.full((4, w.shape[0]), -0.0)
-    _each_row(plan, w)(x, out, x.sum(axis=1))
-    for p in range(4):
+    x[3, 0] = True
+    out = np.full((5, w.shape[0]), -0.0)
+    out[3] = np.nan
+    live = [0, 1, 2, 4]
+    _each_row(plan, w)(x, out, x.sum(axis=1), live)
+    for p in live:
         assert out[p].tobytes() == plan(x[p]).tobytes()  # +0.0 for the silent row
+    assert np.isnan(out[3]).all()
 
 
 def test_dense_like_weights_are_one_input_major_copy():
@@ -1093,6 +1098,35 @@ def test_a_sample_that_overflows_mid_run_fails_alone(monkeypatch):
         run_inference(net, bad)
 
 
+def test_a_row_that_has_left_is_not_read_again(monkeypatch):
+    # The net of the test above. Sample a decides at step 3, but its row keeps
+    # stepping with the group, and its neuron 0, which the output does not
+    # read, overflows at step 6 while sample b runs to the step budget. Neither
+    # the non-finite scan nor the decisions may look at a's row once it has
+    # left: a keeps its decision (its output spikes again after step 3), and
+    # no failure is reported for it.
+    w = np.array([[1e38, 0.5], [0.0, 0.5]])
+    net = (
+        NetworkBuilder((2,), coding=Coding.ROC, max_timesteps=7)
+        .dense(2, ifl(2.0), weights=w)
+        .dense(2, ifl(1.0), weights=np.array([[0.0, 0.5], [0.0, 0.25]]))
+        .build()
+    )
+    samples = [encode(np.array([1e269, 2.0])), encode(np.array([0.0, 0.25]))]
+    alone = [run_inference(net, s, record_raster=True) for s in samples]
+    assert [r.trace.T_used for r in alone] == [3, 7]
+    grouped = list(
+        _run_group(net, _compile(net), samples, T_max=7, coding=Coding.ROC,
+                   record_raster=True, encoder_per_step=False)
+    )
+    for got, want in zip(grouped, alone):
+        assert_same_result(got, want)
+    force_group_size(monkeypatch, net, 7, 2)
+    stats = run_dataset(net, samples)
+    assert stats.failures == []
+    assert stats.outcomes == [SampleOutcome(r.trace.T_used, r.decision) for r in alone]
+
+
 def test_samples_that_decide_early_leave_the_group():
     # padded conv and pool: border inputs reach fewer neurons, so these
     # layers count their events per step; samples decide at varied steps
@@ -1200,7 +1234,7 @@ def test_rank_order_counts_no_events_past_the_decision():
 
 def test_a_group_whose_samples_decide_at_different_steps():
     # four spiking layers of one model step as one block; as samples decide,
-    # the rows that stay move up and the block steps fewer rows
+    # they leave the group, and their rows keep stepping unread
     rng = np.random.default_rng(42)
     model = ifl(0.75, spike_once=True)
     builder = NetworkBuilder((10,), coding=Coding.ROC, max_timesteps=40)
@@ -1300,6 +1334,38 @@ def test_group_size_follows_the_state_budget():
     # a longer step budget keeps a longer history per sample
     assert _group_size(_compile(mixed), 4096) < size["mixed"]
     assert _group_size(_compile(dense), 4096) < size["dense"]
+
+
+def test_group_size_counts_the_state_a_group_allocates(monkeypatch):
+    # per sample: the blocks' state and drive, and the histories, as a
+    # one-sample group allocates them
+    rng = np.random.default_rng(18)
+    lif_ = NeuronModelSpec(kind=NeuronKind.LIF, dt=1e-3, tau_syn=5e-3, tau_mem=1e-2)
+    net = (  # two blocks, a recurrent layer, even fan-out only
+        NetworkBuilder((12,), coding=Coding.ROC, max_timesteps=10)
+        .dense(9, ifl(), weights=rng.normal(0.0, 0.5, (9, 12)))
+        .dense(7, ifl(), weights=rng.normal(0.0, 0.5, (7, 9)))
+        .recurrent_dense(5, lif_)
+        .dense(3, lif_)
+        .build()
+    )
+    rt = _compile(net)
+    spiking = [r for r in rt if r.spiking]
+    blocks = engine._blocks(spiking, 1)
+    assert len(blocks) == 2
+    state = sum(a.nbytes for b in blocks for a in (*vars(b.state).values(), b.drive))
+    assert state == engine._NEURON_STATE_BYTES * sum(r.neurons for r in spiking)
+    run = engine._step_group(
+        net, rt, [encode(rng.uniform(0.0, 1.0, 12), "poisson", seed=1)], [], 0,
+        T_max=10, coding=Coding.ROC, record_raster=False,
+    )
+    history = sum(a.nbytes for a in (run.counts, run.spikes, run.volts, run.events))
+    per_sample = state + history
+    for size in (1, 2, 5):
+        monkeypatch.setattr(engine, "_GROUP_STATE_BYTES", size * per_sample)
+        assert _group_size(rt, 10) == size
+        monkeypatch.setattr(engine, "_GROUP_STATE_BYTES", (size + 1) * per_sample - 1)
+        assert _group_size(rt, 10) == size
 
 
 def test_large_weights_raise_the_group_budget(monkeypatch):
