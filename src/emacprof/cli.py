@@ -56,7 +56,7 @@ from .calib import (
     read_observations_csv,
 )
 from .codec import INPUT_SUFFIXES, EncodedInput, EncodingMode, encode, load_input_tensor
-from .emac import ann_mac_count, event_price, update_price
+from .emac import ann_mac_count, price_table
 from .engine import AggregateStats, Stat, run_dataset, run_inference
 from .errors import (
     EmacProfError,
@@ -66,7 +66,7 @@ from .errors import (
     RankDeficient,
     SchemaError,
 )
-from .netspec import Coding, NetworkSpec, layer_counts, parse_network
+from .netspec import Coding, NetworkSpec, parse_network
 
 __all__ = ["main", "entrypoint"]
 
@@ -168,14 +168,12 @@ def cmd_inspect(args) -> int:
     static_upd = 0.0
     print(f"{'layer':<6}{'name':<22}{'kind':<20}{'n_n':>8}{'n_s':>7}"
           f"{'n_sr':>7}  e=(e_syn,e_upd)")
-    for index, layer in enumerate(net.layers):
-        c = layer_counts(layer)
-        e_syn, e_upd = event_price(layer), update_price(layer)
-        static_upd += c.neurons * e_upd
+    for index, lp in enumerate(price_table(net).layers):
+        static_upd += lp.neurons * lp.update
         print(
-            f"{index:<6}{net.layer_name(index):<22}{layer.kind.value:<20}"
-            f"n_n={c.neurons:<7} n_s={c.fanin:<5} n_sr={c.recurrent_fanin:<5}"
-            f" e=({_fmt(e_syn)},{_fmt(e_upd)})"
+            f"{index:<6}{lp.name:<22}{lp.kind:<20}"
+            f"n_n={lp.neurons:<7} n_s={lp.fanin:<5} n_sr={lp.recurrent_fanin:<5}"
+            f" e=({_fmt(lp.event)},{_fmt(lp.update)})"
         )
     print(f"ANN MAC count: {ann_mac_count(net)}")
     print(f"update EMAC per timestep: {_fmt(static_upd)}")

@@ -27,7 +27,10 @@ synaptic events and recurrent events, and one function prices them:
     E_upd = T * neurons * e_upd          (spiking layers only)
 
 so a layer's exact-vs-analytic gap is the difference of its two count
-vectors at one price.
+vectors at one price. Every constant in those formulas (neurons, fan-ins,
+prices, static MACs, the padding flag) comes from a :class:`PriceTable`
+built once per network (:func:`price_table`), so pricing one sample is
+plain arithmetic.
 
 Special cases: a layer whose drive comes from a static analog stage is
 priced as full multiply-accumulate work counted once per inference (or
@@ -48,8 +51,10 @@ classical MAC count.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from functools import reduce
+from math import inf, prod
 from operator import add
 from typing import TYPE_CHECKING, Iterable
 
@@ -65,7 +70,7 @@ from .netspec import (
     layer_counts,
     static_split,
 )
-from .neuron import AC_EMAC, MAC_EMAC
+from .neuron import AC_EMAC, MAC_EMAC, NeuronKind
 
 if TYPE_CHECKING:  # pragma: no cover
     from .engine import SpikeTrace
@@ -149,7 +154,7 @@ class EnergyReport:
 
     @property
     def E_pool(self) -> float:
-        return sum(
+        return _added(
             le.E_syn for le in self.per_layer if le.kind == LayerKind.MAX_POOL2D.value
         )
 
@@ -191,8 +196,10 @@ class LayerRates:
 
     def __post_init__(self) -> None:
         per_layer = np.asarray(self.per_layer, dtype=np.float64)
-        rates = per_layer if self.input_rate is None else np.append(per_layer, self.input_rate)
-        if not ((rates >= 0.0) & (rates < np.inf)).all():
+        rates = per_layer.tolist()
+        if self.input_rate is not None:
+            rates.append(self.input_rate)
+        if not all(0.0 <= rate < inf for rate in rates):
             raise RateOutOfRange(
                 f"rates must be finite and >= 0, got input {self.input_rate} "
                 f"and per layer {per_layer.tolist()}"
@@ -231,44 +238,126 @@ def update_price(layer: LayerSpec) -> float:
     return model.energy.e_upd
 
 
-def static_macs(net: NetworkSpec, input_mode: EncodingMode) -> list[int]:
+@dataclass(frozen=True)
+class LayerPrices:
+    """One layer's structural counts and prices."""
+
+    name: str
+    kind: str
+    neurons: int
+    fanin: int
+    recurrent_fanin: int
+    #: EMAC of one synaptic event into the layer (:func:`event_price`)
+    event: float
+    #: EMAC of one neuron update of the layer (:func:`update_price`)
+    update: float
+    #: a weighted layer's neuron kind; None for pool and flatten
+    neuron: NeuronKind | None
+
+
+@dataclass(frozen=True)
+class PriceTable:
+    """The constants both views price one network's samples with.
+
+    ``static`` maps each input mode to its per-layer static MACs (see
+    :func:`static_macs`), or to the message of the :class:`SchemaError` the
+    mode raises on this network.
+    """
+
+    layers: tuple[LayerPrices, ...]
+    neurons: tuple[int, ...]
+    n_inputs: int
+    approx_padding: bool
+    static: dict[EncodingMode, tuple[int, ...] | str]
+
+
+def _price_table(net: NetworkSpec) -> PriceTable:
+    layers = []
+    for index, layer in enumerate(net.layers):
+        counts = layer_counts(layer)
+        layers.append(LayerPrices(
+            name=net.layer_name(index),
+            kind=layer.kind.value,
+            neurons=counts.neurons,
+            fanin=counts.fanin,
+            recurrent_fanin=counts.recurrent_fanin,
+            event=event_price(layer),
+            update=update_price(layer),
+            neuron=layer.neuron_model.kind if layer.kind in WEIGHTED_KINDS else None,
+        ))
+    static: dict[EncodingMode, tuple[int, ...] | str] = {}
+    for mode in EncodingMode:
+        try:
+            prefix, start = static_split(net, mode)
+        except SchemaError as exc:
+            static[mode] = str(exc)
+            continue
+        # with an analog input the first spiking layer's drive is static too
+        if start is not None and mode is EncodingMode.ANALOG:
+            prefix = [*prefix, start]
+        macs = [0] * len(layers)
+        for idx in prefix:
+            macs[idx] = layers[idx].fanin * layers[idx].neurons
+        static[mode] = tuple(macs)
+    return PriceTable(
+        layers=tuple(layers),
+        neurons=tuple(lp.neurons for lp in layers),
+        n_inputs=prod(net.input_shape),
+        approx_padding=any(layer.padding > 0 for layer in net.layers),
+        static=static,
+    )
+
+
+#: each network's price table, kept for as long as the network lives
+_TABLES: weakref.WeakKeyDictionary[NetworkSpec, PriceTable] = weakref.WeakKeyDictionary()
+
+
+def price_table(net: NetworkSpec) -> PriceTable:
+    """``net``'s price table: built when ``net`` is first priced, then reused.
+
+    Sound because a spec cannot change once validated, as for the engine's
+    compiled layers.
+    """
+    table = _TABLES.get(net)
+    if table is None:
+        table = _TABLES[net] = _price_table(net)
+    return table
+
+
+def static_macs(net: NetworkSpec, input_mode: EncodingMode) -> tuple[int, ...]:
     """Per layer, the multiply-accumulates of one static analog evaluation.
 
     ``fanin * neurons`` for every layer of the static prefix, and for the
     first spiking layer when an analog input makes its drive static too;
-    zero for every other layer (and for flatten, which has no fan-in).
+    zero for every other layer (and for flatten, which has no fan-in). A
+    Poisson input to a network with rectifier layers is a
+    :class:`SchemaError`.
     """
-    prefix, start = static_split(net, input_mode)
-    if start is not None and input_mode is EncodingMode.ANALOG:
-        prefix = [*prefix, start]
-    macs = [0] * len(net.layers)
-    for idx in prefix:
-        counts = layer_counts(net.layers[idx])
-        macs[idx] = counts.fanin * counts.neurons
+    macs = price_table(net).static[input_mode]
+    if isinstance(macs, str):
+        raise SchemaError(macs)
     return macs
 
 
-def _report(method: str, net: NetworkSpec, T_used: int, counts) -> EnergyReport:
+def _report(method: str, table: PriceTable, T_used: int, counts) -> EnergyReport:
     """Price each layer's ``(static MACs, synaptic events, recurrent events)``.
 
     Both views go through here, so they differ only in their counts.
     """
-    per_layer = []
-    for idx, (layer, (static, syn, rec)) in enumerate(zip(net.layers, counts)):
-        price = event_price(layer)
-        neurons = layer_counts(layer).neurons
-        per_layer.append(LayerEnergy(
-            name=net.layer_name(idx),
-            kind=layer.kind.value,
-            E_syn=float(static) * MAC_EMAC + float(syn) * price,
-            E_upd=float(T_used * neurons * update_price(layer)),
-            E_rec=float(rec) * price,
-        ))
     return EnergyReport(
-        method=method,
-        T_used=T_used,
-        per_layer=tuple(per_layer),
-        approx_padding=any(layer.padding > 0 for layer in net.layers),
+        method,
+        T_used,
+        tuple(
+            LayerEnergy(
+                lp.name,
+                lp.kind,
+                float(static) * MAC_EMAC + float(syn) * lp.event,
+                float(T_used * lp.neurons * lp.update),
+                float(rec) * lp.event,
+            )
+            for lp, (static, syn, rec) in zip(table.layers, counts)
+        ),
+        table.approx_padding,
     )
 
 
@@ -295,58 +384,51 @@ def emac_analytic(
         raise SchemaError(f"T_used must be an integer >= 1, got {T_used!r}")
     T_used = int(T_used)
     input_mode = EncodingMode(input_mode)
-    if rates is not None and len(rates.per_layer) != len(net.layers):
+    table = price_table(net)
+    per_layer = None if rates is None else rates.per_layer.tolist()
+    if per_layer is not None and len(per_layer) != len(table.layers):
         raise MissingRates(
-            f"got rates for {len(rates.per_layer)} layers, network has "
-            f"{len(net.layers)}"
+            f"got rates for {len(per_layer)} layers, network has "
+            f"{len(table.layers)}"
         )
+    static = static_macs(net, input_mode)
 
     def rate(idx: int, of: int) -> float:
         """The rate of layer ``of`` (-1: the encoder), which layer ``idx`` consumes."""
-        if rates is None:
+        if per_layer is None:
             raise MissingRates(f"layer {idx} consumes spikes but no rates were given")
         if of >= 0:
-            return float(rates.per_layer[of])
+            return per_layer[of]
         if rates.input_rate is None:
             raise MissingRates(
                 "layer 0 consumes encoder spikes but no input rate was given"
             )
         return rates.input_rate
 
-    static = static_macs(net, input_mode)
     static_steps = T_used if encoder_per_step else 1
     counts = []
-    for idx, layer in enumerate(net.layers):
-        c = layer_counts(layer)
+    for idx, lp in enumerate(table.layers):
         syn = rec = 0
         # a static layer costs MACs, not events; flatten has no fan-in
-        if not static[idx] and c.fanin:
-            syn = c.fanin * c.neurons * rate(idx, idx - 1)
-        if c.recurrent_fanin:
-            rec = c.recurrent_fanin * c.neurons * rate(idx, idx)
+        if not static[idx] and lp.fanin:
+            syn = lp.fanin * lp.neurons * rate(idx, idx - 1)
+        if lp.recurrent_fanin:
+            rec = lp.recurrent_fanin * lp.neurons * rate(idx, idx)
         counts.append((static[idx] * static_steps, syn, rec))
-    return _report(METHOD_ANALYTIC, net, T_used, counts)
+    return _report(METHOD_ANALYTIC, table, T_used, counts)
 
 
 def emac_exact(net: NetworkSpec, trace: "SpikeTrace") -> EnergyReport:
     """Price the realized event counters of a recorded run."""
-    L = len(net.layers)
-    if (
-        trace.counts.shape[0] != L
-        or len(trace.layer_neurons) != L
-        or trace.layer_neurons != tuple(layer_counts(l).neurons for l in net.layers)
-    ):
+    table = price_table(net)
+    if trace.counts.shape[0] != len(table.layers) or trace.layer_neurons != table.neurons:
         raise TraceNetMismatch(
             "the trace does not describe this network (layer count or sizes differ)"
         )
     counts = zip(trace.analog_events, trace.feedforward_events, trace.recurrent_events)
-    return _report(METHOD_EXACT, net, trace.T_used, counts)
+    return _report(METHOD_EXACT, table, trace.T_used, counts)
 
 
 def ann_mac_count(net: NetworkSpec) -> int:
     """Classical multiply-accumulate count: sum of fanin * neurons per layer."""
-    total = 0
-    for layer in net.layers:
-        counts = layer_counts(layer)
-        total += counts.fanin * counts.neurons
-    return total
+    return sum(lp.fanin * lp.neurons for lp in price_table(net).layers)

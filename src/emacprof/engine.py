@@ -122,7 +122,6 @@ import weakref
 from dataclasses import dataclass
 from functools import partial
 from itertools import accumulate, chain, groupby
-from math import prod
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -213,7 +212,6 @@ class _LayerRT:
     spec: LayerSpec
     index: int
     neurons: int
-    recurrent_fanin: int
     weighted: bool
     spiking: bool
     #: 2-D: (neurons, inputs), column-major, or (C_out, C_in * kh * kw) for
@@ -248,12 +246,10 @@ def _window_taps(layer: LayerSpec) -> tuple[tuple[slice, ...], ...]:
 def _compile(net: NetworkSpec) -> list[_LayerRT]:
     out = []
     for index, layer in enumerate(net.layers):
-        counts = layer_counts(layer)
         rt = _LayerRT(
             spec=layer,
             index=index,
-            neurons=counts.neurons,
-            recurrent_fanin=counts.recurrent_fanin,
+            neurons=layer_counts(layer).neurons,
             weighted=layer.kind in WEIGHTED_KINDS,
             spiking=(
                 layer.kind in WEIGHTED_KINDS and layer.neuron_model.kind.spiking
@@ -417,6 +413,12 @@ def _synaptic_events(rt: _LayerRT, spikes: np.ndarray) -> np.ndarray:
     return np.dot(spikes.reshape(-1, rt.fanout.size), rt.fanout)
 
 
+def _non_finite_rows(values: np.ndarray, live: list[int]) -> list[int]:
+    """The rows in ``live`` of a ``(rows, neurons)`` array that hold a non-finite value."""
+    bad = ~np.isfinite(values[live]).all(axis=1)
+    return [live[p] for p in np.flatnonzero(bad).tolist()]
+
+
 def _spike_counts(x: np.ndarray) -> np.ndarray | int:
     """Spikes in each row of a boolean ``(samples, ...)`` array.
 
@@ -565,7 +567,7 @@ def run_inference(
     """
     rt = _compiled(net)
     coding, T_max = _settings(net, t_max, coding)
-    (result,) = _run_group(
+    ((result, _),) = _run_group(
         net,
         rt,
         [encoded],
@@ -588,12 +590,16 @@ def _run_group(
     coding: Coding,
     record_raster: bool,
     encoder_per_step: bool,
-) -> Iterator[InferenceResult | NonFiniteState]:
+    views: bool = False,
+) -> Iterator[tuple[InferenceResult, np.ndarray] | tuple[NonFiniteState, None]]:
     """Step samples of one encoding mode in lockstep; yield each one's result.
 
-    Results come in sample order; a sample whose state leaves the finite
-    range yields its :class:`NonFiniteState` instead. Any other error is
-    raised for the first sample that causes it.
+    Results come in sample order, each with its layers' spike totals; a
+    sample whose state leaves the finite range yields its
+    :class:`NonFiniteState` instead. Any other error is raised for the first
+    sample that causes it. With ``views``, a result's arrays view the
+    group's histories instead of owning copies, for a caller that keeps none
+    of them.
     """
     mode = samples[0].mode
     static_ids, start = static_split(net, mode)
@@ -601,51 +607,59 @@ def _run_group(
         net, rt, samples, static_ids, start,
         T_max=T_max, coding=coding, record_raster=record_raster,
     )
+    table = _emac.price_table(net)
     analog_base = np.array(_emac.static_macs(net, mode), dtype=np.int64)
-    rec_fanin = np.array([r.recurrent_fanin for r in rt], dtype=np.int64)
+    neurons = np.array(table.neurons, dtype=np.float64)
+    rec_fanin = np.array([lp.recurrent_fanin for lp in table.layers], dtype=np.int64)
     even_fanout = np.array([r.even_fanout for r in rt], dtype=np.int64)
+    poisson = mode is EncodingMode.POISSON
+    owned = (lambda a: a) if views else np.ndarray.copy
     for k in range(len(samples)):
         if k in run.failed:
-            yield run.failed[k]
+            yield run.failed[k], None
             continue
         T = run.T_used[k]
-        counts = run.counts[:T, k].T  # (layers + 1, steps)
-        out_spikes = run.spikes[:T, k].T.copy()
-        out_volt = run.volts[:T, k].T.copy()
+        counts = run.counts[:T, k]  # (steps, layers + 1)
+        totals = counts.sum(axis=0)  # [0]: the input's spikes
+        spikes = totals[1:]
+        out_spikes = owned(run.spikes[:T, k].T)
+        out_volt = owned(run.volts[:T, k].T)
         if start is not None and coding is Coding.ROC:
             decision = decode_roc(out_spikes, out_volt)
         else:
             decision = decode_max_membrane(out_volt)
         # an input of a layer whose inputs all reach the same number of
         # neurons books that many events per spike
-        ff_events = even_fanout * counts[:-1].sum(axis=1)
-        ff_events[run.uneven] += run.events[:T, k].sum(axis=0)
+        ff_events = even_fanout * totals[:-1]
+        if run.uneven:
+            ff_events[run.uneven] += run.events[:T, k].sum(axis=0)
         trace = SpikeTrace(
-            counts=counts[1:].copy(),
-            input_counts=counts[0].copy() if mode is EncodingMode.POISSON else None,
+            counts=owned(counts[:, 1:].T),
+            input_counts=owned(counts[:, 0]) if poisson else None,
             feedforward_events=ff_events,
             # each spike books its layer's recurrent fan-out
-            recurrent_events=rec_fanin * counts[1:].sum(axis=1),
+            recurrent_events=rec_fanin * spikes,
             analog_events=analog_base * (T if encoder_per_step else 1),
             T_used=T,
-            layer_neurons=tuple(r.neurons for r in rt),
-            n_inputs=prod(net.input_shape),
+            layer_neurons=table.neurons,
+            n_inputs=table.n_inputs,
+        )
+        # the rates of :func:`emac.rates_from_trace`, from the totals above
+        rates = _emac.LayerRates(
+            input_rate=float(totals[0] / table.n_inputs) if poisson else None,
+            per_layer=spikes / neurons,
         )
         yield InferenceResult(
             decision=decision,
             trace=trace,
             energy=_emac.emac_exact(net, trace),
             energy_analytic=_emac.emac_analytic(
-                net,
-                _emac.rates_from_trace(trace),
-                T,
-                input_mode=mode,
-                encoder_per_step=encoder_per_step,
+                net, rates, T, input_mode=mode, encoder_per_step=encoder_per_step
             ),
             output_spikes=out_spikes,
             output_voltages=out_volt,
             rasters=[h[:T, k].T.copy() for h in run.rasters] if record_raster else None,
-        )
+        ), spikes
 
 
 @dataclass
@@ -779,6 +793,23 @@ def _step_group(
         # a live row's lowest non-finite (step, layer) so far
         pending: dict[int, tuple[int, int]] = {}
 
+        def reset(p: int) -> None:
+            """Zero the state and drives of row ``p``, which leaves non-finite.
+
+            Nothing reads the row again, but it keeps stepping with the
+            group; zeroed, it stays finite and no longer fails the one-call
+            finiteness check of each later tick.
+            """
+            for b in blocks:
+                for k in range(b.first, b.stop):
+                    span = b.span(k)
+                    for a in (*vars(b.state).values(), b.drive):
+                        a[span].reshape(B, -1)[p] = 0
+            for rec in recs.values():
+                rec[p] = 0.0
+            if drive0 is not None:
+                drive0[p] = 0.0
+
         def emit(j: int, x: np.ndarray, count, s: int) -> np.ndarray:
             """Run the stateless layers ``tails[j]`` on a step-``s`` output."""
             for r in tails[j]:
@@ -853,11 +884,9 @@ def _step_group(
                 # and the reset only subtracts a finite threshold
                 if not np.isfinite(state.v_peak).all():
                     for k, part in enumerate(parts, first):
-                        v_peak = state.v_peak[part].reshape(B, -1)[live]
-                        bad_rows = ~np.isfinite(v_peak).all(axis=1)
-                        for p in np.flatnonzero(bad_rows).tolist():
-                            found = (tau - k, spiking[k].index)
-                            pending[live[p]] = min(pending.get(live[p], found), found)
+                        found = (tau - k, spiking[k].index)
+                        for p in _non_finite_rows(state.v_peak[part].reshape(B, -1), live):
+                            pending[p] = min(pending.get(p, found), found)
                 for k, part in enumerate(parts, first):
                     out[k] = spikes[part].reshape(B, -1)
             for k in range(lo, hi):
@@ -895,7 +924,8 @@ def _step_group(
                     )
                 else:
                     T_used[k] = t
-                pending.pop(k, None)
+                if pending.pop(k, None) is not None:
+                    reset(k)
             live = [k for k in live if k not in leaving]
 
     return _Histories(
@@ -916,9 +946,20 @@ class Stat:
 
 
 def _stat(values: np.ndarray) -> Stat:
-    if values.size == 0:
+    """``np.mean`` and ``np.std`` of a 1-D array, by the operations they perform.
+
+    A sum, a division by the count, then the same for the squared deviations
+    and a square root: the results are bitwise theirs, without the Python
+    overhead of each call, which a dataset pays some 60 times.
+    """
+    n = values.size
+    if n == 0:
         return Stat(mean=float("nan"), std=float("nan"))
-    return Stat(mean=float(np.mean(values)), std=float(np.std(values)))
+    mean = np.add.reduce(values) / n
+    deviations = values - mean
+    return Stat(
+        mean=float(mean), std=float(np.sqrt(np.add.reduce(deviations * deviations) / n))
+    )
 
 
 #: energy components reduced for every method, network total and per layer
@@ -976,11 +1017,11 @@ class AggregateStats:
 
 
 def _reference_params(net: NetworkSpec) -> tuple[str | None, float, float]:
-    _, start = static_split(net, EncodingMode.ANALOG)  # first spiking layer
-    if start is None:
-        return None, 1.0, 1.0
-    model = net.layers[start].neuron_model
-    return model.kind.value, model.energy.e_syn, model.energy.e_upd
+    """The first spiking layer's neuron kind, event price and update price."""
+    for lp in _emac.price_table(net).layers:
+        if lp.neuron is not None and lp.neuron.spiking:
+            return lp.neuron.value, lp.event, lp.update
+    return None, 1.0, 1.0
 
 
 def _groups(
@@ -1008,8 +1049,9 @@ def run_dataset(
 
     Compilation happens once per network (see :func:`_compiled`), and the
     samples run in lockstep groups. Each success keeps its outcome and one
-    column of ``kept``; each method's columns make one energy report, whose
-    own totals add them as a report adds one sample's values. Each statistic
+    row of per-layer values; joined, they make one column of ``kept`` per
+    quantity. Each method's columns make one energy report, whose own
+    totals add them as a report adds one sample's values. Each statistic
     is reduced once, over a 1-D array in sample order: a running sum or a 2-D
     reduction would change the last bits of the reported moments.
     """
@@ -1021,9 +1063,8 @@ def run_dataset(
     # flatten rows re-emit upstream spikes; keep them out of the network total
     counted = np.array([layer.kind is not LayerKind.FLATTEN for layer in net.layers])
     ref_kind, e_syn_ref, e_upd_ref = _reference_params(net)
-    # kept[l, :, k]: sample k's layer l: exact, analytic (E_syn, E_upd, E_rec), spikes
-    kept = np.empty((len(net.layers), 7, len(samples)))
-    reports: tuple[_emac.EnergyReport, ...] = ()  # the last success's
+    # rows[k][l]: success k's layer l: exact, analytic (E_syn, E_upd, E_rec), spikes
+    rows: list[list[tuple]] = []
     outcomes: list[SampleOutcome | None] = []
     failures: list[tuple[int, str]] = []
     results = chain.from_iterable(
@@ -1035,34 +1076,40 @@ def run_dataset(
             coding=coding,
             record_raster=False,
             encoder_per_step=encoder_per_step,
+            views=True,
         )
         for group in _groups(samples, size)
     )
-    for index, result in enumerate(results):
+    for result, spikes in results:
         if isinstance(result, NonFiniteState):
-            failures.append((index, str(result)))
+            failures.append((len(outcomes), str(result)))
             outcomes.append(None)
             continue
         outcomes.append(SampleOutcome(result.trace.T_used, result.decision))
-        reports = (result.energy, result.energy_analytic)
-        kept[:, :, index] = [
+        rows.append([
             (e.E_syn, e.E_upd, e.E_rec, a.E_syn, a.E_upd, a.E_rec, s) for e, a, s in
-            zip(*(r.per_layer for r in reports), result.trace.counts.sum(axis=1))
-        ]
+            zip(result.energy.per_layer, result.energy_analytic.per_layer, spikes.tolist())
+        ])
+        # a result views its group's histories: held here, a group's last
+        # one would keep them alive while the next group steps
+        del result
     if failures:
         logger.warning("%d of %d samples aborted", len(failures), len(samples))
 
-    kept = kept[..., [o is not None for o in outcomes]]
+    table = _emac.price_table(net)
+    # kept[l, :, k]: one contiguous column over the successes per quantity
+    L = len(table.layers)
+    kept = np.array(rows, dtype=np.float64).reshape(-1, L, 7).transpose(1, 2, 0).copy()
     T_used = np.array([o.T_used for o in outcomes if o is not None], dtype=np.float64)
     analytic, exact = (
         _emac.EnergyReport(
             method=method,
             T_used=T_used,
             per_layer=tuple(
-                _emac.LayerEnergy(net.layer_name(i), layer.kind.value, *kept[i, j : j + 3])
-                for i, layer in enumerate(net.layers)
+                _emac.LayerEnergy(lp.name, lp.kind, *kept[i, j : j + 3])
+                for i, lp in enumerate(table.layers)
             ),
-            approx_padding=any(r.approx_padding for r in reports if r.method == method),
+            approx_padding=table.approx_padding and bool(rows),
         )
         for method, j in ((_emac.METHOD_ANALYTIC, 3), (_emac.METHOD_EXACT, 0))
     )

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,6 +7,7 @@ from hypothesis import strategies as st
 
 from emacprof import (
     Coding,
+    EmacProfError,
     EncodingMode,
     LayerKind,
     MissingRates,
@@ -19,8 +22,10 @@ from emacprof import (
     emac_exact,
     encode,
     rates_from_trace,
+    run_dataset,
     run_inference,
 )
+from emacprof import emac, engine, netspec
 from emacprof.emac import (
     METHOD_ANALYTIC,
     METHOD_EXACT,
@@ -29,7 +34,9 @@ from emacprof.emac import (
     LayerRates,
 )
 from emacprof.engine import SpikeTrace
-from emacprof.netspec import layer_counts
+from emacprof.netspec import WEIGHTED_KINDS, layer_counts, static_split
+from emacprof.neuron import AC_EMAC, MAC_EMAC
+from test_reference_sim import add_layer, rectifier, spiking_model
 
 ANN = NeuronModelSpec(kind=NeuronKind.ANN_RELU)
 LIF = NeuronModelSpec(kind=NeuronKind.LIF, dt=1e-3, tau_syn=8e-3, tau_mem=2e-3)
@@ -457,6 +464,15 @@ def test_report_totals_add_layers_left_to_right():
     assert columns.E_tot.tolist() == [big.E_tot, small.E_tot]
 
 
+def test_pool_energy_adds_left_to_right():
+    layers = tuple(
+        LayerEnergy(f"{k}:max_pool2d", "max_pool2d", v, 0.0, 0.0)
+        for k, v in enumerate([1e16, 1.0, -1e16])
+    )
+    # a compensated sum (builtin sum from Python 3.12 on) gives 1.0
+    assert EnergyReport(METHOD_EXACT, 1, layers).E_pool == 0.0
+
+
 def test_report_serialization_round_trip():
     net = dense_net([4, 3], ifl(), t_max=5)
     trace = trace_for(net, counts=[[1, 0, 1, 0, 0]], ff=[6])
@@ -465,3 +481,166 @@ def test_report_serialization_round_trip():
     assert obj["method"] == METHOD_EXACT
     assert obj["T_used"] == 5
     assert obj["E_tot"] == pytest.approx(report.E_tot, rel=1e-15)
+
+
+# ---------------------------------------------------------------------------
+# pricing from the per-network table against per-sample derivation
+
+
+def reference_event_price(layer):
+    if layer.kind is LayerKind.MAX_POOL2D:
+        return AC_EMAC
+    if layer.kind in WEIGHTED_KINDS:
+        return layer.neuron_model.energy.e_syn
+    return 0.0
+
+
+def reference_update_price(layer):
+    model = layer.neuron_model
+    if model is None or not model.kind.spiking:
+        return 0.0
+    return model.energy.e_upd
+
+
+def reference_report(method, net, T_used, counts):
+    """Each layer priced from its spec, as every sample was before the table."""
+    per_layer = []
+    for idx, (layer, (static, syn, rec)) in enumerate(zip(net.layers, counts)):
+        price = reference_event_price(layer)
+        neurons = layer_counts(layer).neurons
+        per_layer.append(LayerEnergy(
+            name=net.layer_name(idx),
+            kind=layer.kind.value,
+            E_syn=float(static) * MAC_EMAC + float(syn) * price,
+            E_upd=float(T_used * neurons * reference_update_price(layer)),
+            E_rec=float(rec) * price,
+        ))
+    return EnergyReport(
+        method, T_used, tuple(per_layer), any(layer.padding > 0 for layer in net.layers)
+    )
+
+
+def reference_analytic(net, rates, T_used, input_mode, encoder_per_step):
+    def rate(idx, of):
+        if rates is None:
+            raise MissingRates(f"layer {idx} consumes spikes but no rates were given")
+        if of >= 0:
+            return float(rates.per_layer[of])
+        if rates.input_rate is None:
+            raise MissingRates(
+                "layer 0 consumes encoder spikes but no input rate was given"
+            )
+        return rates.input_rate
+
+    prefix, start = static_split(net, input_mode)
+    if start is not None and input_mode is EncodingMode.ANALOG:
+        prefix = [*prefix, start]
+    static = [0] * len(net.layers)
+    for idx in prefix:
+        c = layer_counts(net.layers[idx])
+        static[idx] = c.fanin * c.neurons
+    counts = []
+    for idx, layer in enumerate(net.layers):
+        c = layer_counts(layer)
+        syn = rec = 0
+        if not static[idx] and c.fanin:
+            syn = c.fanin * c.neurons * rate(idx, idx - 1)
+        if c.recurrent_fanin:
+            rec = c.recurrent_fanin * c.neurons * rate(idx, idx)
+        counts.append((static[idx] * (T_used if encoder_per_step else 1), syn, rec))
+    return reference_report(METHOD_ANALYTIC, net, T_used, counts)
+
+
+@st.composite
+def priced_cases(draw):
+    """A random network of every layer kind, and random counts and rates for it."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        shape = (draw(st.integers(1, 2)), draw(st.integers(2, 6)), draw(st.integers(2, 6)))
+    else:
+        shape = (draw(st.integers(1, 8)),)
+    b = NetworkBuilder(shape, max_timesteps=8)
+    static, spiking = draw(st.integers(0, 2)), draw(st.integers(1, 3))
+    while static or spiking:
+        is_static = static > 0
+        model = rectifier(draw) if is_static else spiking_model(draw)
+        if add_layer(draw, rng, b, model, allow_recurrent=not is_static):
+            static, spiking = (static - 1, spiking) if is_static else (static, spiking - 1)
+    net = b.build()
+    L, steps = len(net.layers), draw(st.integers(1, 6))
+    big = st.integers(0, 10**12)
+    trace = SpikeTrace(
+        counts=rng.integers(0, 50, (L, steps)),
+        input_counts=rng.integers(0, 20, steps) if draw(st.booleans()) else None,
+        feedforward_events=np.array(draw(st.lists(big, min_size=L, max_size=L))),
+        recurrent_events=np.array(draw(st.lists(big, min_size=L, max_size=L))),
+        analog_events=np.array(draw(st.lists(big, min_size=L, max_size=L))),
+        T_used=steps,
+        layer_neurons=tuple(layer_counts(l).neurons for l in net.layers),
+        n_inputs=int(np.prod(shape)),
+    )
+    rate = st.floats(0.0, 1e3, allow_nan=False)
+    rates = draw(st.one_of(st.none(), st.builds(
+        LayerRates,
+        input_rate=st.one_of(st.none(), rate),
+        per_layer=st.lists(rate, min_size=L, max_size=L),
+    )))
+    run = dict(
+        T_used=draw(st.integers(1, 10**6)),
+        input_mode=draw(st.sampled_from(list(EncodingMode))),
+        encoder_per_step=draw(st.booleans()),
+    )
+    return net, trace, rates, run
+
+
+def outcome(price, *args):
+    """A report's ``to_dict`` as JSON (every float to the last bit), or the error."""
+    try:
+        return json.dumps(price(*args).to_dict())
+    except EmacProfError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=priced_cases())
+def test_table_pricing_equals_pricing_each_layer_from_its_spec(case):
+    net, trace, rates, run = case
+    assert outcome(emac_exact, net, trace) == outcome(
+        reference_report, METHOD_EXACT, net, trace.T_used,
+        zip(trace.analog_events, trace.feedforward_events, trace.recurrent_events),
+    )
+    mode, per_step = run["input_mode"], run["encoder_per_step"]
+    got = outcome(
+        lambda: emac_analytic(net, rates, run["T_used"], input_mode=mode,
+                              encoder_per_step=per_step)
+    )
+    assert got == outcome(reference_analytic, net, rates, run["T_used"], mode, per_step)
+
+
+def test_a_dataset_derives_structural_counts_once_per_network(monkeypatch):
+    calls = []
+    count = netspec.layer_counts
+
+    def counted(layer):
+        calls.append(layer)
+        return count(layer)
+
+    for module in (netspec, emac, engine):
+        monkeypatch.setattr(module, "layer_counts", counted)
+    x = np.random.default_rng(3).uniform(0.0, 1.0, (1, 6, 6))
+
+    def derived(count):
+        net = (
+            NetworkBuilder((1, 6, 6), coding=Coding.RATE, max_timesteps=6)
+            .conv2d(2, (3, 3), ANN, padding=1)
+            .max_pool((2, 2))
+            .flatten()
+            .recurrent_dense(4, LIF_SPIKING)
+            .dense(3, ifl(0.5))
+            .build()
+        )
+        calls.clear()
+        run_dataset(net, [encode(x * (k + 1) / count) for k in range(count)])
+        return len(calls)
+
+    assert derived(16) <= derived(2)

@@ -2,6 +2,7 @@ import gc
 import hashlib
 import threading
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -170,7 +171,7 @@ def test_a_suspended_group_leaves_numpy_error_state_to_its_caller():
     with np.errstate(all="raise"):
         group = _run_group(net, _compile(net), samples, T_max=50, coding=Coding.RATE,
                            record_raster=False, encoder_per_step=False)
-        assert isinstance(next(group), NonFiniteState)  # suspended at a yield
+        assert isinstance(next(group)[0], NonFiniteState)  # suspended at a yield
         assert np.geterr() == {"divide": "raise", "over": "raise", "under": "raise",
                                "invalid": "raise"}
         group.close()
@@ -1043,12 +1044,12 @@ def test_lockstep_groups_equal_one_sample_at_a_time(case):
     rt = _compile(net)
     for mode in {s.mode for s in samples}:
         subset = [s for s in samples if s.mode is mode]
-        grouped = list(
-            _run_group(
+        grouped = [
+            result for result, _ in _run_group(
                 net, rt, subset, T_max=t_max, coding=coding, record_raster=True,
                 encoder_per_step=run["encoder_per_step"],
             )
-        )
+        ]
         assert len(grouped) == len(subset)
         for sample, got in zip(subset, grouped):
             try:
@@ -1115,10 +1116,12 @@ def test_a_row_that_has_left_is_not_read_again(monkeypatch):
     samples = [encode(np.array([1e269, 2.0])), encode(np.array([0.0, 0.25]))]
     alone = [run_inference(net, s, record_raster=True) for s in samples]
     assert [r.trace.T_used for r in alone] == [3, 7]
-    grouped = list(
-        _run_group(net, _compile(net), samples, T_max=7, coding=Coding.ROC,
-                   record_raster=True, encoder_per_step=False)
-    )
+    grouped = [
+        result for result, _ in _run_group(
+            net, _compile(net), samples, T_max=7, coding=Coding.ROC,
+            record_raster=True, encoder_per_step=False,
+        )
+    ]
     for got, want in zip(grouped, alone):
         assert_same_result(got, want)
     force_group_size(monkeypatch, net, 7, 2)
@@ -1144,10 +1147,12 @@ def test_samples_that_decide_early_leave_the_group():
         for k, scale in enumerate([0.9, 0.15, 0.5, 0.05, 0.3, 1.0])
     ]
     rt = _compile(net)
-    grouped = list(
-        _run_group(net, rt, samples, T_max=24, coding=Coding.ROC, record_raster=True,
-                   encoder_per_step=False)
-    )
+    grouped = [
+        result for result, _ in _run_group(
+            net, rt, samples, T_max=24, coding=Coding.ROC, record_raster=True,
+            encoder_per_step=False,
+        )
+    ]
     alone = [run_inference(net, s, record_raster=True) for s in samples]
     assert len({r.trace.T_used for r in alone}) >= 4
     for got, want in zip(grouped, alone):
@@ -1190,10 +1195,12 @@ def test_a_sample_fails_at_its_lowest_non_finite_step(monkeypatch, coding):
 def rank_order_run_matches_the_reference(net, samples, budget):
     """Run ``samples`` as one group, each alone and through the reference
     simulator; return each one's step count, which all three must agree on."""
-    grouped = list(
-        _run_group(net, _compile(net), samples, T_max=budget, coding=Coding.ROC,
-                   record_raster=True, encoder_per_step=False)
-    )
+    grouped = [
+        result for result, _ in _run_group(
+            net, _compile(net), samples, T_max=budget, coding=Coding.ROC,
+            record_raster=True, encoder_per_step=False,
+        )
+    ]
     steps = []
     for sample, got in zip(samples, grouped):
         assert_same_result(got, run_inference(net, sample, record_raster=True))
@@ -1436,3 +1443,100 @@ def test_a_cached_compile_gives_the_same_result():
     assert net in engine._COMPILED
     again = run_inference(net, sample, record_raster=True)
     assert_same_result(again, first)  # traces, rasters and both energy reports
+
+
+# ---------------------------------------------------------------------------
+# per-sample pricing and failed rows
+
+
+def overflowing_dense(t_max=40):
+    """Two IFL layers; a 1e300 input overflows layer 0 within a few steps, a
+    0.5 input stays finite for the whole budget."""
+    return (
+        NetworkBuilder((1,), coding=Coding.RATE, max_timesteps=t_max)
+        .dense(1, ifl(1e308), weights=np.full((1, 1), 1e38))
+        .dense(1, ifl(1e308), weights=np.ones((1, 1)))
+        .build()
+    )
+
+
+def test_every_priced_sample_calls_emac_exact_once(monkeypatch):
+    # the benchmark counts each sample's events inside this call
+    from emacprof import emac
+
+    priced = []
+    exact = emac.emac_exact
+
+    def counted(net, trace):
+        priced.append(trace.T_used)
+        return exact(net, trace)
+
+    monkeypatch.setattr(emac, "emac_exact", counted)
+    net = overflowing_dense()
+    samples = [encode(np.array([v])) for v in (0.5, 1e300, 0.25, 0.75)]
+    force_group_size(monkeypatch, net, 40, 3)
+    stats = run_dataset(net, samples)
+    assert stats.n_ok == 3
+    assert priced == [40, 40, 40]
+    priced.clear()
+    run_inference(net, samples[0])
+    assert priced == [40]
+
+
+def test_a_failed_row_leaves_its_group_on_the_one_call_check(monkeypatch):
+    scans = []
+    scan = engine._non_finite_rows
+
+    def counted(values, live):
+        scans.append(list(live))
+        return scan(values, live)
+
+    monkeypatch.setattr(engine, "_non_finite_rows", counted)
+    net = overflowing_dense()
+    good = [encode(np.array([v])) for v in (0.5, 0.25)]
+    bad = encode(np.array([1e300]))
+    with pytest.raises(NonFiniteState) as alone:
+        run_inference(net, bad)
+    want = [run_inference(net, s).decision for s in good]
+    scans.clear()
+    force_group_size(monkeypatch, net, 40, 3)
+    stats = run_dataset(net, [good[0], bad, good[1]])
+    assert stats.failures == [(1, str(alone.value))]
+    assert [o.decision for o in stats.outcomes if o is not None] == want
+    # the bad row is scanned while it is live (one call per layer and tick,
+    # for at most the two ticks the output layer needs to reach the failing
+    # step); once it has left, no tick of the 40-step budget scans again
+    assert 0 < len(scans) <= 4
+    assert all(1 in live for live in scans)
+
+
+@settings(max_examples=200, deadline=None)
+@given(values=st.lists(st.floats(-1e150, 1e150), min_size=0, max_size=300))
+def test_dataset_statistics_are_numpys_mean_and_std(values):
+    x = np.array(values, dtype=np.float64)
+    got = engine._stat(x)
+    if not values:
+        assert np.isnan(got.mean) and np.isnan(got.std)
+        return
+    assert got.mean.hex() == float(np.mean(x)).hex()
+    assert got.std.hex() == float(np.std(x)).hex()
+
+
+def test_a_group_lets_its_histories_go_before_the_next_group_steps(monkeypatch):
+    # run_dataset's results view their group's histories instead of copying them
+    earlier = []  # per group, as it starts: which earlier groups' histories live
+    histories = []
+    step_group = engine._step_group
+
+    def watched(*args, **kwargs):
+        earlier.append([ref() is not None for ref in histories])
+        run = step_group(*args, **kwargs)
+        histories.append(weakref.ref(run.volts))
+        return run
+
+    monkeypatch.setattr(engine, "_step_group", watched)
+    net = overflowing_dense(t_max=6)
+    force_group_size(monkeypatch, net, 6, 2)
+    stats = run_dataset(net, [encode(np.array([v])) for v in (0.5, 0.25, 1e300, 0.75, 0.1)])
+    assert stats.n_ok == 4
+    assert earlier == [[], [False], [False, False]]
