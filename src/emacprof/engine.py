@@ -71,8 +71,7 @@ spikes yields +0.0, which the step loop writes without a call when the
 input's spike count is zero. A float input (the static stage, or an
 analog first layer) takes the full matrix-vector product, and so does any
 input to a matrix of at most 16384 weights, where the product costs about
-what one gather's fixed overhead does; the step loop casts such a layer's
-spikes to float64 once for all samples of a group. Both read the one
+what one gather's fixed overhead does. Both read the one
 float64 copy of the weights, stored input-major (see
 :func:`~emacprof.netspec.weight_tensor`).
 The static stage and the step loop use the same plans, so results do not
@@ -88,11 +87,15 @@ and drive buffer hold every sample's row of every layer of the block, flat
 and layer by layer, so that the layers active at a tick are one contiguous
 range; each neuron step advances that range in place, so one numpy call
 serves every sample and layer of the block: on narrow layers the time goes
-to dispatching calls, not to arithmetic. The weighted drives stay one call
-per sample, through the group's step plan, each written into its row of
-the block's drive buffer. One product over the group would add the sums in
-another order, and a last-bit change at ``v == v_th`` flips a spike; kept
-per sample, every result is bit-identical whatever the group size. Under
+to dispatching calls, not to arithmetic. Each weighted drive is written
+into its sample's row of the block's drive buffer. An event drive, and a
+convolution's, is one call per sample through the group's step plan; a
+small matrix's drive is one stacked ``np.matmul`` per layer and tick,
+which numpy runs as one BLAS matrix-vector call per row, the call a lone
+run makes, so each row adds its sum in a lone run's order. One product
+over the group (one GEMM, or one gather) would add the sums in another
+order, and a last-bit change at ``v == v_th`` flips a spike; summed per
+sample, every result is bit-identical whatever the group size. Under
 rank-order coding a sample that has decided leaves the group with its
 counters frozen, and a sample whose state leaves the finite range fails
 alone. Every sample keeps its row for the whole run: a sample that leaves
@@ -380,13 +383,18 @@ def _each_row(plan: Callable, weights: np.ndarray | None = None) -> Callable:
     """``plan`` applied to rows of a group, as ``drives(x, out, counts, live)``.
 
     Each row in ``live`` gets its drive by ``x`` written into its row of
-    ``out``, one call per row; other rows of ``out`` keep what they hold.
-    ``weights`` is a dense-like plan's matrix. Where it sums weight rows for
-    spikes (see :func:`_event_drive`), a row whose input has no spikes
-    (``counts``) is not summed: its drive is the +0.0 an empty sum gives.
-    Where it takes the full product, a boolean input is cast once for all
-    rows, to the float64 operand the product casts each row to. Anything else
-    (a convolution's plan) gets ``x`` as it is.
+    ``out``; other rows of ``out`` keep what they hold. ``weights`` is a
+    dense-like plan's matrix. Where it sums weight rows for spikes (see
+    :func:`_event_drive`), each row is its own call, and a row whose input
+    has no spikes (``counts``) is not summed: its drive is the +0.0 an empty
+    sum gives. A matrix of at most ``_EVENT_MIN_WEIGHTS`` weights takes the
+    full product of every live row, cast to float64, in one stacked
+    ``np.matmul``, which numpy runs as one BLAS matrix-vector call per row,
+    the call ``np.dot`` makes for one row alone, so each row adds its sum in
+    a lone run's order. (Only a 1x1 matrix differs: a silent product is +0.0
+    there where ``np.dot`` gives the weight times 0.0, and a neuron step adds
+    either zero alike.) Anything else (a convolution's plan) gets ``x`` as it
+    is, one call per row.
     """
 
     def each(x: np.ndarray, out: np.ndarray, counts: np.ndarray, live: list[int]) -> None:
@@ -401,11 +409,20 @@ def _each_row(plan: Callable, weights: np.ndarray | None = None) -> Callable:
             else:
                 out[p] = 0.0
 
+    def stacked(x: np.ndarray, out: np.ndarray, counts: np.ndarray, live: list[int]) -> None:
+        rows = len(out)
+        if len(live) == rows:
+            x = x.reshape(rows, -1, 1).astype(np.float64)
+            np.matmul(weights, x, out=out.reshape(rows, -1, 1))
+        else:
+            x = x[live].reshape(len(live), -1, 1).astype(np.float64)
+            out[live] = np.matmul(weights, x)[..., 0]
+
     if weights is None:
         return each
     if weights.size > _EVENT_MIN_WEIGHTS:
         return events
-    return lambda x, out, counts, live: each(x.astype(np.float64), out, counts, live)
+    return stacked
 
 
 def _synaptic_events(rt: _LayerRT, spikes: np.ndarray) -> np.ndarray:
@@ -545,7 +562,10 @@ def _settings(
     net: NetworkSpec, t_max: int | None, coding: Coding | str | None
 ) -> tuple[Coding, int]:
     coding = Coding(coding) if coding is not None else net.coding
-    T_max = int(t_max) if t_max is not None else net.max_timesteps
+    T_max = t_max if t_max is not None else net.max_timesteps
+    if isinstance(T_max, bool) or not isinstance(T_max, (int, np.integer)):
+        raise SchemaError(f"the step budget must be an integer, got {T_max!r}")
+    T_max = int(T_max)
     if T_max < 1:
         raise SchemaError(f"the step budget must be >= 1, got {T_max}")
     return coding, T_max
@@ -711,8 +731,9 @@ def _step_group(
             tails.append([])
         else:
             tails[-1].append(r)
-    # one plan per layer, which every row of the group calls in turn, and by
-    # position among the spiking layers, the drive of every row
+    # one plan per layer, which the rows of the group call in turn (but the
+    # stacked product of a small matrix), and by position among the spiking
+    # layers, the drive of every row
     plans = [_step_plan(r) for r in rt]
     ff_drives = [
         _each_row(plans[r.index], None if r.spec.kind is LayerKind.CONV2D else r.weights)
@@ -727,13 +748,22 @@ def _step_group(
     # [:T_used[k], k]. A static-only network runs one step, whose output
     # voltages are its head activation.
     steps = T_max if start is not None else 1
-    count_hist = np.zeros((steps, B, L + 1), dtype=np.int64)  # [..., 0]: the input
-    spike_hist = np.zeros((steps, B, rt[-1].neurons), dtype=bool)
-    volt_hist = np.zeros((steps, B, rt[-1].neurons))
-    raster_hist = [np.zeros((steps, B, r.neurons), bool) for r in rt if record_raster]
     # the events that reach layers of uneven fan-out, one column each
     uneven = [r.index for r in stepped if r.fanout is not None]
-    ff_hist = np.zeros((steps, B, len(uneven)), dtype=np.int64)
+    # per step and sample: the counts ([..., 0]: the input), the output
+    # spikes and voltages, the uneven events and the rasters
+    layout = [(L + 1, np.int64), (rt[-1].neurons, bool), (rt[-1].neurons, np.float64),
+              (len(uneven), np.int64)] + [(r.neurons, bool) for r in rt if record_raster]
+    try:
+        count_hist, spike_hist, volt_hist, ff_hist, *raster_hist = [
+            np.zeros((steps, B, n), dtype) for n, dtype in layout
+        ]
+    except (MemoryError, ValueError):  # numpy's own message names neither
+        need = steps * B * sum(n * np.dtype(dtype).itemsize for n, dtype in layout)
+        raise SchemaError(
+            f"a step budget of {T_max} needs {need} bytes of step history for "
+            f"{B} sample(s), more than can be allocated"
+        ) from None
     ff_col = {index: j for j, index in enumerate(uneven)}
     T_used = [1] * B
     failed: dict[int, NonFiniteState] = {}
@@ -766,9 +796,9 @@ def _step_group(
         # place for the whole run: a sample that decides or fails leaves
         # ``live``, and nothing reads its row again, so past its last step
         # the row's state, drives and histories may hold anything. Each live
-        # sample's drive is its own call, so its sums add up in the same order
-        # whatever the group size; the neuron steps, the counters and the
-        # history writes serve all rows at once.
+        # sample's drive sums in a lone run's order (see _each_row), whatever
+        # the group size; the neuron steps, the counters and the history
+        # writes serve all rows at once.
         x_in = np.zeros((B, *net.input_shape), dtype=bool) if poisson else None
         blocks = _blocks(spiking, B)
         block_of = [b for b in blocks for _ in range(b.first, b.stop)]

@@ -134,6 +134,27 @@ def test_recurrent_rectifier_layer_exits_2(tmp_path, capsys, command):
     assert "ignore the recurrent weights" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
 
+@pytest.mark.parametrize("budget", [10**15, 2**70])
+@pytest.mark.parametrize("source", ["flag", "manifest"])
+@pytest.mark.parametrize("command", ["profile", "trace"])
+def test_a_step_budget_past_memory_exits_2(tmp_path, capsys, budget, source, command):
+    # only budgets whose histories fail to allocate at once
+    npath = write_net(tmp_path, dense_ifl())
+    argv = [command, "--network", str(npath), "--out", str(tmp_path / "o")]
+    argv += ["--inputs", str(write_inputs(tmp_path, [np.full(4, 0.3)]))]
+    if source == "flag":
+        argv += ["--t-max", str(budget)]
+    else:
+        manifest = json.loads(npath.read_text())
+        manifest["max_timesteps"] = budget
+        npath.write_text(json.dumps(manifest))
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert f"error: schema error: a step budget of {budget} needs" in err
+    assert "Traceback" not in err and "Maximum allowed dimension" not in err
+    assert not (tmp_path / "o").exists()
+
+
 def test_weights_flag_overrides_the_default_suffix(tmp_path, capsys):
     net = dense_ifl()
     manifest, weights = serialize_network(net)

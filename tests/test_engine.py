@@ -40,6 +40,7 @@ from emacprof.engine import (
     _synaptic_events,
 )
 from emacprof.netspec import fanout_map, lcl_mask, recurrent_weight_tensor, weight_tensor
+from emacprof.neuron import state_zeros, step_fn
 from reference_sim import simulate
 
 IFL = NeuronModelSpec(kind=NeuronKind.IFL)
@@ -260,6 +261,40 @@ def test_poisson_into_ann_is_rejected():
     )
     with pytest.raises(SchemaError):
         run_inference(net, encode(np.ones(2), EncodingMode.POISSON, seed=0))
+
+
+@pytest.mark.parametrize("t_max", [2.5, float("nan"), True, "3", 1e300, np.float64(4.0)])
+def test_a_step_budget_must_be_an_integer(t_max):
+    net = single_dense(0.5)
+    enc = encode(np.array([0.5]), EncodingMode.ANALOG)
+    with pytest.raises(SchemaError, match="the step budget must be an integer"):
+        run_inference(net, enc, t_max=t_max)
+    with pytest.raises(SchemaError, match="the step budget must be an integer"):
+        run_dataset(net, [enc], t_max=t_max)
+
+
+def test_a_numpy_integer_step_budget_is_a_step_budget():
+    net = single_dense(0.5)
+    enc = encode(np.array([0.5]), EncodingMode.ANALOG)
+    got, want = (
+        run_inference(net, enc, t_max=t, record_raster=True) for t in (np.int64(5), 5)
+    )
+    assert_same_result(got, want)
+    assert run_dataset(net, [enc], t_max=np.uint8(5)) == run_dataset(net, [enc], t_max=5)
+
+
+@pytest.mark.parametrize("t_max", [10**15, 2**70])
+def test_a_step_budget_past_memory_is_a_schema_error(t_max):
+    # budgets whose histories fail to allocate at once; a smaller one that
+    # the allocator grants lazily would reserve it and step for hours
+    net = single_dense(0.5)
+    enc = encode(np.array([0.5]), EncodingMode.ANALOG)
+    need = f"a step budget of {t_max} needs {t_max * 25} bytes of step history"
+    with pytest.raises(SchemaError, match=need):
+        run_dataset(net, [enc, enc], t_max=t_max)
+    # one layer's raster of one neuron adds a byte a step
+    with pytest.raises(SchemaError, match=f"needs {t_max * 26} bytes"):
+        run_inference(net, enc, t_max=t_max, record_raster=True)
 
 
 def test_analog_first_layer_priced_once_or_per_step():
@@ -825,6 +860,90 @@ def test_a_group_drive_equals_each_row_alone(kind):
     for p in live:
         assert out[p].tobytes() == plan(x[p]).tobytes()  # +0.0 for the silent row
     assert np.isnan(out[3]).all()
+
+
+def small_matrix(kind, rng):
+    """A small dense or recurrent matrix as the engine holds it, under
+    ``_EVENT_MIN_WEIGHTS`` weights: float32-rounded normals, scaled over a
+    range of exponents wider than a float64's mantissa, so that their sums
+    round, and another summation order shows."""
+
+    def weights(shape):
+        return (rng.normal(0.0, 0.3, shape) * 2.0 ** rng.integers(-40, 40, shape)).astype(
+            np.float32
+        )
+
+    n = int(rng.integers(20, 120))
+    if kind == "dense":
+        m = int(rng.integers(2, 40))
+        net = NetworkBuilder((n,)).dense(m, lif(), weights=weights((m, n))).build()
+        w = _compile(net)[0].weights
+    else:
+        builder = NetworkBuilder((3,)).recurrent_dense(
+            n, lif(), weights=weights((n, 3)), recurrent_weights=weights((n, n))
+        )
+        w = _compile(builder.build())[0].rec_weights
+    assert w.size <= _EVENT_MIN_WEIGHTS
+    return w
+
+
+@pytest.mark.parametrize("rows", [1, 2, 14])
+@pytest.mark.parametrize("kind", ["dense", "recurrent"])
+def test_a_small_matrix_drives_its_rows_by_one_stacked_product(kind, rows):
+    # every live row's drive is bitwise np.dot's of that row alone; a row
+    # that has left keeps its bytes, and the row plan is never called
+    rng = np.random.default_rng(rows)
+    w = small_matrix(kind, rng)
+    calls = []
+    drive = _each_row(lambda *args, **kwargs: calls.append(args), w)
+    x = rng.random((rows, w.shape[1])) < 0.2
+    x[-1] = False  # a silent row still takes the product
+    for live in (list(range(rows)), list(range(0, rows, 3))):
+        out = rng.normal(size=(rows, w.shape[0]))
+        before = out.copy()
+        drive(x, out, x.sum(axis=1), live)
+        for p in range(rows):
+            want = np.dot(w, x[p].astype(np.float64)) if p in live else before[p]
+            assert out[p].tobytes() == want.tobytes()
+    assert not calls
+
+
+@pytest.mark.parametrize("model", [lif(), ifl(0.5)])
+def test_a_one_by_one_layer_runs_alike_in_a_group(model):
+    # a 1x1 layer's silent drive is the stacked product's +0.0 in a group of
+    # any size (np.dot would give -0.0 for the negative weight)
+    net = (
+        NetworkBuilder((1,), coding=Coding.RATE, max_timesteps=16)
+        .dense(1, model, weights=np.array([[-0.75]]))
+        .dense(1, model, weights=np.array([[1.5]]))
+        .build()
+    )
+    samples = [encode(np.array([0.5]), EncodingMode.POISSON, seed=s) for s in range(4)]
+    grouped = [
+        result for result, _ in _run_group(
+            net, _compile(net), samples, T_max=16, coding=Coding.RATE,
+            record_raster=True, encoder_per_step=False,
+        )
+    ]
+    for sample, got in zip(samples, grouped):
+        assert_same_result(got, run_inference(net, sample, record_raster=True))
+
+
+@pytest.mark.parametrize("bias", [0.0, -0.0, 0.25, -0.25])
+@pytest.mark.parametrize("model", [lif(), ifl(0.5)])
+def test_a_neuron_step_adds_either_zero_alike(model, bias):
+    # a 1x1 matrix's silent drive is +0.0 by the stacked product and
+    # -0.0 by np.dot; from fresh state, no step tells the two apart
+    model = NeuronModelSpec(**{**vars(model), "bias": bias})
+    rng = np.random.default_rng(16)
+    drives = rng.choice([0.0, -0.0, 0.5, -0.5, 1e-320, -1e-320], size=(200, 64))
+    plus, minus = state_zeros(64), state_zeros(64)
+    step = step_fn(model.kind)
+    for d in drives:
+        spikes = step(plus, d + 0.0, model), step(minus, d, model)  # -0.0 + 0.0 is +0.0
+        assert spikes[0].tobytes() == spikes[1].tobytes()
+        for a, b in zip(vars(plus).values(), vars(minus).values()):
+            assert a.tobytes() == b.tobytes()
 
 
 def test_dense_like_weights_are_one_input_major_copy():
