@@ -3,7 +3,10 @@
 `NetworkBuilder` tracks the running activation shape so layers chain
 without repeating geometry, fills in weight names, and hands zeros to any
 layer whose weights are left unset (structural and analytic queries need
-shapes, not values). `build()` returns a fully validated `NetworkSpec`.
+shapes, not values). It keeps no rule of its own: blocks are sized by
+`netspec.weight_shape`, and `build()` returns a `NetworkSpec`, which
+validates everything, the step budget included (a float, bool or string
+`max_timesteps` raises `SchemaError` there).
 """
 
 from __future__ import annotations
@@ -12,13 +15,15 @@ import math
 
 import numpy as np
 
-from .errors import SchemaError, ShapeMismatch
+from .errors import ShapeMismatch
 from .netspec import (
+    WEIGHTED_KINDS,
     Coding,
     LayerKind,
     LayerSpec,
     NetworkSpec,
     conv_output_hw,
+    weight_shape,
 )
 from .neuron import NeuronModelSpec
 
@@ -59,28 +64,14 @@ class NetworkBuilder:
     ):
         self._shape = tuple(int(v) for v in input_shape)
         self._coding = Coding(coding)
-        self._max_timesteps = int(max_timesteps)
+        self._max_timesteps = max_timesteps
         self._layers: list[LayerSpec] = []
         self._weights: dict[str, np.ndarray] = {}
 
     # -- weighted layers ----------------------------------------------------
 
     def dense(self, units: int, model: NeuronModelSpec, *, weights=None):
-        in_shape = self._shape
-        out_shape = (int(units),)
-        n_in = math.prod(in_shape)
-        ref = self._store(weights, units * n_in, "dense weights")
-        self._layers.append(
-            LayerSpec(
-                kind=LayerKind.DENSE,
-                input_shape=in_shape,
-                output_shape=out_shape,
-                neuron_model=model,
-                weights_ref=ref,
-            )
-        )
-        self._shape = out_shape
-        return self
+        return self._add(LayerKind.DENSE, (units,), model=model, weights=weights)
 
     def recurrent_dense(
         self,
@@ -90,25 +81,13 @@ class NetworkBuilder:
         weights=None,
         recurrent_weights=None,
     ):
-        in_shape = self._shape
-        out_shape = (int(units),)
-        n_in = math.prod(in_shape)
-        ref = self._store(weights, units * n_in, "recurrent layer feedforward weights")
-        rref = self._store(
-            recurrent_weights, units * units, "recurrent weights", suffix="_rw"
+        return self._add(
+            LayerKind.RECURRENT_DENSE,
+            (units,),
+            model=model,
+            weights=weights,
+            recurrent_weights=recurrent_weights,
         )
-        self._layers.append(
-            LayerSpec(
-                kind=LayerKind.RECURRENT_DENSE,
-                input_shape=in_shape,
-                output_shape=out_shape,
-                neuron_model=model,
-                weights_ref=ref,
-                recurrent_weights_ref=rref,
-            )
-        )
-        self._shape = out_shape
-        return self
 
     def conv2d(
         self,
@@ -120,26 +99,10 @@ class NetworkBuilder:
         padding: int = 0,
         weights=None,
     ):
-        in_shape = self._require_spatial("conv2d")
-        kh, kw = (int(kernel[0]), int(kernel[1]))
-        out_hw = conv_output_hw(in_shape[1:], (kh, kw), tuple(stride), int(padding))
-        out_shape = (int(filters), *out_hw)
-        size = filters * in_shape[0] * kh * kw
-        ref = self._store(weights, size, "conv2d weights")
-        self._layers.append(
-            LayerSpec(
-                kind=LayerKind.CONV2D,
-                input_shape=in_shape,
-                output_shape=out_shape,
-                kernel=(kh, kw),
-                stride=tuple(int(v) for v in stride),
-                padding=int(padding),
-                neuron_model=model,
-                weights_ref=ref,
-            )
+        return self._spatial(
+            LayerKind.CONV2D, filters, kernel, stride, model=model, weights=weights,
+            padding=int(padding),
         )
-        self._shape = out_shape
-        return self
 
     def locally_connected(
         self,
@@ -150,65 +113,24 @@ class NetworkBuilder:
         stride: tuple[int, int] = (1, 1),
         weights=None,
     ):
-        in_shape = self._require_spatial("locally_connected")
-        kh, kw = (int(kernel[0]), int(kernel[1]))
-        out_hw = conv_output_hw(in_shape[1:], (kh, kw), tuple(stride), 0)
-        out_shape = (int(filters), *out_hw)
-        n_n = math.prod(out_shape)
-        n_in = math.prod(in_shape)
-        ref = self._store(weights, n_n * n_in, "locally connected weights")
-        self._layers.append(
-            LayerSpec(
-                kind=LayerKind.LOCALLY_CONNECTED,
-                input_shape=in_shape,
-                output_shape=out_shape,
-                kernel=(kh, kw),
-                stride=tuple(int(v) for v in stride),
-                neuron_model=model,
-                weights_ref=ref,
-            )
+        return self._spatial(
+            LayerKind.LOCALLY_CONNECTED, filters, kernel, stride, model=model,
+            weights=weights,
         )
-        self._shape = out_shape
-        return self
 
     # -- unweighted layers --------------------------------------------------
 
     def max_pool(self, pool: tuple[int, int], *, stride: tuple[int, int] | None = None):
-        in_shape = self._require_spatial("max_pool")
-        ph, pw = (int(pool[0]), int(pool[1]))
-        st = (ph, pw) if stride is None else tuple(int(v) for v in stride)
-        out_hw = conv_output_hw(in_shape[1:], (ph, pw), st, 0)
-        out_shape = (in_shape[0], *out_hw)
-        self._layers.append(
-            LayerSpec(
-                kind=LayerKind.MAX_POOL2D,
-                input_shape=in_shape,
-                output_shape=out_shape,
-                kernel=(ph, pw),
-                stride=st,
-            )
+        return self._spatial(
+            LayerKind.MAX_POOL2D, None, pool, pool if stride is None else stride
         )
-        self._shape = out_shape
-        return self
 
     def flatten(self):
-        in_shape = self._shape
-        out_shape = (math.prod(in_shape),)
-        self._layers.append(
-            LayerSpec(
-                kind=LayerKind.FLATTEN,
-                input_shape=in_shape,
-                output_shape=out_shape,
-            )
-        )
-        self._shape = out_shape
-        return self
+        return self._add(LayerKind.FLATTEN, (math.prod(self._shape),))
 
     # -- assembly -----------------------------------------------------------
 
     def build(self) -> NetworkSpec:
-        if not self._layers:
-            raise SchemaError("network has no layers")
         return NetworkSpec(
             layers=tuple(self._layers),
             weights=dict(self._weights),
@@ -216,17 +138,54 @@ class NetworkBuilder:
             max_timesteps=self._max_timesteps,
         )
 
-    def _require_spatial(self, what: str) -> tuple[int, int, int]:
+    def _spatial(self, kind, channels, kernel, stride, *, padding=0, **rest):
+        """Append a windowed layer of ``channels`` output maps (the input's
+        own for ``None``); ``rest`` goes to :meth:`_add`."""
         if len(self._shape) != 3:
             raise ShapeMismatch(
-                f"{what} needs a (C, H, W) input, current shape is {self._shape}"
+                f"{kind.value} needs a (C, H, W) input, current shape is {self._shape}"
             )
-        return self._shape  # type: ignore[return-value]
+        kernel = (int(kernel[0]), int(kernel[1]))
+        stride = tuple(int(v) for v in stride)
+        out_hw = conv_output_hw(self._shape[1:], kernel, stride, padding)
+        if channels is None:
+            channels = self._shape[0]
+        return self._add(
+            kind, (channels, *out_hw), kernel=kernel, stride=stride, padding=padding,
+            **rest,
+        )
 
-    def _store(self, values, size: int, what: str, *, suffix: str = "_w") -> str:
-        ref = f"l{len(self._layers)}{suffix}"
-        if values is None:
-            self._weights[ref] = np.zeros(size, dtype=np.float32)
-        else:
-            self._weights[ref] = _flat32(values, size, what)
-        return ref
+    def _add(self, kind, out_shape, *, model=None, weights=None, recurrent_weights=None,
+             **geometry):
+        """Append a layer on the current shape and advance it.
+
+        Each block the layer's kind takes, ``l{i}_w`` and a recurrent layer's
+        ``l{i}_rw``, holds the size :func:`weight_shape` gives: zeros, or a
+        float32 copy of the caller's values (see :func:`_flat32`).
+        """
+        index = len(self._layers)
+        layer = LayerSpec(
+            kind=kind,
+            input_shape=self._shape,
+            output_shape=out_shape,
+            neuron_model=model,
+            weights_ref=f"l{index}_w" if kind in WEIGHTED_KINDS else None,
+            recurrent_weights_ref=(
+                f"l{index}_rw" if kind is LayerKind.RECURRENT_DENSE else None
+            ),
+            **geometry,
+        )
+        for ref, values, recurrent in (
+            (layer.weights_ref, weights, False),
+            (layer.recurrent_weights_ref, recurrent_weights, True),
+        ):
+            if ref is None:
+                continue
+            size = math.prod(weight_shape(layer, recurrent))
+            if values is None:
+                self._weights[ref] = np.zeros(size, dtype=np.float32)
+            else:
+                self._weights[ref] = _flat32(values, size, f"layer {index} block {ref!r}")
+        self._layers.append(layer)
+        self._shape = layer.output_shape
+        return self

@@ -69,6 +69,7 @@ from .netspec import (
     WEIGHTED_KINDS,
     layer_counts,
     static_split,
+    step_count,
 )
 from .neuron import AC_EMAC, MAC_EMAC, NeuronKind
 
@@ -373,16 +374,9 @@ def emac_analytic(
 
     ``rates`` may be ``None`` only when no layer needs one (a fully static
     network). A spike-consuming first layer needs ``rates.input_rate``.
-    ``T_used`` is a step count: an integer (``bool`` excluded) of at least 1,
-    else :class:`SchemaError`.
+    ``T_used`` is a step count, as :func:`netspec.step_count` accepts one.
     """
-    if (
-        isinstance(T_used, bool)
-        or not isinstance(T_used, (int, np.integer))
-        or T_used < 1
-    ):
-        raise SchemaError(f"T_used must be an integer >= 1, got {T_used!r}")
-    T_used = int(T_used)
+    T_used = step_count(T_used, "T_used")
     input_mode = EncodingMode(input_mode)
     table = price_table(net)
     per_layer = None if rates is None else rates.per_layer.tolist()

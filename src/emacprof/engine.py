@@ -99,8 +99,9 @@ sample, every result is bit-identical whatever the group size. Under
 rank-order coding a sample that has decided leaves the group with its
 counters frozen, and a sample whose state leaves the finite range fails
 alone. Every sample keeps its row for the whole run: a sample that leaves
-only stops getting drives, decisions and finiteness checks, and nothing
-reads its row again, whatever the steps after it write there. A group's
+only stops getting decisions, finiteness checks and drives (but a small
+matrix's stacked product, which serves every row), and nothing reads its
+row again, whatever the steps after it write there. A group's
 histories (spike counts, the events reaching layers of uneven fan-out,
 output spikes and voltages, rasters when recorded) are allocated once at
 the step budget, a row per sample; each tick writes every row, and one
@@ -149,6 +150,7 @@ from .netspec import (
     layer_counts,
     recurrent_weight_tensor,
     static_split,
+    step_count,
     weight_tensor,
 )
 from .neuron import (
@@ -355,18 +357,18 @@ def _event_drive(weights: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
     """Drive of a column-major ``(neurons, inputs)`` matrix.
 
     A boolean input sums the rows of ``weights.T`` (one per input, each
-    contiguous) picked by its spikes; a float input, or any input to a
-    matrix of at most ``_EVENT_MIN_WEIGHTS`` weights, takes ``weights @ x``.
-    ``out`` works as in :func:`_step_plan`.
+    contiguous) picked by its spikes; a float input takes ``weights @ x``.
+    The spikes a matrix of at most ``_EVENT_MIN_WEIGHTS`` weights receives
+    never reach this plan: :func:`_each_row` takes their full product. ``out``
+    works as in :func:`_step_plan`.
     """
     rows = weights.T
     ones = np.ones(_EVENT_BLOCK)
-    small = weights.size <= _EVENT_MIN_WEIGHTS
 
     def drive(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         # np.dot and x.reshape(-1).nonzero() dispatch faster than @ and
         # np.flatnonzero, which a narrow layer notices at every step
-        if small or x.dtype != bool:
+        if x.dtype != bool:
             return np.dot(weights, x.reshape(-1), out=out)
         idx = x.reshape(-1).nonzero()[0]
         first = idx[:_EVENT_BLOCK]  # empty without spikes: the product is +0.0
@@ -383,18 +385,20 @@ def _each_row(plan: Callable, weights: np.ndarray | None = None) -> Callable:
     """``plan`` applied to rows of a group, as ``drives(x, out, counts, live)``.
 
     Each row in ``live`` gets its drive by ``x`` written into its row of
-    ``out``; other rows of ``out`` keep what they hold. ``weights`` is a
-    dense-like plan's matrix. Where it sums weight rows for spikes (see
-    :func:`_event_drive`), each row is its own call, and a row whose input
-    has no spikes (``counts``) is not summed: its drive is the +0.0 an empty
-    sum gives. A matrix of at most ``_EVENT_MIN_WEIGHTS`` weights takes the
-    full product of every live row, cast to float64, in one stacked
-    ``np.matmul``, which numpy runs as one BLAS matrix-vector call per row,
-    the call ``np.dot`` makes for one row alone, so each row adds its sum in
-    a lone run's order. (Only a 1x1 matrix differs: a silent product is +0.0
-    there where ``np.dot`` gives the weight times 0.0, and a neuron step adds
-    either zero alike.) Anything else (a convolution's plan) gets ``x`` as it
-    is, one call per row.
+    ``out``. ``weights`` is a dense-like plan's matrix. Where it sums weight
+    rows for spikes (see :func:`_event_drive`), each live row is its own
+    call, and a row whose input has no spikes (``counts``) is not summed:
+    its drive is the +0.0 an empty sum gives. A matrix of at most
+    ``_EVENT_MIN_WEIGHTS`` weights takes the full product of every row,
+    live or not, cast to float64, in one stacked ``np.matmul``, which numpy
+    runs as one BLAS matrix-vector call per row, the call ``np.dot`` makes
+    for one row alone, so each row adds its sum in a lone run's order. (Only
+    a 1x1 matrix differs: a silent product is +0.0 there where ``np.dot``
+    gives the weight times 0.0, and a neuron step adds either zero alike.)
+    Nothing reads a row that has left, and its spikes through finite weights
+    keep its drive finite for the group's one-call finiteness check. Anything
+    else (a convolution's plan) gets ``x`` as it is, one call per live row.
+    Only the stacked product writes rows outside ``live``.
     """
 
     def each(x: np.ndarray, out: np.ndarray, counts: np.ndarray, live: list[int]) -> None:
@@ -411,12 +415,8 @@ def _each_row(plan: Callable, weights: np.ndarray | None = None) -> Callable:
 
     def stacked(x: np.ndarray, out: np.ndarray, counts: np.ndarray, live: list[int]) -> None:
         rows = len(out)
-        if len(live) == rows:
-            x = x.reshape(rows, -1, 1).astype(np.float64)
-            np.matmul(weights, x, out=out.reshape(rows, -1, 1))
-        else:
-            x = x[live].reshape(len(live), -1, 1).astype(np.float64)
-            out[live] = np.matmul(weights, x)[..., 0]
+        x = x.reshape(rows, -1, 1).astype(np.float64)
+        np.matmul(weights, x, out=out.reshape(rows, -1, 1))
 
     if weights is None:
         return each
@@ -562,13 +562,8 @@ def _settings(
     net: NetworkSpec, t_max: int | None, coding: Coding | str | None
 ) -> tuple[Coding, int]:
     coding = Coding(coding) if coding is not None else net.coding
-    T_max = t_max if t_max is not None else net.max_timesteps
-    if isinstance(T_max, bool) or not isinstance(T_max, (int, np.integer)):
-        raise SchemaError(f"the step budget must be an integer, got {T_max!r}")
-    T_max = int(T_max)
-    if T_max < 1:
-        raise SchemaError(f"the step budget must be >= 1, got {T_max}")
-    return coding, T_max
+    # the spec's own budget was checked when it was built
+    return coding, net.max_timesteps if t_max is None else step_count(t_max, "t_max")
 
 
 def run_inference(
@@ -610,16 +605,14 @@ def _run_group(
     coding: Coding,
     record_raster: bool,
     encoder_per_step: bool,
-    views: bool = False,
 ) -> Iterator[tuple[InferenceResult, np.ndarray] | tuple[NonFiniteState, None]]:
     """Step samples of one encoding mode in lockstep; yield each one's result.
 
     Results come in sample order, each with its layers' spike totals; a
     sample whose state leaves the finite range yields its
     :class:`NonFiniteState` instead. Any other error is raised for the first
-    sample that causes it. With ``views``, a result's arrays view the
-    group's histories instead of owning copies, for a caller that keeps none
-    of them.
+    sample that causes it. A result's arrays view the group's histories,
+    which belong to this call alone.
     """
     mode = samples[0].mode
     static_ids, start = static_split(net, mode)
@@ -633,7 +626,6 @@ def _run_group(
     rec_fanin = np.array([lp.recurrent_fanin for lp in table.layers], dtype=np.int64)
     even_fanout = np.array([r.even_fanout for r in rt], dtype=np.int64)
     poisson = mode is EncodingMode.POISSON
-    owned = (lambda a: a) if views else np.ndarray.copy
     for k in range(len(samples)):
         if k in run.failed:
             yield run.failed[k], None
@@ -642,8 +634,8 @@ def _run_group(
         counts = run.counts[:T, k]  # (steps, layers + 1)
         totals = counts.sum(axis=0)  # [0]: the input's spikes
         spikes = totals[1:]
-        out_spikes = owned(run.spikes[:T, k].T)
-        out_volt = owned(run.volts[:T, k].T)
+        out_spikes = run.spikes[:T, k].T
+        out_volt = run.volts[:T, k].T
         if start is not None and coding is Coding.ROC:
             decision = decode_roc(out_spikes, out_volt)
         else:
@@ -654,8 +646,8 @@ def _run_group(
         if run.uneven:
             ff_events[run.uneven] += run.events[:T, k].sum(axis=0)
         trace = SpikeTrace(
-            counts=owned(counts[:, 1:].T),
-            input_counts=owned(counts[:, 0]) if poisson else None,
+            counts=counts[:, 1:].T,
+            input_counts=counts[:, 0] if poisson else None,
             feedforward_events=ff_events,
             # each spike books its layer's recurrent fan-out
             recurrent_events=rec_fanin * spikes,
@@ -1106,7 +1098,6 @@ def run_dataset(
             coding=coding,
             record_raster=False,
             encoder_per_step=encoder_per_step,
-            views=True,
         )
         for group in _groups(samples, size)
     )

@@ -78,6 +78,8 @@ __all__ = [
     "realized_connections",
     "layer_counts",
     "static_split",
+    "step_count",
+    "weight_shape",
     "weight_tensor",
     "recurrent_weight_tensor",
     "lcl_mask",
@@ -175,6 +177,8 @@ class NetworkSpec:
     def __post_init__(self) -> None:
         object.__setattr__(self, "layers", tuple(self.layers))
         object.__setattr__(self, "coding", Coding(self.coding))
+        t_max = step_count(self.max_timesteps, "max_timesteps")
+        object.__setattr__(self, "max_timesteps", t_max)
         blocks = {name: _frozen(block) for name, block in self.weights.items()}
         object.__setattr__(self, "weights", MappingProxyType(blocks))
         validate_network(self)
@@ -342,8 +346,19 @@ def _block(net: NetworkSpec, ref: str, index: int) -> np.ndarray:
         ) from None
 
 
-def _weight_shape(layer: LayerSpec) -> tuple[int, ...]:
-    """Natural shape of a weighted layer's block (see the module docstring)."""
+def step_count(value, field: str) -> int:
+    """``value``, a Python or numpy integer (not bool) of at least 1, as an ``int``;
+    anything else raises :class:`SchemaError` naming ``field``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+        raise SchemaError(f"{field}: the step budget must be an integer >= 1, got {value!r}")
+    return int(value)
+
+
+def weight_shape(layer: LayerSpec, recurrent: bool = False) -> tuple[int, ...]:
+    """Natural shape of a weighted layer's block, or with ``recurrent`` of a
+    recurrent layer's all-to-all ``(n_n, n_n)`` block (see the module docstring)."""
+    if recurrent:
+        return (prod(layer.output_shape),) * 2
     if layer.kind is LayerKind.CONV2D:
         return (layer.output_shape[0], layer.input_shape[0], *layer.kernel)
     return (prod(layer.output_shape), prod(layer.input_shape))
@@ -375,14 +390,13 @@ def weight_tensor(net: NetworkSpec, index: int) -> np.ndarray:
     block, whatever the layer kind.
     """
     layer = net.layers[index]
-    return _float64_block(net, index, layer.weights_ref, _weight_shape(layer))
+    return _float64_block(net, index, layer.weights_ref, weight_shape(layer))
 
 
 def recurrent_weight_tensor(net: NetworkSpec, index: int) -> np.ndarray:
     """Recurrent ``(n_n, n_n)`` weights, laid out and checked like a dense block."""
     layer = net.layers[index]
-    n_n = layer_counts(layer).neurons
-    return _float64_block(net, index, layer.recurrent_weights_ref, (n_n, n_n))
+    return _float64_block(net, index, layer.recurrent_weights_ref, weight_shape(layer, True))
 
 
 def lcl_mask(layer: LayerSpec) -> np.ndarray:
@@ -476,27 +490,21 @@ def _validate_layer_geometry(layer: LayerSpec, index: int) -> None:
 
 def _validate_weights(net: NetworkSpec, index: int) -> None:
     layer = net.layers[index]
-    counts = layer_counts(layer)
     name = f"layer {index} ({layer.kind.value})"
-    shape = _weight_shape(layer)
-    expected = prod(shape)
-    block = _block(net, layer.weights_ref, index)
-    if block.ndim != 1 or block.dtype != np.float32:
-        raise SchemaError(f"{name}: weight blocks must be flat float32")
-    if block.size != expected:
-        raise ShapeMismatch(
-            f"{name}: weight block {layer.weights_ref!r} holds {block.size} "
-            f"values, expected {expected}"
-        )
-    if layer.kind is LayerKind.RECURRENT_DENSE:
-        rec = _block(net, layer.recurrent_weights_ref, index)
-        if rec.size != counts.neurons * counts.neurons:
+    for ref, recurrent in (layer.weights_ref, False), (layer.recurrent_weights_ref, True):
+        if ref is None:
+            continue
+        block = _block(net, ref, index)
+        if block.ndim != 1 or block.dtype != np.float32:
+            raise SchemaError(f"{name}: weight blocks must be flat float32")
+        expected = prod(weight_shape(layer, recurrent))
+        if block.size != expected:
             raise ShapeMismatch(
-                f"{name}: recurrent block {layer.recurrent_weights_ref!r} holds "
-                f"{rec.size} values, expected {counts.neurons ** 2}"
+                f"{name}: weight block {ref!r} holds {block.size} values, "
+                f"expected {expected}"
             )
     if layer.kind is LayerKind.LOCALLY_CONNECTED:
-        outside = block.reshape(shape)[~lcl_mask(layer)]
+        outside = block.reshape(weight_shape(layer))[~lcl_mask(layer)]  # its only block
         if outside.size and np.any(outside != 0.0):
             bad = int(np.count_nonzero(outside))
             raise MaskViolation(
@@ -507,8 +515,6 @@ def _validate_weights(net: NetworkSpec, index: int) -> None:
 def validate_network(net: NetworkSpec) -> None:
     if not net.layers:
         raise SchemaError("a network needs at least one layer")
-    if net.max_timesteps < 1:
-        raise SchemaError(f"max_timesteps must be >= 1, got {net.max_timesteps}")
     for index, layer in enumerate(net.layers):
         _validate_layer_geometry(layer, index)
         if index > 0 and layer.input_shape != net.layers[index - 1].output_shape:
@@ -759,9 +765,7 @@ def parse_manifest(data: bytes | str) -> tuple[list[LayerSpec], Coding, int]:
         coding = Coding(obj.get("coding"))
     except ValueError:
         raise SchemaError(f"coding must be one of {[c.value for c in Coding]}") from None
-    t_max = obj.get("max_timesteps")
-    if not isinstance(t_max, int) or isinstance(t_max, bool) or t_max < 1:
-        raise SchemaError(f"max_timesteps must be a positive integer, got {t_max!r}")
+    t_max = step_count(obj.get("max_timesteps"), "max_timesteps")
     raw_layers = obj.get("layers")
     if not isinstance(raw_layers, list) or not raw_layers:
         raise SchemaError("layers must be a non-empty list")

@@ -644,3 +644,12 @@ def test_a_dataset_derives_structural_counts_once_per_network(monkeypatch):
         return len(calls)
 
     assert derived(16) <= derived(2)
+
+
+@pytest.mark.parametrize("steps", [2.5, True, "4", None, float("nan"), 1e300])
+def test_a_step_count_that_is_not_an_integer_is_a_schema_error(steps):
+    # the rule a spec's step budget follows; never a bare TypeError
+    net = dense_net([4, 3, 2], ifl())
+    rates = LayerRates(input_rate=0.5, per_layer=[0.2, 0.1])
+    with pytest.raises(SchemaError, match="T_used: the step budget must be an integer"):
+        emac_analytic(net, rates, steps)

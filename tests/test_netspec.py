@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import hashlib
 import json
 import pickle
 
@@ -760,3 +761,78 @@ def test_recurrent_rectifier_layers_are_rejected():
             .dense(3, IFL)
             .build()
         )
+
+
+# ---------------------------------------------------------------------------
+# the step budget and the builder's blocks
+
+#: not a step count: each would once have been truncated, accepted, or met a
+#: bare TypeError somewhere
+NOT_STEP_COUNTS = [2.5, True, "4", None, float("nan"), 1e300]
+
+
+@pytest.mark.parametrize("budget", NOT_STEP_COUNTS)
+def test_a_step_budget_that_is_not_an_integer_is_a_schema_error(budget):
+    layer = LayerSpec(kind=LayerKind.DENSE, input_shape=(4,), output_shape=(3,),
+                      neuron_model=IFL, weights_ref="w0")
+    manifest = dense_manifest()
+    manifest["max_timesteps"] = budget  # NaN goes out as JSON's NaN literal
+    attempts = [
+        lambda: NetworkBuilder((4,), max_timesteps=budget).dense(3, IFL).build(),
+        lambda: NetworkSpec(layers=(layer,), weights={"w0": np.zeros(12, np.float32)},
+                            coding=Coding.RATE, max_timesteps=budget),
+        lambda: parse_network(json.dumps(manifest), dense_weights()),
+    ]
+    for attempt in attempts:
+        with pytest.raises(SchemaError, match="max_timesteps: the step budget must be"):
+            attempt()
+
+
+def test_a_numpy_integer_step_budget_is_stored_as_an_int():
+    net = NetworkBuilder((4,), max_timesteps=np.int64(5)).dense(3, IFL).build()
+    assert type(net.max_timesteps) is int and net.max_timesteps == 5
+    twin = parse_network(*serialize_network(net))
+    assert type(twin.max_timesteps) is int and networks_equal(twin, net)
+
+
+@pytest.mark.parametrize("ref", ["l0_w", "l0_rw"])
+def test_both_blocks_of_a_recurrent_layer_are_checked_alike(ref):
+    # flat float32 of the size netspec.weight_shape gives, the recurrent
+    # block included (a float64 or 2-D one used to pass)
+    net = NetworkBuilder((3,), max_timesteps=4).recurrent_dense(2, IFL).build()
+    size = net.weights[ref].size
+    for bad, error in (
+        (np.zeros(size), SchemaError),
+        (np.zeros((2, size // 2), np.float32), SchemaError),
+        (np.zeros(size + 1, np.float32), ShapeMismatch),
+    ):
+        with pytest.raises(error, match=r"^layer 0 \(recurrent_dense\)"):
+            NetworkSpec(net.layers, {**net.weights, ref: bad}, net.coding, 4)
+
+
+def test_every_builder_method_writes_the_same_bytes():
+    # one net through every method, with default and given weights; the
+    # digest was recorded before the builder sized its blocks by
+    # netspec.weight_shape, which must not change a byte
+    lif = NeuronModelSpec(kind=NeuronKind.LIF, dt=1e-3, tau_syn=5e-3, tau_mem=1e-2)
+    rng = np.random.default_rng(17)
+    net = (
+        NetworkBuilder((2, 9, 9), coding=Coding.ROC, max_timesteps=12)
+        .conv2d(3, (3, 3), lif, stride=(2, 2), padding=1,
+                weights=rng.normal(size=(3, 2, 3, 3)))
+        .max_pool((2, 2), stride=(1, 1))
+        .locally_connected(2, (2, 2), lif)
+        .max_pool((3, 3))
+        .flatten()
+        .dense(5, IFL, weights=rng.normal(size=(5, 2)))
+        .recurrent_dense(4, lif, recurrent_weights=rng.normal(size=16))
+        .dense(3, IFL)
+        .build()
+    )
+    assert [layer.output_shape for layer in net.layers] == [
+        (3, 5, 5), (3, 4, 4), (2, 3, 3), (2, 1, 1), (2,), (5,), (4,), (3,)
+    ]
+    manifest, weights = serialize_network(net)
+    assert hashlib.sha256(manifest + weights).hexdigest() == (
+        "2ec0dc6e6926ef75c174615100c7508255b38a8b0b7f3a4bd28b483098c98a7a"
+    )
