@@ -4,9 +4,10 @@
 without repeating geometry, fills in weight names, and hands zeros to any
 layer whose weights are left unset (structural and analytic queries need
 shapes, not values). It keeps no rule of its own: blocks are sized by
-`netspec.weight_shape`, and `build()` returns a `NetworkSpec`, which
-validates everything, the step budget included (a float, bool or string
-`max_timesteps` raises `SchemaError` there).
+`netspec.weight_shape`, each layer's geometry is checked by `LayerSpec`
+(a float or bool size, kernel, stride or padding raises `SchemaError`,
+never truncated), and `build()` returns a `NetworkSpec`, which validates
+everything else, the step budget included.
 """
 
 from __future__ import annotations
@@ -62,7 +63,7 @@ class NetworkBuilder:
         coding: Coding = Coding.RATE,
         max_timesteps: int = 32,
     ):
-        self._shape = tuple(int(v) for v in input_shape)
+        self._shape = tuple(input_shape)
         self._coding = Coding(coding)
         self._max_timesteps = max_timesteps
         self._layers: list[LayerSpec] = []
@@ -101,7 +102,7 @@ class NetworkBuilder:
     ):
         return self._spatial(
             LayerKind.CONV2D, filters, kernel, stride, model=model, weights=weights,
-            padding=int(padding),
+            padding=padding,
         )
 
     def locally_connected(
@@ -145,8 +146,7 @@ class NetworkBuilder:
             raise ShapeMismatch(
                 f"{kind.value} needs a (C, H, W) input, current shape is {self._shape}"
             )
-        kernel = (int(kernel[0]), int(kernel[1]))
-        stride = tuple(int(v) for v in stride)
+        kernel, stride = tuple(kernel), tuple(stride)
         out_hw = conv_output_hw(self._shape[1:], kernel, stride, padding)
         if channels is None:
             channels = self._shape[0]

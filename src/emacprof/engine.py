@@ -82,13 +82,22 @@ multiples of a power of two, say) they are equal.
 
 Samples run in lockstep groups. :func:`run_inference` runs a group of
 one, and :func:`run_dataset` runs consecutive groups of samples that share
-an encoding mode, in sample order. Within a group, a block's neuron state
-and drive buffer hold every sample's row of every layer of the block, flat
-and layer by layer, so that the layers active at a tick are one contiguous
-range; each neuron step advances that range in place, so one numpy call
-serves every sample and layer of the block: on narrow layers the time goes
-to dispatching calls, not to arithmetic. Each weighted drive is written
-into its sample's row of the block's drive buffer. An event drive, and a
+an encoding mode, in sample order. Within a group, a block's neuron state,
+drive buffer and spike buffer hold every sample's row of every layer of the
+block, flat and layer by layer, so that the layers active at a tick are one
+contiguous range; each neuron step advances that range in place and writes
+its spikes into the range of the spike buffer, so one numpy call serves
+every sample and layer of the block: on narrow layers the time goes to
+dispatching calls, not to arithmetic. What a tick touches is bound once per
+group, before the first tick: each spiking layer's ``(rows, neurons)`` view
+of its spikes, which the layers after it read; one buffer per pool after
+it, written in place, and a view per flatten; one binder per drive that
+holds its rows' input and drive views; one view per history column; and,
+only when the active layers change, the state views of the span a block
+steps. A tick then spends its time in the numpy calls its layers need
+rather than in making views and arrays, which matters most in a group of
+one. Each weighted drive is written into its sample's row of the block's
+drive buffer. An event drive, and a
 convolution's, is one call per sample through the group's step plan; a
 small matrix's drive is one stacked ``np.matmul`` per layer and tick,
 which numpy runs as one BLAS matrix-vector call per row, the call a lone
@@ -123,7 +132,7 @@ from __future__ import annotations
 
 import logging
 import weakref
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 from itertools import accumulate, chain, groupby
 from typing import Callable, Iterator, Sequence
@@ -298,9 +307,15 @@ def _compiled(net: NetworkSpec) -> list[_LayerRT]:
     return rt
 
 
-def _max_pool(x: np.ndarray, taps: tuple[tuple[slice, ...], ...]) -> np.ndarray:
-    # the elementwise max of the window taps; on spikes it is a logical OR
-    out = x[taps[0]].copy()
+def _max_pool(
+    x: np.ndarray, taps: tuple[tuple[slice, ...], ...], out: np.ndarray | None = None
+) -> np.ndarray:
+    # the elementwise max of the window taps, into ``out`` if given; on
+    # spikes it is a logical OR
+    if out is None:
+        out = x[taps[0]].copy()
+    else:
+        np.copyto(out, x[taps[0]])
     for tap in taps[1:]:
         np.maximum(out, x[tap], out=out)
     return out
@@ -314,9 +329,12 @@ def _step_plan(rt: _LayerRT) -> Callable | None:
     it one after another. A weighted layer's plan takes an optional ``out``,
     a contiguous float64 row that receives the drive (by the same BLAS call
     as without it, so the two are bitwise equal); without ``out`` it
-    returns a new array. The buffers belong to one :func:`_step_group`
-    call, not to ``rt``, so compiled layers stay read-only and one compiled
-    network can serve any number of calls.
+    returns a new array. A convolution's padded buffer and window view are
+    built here, once per group and layer. The buffers belong to one
+    :func:`_step_group` call, not to ``rt``, so compiled layers stay
+    read-only and one compiled network can serve any number of calls; in
+    the step loop, :func:`_bind_drive` binds each plan to the group's input
+    and drive buffers.
     """
     layer = rt.spec
     if layer.kind is LayerKind.MAX_POOL2D:
@@ -359,7 +377,7 @@ def _event_drive(weights: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
     A boolean input sums the rows of ``weights.T`` (one per input, each
     contiguous) picked by its spikes; a float input takes ``weights @ x``.
     The spikes a matrix of at most ``_EVENT_MIN_WEIGHTS`` weights receives
-    never reach this plan: :func:`_each_row` takes their full product. ``out``
+    never reach this plan: :func:`_bind_drive` takes their full product. ``out``
     works as in :func:`_step_plan`.
     """
     rows = weights.T
@@ -381,48 +399,58 @@ def _event_drive(weights: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
     return drive
 
 
-def _each_row(plan: Callable, weights: np.ndarray | None = None) -> Callable:
-    """``plan`` applied to rows of a group, as ``drives(x, out, counts, live)``.
+def _bind_drive(
+    plan: Callable, weights: np.ndarray | None, x: np.ndarray, out: np.ndarray
+) -> Callable[[np.ndarray, list[int]], None]:
+    """``plan`` bound to a group's input ``x`` and drive ``out``, as ``drive(counts, live)``.
 
-    Each row in ``live`` gets its drive by ``x`` written into its row of
-    ``out``. ``weights`` is a dense-like plan's matrix. Where it sums weight
-    rows for spikes (see :func:`_event_drive`), each live row is its own
-    call, and a row whose input has no spikes (``counts``) is not summed:
-    its drive is the +0.0 an empty sum gives. A matrix of at most
-    ``_EVENT_MIN_WEIGHTS`` weights takes the full product of every row,
-    live or not, cast to float64, in one stacked ``np.matmul``, which numpy
-    runs as one BLAS matrix-vector call per row, the call ``np.dot`` makes
-    for one row alone, so each row adds its sum in a lone run's order. (Only
-    a 1x1 matrix differs: a silent product is +0.0 there where ``np.dot``
-    gives the weight times 0.0, and a neuron step adds either zero alike.)
-    Nothing reads a row that has left, and its spikes through finite weights
-    keep its drive finite for the group's one-call finiteness check. Anything
-    else (a convolution's plan) gets ``x`` as it is, one call per live row.
-    Only the stacked product writes rows outside ``live``.
+    ``x`` and ``out`` are contiguous ``(rows, ...)`` buffers that the group
+    keeps for its whole run, so the binder is built once per drive and group
+    and holds every view a tick needs: each row's ``(x[p], out[p])`` pair,
+    or the stacked product's ``(rows, n, 1)`` views with a float64 input
+    buffer. Each call writes, into its row of ``out``, the drive of every
+    row in ``live`` from what ``x`` holds. ``weights`` is a dense-like
+    plan's matrix. Where it sums weight rows for spikes (see
+    :func:`_event_drive`), each live row is its own call, and a row whose
+    input has no spikes (``counts``) is not summed: its drive is the +0.0 an
+    empty sum gives. A matrix of at most ``_EVENT_MIN_WEIGHTS`` weights
+    takes the full product of every row, live or not, in one stacked
+    ``np.matmul`` of ``x`` copied to float64, which numpy runs as one BLAS
+    matrix-vector call per row, the call ``np.dot`` makes for one row alone,
+    so each row adds its sum in a lone run's order. (Only a 1x1 matrix
+    differs: a silent product is +0.0 there where ``np.dot`` gives the
+    weight times 0.0, and a neuron step adds either zero alike.) Nothing
+    reads a row that has left, and its spikes through finite weights keep
+    its drive finite for the group's one-call finiteness check. Anything
+    else (a convolution's plan) gets ``x[p]`` as it is, one call per live
+    row. Only the stacked product writes rows outside ``live``.
     """
+    rows = len(out)
+    if weights is not None and weights.size <= _EVENT_MIN_WEIGHTS:
+        operand = x.reshape(rows, -1, 1)
+        cast = np.empty(operand.shape)
+        product = out.reshape(rows, -1, 1)
 
-    def each(x: np.ndarray, out: np.ndarray, counts: np.ndarray, live: list[int]) -> None:
+        def stacked(counts: np.ndarray, live: list[int]) -> None:
+            np.copyto(cast, operand)
+            np.matmul(weights, cast, out=product)
+
+        return stacked
+    pairs = [(x[p], out[p]) for p in range(rows)]
+
+    def each(counts: np.ndarray, live: list[int]) -> None:
         for p in live:
-            plan(x[p], out=out[p])
+            plan(*pairs[p])
 
-    def events(x: np.ndarray, out: np.ndarray, counts: np.ndarray, live: list[int]) -> None:
+    def events(counts: np.ndarray, live: list[int]) -> None:
         counts = counts.tolist()
         for p in live:
             if counts[p]:
-                plan(x[p], out=out[p])
+                plan(*pairs[p])
             else:
-                out[p] = 0.0
+                pairs[p][1].fill(0.0)
 
-    def stacked(x: np.ndarray, out: np.ndarray, counts: np.ndarray, live: list[int]) -> None:
-        rows = len(out)
-        x = x.reshape(rows, -1, 1).astype(np.float64)
-        np.matmul(weights, x, out=out.reshape(rows, -1, 1))
-
-    if weights is None:
-        return each
-    if weights.size > _EVENT_MIN_WEIGHTS:
-        return events
-    return stacked
+    return each if weights is None else events
 
 
 def _synaptic_events(rt: _LayerRT, spikes: np.ndarray) -> np.ndarray:
@@ -436,26 +464,18 @@ def _non_finite_rows(values: np.ndarray, live: list[int]) -> list[int]:
     return [live[p] for p in np.flatnonzero(bad).tolist()]
 
 
-def _spike_counts(x: np.ndarray) -> np.ndarray | int:
-    """Spikes in each row of a boolean ``(samples, ...)`` array.
-
-    One row gives a plain count, which broadcasts the same way.
-    """
-    if len(x) == 1:  # count_nonzero along an axis costs several times more
-        return np.count_nonzero(x)
-    return np.add.reduce(x.reshape(len(x), -1), axis=1)
-
-
 @dataclass
 class _Block:
     """Consecutive spiking layers of one neuron model, stepped by one call.
 
-    The state arrays and the drive buffer are flat and layer-major: the
-    block's ``j``-th layer keeps its ``(rows, neurons)`` values from
-    ``rows * cols[j]`` on, a row per sample of the group. The layers of any
-    span are then one contiguous range, which one numpy call steps without
-    the buffers numpy allocates to iterate a strided 2-D view. ``first`` and
-    ``stop`` delimit the layers' positions among the spiking layers.
+    The state arrays, the drive buffer and the spike buffer are flat and
+    layer-major: the block's ``j``-th layer keeps its ``(rows, neurons)``
+    values from ``rows * cols[j]`` on, a row per sample of the group. The
+    layers of any span are then one contiguous range, which one numpy call
+    steps without the buffers numpy allocates to iterate a strided 2-D view.
+    ``spikes`` holds each layer's spikes of its latest step, which the step
+    writes in place. ``first`` and ``stop`` delimit the layers' positions
+    among the spiking layers.
     """
 
     first: int
@@ -466,6 +486,7 @@ class _Block:
     model: NeuronModelSpec
     state: NeuronState
     drive: np.ndarray
+    spikes: np.ndarray
 
     def span(self, k: int, stop: int | None = None) -> slice:
         """Where the layers at positions ``k`` to ``stop`` lie (the layer at
@@ -491,6 +512,7 @@ def _blocks(spiking: list[_LayerRT], samples: int) -> list[_Block]:
                 model=model,
                 state=state_zeros(samples * cols[-1]),
                 drive=np.empty(samples * cols[-1]),
+                spikes=np.zeros(samples * cols[-1], dtype=bool),
             )
         )
     return blocks
@@ -521,8 +543,10 @@ _GROUP_STATE_BYTES = 1 << 18
 #: the weights dominate the memory peak, so a group may grow in proportion
 _WEIGHT_BUDGET_SHARE = 16
 #: one spiking neuron's share of a sample's step state, as :func:`_blocks`
-#: allocates it: current, voltage, half-step voltage, fired flag and drive
-_NEURON_STATE_BYTES = sum(a.nbytes for a in (*vars(state_zeros(1)).values(), np.empty(1)))
+#: allocates it: current, voltage, half-step voltage, fired flag, drive and spike
+_NEURON_STATE_BYTES = sum(
+    a.nbytes for a in (*vars(state_zeros(1)).values(), np.empty(1), np.empty(1, bool))
+)
 
 
 def _group_size(rt: list[_LayerRT], t_max: int) -> int:
@@ -579,6 +603,8 @@ def run_inference(
 
     With ``record_raster``, every layer's ``(neurons, T_used)`` spike raster
     is kept; like the other histories it is allocated at the step budget.
+    The result holds copies of the steps it used, so it does not keep those
+    budget-sized histories alive.
     """
     rt = _compiled(net)
     coding, T_max = _settings(net, t_max, coding)
@@ -593,6 +619,15 @@ def run_inference(
     )
     if isinstance(result, NonFiniteState):
         raise result
+    trace = result.trace
+    inputs = trace.input_counts
+    result.trace = replace(
+        trace,
+        counts=trace.counts.copy(order="K"),
+        input_counts=None if inputs is None else inputs.copy(order="K"),
+    )
+    result.output_spikes = result.output_spikes.copy(order="K")
+    result.output_voltages = result.output_voltages.copy(order="K")
     return result
 
 
@@ -612,7 +647,7 @@ def _run_group(
     sample whose state leaves the finite range yields its
     :class:`NonFiniteState` instead. Any other error is raised for the first
     sample that causes it. A result's arrays view the group's histories,
-    which belong to this call alone.
+    which belong to this call alone (:func:`run_inference` copies them).
     """
     mode = samples[0].mode
     static_ids, start = static_split(net, mode)
@@ -706,7 +741,16 @@ def _step_group(
     coding: Coding,
     record_raster: bool,
 ) -> _Histories:
-    """Run the static stage and the time steps of one group (see :func:`_run_group`)."""
+    """Run the static stage and the time steps of one group (see :func:`_run_group`).
+
+    Every view and buffer a tick touches is made once, before the first
+    tick: the blocks' state, drive and spike buffers, each spiking layer's
+    fixed ``(rows, neurons)`` view of its spikes, a buffer for each pool
+    after it, one drive binder per drive (:func:`_bind_drive`) and one view
+    per history column. The state views of the span of layers a block steps
+    are made when the active layers change, which only the ramps up and
+    down do. A tick runs only the numpy calls its layers need.
+    """
     mode = samples[0].mode
     B = len(samples)
     L = len(rt)
@@ -724,18 +768,8 @@ def _step_group(
         else:
             tails[-1].append(r)
     # one plan per layer, which the rows of the group call in turn (but the
-    # stacked product of a small matrix), and by position among the spiking
-    # layers, the drive of every row
+    # stacked product of a small matrix)
     plans = [_step_plan(r) for r in rt]
-    ff_drives = [
-        _each_row(plans[r.index], None if r.spec.kind is LayerKind.CONV2D else r.weights)
-        for r in spiking
-    ]
-    rec_drives = {
-        k: _each_row(_event_drive(r.rec_weights), r.rec_weights)
-        for k, r in enumerate(spiking)
-        if r.rec_weights is not None
-    }
     # Histories, allocated at the step budget: sample k's steps are
     # [:T_used[k], k]. A static-only network runs one step, whose output
     # voltages are its head activation.
@@ -756,7 +790,6 @@ def _step_group(
             f"a step budget of {T_max} needs {need} bytes of step history for "
             f"{B} sample(s), more than can be allocated"
         ) from None
-    ff_col = {index: j for j, index in enumerate(uneven)}
     T_used = [1] * B
     failed: dict[int, NonFiniteState] = {}
     live: list[int] = []  # group rows still stepping, in order
@@ -788,32 +821,103 @@ def _step_group(
         # place for the whole run: a sample that decides or fails leaves
         # ``live``, and nothing reads its row again, so past its last step
         # the row's state, drives and histories may hold anything. Each live
-        # sample's drive sums in a lone run's order (see _each_row), whatever
-        # the group size; the neuron steps, the counters and the history
-        # writes serve all rows at once.
-        x_in = np.zeros((B, *net.input_shape), dtype=bool) if poisson else None
+        # sample's drive sums in a lone run's order (see _bind_drive),
+        # whatever the group size; the neuron steps, the counters and the
+        # history writes serve all rows at once.
+        draw = poisson_slice  # looked up per group: a traced run wraps it
+        # spikes per row: one row takes a plain count, which broadcasts alike
+        # and costs several times less than a count along an axis
+        count_rows = np.count_nonzero if B == 1 else partial(np.add.reduce, axis=1)
+        # counts[l][s - 1]: step s's row of history column l
+        counts = [count_hist[:, :, l] for l in range(L + 1)]
+        events = {index: ff_hist[:, :, j] for j, index in enumerate(uneven)}
         blocks = _blocks(spiking, B)
         block_of = [b for b in blocks for _ in range(b.first, b.stop)]
-        drives = [
-            b.drive[b.span(k)].reshape(B, spiking[k].neurons) for k, b in enumerate(block_of)
+        # spiking layer k's spikes of its latest step, which its step
+        # overwrites in its block's spike buffer
+        outs = [
+            b.spikes[b.span(k)].reshape(B, spiking[k].neurons) for k, b in enumerate(block_of)
         ]
+        x_in = np.zeros((B, *net.input_shape), dtype=bool) if poisson else None
+        x_rows = x_in.reshape(B, -1) if poisson else None
+
+        def uneven_events(r: _LayerRT, x: np.ndarray) -> tuple | None:
+            """Where the events that ``x``'s spikes carry into ``r`` are counted."""
+            return None if r.fanout is None else (events[r.index], r, x)
+
+        # tail_ops[j]: tails[j] bound to the buffers each writes; feeds[j]:
+        # what spiking layer j reads
+        tail_ops: list[list[tuple]] = []
+        feeds: list[np.ndarray | None] = []
+        sources = [x_in] + [o.reshape(B, *r.spec.output_shape) for o, r in zip(outs, spiking)]
+        for tail, x in zip(tails, sources):
+            ops = []
+            for r in tail:
+                if r.spec.kind is LayerKind.MAX_POOL2D:
+                    y = np.zeros((B, *r.spec.output_shape), dtype=bool)
+                    ops.append((r.index, x, y, y.reshape(B, -1), r.pool_taps,
+                                uneven_events(r, x)))
+                else:  # flatten: a view that re-emits its input
+                    y = x.reshape(B, -1)
+                    ops.append((r.index, x, y, y, None, None))
+                x = y
+            tail_ops.append(ops)
+            feeds.append(x)
         # one buffer serves every recurrent term, each added as soon as made
-        rec_buf = np.empty(B * max((spiking[k].neurons for k in rec_drives), default=0))
-        recs = {
-            k: rec_buf[: B * spiking[k].neurons].reshape(B, spiking[k].neurons)
-            for k in rec_drives
-        }
+        rec_buf = np.empty(
+            B * max((r.neurons for r in spiking if r.rec_weights is not None), default=0)
+        )
+        terms = []
+        # per spiking layer: its drive, bound input drive (None for the
+        # analog-fed first layer), input and own count columns, uneven events
+        # and bound recurrent term
+        bound = []
+        for k, r in enumerate(spiking):
+            b = block_of[k]
+            drive = b.drive[b.span(k)].reshape(B, r.neurons)
+            ff = uneven_in = rec = None
+            if k > 0 or drive0 is None:
+                weights = None if r.spec.kind is LayerKind.CONV2D else r.weights
+                ff = _bind_drive(plans[r.index], weights, feeds[k], drive)
+                uneven_in = uneven_events(r, feeds[k])
+            if r.rec_weights is not None:
+                term = rec_buf[: B * r.neurons].reshape(B, r.neurons)
+                rec = _bind_drive(_event_drive(r.rec_weights), r.rec_weights, outs[k], term), term
+                terms.append(term)
+            bound.append((drive, ff, counts[r.index], counts[r.index + 1], uneven_in, rec))
+        emitted = [
+            (r.index, outs[k], counts[r.index + 1], tail_ops[k + 1])
+            for k, r in enumerate(spiking)
+        ]
         out_volt = block_of[-1].state.v_peak[block_of[-1].span(K - 1)].reshape(
             B, rt[-1].neurons
         ) if K else None
         no_counts = np.zeros(B, dtype=np.int64)
-        spans: dict[tuple[int, int, int], tuple] = {}  # per active span of a block
-        # feed[k]: spiking layer k's input for its next step; own[k]: a
-        # recurrent layer's spikes of its latest step
-        feed: list[np.ndarray | None] = [None] * K
-        own = {k: np.zeros((B, spiking[k].neurons), dtype=bool) for k in rec_drives}
+        # the active positions (lo, hi) of the last tick, and its block steps
+        active, calls = None, []
         # a live row's lowest non-finite (step, layer) so far
         pending: dict[int, tuple[int, int]] = {}
+
+        def block_steps(lo: int, hi: int) -> list[tuple]:
+            """Each block's step of the layers at positions ``lo`` to ``hi``:
+            its function, state, drive, model, spikes and layer parts."""
+            made = []
+            for b in blocks:
+                first, stop = max(lo, b.first), min(hi, b.stop)
+                if first >= stop:
+                    continue
+                span = b.span(first, stop)
+                st = b.state
+                state = NeuronState(
+                    i=st.i[span], v=st.v[span],
+                    has_spiked=st.has_spiked[span], v_peak=st.v_peak[span],
+                )
+                parts = [  # each layer's part of the span
+                    (k, slice(b.span(k).start - span.start, b.span(k).stop - span.start))
+                    for k in range(first, stop)
+                ]
+                made.append((b.step, state, b.drive[span], b.model, b.spikes[span], parts))
+            return made
 
         def reset(p: int) -> None:
             """Zero the state and drives of row ``p``, which leaves non-finite.
@@ -827,25 +931,23 @@ def _step_group(
                     span = b.span(k)
                     for a in (*vars(b.state).values(), b.drive):
                         a[span].reshape(B, -1)[p] = 0
-            for rec in recs.values():
-                rec[p] = 0.0
+            for term in terms:
+                term[p] = 0.0
             if drive0 is not None:
                 drive0[p] = 0.0
 
-        def emit(j: int, x: np.ndarray, count, s: int) -> np.ndarray:
-            """Run the stateless layers ``tails[j]`` on a step-``s`` output."""
-            for r in tails[j]:
-                if r.spec.kind is LayerKind.MAX_POOL2D:
-                    if r.fanout is not None:
-                        ff_hist[s - 1, :, ff_col[r.index]] = _synaptic_events(r, x)
-                    x = _max_pool(x, r.pool_taps)
-                    count = _spike_counts(x)
-                else:  # flatten: reshape and re-emit
-                    x = x.reshape(B, -1)
-                count_hist[s - 1, :, r.index + 1] = count
+        def emit(ops: list[tuple], count, s: int) -> None:
+            """Run bound stateless layers on a step-``s`` output of ``count`` spikes a row."""
+            for index, x, y, flat, taps, uneven_in in ops:
+                if taps is not None:  # a pool
+                    if uneven_in is not None:
+                        column, r, spikes = uneven_in
+                        column[s - 1] = _synaptic_events(r, spikes)
+                    _max_pool(x, taps, out=y)
+                    count = count_rows(flat)
+                counts[index + 1][s - 1] = count
                 if record_raster:
-                    raster_hist[r.index][s - 1] = x.reshape(B, -1)
-            return x
+                    raster_hist[index][s - 1] = flat
 
         # Tick tau advances spiking layer k by step tau - k: every drive reads
         # outputs of the previous tick (the first layer's, the encoder's of
@@ -854,87 +956,66 @@ def _step_group(
             if not live:
                 break
             lo, hi = max(0, tau - T_max), min(K, tau)  # the active positions
-            # this tick's spikes; the last tick's live on in feed and own only
-            out: list[np.ndarray | None] = [None] * K
-            x = spikes = None
             if poisson and tau <= T_max:
                 for k in live:
-                    x_in[k] = poisson_slice(samples[k], tau)
-                count = _spike_counts(x_in)
-                count_hist[tau - 1, :, 0] = count
-                feed[0] = emit(0, x_in, count, tau)
+                    x_in[k] = draw(samples[k], tau)
+                count = count_rows(x_rows)
+                counts[0][tau - 1] = count
+                emit(tail_ops[0], count, tau)
             for k in range(lo, hi):
-                r, s, drive = spiking[k], tau - k, drives[k]
-                if k == 0 and drive0 is not None:
+                drive, ff, in_counts, own_counts, uneven_in, rec = bound[k]
+                s = tau - k
+                if ff is None:
                     base = drive0
                 else:
-                    x = feed[k]
-                    if r.fanout is not None:
-                        ff_hist[s - 1, :, ff_col[r.index]] = _synaptic_events(r, x)
-                    ff_drives[k](x, drive, count_hist[s - 1, :, r.index], live)
+                    if uneven_in is not None:
+                        column, r, spikes = uneven_in
+                        column[s - 1] = _synaptic_events(r, spikes)
+                    ff(in_counts[s - 1], live)
                     base = drive
-                if k in rec_drives:
-                    rec_drives[k](
-                        own[k], recs[k],
-                        count_hist[s - 2, :, r.index + 1] if s > 1 else no_counts, live,
-                    )
-                    np.add(base, recs[k], out=drive)
+                if rec is not None:
+                    rec_drive, term = rec
+                    rec_drive(own_counts[s - 2] if s > 1 else no_counts, live)
+                    np.add(base, term, out=drive)
                 elif base is not drive:
                     np.copyto(drive, base)
-            for j, b in enumerate(blocks):
-                first, stop = max(lo, b.first), min(hi, b.stop)
-                if first >= stop:
-                    continue
-                view = spans.get((j, first, stop))
-                if view is None:
-                    span = b.span(first, stop)
-                    st = b.state
-                    view = spans[j, first, stop] = (
-                        NeuronState(
-                            i=st.i[span], v=st.v[span],
-                            has_spiked=st.has_spiked[span], v_peak=st.v_peak[span],
-                        ),
-                        b.drive[span],
-                        [  # each layer's part of the span
-                            slice(b.span(k).start - span.start, b.span(k).stop - span.start)
-                            for k in range(first, stop)
-                        ],
-                    )
-                state, drive, parts = view
-                spikes = b.step(state, drive, b.model)
+            if (lo, hi) != active:  # the ramp's ticks and the first full one
+                active, calls = (lo, hi), block_steps(lo, hi)
+            for step, state, drive, model, spikes, parts in calls:
+                step(state, drive, model, spikes=spikes)
                 # a non-finite current makes the half-step voltage non-finite,
                 # and the reset only subtracts a finite threshold
                 if not np.isfinite(state.v_peak).all():
-                    for k, part in enumerate(parts, first):
+                    for k, part in parts:
                         found = (tau - k, spiking[k].index)
                         for p in _non_finite_rows(state.v_peak[part].reshape(B, -1), live):
                             pending[p] = min(pending.get(p, found), found)
-                for k, part in enumerate(parts, first):
-                    out[k] = spikes[part].reshape(B, -1)
             for k in range(lo, hi):
-                r, s, x = spiking[k], tau - k, out[k]
-                count = _spike_counts(x)
-                count_hist[s - 1, :, r.index + 1] = count
+                index, out, column, ops = emitted[k]
+                s = tau - k
+                count = count_rows(out)
+                column[s - 1] = count
                 if record_raster:
-                    raster_hist[r.index][s - 1] = x
-                if k in own:
-                    own[k] = x
-                if k + 1 < K:
-                    feed[k + 1] = emit(k + 1, x.reshape(B, *r.spec.output_shape), count, s)
+                    raster_hist[index][s - 1] = out
+                if ops:
+                    emit(ops, count, s)
             t = tau - K + 1  # the output layer's step
             if t < 1:
                 continue
-            spike_hist[t - 1] = out[-1]
+            spike_hist[t - 1] = outs[-1]
             volt_hist[t - 1] = out_volt
 
             # A sample fails at its lowest non-finite (step, layer), known once
             # the output layer has taken that step, unless it decided earlier.
-            leaving = {k for k, (step, _) in pending.items() if step <= t}
             if t == T_max:
-                leaving.update(live)
+                leaving = set(live)
             elif coding is Coding.ROC:  # the rows whose output layer spiked
-                spiked = count_hist[t - 1, :, L].tolist()
-                leaving.update(k for k in live if spiked[k])
+                spiked = counts[L][t - 1].tolist()
+                leaving = {k for k in live if spiked[k]}
+            else:
+                leaving = set()
+            if pending:
+                leaving.update(k for k, (step, _) in pending.items() if step <= t)
             if not leaving:
                 continue
             for k in leaving:

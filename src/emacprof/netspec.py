@@ -129,7 +129,13 @@ SPATIAL_KINDS = frozenset(
 @dataclass(frozen=True)
 class LayerSpec:
     """One layer of the stack. ``padding`` is the zero-padding width; 0 means
-    valid (no padding). Only conv2d accepts nonzero padding."""
+    valid (no padding). Only conv2d accepts nonzero padding.
+
+    Every kernel, stride and shape value is an integer of at least 1 and the
+    padding one of at least 0, by :func:`_integer`: a float or bool raises
+    :class:`SchemaError` rather than being truncated, and numpy integers are
+    stored as ``int``. A kernel and a stride hold two values each.
+    """
 
     kind: LayerKind
     input_shape: tuple[int, ...]
@@ -143,12 +149,16 @@ class LayerSpec:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "kind", LayerKind(self.kind))
-        object.__setattr__(self, "input_shape", tuple(int(d) for d in self.input_shape))
-        object.__setattr__(self, "output_shape", tuple(int(d) for d in self.output_shape))
-        if self.kernel is not None:
-            object.__setattr__(self, "kernel", tuple(int(d) for d in self.kernel))
-        if self.stride is not None:
-            object.__setattr__(self, "stride", tuple(int(d) for d in self.stride))
+        what = self.kind.value
+        for name in ("kernel", "stride", "input_shape", "output_shape"):
+            values = getattr(self, name)
+            if values is not None:
+                label = f"{what}: every {name} value"
+                values = tuple([_integer(d, label) for d in values])
+                if name in ("kernel", "stride") and len(values) != 2:
+                    raise SchemaError(f"{what}: {name} must hold two values, got {values}")
+                object.__setattr__(self, name, values)
+        object.__setattr__(self, "padding", _integer(self.padding, f"{what}: padding", 0))
 
 
 @dataclass(frozen=True)
@@ -224,11 +234,16 @@ def conv_output_hw(
     stride: tuple[int, int],
     padding: int,
 ) -> tuple[int, int]:
-    """Spatial output size: floor((in + 2p - k) / s) + 1 per axis."""
+    """Spatial output size: floor((in + 2p - k) / s) + 1 per axis.
+
+    Each value must pass :func:`_integer`, at least 1 (0 for the padding).
+    """
+    padding = _integer(padding, "padding", 0)
     out = []
     for size, k, s in zip(in_hw, kernel, stride):
-        if k < 1 or s < 1:
-            raise SchemaError(f"kernel and stride must be >= 1, got k={k}, s={s}")
+        size = _integer(size, "every input extent")
+        k = _integer(k, "every kernel value")
+        s = _integer(s, "every stride value")
         o = (size + 2 * padding - k) // s + 1
         if o < 1:
             raise ShapeMismatch(
@@ -346,12 +361,23 @@ def _block(net: NetworkSpec, ref: str, index: int) -> np.ndarray:
         ) from None
 
 
-def step_count(value, field: str) -> int:
-    """``value``, a Python or numpy integer (not bool) of at least 1, as an ``int``;
-    anything else raises :class:`SchemaError` naming ``field``."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
-        raise SchemaError(f"{field}: the step budget must be an integer >= 1, got {value!r}")
+def _integer(value, what: str, least: int = 1) -> int:
+    """``value``, a Python or numpy integer (not bool) of at least ``least``, as an
+    ``int``; anything else raises :class:`SchemaError` naming ``what``.
+
+    The one rule for every count a spec holds: step budgets, and the shape,
+    kernel, stride and padding values of each layer.
+    """
+    if type(value) is int and value >= least:  # the common case, decided at once
+        return value
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+        raise SchemaError(f"{what} must be an integer >= {least}, got {value!r}")
     return int(value)
+
+
+def step_count(value, field: str) -> int:
+    """A step budget, by :func:`_integer`, with ``field`` naming it."""
+    return _integer(value, f"{field}: the step budget")
 
 
 def weight_shape(layer: LayerSpec, recurrent: bool = False) -> tuple[int, ...]:
@@ -428,11 +454,6 @@ def _expect_rank(layer: LayerSpec, index: int, rank: int, which: str) -> None:
 def _validate_layer_geometry(layer: LayerSpec, index: int) -> None:
     kind = layer.kind
     name = f"layer {index} ({kind.value})"
-    if any(d < 1 for d in layer.input_shape + layer.output_shape):
-        raise ShapeMismatch(f"{name}: shapes must be positive, got "
-                            f"{layer.input_shape} -> {layer.output_shape}")
-    if layer.padding < 0:
-        raise SchemaError(f"{name}: padding must be >= 0")
     if kind in SPATIAL_KINDS:
         if layer.kernel is None:
             raise SchemaError(f"{name}: kernel is required")
@@ -634,19 +655,11 @@ _LAYER_FIELDS = {
 _MODEL_FIELDS = {"kind", "dt", "tau_syn", "tau_mem", "v_th", "bias", "spike_once"}
 
 
-def _shape(value, name: str) -> tuple[int, ...]:
-    if not isinstance(value, list) or not value or not all(
-        isinstance(d, int) and not isinstance(d, bool) for d in value
-    ):
+def _shape(value, name: str) -> tuple:
+    """A non-empty JSON list as a tuple; :class:`LayerSpec` checks its values."""
+    if not isinstance(value, list) or not value:
         raise SchemaError(f"{name} must be a non-empty list of integers, got {value!r}")
     return tuple(value)
-
-
-def _pair(value, name: str) -> tuple[int, int]:
-    shape = _shape(value, name)
-    if len(shape) != 2:
-        raise SchemaError(f"{name} must hold exactly two integers, got {value!r}")
-    return shape
 
 
 def _parse_model(obj, index: int) -> NeuronModelSpec:
@@ -698,25 +711,16 @@ def _parse_layer(obj, index: int) -> LayerSpec:
 
     kernel = stride = None
     if "kernel" in obj:
-        kernel = _pair(obj["kernel"], f"layer {index}: kernel")
+        kernel = _shape(obj["kernel"], f"layer {index}: kernel")
     if "stride" in obj:
-        stride = _pair(obj["stride"], f"layer {index}: stride")
+        stride = _shape(obj["stride"], f"layer {index}: stride")
     if kind in SPATIAL_KINDS and kernel is not None and stride is None:
         # Pools default to non-overlapping windows; convolutions to unit step.
         stride = kernel if kind is LayerKind.MAX_POOL2D else (1, 1)
 
-    padding = 0
-    if "padding" in obj:
-        raw = obj["padding"]
-        if raw == "valid":
-            padding = 0
-        elif isinstance(raw, int) and not isinstance(raw, bool) and raw >= 0:
-            padding = raw
-        else:
-            raise SchemaError(
-                f"layer {index}: padding must be \"valid\" or a non-negative "
-                f"integer, got {raw!r}"
-            )
+    padding = obj.get("padding", 0)
+    if padding == "valid":
+        padding = 0
 
     model = None
     if obj.get("neuron_model") is not None:
@@ -730,17 +734,23 @@ def _parse_layer(obj, index: int) -> LayerSpec:
             raise SchemaError(f"layer {index}: {key} must be a non-empty string")
         return value
 
-    return LayerSpec(
-        kind=kind,
-        input_shape=_shape(obj["input_shape"], f"layer {index}: input_shape"),
-        output_shape=_shape(obj["output_shape"], f"layer {index}: output_shape"),
-        kernel=kernel,
-        stride=stride,
-        padding=padding,
-        neuron_model=model,
-        weights_ref=_ref("weights_ref"),
-        recurrent_weights_ref=_ref("recurrent_weights_ref"),
-    )
+    input_shape = _shape(obj["input_shape"], f"layer {index}: input_shape")
+    output_shape = _shape(obj["output_shape"], f"layer {index}: output_shape")
+    weights_ref, recurrent_weights_ref = _ref("weights_ref"), _ref("recurrent_weights_ref")
+    try:
+        return LayerSpec(
+            kind=kind,
+            input_shape=input_shape,
+            output_shape=output_shape,
+            kernel=kernel,
+            stride=stride,
+            padding=padding,
+            neuron_model=model,
+            weights_ref=weights_ref,
+            recurrent_weights_ref=recurrent_weights_ref,
+        )
+    except SchemaError as exc:  # a geometry value that is not a whole count
+        raise SchemaError(f"layer {index}: {exc}") from None
 
 
 def parse_manifest(data: bytes | str) -> tuple[list[LayerSpec], Coding, int]:

@@ -17,7 +17,8 @@ the step size, so no time constants appear:
 In both cases a spike is emitted when the half-step voltage reaches the
 threshold (``v >= v_th``), and the reset subtracts the threshold rather
 than clamping to zero. :func:`lif_step` and :func:`ifl_step` advance the
-state in place, overwriting its arrays, and return the spikes.
+state in place, overwriting its arrays, and return the spikes, written
+into a given ``spikes`` buffer or a new array.
 ``ann_relu`` is the stateless rectifier used for conventional layers.
 
 Energy parameters are not tuned constants. Each model's update rule is
@@ -221,9 +222,11 @@ def state_zeros(n: int | tuple[int, ...]) -> NeuronState:
     )
 
 
-def _spike_and_reset(state: NeuronState, model: NeuronModelSpec) -> np.ndarray:
+def _spike_and_reset(
+    state: NeuronState, model: NeuronModelSpec, spikes: np.ndarray | None
+) -> np.ndarray:
     # state.v_peak holds the half-step voltage
-    spike = state.v_peak >= model.v_th
+    spike = np.greater_equal(state.v_peak, model.v_th, out=spikes)
     if model.spike_once:
         spike &= ~state.has_spiked
     np.multiply(spike, model.v_th, out=state.v)
@@ -233,12 +236,18 @@ def _spike_and_reset(state: NeuronState, model: NeuronModelSpec) -> np.ndarray:
 
 
 def lif_step(
-    state: NeuronState, weighted_input: np.ndarray, model: NeuronModelSpec
+    state: NeuronState,
+    weighted_input: np.ndarray,
+    model: NeuronModelSpec,
+    *,
+    spikes: np.ndarray | None = None,
 ) -> np.ndarray:
     """Advance leaky integrate-and-fire neurons by one step, in place.
 
     ``weighted_input`` is the summed synaptic drive for this step. The new
-    state overwrites ``state``'s arrays, and the boolean spikes are returned.
+    state overwrites ``state``'s arrays, and the boolean spikes are returned:
+    written into ``spikes``, a boolean array shaped like the state, when one
+    is given (bitwise what a new array would hold), else in a new array.
     The neurons may carry leading axes, such as one row per sample.
     """
     # i - i * dt/tau_syn + drive + bias, left to right, with v_peak as the
@@ -251,11 +260,15 @@ def lif_step(
     np.subtract(state.i, state.v, out=state.v_peak)
     np.multiply(state.v_peak, model.dt / model.tau_mem, out=state.v_peak)
     np.add(state.v, state.v_peak, out=state.v_peak)
-    return _spike_and_reset(state, model)
+    return _spike_and_reset(state, model, spikes)
 
 
 def ifl_step(
-    state: NeuronState, weighted_input: np.ndarray, model: NeuronModelSpec
+    state: NeuronState,
+    weighted_input: np.ndarray,
+    model: NeuronModelSpec,
+    *,
+    spikes: np.ndarray | None = None,
 ) -> np.ndarray:
     """Advance non-leaky linear integrate-and-fire neurons by one step, in place.
 
@@ -264,7 +277,7 @@ def ifl_step(
     np.add(state.i, weighted_input, out=state.i)
     np.add(state.i, model.bias, out=state.i)
     np.add(state.v, state.i, out=state.v_peak)
-    return _spike_and_reset(state, model)
+    return _spike_and_reset(state, model, spikes)
 
 
 def step_fn(kind: NeuronKind):

@@ -32,9 +32,10 @@ from emacprof.engine import (
     SampleOutcome,
     _EVENT_MIN_WEIGHTS,
     _compile,
-    _each_row,
+    _bind_drive,
     _event_drive,
     _group_size,
+    _max_pool,
     _run_group,
     _step_plan,
     _synaptic_events,
@@ -746,6 +747,103 @@ def test_windows_and_the_poisson_stream_are_built_once_per_sample(monkeypatch):
     assert calls["philox"] <= 1
 
 
+def test_a_group_binds_its_spike_buffers_and_drives_once(monkeypatch):
+    # every tick hands each block's step a view of that block's one spike
+    # buffer (one view per active span), and each drive is bound once per
+    # group, not once per tick
+    rng = np.random.default_rng(19)
+    made = {"blocks": [], "binders": 0}
+    spikes_seen = []
+    blocks, bind_drive, compiled_step = engine._blocks, engine._bind_drive, engine.step_fn
+
+    def recorded_blocks(*args):
+        made["blocks"].append(blocks(*args))
+        return made["blocks"][-1]
+
+    def counted_binder(*args):
+        made["binders"] += 1
+        return bind_drive(*args)
+
+    def recorded_step_fn(kind):
+        step = compiled_step(kind)
+
+        def recorded(state, drive, model, *, spikes=None):
+            spikes_seen.append(spikes)
+            return step(state, drive, model, spikes=spikes)
+
+        return recorded
+
+    monkeypatch.setattr(engine, "_blocks", recorded_blocks)
+    monkeypatch.setattr(engine, "_bind_drive", counted_binder)
+    monkeypatch.setattr(engine, "step_fn", recorded_step_fn)
+    net = (  # blocks [ifl] and [lif recurrent, lif]: four drives
+        NetworkBuilder((6,), coding=Coding.RATE, max_timesteps=20)
+        .dense(5, ifl(0.5), weights=rng.normal(0.4, 0.3, (5, 6)))
+        .recurrent_dense(5, lif(), weights=rng.normal(0.3, 0.3, (5, 5)),
+                         recurrent_weights=rng.normal(0.0, 0.3, (5, 5)))
+        .dense(3, lif(), weights=rng.normal(0.3, 0.3, (3, 5)))
+        .build()
+    )
+    samples = [encode(rng.uniform(0.2, 0.8, 6), "poisson", seed=s) for s in range(4)]
+    assert run_inference(net, samples[0]).trace.T_used == 20
+    assert made["binders"] == 4
+    (group,) = made["blocks"]
+    # the first block steps at ticks 1-20, the second at 2-22; the second's
+    # active spans are layers 1, 1-2 and 2
+    assert len(spikes_seen) == 41
+    assert all(any(np.shares_memory(s, b.spikes) for b in group) for s in spikes_seen)
+    assert len({(s.ctypes.data, s.size) for s in spikes_seen}) == 4
+    force_group_size(monkeypatch, net, 20, 2)
+    run_dataset(net, samples)
+    assert made["binders"] == 4 + 2 * 4
+    assert len(made["blocks"]) == 3
+
+
+def test_a_result_keeps_only_its_own_steps():
+    # the group's histories are allocated at the step budget; the result
+    # run_inference returns holds copies of the steps it used, not views
+    net = (
+        NetworkBuilder((4,), coding=Coding.ROC, max_timesteps=100_000)
+        .dense(3, ifl(), weights=np.ones((3, 4)))
+        .build()
+    )
+    enc = encode(np.ones(4), "analog")
+    run_inference(net, enc)  # compiled and priced outside the measurement
+    gc.collect()
+    tracemalloc.start()
+    try:
+        result = run_inference(net, enc)
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert result.trace.T_used == 1
+    assert result.output_voltages.shape == (3, 1)
+    assert held < 64 * 1024
+
+
+@pytest.mark.parametrize("dtype", [bool, np.float64])
+def test_a_pool_written_in_place_equals_a_new_one(dtype):
+    # stale values in ``out`` (True, +inf) must not survive the pool
+    rng = np.random.default_rng(20)
+    net = (
+        NetworkBuilder((3, 9, 8))
+        .max_pool((2, 3), stride=(2, 1))
+        .flatten()
+        .dense(2, lif())
+        .build()
+    )
+    taps = _compile(net)[0].pool_taps
+    shape = (4, 3, 9, 8)
+    x = rng.random(shape) < 0.3 if dtype is bool else rng.normal(size=shape)
+    want = _max_pool(x, taps)
+    out = np.full((4, *net.layers[0].output_shape), True if dtype is bool else np.inf, dtype)
+    assert _max_pool(x, taps, out=out) is out
+    assert out.dtype == want.dtype and out.tobytes() == want.tobytes()
+    for p in range(4):  # a sample's slice, as a one-row group pools it
+        assert _max_pool(x[p], taps, out=out[p]).tobytes() == want[p].tobytes()
+
+
 # ---------------------------------------------------------------------------
 # event-driven drive of dense-like layers
 
@@ -885,7 +983,7 @@ def test_a_group_drive_equals_each_row_alone(kind):
     out = np.full((5, w.shape[0]), -0.0)
     out[3] = np.nan
     live = [0, 1, 2, 4]
-    _each_row(plan, w)(x, out, x.sum(axis=1), live)
+    _bind_drive(plan, w, x, out)(x.sum(axis=1), live)
     for p in live:
         assert out[p].tobytes() == plan(x[p]).tobytes()  # +0.0 for the silent row
     if kind == "small dense":
@@ -927,12 +1025,12 @@ def test_a_small_matrix_drives_its_rows_by_one_stacked_product(kind, rows):
     rng = np.random.default_rng(rows)
     w = small_matrix(kind, rng)
     calls = []
-    drive = _each_row(lambda *args, **kwargs: calls.append(args), w)
     x = rng.random((rows, w.shape[1])) < 0.2
     x[-1] = False  # a silent row still takes the product
     for live in (list(range(rows)), list(range(0, rows, 3))):
         out = np.full((rows, w.shape[0]), np.nan)
-        drive(x, out, x.sum(axis=1), live)
+        drive = _bind_drive(lambda *args, **kwargs: calls.append(args), w, x, out)
+        drive(x.sum(axis=1), live)
         for p in range(rows):
             if p in live:
                 assert out[p].tobytes() == np.dot(w, x[p].astype(np.float64)).tobytes()
@@ -1496,8 +1594,8 @@ def test_group_size_follows_the_state_budget():
 
 
 def test_group_size_counts_the_state_a_group_allocates(monkeypatch):
-    # per sample: the blocks' state and drive, and the histories, as a
-    # one-sample group allocates them
+    # per sample: the blocks' state, drive and spikes, and the histories, as
+    # a one-sample group allocates them
     rng = np.random.default_rng(18)
     lif_ = NeuronModelSpec(kind=NeuronKind.LIF, dt=1e-3, tau_syn=5e-3, tau_mem=1e-2)
     net = (  # two blocks, a recurrent layer, even fan-out only
@@ -1512,7 +1610,9 @@ def test_group_size_counts_the_state_a_group_allocates(monkeypatch):
     spiking = [r for r in rt if r.spiking]
     blocks = engine._blocks(spiking, 1)
     assert len(blocks) == 2
-    state = sum(a.nbytes for b in blocks for a in (*vars(b.state).values(), b.drive))
+    state = sum(
+        a.nbytes for b in blocks for a in (*vars(b.state).values(), b.drive, b.spikes)
+    )
     assert state == engine._NEURON_STATE_BYTES * sum(r.neurons for r in spiking)
     run = engine._step_group(
         net, rt, [encode(rng.uniform(0.0, 1.0, 12), "poisson", seed=1)], [], 0,

@@ -788,6 +788,45 @@ def test_a_step_budget_that_is_not_an_integer_is_a_schema_error(budget):
             attempt()
 
 
+@pytest.mark.parametrize(
+    "attempt",
+    [
+        lambda: NetworkBuilder((4.7,)).dense(2.9, IFL),
+        lambda: NetworkBuilder((4,)).dense(2.9, IFL),
+        lambda: NetworkBuilder((1, 8, 8)).conv2d(2, (2.9, 3), IFL, stride=(1.5, 1)),
+        lambda: NetworkBuilder((1, 8, 8)).conv2d(2, (3, 3), IFL, stride=(1.5, 1)),
+        lambda: NetworkBuilder((1, 8, 8)).conv2d(2, (3, 3), IFL, padding=1.0),
+        lambda: NetworkBuilder((1, 8, 8)).conv2d(2, (3, 3), IFL, padding=-1),
+        lambda: NetworkBuilder((1, 8, 8)).conv2d(2, (3, 3, 3), IFL),
+        lambda: NetworkBuilder((1, 8, 8)).max_pool((True, 2)),
+        lambda: NetworkBuilder((4,)).dense(True, IFL),
+        lambda: NetworkBuilder((4,)).dense(0, IFL),
+    ],
+)
+def test_a_geometry_value_that_is_not_a_whole_count_is_rejected(attempt):
+    # sizes, kernels, strides and padding used to be truncated by int()
+    with pytest.raises(SchemaError, match="must be an integer >= [01]|two values"):
+        attempt()
+
+
+def test_numpy_integer_geometry_is_stored_as_int():
+    i = np.int64
+    net = (
+        NetworkBuilder((i(1), i(8), i(8)), max_timesteps=4)
+        .conv2d(i(2), (i(3), i(3)), IFL, stride=(i(1), i(2)), padding=i(1))
+        .flatten()
+        .dense(i(3), IFL)
+        .build()
+    )
+    for layer in net.layers:
+        values = [*layer.input_shape, *layer.output_shape, *(layer.kernel or ()),
+                  *(layer.stride or ()), layer.padding]
+        assert all(type(v) is int for v in values)
+    assert net.layers[0].output_shape == (2, 8, 4)
+    twin = parse_network(*serialize_network(net))
+    assert networks_equal(twin, net)
+
+
 def test_a_numpy_integer_step_budget_is_stored_as_an_int():
     net = NetworkBuilder((4,), max_timesteps=np.int64(5)).dense(3, IFL).build()
     assert type(net.max_timesteps) is int and net.max_timesteps == 5

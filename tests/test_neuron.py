@@ -314,11 +314,15 @@ def random_state(rng, shape, scale=1.0):
     seed=st.integers(0, 2**32 - 1),
 )
 def test_the_in_place_step_is_bitwise_the_array_expressions(kind, spike_once, shape, seed):
+    # a twin state stepped with ``spikes=`` gets the same state, and its
+    # spikes written into the given buffer are bitwise the new array's
     rng = np.random.default_rng(seed)
     model = random_model(rng, kind, spike_once)
     step = lif_step if kind == "lif" else ifl_step
     state = random_state(rng, shape)
     buffers = [state.i, state.v, state.has_spiked, state.v_peak]
+    twin = NeuronState(*(a.copy() for a in buffers))
+    written = rng.random(shape) < 0.5  # stale spikes the step must overwrite
     for _ in range(6):
         drive = rng.normal(0.4, 0.6, shape)
         want, want_spike = reference_step(state, drive, model)
@@ -327,6 +331,9 @@ def test_the_in_place_step_is_bitwise_the_array_expressions(kind, spike_once, sh
         assert all(a is b for a, b in zip(buffers, after))
         assert same_state(state, want)
         assert same_bits(spike, want_spike)
+        assert step(twin, drive, model, spikes=written) is written
+        assert same_state(twin, want)
+        assert same_bits(written, spike)
 
 
 @settings(max_examples=80, deadline=None)

@@ -1,0 +1,103 @@
+"""Check that two source trees write byte-identical reports on the benchmark workloads.
+
+Usage, from the root of a checkout::
+
+    python tools/same_reports.py BASE_SRC
+
+``BASE_SRC`` is the ``src`` directory of another tree, such as the parent
+commit unpacked with ``git archive``. Each workload of
+``benchmarks/workloads.py`` is generated at seeds 0-3, and on each instance
+``emacprof profile`` and ``emacprof trace --sample 1 --raster`` run twice, in
+a fresh process: once with ``PYTHONPATH=BASE_SRC`` and once with this
+checkout's ``src``. Both runs read the same generated files and write into
+directories of the same relative name, so their exit codes, stdout and every
+output file must match byte for byte. A run that fails on both sides counts
+as a difference too, since it would compare nothing.
+
+Exit 0 when every run matches; exit 1 naming the first difference; exit 2
+when ``BASE_SRC`` holds no ``emacprof`` package.
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SEEDS = range(4)
+
+
+def run(src: Path, argv: list[str], cwd: Path) -> tuple[int, bytes, dict[str, bytes]]:
+    """Exit code, stdout and written files of ``emacprof`` from ``src``, run in ``cwd``."""
+    cwd.mkdir(parents=True)
+    proc = subprocess.run(
+        [sys.executable, "-m", "emacprof.cli", *argv],
+        cwd=cwd,
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        check=False,
+    )
+    files = {
+        path.relative_to(cwd).as_posix(): path.read_bytes()
+        for path in sorted(cwd.rglob("*"))
+        if path.is_file()
+    }
+    return proc.returncode, proc.stdout, files
+
+
+def difference(base: tuple, change: tuple) -> str | None:
+    """The first way two runs differ, or ``None``."""
+    (base_code, base_out, base_files), (code, out, files) = base, change
+    if base_code != code:
+        return f"exit code {base_code} != {code}"
+    if code != 0:
+        return f"both runs exit {code}"
+    if base_out != out:
+        return "stdout differs"
+    for name in sorted(base_files.keys() | files.keys()):
+        if name not in files:
+            return f"{name} is missing from the change's outputs"
+        if name not in base_files:
+            return f"{name} is missing from the base's outputs"
+        if base_files[name] != files[name]:
+            return f"{name} differs"
+    return None
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("base_src", type=Path, help="src directory of the tree to compare with")
+    args = parser.parse_args(argv)
+    base_src = args.base_src.resolve()
+    if not (base_src / "emacprof" / "__init__.py").is_file():
+        print(f"error: no emacprof package under {base_src}", file=sys.stderr)
+        return 2
+    sys.path[:0] = [str(ROOT / "src"), str(ROOT / "benchmarks")]
+    from workloads import WORKLOADS, generate, profile_argv
+
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, workload in WORKLOADS.items():
+            for seed in SEEDS:
+                case = Path(tmp) / f"{name}-{seed}"
+                gen = generate(workload, seed, case / "data")
+                profile = profile_argv(workload, gen, seed, Path("out"))
+                trace = ["trace", *profile[1:], "--sample", "1", "--raster"]
+                for command in (profile, trace):
+                    label = f"{name} seed {seed} {command[0]}"
+                    found = difference(
+                        run(base_src, command, case / "base" / command[0]),
+                        run(ROOT / "src", command, case / "change" / command[0]),
+                    )
+                    if found is not None:
+                        print(f"{label}: {found}", file=sys.stderr)
+                        return 1
+                    print(f"{label}: identical", flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
