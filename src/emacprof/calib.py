@@ -117,9 +117,16 @@ def _design(observations: Sequence[Observation], floor_power_W: float | None):
     X = np.array([[obs.S, obs.U] for obs in observations], dtype=np.float64)
     y = np.array([obs.E_joules for obs in observations], dtype=np.float64)
     if floor_power_W is not None:
-        y = y - floor_power_W * np.array(
-            [obs.duration_s for obs in observations], dtype=np.float64
-        )
+        with np.errstate(over="ignore", invalid="ignore"):
+            y = y - floor_power_W * np.array(
+                [obs.duration_s for obs in observations], dtype=np.float64
+            )
+        bad = [obs.name for obs, e in zip(observations, y.tolist()) if not np.isfinite(e)]
+        if bad:
+            raise SchemaError(
+                f"observations {bad}: E_joules minus the floor power times "
+                "duration_s is not finite"
+            )
     return X, y
 
 
@@ -154,14 +161,17 @@ def fit_energy_model(
     RankDeficient
         Fewer than two observations, or collinear (S, U) rows.
     IllConditioned
-        Design matrix condition number at or above ``COND_LIMIT``.
+        Design matrix condition number at or above ``COND_LIMIT``, or
+        parameters, covariance or residual that are not finite in float64
+        (counts or energies too small or too large to square).
     MissingMeasurement
         An observation lacks a usable energy (or a duration when the
         floor-power term is requested).
     SchemaError
         An observation has a non-finite S, U, or (with floor power) a
         non-finite or negative duration; the floor power is negative or not
-        finite; or a variance is not positive (NaN included).
+        finite; an energy minus the floor-power term is not finite; or a
+        variance is not positive (NaN included).
     """
     X, y = _design(observations, floor_power_W)
     n = X.shape[0]
@@ -188,18 +198,26 @@ def fit_energy_model(
             "two-parameter fit"
         )
 
-    xtx = Xw.T @ Xw
-    xty = Xw.T @ yw
-    det = xtx[0, 0] * xtx[1, 1] - xtx[0, 1] * xtx[1, 0]
-    inv = (
-        np.array([[xtx[1, 1], -xtx[0, 1]], [-xtx[1, 0], xtx[0, 0]]], dtype=np.float64)
-        / det
-    )
-    params = inv @ xty
-    residuals = yw - Xw @ params
-    rss = float(residuals @ residuals)
-    sigma2 = rss / max(n - 2, 1)
-    cov = sigma2 * inv
+    # The normal equations square the counts, which can underflow or
+    # overflow where the rows themselves are fine: such a fit fails below.
+    with np.errstate(all="ignore"):
+        xtx = Xw.T @ Xw
+        xty = Xw.T @ yw
+        det = xtx[0, 0] * xtx[1, 1] - xtx[0, 1] * xtx[1, 0]
+        inv = (
+            np.array([[xtx[1, 1], -xtx[0, 1]], [-xtx[1, 0], xtx[0, 0]]], dtype=np.float64)
+            / det
+        )
+        params = inv @ xty
+        residuals = yw - Xw @ params
+        rss = float(residuals @ residuals)
+        sigma2 = rss / max(n - 2, 1)
+        cov = sigma2 * inv
+    if not (np.isfinite(params).all() and np.isfinite(cov).all() and np.isfinite(rss)):
+        raise IllConditioned(
+            "the fit's parameters, covariance or residual are not finite in "
+            "float64; express S, U and E_joules in other units"
+        )
     model = EnergyModel(
         e_syn_J=float(params[0]),
         e_upd_J=float(params[1]),
@@ -219,10 +237,21 @@ def fit_energy_model(
 
 
 def predict_energy(model: EnergyModel, S: float, U: float) -> tuple[float, float]:
-    """Energy estimate and its one-sigma parameter uncertainty, in joules."""
+    """Energy estimate and its one-sigma parameter uncertainty, in joules.
+
+    Counts that are not finite (those of a dataset with no successful
+    sample) give NaN. Finite counts whose estimate or variance is not finite
+    in float64 raise :class:`SchemaError`: the model does not fit them.
+    """
     x = np.array([S, U], dtype=np.float64)
-    energy = float(x @ np.array([model.e_syn_J, model.e_upd_J]))
-    var = float(x @ np.asarray(model.cov) @ x)
+    with np.errstate(over="ignore", invalid="ignore"):
+        energy = float(x @ np.array([model.e_syn_J, model.e_upd_J]))
+        var = float(x @ np.asarray(model.cov) @ x)
+    if np.isfinite(x).all() and not (np.isfinite(energy) and np.isfinite(var)):
+        raise SchemaError(
+            f"the model predicts a non-finite energy for S={S!r}, U={U!r} "
+            f"(E = {energy!r} J, variance {var!r} J^2)"
+        )
     return energy, float(np.sqrt(max(var, 0.0)))
 
 

@@ -1,7 +1,7 @@
 """Time-stepped inference over a validated network.
 
 Propagation is feedforward within a step: layer ``l`` consumes the spikes
-layer ``l-1`` emitted at the same step. Recurrent layers are the
+layer ``l-1`` fired at the same step. Recurrent layers are the
 exception; they see their own spikes from the previous step. Under
 rank-order coding the run stops at the end of the first step in which the
 output layer spikes.
@@ -13,7 +13,7 @@ tick, so no layer waits for another within a tick: every active layer's
 drive is computed first, and then consecutive spiking layers with one
 neuron model (a block) take their steps in one call of the compiled step
 function, followed by one finiteness check. A pool or flatten layer runs
-in the tick of the spiking layer that feeds it, and one before the first
+in the tick of the spiking layer before it, and one before the first
 spiking layer runs in the encoder's. Each neuron still sees the same
 operations on the same operands in the same order as in a layer-by-layer
 sweep, so the results are bit-identical to one; with ``K`` spiking layers,
@@ -56,72 +56,52 @@ built. :func:`run_inference` and :func:`run_dataset`, and through them
 every caller, reuse it. The cost is memory: the float64 copy stays next to
 the spec's float32 blocks between runs too.
 
-Before it runs, each group of samples builds a step plan: one forward
-map per layer, with whatever it needs allocated once, which every sample
-of the group calls in turn. A convolution writes its input into the
+Before it runs, each group of samples builds a step plan per weighted
+layer: its forward map, with whatever it needs allocated once, which every
+sample of the group calls in turn. A convolution writes its input into the
 interior of a zero-padded buffer and multiplies the kernel rows with a
-fixed window view of that buffer (the im2col product);
-a pool takes the elementwise maximum of precomputed strided slices, one
-per window tap. A dense-like layer (dense, locally connected, and the
-recurrent term of a recurrent layer) is driven by events: for a boolean
-spike input it adds up the weight rows of the inputs that spiked, in
-blocks of at most 64 rows, so the cost follows the spike count and the
-temporary stays at 64 rows whatever the spike rate; a step with no input
-spikes yields +0.0, which the step loop writes without a call when the
-input's spike count is zero. A float input (the static stage, or an
-analog first layer) takes the full matrix-vector product, and so does any
-input to a matrix of at most 16384 weights, where the product costs about
-what one gather's fixed overhead does. Both read the one
-float64 copy of the weights, stored input-major (see
-:func:`~emacprof.netspec.weight_tensor`).
-The static stage and the step loop use the same plans, so results do not
-depend on which of them evaluates a layer. The event sums add in another
-order than a dense product, so with arbitrary weights voltages may differ
-from one in the last bit; with sums that are exact (weights that are
-multiples of a power of two, say) they are equal.
+fixed window view of that buffer (the im2col product). A dense-like layer
+(dense, locally connected, and the recurrent term of a recurrent layer) is
+driven by events: for a boolean spike input it adds up the weight rows of
+the inputs that spiked, in blocks of at most 64 rows, so the cost follows
+the spike count and the temporary stays at 64 rows whatever the spike
+rate. A float input (the static stage, or an analog first layer) takes the
+full matrix-vector product. Both read the one float64 copy of the weights,
+stored input-major (see :func:`~emacprof.netspec.weight_tensor`). A pool
+takes the elementwise maximum of precomputed strided slices, one per
+window tap. The static stage and the step loop use the same plans and
+pools, so results do not depend on which of them evaluates a layer. The
+event sums add in another order than a dense product, so with arbitrary
+weights voltages may differ from one in the last bit; with sums that are
+exact (weights that are multiples of a power of two, say) they are equal.
 
 Samples run in lockstep groups. :func:`run_inference` runs a group of
 one, and :func:`run_dataset` runs consecutive groups of samples that share
-an encoding mode, in sample order. Within a group, a block's neuron state,
-drive buffer and spike buffer hold every sample's row of every layer of the
+an encoding mode, in sample order, as many a group as
+:func:`_group_size` allows. Within a group, a block's neuron state, drive
+buffer and spike buffer hold every sample's row of every layer of the
 block, flat and layer by layer, so that the layers active at a tick are one
 contiguous range; each neuron step advances that range in place and writes
 its spikes into the range of the spike buffer, so one numpy call serves
 every sample and layer of the block: on narrow layers the time goes to
-dispatching calls, not to arithmetic. What a tick touches is bound once per
-group, before the first tick: each spiking layer's ``(rows, neurons)`` view
-of its spikes, which the layers after it read; one buffer per pool after
-it, written in place, and a view per flatten; one binder per drive that
-holds its rows' input and drive views; one view per history column; and,
-only when the active layers change, the state views of the span a block
-steps. A tick then spends its time in the numpy calls its layers need
-rather than in making views and arrays, which matters most in a group of
-one. Each weighted drive is written into its sample's row of the block's
-drive buffer. An event drive, and a
-convolution's, is one call per sample through the group's step plan; a
-small matrix's drive is one stacked ``np.matmul`` per layer and tick,
-which numpy runs as one BLAS matrix-vector call per row, the call a lone
-run makes, so each row adds its sum in a lone run's order. One product
-over the group (one GEMM, or one gather) would add the sums in another
-order, and a last-bit change at ``v == v_th`` flips a spike; summed per
-sample, every result is bit-identical whatever the group size. Under
-rank-order coding a sample that has decided leaves the group with its
-counters frozen, and a sample whose state leaves the finite range fails
-alone. Every sample keeps its row for the whole run: a sample that leaves
-only stops getting decisions, finiteness checks and drives (but a small
-matrix's stacked product, which serves every row), and nothing reads its
-row again, whatever the steps after it write there. A group's
-histories (spike counts, the events reaching layers of uneven fan-out,
-output spikes and voltages, rasters when recorded) are allocated once at
-the step budget, a row per sample; each tick writes every row, and one
-loop at the end decodes, traces and prices each sample from its own steps.
-A group holds as many samples as a budget of step state and history
-allows: the larger of ``_GROUP_STATE_BYTES`` (256 KiB) and the compiled
-float64 weights over ``_WEIGHT_BUDGET_SHARE`` (16), since the resident
-weights dominate the memory peak. A 784-512-512-256-256-10 stack gets 6
-samples a group. Wide convolutional networks get one: batching would make
-their steps faster, but their state, next to small weights, would double
-the memory peak.
+dispatching calls, not to arithmetic. One walk over the stepped layers
+binds every view and buffer a tick touches before the first tick (see
+:func:`_step_group`), so a tick spends its time in the numpy calls its
+layers need. A tick emits the encoder and each active spiking layer by one
+path, which counts and records their spikes, runs the pools and flattens
+after them, and counts the events reaching each layer of uneven fan-out
+where that layer's input is made. Each live sample's drive adds its sums
+in a lone run's order (see :func:`_bind_drive`), so every result is
+bit-identical whatever the group size. Under rank-order coding a sample
+that has decided leaves the group with its counters frozen, and a sample
+whose state leaves the finite range fails alone. Every sample keeps its
+row for the whole run: a sample that leaves only stops getting decisions,
+finiteness checks and drives, and nothing reads its row again, whatever
+the steps after it write there. A group's histories (spike counts, the
+events reaching layers of uneven fan-out, output spikes and voltages,
+rasters when recorded) are allocated once at the step budget, a row per
+sample; each tick writes every row, and one loop at the end decodes,
+traces and prices each sample from its own steps.
 
 Over a dataset, :func:`run_dataset` keeps each sample's outcome (step
 count and decision) and a column of per-layer energies and spike totals,
@@ -188,7 +168,7 @@ logger = logging.getLogger(__name__)
 class SpikeTrace:
     """Event record of one inference.
 
-    ``counts[l, t]`` is the number of spikes layer ``l`` emitted at step
+    ``counts[l, t]`` is the number of spikes layer ``l`` fired at step
     ``t + 1`` (flatten layers re-emit their input, so their rows mirror the
     upstream layer). ``input_counts`` holds the encoder's spikes per step
     for stochastic inputs and is ``None`` for analog runs.
@@ -322,25 +302,22 @@ def _max_pool(
 
 
 def _step_plan(rt: _LayerRT) -> Callable | None:
-    """One group's forward map of a layer, with its buffers built once.
+    """One group's forward map of a weighted layer, with its buffers built once.
 
-    A weighted layer maps its input to its flat synaptic drive, a pool to
-    the pooled tensor; flatten needs no plan. The samples of a group call
-    it one after another. A weighted layer's plan takes an optional ``out``,
-    a contiguous float64 row that receives the drive (by the same BLAS call
-    as without it, so the two are bitwise equal); without ``out`` it
-    returns a new array. A convolution's padded buffer and window view are
-    built here, once per group and layer. The buffers belong to one
-    :func:`_step_group` call, not to ``rt``, so compiled layers stay
-    read-only and one compiled network can serve any number of calls; in
-    the step loop, :func:`_bind_drive` binds each plan to the group's input
-    and drive buffers.
+    The plan maps the layer's input to its flat synaptic drive; a pool or
+    flatten layer has none. The samples of a group call it one after
+    another. It takes an optional ``out``, a contiguous float64 row that
+    receives the drive (by the same BLAS call as without it, so the two are
+    bitwise equal); without ``out`` it returns a new array. A convolution's
+    padded buffer and window view are built here, once per group and layer.
+    The buffers belong to one :func:`_step_group` call, not to ``rt``, so
+    compiled layers stay read-only and one compiled network can serve any
+    number of calls; in the step loop, :func:`_bind_drive` binds each plan
+    to the group's input and drive buffers.
     """
-    layer = rt.spec
-    if layer.kind is LayerKind.MAX_POOL2D:
-        return partial(_max_pool, taps=rt.pool_taps)
     if not rt.weighted:
         return None
+    layer = rt.spec
     weights = rt.weights
     if layer.kind is LayerKind.CONV2D:
         c, h, w = layer.input_shape
@@ -402,28 +379,25 @@ def _event_drive(weights: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
 def _bind_drive(
     plan: Callable, weights: np.ndarray | None, x: np.ndarray, out: np.ndarray
 ) -> Callable[[np.ndarray, list[int]], None]:
-    """``plan`` bound to a group's input ``x`` and drive ``out``, as ``drive(counts, live)``.
+    """``plan`` bound to a group's spike input ``x`` and drive ``out``, as ``drive(counts, live)``.
 
     ``x`` and ``out`` are contiguous ``(rows, ...)`` buffers that the group
     keeps for its whole run, so the binder is built once per drive and group
-    and holds every view a tick needs: each row's ``(x[p], out[p])`` pair,
-    or the stacked product's ``(rows, n, 1)`` views with a float64 input
-    buffer. Each call writes, into its row of ``out``, the drive of every
-    row in ``live`` from what ``x`` holds. ``weights`` is a dense-like
-    plan's matrix. Where it sums weight rows for spikes (see
-    :func:`_event_drive`), each live row is its own call, and a row whose
-    input has no spikes (``counts``) is not summed: its drive is the +0.0 an
-    empty sum gives. A matrix of at most ``_EVENT_MIN_WEIGHTS`` weights
-    takes the full product of every row, live or not, in one stacked
-    ``np.matmul`` of ``x`` copied to float64, which numpy runs as one BLAS
-    matrix-vector call per row, the call ``np.dot`` makes for one row alone,
-    so each row adds its sum in a lone run's order. (Only a 1x1 matrix
-    differs: a silent product is +0.0 there where ``np.dot`` gives the
-    weight times 0.0, and a neuron step adds either zero alike.) Nothing
+    and holds every view a tick needs. Each call writes, into its row of
+    ``out``, the drive of every row in ``live`` from what ``x`` holds.
+    ``weights`` is a dense-like plan's matrix, or ``None`` for a
+    convolution's. A matrix of at most ``_EVENT_MIN_WEIGHTS`` weights takes
+    the full product of every row, live or not, in one stacked ``np.matmul``
+    of ``x`` copied to float64, which numpy runs as one BLAS matrix-vector
+    call per row, the call ``np.dot`` makes for one row alone, so each row
+    adds its sum in a lone run's order (but for a 1x1 matrix, whose silent
+    product is +0.0 where ``np.dot`` gives the weight times 0.0). Nothing
     reads a row that has left, and its spikes through finite weights keep
-    its drive finite for the group's one-call finiteness check. Anything
-    else (a convolution's plan) gets ``x[p]`` as it is, one call per live
-    row. Only the stacked product writes rows outside ``live``.
+    its drive finite for the group's one-call finiteness check. Any other
+    plan is called once per live row whose input has spikes (``counts``); a
+    silent row is not summed, and its drive is the +0.0 an empty sum gives,
+    whatever sign of zero the plan's own product would have; a neuron step
+    adds either zero alike.
     """
     rows = len(out)
     if weights is not None and weights.size <= _EVENT_MIN_WEIGHTS:
@@ -438,10 +412,6 @@ def _bind_drive(
         return stacked
     pairs = [(x[p], out[p]) for p in range(rows)]
 
-    def each(counts: np.ndarray, live: list[int]) -> None:
-        for p in live:
-            plan(*pairs[p])
-
     def events(counts: np.ndarray, live: list[int]) -> None:
         counts = counts.tolist()
         for p in live:
@@ -450,7 +420,7 @@ def _bind_drive(
             else:
                 pairs[p][1].fill(0.0)
 
-    return each if weights is None else events
+    return events
 
 
 def _synaptic_events(rt: _LayerRT, spikes: np.ndarray) -> np.ndarray:
@@ -518,21 +488,19 @@ def _blocks(spiking: list[_LayerRT], samples: int) -> list[_Block]:
     return blocks
 
 
-def _static_stage(
-    rt: list[_LayerRT], plans: list, static_ids: list[int], x: np.ndarray
-) -> np.ndarray:
-    for idx in static_ids:
-        layer = rt[idx].spec
+def _static_stage(static: list[_LayerRT], plans: list, x: np.ndarray) -> np.ndarray:
+    for r in static:
+        layer = r.spec
         if layer.kind is LayerKind.FLATTEN:
             x = x.reshape(-1)
         elif layer.kind is LayerKind.MAX_POOL2D:
-            x = plans[idx](x)
+            x = _max_pool(x, r.pool_taps)
         else:
-            x = ann_activation(plans[idx](x), layer.neuron_model)
+            x = ann_activation(plans[r.index](x), layer.neuron_model)
             x = x.reshape(layer.output_shape)
         if not np.isfinite(x).all():
             raise NonFiniteState(
-                f"layer {idx} produced non-finite values in the static stage"
+                f"layer {r.index} produced non-finite values in the static stage"
             )
     return x
 
@@ -650,9 +618,9 @@ def _run_group(
     which belong to this call alone (:func:`run_inference` copies them).
     """
     mode = samples[0].mode
-    static_ids, start = static_split(net, mode)
+    start = static_split(net, mode)[1]
     run = _step_group(
-        net, rt, samples, static_ids, start,
+        net, rt, samples, start,
         T_max=T_max, coding=coding, record_raster=record_raster,
     )
     table = _emac.price_table(net)
@@ -734,41 +702,41 @@ def _step_group(
     net: NetworkSpec,
     rt: list[_LayerRT],
     samples: Sequence[EncodedInput],
-    static_ids: list[int],
     start: int | None,
     *,
     T_max: int,
     coding: Coding,
     record_raster: bool,
 ) -> _Histories:
-    """Run the static stage and the time steps of one group (see :func:`_run_group`).
+    """Run the static stage ``rt[:start]`` and the time steps of one group (see
+    :func:`_run_group`).
 
-    Every view and buffer a tick touches is made once, before the first
-    tick: the blocks' state, drive and spike buffers, each spiking layer's
-    fixed ``(rows, neurons)`` view of its spikes, a buffer for each pool
-    after it, one drive binder per drive (:func:`_bind_drive`) and one view
-    per history column. The state views of the span of layers a block steps
-    are made when the active layers change, which only the ramps up and
-    down do. A tick runs only the numpy calls its layers need.
+    Every view and buffer a tick touches is bound once, before the first
+    tick, in one walk over the stepped layers. Source 0 is the Poisson
+    encoder and source ``k + 1`` spiking layer ``k``. Each source gets its
+    count column, its ``(rows, neurons)`` output view, the buffers of the
+    pools and the views of the flattens after it, and the event columns of
+    the layers of uneven fan-out its spikes reach, the next spiking layer
+    included, each with the input whose spikes it counts. Each spiking
+    layer gets its drive view, its input binder and its recurrent binder
+    (:func:`_bind_drive`). A tick then emits the encoder and every active
+    spiking layer through one
+    ``emit(source, step)``, the one place where spikes are counted and
+    recorded, pools run, and the events reaching a layer of uneven fan-out
+    are counted: where its input is made, at the step that input belongs
+    to, which the layer reads unchanged when it takes that step. The state
+    views of the span of layers a block steps are made when the active
+    layers change, which only the ramps up and down do.
     """
     mode = samples[0].mode
     B = len(samples)
     L = len(rt)
 
-    # The stepped layers: the spiking ones, in order, and the stateless layers
-    # each feeds; tails[0] are those the encoder feeds, tails[k + 1] those
-    # after spiking layer k. Spiking layer k reads its input from tails[k].
     stepped = rt[start:] if start is not None else []
     spiking = [r for r in stepped if r.spiking]
     K = len(spiking)
-    tails: list[list[_LayerRT]] = [[]]
-    for r in stepped:
-        if r.spiking:
-            tails.append([])
-        else:
-            tails[-1].append(r)
-    # one plan per layer, which the rows of the group call in turn (but the
-    # stacked product of a small matrix)
+    # one plan per weighted layer, which the rows of the group call in turn
+    # (but the stacked product of a small matrix)
     plans = [_step_plan(r) for r in rt]
     # Histories, allocated at the step budget: sample k's steps are
     # [:T_used[k], k]. A static-only network runs one step, whose output
@@ -806,7 +774,7 @@ def _step_group(
                     f"the network input {net.input_shape}"
                 )
             try:
-                x = _static_stage(rt, plans, static_ids, encoded.values)
+                x = _static_stage(rt[:start], plans, encoded.values)
             except NonFiniteState as exc:
                 failed[k] = exc
                 continue
@@ -833,62 +801,53 @@ def _step_group(
         events = {index: ff_hist[:, :, j] for j, index in enumerate(uneven)}
         blocks = _blocks(spiking, B)
         block_of = [b for b in blocks for _ in range(b.first, b.stop)]
-        # spiking layer k's spikes of its latest step, which its step
-        # overwrites in its block's spike buffer
-        outs = [
-            b.spikes[b.span(k)].reshape(B, spiking[k].neurons) for k, b in enumerate(block_of)
-        ]
         x_in = np.zeros((B, *net.input_shape), dtype=bool) if poisson else None
-        x_rows = x_in.reshape(B, -1) if poisson else None
-
-        def uneven_events(r: _LayerRT, x: np.ndarray) -> tuple | None:
-            """Where the events that ``x``'s spikes carry into ``r`` are counted."""
-            return None if r.fanout is None else (events[r.index], r, x)
-
-        # tail_ops[j]: tails[j] bound to the buffers each writes; feeds[j]:
-        # what spiking layer j reads
-        tail_ops: list[list[tuple]] = []
-        feeds: list[np.ndarray | None] = []
-        sources = [x_in] + [o.reshape(B, *r.spec.output_shape) for o, r in zip(outs, spiking)]
-        for tail, x in zip(tails, sources):
-            ops = []
-            for r in tail:
-                if r.spec.kind is LayerKind.MAX_POOL2D:
-                    y = np.zeros((B, *r.spec.output_shape), dtype=bool)
-                    ops.append((r.index, x, y, y.reshape(B, -1), r.pool_taps,
-                                uneven_events(r, x)))
-                else:  # flatten: a view that re-emits its input
-                    y = x.reshape(B, -1)
-                    ops.append((r.index, x, y, y, None, None))
-                x = y
-            tail_ops.append(ops)
-            feeds.append(x)
         # one buffer serves every recurrent term, each added as soon as made
         rec_buf = np.empty(
             B * max((r.neurons for r in spiking if r.rec_weights is not None), default=0)
         )
         terms = []
-        # per spiking layer: its drive, bound input drive (None for the
-        # analog-fed first layer), input and own count columns, uneven events
-        # and bound recurrent term
-        bound = []
-        for k, r in enumerate(spiking):
-            b = block_of[k]
-            drive = b.drive[b.span(k)].reshape(B, r.neurons)
-            ff = uneven_in = rec = None
-            if k > 0 or drive0 is None:
-                weights = None if r.spec.kind is LayerKind.CONV2D else r.weights
-                ff = _bind_drive(plans[r.index], weights, feeds[k], drive)
-                uneven_in = uneven_events(r, feeds[k])
-            if r.rec_weights is not None:
-                term = rec_buf[: B * r.neurons].reshape(B, r.neurons)
-                rec = _bind_drive(_event_drive(r.rec_weights), r.rec_weights, outs[k], term), term
-                terms.append(term)
-            bound.append((drive, ff, counts[r.index], counts[r.index + 1], uneven_in, rec))
-        emitted = [
-            (r.index, outs[k], counts[r.index + 1], tail_ops[k + 1])
-            for k, r in enumerate(spiking)
-        ]
+        # sources[j]: source j's stages, each as (count column, rows view,
+        # pool operands or None, raster column or None), and the events it
+        # carries, as (event column, layer, input); layers[k]: spiking layer
+        # k's drive view, input binder (None for the analog-fed first layer,
+        # whose drive is drive0), input and own count columns, and recurrent
+        # binder with its term. x is what the next layer reads. Source 0 runs
+        # only under Poisson inputs, so an analog-fed first layer of uneven
+        # fan-out counts nothing.
+        stages = [(counts[0], x_in.reshape(B, -1), None, None)] if poisson else []
+        carried: list[tuple] = []
+        sources = [(stages, carried)]
+        layers = []
+        x = x_in
+        for r in stepped:
+            raster = raster_hist[r.index] if record_raster else None
+            if r.fanout is not None:
+                carried.append((events[r.index], r, x))
+            if r.spec.kind is LayerKind.MAX_POOL2D:
+                y = np.zeros((B, *r.spec.output_shape), dtype=bool)
+                stages.append((counts[r.index + 1], y.reshape(B, -1), (x, r.pool_taps, y), raster))
+                x = y
+            elif r.spec.kind is LayerKind.FLATTEN:  # a view that re-emits its input
+                x = x.reshape(B, -1)
+                stages.append((counts[r.index + 1], x, None, raster))
+            else:
+                k = len(layers)
+                b = block_of[k]
+                drive = b.drive[b.span(k)].reshape(B, r.neurons)
+                out = b.spikes[b.span(k)].reshape(B, r.neurons)
+                ff = rec = None
+                if x is not None:
+                    weights = None if r.spec.kind is LayerKind.CONV2D else r.weights
+                    ff = _bind_drive(plans[r.index], weights, x, drive)
+                if r.rec_weights is not None:
+                    term = rec_buf[: B * r.neurons].reshape(B, r.neurons)
+                    rec = _bind_drive(_event_drive(r.rec_weights), r.rec_weights, out, term), term
+                    terms.append(term)
+                layers.append((drive, ff, counts[r.index], counts[r.index + 1], rec))
+                x = out.reshape(B, *r.spec.output_shape)
+                stages, carried = [(counts[r.index + 1], out, None, raster)], []
+                sources.append((stages, carried))
         out_volt = block_of[-1].state.v_peak[block_of[-1].span(K - 1)].reshape(
             B, rt[-1].neurons
         ) if K else None
@@ -936,18 +895,21 @@ def _step_group(
             if drive0 is not None:
                 drive0[p] = 0.0
 
-        def emit(ops: list[tuple], count, s: int) -> None:
-            """Run bound stateless layers on a step-``s`` output of ``count`` spikes a row."""
-            for index, x, y, flat, taps, uneven_in in ops:
-                if taps is not None:  # a pool
-                    if uneven_in is not None:
-                        column, r, spikes = uneven_in
-                        column[s - 1] = _synaptic_events(r, spikes)
-                    _max_pool(x, taps, out=y)
-                    count = count_rows(flat)
-                counts[index + 1][s - 1] = count
-                if record_raster:
-                    raster_hist[index][s - 1] = flat
+        def emit(source: int, s: int) -> None:
+            """Count and record the step-``s`` output of ``source`` and of the pools
+            and flattens after it, and the events it carries to uneven fan-outs."""
+            stages, carried = sources[source]
+            count = None
+            for column, rows, pool, raster in stages:
+                if pool is not None:
+                    _max_pool(*pool)
+                if count is None or pool is not None:  # a flatten keeps its input's
+                    count = count_rows(rows)
+                column[s - 1] = count
+                if raster is not None:
+                    raster[s - 1] = rows
+            for column, r, spikes in carried:
+                column[s - 1] = _synaptic_events(r, spikes)
 
         # Tick tau advances spiking layer k by step tau - k: every drive reads
         # outputs of the previous tick (the first layer's, the encoder's of
@@ -959,18 +921,13 @@ def _step_group(
             if poisson and tau <= T_max:
                 for k in live:
                     x_in[k] = draw(samples[k], tau)
-                count = count_rows(x_rows)
-                counts[0][tau - 1] = count
-                emit(tail_ops[0], count, tau)
+                emit(0, tau)
             for k in range(lo, hi):
-                drive, ff, in_counts, own_counts, uneven_in, rec = bound[k]
+                drive, ff, in_counts, own_counts, rec = layers[k]
                 s = tau - k
                 if ff is None:
                     base = drive0
                 else:
-                    if uneven_in is not None:
-                        column, r, spikes = uneven_in
-                        column[s - 1] = _synaptic_events(r, spikes)
                     ff(in_counts[s - 1], live)
                     base = drive
                 if rec is not None:
@@ -991,18 +948,11 @@ def _step_group(
                         for p in _non_finite_rows(state.v_peak[part].reshape(B, -1), live):
                             pending[p] = min(pending.get(p, found), found)
             for k in range(lo, hi):
-                index, out, column, ops = emitted[k]
-                s = tau - k
-                count = count_rows(out)
-                column[s - 1] = count
-                if record_raster:
-                    raster_hist[index][s - 1] = out
-                if ops:
-                    emit(ops, count, s)
+                emit(k + 1, tau - k)
             t = tau - K + 1  # the output layer's step
             if t < 1:
                 continue
-            spike_hist[t - 1] = outs[-1]
+            spike_hist[t - 1] = out
             volt_hist[t - 1] = out_volt
 
             # A sample fails at its lowest non-finite (step, layer), known once

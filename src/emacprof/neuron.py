@@ -14,7 +14,7 @@ the step size, so no time constants appear:
     v[k+1/2] = v[k] + i[k+1]
     v[k+1]   = v[k+1/2] - v_th * S[k+1]
 
-In both cases a spike is emitted when the half-step voltage reaches the
+In both cases a neuron spikes when the half-step voltage reaches the
 threshold (``v >= v_th``), and the reset subtracts the threshold rather
 than clamping to zero. :func:`lif_step` and :func:`ifl_step` advance the
 state in place, overwriting its arrays, and return the spikes, written

@@ -1,5 +1,6 @@
 import json
 import logging
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -213,6 +214,39 @@ def test_negative_durations_are_rejected_under_floor_power(duration):
         fit_energy_model(obs, floor_power_W=0.1)
     # without a floor power term the duration is not read
     fit_energy_model(obs)
+
+
+def test_a_floor_power_term_past_float64_is_a_schema_error():
+    obs = [
+        Observation("a", S=10.0, U=4.0, E_joules=32.0, duration_s=10.0),
+        Observation("b", S=5.0, U=8.0, E_joules=34.0, duration_s=10.0),
+    ]
+    with pytest.raises(SchemaError, match="floor power times duration_s is not finite"):
+        fit_energy_model(obs, floor_power_W=1e308)
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [  # full rank and finite, but their squares underflow or overflow
+        [("a", 1e-300, 2e-300, 3.0), ("b", 2e-300, 1e-300, 4.0)],
+        [("a", 1e200, 2e200, 3e200), ("b", 2e200, 1e200, 4e200)],
+    ],
+)
+def test_a_fit_that_leaves_float64_is_ill_conditioned(rows):
+    obs = [Observation(name, S=S, U=U, E_joules=E) for name, S, U, E in rows]
+    with pytest.raises(IllConditioned, match="not finite in float64"):
+        fit_energy_model(obs)
+
+
+def test_a_prediction_past_float64_is_a_schema_error():
+    model = fit_energy_model(TWO_POINTS)
+    with pytest.raises(SchemaError, match="non-finite energy"):
+        predict_energy(replace(model, e_syn_J=1e306), 1e3, 1.0)
+    with pytest.raises(SchemaError, match="non-finite energy"):  # its variance
+        predict_energy(replace(model, cov=np.full((2, 2), 1e300)), 1e6, 1e6)
+    # the counts of a dataset without a successful sample give NaN
+    energy, sigma = predict_energy(model, float("nan"), float("nan"))
+    assert np.isnan(energy) and np.isnan(sigma)
 
 
 def test_negative_parameters_are_flagged_not_hidden(caplog):

@@ -567,6 +567,50 @@ def test_calibrate_floor_power_needs_durations(tmp_path, capsys):
     assert "duration" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "rows, floor, code, message",
+    [
+        ("a,1e-300,2e-300,3\nb,2e-300,1e-300,4\n", None, 4, "ill conditioned: "),
+        ("a,1e200,2e200,3e200\nb,2e200,1e200,4e200\n", None, 4, "ill conditioned: "),
+        ("a,10,4,32,10\nb,5,8,34,10\n", "1e308", 2, "schema error: "),
+    ],
+)
+def test_calibrate_writes_no_model_that_is_not_finite(tmp_path, capsys, rows, floor, code,
+                                                      message):
+    obs = tmp_path / "obs.csv"
+    header = "name,S,U,E_joules" + (",duration_s" if floor else "")
+    obs.write_text(f"{header}\n{rows}")
+    out = tmp_path / "cal"
+    argv = ["calibrate", "--observations", str(obs), "--out", str(out)]
+    rc = main(argv + (["--floor-power", floor] if floor else []))
+    captured = capsys.readouterr()
+    assert rc == code
+    assert captured.err.startswith(f"error: {message}")
+    assert "Warning" not in captured.err
+    assert "nan" not in captured.out
+    assert not (out / "model.json").exists()
+
+
+def test_predict_writes_no_prediction_that_is_not_finite(tmp_path, capsys):
+    model = json.loads(model_to_json(fit_energy_model(TWO_POINTS)))
+    model["e_syn_J"] = 1e308  # times 18 events a sample
+    model_path = tmp_path / "model.json"
+    model_path.write_text(json.dumps(model))
+    npath = write_net(tmp_path, dense_ifl())
+    inputs = write_inputs(tmp_path, [np.full(4, 0.3)])
+    out = tmp_path / "pred"
+    rc = main(
+        ["predict", "--model", str(model_path), "--network", str(npath),
+         "--inputs", str(inputs), "--out", str(out)]
+    )
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.err.startswith("error: schema error: the model predicts a non-finite")
+    assert "Warning" not in captured.err
+    assert "inf" not in captured.out
+    assert not (out / "prediction.json").exists()
+
+
 def test_predict_applies_the_model_to_measured_counts(tmp_path):
     model_path = tmp_path / "model.json"
     model_path.write_bytes(model_to_json(fit_energy_model(TWO_POINTS)))

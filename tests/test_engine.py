@@ -589,10 +589,10 @@ def test_pool_equals_the_window_max(shape, pool, stride):
         .build()
     )
     layer = net.layers[0]
-    plan = _step_plan(_compile(net)[0])
+    compiled = _compile(net)[0]
     for x in (rng.random(shape) < 0.3, rng.normal(size=shape), np.zeros(shape, bool)):
         expected = window_view(x, layer).max(axis=(-2, -1))
-        out = plan(x)
+        out = _max_pool(x, compiled.pool_taps)
         assert out.dtype == expected.dtype
         assert np.array_equal(out, expected)
 
@@ -969,23 +969,48 @@ def test_a_drive_written_in_place_equals_a_new_one(kind, count):
         assert not np.signbit(buf[1]).any()
 
 
-@pytest.mark.parametrize("kind", ["dense", "small dense", "locally_connected", "recurrent"])
+@pytest.mark.parametrize(
+    "kind", ["dense", "small dense", "locally_connected", "recurrent", "conv"]
+)
 def test_a_group_drive_equals_each_row_alone(kind):
     # a group writes the drive of each row still stepping: an event-driven
-    # matrix skips a row without spikes, and a row that has left keeps what
-    # it holds; a small one takes the product of every row at once, so a row
-    # that has left gets a finite drive
+    # matrix or a convolution skips a row without spikes, and a row that has
+    # left keeps what it holds; a small matrix takes the product of every row
+    # at once, so a row that has left gets a finite drive
     rng = np.random.default_rng(17)
-    w, plan = drive_case(kind, rng, dyadic=False)
-    x = rng.random((5, w.shape[1])) < 0.05
+    if kind == "conv":
+        shape = (2, 7, 6)
+        net = (
+            NetworkBuilder(shape)
+            .conv2d(3, (3, 3), lif(), padding=1, weights=rng.normal(-0.2, 0.3, 54))
+            .build()
+        )
+        w, plan = None, _step_plan(_compile(net)[0])
+        x = rng.random((5, *shape)) < 0.05
+        n_out = int(np.prod(net.layers[0].output_shape))
+    else:
+        w, plan = drive_case(kind, rng, dyadic=False)
+        x = rng.random((5, w.shape[1])) < 0.05
+        n_out = w.shape[0]
     x[1] = False
-    x[3, 0] = True
-    out = np.full((5, w.shape[0]), -0.0)
+    x.reshape(5, -1)[3, 0] = True
+    out = np.full((5, n_out), -0.0)
     out[3] = np.nan
     live = [0, 1, 2, 4]
-    _bind_drive(plan, w, x, out)(x.sum(axis=1), live)
+    called = []
+
+    def recorded(x, out=None):
+        called.append(x)
+        return plan(x, out=out)
+
+    _bind_drive(recorded, w, x, out)(x.reshape(5, -1).sum(axis=1), live)
     for p in live:
-        assert out[p].tobytes() == plan(x[p]).tobytes()  # +0.0 for the silent row
+        if kind == "conv" and p == 1:  # +0.0, without the plan
+            assert out[p].tobytes() == np.zeros(n_out).tobytes()
+        else:
+            assert out[p].tobytes() == plan(x[p]).tobytes()  # +0.0 for the silent row
+    # the silent row is not summed: the plan never sees its input
+    assert not any(np.shares_memory(a, x[1]) for a in called)
     if kind == "small dense":
         assert np.isfinite(out[3]).all()
     else:
@@ -1615,7 +1640,7 @@ def test_group_size_counts_the_state_a_group_allocates(monkeypatch):
     )
     assert state == engine._NEURON_STATE_BYTES * sum(r.neurons for r in spiking)
     run = engine._step_group(
-        net, rt, [encode(rng.uniform(0.0, 1.0, 12), "poisson", seed=1)], [], 0,
+        net, rt, [encode(rng.uniform(0.0, 1.0, 12), "poisson", seed=1)], 0,
         T_max=10, coding=Coding.ROC, record_raster=False,
     )
     history = sum(a.nbytes for a in (run.counts, run.spikes, run.volts, run.events))
