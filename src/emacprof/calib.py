@@ -7,10 +7,11 @@ ordinary least squares through the origin,
 
     E_k ~ S_k * e_syn_J + U_k * e_upd_J,
 
-solved via the normal equations. The parameter covariance is the standard
-linear-model estimate ``sigma2 * (X^T X)^-1`` with
-``sigma2 = RSS / max(n - 2, 1)``, so two observations interpolate exactly
-and carry zero covariance. Mixed-model networks fold their counts into the
+solved via the normal equations, with each column scaled by a power of two
+so that squaring it neither underflows nor overflows. The parameter
+covariance is the standard linear-model estimate ``sigma2 * (X^T X)^-1``
+with ``sigma2 = RSS / max(n - 2, 1)``, so two observations interpolate
+exactly and carry zero covariance, up to rounding. Mixed-model networks fold their counts into the
 units of one reference kind upstream (see the dataset statistics), which
 is what keeps a single parameter pair meaningful.
 
@@ -163,7 +164,7 @@ def fit_energy_model(
     IllConditioned
         Design matrix condition number at or above ``COND_LIMIT``, or
         parameters, covariance or residual that are not finite in float64
-        (counts or energies too small or too large to square).
+        (joules per event past the float range, or their variance).
     MissingMeasurement
         An observation lacks a usable energy (or a duration when the
         floor-power term is requested).
@@ -199,21 +200,30 @@ def fit_energy_model(
         )
 
     # The normal equations square the counts, which can underflow or
-    # overflow where the rows themselves are fine: such a fit fails below.
+    # overflow where the rows themselves are fine. So each column of Xw, and
+    # yw, is first scaled by the power of two that brings its largest
+    # magnitude into [0.5, 1). That is exact, and so is taking the scales
+    # off the results: a fit whose products stay normal is bitwise the
+    # unscaled one. One that still leaves float64 fails below.
+    x_exp = np.frexp(np.abs(Xw).max(axis=0))[1]
+    y_exp = np.frexp(np.abs(yw).max())[1]
+    Xs, ys = np.ldexp(Xw, -x_exp), np.ldexp(yw, -y_exp)
     with np.errstate(all="ignore"):
-        xtx = Xw.T @ Xw
-        xty = Xw.T @ yw
+        xtx = Xs.T @ Xs
+        xty = Xs.T @ ys
         det = xtx[0, 0] * xtx[1, 1] - xtx[0, 1] * xtx[1, 0]
         inv = (
             np.array([[xtx[1, 1], -xtx[0, 1]], [-xtx[1, 0], xtx[0, 0]]], dtype=np.float64)
             / det
         )
         params = inv @ xty
-        residuals = yw - Xw @ params
+        residuals = ys - Xs @ params
         rss = float(residuals @ residuals)
         sigma2 = rss / max(n - 2, 1)
-        cov = sigma2 * inv
-    if not (np.isfinite(params).all() and np.isfinite(cov).all() and np.isfinite(rss)):
+        params = np.ldexp(params, y_exp - x_exp)
+        cov = np.ldexp(sigma2 * inv, 2 * y_exp - x_exp[:, None] - x_exp[None, :])
+        rms = float(np.ldexp(np.sqrt(rss / n), y_exp))
+    if not (np.isfinite(params).all() and np.isfinite(cov).all() and np.isfinite(rms)):
         raise IllConditioned(
             "the fit's parameters, covariance or residual are not finite in "
             "float64; express S, U and E_joules in other units"
@@ -222,7 +232,7 @@ def fit_energy_model(
         e_syn_J=float(params[0]),
         e_upd_J=float(params[1]),
         cov=cov,
-        residual_rms=float(np.sqrt(rss / n)),
+        residual_rms=rms,
         n_obs=n,
     )
     if model.negative_params:

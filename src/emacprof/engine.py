@@ -68,12 +68,15 @@ the spike count and the temporary stays at 64 rows whatever the spike
 rate. A float input (the static stage, or an analog first layer) takes the
 full matrix-vector product. Both read the one float64 copy of the weights,
 stored input-major (see :func:`~emacprof.netspec.weight_tensor`). A pool
-takes the elementwise maximum of precomputed strided slices, one per
-window tap. The static stage and the step loop use the same plans and
-pools, so results do not depend on which of them evaluates a layer. The
-event sums add in another order than a dense product, so with arbitrary
-weights voltages may differ from one in the last bit; with sums that are
-exact (weights that are multiples of a power of two, say) they are equal.
+takes the elementwise maximum over each window's columns and then over its
+rows, of precomputed strided slices (``kw - 1 + kh - 1`` calls, where a
+pass over each tap would make ``kh * kw - 1``), and keeps the same one of
+equal values or NaNs as that pass. The static stage and the step loop use
+the same plans and pools, so results do not depend on which of them
+evaluates a layer. The event sums add in another order than a dense
+product, so with arbitrary weights voltages may differ from one in the last
+bit; with sums that are exact (weights that are multiples of a power of
+two, say) they are equal.
 
 Samples run in lockstep groups. :func:`run_inference` runs a group of
 one, and :func:`run_dataset` runs consecutive groups of samples that share
@@ -216,25 +219,35 @@ class _LayerRT:
     #: the fan-out every input shares, or 0 where inputs differ
     even_fanout: int = 0
     #: where inputs differ, each input's fan-out: flat, in input order, and
-    #: as narrow as every step's event count allows
+    #: float, so that a step's count is one BLAS dot whose partial sums are
+    #: integers of at most the layer's total fan-out: float32 holds them
+    #: exactly below 2**24, float64 below 2**53 (a layer that reaches more
+    #: makes more multiply-adds than that in each step's forward map)
     fanout: np.ndarray | None = None
-    #: pooling: one strided slice of the input per window tap
-    pool_taps: tuple[tuple[slice, ...], ...] = ()
+    #: pooling: a slice of the input per window column, and of their
+    #: maximum per window row (see :func:`_window_taps`)
+    pool_taps: tuple = ()
     step: Callable | None = None
 
 
-def _window_taps(layer: LayerSpec) -> tuple[tuple[slice, ...], ...]:
+def _window_taps(layer: LayerSpec) -> tuple[tuple[tuple, ...], tuple[tuple, ...]]:
+    """A pool's column taps of its input and row taps of their maximum.
+
+    Column tap ``dx`` is the strided slice of window column ``dx`` over
+    every input row a window covers; row tap ``dy`` picks window row ``dy``
+    of the ``(..., rows, ow)`` maximum of the column taps. Any leading
+    (sample, channel) axes pass through.
+    """
     (kh, kw), (sh, sw) = layer.kernel, layer.stride
     _, oh, ow = layer.output_shape
-    return tuple(
-        (
-            Ellipsis,  # any leading (sample, channel) axes
-            slice(dy, dy + sh * (oh - 1) + 1, sh),
-            slice(dx, dx + sw * (ow - 1) + 1, sw),
-        )
-        for dy in range(kh)
-        for dx in range(kw)
+    covered = slice(0, sh * (oh - 1) + kh)
+    columns = tuple(
+        (Ellipsis, covered, slice(dx, dx + sw * (ow - 1) + 1, sw)) for dx in range(kw)
     )
+    rows = tuple(
+        (Ellipsis, slice(dy, dy + sh * (oh - 1) + 1, sh), slice(None)) for dy in range(kh)
+    )
+    return columns, rows
 
 
 def _compile(net: NetworkSpec) -> list[_LayerRT]:
@@ -262,8 +275,8 @@ def _compile(net: NetworkSpec) -> list[_LayerRT]:
             fanout = fanout_map(layer).reshape(-1)
             if (fanout == fanout[0]).all():
                 rt.even_fanout = int(fanout[0])
-            else:  # int32 where it holds the most events a step can reach
-                rt.fanout = fanout.astype(np.int32 if fanout.sum() < 2**31 else np.int64)
+            else:
+                rt.fanout = fanout.astype(np.float32 if fanout.sum() < 2**24 else np.float64)
         out.append(rt)
     return out
 
@@ -287,18 +300,36 @@ def _compiled(net: NetworkSpec) -> list[_LayerRT]:
     return rt
 
 
-def _max_pool(
-    x: np.ndarray, taps: tuple[tuple[slice, ...], ...], out: np.ndarray | None = None
-) -> np.ndarray:
-    # the elementwise max of the window taps, into ``out`` if given; on
-    # spikes it is a logical OR
-    if out is None:
-        out = x[taps[0]].copy()
-    else:
+def _fold_max(x: np.ndarray, taps: tuple[tuple, ...], out: np.ndarray | None) -> np.ndarray:
+    # the elementwise max of x's taps, taken in order, into ``out`` if given
+    if len(taps) == 1:
+        if out is None:
+            return x[taps[0]].copy()
         np.copyto(out, x[taps[0]])
-    for tap in taps[1:]:
+        return out
+    out = np.maximum(x[taps[0]], x[taps[1]], out=out)
+    for tap in taps[2:]:
         np.maximum(out, x[tap], out=out)
     return out
+
+
+def _max_pool(
+    x: np.ndarray,
+    taps: tuple[tuple[tuple, ...], tuple[tuple, ...]],
+    out: np.ndarray | None = None,
+    rows: np.ndarray | None = None,
+) -> np.ndarray:
+    """The max of each pool window of ``x``, into ``out`` if given; on spikes, an OR.
+
+    ``taps`` are :func:`_window_taps`: the max over a window's columns goes
+    into ``rows`` (a new array if not given), then the max over its rows
+    into ``out``, ``kw - 1 + kh - 1`` maximum calls in all. ``np.maximum``
+    keeps its first operand of two equal ones (+0.0 and -0.0) and the first
+    NaN, so this keeps what a row-major fold over the taps one at a time
+    keeps; rows first would not.
+    """
+    columns, row_taps = taps
+    return _fold_max(_fold_max(x, columns, rows), row_taps, out)
 
 
 def _step_plan(rt: _LayerRT) -> Callable | None:
@@ -424,7 +455,10 @@ def _bind_drive(
 
 
 def _synaptic_events(rt: _LayerRT, spikes: np.ndarray) -> np.ndarray:
-    """Realized connections the spikes entering layer ``rt`` reach, per sample."""
+    """Realized connections the spikes entering layer ``rt`` reach, per sample.
+
+    A float of ``rt.fanout``'s dtype, whose value is the exact integer count.
+    """
     return np.dot(spikes.reshape(-1, rt.fanout.size), rt.fanout)
 
 
@@ -826,7 +860,9 @@ def _step_group(
                 carried.append((events[r.index], r, x))
             if r.spec.kind is LayerKind.MAX_POOL2D:
                 y = np.zeros((B, *r.spec.output_shape), dtype=bool)
-                stages.append((counts[r.index + 1], y.reshape(B, -1), (x, r.pool_taps, y), raster))
+                rows = np.empty(x[r.pool_taps[0][0]].shape, dtype=bool)  # the column max
+                pool = (x, r.pool_taps, y, rows)
+                stages.append((counts[r.index + 1], y.reshape(B, -1), pool, raster))
                 x = y
             elif r.spec.kind is LayerKind.FLATTEN:  # a view that re-emits its input
                 x = x.reshape(B, -1)

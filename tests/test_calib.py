@@ -226,10 +226,49 @@ def test_a_floor_power_term_past_float64_is_a_schema_error():
 
 
 @pytest.mark.parametrize(
-    "rows",
+    "rows, scale",
     [  # full rank and finite, but their squares underflow or overflow
+        ([("a", 1e-160, 2e-160, 3.0), ("b", 2e-160, 1e-160, 4.0)], 1e160),
+        ([("a", 1e200, 2e200, 3e200), ("b", 2e200, 1e200, 4e200)], 1.0),
+    ],
+)
+def test_rows_whose_squares_leave_float64_still_fit(rows, scale):
+    model = fit_energy_model([Observation(n, S=S, U=U, E_joules=E) for n, S, U, E in rows])
+    # the rows solve S * 5/3 + U * 2/3 = E exactly
+    assert model.e_syn_J == pytest.approx(5 / 3 * scale, rel=1e-14)
+    assert model.e_upd_J == pytest.approx(2 / 3 * scale, rel=1e-14)
+    assert np.isfinite(model.cov).all() and np.isfinite(model.residual_rms)
+
+
+@pytest.mark.parametrize("k", [-300, -41, 7, 300])
+def test_counts_scaled_by_a_power_of_two_scale_the_fit_exactly(k):
+    # the fit scales each column by a power of two, which is exact: counts
+    # times 2**k give parameters times 2**-k and covariance times 4**-k,
+    # bitwise, and the same residual; energies times 2**k scale all by 2**k
+    rng = np.random.default_rng(19)
+    obs = planted(rng, 9, 3.0, 5.0, noise=0.5)
+    base = fit_energy_model(obs)
+    counts = fit_energy_model(
+        [replace(o, S=np.ldexp(o.S, k), U=np.ldexp(o.U, k)) for o in obs]
+    )
+    assert counts.e_syn_J == np.ldexp(base.e_syn_J, -k)
+    assert counts.e_upd_J == np.ldexp(base.e_upd_J, -k)
+    assert counts.cov.tobytes() == np.ldexp(base.cov, -2 * k).tobytes()
+    assert counts.residual_rms == base.residual_rms
+    energies = fit_energy_model([replace(o, E_joules=np.ldexp(o.E_joules, k)) for o in obs])
+    assert energies.e_syn_J == np.ldexp(base.e_syn_J, k)
+    assert energies.e_upd_J == np.ldexp(base.e_upd_J, k)
+    assert energies.cov.tobytes() == np.ldexp(base.cov, 2 * k).tobytes()
+    assert energies.residual_rms == np.ldexp(base.residual_rms, k)
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [  # the parameters themselves, or their covariance, are past float64
+        [("a", 1e-300, 2e-300, 3e300), ("b", 2e-300, 1e-300, 4e300)],
+        # parameters near 1e300, but the rounding residual of the exact fit
+        # gives a covariance near 1e570
         [("a", 1e-300, 2e-300, 3.0), ("b", 2e-300, 1e-300, 4.0)],
-        [("a", 1e200, 2e200, 3e200), ("b", 2e200, 1e200, 4e200)],
     ],
 )
 def test_a_fit_that_leaves_float64_is_ill_conditioned(rows):

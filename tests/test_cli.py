@@ -13,6 +13,7 @@ from emacprof import (
     encode,
     fit_energy_model,
     load_input_tensor,
+    model_from_json,
     model_to_json,
     run_inference,
     save_input_tensor,
@@ -571,7 +572,7 @@ def test_calibrate_floor_power_needs_durations(tmp_path, capsys):
     "rows, floor, code, message",
     [
         ("a,1e-300,2e-300,3\nb,2e-300,1e-300,4\n", None, 4, "ill conditioned: "),
-        ("a,1e200,2e200,3e200\nb,2e200,1e200,4e200\n", None, 4, "ill conditioned: "),
+        ("a,1e-300,2e-300,3e300\nb,2e-300,1e-300,4e300\n", None, 4, "ill conditioned: "),
         ("a,10,4,32,10\nb,5,8,34,10\n", "1e308", 2, "schema error: "),
     ],
 )
@@ -589,6 +590,21 @@ def test_calibrate_writes_no_model_that_is_not_finite(tmp_path, capsys, rows, fl
     assert "Warning" not in captured.err
     assert "nan" not in captured.out
     assert not (out / "model.json").exists()
+
+
+@pytest.mark.parametrize(
+    "rows",  # their squares underflow or overflow, the scaled fit's do not
+    ["a,1e-160,2e-160,3\nb,2e-160,1e-160,4\n", "a,1e200,2e200,3e200\nb,2e200,1e200,4e200\n"],
+)
+def test_calibrate_fits_rows_whose_squares_leave_float64(tmp_path, capsys, rows):
+    obs = tmp_path / "obs.csv"
+    obs.write_text(f"name,S,U,E_joules\n{rows}")
+    out = tmp_path / "cal"
+    assert main(["calibrate", "--observations", str(obs), "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    model = model_from_json((out / "model.json").read_text())
+    assert np.isfinite([model.e_syn_J, model.e_upd_J, model.residual_rms]).all()
+    assert np.isfinite(model.cov).all()
 
 
 def test_predict_writes_no_prediction_that_is_not_finite(tmp_path, capsys):

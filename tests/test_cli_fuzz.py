@@ -41,7 +41,7 @@ FUZZ = settings(
 
 @pytest.fixture(scope="module")
 def fixture_files(tmp_path_factory):
-    """A small network with its weights, two input files and a fitted model."""
+    """Two small networks with their weights and inputs, and a fitted model."""
     root = tmp_path_factory.mktemp("fuzz")
     net = (
         NetworkBuilder((4,), coding=Coding.RATE, max_timesteps=6)
@@ -56,6 +56,23 @@ def fixture_files(tmp_path_factory):
     inputs.mkdir()
     for k, level in enumerate((0.3, 0.6)):
         save_input_tensor(inputs / f"sample{k}.bin", np.full(4, level))
+    conv = (  # every kind of manifest field: shapes, kernel, stride, padding, models
+        NetworkBuilder((1, 4, 4), coding=Coding.RATE, max_timesteps=6)
+        .conv2d(2, (3, 3), NeuronModelSpec(kind=NeuronKind.LIF, dt=1e-3, tau_syn=5e-3,
+                                           tau_mem=1e-2, v_th=0.5),
+                padding=1, weights=np.full(18, 0.25, dtype=np.float32))
+        .max_pool((2, 2))
+        .flatten()
+        .dense(3, NeuronModelSpec(kind=NeuronKind.IFL, v_th=1.0),
+               weights=np.full((3, 8), 0.5, dtype=np.float32))
+        .build()
+    )
+    manifest, weights = serialize_network(conv)
+    (root / "conv.json").write_bytes(manifest)
+    (root / "conv.emwt").write_bytes(weights)
+    images = root / "images"
+    images.mkdir()
+    save_input_tensor(images / "sample0.bin", np.linspace(0.0, 0.6, 16).reshape(1, 4, 4))
     model = fit_energy_model([
         Observation("a", S=10.0, U=4.0, E_joules=32.0),
         Observation("b", S=5.0, U=8.0, E_joules=34.0),
@@ -219,4 +236,52 @@ def test_runs_with_hostile_flags(fixture_files, command, t_max, seed, sample, en
         out = Path(tmp) / "out"
         rc, _ = run_main(argv + ["--out", str(out)])
         if rc == 0:
+            parse_outputs(out)
+
+
+# ---------------------------------------------------------------------------
+# inspect, profile and trace on hostile manifests
+
+
+def field_paths(node, path=()):
+    """The path of every field of a parsed manifest, nested ones included."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, value in items:
+        yield (*path, key)
+        if isinstance(value, (dict, list)):
+            yield from field_paths(value, (*path, key))
+
+
+# no integer from 2 to 10**13 - 1: as a step budget it could be granted lazily
+field_values = st.one_of(
+    st.integers(10**13, 10**400),
+    st.integers(-(10**13), -1),
+    st.floats(min_value=1e300, max_value=1.7e308),
+    st.floats(max_value=-1e-300),
+    st.sampled_from([float("nan"), float("inf"), float("-inf"), True, False, None, 0, 0.5]),
+    st.sampled_from(["", "x", "lif", "conv2d", "rate", "7"]),
+    st.sampled_from([[], [1], [10**13] * 3, [1.5, 2], ["a", "b"], [[1, 1]], [-1, 4, 4], {}]),
+)
+
+
+@FUZZ
+@given(data=st.data(), command=st.sampled_from(["inspect", "profile", "trace"]))
+def test_a_manifest_with_a_hostile_field(fixture_files, data, command):
+    manifest = json.loads((fixture_files / "conv.json").read_text())
+    path = data.draw(st.sampled_from(list(field_paths(manifest))), label="field")
+    value = data.draw(field_values, label="value")
+    node = manifest
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    with tempfile.TemporaryDirectory() as tmp:
+        net = Path(tmp) / "net.json"
+        net.write_text(json.dumps(manifest))  # NaN and infinities as JSON tokens
+        argv = [command, "--network", str(net), "--weights", str(fixture_files / "conv.emwt")]
+        out = Path(tmp) / "out"
+        if command != "inspect":
+            argv += ["--inputs", str(fixture_files / "images"), "--encoding", "poisson",
+                     "--out", str(out)]
+        rc, _ = run_main(argv)
+        if rc == 0 and command != "inspect":
             parse_outputs(out)

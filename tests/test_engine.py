@@ -3,6 +3,7 @@ import hashlib
 import threading
 import tracemalloc
 import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -842,6 +843,85 @@ def test_a_pool_written_in_place_equals_a_new_one(dtype):
     assert out.dtype == want.dtype and out.tobytes() == want.tobytes()
     for p in range(4):  # a sample's slice, as a one-row group pools it
         assert _max_pool(x[p], taps, out=out[p]).tobytes() == want[p].tobytes()
+
+
+def per_tap_max(x, layer):
+    """The window max by one ``np.maximum`` per tap, in row-major tap order."""
+    (kh, kw), (sh, sw) = layer.kernel, layer.stride
+    _, oh, ow = layer.output_shape
+    out = None
+    for dy in range(kh):
+        for dx in range(kw):
+            tap = x[..., dy : dy + sh * (oh - 1) + 1 : sh, dx : dx + sw * (ow - 1) + 1 : sw]
+            out = tap.copy() if out is None else np.maximum(out, tap, out=out)
+    return out
+
+
+@pytest.mark.parametrize(
+    "shape, pool, stride",
+    [
+        ((2, 9, 9), (3, 3), (2, 2)),  # overlapping
+        ((3, 11, 11), (2, 2), (2, 2)),  # uneven: 11 -> 5, the last row and column unread
+        ((2, 7, 10), (1, 3), (1, 2)),
+        ((2, 10, 7), (4, 1), (3, 1)),
+        ((1, 6, 6), (1, 1), (2, 2)),
+    ],
+)
+@pytest.mark.parametrize("dtype", [bool, np.float64])
+def test_pool_matches_a_per_tap_loop_byte_for_byte(shape, pool, stride, dtype):
+    # values with ties of +0.0 and -0.0, NaNs and infinities: which of equal
+    # values or which NaN a window keeps must be the per-tap loop's
+    rng = np.random.default_rng(sum(shape) + sum(pool))
+    net = NetworkBuilder(shape).max_pool(pool, stride=stride).flatten().dense(2, lif()).build()
+    layer, taps = net.layers[0], _compile(net)[0].pool_taps
+    values = np.array([0.0, -0.0, 1.0, -1.0, np.nan, np.inf, -np.inf])
+    for lead in ((), (4,)):  # a lone input, and a leading sample axis
+        for _ in range(20):
+            if dtype is bool:
+                x = rng.random((*lead, *shape)) < 0.3
+            else:
+                x = rng.choice(values, (*lead, *shape))
+            want = per_tap_max(x, layer)
+            got = _max_pool(x, taps)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+            out = np.full(want.shape, True if dtype is bool else 7.0, dtype)
+            assert _max_pool(x, taps, out=out) is out
+            assert out.tobytes() == want.tobytes()
+
+
+def conv_net(height, width):
+    """A padded 3x3 convolution with one filter: (3h - 2)(3w - 2) connections."""
+    return NetworkBuilder((1, height, width)).conv2d(1, (3, 3), lif(), padding=1).build()
+
+
+@pytest.mark.parametrize("width, dtype", [(1365, np.float32), (1366, np.float64)])
+def test_a_fanout_map_is_float32_only_below_2_to_the_24_connections(width, dtype):
+    # 4096 * 4093 connections, one short of 2**24 by 12,288; then exactly 2**24
+    rt = _compile(conv_net(1366, width))[0]  # compiled, never stepped
+    total = 4096 * (3 * width - 2)
+    assert (total < 2**24) == (dtype is np.float32)
+    assert rt.fanout.dtype == dtype
+    assert rt.fanout.sum(dtype=np.float64) == total
+    # every input spiking reaches every connection: the largest count, exact
+    (count,) = _synaptic_events(rt, np.ones(rt.fanout.size, dtype=bool))
+    assert count.dtype == dtype and int(count) == total
+
+
+@pytest.mark.parametrize("rows", [1, 6])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_event_counts_equal_the_integer_sum_of_fanout_times_spikes(rows, dtype):
+    rng = np.random.default_rng(rows)
+    uneven = [rt for rt in _compile(layered_net()) if rt.fanout is not None]
+    uneven.append(_compile(conv_net(40, 33))[0])
+    for rt in uneven:
+        fanout = fanout_map(rt.spec).reshape(-1)
+        rt = replace(rt, fanout=fanout.astype(dtype))
+        for p in (0.0, 0.1, 0.5, 1.0):
+            spikes = rng.random((rows, *rt.spec.input_shape)) < p
+            want = (spikes.reshape(rows, -1).astype(np.int64) * fanout).sum(axis=1)
+            got = _synaptic_events(rt, spikes)
+            assert got.dtype == dtype and got.shape == (rows,)
+            assert np.array_equal(got.astype(np.int64), want)
 
 
 # ---------------------------------------------------------------------------

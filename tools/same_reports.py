@@ -9,10 +9,15 @@ commit unpacked with ``git archive``. Each workload of
 ``benchmarks/workloads.py`` is generated at seeds 0-3, and on each instance
 ``emacprof profile`` and ``emacprof trace --sample 1 --raster`` run twice, in
 a fresh process: once with ``PYTHONPATH=BASE_SRC`` and once with this
-checkout's ``src``. On ``conv_poisson_rate`` both also run with
-``--coding roc``: its samples then decide early (at steps 30-36 of 64 at
-seed 0), so rows leave the group while pools and layers of uneven fan-out
-still step, which no run under the manifest's own coding reaches. Both
+checkout's ``src``. So do they on :data:`POOL_NETS`, a network with a
+padded stride-2 convolution and an overlapping 3x3 stride-2 pool, which no
+workload has: once with a rectifier convolution and analog inputs, so that
+the pool takes floats in the static stage, and once with a spiking
+convolution and Poisson inputs, so that it takes spikes in the step loop.
+On ``conv_poisson_rate`` both also run with ``--coding roc``: its samples
+then decide early (at steps 30-36 of 64 at seed 0), so rows leave the group
+while pools and layers of uneven fan-out still step, which no run under the
+manifest's own coding reaches. Both
 runs read the same generated files and write into directories of the same
 relative name, so their exit codes, stdout and every output file must
 match byte for byte. A run that fails on both sides counts
@@ -32,7 +37,39 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "benchmarks")]
+
+from emacprof import Coding, NetworkBuilder  # noqa: E402
+from workloads import LIF, RELU, WORKLOADS, Workload, generate, profile_argv  # noqa: E402
+
 SEEDS = range(4)
+
+
+def pool_net(first):
+    """Builder of a padded stride-2 convolution of ``first`` neurons, an
+    overlapping 3x3 stride-2 pool and a dense LIF head."""
+
+    def build(rng):
+        return (
+            NetworkBuilder((1, 16, 16), coding=Coding.RATE, max_timesteps=32)
+            .conv2d(4, (3, 3), first, stride=(2, 2), padding=1,
+                    weights=rng.normal(0.15, 0.2, 4 * 9))
+            .max_pool((3, 3), stride=(2, 2))  # 8x8 -> 3x3, windows overlap
+            .flatten()
+            .dense(10, LIF, weights=rng.normal(0.05, 0.05, 10 * 36))
+            .build()
+        )
+
+    return build
+
+
+POOL_NETS = {
+    w.name: w
+    for w in (
+        Workload("pool_net_analog", "analog", (1, 16, 16), (0.0, 1.0), 8, 104, pool_net(RELU)),
+        Workload("pool_net_poisson", "poisson", (1, 16, 16), (0.0, 0.6), 8, 104, pool_net(LIF)),
+    )
+}
 
 
 def run(src: Path, argv: list[str], cwd: Path) -> tuple[int, bytes, dict[str, bytes]]:
@@ -80,11 +117,8 @@ def main(argv: list[str] | None = None) -> int:
     if not (base_src / "emacprof" / "__init__.py").is_file():
         print(f"error: no emacprof package under {base_src}", file=sys.stderr)
         return 2
-    sys.path[:0] = [str(ROOT / "src"), str(ROOT / "benchmarks")]
-    from workloads import WORKLOADS, generate, profile_argv
-
     with tempfile.TemporaryDirectory() as tmp:
-        for name, workload in WORKLOADS.items():
+        for name, workload in {**WORKLOADS, **POOL_NETS}.items():
             for seed in SEEDS:
                 case = Path(tmp) / f"{name}-{seed}"
                 gen = generate(workload, seed, case / "data")
