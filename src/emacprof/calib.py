@@ -10,10 +10,12 @@ ordinary least squares through the origin,
 solved via the normal equations, with each column scaled by a power of two
 so that squaring it neither underflows nor overflows. The parameter
 covariance is the standard linear-model estimate ``sigma2 * (X^T X)^-1``
-with ``sigma2 = RSS / max(n - 2, 1)``, so two observations interpolate
-exactly and carry zero covariance, up to rounding. Mixed-model networks fold their counts into the
-units of one reference kind upstream (see the dataset statistics), which
-is what keeps a single parameter pair meaningful.
+with ``sigma2 = RSS / max(n - 2, 1)``. Two observations interpolate
+exactly, so their covariance is rounding noise, which can even leave the
+float range (``predict`` warns about such a model). Mixed-model networks
+fold their counts into the units of one reference kind upstream (see the
+dataset statistics), which is what keeps a single parameter pair
+meaningful.
 
 Observations travel as CSV with header ``name,S,U,E_joules`` and an
 optional ``duration_s`` column (needed only when a floor-power term is

@@ -365,6 +365,12 @@ def cmd_predict(args) -> int:
         },
     )
     print(f"E = {energy!r} J per inference (sigma {sigma!r})")
+    if model.n_obs <= 2:  # no residual degrees of freedom
+        print(
+            f"warning: the model was fitted to {model.n_obs} observation(s), which it "
+            "interpolates exactly: sigma_joules is rounding noise, not an uncertainty",
+            file=sys.stderr,
+        )
     print(f"wrote prediction.json to {out}")
     return _failures_exit(stats)
 

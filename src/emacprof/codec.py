@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import logging
 import threading
+import warnings
 from dataclasses import dataclass
 from enum import Enum
 from math import prod
@@ -131,12 +132,17 @@ class _Stream(threading.local):
 _STREAM = _Stream()
 
 
-def poisson_slice(encoded: EncodedInput, t: int) -> np.ndarray:
+def poisson_slice(
+    encoded: EncodedInput, t: int, out: np.ndarray | None = None
+) -> np.ndarray:
     """Boolean spike tensor for step ``t`` (1-based), regenerable at random.
 
     Each step keys its own counter-based stream, Philox with counter
     ``[0, 0, 0, t]`` and key ``[seed, 0]``, so slices are independent of
-    how many other steps were drawn and reproducible in isolation.
+    how many other steps were drawn and reproducible in isolation. The
+    spikes are written into ``out``, a boolean array shaped like the
+    values, when one is given (bitwise what a new array would hold), else
+    into a new array.
     """
     if encoded.mode is not EncodingMode.POISSON:
         raise SchemaError("spike slices are only defined for poisson encoding")
@@ -145,7 +151,7 @@ def poisson_slice(encoded: EncodedInput, t: int) -> np.ndarray:
     stream.state["state"]["key"][0] = encoded.seed
     stream.bits.bit_generator.state = stream.state
     u = stream.bits.random(encoded.values.shape)
-    return u < encoded.values
+    return np.less(u, encoded.values, out)
 
 
 @dataclass(frozen=True)
@@ -234,7 +240,10 @@ def load_input_tensor(path: str | Path, expected_shape: tuple[int, ...]) -> np.n
         return np.frombuffer(body, dtype="<f4").astype(np.float64).reshape(shape)
     if suffix == ".csv":
         try:
-            flat = np.loadtxt(path, delimiter=",", dtype=np.float64).reshape(-1)
+            with warnings.catch_warnings():
+                # an empty file is reported below, as holding no values
+                warnings.simplefilter("ignore", UserWarning)
+                flat = np.loadtxt(path, delimiter=",", dtype=np.float64).reshape(-1)
         except ValueError as exc:
             raise SchemaError(f"{path.name}: {exc}") from exc
         if flat.size != prod(expected_shape):

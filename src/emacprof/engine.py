@@ -12,17 +12,20 @@ step ``tau - k``, whose input the layer before it made at the previous
 tick, so no layer waits for another within a tick: every active layer's
 drive is computed first, and then consecutive spiking layers with one
 neuron model (a block) take their steps in one call of the compiled step
-function, followed by one finiteness check. A pool or flatten layer runs
-in the tick of the spiking layer before it, and one before the first
-spiking layer runs in the encoder's. Each neuron still sees the same
-operations on the same operands in the same order as in a layer-by-layer
-sweep, so the results are bit-identical to one; with ``K`` spiking layers,
-a run takes ``K - 1`` more ticks than steps. Every counter, history and
-raster is written at the row of its own step. Under rank-order coding the
-output layer decides step ``t`` at tick ``t + K - 1``, by which time the
-layers before it have run up to ``K - 1`` steps past it: those steps
-are never counted. A sample whose state leaves the finite range fails at
-its lowest (step, layer), which is known once the output layer has taken
+function, followed by one finiteness check: one sum of the block's
+half-step voltages, which a NaN or an infinity always reaches, and which
+sends the tick to a per-row scan only when it is not finite (finite
+voltages whose sum overflows do too, and the scan finds no row there). A
+pool or flatten layer runs in the tick of the spiking layer before it, and
+one before the first spiking layer runs in the encoder's. Each neuron still
+sees the same operations on the same operands in the same order as in a
+layer-by-layer sweep, so the results are bit-identical to one; with ``K``
+spiking layers, a run takes ``K - 1`` more ticks than steps. Every counter,
+history and raster is written at the row of its own step. Under rank-order
+coding the output layer decides step ``t`` at tick ``t + K - 1``, by which
+time the layers before it have run up to ``K - 1`` steps past it: those
+steps are never counted. A sample whose state leaves the finite range fails
+at its lowest (step, layer), which is known once the output layer has taken
 that step; a decision at an earlier step still wins.
 
 Stateless rectifier layers (and any pooling or flattening around them)
@@ -78,33 +81,36 @@ product, so with arbitrary weights voltages may differ from one in the last
 bit; with sums that are exact (weights that are multiples of a power of
 two, say) they are equal.
 
-Samples run in lockstep groups. :func:`run_inference` runs a group of
-one, and :func:`run_dataset` runs consecutive groups of samples that share
-an encoding mode, in sample order, as many a group as
-:func:`_group_size` allows. Within a group, a block's neuron state, drive
-buffer and spike buffer hold every sample's row of every layer of the
-block, flat and layer by layer, so that the layers active at a tick are one
-contiguous range; each neuron step advances that range in place and writes
-its spikes into the range of the spike buffer, so one numpy call serves
-every sample and layer of the block: on narrow layers the time goes to
-dispatching calls, not to arithmetic. One walk over the stepped layers
-binds every view and buffer a tick touches before the first tick (see
-:func:`_step_group`), so a tick spends its time in the numpy calls its
-layers need. A tick emits the encoder and each active spiking layer by one
-path, which counts and records their spikes, runs the pools and flattens
-after them, and counts the events reaching each layer of uneven fan-out
-where that layer's input is made. Each live sample's drive adds its sums
-in a lone run's order (see :func:`_bind_drive`), so every result is
-bit-identical whatever the group size. Under rank-order coding a sample
-that has decided leaves the group with its counters frozen, and a sample
-whose state leaves the finite range fails alone. Every sample keeps its
-row for the whole run: a sample that leaves only stops getting decisions,
-finiteness checks and drives, and nothing reads its row again, whatever
-the steps after it write there. A group's histories (spike counts, the
-events reaching layers of uneven fan-out, output spikes and voltages,
-rasters when recorded) are allocated once at the step budget, a row per
-sample; each tick writes every row, and one loop at the end decodes,
-traces and prices each sample from its own steps.
+Samples run in lockstep groups. :func:`run_inference` runs a group of one,
+and :func:`run_dataset` runs consecutive groups of samples that share an
+encoding mode, in sample order, as many a group as :func:`_group_size`
+allows. Within a group, a block's neuron state, drive buffer and spike
+buffer hold every sample's row of every layer of the block, flat and layer
+by layer, so that the layers active at a tick are one contiguous range;
+each neuron step advances that range in place and writes its spikes into
+the range of the spike buffer, so one numpy call serves every sample and
+layer of the block: on narrow layers the time goes to dispatching calls,
+not to arithmetic. One walk over the stepped layers binds every view and
+buffer a tick touches before the first tick (see :func:`_step_group`), so a
+tick spends its time in the numpy calls its layers need: the Poisson
+encoder draws into the group's input buffer, and the ufuncs take their
+outputs positionally, which dispatches faster than the keyword, but for
+``np.maximum``, whose positional output numpy 2.4 deprecates. A tick emits
+the encoder and each active spiking layer by one path, which counts and
+records their spikes, runs the pools and flattens after them, and counts
+the events reaching each layer of uneven fan-out where that layer's input
+is made. Each live sample's drive adds its sums in a lone run's order (see
+:func:`_bind_drive`), so every result is bit-identical whatever the group
+size. Under rank-order coding a sample that has decided leaves the group
+with its counters frozen, and a sample whose state leaves the finite range
+fails alone. Every sample keeps its row for the whole run: a sample that
+leaves only stops getting decisions, finiteness checks and drives, and
+nothing reads its row again, whatever the steps after it write there. A
+group's histories (spike counts, the events reaching layers of uneven
+fan-out, output spikes and voltages, rasters when recorded) are allocated
+once at the step budget, a row per sample; each tick writes every row, and
+one loop at the end decodes, traces and prices each sample from its own
+steps.
 
 Over a dataset, :func:`run_dataset` keeps each sample's outcome (step
 count and decision) and a column of per-layer energies and spike totals,
@@ -118,6 +124,7 @@ import weakref
 from dataclasses import dataclass, replace
 from functools import partial
 from itertools import accumulate, chain, groupby
+from math import isfinite
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -438,7 +445,7 @@ def _bind_drive(
 
         def stacked(counts: np.ndarray, live: list[int]) -> None:
             np.copyto(cast, operand)
-            np.matmul(weights, cast, out=product)
+            np.matmul(weights, cast, product)
 
         return stacked
     pairs = [(x[p], out[p]) for p in range(rows)]
@@ -956,7 +963,7 @@ def _step_group(
             lo, hi = max(0, tau - T_max), min(K, tau)  # the active positions
             if poisson and tau <= T_max:
                 for k in live:
-                    x_in[k] = draw(samples[k], tau)
+                    draw(samples[k], tau, x_in[k])
                 emit(0, tau)
             for k in range(lo, hi):
                 drive, ff, in_counts, own_counts, rec = layers[k]
@@ -969,7 +976,7 @@ def _step_group(
                 if rec is not None:
                     rec_drive, term = rec
                     rec_drive(own_counts[s - 2] if s > 1 else no_counts, live)
-                    np.add(base, term, out=drive)
+                    np.add(base, term, drive)
                 elif base is not drive:
                     np.copyto(drive, base)
             if (lo, hi) != active:  # the ramp's ticks and the first full one
@@ -977,8 +984,10 @@ def _step_group(
             for step, state, drive, model, spikes, parts in calls:
                 step(state, drive, model, spikes=spikes)
                 # a non-finite current makes the half-step voltage non-finite,
-                # and the reset only subtracts a finite threshold
-                if not np.isfinite(state.v_peak).all():
+                # and the reset only subtracts a finite threshold; a NaN or an
+                # infinity always reaches the sum (an overflowing sum of finite
+                # voltages sends the tick to the scan, which finds no row)
+                if not isfinite(np.add.reduce(state.v_peak)):
                     for k, part in parts:
                         found = (tau - k, spiking[k].index)
                         for p in _non_finite_rows(state.v_peak[part].reshape(B, -1), live):

@@ -225,13 +225,19 @@ def state_zeros(n: int | tuple[int, ...]) -> NeuronState:
 def _spike_and_reset(
     state: NeuronState, model: NeuronModelSpec, spikes: np.ndarray | None
 ) -> np.ndarray:
-    # state.v_peak holds the half-step voltage
-    spike = np.greater_equal(state.v_peak, model.v_th, out=spikes)
+    """Spike where the half-step voltage in ``state.v_peak`` reaches the
+    threshold, and reset by subtraction, into ``spikes`` if given.
+
+    Each ufunc takes its output positionally, which dispatches faster than
+    the keyword. Under ``spike_once`` the mask is one call with no
+    temporary: on booleans, ``spike > has_spiked`` is ``spike & ~has_spiked``.
+    """
+    spike = np.greater_equal(state.v_peak, model.v_th, spikes)
     if model.spike_once:
-        spike &= ~state.has_spiked
-    np.multiply(spike, model.v_th, out=state.v)
-    np.subtract(state.v_peak, state.v, out=state.v)
-    np.logical_or(state.has_spiked, spike, out=state.has_spiked)
+        np.greater(spike, state.has_spiked, spike)
+    np.multiply(spike, model.v_th, state.v)
+    np.subtract(state.v_peak, state.v, state.v)
+    np.logical_or(state.has_spiked, spike, state.has_spiked)
     return spike
 
 
@@ -249,17 +255,24 @@ def lif_step(
     written into ``spikes``, a boolean array shaped like the state, when one
     is given (bitwise what a new array would hold), else in a new array.
     The neurons may carry leading axes, such as one row per sample.
+
+    A bias of zero (+0.0 or -0.0) is not added, which changes no bit of
+    any input's result: ``i - i * dt/tau_syn`` is never -0.0 (a difference
+    of equal values is +0.0), so neither is that plus the drive, and adding
+    a zero of either sign to a value that is not -0.0 returns that value,
+    NaN and infinities included.
     """
     # i - i * dt/tau_syn + drive + bias, left to right, with v_peak as the
     # temporary for i * dt/tau_syn
-    np.multiply(state.i, model.dt / model.tau_syn, out=state.v_peak)
-    np.subtract(state.i, state.v_peak, out=state.i)
-    np.add(state.i, weighted_input, out=state.i)
-    np.add(state.i, model.bias, out=state.i)
+    np.multiply(state.i, model.dt / model.tau_syn, state.v_peak)
+    np.subtract(state.i, state.v_peak, state.i)
+    np.add(state.i, weighted_input, state.i)
+    if model.bias:  # adding a zero bias of either sign would change no bit
+        np.add(state.i, model.bias, state.i)
     # v + (i_new - v) * dt/tau_mem
-    np.subtract(state.i, state.v, out=state.v_peak)
-    np.multiply(state.v_peak, model.dt / model.tau_mem, out=state.v_peak)
-    np.add(state.v, state.v_peak, out=state.v_peak)
+    np.subtract(state.i, state.v, state.v_peak)
+    np.multiply(state.v_peak, model.dt / model.tau_mem, state.v_peak)
+    np.add(state.v, state.v_peak, state.v_peak)
     return _spike_and_reset(state, model, spikes)
 
 
@@ -274,9 +287,11 @@ def ifl_step(
 
     State and return value work as in :func:`lif_step`.
     """
-    np.add(state.i, weighted_input, out=state.i)
-    np.add(state.i, model.bias, out=state.i)
-    np.add(state.v, state.i, out=state.v_peak)
+    # unlike lif_step, a zero bias is added: i = -0.0 and a drive of -0.0
+    # make -0.0, which adding +0.0 turns into +0.0
+    np.add(state.i, weighted_input, state.i)
+    np.add(state.i, model.bias, state.i)
+    np.add(state.v, state.i, state.v_peak)
     return _spike_and_reset(state, model, spikes)
 
 

@@ -647,6 +647,27 @@ def test_predict_applies_the_model_to_measured_counts(tmp_path):
     assert pred["reference_kind"] == "ifl"
 
 
+@pytest.mark.parametrize("extra", [[], [Observation("c", S=4.0, U=4.0, E_joules=20.5)]])
+def test_predict_warns_that_a_two_observation_sigma_is_noise(tmp_path, capsys, extra):
+    model = fit_energy_model(TWO_POINTS + extra)
+    model_path = tmp_path / "model.json"
+    model_path.write_bytes(model_to_json(model))
+    npath = write_net(tmp_path, dense_ifl())
+    inputs = write_inputs(tmp_path, [np.full(4, 0.3)])
+    out = tmp_path / "pred"
+    rc = main(
+        ["predict", "--model", str(model_path), "--network", str(npath),
+         "--inputs", str(inputs), "--out", str(out)]
+    )
+    assert rc == 0
+    warned = "sigma_joules is rounding noise" in capsys.readouterr().err
+    assert warned == (model.n_obs == 2)
+    assert set(json.loads((out / "prediction.json").read_text())) == {
+        "E_joules", "sigma_joules", "synaptic_events_mean", "update_count_mean",
+        "reference_kind", "n_ok", "n_samples",
+    }
+
+
 def test_predict_missing_model_exits_2(tmp_path, capsys):
     npath = write_net(tmp_path, dense_ifl())
     inputs = write_inputs(tmp_path, [np.full(4, 0.3)])

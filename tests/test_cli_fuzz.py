@@ -1,6 +1,7 @@
 """Hostile files and flags through ``cli.main``: a typed exit, never a traceback.
 
-Every case must return 0, 2, 3 or 4, or end in argparse's usage exit 2.
+Every case must return 0, 2, 3 or 4, or end in argparse's usage exit 2;
+byte-mutated weight containers and input tensors, 0 or 2.
 Stderr never holds "Traceback", and a run that exits 0 writes outputs that
 parse. Step budgets are drawn only from small values and from values whose
 histories cannot be allocated at all, never from budgets an allocator could
@@ -73,6 +74,9 @@ def fixture_files(tmp_path_factory):
     images = root / "images"
     images.mkdir()
     save_input_tensor(images / "sample0.bin", np.linspace(0.0, 0.6, 16).reshape(1, 4, 4))
+    (root / "sample0.csv").write_text(
+        ",".join(f"{v:.3f}" for v in np.linspace(0.0, 0.6, 16)) + "\n"
+    )
     model = fit_energy_model([
         Observation("a", S=10.0, U=4.0, E_joules=32.0),
         Observation("b", S=5.0, U=8.0, E_joules=34.0),
@@ -284,4 +288,54 @@ def test_a_manifest_with_a_hostile_field(fixture_files, data, command):
                      "--out", str(out)]
         rc, _ = run_main(argv)
         if rc == 0 and command != "inspect":
+            parse_outputs(out)
+
+
+# ---------------------------------------------------------------------------
+# inspect and profile on byte-mutated weights and inputs
+
+
+@st.composite
+def mutations(draw, data: bytes) -> bytes:
+    """``data`` with one byte flipped, cut short, extended, or a range
+    replaced by random bytes."""
+    kind = draw(st.sampled_from(["flip", "truncate", "extend", "splice"]))
+    at = draw(st.integers(0, len(data) - 1))
+    if kind == "flip":
+        return data[:at] + bytes([data[at] ^ draw(st.integers(1, 255))]) + data[at + 1 :]
+    if kind == "truncate":
+        return data[:at]
+    junk = draw(st.binary(min_size=1, max_size=16))
+    if kind == "extend":
+        return data + junk
+    return data[:at] + junk + data[draw(st.integers(at, len(data))) :]
+
+
+@pytest.mark.filterwarnings("error")  # on the command line a warning would reach stderr
+@settings(FUZZ, max_examples=80)
+@given(
+    data=st.data(),
+    target=st.sampled_from(["conv.emwt", "images/sample0.bin", "sample0.csv"]),
+    command=st.sampled_from(["inspect", "profile"]),
+)
+def test_byte_mutated_weights_and_inputs(fixture_files, data, target, command):
+    mutated = data.draw(mutations((fixture_files / target).read_bytes()), label="bytes")
+    with tempfile.TemporaryDirectory() as tmp:
+        weights, inputs = fixture_files / "conv.emwt", fixture_files / "images"
+        if target == "conv.emwt":
+            weights = Path(tmp) / "conv.emwt"
+            weights.write_bytes(mutated)
+        else:  # inspect reads no inputs, so a mutated input goes to profile
+            command = "profile"
+            inputs = Path(tmp) / "inputs"
+            inputs.mkdir()
+            (inputs / Path(target).name).write_bytes(mutated)
+        argv = [command, "--network", str(fixture_files / "conv.json"),
+                "--weights", str(weights)]
+        out = Path(tmp) / "out"
+        if command == "profile":
+            argv += ["--inputs", str(inputs), "--encoding", "poisson", "--out", str(out)]
+        rc, _ = run_main(argv)
+        assert rc in (0, 2)
+        if rc == 0 and command == "profile":
             parse_outputs(out)

@@ -125,6 +125,16 @@ def test_poisson_slice_is_a_fresh_philox_stream(seed, t, shape):
     assert got.tobytes() == expected.tobytes()
 
 
+@pytest.mark.parametrize("shape", [(13,), (2, 5, 7)])
+def test_poisson_slice_into_out_is_bitwise_the_new_array(shape):
+    values = np.random.default_rng(6).uniform(0.0, 1.0, shape)
+    enc = encode(values, EncodingMode.POISSON, seed=12)
+    out = np.ones(shape, dtype=bool)  # stale spikes the draw must overwrite
+    for t in range(1, 20):
+        assert poisson_slice(enc, t, out) is out
+        assert out.tobytes() == poisson_slice(enc, t).tobytes()
+
+
 def test_threads_drawing_interleaved_slices_get_the_serial_result():
     values = np.random.default_rng(5).uniform(0.0, 1.0, (4, 6))
     encoded = [encode(values, EncodingMode.POISSON, seed=s) for s in (3, 4, 5, 6)]
@@ -263,3 +273,12 @@ def test_csv_inputs_reshape_to_expected(tmp_path):
     back = load_input_tensor(path, (2, 3))
     assert back.shape == (2, 3)
     assert back[1, 2] == pytest.approx(0.5)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("text", ["", "\n", "\n\n"])
+def test_an_empty_csv_input_is_a_shape_mismatch_without_a_warning(tmp_path, text):
+    path = tmp_path / "x.csv"
+    path.write_text(text)
+    with pytest.raises(ShapeMismatch, match="0 values"):
+        load_input_tensor(path, (2, 3))

@@ -375,6 +375,30 @@ def test_interior_only_spikes_undershoot_the_analytic_bound():
     assert res.trace.feedforward_events[0] == res.trace.T_used
 
 
+def test_centre_spikes_overshoot_the_analytic_view():
+    # without padding the analytic view is no upper bound: spikes placed
+    # where the fan-out is largest realize more synapses than the average
+    net = (
+        NetworkBuilder((1, 8, 8), coding=Coding.RATE, max_timesteps=4)
+        .conv2d(1, (3, 3), ifl(100.0), weights=np.full(9, 0.2, dtype=np.float32))
+        .build()
+    )
+    values = np.zeros((1, 8, 8))
+    values[0, 2:6, 2:6] = 1.0  # every centre pixel reaches all 9 placements
+    res = run_inference(net, encode(values, EncodingMode.POISSON, seed=0))
+    analytic = emac_analytic(
+        net,
+        rates_from_trace(res.trace),
+        res.trace.T_used,
+        input_mode=EncodingMode.POISSON,
+    )
+    assert res.trace.feedforward_events[0] == 16 * 9 * res.trace.T_used
+    # the rate formula gives each spike the mean fan-out, 9 * 36 / 64, not 9
+    assert analytic.E_syn == pytest.approx(res.energy.E_syn * 36 / 64, rel=1e-12)
+    assert res.energy.E_syn > analytic.E_syn
+    assert not res.energy.approx_padding and not analytic.approx_padding
+
+
 def test_uniform_full_rate_closes_the_conv_gap():
     w = np.full(9, 0.01, dtype=np.float32)
     net = (

@@ -1454,6 +1454,39 @@ def test_a_sample_that_overflows_mid_run_fails_alone(monkeypatch):
         run_inference(net, bad)
 
 
+@pytest.mark.parametrize(
+    "weights, value, fails",
+    [
+        ([[1e8], [1e8]], 1e300, False),  # two voltages near 1e308 whose sum overflows
+        ([[1e9]], 1e300, True),  # +inf
+        ([[1e9], [-1e9]], 1e300, True),  # +inf and -inf, whose sum is NaN
+        ([[1e38, -1e38]], 1e300, True),  # NaN, from +inf and -inf products
+    ],
+)
+def test_each_block_checks_finiteness_by_one_sum(monkeypatch, weights, value, fails):
+    # the sum of a block's voltages is a NaN or an infinity whenever one of
+    # them is; one that overflows from finite voltages fails no row
+    weights = np.array(weights)
+    n_out, n_in = weights.shape
+    net = (
+        NetworkBuilder((n_in,), coding=Coding.RATE, max_timesteps=1)
+        .dense(n_out, ifl(1.0), weights=weights)
+        .build()
+    )
+    samples = [encode(np.full(n_in, v)) for v in (0.5, value, 0.25)]
+    force_group_size(monkeypatch, net, 1, 3)
+    stats = run_dataset(net, samples)
+    message = (
+        "layer 0 left the finite range at step 1; check the weights and the integration step"
+    )
+    assert stats.failures == ([(1, message)] if fails else [])
+    if fails:
+        with pytest.raises(NonFiniteState, match=f"^{message}$"):
+            run_inference(net, samples[1])
+    else:
+        assert (run_inference(net, samples[1]).output_voltages >= 1e307).all()
+
+
 def test_a_row_that_has_left_is_not_read_again(monkeypatch):
     # The net of the test above. Sample a decides at step 3, but its row keeps
     # stepping with the group, and its neuron 0, which the output does not

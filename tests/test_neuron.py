@@ -336,6 +336,38 @@ def test_the_in_place_step_is_bitwise_the_array_expressions(kind, spike_once, sh
         assert same_bits(written, spike)
 
 
+#: signed zeros, subnormals, and normal values around them
+EDGE_VALUES = np.array([0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.5e-309, 2.3e-308, 1.0, -0.75])
+
+
+@pytest.mark.parametrize("kind", ["lif", "ifl"])
+@pytest.mark.parametrize("bias", [0.0, -0.0, 5e-324, -1e-310, 0.125])
+@pytest.mark.parametrize("spike_once", [False, True])
+def test_steps_on_signed_zeros_and_subnormals_are_bitwise_the_array_expressions(
+    kind, bias, spike_once
+):
+    # every pairing of an edge current with an edge drive, and edge voltages:
+    # a zero bias the step skips must change no bit of any of them, and the
+    # linear model's -0.0 current plus a -0.0 drive needs its +0.0 bias
+    model = (
+        lif_model(q_syn=0.25, q_mem=0.5, v_th=0.5, bias=bias, spike_once=spike_once)
+        if kind == "lif"
+        else ifl_model(v_th=0.5, bias=bias, spike_once=spike_once)
+    )
+    step = lif_step if kind == "lif" else ifl_step
+    i, drive = (a.reshape(-1) for a in np.meshgrid(EDGE_VALUES, EDGE_VALUES))
+    state = NeuronState(
+        i=i.copy(), v=np.resize(EDGE_VALUES[::-1], i.size),
+        has_spiked=np.arange(i.size) % 3 == 0, v_peak=np.zeros(i.size),
+    )
+    for _ in range(3):
+        want, want_spike = reference_step(state, drive, model)
+        spike = step(state, drive, model)
+        assert same_state(state, want)
+        assert same_bits(spike, want_spike)
+        drive = drive[::-1].copy()
+
+
 @settings(max_examples=80, deadline=None)
 @given(
     kind=st.sampled_from(["lif", "ifl"]),

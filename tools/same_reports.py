@@ -17,11 +17,15 @@ convolution and Poisson inputs, so that it takes spikes in the step loop.
 On ``conv_poisson_rate`` both also run with ``--coding roc``: its samples
 then decide early (at steps 30-36 of 64 at seed 0), so rows leave the group
 while pools and layers of uneven fan-out still step, which no run under the
-manifest's own coding reaches. Both
-runs read the same generated files and write into directories of the same
-relative name, so their exit codes, stdout and every output file must
-match byte for byte. A run that fails on both sides counts
-as a difference too, since it would compare nothing.
+manifest's own coding reaches. :data:`OVERFLOW_NETS` is a network whose
+samples leave the finite range: some in the static stage, most in the step
+loop at steps that vary with the input, and some not at all, so its runs
+exit 3 with a message per failed sample that names the layer and the step.
+Both runs read the same generated files and write into directories of the
+same relative name, so their exit codes, stdout, stderr and every output
+file must match byte for byte. A run that fails on both sides counts as a
+difference too, since it would compare nothing, unless it is a run of
+:data:`OVERFLOW_NETS` that exits 3.
 
 Exit 0 when every run matches; exit 1 naming the first difference; exit 2
 when ``BASE_SRC`` holds no ``emacprof`` package.
@@ -39,8 +43,10 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "benchmarks")]
 
-from emacprof import Coding, NetworkBuilder  # noqa: E402
+from emacprof import Coding, NetworkBuilder, NeuronKind, NeuronModelSpec  # noqa: E402
 from workloads import LIF, RELU, WORKLOADS, Workload, generate, profile_argv  # noqa: E402
+
+IFL = NeuronModelSpec(kind=NeuronKind.IFL)
 
 SEEDS = range(4)
 
@@ -72,8 +78,29 @@ POOL_NETS = {
 }
 
 
-def run(src: Path, argv: list[str], cwd: Path) -> tuple[int, bytes, dict[str, bytes]]:
-    """Exit code, stdout and written files of ``emacprof`` from ``src``, run in ``cwd``."""
+def overflow_net(rng):
+    """Builder of a rectifier chain that scales its input x in [0, 1] by
+    2e308 (past the float range for x > 0.9), two IFL neurons, the first of
+    which, at voltage x * 2e306 * t * (t + 1) / 2 after step t, leaves the
+    float range at a step from 14 (x = 0.9) to past the budget of 32
+    (x < 0.17), and an IFL head."""
+    builder = NetworkBuilder((1,), coding=Coding.RATE, max_timesteps=32)
+    for gain in [1e38] * 8 + [2e4]:
+        builder.dense(1, RELU, weights=[[gain]])
+    return (
+        builder.dense(2, IFL, weights=[[0.01], [1e-5]])
+        .dense(3, IFL, weights=rng.uniform(0.0, 0.5, (3, 2)))
+        .build()
+    )
+
+
+OVERFLOW_NETS = {
+    "overflow_net": Workload("overflow_net", "analog", (1,), (0.0, 1.0), 8, 105, overflow_net)
+}
+
+
+def run(src: Path, argv: list[str], cwd: Path) -> tuple[int, bytes, bytes, dict[str, bytes]]:
+    """Exit code, stdout, stderr and written files of ``emacprof`` from ``src``, run in ``cwd``."""
     cwd.mkdir(parents=True)
     proc = subprocess.run(
         [sys.executable, "-m", "emacprof.cli", *argv],
@@ -87,18 +114,21 @@ def run(src: Path, argv: list[str], cwd: Path) -> tuple[int, bytes, dict[str, by
         for path in sorted(cwd.rglob("*"))
         if path.is_file()
     }
-    return proc.returncode, proc.stdout, files
+    return proc.returncode, proc.stdout, proc.stderr, files
 
 
-def difference(base: tuple, change: tuple) -> str | None:
-    """The first way two runs differ, or ``None``."""
-    (base_code, base_out, base_files), (code, out, files) = base, change
+def difference(base: tuple, change: tuple, codes: tuple[int, ...] = (0,)) -> str | None:
+    """The first way two runs differ, or ``None``; a shared exit code not in
+    ``codes`` is a difference too."""
+    (base_code, base_out, base_err, base_files), (code, out, err, files) = base, change
     if base_code != code:
         return f"exit code {base_code} != {code}"
-    if code != 0:
+    if code not in codes:
         return f"both runs exit {code}"
     if base_out != out:
         return "stdout differs"
+    if base_err != err:
+        return "stderr differs"
     for name in sorted(base_files.keys() | files.keys()):
         if name not in files:
             return f"{name} is missing from the change's outputs"
@@ -118,7 +148,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: no emacprof package under {base_src}", file=sys.stderr)
         return 2
     with tempfile.TemporaryDirectory() as tmp:
-        for name, workload in {**WORKLOADS, **POOL_NETS}.items():
+        for name, workload in {**WORKLOADS, **POOL_NETS, **OVERFLOW_NETS}.items():
+            codes = (0, 3) if name in OVERFLOW_NETS else (0,)
             for seed in SEEDS:
                 case = Path(tmp) / f"{name}-{seed}"
                 gen = generate(workload, seed, case / "data")
@@ -133,6 +164,7 @@ def main(argv: list[str] | None = None) -> int:
                         found = difference(
                             run(base_src, command, case / "base" / where),
                             run(ROOT / "src", command, case / "change" / where),
+                            codes,
                         )
                         if found is not None:
                             print(f"{label}: {found}", file=sys.stderr)
