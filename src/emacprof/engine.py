@@ -10,9 +10,9 @@ The engine runs those steps as a pipeline of ticks. At tick ``tau`` the
 ``k``-th spiking layer (counted from the first one that steps) takes its
 step ``tau - k``, whose input the layer before it made at the previous
 tick, so no layer waits for another within a tick: every active layer's
-drive is computed first, and then consecutive spiking layers with one
-neuron model (a block) take their steps in one call of the compiled step
-function, followed by one finiteness check: one sum of the block's
+drive is computed first, then consecutive spiking layers with one neuron
+model (a block) take their steps in one call of the compiled step function,
+and then one finiteness check covers every active layer: one sum of their
 half-step voltages, which a NaN or an infinity always reaches, and which
 sends the tick to a per-row scan only when it is not finite (finite
 voltages whose sum overflows do too, and the scan finds no row there). A
@@ -84,33 +84,33 @@ two, say) they are equal.
 Samples run in lockstep groups. :func:`run_inference` runs a group of one,
 and :func:`run_dataset` runs consecutive groups of samples that share an
 encoding mode, in sample order, as many a group as :func:`_group_size`
-allows. Within a group, a block's neuron state, drive buffer and spike
-buffer hold every sample's row of every layer of the block, flat and layer
-by layer, so that the layers active at a tick are one contiguous range;
-each neuron step advances that range in place and writes its spikes into
-the range of the spike buffer, so one numpy call serves every sample and
-layer of the block: on narrow layers the time goes to dispatching calls,
-not to arithmetic. One walk over the stepped layers binds every view and
-buffer a tick touches before the first tick (see :func:`_step_group`), so a
-tick spends its time in the numpy calls its layers need: the Poisson
-encoder draws into the group's input buffer, and the ufuncs take their
-outputs positionally, which dispatches faster than the keyword, but for
-``np.maximum``, whose positional output numpy 2.4 deprecates. A tick emits
-the encoder and each active spiking layer by one path, which counts and
-records their spikes, runs the pools and flattens after them, and counts
-the events reaching each layer of uneven fan-out where that layer's input
-is made. Each live sample's drive adds its sums in a lone run's order (see
-:func:`_bind_drive`), so every result is bit-identical whatever the group
-size. Under rank-order coding a sample that has decided leaves the group
-with its counters frozen, and a sample whose state leaves the finite range
-fails alone. Every sample keeps its row for the whole run: a sample that
-leaves only stops getting decisions, finiteness checks and drives, and
-nothing reads its row again, whatever the steps after it write there. A
-group's histories (spike counts, the events reaching layers of uneven
-fan-out, output spikes and voltages, rasters when recorded) are allocated
-once at the step budget, a row per sample; each tick writes every row, and
-one loop at the end decodes, traces and prices each sample from its own
-steps.
+allows. Within a group, one neuron state, drive buffer and spike buffer
+hold every sample's row of every spiking layer, flat and layer by layer, so
+that the layers active at a tick are one contiguous range, and a block's
+among them are one range of it; each block's neuron step advances its range
+in place and writes its spikes into the same range of the spike buffer, so
+one numpy call serves every sample and layer of the block: on narrow layers
+the time goes to dispatching calls, not to arithmetic. One walk over the
+stepped layers binds every view and buffer a tick touches before the first
+tick (see :func:`_step_group`), so a tick spends its time in the numpy
+calls its layers need: the Poisson encoder draws into the group's input
+buffer, and the ufuncs take their outputs positionally, which dispatches
+faster than the keyword, but for ``np.maximum``, whose positional output
+numpy 2.4 deprecates. A tick emits the encoder and each active spiking
+layer by one path, which counts and records their spikes, runs the pools
+and flattens after them, and counts the events reaching each layer of
+uneven fan-out where that layer's input is made. Each live sample's drive
+adds its sums in a lone run's order (see :func:`_bind_drive`), so every
+result is bit-identical whatever the group size. Under rank-order coding a
+sample that has decided leaves the group with its counters frozen, and a
+sample whose state leaves the finite range fails alone. Every sample keeps
+its row for the whole run: a sample that leaves only stops getting
+decisions, finiteness checks and drives, and nothing reads its row again,
+whatever the steps after it write there. A group's histories (spike counts,
+the events reaching layers of uneven fan-out, output spikes and voltages,
+rasters when recorded) are allocated once at the step budget, a row per
+sample; each tick writes every row, and one loop at the end decodes, traces
+and prices each sample from its own steps.
 
 Over a dataset, :func:`run_dataset` keeps each sample's outcome (step
 count and decision) and a column of per-layer energies and spike totals,
@@ -234,7 +234,6 @@ class _LayerRT:
     #: pooling: a slice of the input per window column, and of their
     #: maximum per window row (see :func:`_window_taps`)
     pool_taps: tuple = ()
-    step: Callable | None = None
 
 
 def _window_taps(layer: LayerSpec) -> tuple[tuple[tuple, ...], tuple[tuple, ...]]:
@@ -274,8 +273,6 @@ def _compile(net: NetworkSpec) -> list[_LayerRT]:
             rt.weights = weights.reshape(weights.shape[0], -1)
             if layer.kind is LayerKind.RECURRENT_DENSE:
                 rt.rec_weights = recurrent_weight_tensor(net, index)
-            if rt.spiking:
-                rt.step = step_fn(layer.neuron_model.kind)
         if layer.kind is LayerKind.MAX_POOL2D:
             rt.pool_taps = _window_taps(layer)
         if layer.kind is not LayerKind.FLATTEN:
@@ -475,57 +472,14 @@ def _non_finite_rows(values: np.ndarray, live: list[int]) -> list[int]:
     return [live[p] for p in np.flatnonzero(bad).tolist()]
 
 
-@dataclass
-class _Block:
-    """Consecutive spiking layers of one neuron model, stepped by one call.
-
-    The state arrays, the drive buffer and the spike buffer are flat and
-    layer-major: the block's ``j``-th layer keeps its ``(rows, neurons)``
-    values from ``rows * cols[j]`` on, a row per sample of the group. The
-    layers of any span are then one contiguous range, which one numpy call
-    steps without the buffers numpy allocates to iterate a strided 2-D view.
-    ``spikes`` holds each layer's spikes of its latest step, which the step
-    writes in place. ``first`` and ``stop`` delimit the layers' positions
-    among the spiking layers.
-    """
-
-    first: int
-    stop: int
-    cols: list[int]
-    rows: int
-    step: Callable
-    model: NeuronModelSpec
-    state: NeuronState
-    drive: np.ndarray
-    spikes: np.ndarray
-
-    def span(self, k: int, stop: int | None = None) -> slice:
-        """Where the layers at positions ``k`` to ``stop`` lie (the layer at
-        ``k`` alone by default)."""
-        stop = k + 1 if stop is None else stop
-        lo, hi = self.cols[k - self.first], self.cols[stop - self.first]
-        return slice(self.rows * lo, self.rows * hi)
-
-
-def _blocks(spiking: list[_LayerRT], samples: int) -> list[_Block]:
-    """Consecutive spiking layers that share a neuron model, as blocks."""
-    blocks = []
-    for model, members in groupby(enumerate(spiking), key=lambda m: m[1].spec.neuron_model):
-        members = list(members)
-        cols = [0, *accumulate(r.neurons for _, r in members)]
-        blocks.append(
-            _Block(
-                first=members[0][0],
-                stop=members[-1][0] + 1,
-                cols=cols,
-                rows=samples,
-                step=members[0][1].step,
-                model=model,
-                state=state_zeros(samples * cols[-1]),
-                drive=np.empty(samples * cols[-1]),
-                spikes=np.zeros(samples * cols[-1], dtype=bool),
-            )
-        )
+def _blocks(spiking: list[_LayerRT]) -> list[tuple[int, int, NeuronModelSpec]]:
+    """Consecutive spiking layers that share a neuron model, as blocks: each
+    ``(first, stop, model)``, the range of its layers' positions in ``spiking``."""
+    blocks, first = [], 0
+    for model, members in groupby(spiking, key=lambda r: r.spec.neuron_model):
+        stop = first + len(list(members))
+        blocks.append((first, stop, model))
+        first = stop
     return blocks
 
 
@@ -551,8 +505,9 @@ _GROUP_STATE_BYTES = 1 << 18
 #: a network's group budget is at least its compiled weight bytes over this:
 #: the weights dominate the memory peak, so a group may grow in proportion
 _WEIGHT_BUDGET_SHARE = 16
-#: one spiking neuron's share of a sample's step state, as :func:`_blocks`
-#: allocates it: current, voltage, half-step voltage, fired flag, drive and spike
+#: one spiking neuron's share of a sample's step state, as :func:`_step_group`
+#: allocates it in the group's one layer-major buffer set: current, voltage,
+#: half-step voltage, fired flag, drive and spike
 _NEURON_STATE_BYTES = sum(
     a.nbytes for a in (*vars(state_zeros(1)).values(), np.empty(1), np.empty(1, bool))
 )
@@ -765,9 +720,12 @@ def _step_group(
     ``emit(source, step)``, the one place where spikes are counted and
     recorded, pools run, and the events reaching a layer of uneven fan-out
     are counted: where its input is made, at the step that input belongs
-    to, which the layer reads unchanged when it takes that step. The state
-    views of the span of layers a block steps are made when the active
-    layers change, which only the ramps up and down do.
+    to, which the layer reads unchanged when it takes that step. One
+    layer-major buffer set holds every spiking layer's state, drive and
+    spikes, and a block is a range of its layers. The views each block steps
+    of the active span, and that span's half-step voltages, which one sum
+    checks for finiteness each tick, are made when the active layers
+    change, which only the ramps up and down do.
     """
     mode = samples[0].mode
     B = len(samples)
@@ -840,8 +798,20 @@ def _step_group(
         # counts[l][s - 1]: step s's row of history column l
         counts = [count_hist[:, :, l] for l in range(L + 1)]
         events = {index: ff_hist[:, :, j] for j, index in enumerate(uneven)}
-        blocks = _blocks(spiking, B)
-        block_of = [b for b in blocks for _ in range(b.first, b.stop)]
+        # every spiking layer's state, drive and spikes, flat and layer-major:
+        # spiking layer k keeps its (B, neurons) values from B * cols[k] on, so
+        # any span of layers is one contiguous range, which one numpy call steps
+        cols = [0, *accumulate(r.neurons for r in spiking)]
+        state = state_zeros(B * cols[-1])
+        drives = np.empty(B * cols[-1])
+        fired = np.zeros(B * cols[-1], dtype=bool)
+
+        def span(k: int, stop: int | None = None) -> slice:
+            """Where spiking layers ``k`` to ``stop`` lie (layer ``k`` alone by default)."""
+            return slice(B * cols[k], B * cols[k + 1 if stop is None else stop])
+
+        # looked up per group: a traced run wraps step_fn
+        blocks = [(first, stop, step_fn(m.kind), m) for first, stop, m in _blocks(spiking)]
         x_in = np.zeros((B, *net.input_shape), dtype=bool) if poisson else None
         # one buffer serves every recurrent term, each added as soon as made
         rec_buf = np.empty(
@@ -876,9 +846,8 @@ def _step_group(
                 stages.append((counts[r.index + 1], x, None, raster))
             else:
                 k = len(layers)
-                b = block_of[k]
-                drive = b.drive[b.span(k)].reshape(B, r.neurons)
-                out = b.spikes[b.span(k)].reshape(B, r.neurons)
+                drive = drives[span(k)].reshape(B, r.neurons)
+                out = fired[span(k)].reshape(B, r.neurons)
                 ff = rec = None
                 if x is not None:
                     weights = None if r.spec.kind is LayerKind.CONV2D else r.weights
@@ -891,34 +860,24 @@ def _step_group(
                 x = out.reshape(B, *r.spec.output_shape)
                 stages, carried = [(counts[r.index + 1], out, None, raster)], []
                 sources.append((stages, carried))
-        out_volt = block_of[-1].state.v_peak[block_of[-1].span(K - 1)].reshape(
-            B, rt[-1].neurons
-        ) if K else None
+        out_volt = state.v_peak[span(K - 1)].reshape(B, rt[-1].neurons) if K else None
         no_counts = np.zeros(B, dtype=np.int64)
-        # the active positions (lo, hi) of the last tick, and its block steps
-        active, calls = None, []
+        # the active positions (lo, hi) of the last tick, its block steps and
+        # its span's half-step voltages
+        active, calls, v_peak = None, [], None
         # a live row's lowest non-finite (step, layer) so far
         pending: dict[int, tuple[int, int]] = {}
 
         def block_steps(lo: int, hi: int) -> list[tuple]:
             """Each block's step of the layers at positions ``lo`` to ``hi``:
-            its function, state, drive, model, spikes and layer parts."""
+            its function, state, drive, model and spikes."""
             made = []
-            for b in blocks:
-                first, stop = max(lo, b.first), min(hi, b.stop)
-                if first >= stop:
-                    continue
-                span = b.span(first, stop)
-                st = b.state
-                state = NeuronState(
-                    i=st.i[span], v=st.v[span],
-                    has_spiked=st.has_spiked[span], v_peak=st.v_peak[span],
-                )
-                parts = [  # each layer's part of the span
-                    (k, slice(b.span(k).start - span.start, b.span(k).stop - span.start))
-                    for k in range(first, stop)
-                ]
-                made.append((b.step, state, b.drive[span], b.model, b.spikes[span], parts))
+            for first, stop, step, model in blocks:
+                first, stop = max(lo, first), min(hi, stop)
+                if first < stop:
+                    part = span(first, stop)
+                    views = NeuronState(**{name: a[part] for name, a in vars(state).items()})
+                    made.append((step, views, drives[part], model, fired[part]))
             return made
 
         def reset(p: int) -> None:
@@ -928,11 +887,9 @@ def _step_group(
             group; zeroed, it stays finite and no longer fails the one-call
             finiteness check of each later tick.
             """
-            for b in blocks:
-                for k in range(b.first, b.stop):
-                    span = b.span(k)
-                    for a in (*vars(b.state).values(), b.drive):
-                        a[span].reshape(B, -1)[p] = 0
+            for k in range(K):
+                for a in (*vars(state).values(), drives):
+                    a[span(k)].reshape(B, -1)[p] = 0
             for term in terms:
                 term[p] = 0.0
             if drive0 is not None:
@@ -981,17 +938,18 @@ def _step_group(
                     np.copyto(drive, base)
             if (lo, hi) != active:  # the ramp's ticks and the first full one
                 active, calls = (lo, hi), block_steps(lo, hi)
-            for step, state, drive, model, spikes, parts in calls:
-                step(state, drive, model, spikes=spikes)
-                # a non-finite current makes the half-step voltage non-finite,
-                # and the reset only subtracts a finite threshold; a NaN or an
-                # infinity always reaches the sum (an overflowing sum of finite
-                # voltages sends the tick to the scan, which finds no row)
-                if not isfinite(np.add.reduce(state.v_peak)):
-                    for k, part in parts:
-                        found = (tau - k, spiking[k].index)
-                        for p in _non_finite_rows(state.v_peak[part].reshape(B, -1), live):
-                            pending[p] = min(pending.get(p, found), found)
+                v_peak = state.v_peak[span(lo, hi)]
+            for step, views, drive, model, spikes in calls:
+                step(views, drive, model, spikes=spikes)
+            # a non-finite current makes the half-step voltage non-finite, and
+            # the reset only subtracts a finite threshold; a NaN or an infinity
+            # always reaches the sum (an overflowing sum of finite voltages
+            # sends the tick to the scan, which finds no row)
+            if not isfinite(np.add.reduce(v_peak)):
+                for k in range(lo, hi):
+                    found = (tau - k, spiking[k].index)
+                    for p in _non_finite_rows(state.v_peak[span(k)].reshape(B, -1), live):
+                        pending[p] = min(pending.get(p, found), found)
             for k in range(lo, hi):
                 emit(k + 1, tau - k)
             t = tau - K + 1  # the output layer's step

@@ -475,13 +475,10 @@ def _validate_layer_geometry(layer: LayerSpec, index: int) -> None:
                 f"{name}: declared output shape {layer.output_shape} does not "
                 f"match the computed {expected}"
             )
-        if kind is not LayerKind.CONV2D and layer.padding != 0:
-            raise SchemaError(f"{name}: only conv2d supports zero padding")
-    else:
-        if layer.kernel is not None or layer.stride is not None:
-            raise SchemaError(f"{name}: kernel/stride apply to spatial kinds only")
-        if layer.padding != 0:
-            raise SchemaError(f"{name}: padding applies to conv2d only")
+    elif layer.kernel is not None or layer.stride is not None:
+        raise SchemaError(f"{name}: kernel/stride apply to spatial kinds only")
+    if kind is not LayerKind.CONV2D and layer.padding != 0:
+        raise SchemaError(f"{name}: padding applies to conv2d only")
     if kind is LayerKind.FLATTEN:
         if layer.output_shape != (prod(layer.input_shape),):
             raise ShapeMismatch(

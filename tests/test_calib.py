@@ -50,6 +50,34 @@ def test_two_observations_interpolate_exactly():
         assert sigma == pytest.approx(0.0, abs=1e-12)
 
 
+#: P(|t| < 1) and P(|t| < 2) of Student's t with n - 2 degrees of freedom
+T_COVERAGE = {3: (0.5, 0.7048), 4: (0.5774, 0.8165), 8: (0.6440, 0.9076), 30: (0.6741, 0.9447)}
+
+
+@pytest.mark.parametrize("weighted", [False, True])
+@pytest.mark.parametrize("n", sorted(T_COVERAGE))
+def test_the_prediction_sigma_is_a_t_scale_with_n_minus_2_dof(caplog, n, weighted):
+    # z = (E_pred - E_true) / sigma at a fresh (S, U) follows t(n - 2): the
+    # sigma uses RSS / (n - 2), so known-variance coverage or a lost n - 2
+    # fails. A weighted fit's noise has the given variances.
+    rng = np.random.default_rng(600 + n)
+    e_syn, e_upd, trials = 2e-9, 5e-9, 1000
+    z = np.empty(trials)
+    with caplog.at_level(logging.ERROR, logger="emacprof.calib"):
+        for k in range(trials):
+            sd = rng.uniform(0.5, 2.0, n) * 1e-8 if weighted else np.full(n, 1e-8)
+            obs = planted(rng, n, e_syn, e_upd)
+            obs = [replace(o, E_joules=o.E_joules + d * rng.standard_normal())
+                   for o, d in zip(obs, sd)]
+            model = fit_energy_model(obs, variances=sd**2 if weighted else None)
+            S, U = rng.uniform(50, 500), rng.uniform(20, 200)
+            energy, sigma = predict_energy(model, S, U)
+            z[k] = (energy - (e_syn * S + e_upd * U)) / sigma
+    for bound, p in zip((1, 2), T_COVERAGE[n]):
+        inside = np.mean(np.abs(z) < bound)
+        assert abs(inside - p) <= 4 * np.sqrt(p * (1 - p) / trials), (bound, inside)
+
+
 def test_fit_matches_lstsq_on_random_data():
     rng = np.random.default_rng(42)
     obs = planted(rng, 12, 3e-9, 7e-9, noise=1e-8)

@@ -501,6 +501,24 @@ def test_calibrate_writes_the_fitted_model(tmp_path, capsys):
     assert "e_syn_J = 2.0" in capsys.readouterr().out
 
 
+def test_calibrate_warns_of_a_negative_parameter(tmp_path, capsys):
+    # E = -S + 5 U fits two points exactly, with a negative e_syn
+    obs = tmp_path / "obs.csv"
+    write_observations_csv(
+        obs,
+        [
+            Observation("a", S=1.0, U=1.0, E_joules=4.0),
+            Observation("b", S=2.0, U=1.0, E_joules=3.0),
+        ],
+    )
+    rc = main(["calibrate", "--observations", str(obs), "--out", str(tmp_path / "cal")])
+    assert rc == 0
+    captured = capsys.readouterr()
+    assert "e_syn_J = -1.0" in captured.out
+    assert "warning: fitted parameters are not both positive" in captured.err
+    assert json.loads((tmp_path / "cal" / "model.json").read_text())["e_syn_J"] == -1.0
+
+
 def test_calibrate_collinear_observations_exit_4(tmp_path, capsys):
     obs = tmp_path / "obs.csv"
     write_observations_csv(
@@ -709,3 +727,18 @@ def test_empty_input_directory_exits_2(tmp_path, capsys):
     )
     assert rc == 2
     assert "no .bin or .csv" in capsys.readouterr().err
+
+
+def test_an_input_file_of_another_suffix_exits_2(tmp_path, capsys):
+    npath = write_net(tmp_path, dense_ifl())
+    sample = tmp_path / "sample.txt"
+    sample.write_text("0.5,0.5,0.5,0.5\n")
+    rc = main(
+        ["profile", "--network", str(npath), "--inputs", str(sample),
+         "--out", str(tmp_path / "o")]
+    )
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "sample.txt: input files must end in .bin or .csv" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "o").exists()

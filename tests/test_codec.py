@@ -282,3 +282,17 @@ def test_an_empty_csv_input_is_a_shape_mismatch_without_a_warning(tmp_path, text
     path.write_text(text)
     with pytest.raises(ShapeMismatch, match="0 values"):
         load_input_tensor(path, (2, 3))
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda tmp: poisson_slice(encode(np.full(3, 0.5)), 1),
+         "spike slices are only defined for poisson encoding"),
+        (lambda tmp: load_input_tensor(tmp / "sample.txt", (3,)),
+         "sample.txt: input tensors must be .bin or .csv"),
+    ],
+)
+def test_a_call_outside_the_codec_contract_is_a_schema_error(tmp_path, call, message):
+    with pytest.raises(SchemaError, match=message):
+        call(tmp_path)

@@ -749,9 +749,9 @@ def test_windows_and_the_poisson_stream_are_built_once_per_sample(monkeypatch):
 
 
 def test_a_group_binds_its_spike_buffers_and_drives_once(monkeypatch):
-    # every tick hands each block's step a view of that block's one spike
-    # buffer (one view per active span), and each drive is bound once per
-    # group, not once per tick
+    # every tick hands each block's step a view of the group's one spike
+    # buffer (one view per block and active span), and each drive is bound
+    # once per group, not once per tick
     rng = np.random.default_rng(19)
     made = {"blocks": [], "binders": 0}
     spikes_seen = []
@@ -789,10 +789,13 @@ def test_a_group_binds_its_spike_buffers_and_drives_once(monkeypatch):
     assert run_inference(net, samples[0]).trace.T_used == 20
     assert made["binders"] == 4
     (group,) = made["blocks"]
+    assert [(first, stop) for first, stop, _ in group] == [(0, 1), (1, 3)]
     # the first block steps at ticks 1-20, the second at 2-22; the second's
     # active spans are layers 1, 1-2 and 2
     assert len(spikes_seen) == 41
-    assert all(any(np.shares_memory(s, b.spikes) for b in group) for s in spikes_seen)
+    # all in one buffer, of every spiking layer's spikes
+    assert len({id(s.base) for s in spikes_seen}) == 1
+    assert spikes_seen[0].base.size == 5 + 5 + 3
     assert len({(s.ctypes.data, s.size) for s in spikes_seen}) == 4
     force_group_size(monkeypatch, net, 20, 2)
     run_dataset(net, samples)
@@ -1732,8 +1735,8 @@ def test_group_size_follows_the_state_budget():
 
 
 def test_group_size_counts_the_state_a_group_allocates(monkeypatch):
-    # per sample: the blocks' state, drive and spikes, and the histories, as
-    # a one-sample group allocates them
+    # per sample: the group's one state, drive and spike buffer, and the
+    # histories, as a one-sample group allocates them
     rng = np.random.default_rng(18)
     lif_ = NeuronModelSpec(kind=NeuronKind.LIF, dt=1e-3, tau_syn=5e-3, tau_mem=1e-2)
     net = (  # two blocks, a recurrent layer, even fan-out only
@@ -1746,16 +1749,31 @@ def test_group_size_counts_the_state_a_group_allocates(monkeypatch):
     )
     rt = _compile(net)
     spiking = [r for r in rt if r.spiking]
-    blocks = engine._blocks(spiking, 1)
-    assert len(blocks) == 2
-    state = sum(
-        a.nbytes for b in blocks for a in (*vars(b.state).values(), b.drive, b.spikes)
-    )
-    assert state == engine._NEURON_STATE_BYTES * sum(r.neurons for r in spiking)
+    assert len(engine._blocks(spiking)) == 2
+    # every block step views the group's buffers: the arrays they view are
+    # what the group allocates
+    buffers = {}
+    compiled_step = engine.step_fn
+
+    def recorded_step_fn(kind):
+        step = compiled_step(kind)
+
+        def recorded(state, drive, model, *, spikes=None):
+            for a in (*vars(state).values(), drive, spikes):
+                buffers[id(a.base)] = a.base
+            return step(state, drive, model, spikes=spikes)
+
+        return recorded
+
+    monkeypatch.setattr(engine, "step_fn", recorded_step_fn)
     run = engine._step_group(
         net, rt, [encode(rng.uniform(0.0, 1.0, 12), "poisson", seed=1)], 0,
         T_max=10, coding=Coding.ROC, record_raster=False,
     )
+    monkeypatch.undo()
+    assert len(buffers) == 6
+    state = sum(a.nbytes for a in buffers.values())
+    assert state == engine._NEURON_STATE_BYTES * sum(r.neurons for r in spiking)
     history = sum(a.nbytes for a in (run.counts, run.spikes, run.volts, run.events))
     per_sample = state + history
     for size in (1, 2, 5):

@@ -3,6 +3,8 @@ import dataclasses
 import hashlib
 import json
 import pickle
+import re
+import struct
 
 import numpy as np
 import pytest
@@ -37,6 +39,7 @@ from emacprof.netspec import (
     lcl_mask,
     realized_connections,
 )
+from emacprof.cli import main
 
 IFL = NeuronModelSpec(kind=NeuronKind.IFL)
 ANN = NeuronModelSpec(kind=NeuronKind.ANN_RELU)
@@ -875,3 +878,138 @@ def test_every_builder_method_writes_the_same_bytes():
     assert hashlib.sha256(manifest + weights).hexdigest() == (
         "2ec0dc6e6926ef75c174615100c7508255b38a8b0b7f3a4bd28b483098c98a7a"
     )
+
+
+# ---------------------------------------------------------------------------
+# typed errors of every validation rule
+
+
+def pooled_files():
+    """The manifest (as an object) and the container of a padded conv, a 3x3
+    pool whose output padding would not change, a flatten and a dense head."""
+    net = (
+        NetworkBuilder((1, 6, 6), coding=Coding.RATE, max_timesteps=4)
+        .conv2d(2, (3, 3), IFL, padding=1)
+        .max_pool((3, 3))
+        .flatten()
+        .dense(3, IFL)
+        .build()
+    )
+    manifest, weights = serialize_network(net)
+    return json.loads(manifest), weights
+
+
+def assert_typed_failure(tmp_path, capsys, manifest, weights, error, message):
+    """Parsing fails with ``error`` and ``message``; the CLI exits 2 with it."""
+    with pytest.raises(error, match=message):
+        parse_network(manifest, weights)
+    (tmp_path / "net.json").write_bytes(manifest)
+    (tmp_path / "net.emwt").write_bytes(weights)
+    assert main(["inspect", "--network", str(tmp_path / "net.json")]) == 2
+    err = capsys.readouterr().err
+    assert re.search(message, err)
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "edit, error, message",
+    [
+        (lambda m: m["layers"][0].update(input_shape=[6, 6]), ShapeMismatch,
+         r"layer 0 \(conv2d\): input shape \(6, 6\) must have rank 3"),
+        (lambda m: m["layers"][1].pop("kernel"), SchemaError,
+         r"layer 1 \(max_pool2d\): kernel is required"),
+        (lambda m: m["layers"][1].update(padding=1), SchemaError,
+         r"layer 1 \(max_pool2d\): padding applies to conv2d only"),
+        (lambda m: m["layers"][2].update(stride=[1, 1]), SchemaError,
+         r"layer 2 \(flatten\): kernel/stride apply to spatial kinds only"),
+        (lambda m: m["layers"][3].update(padding=1), SchemaError,
+         r"layer 3 \(dense\): padding applies to conv2d only"),
+        (lambda m: m["layers"][3].pop("neuron_model"), SchemaError,
+         r"layer 3 \(dense\): neuron_model is required"),
+        (lambda m: m["layers"][2].update(neuron_model={"kind": "ifl"}), SchemaError,
+         r"layer 2 \(flatten\): flatten takes no neuron_model"),
+        (lambda m: m["layers"][2].update(weights_ref="l3_w"), SchemaError,
+         r"layer 2 \(flatten\): flatten takes no weights"),
+        (lambda m: m["layers"][3].update(kind="recurrent_dense"), SchemaError,
+         r"layer 3 \(recurrent_dense\): recurrent_weights_ref is required"),
+        (lambda m: m["layers"][3].update(recurrent_weights_ref="l3_w"), SchemaError,
+         r"layer 3 \(dense\): only recurrent_dense takes recurrent weights"),
+        (lambda m: m["layers"][3]["neuron_model"].update(tau=1.0), SchemaError,
+         r"layer 3: unknown neuron_model fields \['tau'\]"),
+        (lambda m: m["layers"][3]["neuron_model"].pop("kind"), SchemaError,
+         r"layer 3: neuron_model needs a kind"),
+    ],
+)
+def test_an_edited_manifest_is_a_typed_error(tmp_path, capsys, edit, error, message):
+    manifest, weights = pooled_files()
+    edit(manifest)
+    assert_typed_failure(
+        tmp_path, capsys, json.dumps(manifest).encode(), weights, error, message
+    )
+
+
+@pytest.mark.parametrize(
+    "edit_manifest, edit_weights, message",
+    [
+        (lambda d: b"[]", None, "manifest root must be an object"),
+        (None, lambda d: d[:4] + struct.pack("<I", 2) + d[8:],
+         "unsupported weights container version 2"),
+        (None, lambda d: d[:12], "weights container truncated in entry table"),
+        (None, lambda d: d.replace(b"l3_w", b"l0_w"), "duplicate weight block name 'l0_w'"),
+    ],
+)
+def test_an_edited_file_is_a_schema_error(tmp_path, capsys, edit_manifest, edit_weights,
+                                          message):
+    manifest, weights = pooled_files()
+    manifest = json.dumps(manifest).encode()
+    if edit_manifest is not None:
+        manifest = edit_manifest(manifest)
+    if edit_weights is not None:
+        weights = edit_weights(weights)
+    assert_typed_failure(tmp_path, capsys, manifest, weights, SchemaError, message)
+
+
+@pytest.mark.parametrize(
+    "make, error, message",
+    [
+        (lambda: NetworkSpec(
+            layers=(
+                LayerSpec(kind=LayerKind.MAX_POOL2D, input_shape=(1, 4, 4),
+                          output_shape=(1, 2, 2), kernel=(2, 2)),
+            ),
+            weights={}, coding=Coding.RATE, max_timesteps=4,
+         ), SchemaError, r"layer 0 \(max_pool2d\): stride is required"),
+        (lambda: NetworkSpec(layers=(), weights={}, coding=Coding.RATE, max_timesteps=4),
+         SchemaError, "a network needs at least one layer"),
+        (lambda: NetworkBuilder((4,), max_timesteps=4).dense(3, IFL, weights=np.zeros(5)),
+         ShapeMismatch, "expected 12 weights, got 5"),
+        (lambda: NetworkBuilder((4,), max_timesteps=4).conv2d(2, (3, 3), IFL),
+         ShapeMismatch, r"conv2d needs a \(C, H, W\) input, current shape is \(4,\)"),
+    ],
+)
+def test_a_spec_only_the_python_api_can_make_is_a_typed_error(make, error, message):
+    with pytest.raises(error, match=message):
+        make()
+
+
+def test_networks_equal_tells_every_difference_apart():
+    def net(coding=Coding.RATE, t_max=4, neurons=3, bias=0.0, w=0.5):
+        return (
+            NetworkBuilder((2,), coding=coding, max_timesteps=t_max)
+            .dense(neurons, NeuronModelSpec(kind=NeuronKind.IFL, bias=bias),
+                   weights=np.full((neurons, 2), w))
+            .build()
+        )
+
+    base = net()
+    assert networks_equal(base, net())
+    extra = NetworkSpec(
+        base.layers, {**base.weights, "unused": np.zeros(1, np.float32)}, base.coding, 4
+    )
+    for other in (
+        net(coding=Coding.ROC), net(t_max=5), net(neurons=2), net(bias=1.0),
+        net(w=-0.5), extra,
+    ):
+        assert not networks_equal(base, other)
+    # bit-exact: -0.0 equals 0.0 as a number, not as bits
+    assert not networks_equal(net(w=0.0), net(w=-0.0))

@@ -14,13 +14,17 @@ padded stride-2 convolution and an overlapping 3x3 stride-2 pool, which no
 workload has: once with a rectifier convolution and analog inputs, so that
 the pool takes floats in the static stage, and once with a spiking
 convolution and Poisson inputs, so that it takes spikes in the step loop.
-On ``conv_poisson_rate`` both also run with ``--coding roc``: its samples
-then decide early (at steps 30-36 of 64 at seed 0), so rows leave the group
-while pools and layers of uneven fan-out still step, which no run under the
-manifest's own coding reaches. :data:`OVERFLOW_NETS` is a network whose
-samples leave the finite range: some in the static stage, most in the step
-loop at steps that vary with the input, and some not at all, so its runs
-exit 3 with a message per failed sample that names the layer and the step.
+Each of these networks steps one block (consecutive spiking layers of one
+neuron model); :data:`BLOCK_NETS` and ``two_block_overflow_net`` step two.
+On ``conv_poisson_rate`` and on :data:`BLOCK_NETS` both also run with
+``--coding roc``: samples then decide early (at seed 0, at steps 30-36 of
+64 on ``conv_poisson_rate`` and 9-11 of 32 on ``two_block_poisson``), so
+rows leave the group while pools, layers of uneven fan-out and later
+blocks still step, which no run under the manifest's own coding reaches.
+:data:`OVERFLOW_NETS` are networks whose samples leave the finite range:
+some in the static stage, most in the step loop at steps that vary with the
+input, and, on ``overflow_net``, some not at all, so their runs exit 3 with
+a message per failed sample that names the layer and the step.
 Both runs read the same generated files and write into directories of the
 same relative name, so their exit codes, stdout, stderr and every output
 file must match byte for byte. A run that fails on both sides counts as a
@@ -78,24 +82,65 @@ POOL_NETS = {
 }
 
 
-def overflow_net(rng):
+def two_block_poisson(rng):
+    """Builder of an IFL dense layer, then an LIF recurrent layer and an
+    LIF dense head: two blocks."""
+    return (
+        NetworkBuilder((16,), coding=Coding.RATE, max_timesteps=32)
+        .dense(12, IFL, weights=rng.normal(0.02, 0.1, (12, 16)))
+        .recurrent_dense(10, LIF, weights=rng.normal(0.3, 0.3, (10, 12)),
+                         recurrent_weights=rng.normal(0.0, 0.3, (10, 10)))
+        .dense(4, LIF, weights=rng.normal(0.1, 0.3, (4, 10)))
+        .build()
+    )
+
+
+BLOCK_NETS = {
+    "two_block_poisson": Workload(
+        "two_block_poisson", "poisson", (16,), (0.0, 0.8), 8, 106, two_block_poisson
+    )
+}
+
+
+def overflow_chain(rng, head):
     """Builder of a rectifier chain that scales its input x in [0, 1] by
     2e308 (past the float range for x > 0.9), two IFL neurons, the first of
     which, at voltage x * 2e306 * t * (t + 1) / 2 after step t, leaves the
     float range at a step from 14 (x = 0.9) to past the budget of 32
-    (x < 0.17), and an IFL head."""
+    (x < 0.17), and a head of three ``head`` neurons."""
     builder = NetworkBuilder((1,), coding=Coding.RATE, max_timesteps=32)
     for gain in [1e38] * 8 + [2e4]:
         builder.dense(1, RELU, weights=[[gain]])
     return (
         builder.dense(2, IFL, weights=[[0.01], [1e-5]])
-        .dense(3, IFL, weights=rng.uniform(0.0, 0.5, (3, 2)))
+        .dense(3, head, weights=rng.uniform(0.0, 0.5, (3, 2)))
         .build()
     )
 
 
+def overflow_net(rng):
+    """Builder of :func:`overflow_chain` with an IFL head: one block."""
+    return overflow_chain(rng, IFL)
+
+
+def two_block_overflow_net(rng):
+    """Builder of :func:`overflow_chain` with a second block: an IFL head of
+    bias 1e306, at voltage 1e306 * t * (t + 1) / 2 after step t, which
+    leaves the float range at step 19 whatever the input. A block after the
+    first sees only spikes, whose drive cannot leave the float range, so its
+    own bias sets that step; the input decides whether the first block
+    fails before it (x > 0.53), at the same step, where the first block's
+    lower layer is reported (0.47 < x <= 0.53), or not (x <= 0.47)."""
+    return overflow_chain(rng, NeuronModelSpec(kind=NeuronKind.IFL, bias=1e306))
+
+
 OVERFLOW_NETS = {
-    "overflow_net": Workload("overflow_net", "analog", (1,), (0.0, 1.0), 8, 105, overflow_net)
+    w.name: w
+    for w in (
+        Workload("overflow_net", "analog", (1,), (0.0, 1.0), 8, 105, overflow_net),
+        Workload("two_block_overflow_net", "analog", (1,), (0.0, 1.0), 8, 107,
+                 two_block_overflow_net),
+    )
 }
 
 
@@ -148,13 +193,15 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: no emacprof package under {base_src}", file=sys.stderr)
         return 2
     with tempfile.TemporaryDirectory() as tmp:
-        for name, workload in {**WORKLOADS, **POOL_NETS, **OVERFLOW_NETS}.items():
+        nets = {**WORKLOADS, **POOL_NETS, **BLOCK_NETS, **OVERFLOW_NETS}
+        for name, workload in nets.items():
             codes = (0, 3) if name in OVERFLOW_NETS else (0,)
             for seed in SEEDS:
                 case = Path(tmp) / f"{name}-{seed}"
                 gen = generate(workload, seed, case / "data")
                 # None: the manifest's own coding
-                for coding in [None, "roc"] if name == "conv_poisson_rate" else [None]:
+                roc_too = name == "conv_poisson_rate" or name in BLOCK_NETS
+                for coding in [None, "roc"] if roc_too else [None]:
                     flags = [] if coding is None else ["--coding", coding]
                     profile = [*profile_argv(workload, gen, seed, Path("out")), *flags]
                     trace = ["trace", *profile[1:], "--sample", "1", "--raster"]
