@@ -357,6 +357,7 @@ def cmd_predict(args) -> int:
         {
             "E_joules": _num(energy),
             "sigma_joules": _num(sigma),
+            "dof": model.n_obs - 2,  # sigma_joules is the scale of a t with these
             "synaptic_events_mean": _num(stats.mean_synaptic_events),
             "update_count_mean": _num(stats.mean_update_count),
             "reference_kind": stats.reference_kind,

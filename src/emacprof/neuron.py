@@ -231,12 +231,18 @@ def _spike_and_reset(
     Each ufunc takes its output positionally, which dispatches faster than
     the keyword. Under ``spike_once`` the mask is one call with no
     temporary: on booleans, ``spike > has_spiked`` is ``spike & ~has_spiked``.
+    A threshold of 1.0 subtracts the spikes themselves, one pass instead of
+    two, which changes no bit: ``spike * 1.0`` is exactly +0.0 or 1.0, the
+    value the boolean takes when cast for the subtraction.
     """
     spike = np.greater_equal(state.v_peak, model.v_th, spikes)
     if model.spike_once:
         np.greater(spike, state.has_spiked, spike)
-    np.multiply(spike, model.v_th, state.v)
-    np.subtract(state.v_peak, state.v, state.v)
+    if model.v_th == 1.0:
+        np.subtract(state.v_peak, spike, state.v)
+    else:
+        np.multiply(spike, model.v_th, state.v)
+        np.subtract(state.v_peak, state.v, state.v)
     np.logical_or(state.has_spiked, spike, state.has_spiked)
     return spike
 

@@ -658,6 +658,7 @@ def test_predict_applies_the_model_to_measured_counts(tmp_path):
     assert rc == 0
     pred = json.loads((out / "prediction.json").read_text())
     assert pred["n_ok"] == 2
+    assert pred["dof"] == 0  # two observations, two parameters
     S, U = pred["synaptic_events_mean"], pred["update_count_mean"]
     assert pred["E_joules"] == pytest.approx(2.0 * S + 3.0 * U, rel=1e-12)
     # an exactly interpolating two-point fit carries no parameter spread
@@ -681,7 +682,7 @@ def test_predict_warns_that_a_two_observation_sigma_is_noise(tmp_path, capsys, e
     warned = "sigma_joules is rounding noise" in capsys.readouterr().err
     assert warned == (model.n_obs == 2)
     assert set(json.loads((out / "prediction.json").read_text())) == {
-        "E_joules", "sigma_joules", "synaptic_events_mean", "update_count_mean",
+        "E_joules", "sigma_joules", "dof", "synaptic_events_mean", "update_count_mean",
         "reference_kind", "n_ok", "n_samples",
     }
 

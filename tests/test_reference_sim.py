@@ -19,6 +19,7 @@ from emacprof import (
     run_dataset,
     run_inference,
 )
+from emacprof import engine
 from emacprof.engine import SampleOutcome
 from emacprof.netspec import lcl_mask
 from reference_sim import simulate
@@ -182,3 +183,41 @@ def test_event_driven_layers_match_the_reference_simulator():
     stats = run_dataset(net, samples)
     assert stats.outcomes == [SampleOutcome(r.T_used, r.decision) for r in want]
     assert stats.emac_exact.mean == np.mean([r.energy.E_tot for r in want])
+
+
+def test_finite_voltages_whose_squares_overflow_run_to_the_budget(monkeypatch):
+    # The step loop checks finiteness by a sum of squares of the half-step
+    # voltages. Voltages near 1e160 are finite, but their squares leave the
+    # float range: every tick goes to the row scan, which must find no row.
+    scan, scans = engine._non_finite_rows, []
+
+    def counted(values, live):
+        found = scan(values, live)
+        scans.append(found)
+        return found
+
+    monkeypatch.setattr(engine, "_non_finite_rows", counted)
+    rng = np.random.default_rng(23)
+    model = NeuronModelSpec(kind=NeuronKind.IFL, v_th=2.0**531, bias=2.0**525)
+    net = (
+        NetworkBuilder((4,), coding=Coding.RATE, max_timesteps=16)
+        .dense(3, model, weights=dyadic(rng, (3, 4)))
+        .build()
+    )
+    samples = [encode(rng.integers(-4, 5, 4) / 4, "analog") for _ in range(3)]
+    want = [simulate(net, sample) for sample in samples]
+    got = run_inference(net, samples[0])
+    ref = want[0]
+    assert got.trace.T_used == ref.T_used == 16
+    assert np.array_equal(got.trace.counts, ref.counts)
+    assert ref.counts.sum() > 0  # the threshold is reached, and reset
+    assert np.array_equal(got.output_voltages, ref.output_voltages)
+    volts = got.output_voltages
+    assert np.isfinite(volts).all() and volts.max() > 1e159
+    with np.errstate(over="ignore"):
+        assert not np.isfinite(np.dot(volts[:, 0], volts[:, 0]))
+    assert len(scans) >= 16 and not any(scans)
+
+    stats = run_dataset(net, samples)
+    assert stats.outcomes == [SampleOutcome(r.T_used, r.decision) for r in want]
+    assert stats.n_ok == 3

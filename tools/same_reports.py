@@ -16,11 +16,17 @@ the pool takes floats in the static stage, and once with a spiking
 convolution and Poisson inputs, so that it takes spikes in the step loop.
 Each of these networks steps one block (consecutive spiking layers of one
 neuron model); :data:`BLOCK_NETS` and ``two_block_overflow_net`` step two.
-On ``conv_poisson_rate`` and on :data:`BLOCK_NETS` both also run with
-``--coding roc``: samples then decide early (at seed 0, at steps 30-36 of
-64 on ``conv_poisson_rate`` and 9-11 of 32 on ``two_block_poisson``), so
-rows leave the group while pools, layers of uneven fan-out and later
-blocks still step, which no run under the manifest's own coding reaches.
+:data:`STEP_PATH_NETS` take paths that every other network here leaves
+alone: ``threshold_net``'s spiking layers have thresholds other than 1.0,
+whose reset multiplies the spikes by the threshold, and
+``square_overflow_net`` holds finite voltages whose squares leave the float
+range, so that every tick's finiteness check falls back to the row scan.
+On ``conv_poisson_rate``, on :data:`BLOCK_NETS` and on ``threshold_net``
+both also run with ``--coding roc``: samples then decide early (at seed 0,
+at steps 30-36 of 64 on ``conv_poisson_rate`` and 9-11 of 32 on
+``two_block_poisson``), so rows leave the group while pools, layers of
+uneven fan-out and later blocks still step, which no run under the
+manifest's own coding reaches.
 :data:`OVERFLOW_NETS` are networks whose samples leave the finite range:
 some in the static stage, most in the step loop at steps that vary with the
 input, and, on ``overflow_net``, some not at all, so their runs exit 3 with
@@ -42,6 +48,7 @@ import os
 import subprocess
 import sys
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -144,6 +151,51 @@ OVERFLOW_NETS = {
 }
 
 
+def threshold_net(rng):
+    """Builder of :func:`two_block_poisson`'s layers with thresholds other than
+    1.0, whose reset subtracts ``v_th * spike`` (a threshold of 1.0 subtracts
+    the spikes themselves): an IFL dense layer of threshold 0.75 that spikes
+    once, an LIF recurrent layer of 0.5 and an LIF dense head of 2.5."""
+    return (
+        NetworkBuilder((16,), coding=Coding.RATE, max_timesteps=32)
+        .dense(12, replace(IFL, v_th=0.75, spike_once=True),
+               weights=rng.normal(0.05, 0.1, (12, 16)))
+        .recurrent_dense(10, replace(LIF, v_th=0.5), weights=rng.normal(0.3, 0.3, (10, 12)),
+                         recurrent_weights=rng.normal(0.0, 0.3, (10, 10)))
+        .dense(4, replace(LIF, v_th=2.5), weights=rng.normal(1.0, 0.5, (4, 10)))
+        .build()
+    )
+
+
+def square_overflow_net(rng):
+    """Builder of a rectifier chain that scales its input x in [0, 1] by
+    1e160, two IFL neurons of threshold 1e161 at voltages up to
+    x * 1e160 * t * (t + 1) / 2 after step t, which stay finite but whose
+    squares leave the float range from step 1 on (x > 1e-6), so that every
+    tick's finiteness check sends it to the row scan, and an IFL head of
+    three neurons that their spikes drive."""
+    builder = NetworkBuilder((1,), coding=Coding.RATE, max_timesteps=32)
+    for gain in [1e38] * 4 + [1e8]:
+        builder.dense(1, RELU, weights=[[gain]])
+    return (
+        builder.dense(2, replace(IFL, v_th=1e161), weights=[[1.0], [0.25]])
+        .dense(3, IFL, weights=rng.uniform(0.0, 1.0, (3, 2)))
+        .build()
+    )
+
+
+#: networks on paths of the neuron step and of the finiteness check that no
+#: workload takes; both run to their budgets without failing
+STEP_PATH_NETS = {
+    w.name: w
+    for w in (
+        Workload("threshold_net", "poisson", (16,), (0.0, 0.8), 8, 108, threshold_net),
+        Workload("square_overflow_net", "analog", (1,), (0.0, 1.0), 8, 109,
+                 square_overflow_net),
+    )
+}
+
+
 def run(src: Path, argv: list[str], cwd: Path) -> tuple[int, bytes, bytes, dict[str, bytes]]:
     """Exit code, stdout, stderr and written files of ``emacprof`` from ``src``, run in ``cwd``."""
     cwd.mkdir(parents=True)
@@ -193,14 +245,14 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: no emacprof package under {base_src}", file=sys.stderr)
         return 2
     with tempfile.TemporaryDirectory() as tmp:
-        nets = {**WORKLOADS, **POOL_NETS, **BLOCK_NETS, **OVERFLOW_NETS}
+        nets = {**WORKLOADS, **POOL_NETS, **BLOCK_NETS, **OVERFLOW_NETS, **STEP_PATH_NETS}
         for name, workload in nets.items():
             codes = (0, 3) if name in OVERFLOW_NETS else (0,)
             for seed in SEEDS:
                 case = Path(tmp) / f"{name}-{seed}"
                 gen = generate(workload, seed, case / "data")
                 # None: the manifest's own coding
-                roc_too = name == "conv_poisson_rate" or name in BLOCK_NETS
+                roc_too = name in ("conv_poisson_rate", "threshold_net") or name in BLOCK_NETS
                 for coding in [None, "roc"] if roc_too else [None]:
                     flags = [] if coding is None else ["--coding", coding]
                     profile = [*profile_argv(workload, gen, seed, Path("out")), *flags]
