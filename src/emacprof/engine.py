@@ -68,10 +68,11 @@ sample of the group calls in turn. A convolution writes its input into the
 interior of a zero-padded buffer and multiplies the kernel rows with a
 fixed window view of that buffer (the im2col product). A dense-like layer
 (dense, locally connected, and the recurrent term of a recurrent layer) is
-driven by events: for a boolean spike input it adds up the weight rows of
-the inputs that spiked, in blocks of at most 64 rows, so the cost follows
-the spike count and the temporary stays at 64 rows whatever the spike
-rate. A float input (the static stage, or an analog first layer) takes the
+driven by events in the step loop: its binder (see :func:`_bind_drive`),
+the one event-sum path, adds up the weight rows of the inputs that spiked,
+in blocks of at most 64 rows, so the cost follows the spike count and the
+temporary stays at 64 rows whatever the spike rate. A dense-like plan only
+serves float inputs (the static stage, or an analog first layer), with the
 full matrix-vector product. Both read the one float64 copy of the weights,
 stored input-major (see :func:`~emacprof.netspec.weight_tensor`). A pool
 takes the elementwise maximum over each window's columns and then over its
@@ -79,10 +80,13 @@ rows, of precomputed strided slices (``kw - 1 + kh - 1`` calls, where a
 pass over each tap would make ``kh * kw - 1``), and keeps the same one of
 equal values or NaNs as that pass. The static stage and the step loop use
 the same plans and pools, so results do not depend on which of them
-evaluates a layer. The event sums add in another order than a dense
-product, so with arbitrary weights voltages may differ from one in the last
-bit; with sums that are exact (weights that are multiples of a power of
-two, say) they are equal.
+evaluates a layer. The static stage writes each layer's output into
+buffers allocated once per group and released before the first tick, and
+checks each layer as a tick does, by one sum of the squares of its values,
+scanning them only when that sum is not finite. The event sums add in
+another order than a dense product, so with arbitrary weights voltages may
+differ from one in the last bit; with sums that are exact (weights that
+are multiples of a power of two, say) they are equal.
 
 Samples run in lockstep groups. :func:`run_inference` runs a group of one,
 and :func:`run_dataset` runs consecutive groups of samples that share an
@@ -347,11 +351,12 @@ def _step_plan(rt: _LayerRT) -> Callable | None:
     another. It takes an optional ``out``, a contiguous float64 row that
     receives the drive (by the same BLAS call as without it, so the two are
     bitwise equal); without ``out`` it returns a new array. A convolution's
-    padded buffer and window view are built here, once per group and layer.
-    The buffers belong to one :func:`_step_group` call, not to ``rt``, so
-    compiled layers stay read-only and one compiled network can serve any
-    number of calls; in the step loop, :func:`_bind_drive` binds each plan
-    to the group's input and drive buffers.
+    plan takes spikes or floats; its padded buffer and window view are built
+    here, once per group and layer. A dense-like plan is the full product
+    ``weights @ x`` of a float input: spikes reach a dense-like matrix only
+    through :func:`_bind_drive`, which sums them itself. The buffers belong
+    to one :func:`_step_group` call, not to ``rt``, so compiled layers stay
+    read-only and one compiled network can serve any number of calls.
     """
     if not rt.weighted:
         return None
@@ -373,7 +378,11 @@ def _step_plan(rt: _LayerRT) -> Callable | None:
             return out
 
         return conv_drive
-    return _event_drive(weights)
+
+    def dense_drive(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        return np.dot(weights, x.reshape(-1), out)
+
+    return dense_drive
 
 
 def _conv_windows(padded: np.ndarray, layer: LayerSpec) -> np.ndarray:
@@ -399,59 +408,41 @@ _EVENT_BLOCK = 64
 #: spikes: that costs about what one gather's fixed overhead does
 _EVENT_MIN_WEIGHTS = 1 << 14
 #: the ones an event-driven product sums the gathered rows with, shared by
-#: every plan and never written
+#: every binder and never written
 _ONES = np.ones(_EVENT_BLOCK)
 _ONES.flags.writeable = False
 
 
-def _event_drive(weights: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
-    """Drive of a column-major ``(neurons, inputs)`` matrix.
-
-    A boolean input sums the rows of ``weights.T`` (one per input, each
-    contiguous) picked by its spikes; a float input takes ``weights @ x``.
-    The spikes a matrix of at most ``_EVENT_MIN_WEIGHTS`` weights receives
-    never reach this plan: :func:`_bind_drive` takes their full product. ``out``
-    works as in :func:`_step_plan`.
-    """
-    rows = weights.T
-
-    def drive(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        # np.dot and x.reshape(-1).nonzero() dispatch faster than @ and
-        # np.flatnonzero, which a narrow layer notices at every step
-        if x.dtype != bool:
-            return np.dot(weights, x.reshape(-1), out=out)
-        idx = x.reshape(-1).nonzero()[0]
-        first = idx[:_EVENT_BLOCK]  # empty without spikes: the product is +0.0
-        total = np.dot(_ONES[: first.size], rows.take(first, axis=0), out=out)
-        for k in range(_EVENT_BLOCK, idx.size, _EVENT_BLOCK):
-            block = idx[k : k + _EVENT_BLOCK]
-            total += np.dot(_ONES[: block.size], rows.take(block, axis=0))
-        return total
-
-    return drive
-
-
 def _bind_drive(
-    plan: Callable, weights: np.ndarray | None, x: np.ndarray, out: np.ndarray
+    plan: Callable | None, weights: np.ndarray | None, x: np.ndarray, out: np.ndarray
 ) -> Callable[[np.ndarray, list[int]], None]:
-    """``plan`` bound to a group's spike input ``x`` and drive ``out``, as ``drive(counts, live)``.
+    """A drive bound to a group's spike input ``x`` and drive ``out``, as ``drive(counts, live)``.
 
     ``x`` and ``out`` are contiguous ``(rows, ...)`` buffers that the group
     keeps for its whole run, so the binder is built once per drive and group
     and holds every view a tick needs. Each call writes, into its row of
     ``out``, the drive of every row in ``live`` from what ``x`` holds.
-    ``weights`` is a dense-like plan's matrix, or ``None`` for a
-    convolution's. A matrix of at most ``_EVENT_MIN_WEIGHTS`` weights takes
-    the full product of every row, live or not, in one stacked ``np.matmul``
-    of ``x`` copied to float64, which numpy runs as one BLAS matrix-vector
-    call per row, the call ``np.dot`` makes for one row alone, so each row
-    adds its sum in a lone run's order (but for a 1x1 matrix, whose silent
-    product is +0.0 where ``np.dot`` gives the weight times 0.0). Nothing
-    reads a row that has left, and its spikes through finite weights keep
-    its drive finite for the group's one-call finiteness check. Any other
-    plan is called once per live row whose input has spikes (``counts``); a
-    silent row is not summed, and its drive is the +0.0 an empty sum gives,
-    whatever sign of zero the plan's own product would have; a neuron step
+    ``plan`` is the layer's plan (see :func:`_step_plan`), which only a
+    convolution's binder calls, and ``weights`` a dense-like layer's
+    column-major ``(neurons, inputs)`` matrix, or ``None`` for a convolution.
+
+    A matrix of at most ``_EVENT_MIN_WEIGHTS`` weights takes the full product
+    of every row, live or not, in one stacked ``np.matmul`` of ``x`` copied
+    to float64, which numpy runs as one BLAS matrix-vector call per row, the
+    call ``np.dot`` makes for one row alone, so each row adds its sum in a
+    lone run's order (but for a 1x1 matrix, whose silent product is +0.0
+    where ``np.dot`` gives the weight times 0.0). Nothing reads a row that
+    has left, and its spikes through finite weights keep its drive finite
+    for the group's one-call finiteness check.
+
+    A larger matrix is the one event-sum path: for each live row with spikes
+    (``counts``) it gathers the rows of ``weights.T`` (one per input, each
+    contiguous) of the inputs that spiked, in blocks of at most
+    ``_EVENT_BLOCK``, sums each block by one ``np.dot`` with ones and adds
+    the blocks left to right, so a row's sum is a lone run's whatever the
+    group size. A convolution's plan is called once per live row with
+    spikes. A silent row is not summed, and its drive is the +0.0 an empty
+    sum gives, whatever sign of zero a product would have; a neuron step
     adds either zero alike.
     """
     rows = len(out)
@@ -465,15 +456,39 @@ def _bind_drive(
             np.matmul(weights, cast, product)
 
         return stacked
-    pairs = [(x[p], out[p]) for p in range(rows)]
+    if weights is None:
+        pairs = [(x[p], out[p]) for p in range(rows)]
+
+        def planned(counts: np.ndarray, live: list[int]) -> None:
+            counts = counts.tolist()
+            for p in live:
+                if counts[p]:
+                    plan(*pairs[p])
+                else:
+                    pairs[p][1].fill(0.0)
+
+        return planned
+    # per row: its flat input's nonzero (x.reshape(-1).nonzero() dispatches
+    # faster than np.flatnonzero, which a narrow layer notices at every
+    # step) and its drive row
+    rows_of = [(flat.nonzero, row) for flat, row in zip(x.reshape(rows, -1), out)]
+    take, dot, ones = weights.T.take, np.dot, _ONES
 
     def events(counts: np.ndarray, live: list[int]) -> None:
         counts = counts.tolist()
         for p in live:
-            if counts[p]:
-                plan(*pairs[p])
-            else:
-                pairs[p][1].fill(0.0)
+            spiked, total = rows_of[p]
+            if not counts[p]:
+                total.fill(0.0)
+                continue
+            idx = spiked()[0]
+            if idx.size <= _EVENT_BLOCK:  # one block: idx takes no slicing
+                dot(ones[: idx.size], take(idx, 0), total)
+                continue
+            dot(ones, take(idx[:_EVENT_BLOCK], 0), total)
+            for k in range(_EVENT_BLOCK, idx.size, _EVENT_BLOCK):
+                block = idx[k : k + _EVENT_BLOCK]
+                total += dot(ones[: block.size], take(block, 0))
 
     return events
 
@@ -503,21 +518,52 @@ def _blocks(spiking: list[_LayerRT]) -> list[tuple[int, int, NeuronModelSpec]]:
     return blocks
 
 
-def _static_stage(static: list[_LayerRT], plans: list, x: np.ndarray) -> np.ndarray:
+def _static_stage(static: list[_LayerRT]) -> Callable[[np.ndarray], np.ndarray]:
+    """The static stage ``static`` of one group, as a map of a sample's input to its output.
+
+    Every layer writes into buffers allocated here, once per group: a
+    weighted layer's plan writes its drive into one, which its activation
+    then rectifies in place, and a pool writes its column maximum and its
+    output into two. The output of one call views them, so it is read
+    before the next call. Each weighted layer and pool is checked as a tick
+    is: a NaN or an infinity always reaches the sum of the squares of its
+    values, and only a sum that is not finite (as that of finite values
+    above 1.3e154 can be) sends them to the scan that decides.
+    A flatten only reshapes values its input layer checked (or the analog
+    input, which is finite), so it is not checked again.
+    """
+    stages = []
     for r in static:
         layer = r.spec
         if layer.kind is LayerKind.FLATTEN:
-            x = x.reshape(-1)
-        elif layer.kind is LayerKind.MAX_POOL2D:
-            x = _max_pool(x, r.pool_taps)
+            stages.append((r, None, None, None, None))
+            continue
+        values = np.empty(r.neurons)
+        shaped = values.reshape(layer.output_shape)
+        if layer.kind is LayerKind.MAX_POOL2D:
+            # the column maximum's shape, read off a view that allocates nothing
+            columns = np.broadcast_to(0.0, layer.input_shape)[r.pool_taps[0][0]].shape
+            stages.append((r, None, (r.pool_taps, np.empty(columns)), values, shaped))
         else:
-            x = ann_activation(plans[r.index](x), layer.neuron_model)
-            x = x.reshape(layer.output_shape)
-        if not np.isfinite(x).all():
-            raise NonFiniteState(
-                f"layer {r.index} produced non-finite values in the static stage"
-            )
-    return x
+            stages.append((r, _step_plan(r), None, values, shaped))
+
+    def run(x: np.ndarray) -> np.ndarray:
+        for r, plan, pool, values, shaped in stages:
+            if values is None:  # a flatten
+                x = x.reshape(-1)
+                continue
+            if pool is None:
+                ann_activation(plan(x, values), r.spec.neuron_model, values)
+            else:
+                _max_pool(x, pool[0], shaped, pool[1])
+            x = shaped
+            if not isfinite(np.dot(values, values)) and not np.isfinite(values).all():
+                raise NonFiniteState(
+                    f"layer {r.index} produced non-finite values in the static stage"
+                )
+        return x
+
+    return run
 
 
 #: the least budget of step state one lockstep group holds, over all its samples
@@ -754,9 +800,9 @@ def _step_group(
     stepped = rt[start:] if start is not None else []
     spiking = [r for r in stepped if r.spiking]
     K = len(spiking)
-    # one plan per weighted layer, which the rows of the group call in turn
-    # (but the stacked product of a small matrix)
-    plans = [_step_plan(r) for r in rt]
+    # one plan per stepped weighted layer: the analog-fed first layer's, and
+    # each convolution's, which the rows of the group call in turn
+    plans = {r.index: _step_plan(r) for r in stepped}
     # Histories, allocated at the step budget: sample k's steps are
     # [:T_used[k], k]. A static-only network runs one step, whose output
     # voltages are its head activation.
@@ -786,6 +832,7 @@ def _step_group(
     # Overflow is expected where a sample leaves the finite range, and the
     # checks below report it per sample, so numpy stays quiet.
     with np.errstate(over="ignore", invalid="ignore"):
+        static_stage = _static_stage(rt[:start])
         for k, encoded in enumerate(samples):
             if tuple(encoded.values.shape) != net.input_shape:
                 raise ShapeMismatch(
@@ -793,7 +840,7 @@ def _step_group(
                     f"the network input {net.input_shape}"
                 )
             try:
-                x = _static_stage(rt[:start], plans, encoded.values)
+                x = static_stage(encoded.values)
             except NonFiniteState as exc:
                 failed[k] = exc
                 continue
@@ -801,8 +848,9 @@ def _step_group(
                 volt_hist[0, k] = x.reshape(-1)
                 continue
             if drive0 is not None:
-                plans[start](x, out=drive0[k])
+                plans[start](x, drive0[k])
             live.append(k)
+        del static_stage  # its buffers, before the first tick
 
         # Below, arrays hold a row per sample of the group, which keeps its
         # place for the whole run: a sample that decides or fails leaves
@@ -874,7 +922,7 @@ def _step_group(
                     ff = _bind_drive(plans[r.index], weights, x, drive)
                 if r.rec_weights is not None:
                     term = rec_buf[: B * r.neurons].reshape(B, r.neurons)
-                    rec = _bind_drive(_event_drive(r.rec_weights), r.rec_weights, out, term), term
+                    rec = _bind_drive(None, r.rec_weights, out, term), term
                     terms.append(term)
                 layers.append((drive, ff, counts[r.index], counts[r.index + 1], rec))
                 x = out.reshape(B, *r.spec.output_shape)

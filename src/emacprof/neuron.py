@@ -311,6 +311,14 @@ def step_fn(kind: NeuronKind):
     raise SchemaError("ann_relu has no stepwise dynamics")
 
 
-def ann_activation(weighted_input: np.ndarray, model: NeuronModelSpec) -> np.ndarray:
-    """Rectified activation for a conventional layer: max(drive + bias, 0)."""
-    return np.maximum(weighted_input + model.bias, 0.0)
+def ann_activation(
+    weighted_input: np.ndarray, model: NeuronModelSpec, out: np.ndarray | None = None
+) -> np.ndarray:
+    """Rectified activation for a conventional layer: max(drive + bias, 0).
+
+    With ``out`` (which may be ``weighted_input`` itself) the sum and the
+    maximum are written there, by the same two ufuncs on the same operands,
+    so the result is bitwise the one returned without it.
+    """
+    out = np.add(weighted_input, model.bias, out)
+    return np.maximum(out, 0.0, out=out)

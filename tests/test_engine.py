@@ -34,7 +34,6 @@ from emacprof.engine import (
     _EVENT_MIN_WEIGHTS,
     _compile,
     _bind_drive,
-    _event_drive,
     _group_size,
     _max_pool,
     _run_group,
@@ -939,7 +938,9 @@ def spike_vector(rng, n, count):
 
 def drive_case(kind, rng, dyadic):
     """The (neurons, inputs) weights of a one-layer net of ``kind``, as the
-    engine holds them, and its drive (the recurrent term for ``recurrent``)."""
+    engine holds them (the recurrent term's for ``recurrent``), and the
+    layer's plan for float inputs (``None`` for ``recurrent``, whose term
+    only ever takes spikes)."""
 
     def weights(shape):  # as stored: float32
         if dyadic:
@@ -969,7 +970,14 @@ def drive_case(kind, rng, dyadic):
         .recurrent_dense(n, lif(), weights=weights((n, 3)), recurrent_weights=w)
         .build()
     )
-    return w, _event_drive(_compile(net)[0].rec_weights)
+    return w, None
+
+
+def lone_drive(w, x):
+    """The drive of spikes ``x`` through ``w``'s binder in a group of one."""
+    out = np.empty((1, w.shape[0]))
+    _bind_drive(None, w, x[None], out)(np.array([np.count_nonzero(x)]), [0])
+    return out[0]
 
 
 @settings(max_examples=60, deadline=None)
@@ -989,16 +997,17 @@ def test_event_drive_equals_the_dense_product(kind, count, dyadic, seed):
     n_in = w.shape[1]
     x = spike_vector(rng, n_in, count)
     analog = rng.integers(-16, 17, n_in) / 8 if dyadic else rng.normal(size=n_in)
-    for inputs in (x, analog):
+    # spikes through the binder; floats through the plan, where there is one
+    cases = [(x, lone_drive(w, x))] + ([] if drive is None else [(analog, drive(analog))])
+    for inputs, got in cases:
         expected = w @ inputs.astype(np.float64)
-        got = drive(inputs)
         assert got.shape == expected.shape
         if dyadic:
             assert np.array_equal(got, expected)
         else:
             np.testing.assert_allclose(got, expected, rtol=1e-12, atol=1e-12)
     if not x.any():
-        assert not np.signbit(drive(x)).any()  # +0.0, not -0.0
+        assert not np.signbit(cases[0][1]).any()  # +0.0, not -0.0
 
 
 @pytest.mark.parametrize(
@@ -1018,6 +1027,9 @@ def test_event_drive_equals_the_dense_product(kind, count, dyadic, seed):
     ],
 )
 def test_a_drive_written_in_place_equals_a_new_one(kind, count):
+    # a plan (a convolution's, or a float input's) writes into ``out`` what
+    # it returns without it; a dense-like binder writes a group row of
+    # stale values as it writes a fresh buffer
     rng = np.random.default_rng(16)
     if kind == "conv":
         shape = (3, 9, 11)
@@ -1037,14 +1049,23 @@ def test_a_drive_written_in_place_equals_a_new_one(kind, count):
         x = rng.random(shape) < count
     else:
         x = spike_vector(rng, shape[0], count)
-    want = plan(x)
+    by_plan = kind == "conv" or count == "float"
+    want = plan(x) if by_plan else lone_drive(w, x)
     # a row of a larger buffer, as a group writes it; without spikes the
-    # product must overwrite a -0.0 with +0.0
+    # drive must overwrite a -0.0 with +0.0
     buf = np.full((3, want.size), np.nan if x.any() else -0.0)
-    got = plan(x, out=buf[1])
-    assert np.shares_memory(got, buf[1])
+    if by_plan:
+        got = plan(x, out=buf[1])
+        assert np.shares_memory(got, buf[1])
+    else:  # row 1 of a group whose rows 0 and 2 have left
+        group = np.zeros((3, *shape), bool)
+        group[1] = x
+        _bind_drive(None, w, group, buf)(group.sum(axis=1), [1])
     assert buf[1].tobytes() == want.tobytes()
-    assert np.isnan(buf[[0, 2]]).all() or not x.any()
+    if kind == "small dense":  # the stacked product writes every row
+        assert np.isfinite(buf[[0, 2]]).all()
+    else:
+        assert np.isnan(buf[[0, 2]]).all() or not x.any()
     if not x.any():
         assert not np.signbit(buf[1]).any()
 
@@ -1069,7 +1090,7 @@ def test_a_group_drive_equals_each_row_alone(kind):
         x = rng.random((5, *shape)) < 0.05
         n_out = int(np.prod(net.layers[0].output_shape))
     else:
-        w, plan = drive_case(kind, rng, dyadic=False)
+        w, plan = drive_case(kind, rng, dyadic=False)[0], None
         x = rng.random((5, w.shape[1])) < 0.05
         n_out = w.shape[0]
     x[1] = False
@@ -1083,12 +1104,14 @@ def test_a_group_drive_equals_each_row_alone(kind):
         called.append(x)
         return plan(x, out=out)
 
-    _bind_drive(recorded, w, x, out)(x.reshape(5, -1).sum(axis=1), live)
+    _bind_drive(recorded if plan else None, w, x, out)(x.reshape(5, -1).sum(axis=1), live)
     for p in live:
-        if kind == "conv" and p == 1:  # +0.0, without the plan
+        if p == 1:  # +0.0, whatever sign of zero a product would have
             assert out[p].tobytes() == np.zeros(n_out).tobytes()
+        elif plan is not None:
+            assert out[p].tobytes() == plan(x[p]).tobytes()
         else:
-            assert out[p].tobytes() == plan(x[p]).tobytes()  # +0.0 for the silent row
+            assert out[p].tobytes() == lone_drive(w, x[p]).tobytes()
     # the silent row is not summed: the plan never sees its input
     assert not any(np.shares_memory(a, x[1]) for a in called)
     if kind == "small dense":
@@ -1097,29 +1120,69 @@ def test_a_group_drive_equals_each_row_alone(kind):
         assert np.isnan(out[3]).all()
 
 
+def wide_weights(rng, shape):
+    """Float32-rounded normals, scaled over a range of exponents wider than a
+    float64's mantissa, so that their sums round, and another summation
+    order shows."""
+    return (rng.normal(0.0, 0.3, shape) * 2.0 ** rng.integers(-40, 40, shape)).astype(
+        np.float32
+    )
+
+
 def small_matrix(kind, rng):
-    """A small dense or recurrent matrix as the engine holds it, under
-    ``_EVENT_MIN_WEIGHTS`` weights: float32-rounded normals, scaled over a
-    range of exponents wider than a float64's mantissa, so that their sums
-    round, and another summation order shows."""
-
-    def weights(shape):
-        return (rng.normal(0.0, 0.3, shape) * 2.0 ** rng.integers(-40, 40, shape)).astype(
-            np.float32
-        )
-
+    """A small dense or recurrent matrix of :func:`wide_weights` as the
+    engine holds it, under ``_EVENT_MIN_WEIGHTS`` weights."""
     n = int(rng.integers(20, 120))
     if kind == "dense":
         m = int(rng.integers(2, 40))
-        net = NetworkBuilder((n,)).dense(m, lif(), weights=weights((m, n))).build()
+        net = NetworkBuilder((n,)).dense(m, lif(), weights=wide_weights(rng, (m, n))).build()
         w = _compile(net)[0].weights
     else:
         builder = NetworkBuilder((3,)).recurrent_dense(
-            n, lif(), weights=weights((n, 3)), recurrent_weights=weights((n, n))
+            n, lif(), weights=wide_weights(rng, (n, 3)),
+            recurrent_weights=wide_weights(rng, (n, n)),
         )
         w = _compile(builder.build())[0].rec_weights
     assert w.size <= _EVENT_MIN_WEIGHTS
     return w
+
+
+def block_sums(w, spikes):
+    """The drive of ``spikes`` through ``w`` by one ``np.dot`` of ones with
+    the gathered rows of ``w.T`` per 64-row block, added left to right."""
+    idx = np.flatnonzero(spikes)
+    total = np.zeros(w.shape[0])  # +0.0 without spikes
+    for k in range(0, idx.size, 64):
+        block = idx[k : k + 64]
+        block_sum = np.dot(np.ones(block.size), w.T.take(block, axis=0))
+        total = block_sum if k == 0 else total + block_sum
+    return total
+
+
+#: spikes per row: none, one, and either side of one and of two 64-row blocks
+EDGE_COUNTS = [129, 64, 0, 65, 1, 63, 128, 300, 127, 200, 70, 130, 2, 40]
+
+
+@pytest.mark.parametrize("rows", [1, 2, 14])
+def test_each_row_sums_its_spiking_rows_in_64_row_blocks(rows):
+    rng = np.random.default_rng(24 + rows)
+    n_in, n_out = 300, 96
+    net = NetworkBuilder((n_in,)).dense(
+        n_out, lif(), weights=wide_weights(rng, (n_out, n_in))
+    ).build()
+    w = _compile(net)[0].weights
+    assert w.size > _EVENT_MIN_WEIGHTS
+    x = np.stack([spike_vector(rng, n_in, count) for count in EDGE_COUNTS[:rows]])
+    counts = x.sum(axis=1)
+    assert counts.tolist() == EDGE_COUNTS[:rows]
+    for live in (list(range(rows)), list(range(0, rows, 3)), list(range(1, rows, 2))):
+        out = np.full((rows, n_out), np.nan)
+        _bind_drive(None, w, x, out)(counts, live)
+        for p in range(rows):
+            if p in live:
+                assert out[p].tobytes() == block_sums(w, x[p]).tobytes()
+            else:  # a row that has left keeps its bytes
+                assert np.isnan(out[p]).all()
 
 
 @pytest.mark.parametrize("rows", [1, 2, 14])
@@ -1201,16 +1264,18 @@ def test_dense_like_weights_are_one_input_major_copy():
 
 def test_event_drive_temporary_is_bounded_by_the_row_block():
     net = NetworkBuilder((784,)).dense(512, lif(), weights=np.full((512, 784), 0.125)).build()
-    drive = _step_plan(_compile(net)[0])
-    x = np.ones(784, bool)
-    drive(x)
+    x = np.ones((1, 784), bool)
+    out = np.empty((1, 512))
+    drive = _bind_drive(None, _compile(net)[0].weights, x, out)
+    counts = np.array([784])
+    drive(counts, [0])
     tracemalloc.start()
     try:
-        out = drive(x)
+        drive(counts, [0])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert np.array_equal(out, np.full(512, 98.0))
+    assert np.array_equal(out[0], np.full(512, 98.0))
     assert peak <= 64 * 512 * 8 + 64 * 1024
 
 
@@ -1690,6 +1755,86 @@ def test_a_network_without_spiking_layers_runs_one_step(monkeypatch):
         assert res.decision.class_index == int(np.argmax(expected))
         classes.add(res.decision.class_index)
     assert len(classes) > 1
+
+
+def static_net(kernels, dense_w):
+    """A rectifier convolution (layer 0), a 2x2 pool (1), a flatten (2) and
+    a rectifier dense head (3): a network that is all static stage."""
+    return (
+        NetworkBuilder((1, 6, 6), coding=Coding.RATE, max_timesteps=8)
+        .conv2d(2, (3, 3), ANN, weights=kernels)
+        .max_pool((2, 2))
+        .flatten()
+        .dense(3, ANN, weights=dense_w)
+        .build()
+    )
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("layer", ["conv", "pool", "dense"])
+def test_a_static_layer_that_makes_a_non_finite_value_is_named(monkeypatch, layer, bad):
+    # the layer whose output first holds a NaN or a +inf fails its sample,
+    # alone and in a group of 3 whose other samples run as they do alone.
+    # Whether a BLAS sum of +inf and -inf products is NaN depends on its
+    # order, so the layer here writes the value itself, for the one sample
+    # whose input to it exceeds 50.
+    index = {"conv": 0, "pool": 1, "dense": 3}[layer]
+
+    def making(fn):
+        def made(x, *args):
+            got = fn(x, *args)
+            if x.max() > 50:
+                got.flat[-1] = bad
+            return got
+
+        return made
+
+    if layer == "pool":
+        monkeypatch.setattr(engine, "_max_pool", making(engine._max_pool))
+    else:
+        plan = engine._step_plan
+        monkeypatch.setattr(
+            engine, "_step_plan", lambda r: making(plan(r)) if r.index == index else plan(r)
+        )
+    message = f"layer {index} produced non-finite values in the static stage"
+    net = static_net(np.full(18, 0.5), np.full((3, 8), 0.25))
+    rng = np.random.default_rng(index)
+    good = [encode(rng.uniform(0.0, 1.0, (1, 6, 6))) for _ in range(2)]
+    worst = encode(np.full((1, 6, 6), 100.0))  # 450 after the convolution
+    with pytest.raises(NonFiniteState, match=f"^{message}$"):
+        run_inference(net, worst)
+    force_group_size(monkeypatch, net, 8, 3)
+    stats = run_dataset(net, [good[0], worst, good[1]])
+    assert stats.failures == [(1, message)]
+    for k, sample in ((0, good[0]), (2, good[1])):
+        assert stats.outcomes[k] == SampleOutcome(1, run_inference(net, sample).decision)
+
+
+def test_a_static_stage_whose_squares_overflow_runs(monkeypatch):
+    # finite values of about 1e160, whose sums of squares leave the float
+    # range at every static layer, fail nothing; dyadic weights and inputs
+    # keep every sum exact, so the head equals the reference bitwise
+    rng = np.random.default_rng(43)
+    kernels = rng.integers(1, 5, (2, 1, 3, 3)) / 8
+    dense_w = rng.integers(-4, 5, (3, 8)) / 8
+    net = static_net(kernels, dense_w)
+
+    def head(x):
+        windows = sliding_window_view(x[0], (3, 3))  # (4, 4, 3, 3)
+        conv = np.maximum(np.einsum("cij,yxij->cyx", kernels[:, 0], windows), 0.0)
+        pooled = conv.reshape(2, 2, 2, 2, 2).max(axis=(2, 4))
+        with np.errstate(over="ignore"):
+            assert not np.isfinite(np.dot(conv.reshape(-1), conv.reshape(-1)))
+        return np.maximum(dense_w @ pooled.reshape(-1), 0.0)
+
+    samples = [encode(rng.integers(1, 9, (1, 6, 6)) / 8 * 2.0**530) for _ in range(3)]
+    force_group_size(monkeypatch, net, 8, 3)
+    stats = run_dataset(net, samples)
+    assert stats.failures == []
+    for sample, outcome in zip(samples, stats.outcomes):
+        res = run_inference(net, sample)
+        assert np.array_equal(res.output_voltages[:, 0], head(sample.values))
+        assert outcome == SampleOutcome(1, res.decision)
 
 
 def test_group_size_follows_the_state_budget():

@@ -10,6 +10,7 @@ from emacprof import (
     NeuronModelSpec,
     NeuronState,
     SchemaError,
+    ann_activation,
     classify_synaptic_ops,
     classify_update_ops,
     energy_params,
@@ -414,3 +415,19 @@ def test_the_peak_voltage_check_equals_the_current_and_voltage_check(
     if state.v_peak.ndim == 2:  # and per row of a group
         rows_old = np.isfinite(state.i).all(axis=1) & np.isfinite(state.v).all(axis=1)
         assert np.array_equal(np.isfinite(state.v_peak).all(axis=1), rows_old)
+
+
+@pytest.mark.parametrize("bias", [0.0, -0.0, 0.25])
+def test_an_activation_written_in_place_is_bitwise_a_new_one(bias):
+    # signed zeros, NaNs and infinities, into a stale buffer and onto the
+    # input itself: each is bitwise max(drive + bias, 0) as a new array
+    model = NeuronModelSpec(kind=NeuronKind.ANN_RELU, bias=bias)
+    x = np.array([0.0, -0.0, np.nan, np.inf, -np.inf, 0.5, -0.5, -0.25, 1e-320, -1e-320])
+    want = np.maximum(x + bias, 0.0)
+    assert ann_activation(x, model).tobytes() == want.tobytes()
+    buf = np.full_like(x, -7.0)
+    assert ann_activation(x, model, out=buf) is buf
+    assert buf.tobytes() == want.tobytes()
+    inplace = x.copy()
+    assert ann_activation(inplace, model, out=inplace) is inplace
+    assert inplace.tobytes() == want.tobytes()

@@ -20,12 +20,16 @@ neuron model); :data:`BLOCK_NETS` and ``two_block_overflow_net`` step two.
 alone: ``threshold_net``'s spiking layers have thresholds other than 1.0,
 whose reset multiplies the spikes by the threshold, and
 ``square_overflow_net`` holds finite voltages whose squares leave the float
-range, so that every tick's finiteness check falls back to the row scan.
-On ``conv_poisson_rate``, on :data:`BLOCK_NETS` and on ``threshold_net``
-both also run with ``--coding roc``: samples then decide early (at seed 0,
-at steps 30-36 of 64 on ``conv_poisson_rate`` and 9-11 of 32 on
-``two_block_poisson``), so rows leave the group while pools, layers of
-uneven fan-out and later blocks still step, which no run under the
+range, so that every tick's finiteness check falls back to the row scan,
+and ``block_edge_net``'s first two layers sum their input spikes in blocks
+of 64 rows, with per-step counts on either side of 64 and of 128 among the
+rows of one group.
+On ``conv_poisson_rate``, on :data:`BLOCK_NETS`, on ``threshold_net`` and
+on ``block_edge_net`` both also run with ``--coding roc``: samples then
+decide early (at seed 0, at steps 30-36 of 64 on ``conv_poisson_rate``,
+9-11 of 32 on ``two_block_poisson`` and 5-19 of 32 on ``block_edge_net``),
+so rows leave the group while pools, layers of uneven fan-out, later blocks
+and the other rows' event sums still step, which no run under the
 manifest's own coding reaches.
 :data:`OVERFLOW_NETS` are networks whose samples leave the finite range:
 some in the static stage, most in the step loop at steps that vary with the
@@ -184,14 +188,39 @@ def square_overflow_net(rng):
     )
 
 
-#: networks on paths of the neuron step and of the finiteness check that no
-#: workload takes; both run to their budgets without failing
+def block_edge_net(rng):
+    """Builder of a Poisson dense stack whose first two layers, of 256 x 160
+    and 160 x 112 weights, are above ``_EVENT_MIN_WEIGHTS`` (16,384) and so
+    sum their input spikes in blocks of 64 rows, and an LIF head of 10."""
+    return (
+        NetworkBuilder((256,), coding=Coding.RATE, max_timesteps=32)
+        .dense(160, LIF, weights=rng.normal(0.02, 0.05, (160, 256)))
+        .dense(112, LIF, weights=rng.normal(0.03, 0.06, (112, 160)))
+        .dense(10, LIF, weights=rng.normal(0.05, 0.1, (10, 112)))
+        .build()
+    )
+
+
+class EdgeInputs(Workload):
+    """A workload whose sample ``k`` scales its uniform inputs by ``SCALES[k]``,
+    so that the rows of one group see input spike counts from well below 64
+    to well above 128 in each step, several of them close to either edge."""
+
+    SCALES = (0.6, 1.0, 0.95, 1.05, 2.0, 1.9, 1.6, 0.3)
+
+    def inputs(self, seed: int) -> list:
+        return [x * scale for x, scale in zip(super().inputs(seed), self.SCALES)]
+
+
+#: networks on paths of the neuron step, of the finiteness check and of the
+#: event sums that no workload takes; all run to their budgets without failing
 STEP_PATH_NETS = {
     w.name: w
     for w in (
         Workload("threshold_net", "poisson", (16,), (0.0, 0.8), 8, 108, threshold_net),
         Workload("square_overflow_net", "analog", (1,), (0.0, 1.0), 8, 109,
                  square_overflow_net),
+        EdgeInputs("block_edge_net", "poisson", (256,), (0.0, 0.5), 8, 110, block_edge_net),
     )
 }
 
@@ -252,7 +281,8 @@ def main(argv: list[str] | None = None) -> int:
                 case = Path(tmp) / f"{name}-{seed}"
                 gen = generate(workload, seed, case / "data")
                 # None: the manifest's own coding
-                roc_too = name in ("conv_poisson_rate", "threshold_net") or name in BLOCK_NETS
+                roc_too = name in {"conv_poisson_rate", "threshold_net", "block_edge_net",
+                                   *BLOCK_NETS}
                 for coding in [None, "roc"] if roc_too else [None]:
                     flags = [] if coding is None else ["--coding", coding]
                     profile = [*profile_argv(workload, gen, seed, Path("out")), *flags]
