@@ -44,6 +44,7 @@ import math
 import os
 import re
 import sys
+from collections.abc import Sequence
 from pathlib import Path
 
 import numpy as np
@@ -135,9 +136,28 @@ def _load_sample(net: NetworkSpec, args, path: Path, index: int) -> EncodedInput
     return encode(values, EncodingMode(args.encoding), (args.seed + index) % (1 << 64))
 
 
-def _load_samples(net: NetworkSpec, args) -> list[EncodedInput]:
-    paths = _collect_inputs(args.inputs)
-    return [_load_sample(net, args, path, index) for index, path in enumerate(paths)]
+class _InputFiles(Sequence[EncodedInput]):
+    """The input files of a run as samples, each read, checked and encoded
+    by :func:`_load_sample` only when it is indexed.
+
+    :func:`~emacprof.engine.run_dataset` reads its samples once, in order,
+    one group at a time, so a run holds one group's inputs, not the whole
+    dataset's, and a malformed file fails the run when its group is reached.
+    """
+
+    def __init__(self, net: NetworkSpec, args, paths: list[Path]) -> None:
+        self._net, self._args, self._paths = net, args, paths
+
+    def __len__(self) -> int:
+        return len(self._paths)
+
+    def __getitem__(self, index: int) -> EncodedInput:
+        index = range(len(self._paths))[index]  # an IndexError past the end
+        return _load_sample(self._net, self._args, self._paths[index], index)
+
+
+def _load_samples(net: NetworkSpec, args) -> _InputFiles:
+    return _InputFiles(net, args, _collect_inputs(args.inputs))
 
 
 def _num(value: float) -> float | None:

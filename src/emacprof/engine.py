@@ -62,66 +62,71 @@ built. :func:`run_inference` and :func:`run_dataset`, and through them
 every caller, reuse it. The cost is memory: the float64 copy stays next to
 the spec's float32 blocks between runs too.
 
-Before it runs, each group of samples builds a step plan per weighted
-layer: its forward map, with whatever it needs allocated once, which every
-sample of the group calls in turn. A convolution writes its input into the
-interior of a zero-padded buffer and multiplies the kernel rows with a
-fixed window view of that buffer (the im2col product). A dense-like layer
-(dense, locally connected, and the recurrent term of a recurrent layer) is
-driven by events in the step loop: its binder (see :func:`_bind_drive`),
-the one event-sum path, adds up the weight rows of the inputs that spiked,
-in blocks of at most 64 rows, so the cost follows the spike count and the
-temporary stays at 64 rows whatever the spike rate. A dense-like plan only
-serves float inputs (the static stage, or an analog first layer), with the
-full matrix-vector product. Both read the one float64 copy of the weights,
-stored input-major (see :func:`~emacprof.netspec.weight_tensor`). A pool
-takes the elementwise maximum over each window's columns and then over its
-rows, of precomputed strided slices (``kw - 1 + kh - 1`` calls, where a
-pass over each tap would make ``kh * kw - 1``), and keeps the same one of
-equal values or NaNs as that pass. The static stage and the step loop use
-the same plans and pools, so results do not depend on which of them
-evaluates a layer. The static stage writes each layer's output into
-buffers allocated once per group and released before the first tick, and
-checks each layer as a tick does, by one sum of the squares of its values,
-scanning them only when that sum is not finite. The event sums add in
-another order than a dense product, so with arbitrary weights voltages may
-differ from one in the last bit; with sums that are exact (weights that
-are multiples of a power of two, say) they are equal.
+Before it runs, each group of samples builds a step plan for each weighted
+layer of its static stage, for an analog-fed first layer and for each
+convolution: the layer's forward map, with whatever it needs allocated
+once, which every sample of the group calls in turn. A convolution writes
+its input into the interior of a zero-padded buffer and multiplies the
+kernel rows with a fixed window view of that buffer (the im2col product). A
+dense-like layer (dense, locally connected, and the recurrent term of a
+recurrent layer) is driven by events in the step loop: its binder (see
+:func:`_bind_drive`), the one event-sum path, adds up the weight rows of
+the inputs that spiked, in blocks of at most 64 rows, so the cost follows
+the spike count and the temporary stays at 64 rows whatever the spike rate.
+A dense-like plan only serves float inputs (the static stage, or an analog
+first layer), with the full matrix-vector product. Both read the one
+float64 copy of the weights, stored input-major (see
+:func:`~emacprof.netspec.weight_tensor`). A pool takes the elementwise
+maximum over each window's columns and then over its rows, of precomputed
+strided slices (``kw - 1 + kh - 1`` calls, where a pass over each tap would
+make ``kh * kw - 1``), and keeps the same one of equal values or NaNs as
+that pass. The static stage and the step loop use the same plans and pools,
+so results do not depend on which of them evaluates a layer. The static
+stage writes each layer's output into buffers allocated once per group and
+released before the first tick, and checks each layer as a tick does, by
+one sum of the squares of its values, scanning them only when that sum is
+not finite; a weighted layer is checked after its bias add and before its
+rectification, which would turn a drive that overflowed to -inf into 0.0.
+The event sums add in another order than a dense product, so with arbitrary
+weights voltages may differ from one in the last bit; with sums that are
+exact (weights that are multiples of a power of two, say) they are equal.
 
 Samples run in lockstep groups. :func:`run_inference` runs a group of one,
 and :func:`run_dataset` runs consecutive groups of samples that share an
-encoding mode, in sample order, as many a group as :func:`_group_size`
-allows. Within a group, one neuron state, drive buffer and spike buffer
-hold every sample's row of every spiking layer, flat and layer by layer, so
-that the layers active at a tick are one contiguous range, and a block's
-among them are one range of it; each block's neuron step advances its range
-in place and writes its spikes into the same range of the spike buffer, so
-one numpy call serves every sample and layer of the block: on narrow layers
-the time goes to dispatching calls, not to arithmetic. One walk over the
-stepped layers binds every view and buffer a tick touches before the first
-tick (see :func:`_step_group`), so a tick spends its time in the numpy
-calls its layers need: the Poisson encoder draws into the group's input
-buffer, and the ufuncs take their outputs positionally, which dispatches
-faster than the keyword, but for ``np.maximum``, whose positional output
-numpy 2.4 deprecates. A tick emits the encoder and each active spiking
-layer by one path, which counts and records their spikes, runs the pools
-and flattens after them, and counts the events reaching each layer of
-uneven fan-out where that layer's input is made. Each live sample's drive
-adds its sums in a lone run's order (see :func:`_bind_drive`), so every
-result is bit-identical whatever the group size. Under rank-order coding a
-sample that has decided leaves the group with its counters frozen, and a
-sample whose state leaves the finite range fails alone. Every sample keeps
-its row for the whole run: a sample that leaves only stops getting
-decisions, finiteness checks and drives, and nothing reads its row again,
-whatever the steps after it write there. A group's histories (spike counts,
-the events reaching layers of uneven fan-out, output spikes and voltages,
-rasters when recorded) are allocated once at the step budget, a row per
-sample; each tick writes every row, and one loop at the end decodes, traces
-and prices each sample from its own steps.
+encoding mode, in sample order, of near-equal size, at most what
+:func:`_group_size` allows (see :func:`_groups`). Within a group, one
+neuron state, drive buffer and spike buffer hold every sample's row of
+every spiking layer, flat and layer by layer, so that the layers active at
+a tick are one contiguous range, and a block's among them are one range of
+it; each block's neuron step advances its range in place and writes its
+spikes into the same range of the spike buffer, so one numpy call serves
+every sample and layer of the block: on narrow layers the time goes to
+dispatching calls, not to arithmetic. One walk over the stepped layers
+binds every view and buffer a tick touches before the first tick (see
+:func:`_step_group`), so a tick spends its time in the numpy calls its
+layers need: the Poisson encoder draws into the group's input buffer, and
+the ufuncs take their outputs positionally, which dispatches faster than
+the keyword, but for ``np.maximum``, whose positional output numpy 2.4
+deprecates. A tick emits the encoder and each active spiking layer by one
+path, which counts and records their spikes, runs the pools and flattens
+after them, and counts the events reaching each layer of uneven fan-out
+where that layer's input is made. Each live sample's drive adds its sums in
+a lone run's order (see :func:`_bind_drive`), so every result is
+bit-identical whatever the group size. Under rank-order coding a sample
+that has decided leaves the group with its counters frozen, and a sample
+whose state leaves the finite range fails alone. Every sample keeps its row
+for the whole run: a sample that leaves only stops getting decisions,
+finiteness checks and drives, and nothing reads its row again, whatever the
+steps after it write there. A group's histories (spike counts, the events
+reaching layers of uneven fan-out, output spikes and voltages, rasters when
+recorded) are allocated once at the step budget, a row per sample; each
+tick writes every row, and one loop at the end decodes, traces and prices
+each sample from its own steps.
 
-Over a dataset, :func:`run_dataset` keeps each sample's outcome (step
-count and decision) and a column of per-layer energies and spike totals,
-not the full results, and reduces every statistic once at the end.
+Over a dataset, :func:`run_dataset` reads the samples one group at a time
+and keeps each sample's outcome (step count and decision) and a row of
+per-layer energies and spike totals in one array, not the full results,
+and reduces every statistic once at the end.
 """
 
 from __future__ import annotations
@@ -518,49 +523,59 @@ def _blocks(spiking: list[_LayerRT]) -> list[tuple[int, int, NeuronModelSpec]]:
     return blocks
 
 
+def _check_static(index: int, values: np.ndarray) -> None:
+    """Raise :class:`NonFiniteState` unless static layer ``index``'s flat ``values`` are finite.
+
+    A NaN or an infinity always reaches the sum of the squares of the
+    values, and only a sum that is not finite (as that of finite values
+    above 1.3e154 can be) sends them to the scan that decides, as a tick's
+    check does.
+    """
+    if not isfinite(np.dot(values, values)) and not np.isfinite(values).all():
+        raise NonFiniteState(f"layer {index} produced non-finite values in the static stage")
+
+
 def _static_stage(static: list[_LayerRT]) -> Callable[[np.ndarray], np.ndarray]:
     """The static stage ``static`` of one group, as a map of a sample's input to its output.
 
     Every layer writes into buffers allocated here, once per group: a
     weighted layer's plan writes its drive into one, which its activation
-    then rectifies in place, and a pool writes its column maximum and its
-    output into two. The output of one call views them, so it is read
-    before the next call. Each weighted layer and pool is checked as a tick
-    is: a NaN or an infinity always reaches the sum of the squares of its
-    values, and only a sum that is not finite (as that of finite values
-    above 1.3e154 can be) sends them to the scan that decides.
-    A flatten only reshapes values its input layer checked (or the analog
-    input, which is finite), so it is not checked again.
+    then biases and rectifies in place, and a pool writes its column
+    maximum and its output into two. The output of one call views them, so
+    it is read before the next call. Each weighted layer and pool is
+    checked by :func:`_check_static`: a weighted layer after its bias add
+    and before the maximum, which would rectify a drive that overflowed to
+    -inf into 0.0, and a pool after it runs. A flatten only reshapes values
+    its input layer checked (or the analog input, which is finite), so it
+    is not checked again.
     """
     stages = []
     for r in static:
         layer = r.spec
         if layer.kind is LayerKind.FLATTEN:
-            stages.append((r, None, None, None, None))
+            stages.append((r, None, None, None, None, None))
             continue
         values = np.empty(r.neurons)
         shaped = values.reshape(layer.output_shape)
+        check = partial(_check_static, r.index)
         if layer.kind is LayerKind.MAX_POOL2D:
             # the column maximum's shape, read off a view that allocates nothing
             columns = np.broadcast_to(0.0, layer.input_shape)[r.pool_taps[0][0]].shape
-            stages.append((r, None, (r.pool_taps, np.empty(columns)), values, shaped))
+            stages.append((r, None, (r.pool_taps, np.empty(columns)), values, shaped, check))
         else:
-            stages.append((r, _step_plan(r), None, values, shaped))
+            stages.append((r, _step_plan(r), None, values, shaped, check))
 
     def run(x: np.ndarray) -> np.ndarray:
-        for r, plan, pool, values, shaped in stages:
+        for r, plan, pool, values, shaped, check in stages:
             if values is None:  # a flatten
                 x = x.reshape(-1)
                 continue
             if pool is None:
-                ann_activation(plan(x, values), r.spec.neuron_model, values)
+                ann_activation(plan(x, values), r.spec.neuron_model, values, check=check)
             else:
                 _max_pool(x, pool[0], shaped, pool[1])
+                check(values)
             x = shaped
-            if not isfinite(np.dot(values, values)) and not np.isfinite(values).all():
-                raise NonFiniteState(
-                    f"layer {r.index} produced non-finite values in the static stage"
-                )
         return x
 
     return run
@@ -800,9 +815,13 @@ def _step_group(
     stepped = rt[start:] if start is not None else []
     spiking = [r for r in stepped if r.spiking]
     K = len(spiking)
-    # one plan per stepped weighted layer: the analog-fed first layer's, and
-    # each convolution's, which the rows of the group call in turn
-    plans = {r.index: _step_plan(r) for r in stepped}
+    poisson = mode is EncodingMode.POISSON
+    # the plans of the analog-fed first layer, which the static loop below
+    # calls, and of each convolution, which the rows of the group call in turn
+    plans = {
+        r.index: _step_plan(r) for r in stepped
+        if r.spec.kind is LayerKind.CONV2D or (r.index == start and not poisson)
+    }
     # Histories, allocated at the step budget: sample k's steps are
     # [:T_used[k], k]. A static-only network runs one step, whose output
     # voltages are its head activation.
@@ -826,7 +845,6 @@ def _step_group(
     T_used = [1] * B
     failed: dict[int, NonFiniteState] = {}
     live: list[int] = []  # group rows still stepping, in order
-    poisson = mode is EncodingMode.POISSON
     # the analog-fed first layer's drive, the same at every step
     drive0 = np.zeros((B, rt[start].neurons)) if start is not None and not poisson else None
     # Overflow is expected where a sample leaves the finite range, and the
@@ -919,7 +937,7 @@ def _step_group(
                 ff = rec = None
                 if x is not None:
                     weights = None if r.spec.kind is LayerKind.CONV2D else r.weights
-                    ff = _bind_drive(plans[r.index], weights, x, drive)
+                    ff = _bind_drive(plans.get(r.index), weights, x, drive)
                 if r.rec_weights is not None:
                     term = rec_buf[: B * r.neurons].reshape(B, r.neurons)
                     rec = _bind_drive(None, r.rec_weights, out, term), term
@@ -1152,14 +1170,27 @@ def _reference_params(net: NetworkSpec) -> tuple[str | None, float, float]:
 def _groups(
     samples: Sequence[EncodedInput], size: int
 ) -> Iterator[list[EncodedInput]]:
-    """Consecutive runs of at most ``size`` samples that share an encoding mode."""
+    """Consecutive runs of at most ``size`` samples that share an encoding mode.
+
+    ``n`` samples make ``ceil(n / size)`` groups of near-equal size, the
+    larger ones first (64 samples at most 14 a group: 13, 13, 13, 13, 12),
+    so the largest group, which sets the memory peak, is as small as the
+    group count allows; a change of encoding mode also ends a group. Each
+    group is yielded as soon as it is full, before the sample that starts
+    the next one is read.
+    """
+    n = len(samples)
+    count = -(-n // size)
     group: list[EncodedInput] = []
-    for sample in samples:
-        if group and (len(group) == size or sample.mode is not group[0].mode):
+    boundary = 1  # the next even boundary: after ceil(boundary * n / count) samples
+    for k, sample in enumerate(samples, 1):
+        if group and sample.mode is not group[0].mode:
             yield group
             group = []
         group.append(sample)
-    yield group
+        if k == -(-boundary * n // count):
+            yield group
+            group, boundary = [], boundary + 1
 
 
 def run_dataset(
@@ -1173,14 +1204,19 @@ def run_dataset(
     """Run every sample and aggregate; numeric blow-ups are reported, not hidden.
 
     Compilation happens once per network (see :func:`_compiled`), and the
-    samples run in lockstep groups. Each success keeps its outcome and one
-    row of per-layer values; joined, they make one column of ``kept`` per
-    quantity. Each method's columns make one energy report, whose own
-    totals add them as a report adds one sample's values. Each statistic
-    is reduced once, over a 1-D array in sample order: a running sum or a 2-D
-    reduction would change the last bits of the reported moments.
+    samples run in lockstep groups (see :func:`_groups`). ``samples`` is
+    read once, in order, one group at a time, so it may load each sample
+    when indexed (as the command line does), and a run then holds one
+    group's inputs. Each success keeps its outcome and one row of per-layer
+    values in one array, which, sliced to the successes, makes one column
+    of ``kept`` per quantity. Each method's columns make one energy report,
+    whose own totals add them as a report adds one sample's values. Each
+    statistic is reduced once, over a 1-D array in sample order: a running
+    sum or a 2-D reduction would change the last bits of the reported
+    moments.
     """
-    if len(samples) == 0:
+    n = len(samples)
+    if n == 0:
         raise EmptyDataset("the dataset holds no samples")
     rt = _compiled(net)
     coding, T_max = _settings(net, t_max, coding)
@@ -1188,8 +1224,9 @@ def run_dataset(
     # flatten rows re-emit upstream spikes; keep them out of the network total
     counted = np.array([layer.kind is not LayerKind.FLATTEN for layer in net.layers])
     ref_kind, e_syn_ref, e_upd_ref = _reference_params(net)
-    # rows[k][l]: success k's layer l: exact, analytic (E_syn, E_upd, E_rec), spikes
-    rows: list[list[tuple]] = []
+    # rows[k, l]: success k's layer l: exact, analytic (E_syn, E_upd, E_rec), spikes
+    rows = np.empty((n, len(net.layers), 7))
+    ok = 0
     outcomes: list[SampleOutcome | None] = []
     failures: list[tuple[int, str]] = []
     results = chain.from_iterable(
@@ -1210,20 +1247,20 @@ def run_dataset(
             outcomes.append(None)
             continue
         outcomes.append(SampleOutcome(result.trace.T_used, result.decision))
-        rows.append([
+        rows[ok] = [
             (e.E_syn, e.E_upd, e.E_rec, a.E_syn, a.E_upd, a.E_rec, s) for e, a, s in
             zip(result.energy.per_layer, result.energy_analytic.per_layer, spikes.tolist())
-        ])
+        ]
+        ok += 1
         # a result views its group's histories: held here, a group's last
         # one would keep them alive while the next group steps
         del result
     if failures:
-        logger.warning("%d of %d samples aborted", len(failures), len(samples))
+        logger.warning("%d of %d samples aborted", len(failures), n)
 
     table = _emac.price_table(net)
     # kept[l, :, k]: one contiguous column over the successes per quantity
-    L = len(table.layers)
-    kept = np.array(rows, dtype=np.float64).reshape(-1, L, 7).transpose(1, 2, 0).copy()
+    kept = rows[:ok].transpose(1, 2, 0).copy()
     T_used = np.array([o.T_used for o in outcomes if o is not None], dtype=np.float64)
     analytic, exact = (
         _emac.EnergyReport(
@@ -1233,7 +1270,7 @@ def run_dataset(
                 _emac.LayerEnergy(lp.name, lp.kind, *kept[i, j : j + 3])
                 for i, lp in enumerate(table.layers)
             ),
-            approx_padding=table.approx_padding and bool(rows),
+            approx_padding=table.approx_padding and ok > 0,
         )
         for method, j in ((_emac.METHOD_ANALYTIC, 3), (_emac.METHOD_EXACT, 0))
     )
@@ -1248,8 +1285,8 @@ def run_dataset(
         for report in (analytic, exact)
     }
     return AggregateStats(
-        n_samples=len(samples),
-        n_ok=len(samples) - len(failures),
+        n_samples=n,
+        n_ok=ok,
         failures=failures,
         outcomes=outcomes,
         methods=methods,

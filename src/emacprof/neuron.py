@@ -34,6 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import cache
+from typing import Callable
 
 import numpy as np
 
@@ -312,13 +313,21 @@ def step_fn(kind: NeuronKind):
 
 
 def ann_activation(
-    weighted_input: np.ndarray, model: NeuronModelSpec, out: np.ndarray | None = None
+    weighted_input: np.ndarray,
+    model: NeuronModelSpec,
+    out: np.ndarray | None = None,
+    *,
+    check: Callable[[np.ndarray], None] | None = None,
 ) -> np.ndarray:
     """Rectified activation for a conventional layer: max(drive + bias, 0).
 
     With ``out`` (which may be ``weighted_input`` itself) the sum and the
     maximum are written there, by the same two ufuncs on the same operands,
-    so the result is bitwise the one returned without it.
+    so the result is bitwise the one returned without it. ``check``, if
+    given, is called on the sum before the maximum, which would turn a
+    -inf into 0.0; it may raise.
     """
     out = np.add(weighted_input, model.bias, out)
+    if check is not None:
+        check(out)
     return np.maximum(out, 0.0, out=out)

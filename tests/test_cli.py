@@ -1,4 +1,6 @@
+import gc
 import json
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -20,6 +22,7 @@ from emacprof import (
     serialize_network,
     write_observations_csv,
 )
+from emacprof import engine
 from emacprof.cli import main
 
 IFL = NeuronModelSpec(kind=NeuronKind.IFL, v_th=1.0)
@@ -309,6 +312,90 @@ def test_profile_non_finite_weight_exits_2(tmp_path, capsys):
     assert rc == 2
     assert "non-finite" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+def test_a_malformed_input_after_the_first_group_exits_2(tmp_path, capsys, monkeypatch):
+    # inputs are read group by group: the run reaches the malformed file in
+    # its second group and fails with the message an eager read gave, and
+    # no report is written
+    monkeypatch.setattr(engine, "_group_size", lambda rt, t_max: 2)
+    npath = write_net(tmp_path, dense_ifl())
+    inputs = write_inputs(tmp_path, [np.full(4, 0.3)] * 5)
+    (inputs / "sample03.bin").write_bytes(b"4\n" + bytes(16))
+    reached = []
+    run_group = engine._run_group
+
+    def watched(net, rt, group, **kw):
+        reached.append(len(group))
+        return run_group(net, rt, group, **kw)
+
+    monkeypatch.setattr(engine, "_run_group", watched)
+    rc = main(
+        ["profile", "--network", str(npath), "--inputs", str(inputs),
+         "--out", str(tmp_path / "o")]
+    )
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err == "error: schema error: sample03.bin: missing 'shape=' header line\n"
+    assert reached == [2]  # the first group ran; the second never started
+    assert not (tmp_path / "o").exists()
+
+
+def test_weights_that_fail_compilation_are_reported_before_any_input(tmp_path, capsys):
+    w = np.full((3, 4), 0.5, dtype=np.float32)
+    w[1, 0] = np.inf
+    net = (
+        NetworkBuilder((4,), coding=Coding.RATE, max_timesteps=6)
+        .dense(3, IFL, weights=w)
+        .build()
+    )
+    npath = write_net(tmp_path, net)
+    inputs = write_inputs(tmp_path, [np.full(4, 0.3)])
+    (inputs / "sample00.bin").write_bytes(b"shape=4\n")  # malformed too
+    rc = main(
+        ["profile", "--network", str(npath), "--inputs", str(inputs),
+         "--out", str(tmp_path / "o")]
+    )
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "non-finite" in err
+    assert "sample00.bin" not in err
+
+
+def test_profile_memory_grows_little_per_input_file(tmp_path, monkeypatch):
+    # the traced peak of profile on a 784-input network, in groups of 4, so
+    # that both runs step the same state: from 8 to 128 input files it grows
+    # by what a run keeps per sample (about 0.5 KB), not by each held input
+    # (784 float64 values, 6.1 KB)
+    monkeypatch.setattr(engine, "_group_size", lambda rt, t_max: 4)
+    rng = np.random.default_rng(0)
+    net = (
+        NetworkBuilder((784,), coding=Coding.RATE, max_timesteps=8)
+        .dense(32, IFL, weights=rng.normal(0.0, 0.05, (32, 784)))
+        .dense(10, IFL, weights=rng.normal(0.0, 0.2, (10, 32)))
+        .build()
+    )
+    npath = write_net(tmp_path, net)
+    inputs = {}
+    for n in (8, 128):
+        inputs[n] = tmp_path / f"inputs{n}"
+        inputs[n].mkdir()
+        for k, values in enumerate(rng.uniform(0.0, 1.0, (n, 784))):
+            save_input_tensor(inputs[n] / f"sample{k:03d}.bin", values)
+
+    def peak(n):
+        argv = ["profile", "--network", str(npath), "--inputs", str(inputs[n]),
+                "--out", str(tmp_path / "o")]
+        gc.collect()
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(8)  # first-call caches (the parser, imports)
+    assert (peak(128) - peak(8)) / 120 < 2048
 
 
 @pytest.mark.parametrize("field, value", [("bias", np.nan), ("v_th", np.inf)])

@@ -3,6 +3,7 @@ import hashlib
 import threading
 import tracemalloc
 import weakref
+from collections.abc import Sequence
 from dataclasses import replace
 
 import numpy as np
@@ -513,6 +514,70 @@ def test_a_list_input_runs_like_its_encoded_array(mode):
     assert got.energy.to_dict() == want.energy.to_dict()
     assert got.energy_analytic.to_dict() == want.energy_analytic.to_dict()
     assert run_dataset(net, [direct]) == run_dataset(net, [encoded])
+
+
+class LoadedOnRead(Sequence):
+    """Samples made only when indexed, as the command line's input files are;
+    ``reads`` lists the indexes read, in order."""
+
+    def __init__(self, make, n):
+        self.make, self.n, self.reads = make, n, []
+
+    def __len__(self):
+        return self.n
+
+    def __getitem__(self, index):
+        index = range(self.n)[index]
+        self.reads.append(index)
+        return self.make(index)
+
+
+def test_a_dataset_read_on_demand_gives_the_stats_of_a_list(monkeypatch):
+    # 11 samples in groups of at most 4 (4, 4, 3), one of which fails: every
+    # statistic is bitwise that of the same samples in a list, and each
+    # sample is read once, in order
+    net = (
+        NetworkBuilder((6,), coding=Coding.RATE, max_timesteps=12)
+        .dense(5, ifl(0.5), weights=np.random.default_rng(7).normal(0.3, 0.3, (5, 6)))
+        .dense(3, ifl(0.5), weights=np.random.default_rng(8).normal(0.3, 0.3, (3, 5)))
+        .build()
+    )
+
+    def make(k):
+        if k == 6:
+            return encode(np.full(6, 1e308))  # leaves the finite range
+        rng = np.random.default_rng(k)
+        return encode(rng.uniform(0.0, 1.0, 6), EncodingMode.POISSON, seed=k)
+
+    force_group_size(monkeypatch, net, 12, 4)
+    lazy = LoadedOnRead(make, 11)
+    got = run_dataset(net, lazy)
+    want = run_dataset(net, [make(k) for k in range(11)])
+    assert lazy.reads == list(range(11))
+    assert [index for index, _ in got.failures] == [6]
+    assert got == want
+    assert repr(got) == repr(want)  # the signs of zeros too
+
+
+def test_groups_are_near_equal_and_leave_as_soon_as_full():
+    # ceil(n / size) groups whose sizes differ by one at most, the larger
+    # first; a change of mode ends a group early, and a full group is
+    # yielded before the next sample is read
+    def sizes(n, size):
+        return [len(g) for g in engine._groups([always_on(1)] * n, size)]
+
+    assert sizes(64, 14) == [13, 13, 13, 13, 12]
+    assert sizes(16, 6) == [6, 5, 5]
+    assert sizes(16, 16) == [16]
+    assert sizes(5, 1) == [1] * 5
+    assert sizes(7, 3) == [3, 2, 2]
+    analog = encode(np.ones(1))
+    modes = [always_on(1)] * 5 + [analog] * 2 + [always_on(1)] * 4
+    assert [len(g) for g in engine._groups(modes, 4)] == [4, 1, 2, 1, 3]
+
+    lazy = LoadedOnRead(lambda k: always_on(1), 10)
+    assert [len(lazy.reads) for _ in engine._groups(lazy, 4)] == [4, 7, 10]  # 4, 3, 3
+    assert lazy.reads == list(range(10))
 
 
 def test_all_failed_dataset_has_nan_statistics():
@@ -1835,6 +1900,27 @@ def test_a_static_stage_whose_squares_overflow_runs(monkeypatch):
         res = run_inference(net, sample)
         assert np.array_equal(res.output_voltages[:, 0], head(sample.values))
         assert outcome == SampleOutcome(1, res.decision)
+
+
+def test_a_rectifier_drive_that_overflows_to_minus_inf_fails():
+    # alternating +-2**100 weights on 4.5e300 inputs: every product
+    # overflows, and this BLAS sums the infinities of each row to -inf
+    # (other orders give NaN), which the maximum would rectify into 0.0; the
+    # layer is checked before it, so the sample fails instead of deciding
+    # on a head of zeros
+    w = np.tile([2.0**100, -(2.0**100)], (3, 4))
+    net = (
+        NetworkBuilder((8,), coding=Coding.RATE, max_timesteps=8)
+        .dense(3, ANN, weights=w)
+        .build()
+    )
+    sample = encode(np.full(8, 4.5e300))
+    message = "layer 0 produced non-finite values in the static stage"
+    with pytest.raises(NonFiniteState, match=f"^{message}$"):
+        run_inference(net, sample)
+    stats = run_dataset(net, [encode(np.full(8, 0.5)), sample])
+    assert stats.failures == [(1, message)]
+    assert stats.n_ok == 1
 
 
 def test_group_size_follows_the_state_budget():

@@ -431,3 +431,13 @@ def test_an_activation_written_in_place_is_bitwise_a_new_one(bias):
     inplace = x.copy()
     assert ann_activation(inplace, model, out=inplace) is inplace
     assert inplace.tobytes() == want.tobytes()
+
+
+def test_an_activation_checks_the_biased_drive_before_rectifying():
+    # the check sees drive + bias, before the maximum turns -inf into 0.0
+    model = NeuronModelSpec(kind=NeuronKind.ANN_RELU, bias=0.5)
+    x = np.array([-np.inf, -1.0, 1.0])
+    seen = []
+    got = ann_activation(x, model, check=lambda v: seen.append(v.copy()))
+    assert seen[0].tolist() == [-np.inf, -0.5, 1.5]
+    assert got.tolist() == [0.0, 0.0, 1.5]
