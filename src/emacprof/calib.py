@@ -381,8 +381,9 @@ def model_from_json(data: bytes | str) -> EnergyModel:
     cov = obj["cov"]
     if not isinstance(cov, list) or len(cov) != 4:
         raise SchemaError("model cov must hold 4 row-major values")
-    if type(obj["n_obs"]) is not int:
-        raise SchemaError(f"model n_obs must be an integer, got {obj['n_obs']!r}")
+    if type(obj["n_obs"]) is not int or obj["n_obs"] < 2:
+        # a fit needs two observations, so no fitted model has fewer
+        raise SchemaError(f"model n_obs must be an integer >= 2, got {obj['n_obs']!r}")
     return EnergyModel(
         e_syn_J=_finite_number(obj["e_syn_J"], "e_syn_J"),
         e_upd_J=_finite_number(obj["e_upd_J"], "e_upd_J"),

@@ -114,8 +114,9 @@ def _load_net(args) -> NetworkSpec:
 def _collect_inputs(spec: str) -> list[Path]:
     root = Path(spec)
     if root.is_dir():
+        # regular files (or links to them): a directory named like one is skipped
         paths = sorted(
-            p for p in root.iterdir() if p.suffix.lower() in INPUT_SUFFIXES
+            p for p in root.iterdir() if p.suffix.lower() in INPUT_SUFFIXES and p.is_file()
         )
         if not paths:
             raise SchemaError(f"{root}: no .bin or .csv input files")
@@ -130,9 +131,12 @@ def _load_sample(net: NetworkSpec, args, path: Path, index: int) -> EncodedInput
 
     Each sample gets its own counter-based stream, keyed by
     ``(--seed + index) mod 2**64``, so ``trace --sample k`` shows the draws
-    ``profile`` gives sample k.
+    ``profile`` gives sample k. A NaN or infinite value is a
+    :class:`SchemaError` that names the file, whatever the encoding.
     """
     values = load_input_tensor(path, net.input_shape)
+    if not np.isfinite(values).all():
+        raise SchemaError(f"{path.name}: input values must be finite, got a NaN or infinity")
     return encode(values, EncodingMode(args.encoding), (args.seed + index) % (1 << 64))
 
 

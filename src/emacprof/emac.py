@@ -27,10 +27,10 @@ synaptic events and recurrent events, and one function prices them:
     E_upd = T * neurons * e_upd          (spiking layers only)
 
 so a layer's exact-vs-analytic gap is the difference of its two count
-vectors at one price. Every constant in those formulas (neurons, fan-ins,
-prices, static MACs, the padding flag) comes from a :class:`PriceTable`
-built once per network (:func:`price_table`), so pricing one sample is
-plain arithmetic.
+vectors at one price. Every constant in those formulas comes from a
+:class:`PriceTable` (neurons, fan-ins, prices, the padding flag) or from
+:func:`static_macs`, each built once per network (and input mode) and kept
+with it, so pricing one sample is plain arithmetic.
 
 Special cases: a layer whose drive comes from a static analog stage is
 priced as full multiply-accumulate work counted once per inference (or
@@ -51,7 +51,6 @@ classical MAC count.
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
 from functools import reduce
 from math import inf, prod
@@ -61,12 +60,13 @@ from typing import TYPE_CHECKING, Iterable
 import numpy as np
 
 from .codec import EncodingMode
-from .errors import MissingRates, RateOutOfRange, SchemaError, TraceNetMismatch
+from .errors import MissingRates, RateOutOfRange, TraceNetMismatch
 from .netspec import (
     LayerKind,
     LayerSpec,
     NetworkSpec,
     WEIGHTED_KINDS,
+    derived,
     layer_counts,
     static_split,
     step_count,
@@ -258,18 +258,12 @@ class LayerPrices:
 
 @dataclass(frozen=True)
 class PriceTable:
-    """The constants both views price one network's samples with.
-
-    ``static`` maps each input mode to its per-layer static MACs (see
-    :func:`static_macs`), or to the message of the :class:`SchemaError` the
-    mode raises on this network.
-    """
+    """The constants both views price one network's samples with."""
 
     layers: tuple[LayerPrices, ...]
     neurons: tuple[int, ...]
     n_inputs: int
     approx_padding: bool
-    static: dict[EncodingMode, tuple[int, ...] | str]
 
 
 def _price_table(net: NetworkSpec) -> PriceTable:
@@ -286,43 +280,30 @@ def _price_table(net: NetworkSpec) -> PriceTable:
             update=update_price(layer),
             neuron=layer.neuron_model.kind if layer.kind in WEIGHTED_KINDS else None,
         ))
-    static: dict[EncodingMode, tuple[int, ...] | str] = {}
-    for mode in EncodingMode:
-        try:
-            prefix, start = static_split(net, mode)
-        except SchemaError as exc:
-            static[mode] = str(exc)
-            continue
-        # with an analog input the first spiking layer's drive is static too
-        if start is not None and mode is EncodingMode.ANALOG:
-            prefix = [*prefix, start]
-        macs = [0] * len(layers)
-        for idx in prefix:
-            macs[idx] = layers[idx].fanin * layers[idx].neurons
-        static[mode] = tuple(macs)
     return PriceTable(
         layers=tuple(layers),
         neurons=tuple(lp.neurons for lp in layers),
         n_inputs=prod(net.input_shape),
         approx_padding=any(layer.padding > 0 for layer in net.layers),
-        static=static,
     )
 
 
-#: each network's price table, kept for as long as the network lives
-_TABLES: weakref.WeakKeyDictionary[NetworkSpec, PriceTable] = weakref.WeakKeyDictionary()
-
-
 def price_table(net: NetworkSpec) -> PriceTable:
-    """``net``'s price table: built when ``net`` is first priced, then reused.
+    """``net``'s price table: built when ``net`` is first priced, then kept
+    with it (see :func:`~emacprof.netspec.derived`)."""
+    return derived(net, _price_table)
 
-    Sound because a spec cannot change once validated, as for the engine's
-    compiled layers.
-    """
-    table = _TABLES.get(net)
-    if table is None:
-        table = _TABLES[net] = _price_table(net)
-    return table
+
+def _static_macs(net: NetworkSpec, input_mode: EncodingMode) -> tuple[int, ...]:
+    prefix, start = static_split(net, input_mode)
+    # with an analog input the first spiking layer's drive is static too
+    if start is not None and input_mode is EncodingMode.ANALOG:
+        prefix = [*prefix, start]
+    layers = price_table(net).layers
+    macs = [0] * len(layers)
+    for idx in prefix:
+        macs[idx] = layers[idx].fanin * layers[idx].neurons
+    return tuple(macs)
 
 
 def static_macs(net: NetworkSpec, input_mode: EncodingMode) -> tuple[int, ...]:
@@ -332,12 +313,10 @@ def static_macs(net: NetworkSpec, input_mode: EncodingMode) -> tuple[int, ...]:
     first spiking layer when an analog input makes its drive static too;
     zero for every other layer (and for flatten, which has no fan-in). A
     Poisson input to a network with rectifier layers is a
-    :class:`SchemaError`.
+    :class:`SchemaError`. Built when ``input_mode`` is first priced on
+    ``net``, then kept with it.
     """
-    macs = price_table(net).static[input_mode]
-    if isinstance(macs, str):
-        raise SchemaError(macs)
-    return macs
+    return derived(net, _static_macs, input_mode)
 
 
 def _report(method: str, table: PriceTable, T_used: int, counts) -> EnergyReport:

@@ -56,11 +56,12 @@ used are what the energy accounting consumes.
 
 Compilation happens once per network: on its first run the engine
 converts the weight blocks to float64, checks that they are finite and
-builds the fan-out maps, and it keeps the result for as long as the
-:class:`~emacprof.netspec.NetworkSpec` lives, which cannot change once
-built. :func:`run_inference` and :func:`run_dataset`, and through them
-every caller, reuse it. The cost is memory: the float64 copy stays next to
-the spec's float32 blocks between runs too.
+builds the fan-out maps, and :func:`~emacprof.netspec.derived` keeps the
+result for as long as the :class:`~emacprof.netspec.NetworkSpec` lives,
+which cannot change once built. :func:`run_inference` and
+:func:`run_dataset`, and through them every caller, reuse it. The cost is
+memory: the float64 copy stays next to the spec's float32 blocks between
+runs too.
 
 Before it runs, each group of samples builds a step plan for each weighted
 layer of its static stage, for an analog-fed first layer and for each
@@ -132,7 +133,6 @@ and reduces every statistic once at the end.
 from __future__ import annotations
 
 import logging
-import weakref
 from dataclasses import dataclass, replace
 from functools import partial
 from itertools import accumulate, chain, groupby
@@ -157,6 +157,7 @@ from .netspec import (
     LayerSpec,
     NetworkSpec,
     WEIGHTED_KINDS,
+    derived,
     fanout_map,
     layer_counts,
     recurrent_weight_tensor,
@@ -297,30 +298,9 @@ def _compile(net: NetworkSpec) -> list[_LayerRT]:
     return out
 
 
-#: each network's compiled layers, kept for as long as the network lives
-_COMPILED: weakref.WeakKeyDictionary[NetworkSpec, list[_LayerRT]] = (
-    weakref.WeakKeyDictionary()
-)
-
-
-def _compiled(net: NetworkSpec) -> list[_LayerRT]:
-    """``net``'s compiled layers: compiled on its first run, then reused.
-
-    Sound because a spec cannot change once validated, and nothing writes
-    to compiled layers. Two threads whose first runs race compile twice and
-    keep either result; both are the same.
-    """
-    rt = _COMPILED.get(net)
-    if rt is None:
-        rt = _COMPILED[net] = _compile(net)
-    return rt
-
-
-def _fold_max(x: np.ndarray, taps: tuple[tuple, ...], out: np.ndarray | None) -> np.ndarray:
-    # the elementwise max of x's taps, taken in order, into ``out`` if given
+def _fold_max(x: np.ndarray, taps: tuple[tuple, ...], out: np.ndarray) -> np.ndarray:
+    # the elementwise max of x's taps, taken in order, into ``out``
     if len(taps) == 1:
-        if out is None:
-            return x[taps[0]].copy()
         np.copyto(out, x[taps[0]])
         return out
     out = np.maximum(x[taps[0]], x[taps[1]], out=out)
@@ -330,32 +310,28 @@ def _fold_max(x: np.ndarray, taps: tuple[tuple, ...], out: np.ndarray | None) ->
 
 
 def _max_pool(
-    x: np.ndarray,
-    taps: tuple[tuple[tuple, ...], tuple[tuple, ...]],
-    out: np.ndarray | None = None,
-    rows: np.ndarray | None = None,
+    x: np.ndarray, taps: tuple[tuple[tuple, ...], tuple[tuple, ...]],
+    out: np.ndarray, rows: np.ndarray,
 ) -> np.ndarray:
-    """The max of each pool window of ``x``, into ``out`` if given; on spikes, an OR.
+    """The max of each pool window of ``x``, into ``out``; on spikes, an OR.
 
     ``taps`` are :func:`_window_taps`: the max over a window's columns goes
-    into ``rows`` (a new array if not given), then the max over its rows
-    into ``out``, ``kw - 1 + kh - 1`` maximum calls in all. ``np.maximum``
-    keeps its first operand of two equal ones (+0.0 and -0.0) and the first
-    NaN, so this keeps what a row-major fold over the taps one at a time
-    keeps; rows first would not.
+    into ``rows``, then the max over its rows into ``out``, in
+    ``kw - 1 + kh - 1`` maximum calls. ``np.maximum`` keeps its first
+    operand of two equal ones (+0.0 and -0.0) and the first NaN, so this
+    keeps what a row-major fold over the taps one at a time keeps; rows
+    first would not.
     """
     columns, row_taps = taps
     return _fold_max(_fold_max(x, columns, rows), row_taps, out)
 
 
-def _step_plan(rt: _LayerRT) -> Callable | None:
+def _step_plan(rt: _LayerRT) -> Callable:
     """One group's forward map of a weighted layer, with its buffers built once.
 
-    The plan maps the layer's input to its flat synaptic drive; a pool or
-    flatten layer has none. The samples of a group call it one after
-    another. It takes an optional ``out``, a contiguous float64 row that
-    receives the drive (by the same BLAS call as without it, so the two are
-    bitwise equal); without ``out`` it returns a new array. A convolution's
+    The plan, ``plan(x, out)``, writes the layer's flat synaptic drive from
+    input ``x`` into ``out``, a contiguous float64 row, and returns ``out``.
+    The samples of a group call it one after another. A convolution's
     plan takes spikes or floats; its padded buffer and window view are built
     here, once per group and layer. A dense-like plan is the full product
     ``weights @ x`` of a float input: spikes reach a dense-like matrix only
@@ -363,8 +339,6 @@ def _step_plan(rt: _LayerRT) -> Callable | None:
     to one :func:`_step_group` call, not to ``rt``, so compiled layers stay
     read-only and one compiled network can serve any number of calls.
     """
-    if not rt.weighted:
-        return None
     layer = rt.spec
     weights = rt.weights
     if layer.kind is LayerKind.CONV2D:
@@ -375,16 +349,14 @@ def _step_plan(rt: _LayerRT) -> Callable | None:
         columns = _conv_windows(padded, layer)
         taps = weights.shape[1]
 
-        def conv_drive(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        def conv_drive(x: np.ndarray, out: np.ndarray) -> np.ndarray:
             interior[...] = x
-            if out is None:
-                return np.dot(weights, columns.reshape(taps, -1)).reshape(-1)
             np.dot(weights, columns.reshape(taps, -1), out=out.reshape(len(weights), -1))
             return out
 
         return conv_drive
 
-    def dense_drive(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    def dense_drive(x: np.ndarray, out: np.ndarray) -> np.ndarray:
         return np.dot(weights, x.reshape(-1), out)
 
     return dense_drive
@@ -651,7 +623,7 @@ def run_inference(
     The result holds copies of the steps it used, so it does not keep those
     budget-sized histories alive.
     """
-    rt = _compiled(net)
+    rt = derived(net, _compile)
     coding, T_max = _settings(net, t_max, coding)
     ((result, _),) = _run_group(
         net,
@@ -1203,7 +1175,7 @@ def run_dataset(
 ) -> AggregateStats:
     """Run every sample and aggregate; numeric blow-ups are reported, not hidden.
 
-    Compilation happens once per network (see :func:`_compiled`), and the
+    Compilation happens once per network (see :func:`_compile`), and the
     samples run in lockstep groups (see :func:`_groups`). ``samples`` is
     read once, in order, one group at a time, so it may load each sample
     when indexed (as the command line does), and a run then holds one
@@ -1218,7 +1190,7 @@ def run_dataset(
     n = len(samples)
     if n == 0:
         raise EmptyDataset("the dataset holds no samples")
-    rt = _compiled(net)
+    rt = derived(net, _compile)
     coding, T_max = _settings(net, t_max, coding)
     size = _group_size(rt, T_max)
     # flatten rows re-emit upstream spikes; keep them out of the network total

@@ -55,11 +55,12 @@ import io
 import json
 import logging
 import struct
+import weakref
 from dataclasses import dataclass
 from enum import Enum
 from math import prod
 from types import MappingProxyType
-from typing import Iterable, Mapping
+from typing import Callable, Iterable, Mapping
 
 import numpy as np
 
@@ -73,6 +74,7 @@ __all__ = [
     "LayerSpec",
     "LayerCounts",
     "NetworkSpec",
+    "derived",
     "conv_output_hw",
     "fanout_map",
     "realized_connections",
@@ -172,8 +174,9 @@ class LayerCounts:
 class NetworkSpec:
     """A validated layer stack plus its weight blocks (flat float32).
 
-    A spec cannot change once constructed, so what is derived from it, such
-    as the engine's compiled layers, holds for as long as it lives.
+    A spec cannot change once constructed, so what is built from it, such
+    as the engine's compiled layers, holds for as long as it lives, and
+    :func:`derived` keeps it that long.
     ``weights`` is a read-only mapping of blocks backed by immutable
     ``bytes``, so no holder can make one writable again: a block whose memory
     is a ``bytes`` object is kept as it is, any other is copied into one.
@@ -204,6 +207,29 @@ class NetworkSpec:
 
     def layer_name(self, index: int) -> str:
         return f"{index}:{self.layers[index].kind.value}"
+
+
+#: per network, what :func:`derived` built from it, by build and arguments
+_DERIVED: weakref.WeakKeyDictionary[NetworkSpec, dict] = weakref.WeakKeyDictionary()
+
+
+def derived(net: NetworkSpec, build: Callable, *args):
+    """``build(net, *args)``, built on the first call for these arguments and
+    kept for as long as ``net`` lives.
+
+    Sound because a spec cannot change once constructed and nothing writes
+    to what is kept. A build that raises keeps nothing, so each call raises
+    anew; two threads whose first calls race build twice and keep either of
+    two equal results. A pickled or deep-copied spec is another key.
+    """
+    key = (build, *args)
+    try:
+        return _DERIVED[net][key]
+    except KeyError:
+        pass
+    value = build(net, *args)
+    _DERIVED.setdefault(net, {})[key] = value
+    return value
 
 
 def _frozen(block) -> np.ndarray:

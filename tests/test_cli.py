@@ -787,7 +787,10 @@ def test_predict_missing_model_exits_2(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "field, value", [("e_syn_J", None), ("n_obs", None), ("e_syn_J", [1])]
+    "field, value",
+    # a fit needs two observations, so a model of fewer was never fitted
+    [("e_syn_J", None), ("n_obs", None), ("e_syn_J", [1]), ("n_obs", 0), ("n_obs", 1),
+     ("n_obs", -3)],
 )
 def test_predict_malformed_model_exits_2(tmp_path, capsys, field, value):
     model = json.loads(model_to_json(fit_energy_model(TWO_POINTS)))
@@ -830,3 +833,47 @@ def test_an_input_file_of_another_suffix_exits_2(tmp_path, capsys):
     assert "sample.txt: input files must end in .bin or .csv" in err
     assert "Traceback" not in err
     assert not (tmp_path / "o").exists()
+
+
+def test_a_subdirectory_named_like_an_input_is_skipped(tmp_path, capsys):
+    # regular files only, links to them included: a directory ``a.bin``
+    # that sorts first would shift every sample index
+    npath = write_net(tmp_path, dense_ifl())
+    inputs = write_inputs(tmp_path, [np.full(4, 0.3), np.full(4, 0.6)])
+    (inputs / "a.bin").mkdir()
+    (inputs / "sub.csv").mkdir()
+    (inputs / "z.bin").symlink_to(inputs / "sample01.bin")
+    argv = ["--network", str(npath), "--inputs", str(inputs)]
+    rc = main(["profile", *argv, "--out", str(tmp_path / "o")])
+    assert rc == 0, capsys.readouterr().err
+    assert json.loads((tmp_path / "o" / "energy.json").read_text())["n_samples"] == 3
+    rc = main(["trace", *argv, "--sample", "0", "--out", str(tmp_path / "t")])
+    assert rc == 0, capsys.readouterr().err
+    capsys.readouterr()
+    rc = main(["trace", *argv, "--sample", "-1", "--out", str(tmp_path / "u")])
+    assert rc == 2
+    assert "--sample -1 is out of range for 3 input file(s)" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("encoding", ["analog", "poisson"])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("suffix", [".bin", ".csv"])
+def test_a_non_finite_input_value_exits_2_naming_the_file(tmp_path, capsys, encoding,
+                                                           value, suffix):
+    # not a state that left the finite range (3), nor only a Poisson rate
+    # out of range: the file is bad, whatever the encoding
+    npath = write_net(tmp_path, dense_ifl())
+    inputs = write_inputs(tmp_path, [np.full(4, 0.3)])
+    values = np.array([0.3, value, 0.3, 0.3])
+    bad = inputs / f"sample01{suffix}"
+    if suffix == ".bin":
+        save_input_tensor(bad, values)
+    else:
+        bad.write_text(",".join(str(v) for v in values) + "\n")
+    out = tmp_path / "o"
+    rc = main(["profile", "--network", str(npath), "--inputs", str(inputs),
+               "--encoding", encoding, "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert f"schema error: sample01{suffix}: input values must be finite" in err
+    assert not (out / "energy.json").exists()

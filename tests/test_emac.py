@@ -1,4 +1,7 @@
+import copy
+import gc
 import json
+import pickle
 
 import numpy as np
 import pytest
@@ -668,6 +671,52 @@ def test_a_dataset_derives_structural_counts_once_per_network(monkeypatch):
         return len(calls)
 
     assert derived(16) <= derived(2)
+
+
+def test_the_price_table_and_static_macs_are_built_once_per_network(monkeypatch):
+    net = dense_net([4, 3, 2], ifl())
+    assert emac.price_table(net) is emac.price_table(net)
+    built = []
+    build = emac._static_macs
+
+    def counted(net, mode):
+        built.append(mode)
+        return build(net, mode)
+
+    monkeypatch.setattr(emac, "_static_macs", counted)
+    for _ in range(3):
+        for mode in EncodingMode:
+            assert emac.static_macs(net, mode) == build(net, mode)
+    assert built == list(EncodingMode)
+
+
+def test_a_mode_that_raises_keeps_no_entry():
+    net = NetworkBuilder((4,)).dense(3, ANN).dense(2, ifl()).build()
+    messages = set()
+    for _ in range(3):
+        with pytest.raises(SchemaError) as raised:
+            emac.static_macs(net, EncodingMode.POISSON)
+        messages.add(str(raised.value))
+        assert (emac._static_macs, EncodingMode.POISSON) not in netspec._DERIVED.get(net, {})
+    assert messages == {"ann_relu layers consume static values; use analog encoding"}
+    assert emac.static_macs(net, EncodingMode.ANALOG) == (12, 6)
+
+
+def test_what_is_priced_dies_with_its_network_and_a_copy_has_its_own():
+    net = dense_net([4, 3, 2], ifl())
+    table = emac.price_table(net)
+    macs = emac.static_macs(net, EncodingMode.ANALOG)
+    for twin in (pickle.loads(pickle.dumps(net)), copy.deepcopy(net)):
+        assert twin is not net
+        assert twin not in netspec._DERIVED
+        assert emac.price_table(twin) == table and emac.price_table(twin) is not table
+        assert emac.static_macs(twin, EncodingMode.ANALOG) == macs
+        assert netspec._DERIVED[twin] is not netspec._DERIVED[net]
+    (key,) = [ref for ref in netspec._DERIVED.keyrefs() if ref() is net]
+    del net
+    gc.collect()
+    assert key() is None
+    assert key not in netspec._DERIVED.keyrefs()
 
 
 @pytest.mark.parametrize("steps", [2.5, True, "4", None, float("nan"), 1e300])

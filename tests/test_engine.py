@@ -29,7 +29,7 @@ from emacprof import (
     run_inference,
     serialize_network,
 )
-from emacprof import engine
+from emacprof import engine, netspec
 from emacprof.engine import (
     SampleOutcome,
     _EVENT_MIN_WEIGHTS,
@@ -607,6 +607,16 @@ def window_view(x, layer):
     return sliding_window_view(x, layer.kernel, axis=(1, 2))[:, ::sh, ::sw]
 
 
+def fresh(fn, x, arg):
+    """``fn``'s output for ``x``, written into new buffers: with ``fn`` a
+    step plan, a float64 drive of ``arg`` values; with ``fn`` :func:`_max_pool`,
+    the windows of taps ``arg`` and their column maximum, of ``x``'s dtype."""
+    if fn is not _max_pool:
+        return fn(x, np.empty(arg))
+    rows = np.empty(x[arg[0][0]].shape, x.dtype)
+    return fn(x, arg, np.empty(rows[arg[1][0]].shape, x.dtype), rows)
+
+
 @pytest.mark.parametrize(
     "kernel, stride, padding",
     [((3, 2), (1, 1), 0), ((3, 2), (2, 1), 1), ((2, 5), (2, 3), 2), ((1, 1), (2, 2), 0)],
@@ -624,7 +634,8 @@ def test_conv_drive_is_bitwise_the_tensordot_over_windows(kernel, stride, paddin
     )
     layer = net.layers[0]
     weights = weight_tensor(net, 0)
-    drive = _step_plan(_compile(net)[0])
+    rt = _compile(net)[0]
+    drive = _step_plan(rt)
     # spikes and analog values through one plan: its buffer is reused
     for x in (rng.random(shape) < 0.4, rng.normal(size=shape), rng.random(shape) < 0.7):
         p = layer.padding
@@ -632,7 +643,7 @@ def test_conv_drive_is_bitwise_the_tensordot_over_windows(kernel, stride, paddin
         expected = np.tensordot(
             weights, window_view(padded, layer), axes=([1, 2, 3], [0, 3, 4])
         ).reshape(-1)
-        assert np.array_equal(drive(x), expected)
+        assert np.array_equal(fresh(drive, x, rt.neurons), expected)
 
 
 @pytest.mark.parametrize(
@@ -657,7 +668,7 @@ def test_pool_equals_the_window_max(shape, pool, stride):
     compiled = _compile(net)[0]
     for x in (rng.random(shape) < 0.3, rng.normal(size=shape), np.zeros(shape, bool)):
         expected = window_view(x, layer).max(axis=(-2, -1))
-        out = _max_pool(x, compiled.pool_taps)
+        out = fresh(_max_pool, x, compiled.pool_taps)
         assert out.dtype == expected.dtype
         assert np.array_equal(out, expected)
 
@@ -901,12 +912,14 @@ def test_a_pool_written_in_place_equals_a_new_one(dtype):
     taps = _compile(net)[0].pool_taps
     shape = (4, 3, 9, 8)
     x = rng.random(shape) < 0.3 if dtype is bool else rng.normal(size=shape)
-    want = _max_pool(x, taps)
-    out = np.full((4, *net.layers[0].output_shape), True if dtype is bool else np.inf, dtype)
-    assert _max_pool(x, taps, out=out) is out
+    want = fresh(_max_pool, x, taps)
+    stale = True if dtype is bool else np.inf
+    out = np.full((4, *net.layers[0].output_shape), stale, dtype)
+    rows = np.full(x[taps[0][0]].shape, stale, dtype)  # the column maximum
+    assert _max_pool(x, taps, out, rows) is out
     assert out.dtype == want.dtype and out.tobytes() == want.tobytes()
     for p in range(4):  # a sample's slice, as a one-row group pools it
-        assert _max_pool(x[p], taps, out=out[p]).tobytes() == want[p].tobytes()
+        assert _max_pool(x[p], taps, out[p], rows[p]).tobytes() == want[p].tobytes()
 
 
 def per_tap_max(x, layer):
@@ -946,10 +959,12 @@ def test_pool_matches_a_per_tap_loop_byte_for_byte(shape, pool, stride, dtype):
             else:
                 x = rng.choice(values, (*lead, *shape))
             want = per_tap_max(x, layer)
-            got = _max_pool(x, taps)
+            got = fresh(_max_pool, x, taps)
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
-            out = np.full(want.shape, True if dtype is bool else 7.0, dtype)
-            assert _max_pool(x, taps, out=out) is out
+            stale = True if dtype is bool else 7.0
+            out = np.full(want.shape, stale, dtype)
+            rows = np.full(x[taps[0][0]].shape, stale, dtype)
+            assert _max_pool(x, taps, out, rows) is out
             assert out.tobytes() == want.tobytes()
 
 
@@ -1063,7 +1078,9 @@ def test_event_drive_equals_the_dense_product(kind, count, dyadic, seed):
     x = spike_vector(rng, n_in, count)
     analog = rng.integers(-16, 17, n_in) / 8 if dyadic else rng.normal(size=n_in)
     # spikes through the binder; floats through the plan, where there is one
-    cases = [(x, lone_drive(w, x))] + ([] if drive is None else [(analog, drive(analog))])
+    cases = [(x, lone_drive(w, x))]
+    if drive is not None:
+        cases.append((analog, fresh(drive, analog, len(w))))
     for inputs, got in cases:
         expected = w @ inputs.astype(np.float64)
         assert got.shape == expected.shape
@@ -1104,10 +1121,11 @@ def test_a_drive_written_in_place_equals_a_new_one(kind, count):
                     weights=rng.normal(0.0, 0.3, 72))
             .build()
         )
-        plan = _step_plan(_compile(net)[0])
+        rt = _compile(net)[0]
+        plan, size = _step_plan(rt), rt.neurons
     else:
         w, plan = drive_case(kind, rng, dyadic=False)
-        shape = (w.shape[1],)
+        shape, size = (w.shape[1],), len(w)
     if count == "float":
         x = rng.normal(size=shape)
     elif kind == "conv":
@@ -1115,7 +1133,7 @@ def test_a_drive_written_in_place_equals_a_new_one(kind, count):
     else:
         x = spike_vector(rng, shape[0], count)
     by_plan = kind == "conv" or count == "float"
-    want = plan(x) if by_plan else lone_drive(w, x)
+    want = fresh(plan, x, size) if by_plan else lone_drive(w, x)
     # a row of a larger buffer, as a group writes it; without spikes the
     # drive must overwrite a -0.0 with +0.0
     buf = np.full((3, want.size), np.nan if x.any() else -0.0)
@@ -1165,16 +1183,16 @@ def test_a_group_drive_equals_each_row_alone(kind):
     live = [0, 1, 2, 4]
     called = []
 
-    def recorded(x, out=None):
+    def recorded(x, out):
         called.append(x)
-        return plan(x, out=out)
+        return plan(x, out)
 
     _bind_drive(recorded if plan else None, w, x, out)(x.reshape(5, -1).sum(axis=1), live)
     for p in live:
         if p == 1:  # +0.0, whatever sign of zero a product would have
             assert out[p].tobytes() == np.zeros(n_out).tobytes()
         elif plan is not None:
-            assert out[p].tobytes() == plan(x[p]).tobytes()
+            assert out[p].tobytes() == fresh(plan, x[p], n_out).tobytes()
         else:
             assert out[p].tobytes() == lone_drive(w, x[p]).tobytes()
     # the silent row is not summed: the plan never sees its input
@@ -2064,19 +2082,20 @@ def test_a_network_is_compiled_once(monkeypatch):
 def test_the_compile_is_dropped_with_its_network():
     net = layered_net()
     run_inference(net, layered_samples(1)[0])
-    (key,) = [ref for ref in engine._COMPILED.keyrefs() if ref() is net]
+    assert (_compile,) in netspec._DERIVED[net]
+    (key,) = [ref for ref in netspec._DERIVED.keyrefs() if ref() is net]
     del net
     gc.collect()
     assert key() is None
-    assert key not in engine._COMPILED.keyrefs()
+    assert key not in netspec._DERIVED.keyrefs()
 
 
 def test_a_cached_compile_gives_the_same_result():
     net = layered_net()
     sample = layered_samples(1)[0]
-    assert net not in engine._COMPILED
+    assert net not in netspec._DERIVED
     first = run_inference(net, sample, record_raster=True)
-    assert net in engine._COMPILED
+    assert (_compile,) in netspec._DERIVED[net]
     again = run_inference(net, sample, record_raster=True)
     assert_same_result(again, first)  # traces, rasters and both energy reports
 

@@ -39,6 +39,7 @@ from emacprof.netspec import (
     lcl_mask,
     realized_connections,
 )
+from emacprof import netspec
 from emacprof.cli import main
 
 IFL = NeuronModelSpec(kind=NeuronKind.IFL)
@@ -707,6 +708,28 @@ def test_a_spec_pickles_and_deep_copies_as_a_frozen_spec():
     for twin in (pickle.loads(pickle.dumps(net)), copy.deepcopy(net)):
         assert networks_equal(twin, net)
         assert cannot_be_made_writable(twin)
+
+
+def test_derived_builds_once_per_spec_and_arguments_and_keeps_no_failure():
+    net = built_spec()
+    built = []
+
+    def build(net, k):
+        built.append(k)
+        if k < 0:
+            raise SchemaError(f"no build for {k}")
+        return [k]
+
+    first = netspec.derived(net, build, 1)
+    assert netspec.derived(net, build, 1) is first and first == [1]
+    assert netspec.derived(net, build, 2) == [2]
+    for _ in range(2):
+        with pytest.raises(SchemaError, match="^no build for -1$"):
+            netspec.derived(net, build, -1)
+    assert built == [1, 2, -1, -1]
+    assert set(netspec._DERIVED[net]) == {(build, 1), (build, 2)}
+    twin = copy.deepcopy(net)
+    assert netspec.derived(twin, build, 1) is not first and built[-1] == 1
 
 
 def test_the_builder_copies_the_callers_weights():

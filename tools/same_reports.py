@@ -9,7 +9,11 @@ commit unpacked with ``git archive``. Each workload of
 ``benchmarks/workloads.py`` is generated at seeds 0-3, and on each instance
 ``emacprof profile`` and ``emacprof trace --sample 1 --raster`` run twice, in
 a fresh process: once with ``PYTHONPATH=BASE_SRC`` and once with this
-checkout's ``src``. So do they on :data:`POOL_NETS`, a network with a
+checkout's ``src``. ``emacprof inspect``, which prints the price table, runs
+once per network (at seed 0: a network does not change with the seed), and
+on ``mixed_analog_recurrent``, the one workload with a static prefix,
+``profile --encoder-per-step`` runs at every seed, so that the static MACs
+are priced once per step. So do they on :data:`POOL_NETS`, a network with a
 padded stride-2 convolution and an overlapping 3x3 stride-2 pool, which no
 workload has: once with a rectifier convolution and analog inputs, so that
 the pool takes floats in the static stage, and once with a spiking
@@ -283,22 +287,29 @@ def main(argv: list[str] | None = None) -> int:
                 # None: the manifest's own coding
                 roc_too = name in {"conv_poisson_rate", "threshold_net", "block_edge_net",
                                    *BLOCK_NETS}
+                profile = profile_argv(workload, gen, seed, Path("out"))
+                runs = {}  # output directory: (command, flags)
                 for coding in [None, "roc"] if roc_too else [None]:
                     flags = [] if coding is None else ["--coding", coding]
-                    profile = [*profile_argv(workload, gen, seed, Path("out")), *flags]
-                    trace = ["trace", *profile[1:], "--sample", "1", "--raster"]
-                    for command in (profile, trace):
-                        label = " ".join([name, "seed", str(seed), command[0], *flags])
-                        where = f"{command[0]}-{coding or 'manifest'}"
-                        found = difference(
-                            run(base_src, command, case / "base" / where),
-                            run(ROOT / "src", command, case / "change" / where),
-                            codes,
-                        )
-                        if found is not None:
-                            print(f"{label}: {found}", file=sys.stderr)
-                            return 1
-                        print(f"{label}: identical", flush=True)
+                    runs[f"profile-{coding or 'manifest'}"] = [*profile, *flags], flags
+                    trace = ["trace", *profile[1:], *flags, "--sample", "1", "--raster"]
+                    runs[f"trace-{coding or 'manifest'}"] = trace, flags
+                if name == "mixed_analog_recurrent":
+                    flags = ["--encoder-per-step"]
+                    runs["profile-per-step"] = [*profile, *flags], flags
+                if seed == SEEDS[0]:
+                    runs["inspect"] = ["inspect", *profile[1:5]], []
+                for where, (command, flags) in runs.items():
+                    label = " ".join([name, "seed", str(seed), command[0], *flags])
+                    found = difference(
+                        run(base_src, command, case / "base" / where),
+                        run(ROOT / "src", command, case / "change" / where),
+                        codes,
+                    )
+                    if found is not None:
+                        print(f"{label}: {found}", file=sys.stderr)
+                        return 1
+                    print(f"{label}: identical", flush=True)
     return 0
 
 
