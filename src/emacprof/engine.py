@@ -54,14 +54,15 @@ Alongside the dynamics the engine keeps exact integer event counters:
 These counters, the per-step spike counts, and the step budget actually
 used are what the energy accounting consumes.
 
-Compilation happens once per network: on its first run the engine
-converts the weight blocks to float64, checks that they are finite and
-builds the fan-out maps, and :func:`~emacprof.netspec.derived` keeps the
-result for as long as the :class:`~emacprof.netspec.NetworkSpec` lives,
-which cannot change once built. :func:`run_inference` and
-:func:`run_dataset`, and through them every caller, reuse it. The cost is
-memory: the float64 copy stays next to the spec's float32 blocks between
-runs too.
+Compilation happens once per network: on its first run the engine takes
+each weight block as float64 from :func:`~emacprof.netspec.weight_tensor`,
+which checks that it is finite, and builds the fan-out maps, and
+:func:`~emacprof.netspec.derived` keeps the result for as long as the
+:class:`~emacprof.netspec.NetworkSpec` lives, which cannot change once
+built. :func:`run_inference` and :func:`run_dataset`, and through them
+every caller, reuse it. The float64 weights are the spec's own: it keeps
+them in place of its float32 blocks, so a network that has run holds each
+weight once, in 8 bytes, between runs too.
 
 Before it runs, each group of samples builds a step plan for each weighted
 layer of its static stage, for an analog-fed first layer and for each
@@ -136,7 +137,7 @@ import logging
 from dataclasses import dataclass, replace
 from functools import partial
 from itertools import accumulate, chain, groupby
-from math import isfinite
+from math import isfinite, prod
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -555,9 +556,6 @@ def _static_stage(static: list[_LayerRT]) -> Callable[[np.ndarray], np.ndarray]:
 
 #: the least budget of step state one lockstep group holds, over all its samples
 _GROUP_STATE_BYTES = 1 << 18
-#: a network's group budget is at least its compiled weight bytes over this:
-#: the weights dominate the memory peak, so a group may grow in proportion
-_WEIGHT_BUDGET_SHARE = 16
 #: one spiking neuron's share of a sample's step state, as :func:`_step_group`
 #: allocates it in the group's one layer-major buffer set: current, voltage,
 #: half-step voltage, fired flag, drive and spike
@@ -569,34 +567,54 @@ _NEURON_STATE_BYTES = sum(
 def _group_size(rt: list[_LayerRT], t_max: int) -> int:
     """How many samples one lockstep group steps together.
 
-    As many as the group budget holds of each sample's neuron state and
-    step history, and at least one. The budget is the larger of
-    :data:`_GROUP_STATE_BYTES` (256 KiB) and the compiled float64 weights
-    over :data:`_WEIGHT_BUDGET_SHARE` (16): the weights stay resident for
-    the whole run, so a group of that size raises the memory peak by a few
-    percent at most. The history term is exact, since a group allocates its
-    histories at the step budget (one step without spiking layers), except
-    that a pool of uneven fan-out before the first spiking layer is counted
-    as if it stepped; rasters, which only :func:`run_inference` records,
-    are not counted. The
-    reference workloads get 6 samples a group on ``dense_poisson_roc``
-    (784-512-512-256-256-10), 14 on ``mixed_analog_recurrent`` and 1 on
+    As many as the group budget holds of what each sample's row of a group
+    holds, and at least one. The budget is the larger of
+    :data:`_GROUP_STATE_BYTES` (256 KiB) and the float32 bytes the compile
+    released, half the compiled float64 weight bytes: a compiled spec keeps
+    each weight once, as float64 (see
+    :class:`~emacprof.netspec.NetworkSpec`), and the float32 blocks, which
+    the memory peak held while the compile ran, are what a group may spend
+    without raising it.
+
+    A row holds the neuron state of every spiking layer, its step history,
+    its encoded float64 input, a recurrent term, and the float64 operand of
+    each stacked product (see :func:`_bind_drive`) but the first spiking
+    layer's; and, whichever is larger, that layer's analog drive, or the
+    Poisson input spikes with that layer's stacked operand. The history is
+    counted as a group allocates it, at the step budget (one step without
+    spiking layers), except that a pool of uneven fan-out before the first
+    spiking layer is counted as if it stepped. Not counted: rasters, which
+    only :func:`run_inference` records, and the one-byte outputs of the
+    pools that step. The reference workloads get 41 samples a group on
+    ``dense_poisson_roc`` (784-512-512-256-256-10), so one group of 16, 54
+    on ``mixed_analog_recurrent``, so groups of 32 and 32, and 1 on
     ``conv_poisson_rate``: a wide convolutional network has small weights
     and much state, and more samples a group, though faster per sample,
     would double its memory peak.
     """
-    neurons = sum(r.neurons for r in rt if r.spiking)
+    spiking = [r for r in rt if r.spiking]
+    neurons = sum(r.neurons for r in spiking)
     # each step keeps the input's and every layer's spike count, the events
     # reaching each layer of uneven fan-out (but a rectifier, which never
     # steps), and the output layer's voltages and spikes
     uneven = sum(r.fanout is not None for r in rt if r.spiking or not r.weighted)
     counters = len(rt) + 1 + uneven
     history = (t_max if neurons else 1) * (8 * counters + 9 * rt[-1].neurons)
+    inputs = prod(rt[0].spec.input_shape)
+    row = _NEURON_STATE_BYTES * neurons + history + 8 * inputs
+    if spiking:
+        operands = [
+            8 * w.shape[1] if w is not None and w.size <= _EVENT_MIN_WEIGHTS else 0
+            for r in spiking
+            for w in (None if r.spec.kind is LayerKind.CONV2D else r.weights, r.rec_weights)
+        ]
+        first = operands.pop(0)  # only spikes feed the first layer's binder
+        term = max((r.neurons for r in spiking if r.rec_weights is not None), default=0)
+        row += sum(operands) + 8 * term + max(8 * spiking[0].neurons, inputs + first)
     weight_bytes = sum(
         w.nbytes for r in rt for w in (r.weights, r.rec_weights) if w is not None
     )
-    budget = max(_GROUP_STATE_BYTES, weight_bytes // _WEIGHT_BUDGET_SHARE)
-    return max(1, budget // (_NEURON_STATE_BYTES * neurons + history))
+    return max(1, max(_GROUP_STATE_BYTES, weight_bytes // 2) // row)
 
 
 def _settings(
@@ -1145,7 +1163,7 @@ def _groups(
     """Consecutive runs of at most ``size`` samples that share an encoding mode.
 
     ``n`` samples make ``ceil(n / size)`` groups of near-equal size, the
-    larger ones first (64 samples at most 14 a group: 13, 13, 13, 13, 12),
+    larger ones first (150 samples at most 54 a group: 50, 50, 50),
     so the largest group, which sets the memory peak, is as small as the
     group count allows; a change of encoding mode also ends a group. Each
     group is yielded as soon as it is full, before the sample that starts

@@ -56,11 +56,10 @@ import json
 import logging
 import struct
 import weakref
+from collections.abc import Callable, Iterator, Mapping
 from dataclasses import dataclass
 from enum import Enum
 from math import prod
-from types import MappingProxyType
-from typing import Callable, Iterable, Mapping
 
 import numpy as np
 
@@ -180,6 +179,16 @@ class NetworkSpec:
     ``weights`` is a read-only mapping of blocks backed by immutable
     ``bytes``, so no holder can make one writable again: a block whose memory
     is a ``bytes`` object is kept as it is, any other is copied into one.
+
+    The spec holds each block once. The first :func:`weight_tensor` or
+    :func:`recurrent_weight_tensor` call for a block builds its float64
+    form, which the spec keeps in place of the float32 block: ``weights``
+    then serves the block converted back to float32, which is exact, as a
+    new read-only array over ``bytes``. Once every block of a parsed spec
+    has its float64 form, nothing views the parsed container any more and
+    it is freed, so a spec that has run holds 8 bytes a weight, not 4 + 8.
+    A block that no layer references keeps its float32 form, and so keeps
+    the container it views alive.
     """
 
     layers: tuple[LayerSpec, ...]
@@ -193,11 +202,11 @@ class NetworkSpec:
         t_max = step_count(self.max_timesteps, "max_timesteps")
         object.__setattr__(self, "max_timesteps", t_max)
         blocks = {name: _frozen(block) for name, block in self.weights.items()}
-        object.__setattr__(self, "weights", MappingProxyType(blocks))
+        object.__setattr__(self, "weights", _Blocks(blocks))
         validate_network(self)
 
     def __reduce__(self):
-        # a mapping proxy does not pickle: rebuild the spec from a plain dict
+        # rebuild the spec from a plain dict of its float32 blocks
         weights = dict(self.weights)
         return NetworkSpec, (self.layers, weights, self.coding, self.max_timesteps)
 
@@ -248,6 +257,71 @@ def _frozen(block) -> np.ndarray:
     if block.dtype.hasobject:  # no buffer to view; validation rejects it
         return block
     return np.frombuffer(block.tobytes(), dtype=block.dtype).reshape(block.shape)
+
+
+class _Blocks(Mapping):
+    """A spec's weight blocks by name, each held once: flat float32 as given,
+    or the float64 forms :meth:`float64` built, by natural shape.
+
+    Read, a block is flat float32 either way (see :class:`NetworkSpec`). A
+    float64 form is stored before its float32 block is dropped, so a
+    reader finds one or the other whatever another thread does.
+    """
+
+    __slots__ = ("_names", "_float32", "_float64")
+
+    def __init__(self, blocks: dict[str, np.ndarray]) -> None:
+        self._names = dict.fromkeys(blocks)
+        self._float32 = blocks
+        self._float64: dict[str, dict[tuple[int, ...], np.ndarray]] = {}
+
+    def __getitem__(self, name: str) -> np.ndarray:
+        try:
+            return self._float32[name]
+        except KeyError:
+            pass
+        # KeyError for a name that is no block; any form holds the same values
+        form = next(iter(self._float64[name].values()))
+        return _frozen(np.ascontiguousarray(form, dtype=np.float32).reshape(-1))
+
+    def __contains__(self, name) -> bool:
+        return name in self._names
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._names)
+
+    def __len__(self) -> int:
+        return len(self._names)
+
+    def float64(self, name: str, shape: tuple[int, ...], what: str) -> np.ndarray:
+        """Block ``name`` as float64 in ``shape``, built and kept on the first call.
+
+        A block holding NaN or an infinity raises :class:`SchemaError`
+        naming ``what`` and the block, and nothing is stored. Two first calls
+        that race build twice and keep one form. The form is a view of a
+        read-only array only the spec holds, so the view cannot be made
+        writable.
+        """
+        forms = self._float64.get(name)
+        form = None if forms is None else forms.get(shape)
+        if form is None:
+            block = self[name]
+            if not np.isfinite(block).all():
+                raise SchemaError(f"{what}: weight block {name!r} holds non-finite values")
+            if len(shape) != 2:  # a convolution keeps its C order
+                owner = block.astype(np.float64)
+                owner.flags.writeable = False
+                form = owner.reshape(shape)
+            else:
+                # float32 straight to a transposed float64 copy, in one pass: a
+                # float64 conversion followed by a transposed copy costs
+                # several times more
+                owner = block.reshape(shape).T.astype(np.float64, order="C")
+                owner.flags.writeable = False
+                form = owner.T
+            form = self._float64.setdefault(name, {}).setdefault(shape, form)
+            self._float32.pop(name, None)
+        return form.view()
 
 
 # ---------------------------------------------------------------------------
@@ -416,39 +490,30 @@ def weight_shape(layer: LayerSpec, recurrent: bool = False) -> tuple[int, ...]:
     return (prod(layer.output_shape), prod(layer.input_shape))
 
 
-def _float64_block(net: NetworkSpec, index: int, ref: str, shape) -> np.ndarray:
-    layer = net.layers[index]
-    block = _block(net, ref, index)
-    if not np.isfinite(block).all():
-        raise SchemaError(
-            f"layer {index} ({layer.kind.value}): weight block {ref!r} holds "
-            "non-finite values"
-        )
-    if len(shape) != 2:  # a convolution keeps its C order
-        return block.astype(np.float64).reshape(shape)
-    # float32 straight to a transposed float64 copy, in one pass: a float64
-    # conversion followed by a transposed copy costs several times more
-    return block.reshape(shape).T.astype(np.float64, order="C").T
-
-
 def weight_tensor(net: NetworkSpec, index: int) -> np.ndarray:
-    """Layer weights as float64 in their natural shape.
+    """Layer weights as float64 in their natural shape, a read-only view of
+    the form the spec keeps in place of the float32 block (see
+    :class:`NetworkSpec`), built on the block's first call.
 
     Dense-like blocks, ``(n_n, fan-in)``, come back column-major: each
     input's outgoing weights are contiguous, so ``.T`` is a C-contiguous
     ``(fan-in, n_n)`` array whose rows an event-driven drive gathers.
     Convolutions are C-contiguous ``(C_out, C_in, kh, kw)``. A block holding
     NaN or an infinity raises :class:`SchemaError` naming the layer and the
-    block, whatever the layer kind.
+    block, whatever the layer kind, on every call, and keeps its float32
+    form. Layers that share a block in one shape share its form; one that
+    reads it in another shape gets a form of its own.
     """
     layer = net.layers[index]
-    return _float64_block(net, index, layer.weights_ref, weight_shape(layer))
+    what = f"layer {index} ({layer.kind.value})"
+    return net.weights.float64(layer.weights_ref, weight_shape(layer), what)
 
 
 def recurrent_weight_tensor(net: NetworkSpec, index: int) -> np.ndarray:
-    """Recurrent ``(n_n, n_n)`` weights, laid out and checked like a dense block."""
+    """Recurrent ``(n_n, n_n)`` weights, laid out, checked and kept like a dense block."""
     layer = net.layers[index]
-    return _float64_block(net, index, layer.recurrent_weights_ref, weight_shape(layer, True))
+    what = f"layer {index} ({layer.kind.value})"
+    return net.weights.float64(layer.recurrent_weights_ref, weight_shape(layer, True), what)
 
 
 def lcl_mask(layer: LayerSpec) -> np.ndarray:

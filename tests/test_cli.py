@@ -398,6 +398,44 @@ def test_profile_memory_grows_little_per_input_file(tmp_path, monkeypatch):
     assert (peak(128) - peak(8)) / 120 < 2048
 
 
+def test_profile_memory_on_large_inputs_stays_within_the_group_budget(tmp_path):
+    # a group holds each of its samples' float64 inputs, 96 KiB each here,
+    # against a network of 3,898 weights: what profile holds over 24 input
+    # files beyond what it holds over one stays within the least group
+    # budget plus the resident weights
+    rng = np.random.default_rng(1)
+    net = (
+        NetworkBuilder((3, 64, 64), coding=Coding.RATE, max_timesteps=8)
+        .conv2d(2, (3, 3), ANN, weights=rng.normal(0.0, 0.3, 54))
+        .max_pool((2, 2))
+        .flatten()
+        .dense(2, IFL, weights=rng.normal(0.0, 0.05, (2, 1922)))
+        .build()
+    )
+    npath = write_net(tmp_path, net)
+    inputs = {}
+    for n in (1, 24):
+        inputs[n] = tmp_path / f"inputs{n}"
+        inputs[n].mkdir()
+        for k, values in enumerate(rng.uniform(0.0, 1.0, (n, 3, 64, 64))):
+            save_input_tensor(inputs[n] / f"sample{k:03d}.bin", values)
+
+    def peak(n):
+        argv = ["profile", "--network", str(npath), "--inputs", str(inputs[n]),
+                "--encoding", "analog", "--out", str(tmp_path / "o")]
+        gc.collect()
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(1)  # first-call caches (the parser, imports)
+    resident = 8 * sum(block.size for block in net.weights.values())
+    assert peak(24) - peak(1) <= engine._GROUP_STATE_BYTES + resident
+
+
 @pytest.mark.parametrize("field, value", [("bias", np.nan), ("v_th", np.inf)])
 def test_profile_non_finite_neuron_parameter_exits_2(tmp_path, capsys, field, value):
     npath = write_net(tmp_path, dense_ifl())

@@ -1413,12 +1413,18 @@ def test_non_finite_weights_are_schema_errors(kind, bad):
 
 
 def force_group_size(monkeypatch, net, t_max, size):
-    """Set the private state budget so that ``net`` runs ``size`` samples a group."""
-    rt = _compile(net)
-    monkeypatch.setattr(engine, "_GROUP_STATE_BYTES", 1 << 60)
-    per_sample = (1 << 60) // _group_size(rt, t_max)
-    monkeypatch.setattr(engine, "_GROUP_STATE_BYTES", size * per_sample)
-    assert _group_size(rt, t_max) == size
+    """Make ``run_dataset`` run ``net`` at step budget ``t_max`` in groups of ``size``.
+
+    The group size is patched, not the budget: a network's weight term can
+    exceed any state budget set small enough for a small size.
+    """
+    rt = netspec.derived(net, _compile)  # the compile run_dataset reuses
+
+    def sized(compiled, budget):
+        assert compiled is rt and budget == t_max
+        return size
+
+    monkeypatch.setattr(engine, "_group_size", sized)
 
 
 def random_spiking_model(draw):
@@ -1981,8 +1987,10 @@ def test_group_size_follows_the_state_budget():
 
 
 def test_group_size_counts_the_state_a_group_allocates(monkeypatch):
-    # per sample: the group's one state, drive and spike buffer, and the
-    # histories, as a one-sample group allocates them
+    # per sample: the group's one state, drive and spike buffer, the
+    # histories, the Poisson input row, the recurrent term, the float64
+    # operands of the stacked products and the encoded input, as a
+    # one-sample group allocates them
     rng = np.random.default_rng(18)
     lif_ = NeuronModelSpec(kind=NeuronKind.LIF, dt=1e-3, tau_syn=5e-3, tau_mem=1e-2)
     net = (  # two blocks, a recurrent layer, even fan-out only
@@ -2011,17 +2019,32 @@ def test_group_size_counts_the_state_a_group_allocates(monkeypatch):
 
         return recorded
 
+    # and every binder reads a spike input and writes a drive or a term
+    binders = []
+
+    def recorded_bind(plan, weights, x, out):
+        binders.append((weights, x, out))
+        return _bind_drive(plan, weights, x, out)
+
     monkeypatch.setattr(engine, "step_fn", recorded_step_fn)
+    monkeypatch.setattr(engine, "_bind_drive", recorded_bind)
+    sample = encode(rng.uniform(0.0, 1.0, 12), "poisson", seed=1)
     run = engine._step_group(
-        net, rt, [encode(rng.uniform(0.0, 1.0, 12), "poisson", seed=1)], 0,
-        T_max=10, coding=Coding.ROC, record_raster=False,
+        net, rt, [sample], 0, T_max=10, coding=Coding.ROC, record_raster=False,
     )
     monkeypatch.undo()
     assert len(buffers) == 6
     state = sum(a.nbytes for a in buffers.values())
     assert state == engine._NEURON_STATE_BYTES * sum(r.neurons for r in spiking)
     history = sum(a.nbytes for a in (run.counts, run.spikes, run.volts, run.events))
-    per_sample = state + history
+    # every matrix here is small, so each binder casts its input to float64
+    assert len(binders) == 5 and all(w.size <= _EVENT_MIN_WEIGHTS for w, _, _ in binders)
+    operands = sum(8 * x.size for _, x, _ in binders)
+    owners = [a if a.base is None else a.base for _, x, out in binders for a in (x, out)]
+    inputs_and_terms = list({id(a): a for a in owners if id(a) not in buffers}.values())
+    assert sorted(a.nbytes for a in inputs_and_terms) == [12, 40]  # Poisson row, term
+    extra = sum(a.nbytes for a in inputs_and_terms) + operands + sample.values.nbytes
+    per_sample = state + history + extra
     for size in (1, 2, 5):
         monkeypatch.setattr(engine, "_GROUP_STATE_BYTES", size * per_sample)
         assert _group_size(rt, 10) == size
@@ -2038,13 +2061,15 @@ def test_large_weights_raise_the_group_budget(monkeypatch):
     )
     rt = _compile(dense)
     weight_bytes = sum(r.weights.nbytes for r in rt)
-    assert weight_bytes // engine._WEIGHT_BUDGET_SHARE > engine._GROUP_STATE_BYTES
+    # the float32 bytes the compile released, half the float64 ones
+    assert weight_bytes // 2 > engine._GROUP_STATE_BYTES
     size = _group_size(rt, 128)
-    # the 256 KiB floor alone holds fewer samples
-    monkeypatch.setattr(engine, "_WEIGHT_BUDGET_SHARE", 1 << 60)
-    floor = _group_size(rt, 128)
-    assert size > floor >= 1
+    # what a row costs, read off a budget that dwarfs the weights
+    monkeypatch.setattr(engine, "_GROUP_STATE_BYTES", 1 << 60)
+    row = (1 << 60) // _group_size(rt, 128)
     monkeypatch.undo()
+    # the 256 KiB floor alone holds fewer samples
+    assert size == weight_bytes // 2 // row > engine._GROUP_STATE_BYTES // row >= 1
     # a long step budget still shrinks the group
     assert _group_size(rt, 4096) < size
 

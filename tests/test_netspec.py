@@ -1,10 +1,13 @@
 import copy
 import dataclasses
+import gc
 import hashlib
 import json
 import pickle
 import re
 import struct
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,11 +26,13 @@ from emacprof import (
     SchemaError,
     ShapeMismatch,
     UnknownRef,
+    encode,
     networks_equal,
     parse_manifest,
     parse_network,
     read_weights_container,
     layer_counts,
+    run_inference,
     serialize_network,
     write_weights_container,
 )
@@ -38,6 +43,8 @@ from emacprof.netspec import (
     fanout_map,
     lcl_mask,
     realized_connections,
+    recurrent_weight_tensor,
+    weight_tensor,
 )
 from emacprof import netspec
 from emacprof.cli import main
@@ -757,6 +764,159 @@ def test_a_spec_copies_blocks_it_does_not_own():
         assert (net.weights["w"] == 1.0).all()
         values[0] = 1.0
     assert values.flags.writeable
+
+
+# ---------------------------------------------------------------------------
+# one storage per block: its float64 form once the network has run
+
+
+def run_once(net: NetworkSpec):
+    return run_inference(net, encode(np.full(net.input_shape, 0.5), "poisson", seed=1))
+
+
+def bytes_backed(block: np.ndarray) -> bool:
+    base = block
+    while isinstance(base, np.ndarray):
+        base = base.base
+    return isinstance(base, bytes)
+
+
+@pytest.mark.parametrize("make", [built_spec, parsed_spec])
+def test_a_spec_that_has_run_keeps_its_bytes_and_its_contract(make):
+    net = make()
+    files, names = serialize_network(net), list(net.weights)
+    first = run_once(net)
+    assert not net.weights._float32  # every block is float64 only
+    assert list(net.weights) == names and len(net.weights) == 4
+    assert "l0_w" in net.weights and "l1_w" not in net.weights
+    with pytest.raises(KeyError):
+        net.weights["l1_w"]
+    assert serialize_network(net) == files
+    assert networks_equal(net, parsed_spec()) and networks_equal(parsed_spec(), net)
+    assert networks_equal(parse_network(*serialize_network(net)), net)
+    assert cannot_be_made_writable(net)
+    for block in net.weights.values():
+        assert block.dtype == np.float32 and block.ndim == 1 and bytes_backed(block)
+        with pytest.raises(ValueError, match="read-only"):
+            block[0] = 1.0
+    for twin in (pickle.loads(pickle.dumps(net)), copy.deepcopy(net)):
+        assert networks_equal(twin, net) and cannot_be_made_writable(twin)
+        again = run_once(twin)
+        assert (again.output_voltages == first.output_voltages).all()
+        assert (again.trace.counts == first.trace.counts).all()
+    assert serialize_network(net) == files
+
+
+def test_a_shared_and_an_unreferenced_block_still_work():
+    rng = np.random.default_rng(4)
+    shared = rng.standard_normal(24).astype(np.float32)
+    head = rng.standard_normal(18).astype(np.float32)
+
+    def spec(refs, blocks):
+        layers = [
+            LayerSpec(kind=LayerKind.DENSE, input_shape=(n_in,), output_shape=(n_out,),
+                      neuron_model=IFL, weights_ref=ref)
+            for (n_in, n_out), ref in zip([(6, 4), (4, 6), (6, 4), (4, 3)], refs)
+        ]
+        return NetworkSpec(layers=tuple(layers), weights=blocks, coding=Coding.RATE,
+                           max_timesteps=8)
+
+    # one block read by three layers, in two shapes, and one no layer reads
+    net = spec(["s", "s", "s", "h"], {"s": shared, "h": head[:12], "spare": head})
+    apart = spec(["a", "b", "c", "h"], {"a": shared, "b": shared, "c": shared, "h": head[:12]})
+    parsed = parse_network(*serialize_network(net))
+    files = serialize_network(parsed)
+    for n in (net, parsed):
+        got, want = run_once(n), run_once(apart)
+        assert (got.output_voltages == want.output_voltages).all()
+        assert (got.trace.counts == want.trace.counts).all()
+    # the layers that read the block in one shape share one form
+    assert np.shares_memory(weight_tensor(parsed, 0), weight_tensor(parsed, 2))
+    assert not np.shares_memory(weight_tensor(parsed, 0), weight_tensor(parsed, 1))
+    # the unreferenced block stays as parsed: a view of the container
+    assert set(parsed.weights._float32) == {"spare"}
+    assert isinstance(parsed.weights["spare"].base, bytes)
+    assert serialize_network(parsed) == files
+
+
+def test_racing_first_calls_keep_one_float64_form():
+    net = parsed_spec()
+    barrier = threading.Barrier(2)
+
+    class Racing(dict):  # both threads read the float32 block before either stores
+        def __getitem__(self, name):
+            barrier.wait(10)
+            return super().__getitem__(name)
+
+    net.weights._float32 = Racing(net.weights._float32)
+    got = []
+    threads = [
+        threading.Thread(target=lambda: got.append(weight_tensor(net, 3))) for _ in range(2)
+    ]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    assert len(got) == 2 and np.shares_memory(*got)
+    assert np.shares_memory(got[0], weight_tensor(net, 3))
+    assert list(net.weights._float64["l3_w"]) == [(3, 4)] and "l3_w" not in net.weights._float32
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_a_non_finite_block_raises_on_every_run_and_stays_float32(bad):
+    values = np.full(12, 0.5, dtype=np.float32)
+    values[5] = bad
+    manifest, container = serialize_network(
+        NetworkBuilder((4,), max_timesteps=4).dense(3, IFL, weights=values).build()
+    )
+    net = parse_network(manifest, container)
+    block = net.weights["l0_w"]
+    for _ in range(2):
+        with pytest.raises(SchemaError, match="'l0_w' holds non-finite values"):
+            run_once(net)
+    assert net.weights["l0_w"] is block and block.base is container
+    assert not net.weights._float64
+    assert serialize_network(net) == (manifest, container)
+
+
+def test_a_weight_tensor_cannot_be_made_writable():
+    net = parsed_spec()
+    views = [weight_tensor(net, 0), weight_tensor(net, 2),
+             recurrent_weight_tensor(net, 2), weight_tensor(net, 3)]
+    for view in views:
+        with pytest.raises(ValueError):
+            view.setflags(write=True)
+        with pytest.raises(ValueError, match="read-only"):
+            view[...] = 0.0
+    # each call is a new view of the one form
+    again = weight_tensor(net, 3)
+    assert again is not views[3] and np.shares_memory(again, views[3])
+    assert networks_equal(net, parsed_spec())
+
+
+def test_a_spec_that_has_run_holds_8_bytes_a_weight():
+    rng = np.random.default_rng(5)
+    manifest, container = serialize_network(
+        NetworkBuilder((784,), max_timesteps=4)
+        .dense(512, IFL, weights=rng.normal(0.0, 0.01, (512, 784)))
+        .dense(10, IFL, weights=rng.normal(0.0, 0.1, (10, 512)))
+        .build()
+    )
+    n_weights = 784 * 512 + 512 * 10
+    buffer = bytearray(container)  # parsing copies it into bytes, traced
+    gc.collect()
+    tracemalloc.start()
+    try:
+        net = parse_network(manifest, buffer)
+        parsed = tracemalloc.get_traced_memory()[0]
+        run_once(net)
+        gc.collect()
+        ran = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    # the float32 container, then the float64 forms alone: it is freed
+    assert 4 * n_weights < parsed < 4.1 * n_weights
+    assert 8 * n_weights < ran < 8.4 * n_weights
 
 
 def test_last_layer_must_be_weighted():
