@@ -62,23 +62,33 @@ which checks that it is finite, and builds the fan-out maps, and
 built. :func:`run_inference` and :func:`run_dataset`, and through them
 every caller, reuse it. The float64 weights are the spec's own: it keeps
 them in place of its float32 blocks, so a network that has run holds each
-weight once, in 8 bytes, between runs too.
+weight once, in 8 bytes, between runs too. The first spiking layer's
+dense-like weights are only checked then: their form depends on the input,
+input-major under spikes and in row blocks under an analog input, so a run
+takes them from the spec in the form its input reads (see
+:func:`_first_weights`), and a spec holds only the forms its runs read.
 
 Before it runs, each group of samples builds a step plan for each weighted
-layer of its static stage, for an analog-fed first layer and for each
-convolution: the layer's forward map, with whatever it needs allocated
-once, which every sample of the group calls in turn. A convolution writes
-its input into the interior of a zero-padded buffer and multiplies the
-kernel rows with a fixed window view of that buffer (the im2col product). A
-dense-like layer (dense, locally connected, and the recurrent term of a
-recurrent layer) is driven by events in the step loop: its binder (see
-:func:`_bind_drive`), the one event-sum path, adds up the weight rows of
-the inputs that spiked, in blocks of at most 64 rows, so the cost follows
-the spike count and the temporary stays at 64 rows whatever the spike rate.
-A dense-like plan only serves float inputs (the static stage, or an analog
-first layer), with the full matrix-vector product. Both read the one
-float64 copy of the weights, stored input-major (see
-:func:`~emacprof.netspec.weight_tensor`). A pool takes the elementwise
+layer of its static stage and for each convolution: the layer's forward
+map, with whatever it needs allocated once, which every sample of the group
+calls in turn. A convolution writes its input into the interior of a
+zero-padded buffer and multiplies the kernel rows with a fixed window view
+of that buffer (the im2col product). A dense-like layer (dense, locally
+connected, and the recurrent term of a recurrent layer) is driven by events
+in the step loop: its binder (see :func:`_bind_drive`), the one event-sum
+path, adds up the weight rows of the inputs that spiked, in blocks of at
+most 64 rows, so the cost follows the spike count and the temporary stays
+at 64 rows whatever the spike rate. A dense-like plan only serves the float
+inputs of the static stage, with the full matrix-vector product. Both read
+the one float64 copy of the weights, stored input-major (see
+:func:`~emacprof.netspec.weight_tensor`). An analog-fed first layer takes
+its drive once, before the first tick, for the whole group (see
+:func:`_bind_static_drive`): the static stage writes each sample's output
+into a row of one buffer, and then, for each block of 128 output rows of the
+weights, every sample takes one matrix-vector product, so the block stays
+in the cache across the group and each weight is read from memory once per
+group, not once per sample; each row keeps the product a lone run makes.
+A convolution there is one block, its plan. A pool takes the elementwise
 maximum over each window's columns and then over its rows, of precomputed
 strided slices (``kw - 1 + kh - 1`` calls, where a pass over each tap would
 make ``kh * kw - 1``), and keeps the same one of equal values or NaNs as
@@ -158,12 +168,14 @@ from .netspec import (
     LayerSpec,
     NetworkSpec,
     WEIGHTED_KINDS,
+    check_weights,
     derived,
     fanout_map,
     layer_counts,
     recurrent_weight_tensor,
     static_split,
     step_count,
+    weight_shape,
     weight_tensor,
 )
 from .neuron import (
@@ -233,7 +245,8 @@ class _LayerRT:
     weighted: bool
     spiking: bool
     #: 2-D: (neurons, inputs), column-major, or (C_out, C_in * kh * kw) for
-    #: a convolution
+    #: a convolution; None for the first spiking layer's dense-like weights,
+    #: whose form its input decides (see :func:`_first_weights`)
     weights: np.ndarray | None = None
     #: (neurons, neurons), column-major
     rec_weights: np.ndarray | None = None
@@ -271,7 +284,7 @@ def _window_taps(layer: LayerSpec) -> tuple[tuple[tuple, ...], tuple[tuple, ...]
 
 
 def _compile(net: NetworkSpec) -> list[_LayerRT]:
-    out = []
+    out: list[_LayerRT] = []
     for index, layer in enumerate(net.layers):
         rt = _LayerRT(
             spec=layer,
@@ -283,8 +296,12 @@ def _compile(net: NetworkSpec) -> list[_LayerRT]:
             ),
         )
         if rt.weighted:
-            weights = weight_tensor(net, index)
-            rt.weights = weights.reshape(weights.shape[0], -1)
+            first = rt.spiking and not any(r.spiking for r in out)
+            if layer.kind is LayerKind.CONV2D or not first:
+                weights = weight_tensor(net, index)
+                rt.weights = weights.reshape(weights.shape[0], -1)
+            else:  # its form waits for its input (see _first_weights), its check does not
+                check_weights(net, index)
             if layer.kind is LayerKind.RECURRENT_DENSE:
                 rt.rec_weights = recurrent_weight_tensor(net, index)
         if layer.kind is LayerKind.MAX_POOL2D:
@@ -471,6 +488,62 @@ def _bind_drive(
     return events
 
 
+#: the output rows of each block of an analog-fed dense-like layer's product
+_ROW_BLOCK = 128
+
+
+def _row_block(neurons: int) -> int | None:
+    """The rows of each block of an analog-fed dense-like layer of ``neurons``,
+    or ``None`` for one block: :data:`_ROW_BLOCK` where it divides a larger
+    ``neurons``.
+
+    Only equal blocks: with OpenBLAS 0.3.31 at 1 to 3 threads, blocks of 128
+    rows give every row's sum bitwise as the product of the whole matrix
+    does, at every multiple of 128 rows up to 1,024 (see the engine tests),
+    where a shorter last block often does not (65 rows in blocks of 64, or
+    129 and 513 in blocks of 64 or 128, at 100 to 3,000 inputs).
+    """
+    return _ROW_BLOCK if neurons > _ROW_BLOCK and neurons % _ROW_BLOCK == 0 else None
+
+
+def _bind_static_drive(
+    plan: Callable | None, weights: np.ndarray | None, x: np.ndarray, out: np.ndarray
+) -> Callable[[list[int]], None]:
+    """The analog-fed first layer's drive, bound to a group's static outputs ``x``
+    and drives ``out``, as ``drive(live)``.
+
+    Each call writes, into its row of ``out``, the drive of every row in
+    ``live`` from its row of ``x``, a ``(rows, *input_shape)`` float64 buffer.
+    ``plan`` is a convolution's plan (see :func:`_step_plan`), which takes
+    each row in one call. ``weights`` are a dense-like layer's: its
+    column-major ``(neurons, inputs)`` matrix, one block, or ``(blocks, rows,
+    inputs)`` row blocks (see :func:`_row_block`), each F-contiguous; and
+    ``None`` for a convolution. For each block in turn, every live row takes
+    one ``np.dot`` of it into that block's columns of ``out``: the BLAS
+    matrix-vector call ``np.dot`` makes on the whole matrix, so each row
+    adds its sums in a lone run's order, while the block, 1.4 MB at 128 rows
+    of 1,352 inputs, stays in the cache from one row to the next: the group
+    reads each weight from memory once, where a product of the whole matrix
+    per row reads it once per row.
+    """
+    if plan is not None:
+        products = [(plan, x, out)]
+    else:
+        blocks = weights if weights.ndim == 3 else weights[None]
+        flat, dot = x.reshape(len(x), -1), np.dot
+        products = [
+            (partial(dot, block), flat, part)
+            for block, part in zip(blocks, np.split(out, len(blocks), axis=1))
+        ]
+
+    def drive(live: list[int]) -> None:
+        for product, inputs, outputs in products:
+            for k in live:
+                product(inputs[k], outputs[k])
+
+    return drive
+
+
 def _synaptic_events(rt: _LayerRT, spikes: np.ndarray) -> np.ndarray:
     """Realized connections the spikes entering layer ``rt`` reach, per sample.
 
@@ -554,6 +627,24 @@ def _static_stage(static: list[_LayerRT]) -> Callable[[np.ndarray], np.ndarray]:
     return run
 
 
+def _first_weights(
+    net: NetworkSpec, rt: list[_LayerRT], mode: EncodingMode
+) -> np.ndarray | None:
+    """The first spiking layer's dense-like weights, which the compile leaves
+    to the input, in the form an input of ``mode`` reads: input-major for
+    spikes, row blocks for an analog input (see :func:`_bind_static_drive`).
+
+    The spec builds the form on its first call and keeps it (see
+    :func:`~emacprof.netspec.weight_tensor`). ``None`` where the compiled
+    weights serve every input (a convolution), or nothing spikes.
+    """
+    first = next((r for r in rt if r.spiking), None)
+    if first is None or first.weights is not None:
+        return None
+    rows = None if mode is EncodingMode.POISSON else _row_block(first.neurons)
+    return weight_tensor(net, first.index, rows=rows)
+
+
 #: the least budget of step state one lockstep group holds, over all its samples
 _GROUP_STATE_BYTES = 1 << 18
 #: one spiking neuron's share of a sample's step state, as :func:`_step_group`
@@ -569,24 +660,27 @@ def _group_size(rt: list[_LayerRT], t_max: int) -> int:
 
     As many as the group budget holds of what each sample's row of a group
     holds, and at least one. The budget is the larger of
-    :data:`_GROUP_STATE_BYTES` (256 KiB) and the float32 bytes the compile
-    released, half the compiled float64 weight bytes: a compiled spec keeps
-    each weight once, as float64 (see
-    :class:`~emacprof.netspec.NetworkSpec`), and the float32 blocks, which
-    the memory peak held while the compile ran, are what a group may spend
-    without raising it.
+    :data:`_GROUP_STATE_BYTES` (256 KiB) and the float32 bytes a run
+    releases, half the float64 weight bytes: a spec that has run keeps each
+    weight once, as float64 (see :class:`~emacprof.netspec.NetworkSpec`),
+    and the float32 blocks, which the memory peak held while the float64
+    forms were built, are what a group may spend without raising it.
 
     A row holds the neuron state of every spiking layer, its step history,
     its encoded float64 input, a recurrent term, and the float64 operand of
     each stacked product (see :func:`_bind_drive`) but the first spiking
-    layer's; and, whichever is larger, that layer's analog drive, or the
-    Poisson input spikes with that layer's stacked operand. The history is
+    layer's; and, whichever is larger, that layer's analog drive with the
+    float64 static output it is taken from (see
+    :func:`_bind_static_drive`), or the Poisson input spikes with that
+    layer's stacked operand. Every size is read off the layers' shapes, so
+    the first spiking layer's weights, which the compile leaves to the
+    input, count as one float64 form. The history is
     counted as a group allocates it, at the step budget (one step without
     spiking layers), except that a pool of uneven fan-out before the first
     spiking layer is counted as if it stepped. Not counted: rasters, which
     only :func:`run_inference` records, and the one-byte outputs of the
-    pools that step. The reference workloads get 41 samples a group on
-    ``dense_poisson_roc`` (784-512-512-256-256-10), so one group of 16, 54
+    pools that step. The reference workloads get 38 samples a group on
+    ``dense_poisson_roc`` (784-512-512-256-256-10), so one group of 16, 40
     on ``mixed_analog_recurrent``, so groups of 32 and 32, and 1 on
     ``conv_poisson_rate``: a wide convolutional network has small weights
     and much state, and more samples a group, though faster per sample,
@@ -603,16 +697,22 @@ def _group_size(rt: list[_LayerRT], t_max: int) -> int:
     inputs = prod(rt[0].spec.input_shape)
     row = _NEURON_STATE_BYTES * neurons + history + 8 * inputs
     if spiking:
+        # each matrix's inputs: none for a convolution, which has no stacked product
         operands = [
-            8 * w.shape[1] if w is not None and w.size <= _EVENT_MIN_WEIGHTS else 0
+            8 * n_in if r.neurons * n_in <= _EVENT_MIN_WEIGHTS else 0
             for r in spiking
-            for w in (None if r.spec.kind is LayerKind.CONV2D else r.weights, r.rec_weights)
+            for n_in in (
+                0 if r.spec.kind is LayerKind.CONV2D else prod(r.spec.input_shape),
+                0 if r.rec_weights is None else r.neurons,
+            )
         ]
         first = operands.pop(0)  # only spikes feed the first layer's binder
         term = max((r.neurons for r in spiking if r.rec_weights is not None), default=0)
-        row += sum(operands) + 8 * term + max(8 * spiking[0].neurons, inputs + first)
+        analog = 8 * (spiking[0].neurons + prod(spiking[0].spec.input_shape))
+        row += sum(operands) + 8 * term + max(analog, inputs + first)
     weight_bytes = sum(
-        w.nbytes for r in rt for w in (r.weights, r.rec_weights) if w is not None
+        8 * prod(weight_shape(r.spec)) + (0 if r.rec_weights is None else r.rec_weights.nbytes)
+        for r in rt if r.weighted
     )
     return max(1, max(_GROUP_STATE_BYTES, weight_bytes // 2) // row)
 
@@ -806,12 +906,8 @@ def _step_group(
     spiking = [r for r in stepped if r.spiking]
     K = len(spiking)
     poisson = mode is EncodingMode.POISSON
-    # the plans of the analog-fed first layer, which the static loop below
-    # calls, and of each convolution, which the rows of the group call in turn
-    plans = {
-        r.index: _step_plan(r) for r in stepped
-        if r.spec.kind is LayerKind.CONV2D or (r.index == start and not poisson)
-    }
+    first = spiking[0] if spiking else None
+    weights0 = _first_weights(net, rt, mode)
     # Histories, allocated at the step budget: sample k's steps are
     # [:T_used[k], k]. A static-only network runs one step, whose output
     # voltages are its head activation.
@@ -835,8 +931,14 @@ def _step_group(
     T_used = [1] * B
     failed: dict[int, NonFiniteState] = {}
     live: list[int] = []  # group rows still stepping, in order
-    # the analog-fed first layer's drive, the same at every step
-    drive0 = np.zeros((B, rt[start].neurons)) if start is not None and not poisson else None
+    # the analog-fed first layer's drive, the same at every step, and the
+    # static outputs it is taken from, which live until the first tick
+    drive0 = static_out = static_drive = None
+    if first is not None and not poisson:
+        drive0 = np.zeros((B, first.neurons))
+        static_out = np.empty((B, *first.spec.input_shape))
+        plan = _step_plan(first) if weights0 is None else None
+        static_drive = _bind_static_drive(plan, weights0, static_out, drive0)
     # Overflow is expected where a sample leaves the finite range, and the
     # checks below report it per sample, so numpy stays quiet.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -856,9 +958,11 @@ def _step_group(
                 volt_hist[0, k] = x.reshape(-1)
                 continue
             if drive0 is not None:
-                plans[start](x, drive0[k])
+                static_out[k] = x
             live.append(k)
-        del static_stage  # its buffers, before the first tick
+        if static_drive is not None:
+            static_drive(live)
+        del static_stage, static_drive, static_out  # their buffers, before the first tick
 
         # Below, arrays hold a row per sample of the group, which keeps its
         # place for the whole run: a sample that decides or fails leaves
@@ -925,9 +1029,11 @@ def _step_group(
                 drive = drives[span(k)].reshape(B, r.neurons)
                 out = fired[span(k)].reshape(B, r.neurons)
                 ff = rec = None
-                if x is not None:
-                    weights = None if r.spec.kind is LayerKind.CONV2D else r.weights
-                    ff = _bind_drive(plans.get(r.index), weights, x, drive)
+                if x is not None:  # spikes feed it
+                    if r.spec.kind is LayerKind.CONV2D:
+                        ff = _bind_drive(_step_plan(r), None, x, drive)
+                    else:
+                        ff = _bind_drive(None, weights0 if k == 0 else r.weights, x, drive)
                 if r.rec_weights is not None:
                     term = rec_buf[: B * r.neurons].reshape(B, r.neurons)
                     rec = _bind_drive(None, r.rec_weights, out, term), term
@@ -1158,7 +1264,9 @@ def _reference_params(net: NetworkSpec) -> tuple[str | None, float, float]:
 
 
 def _groups(
-    samples: Sequence[EncodedInput], size: int
+    samples: Sequence[EncodedInput],
+    size: int,
+    started: Callable[[EncodingMode], object] | None = None,
 ) -> Iterator[list[EncodedInput]]:
     """Consecutive runs of at most ``size`` samples that share an encoding mode.
 
@@ -1167,13 +1275,17 @@ def _groups(
     so the largest group, which sets the memory peak, is as small as the
     group count allows; a change of encoding mode also ends a group. Each
     group is yielded as soon as it is full, before the sample that starts
-    the next one is read.
+    the next one is read. ``started``, if given, is called with the first
+    sample's mode as soon as that sample is read, before the rest of its
+    group.
     """
     n = len(samples)
     count = -(-n // size)
     group: list[EncodedInput] = []
     boundary = 1  # the next even boundary: after ceil(boundary * n / count) samples
     for k, sample in enumerate(samples, 1):
+        if k == 1 and started is not None:
+            started(sample.mode)
         if group and sample.mode is not group[0].mode:
             yield group
             group = []
@@ -1229,7 +1341,10 @@ def run_dataset(
             record_raster=False,
             encoder_per_step=encoder_per_step,
         )
-        for group in _groups(samples, size)
+        # the first spiking layer's form is built as soon as the first input
+        # is read: a parsed spec's float32 container lives until then, so the
+        # memory peak holds one input, not a group of them
+        for group in _groups(samples, size, partial(_first_weights, net, rt))
     )
     for result, spikes in results:
         if isinstance(result, NonFiniteState):

@@ -188,7 +188,11 @@ class NetworkSpec:
     has its float64 form, nothing views the parsed container any more and
     it is freed, so a spec that has run holds 8 bytes a weight, not 4 + 8.
     A block that no layer references keeps its float32 form, and so keeps
-    the container it views alive.
+    the container it views alive. A block read in two forms keeps both: the
+    first spiking layer's takes row blocks under an analog input and its
+    input-major form under spikes (see :func:`weight_tensor`), so a spec
+    that the API runs both ways holds 16 bytes a weight of that layer (the
+    command line parses a fresh spec for each call, which runs one way).
     """
 
     layers: tuple[LayerSpec, ...]
@@ -261,7 +265,7 @@ def _frozen(block) -> np.ndarray:
 
 class _Blocks(Mapping):
     """A spec's weight blocks by name, each held once: flat float32 as given,
-    or the float64 forms :meth:`float64` built, by natural shape.
+    or the float64 forms :meth:`float64` built, by shape.
 
     Read, a block is flat float32 either way (see :class:`NetworkSpec`). A
     float64 form is stored before its float32 block is dropped, so a
@@ -296,8 +300,11 @@ class _Blocks(Mapping):
     def float64(self, name: str, shape: tuple[int, ...], what: str) -> np.ndarray:
         """Block ``name`` as float64 in ``shape``, built and kept on the first call.
 
-        A block holding NaN or an infinity raises :class:`SchemaError`
-        naming ``what`` and the block, and nothing is stored. Two first calls
+        A 4-D shape (a convolution's) is C-contiguous; any other form is
+        column-major in its last two axes: each ``[..., :, :]`` matrix is
+        F-contiguous. A block holding NaN or an infinity raises
+        :class:`SchemaError` naming ``what`` and the block (see
+        :meth:`check`), and nothing is stored. Two first calls
         that race build twice and keep one form. The form is a view of a
         read-only array only the spec holds, so the view cannot be made
         writable.
@@ -305,10 +312,9 @@ class _Blocks(Mapping):
         forms = self._float64.get(name)
         form = None if forms is None else forms.get(shape)
         if form is None:
+            self.check(name, what)
             block = self[name]
-            if not np.isfinite(block).all():
-                raise SchemaError(f"{what}: weight block {name!r} holds non-finite values")
-            if len(shape) != 2:  # a convolution keeps its C order
+            if len(shape) == 4:  # a convolution keeps its C order
                 owner = block.astype(np.float64)
                 owner.flags.writeable = False
                 form = owner.reshape(shape)
@@ -316,12 +322,18 @@ class _Blocks(Mapping):
                 # float32 straight to a transposed float64 copy, in one pass: a
                 # float64 conversion followed by a transposed copy costs
                 # several times more
-                owner = block.reshape(shape).T.astype(np.float64, order="C")
+                owner = block.reshape(shape).swapaxes(-1, -2).astype(np.float64, order="C")
                 owner.flags.writeable = False
-                form = owner.T
+                form = owner.swapaxes(-1, -2)
             form = self._float64.setdefault(name, {}).setdefault(shape, form)
             self._float32.pop(name, None)
         return form.view()
+
+    def check(self, name: str, what: str) -> None:
+        """Raise :class:`SchemaError` naming ``what`` and block ``name`` if it
+        holds NaN or an infinity; a block with a float64 form passed already."""
+        if name not in self._float64 and not np.isfinite(self[name]).all():
+            raise SchemaError(f"{what}: weight block {name!r} holds non-finite values")
 
 
 # ---------------------------------------------------------------------------
@@ -490,7 +502,7 @@ def weight_shape(layer: LayerSpec, recurrent: bool = False) -> tuple[int, ...]:
     return (prod(layer.output_shape), prod(layer.input_shape))
 
 
-def weight_tensor(net: NetworkSpec, index: int) -> np.ndarray:
+def weight_tensor(net: NetworkSpec, index: int, rows: int | None = None) -> np.ndarray:
     """Layer weights as float64 in their natural shape, a read-only view of
     the form the spec keeps in place of the float32 block (see
     :class:`NetworkSpec`), built on the block's first call.
@@ -498,6 +510,9 @@ def weight_tensor(net: NetworkSpec, index: int) -> np.ndarray:
     Dense-like blocks, ``(n_n, fan-in)``, come back column-major: each
     input's outgoing weights are contiguous, so ``.T`` is a C-contiguous
     ``(fan-in, n_n)`` array whose rows an event-driven drive gathers.
+    With ``rows``, which must divide ``n_n``, a dense-like block comes back
+    as ``(n_n // rows, rows, fan-in)`` row blocks instead, each an
+    F-contiguous ``(rows, fan-in)`` matrix, in a form of its own.
     Convolutions are C-contiguous ``(C_out, C_in, kh, kw)``. A block holding
     NaN or an infinity raises :class:`SchemaError` naming the layer and the
     block, whatever the layer kind, on every call, and keeps its float32
@@ -505,15 +520,28 @@ def weight_tensor(net: NetworkSpec, index: int) -> np.ndarray:
     reads it in another shape gets a form of its own.
     """
     layer = net.layers[index]
-    what = f"layer {index} ({layer.kind.value})"
-    return net.weights.float64(layer.weights_ref, weight_shape(layer), what)
+    shape = weight_shape(layer)
+    if rows is not None:
+        shape = (shape[0] // rows, rows, shape[1])
+    return net.weights.float64(layer.weights_ref, shape, _what(net, index))
+
+
+def check_weights(net: NetworkSpec, index: int) -> None:
+    """Raise the :class:`SchemaError` :func:`weight_tensor` would for a
+    non-finite block of layer ``index``, without building a float64 form."""
+    net.weights.check(net.layers[index].weights_ref, _what(net, index))
 
 
 def recurrent_weight_tensor(net: NetworkSpec, index: int) -> np.ndarray:
     """Recurrent ``(n_n, n_n)`` weights, laid out, checked and kept like a dense block."""
     layer = net.layers[index]
-    what = f"layer {index} ({layer.kind.value})"
-    return net.weights.float64(layer.recurrent_weights_ref, weight_shape(layer, True), what)
+    shape = weight_shape(layer, True)
+    return net.weights.float64(layer.recurrent_weights_ref, shape, _what(net, index))
+
+
+def _what(net: NetworkSpec, index: int) -> str:
+    """How a weight error names layer ``index``."""
+    return f"layer {index} ({net.layers[index].kind.value})"
 
 
 def lcl_mask(layer: LayerSpec) -> np.ndarray:

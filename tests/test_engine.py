@@ -1,10 +1,14 @@
 import gc
 import hashlib
+import os
+import subprocess
+import sys
 import threading
 import tracemalloc
 import weakref
 from collections.abc import Sequence
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -1016,6 +1020,14 @@ def spike_vector(rng, n, count):
     return x
 
 
+def spike_fed(net):
+    """Layer 0 of ``net`` compiled, holding the input-major weights that a
+    spike input reads: the compile leaves the weights of a first spiking
+    dense-like layer to its input."""
+    rt = _compile(net)[0]
+    return rt if rt.weights is not None else replace(rt, weights=weight_tensor(net, 0))
+
+
 def drive_case(kind, rng, dyadic):
     """The (neurons, inputs) weights of a one-layer net of ``kind``, as the
     engine holds them (the recurrent term's for ``recurrent``), and the
@@ -1032,7 +1044,7 @@ def drive_case(kind, rng, dyadic):
         n_out = int(rng.integers(1, 50) if kind == "small dense" else rng.integers(128, 200))
         w = weights((n_out, n_in))
         net = NetworkBuilder((n_in,)).dense(n_out, lif(), weights=w).build()
-        return w, _step_plan(_compile(net)[0])
+        return w, _step_plan(spike_fed(net))
     if kind == "locally_connected":
         geometry = NetworkBuilder((2, 12, 12)).locally_connected(4, (3, 3), lif())
         mask = lcl_mask(geometry.build().layers[0])
@@ -1042,7 +1054,7 @@ def drive_case(kind, rng, dyadic):
             .locally_connected(4, (3, 3), lif(), weights=w)
             .build()
         )
-        return w, _step_plan(_compile(net)[0])
+        return w, _step_plan(spike_fed(net))
     n = int(rng.integers(130, 200))
     w = weights((n, n))
     net = (
@@ -1219,7 +1231,7 @@ def small_matrix(kind, rng):
     if kind == "dense":
         m = int(rng.integers(2, 40))
         net = NetworkBuilder((n,)).dense(m, lif(), weights=wide_weights(rng, (m, n))).build()
-        w = _compile(net)[0].weights
+        w = spike_fed(net).weights
     else:
         builder = NetworkBuilder((3,)).recurrent_dense(
             n, lif(), weights=wide_weights(rng, (n, 3)),
@@ -1253,7 +1265,7 @@ def test_each_row_sums_its_spiking_rows_in_64_row_blocks(rows):
     net = NetworkBuilder((n_in,)).dense(
         n_out, lif(), weights=wide_weights(rng, (n_out, n_in))
     ).build()
-    w = _compile(net)[0].weights
+    w = spike_fed(net).weights
     assert w.size > _EVENT_MIN_WEIGHTS
     x = np.stack([spike_vector(rng, n_in, count) for count in EDGE_COUNTS[:rows]])
     counts = x.sum(axis=1)
@@ -1342,14 +1354,16 @@ def test_dense_like_weights_are_one_input_major_copy():
         assert got.T.flags.c_contiguous  # one input's weights per contiguous row
         assert np.array_equal(got, want.astype(np.float64))
     rt = _compile(net)[0]
-    assert rt.weights.T.flags.c_contiguous and rt.rec_weights.T.flags.c_contiguous
+    # the input decides the first spiking layer's form: spikes read this one
+    assert rt.weights is None and rt.rec_weights.T.flags.c_contiguous
+    assert spike_fed(net).weights.T.flags.c_contiguous
 
 
 def test_event_drive_temporary_is_bounded_by_the_row_block():
     net = NetworkBuilder((784,)).dense(512, lif(), weights=np.full((512, 784), 0.125)).build()
     x = np.ones((1, 784), bool)
     out = np.empty((1, 512))
-    drive = _bind_drive(None, _compile(net)[0].weights, x, out)
+    drive = _bind_drive(None, spike_fed(net).weights, x, out)
     counts = np.array([784])
     drive(counts, [0])
     tracemalloc.start()
@@ -1406,6 +1420,175 @@ def test_non_finite_weights_are_schema_errors(kind, bad):
     with pytest.raises(SchemaError, match=ref) as err:
         run_inference(net, encode(x, "poisson", seed=1))
     assert "non-finite" in str(err.value)
+
+
+# ---------------------------------------------------------------------------
+# the row-blocked drive of an analog-fed first layer
+
+#: the sweep of :func:`test_row_blocks_sum_as_the_whole_product`, run in a
+#: fresh process so that OpenBLAS starts at the thread count it is given
+ROW_BLOCK_SWEEP = """
+import numpy as np
+from emacprof import NetworkBuilder, NeuronKind, NeuronModelSpec, engine
+from emacprof.netspec import weight_tensor
+
+rng = np.random.default_rng(29)
+ifl = NeuronModelSpec(kind=NeuronKind.IFL)
+
+
+def wide(shape):  # float32-rounded normals over 2**-40 to 2**40, as wide_weights
+    return (rng.normal(0.0, 0.3, shape) * 2.0 ** rng.integers(-40, 40, shape)).astype(
+        np.float32
+    )
+
+
+found = []
+for rows in range(64, 1025, 64):
+    for n_in in (1, 3, 100, 784, 1352):
+        w = wide((rows, n_in))
+        net = NetworkBuilder((n_in,)).dense(rows, ifl, weights=w).build()
+        weights = weight_tensor(net, 0, rows=engine._row_block(rows))
+        blocked = rows > 128 and rows % 128 == 0
+        if weights.shape[:-1] != ((rows // 128, 128) if blocked else (rows,)):
+            found.append((rows, n_in, "blocks", weights.shape))
+        # rows 0 and 2 of a group whose row 1 has left
+        x = wide((3, n_in)).astype(np.float64)
+        out = np.full((3, rows), np.nan)
+        engine._bind_static_drive(None, weights, x, out)([0, 2])
+        whole = np.asfortranarray(w, dtype=np.float64)
+        for k in (0, 2):
+            if out[k].tobytes() != np.dot(whole, x[k]).tobytes():
+                found.append((rows, n_in, "row", k))
+        if not np.isnan(out[1]).all():
+            found.append((rows, n_in, "left row written"))
+print(found)
+"""
+
+
+@pytest.mark.parametrize("threads", [1, 2, 3])
+def test_row_blocks_sum_as_the_whole_product(threads):
+    # every live row of a blocked layer's drive is bitwise the product
+    # np.dot(W, x) of the whole column-major matrix at the same OpenBLAS
+    # thread count, at every multiple of 64 rows up to 1,024, and a layer
+    # of a multiple of 128 rows above 128 takes blocks of 128 rows
+    src = Path(engine.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": str(threads)}
+    done = subprocess.run(
+        [sys.executable, "-c", ROW_BLOCK_SWEEP], env=env, capture_output=True, text=True,
+        timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
+
+
+def blocked_net(static):
+    """An analog-fed LIF layer of 256 neurons (two row blocks) on 60 inputs,
+    of wide weights, and an LIF head; with ``static``, after a rectifier
+    layer of weights 1e38 on 8 inputs, whose sums leave the float range on
+    inputs of 1e300."""
+    rng = np.random.default_rng(30)
+    builder = NetworkBuilder((60,) if not static else (8,), coding=Coding.RATE,
+                             max_timesteps=12)
+    if static:
+        builder.dense(60, ANN, weights=np.full((60, 8), 1e38) * rng.uniform(0.0, 1.0, (60, 8)))
+    w = wide_weights(rng, (256, 60)) * 2.0**-30
+    return (
+        builder.dense(256, lif(), weights=w)
+        .dense(10, lif(), weights=rng.normal(0.05, 0.1, (10, 256)))
+        .build()
+    )
+
+
+@pytest.mark.parametrize("static", [False, True])
+def test_a_blocked_layer_runs_alike_in_any_group_and_as_one_block(monkeypatch, static):
+    # run_inference and run_dataset at every group size agree bitwise, and
+    # with a run whose layer takes the whole product in one block
+    net = blocked_net(static)
+    index = 1 if static else 0
+    assert engine._row_block(net.layers[index].output_shape[0]) == 128
+    rng = np.random.default_rng(31)
+    scale = 1e-38 if static else 1.0
+    samples = [encode(rng.uniform(0.0, 2.0, net.input_shape) * scale) for _ in range(5)]
+    alone = [run_inference(net, s, record_raster=True) for s in samples]
+    assert len(weight_tensor(net, index, rows=128)) == 2
+    assert any(r.trace.counts[index].any() for r in alone)
+    with monkeypatch.context() as mp:
+        mp.setattr(engine, "_row_block", lambda neurons: None)
+        twin = blocked_net(static)
+        for sample, want in zip(samples, alone):
+            assert_same_result(run_inference(twin, sample, record_raster=True), want)
+        assert list(twin.weights._float64[f"l{index}_w"]) == [(256, 60)]
+        force_group_size(mp, twin, 12, 1)
+        whole = run_dataset(twin, samples)
+    for size in (1, 2, 3, 5):
+        force_group_size(monkeypatch, net, 12, size)
+        assert run_dataset(net, samples) == whole
+    assert whole.outcomes == [SampleOutcome(r.trace.T_used, r.decision) for r in alone]
+
+
+def test_a_static_failure_in_a_blocked_group_fails_alone(monkeypatch):
+    net = blocked_net(static=True)
+    rng = np.random.default_rng(32)
+    good = [encode(rng.uniform(0.0, 1e-38, 8)) for _ in range(2)]
+    worst = encode(np.full(8, 1e300))
+    message = "layer 0 produced non-finite values in the static stage"
+    with pytest.raises(NonFiniteState, match=f"^{message}$"):
+        run_inference(net, worst)
+    force_group_size(monkeypatch, net, 12, 3)
+    stats = run_dataset(net, [good[0], worst, good[1]])
+    assert stats.failures == [(1, message)]
+    for k, sample in ((0, good[0]), (2, good[1])):
+        assert stats.outcomes[k] == SampleOutcome(
+            run_inference(net, sample).trace.T_used, run_inference(net, sample).decision
+        )
+
+
+def test_an_analog_run_keeps_the_row_blocks_alone():
+    # a parsed spec that ran under an analog input holds the blocked layer as
+    # row blocks only, 8 bytes a weight, and has freed its container; a
+    # Poisson run of the same spec adds the input-major form: two read-only
+    # forms of one block
+    net = parse_network(*serialize_network(blocked_net(static=False)))
+    sample = np.random.default_rng(33).uniform(0.0, 1.0, 60)
+    run_inference(net, encode(sample))
+    blocks = net.weights._float64
+    assert not net.weights._float32
+    assert {name: list(forms) for name, forms in blocks.items()} == {
+        "l0_w": [(2, 128, 60)], "l1_w": [(10, 256)]
+    }
+    assert sum(f.nbytes for forms in blocks.values() for f in forms.values()) == 8 * (
+        256 * 60 + 10 * 256
+    )
+    first = weight_tensor(net, 0, rows=128)
+    assert all(block.flags.f_contiguous for block in first)
+    assert np.array_equal(net.weights["l0_w"].reshape(256, 60), first.reshape(256, 60))
+    run_inference(net, encode(sample, "poisson", seed=1))
+    assert list(blocks["l0_w"]) == [(2, 128, 60), (256, 60)]
+    for form in blocks["l0_w"].values():
+        assert not form.flags.writeable
+        with pytest.raises(ValueError):
+            form.setflags(write=True)
+    assert np.array_equal(weight_tensor(net, 0), first.reshape(256, 60))
+
+
+def test_a_dataset_builds_the_first_layer_form_after_one_input(monkeypatch):
+    # run_dataset takes the blocked layer's row blocks from the spec as soon
+    # as it has read the first sample, before the rest of its group, once
+    net = blocked_net(static=False)
+    rng = np.random.default_rng(34)
+    lazy = LoadedOnRead(lambda k: encode(rng.uniform(0.0, 1.0, 60)), 6)
+    built, weight_tensor_ = [], engine.weight_tensor
+
+    def recorded(net, index, rows=None):
+        if index == 0 and "l0_w" not in net.weights._float64:  # the first build
+            built.append((rows, len(lazy.reads)))
+        return weight_tensor_(net, index, rows=rows)
+
+    monkeypatch.setattr(engine, "weight_tensor", recorded)
+    force_group_size(monkeypatch, net, 12, 3)
+    run_dataset(net, lazy)
+    assert built == [(128, 1)]
+    assert list(net.weights._float64["l0_w"]) == [(2, 128, 60)]
 
 
 # ---------------------------------------------------------------------------
@@ -1988,9 +2171,11 @@ def test_group_size_follows_the_state_budget():
 
 def test_group_size_counts_the_state_a_group_allocates(monkeypatch):
     # per sample: the group's one state, drive and spike buffer, the
-    # histories, the Poisson input row, the recurrent term, the float64
-    # operands of the stacked products and the encoded input, as a
-    # one-sample group allocates them
+    # histories, the recurrent term, the float64 operands of the stacked
+    # products and the encoded input, as a one-sample group allocates them,
+    # and whichever adds more of the Poisson input row with the first
+    # layer's stacked operand, or the analog drive with the static output it
+    # is taken from
     rng = np.random.default_rng(18)
     lif_ = NeuronModelSpec(kind=NeuronKind.LIF, dt=1e-3, tau_syn=5e-3, tau_mem=1e-2)
     net = (  # two blocks, a recurrent layer, even fan-out only
@@ -2004,47 +2189,75 @@ def test_group_size_counts_the_state_a_group_allocates(monkeypatch):
     rt = _compile(net)
     spiking = [r for r in rt if r.spiking]
     assert len(engine._blocks(spiking)) == 2
-    # every block step views the group's buffers: the arrays they view are
-    # what the group allocates
-    buffers = {}
-    compiled_step = engine.step_fn
+    compiled_step, bind_static = engine.step_fn, engine._bind_static_drive
 
-    def recorded_step_fn(kind):
-        step = compiled_step(kind)
+    def allocated(sample):
+        """The arrays stepping ``sample`` alone allocates: the state buffers,
+        the histories, and what each spike binder (and the static drive)
+        reads and writes."""
+        # every block step views the group's buffers: the arrays they view
+        # are what the group allocates
+        buffers = {}
 
-        def recorded(state, drive, model, *, spikes=None):
-            for a in (*vars(state).values(), drive, spikes):
-                buffers[id(a.base)] = a.base
-            return step(state, drive, model, spikes=spikes)
+        def recorded_step_fn(kind):
+            step = compiled_step(kind)
 
-        return recorded
+            def recorded(state, drive, model, *, spikes=None):
+                for a in (*vars(state).values(), drive, spikes):
+                    buffers[id(a.base)] = a.base
+                return step(state, drive, model, spikes=spikes)
 
-    # and every binder reads a spike input and writes a drive or a term
-    binders = []
+            return recorded
 
-    def recorded_bind(plan, weights, x, out):
-        binders.append((weights, x, out))
-        return _bind_drive(plan, weights, x, out)
+        # and every binder reads an input and writes a drive or a term
+        binders, static = [], []
 
-    monkeypatch.setattr(engine, "step_fn", recorded_step_fn)
-    monkeypatch.setattr(engine, "_bind_drive", recorded_bind)
-    sample = encode(rng.uniform(0.0, 1.0, 12), "poisson", seed=1)
-    run = engine._step_group(
-        net, rt, [sample], 0, T_max=10, coding=Coding.ROC, record_raster=False,
-    )
-    monkeypatch.undo()
-    assert len(buffers) == 6
-    state = sum(a.nbytes for a in buffers.values())
-    assert state == engine._NEURON_STATE_BYTES * sum(r.neurons for r in spiking)
-    history = sum(a.nbytes for a in (run.counts, run.spikes, run.volts, run.events))
-    # every matrix here is small, so each binder casts its input to float64
-    assert len(binders) == 5 and all(w.size <= _EVENT_MIN_WEIGHTS for w, _, _ in binders)
-    operands = sum(8 * x.size for _, x, _ in binders)
-    owners = [a if a.base is None else a.base for _, x, out in binders for a in (x, out)]
-    inputs_and_terms = list({id(a): a for a in owners if id(a) not in buffers}.values())
-    assert sorted(a.nbytes for a in inputs_and_terms) == [12, 40]  # Poisson row, term
-    extra = sum(a.nbytes for a in inputs_and_terms) + operands + sample.values.nbytes
-    per_sample = state + history + extra
+        def recorded_bind(plan, weights, x, out):
+            binders.append((weights, x, out))
+            return _bind_drive(plan, weights, x, out)
+
+        def recorded_static(plan, weights, x, out):
+            static.append((x, out))
+            return bind_static(plan, weights, x, out)
+
+        with monkeypatch.context() as mp:
+            mp.setattr(engine, "step_fn", recorded_step_fn)
+            mp.setattr(engine, "_bind_drive", recorded_bind)
+            mp.setattr(engine, "_bind_static_drive", recorded_static)
+            run = engine._step_group(
+                net, rt, [sample], 0, T_max=10, coding=Coding.ROC, record_raster=False,
+            )
+        history = sum(a.nbytes for a in (run.counts, run.spikes, run.volts, run.events))
+        return buffers, history, binders, static
+
+    def extra(sample, buffers, binders, static):
+        """Bytes beyond the state and the histories, and their sizes."""
+        operands = sum(8 * x.size for _, x, _ in binders)
+        owners = [a if a.base is None else a.base for _, x, out in binders for a in (x, out)]
+        owners += [a for pair in static for a in pair]
+        held = list({id(a): a for a in owners if id(a) not in buffers}.values())
+        sizes = sorted(a.nbytes for a in held)
+        return sum(sizes) + operands + sample.values.nbytes, sizes
+
+    per_sample = []
+    for mode, binder_count, sizes in (
+        ("poisson", 5, [12, 40]),  # Poisson row, term
+        ("analog", 4, [40, 72, 96]),  # term, analog drive, static output
+    ):
+        sample = encode(rng.uniform(0.0, 1.0, 12), mode, seed=1)
+        buffers, history, binders, static = allocated(sample)
+        assert len(buffers) == 6
+        state = sum(a.nbytes for a in buffers.values())
+        assert state == engine._NEURON_STATE_BYTES * sum(r.neurons for r in spiking)
+        # every matrix here is small, so each binder casts its input to
+        # float64; an analog input feeds the first layer through no binder
+        assert len(binders) == binder_count
+        assert all(w.size <= _EVENT_MIN_WEIGHTS for w, _, _ in binders)
+        assert len(static) == (mode == "analog")
+        more, held = extra(sample, buffers, binders, static)
+        assert held == sizes
+        per_sample.append(state + history + more)
+    per_sample = max(per_sample)
     for size in (1, 2, 5):
         monkeypatch.setattr(engine, "_GROUP_STATE_BYTES", size * per_sample)
         assert _group_size(rt, 10) == size
@@ -2060,7 +2273,7 @@ def test_large_weights_raise_the_group_budget(monkeypatch):
         .build()
     )
     rt = _compile(dense)
-    weight_bytes = sum(r.weights.nbytes for r in rt)
+    weight_bytes = sum(weight_tensor(dense, i).nbytes for i in range(2))
     # the float32 bytes the compile released, half the float64 ones
     assert weight_bytes // 2 > engine._GROUP_STATE_BYTES
     size = _group_size(rt, 128)

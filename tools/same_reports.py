@@ -35,11 +35,17 @@ decide early (at seed 0, at steps 30-36 of 64 on ``conv_poisson_rate``,
 so rows leave the group while pools, layers of uneven fan-out, later blocks
 and the other rows' event sums still step, which no run under the
 manifest's own coding reaches.
+:data:`ANALOG_STACKS` are LIF stacks whose first layer takes an analog
+input with no static stage before it: one of 512 neurons on 784 inputs,
+which the engine drives in four row blocks of 128, and one of 300, which
+takes the whole product in one; ``mixed_analog_recurrent``'s recurrent
+layer of 256 neurons, in two row blocks, is the only other layer driven
+in blocks.
 :data:`MULTI_GROUP_NETS` run ``mixed_analog_recurrent``'s network over 150
 inputs, by ``profile`` at seed 0 only, so that a large-weight network
-crosses several lockstep group boundaries (three groups of 50 at 54
-samples a group, eleven at 14), where every reference dataset runs in at
-most two groups.
+crosses several lockstep group boundaries (four groups of 37 or 38 at 40
+samples a group, three of 50 at 54, eleven at 14), where every reference
+dataset runs in at most two groups.
 :data:`OVERFLOW_NETS` are networks whose samples leave the finite range:
 some in the static stage, most in the step loop at steps that vary with the
 input, and, on ``overflow_net``, some not at all, so their runs exit 3 with
@@ -234,6 +240,31 @@ STEP_PATH_NETS = {
 }
 
 
+def analog_stack(first):
+    """Builder of an LIF stack of a dense layer of ``first`` neurons on 784
+    inputs and an LIF head of 10."""
+
+    def build(rng):
+        return (
+            NetworkBuilder((784,), coding=Coding.RATE, max_timesteps=32)
+            .dense(first, LIF, weights=rng.normal(0.002, 0.02, (first, 784)))
+            .dense(10, LIF, weights=rng.normal(0.05, 0.05, (10, first)))
+            .build()
+        )
+
+    return build
+
+
+#: analog-input networks whose first layer is driven in row blocks, and not
+ANALOG_STACKS = {
+    w.name: w
+    for w in (
+        Workload("analog_stack_512", "analog", (784,), (0.0, 1.0), 8, 111, analog_stack(512)),
+        Workload("analog_stack_300", "analog", (784,), (0.0, 1.0), 8, 112, analog_stack(300)),
+    )
+}
+
+
 #: a large-weight network over more inputs than two lockstep groups hold
 MULTI_GROUP_NETS = {
     "mixed_analog_recurrent_150": replace(WORKLOADS["mixed_analog_recurrent"], n_samples=150)
@@ -290,7 +321,7 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     with tempfile.TemporaryDirectory() as tmp:
         nets = {**WORKLOADS, **POOL_NETS, **BLOCK_NETS, **OVERFLOW_NETS, **STEP_PATH_NETS,
-                **MULTI_GROUP_NETS}
+                **ANALOG_STACKS, **MULTI_GROUP_NETS}
         for name, workload in nets.items():
             codes = (0, 3) if name in OVERFLOW_NETS else (0,)
             for seed in SEEDS[:1] if name in MULTI_GROUP_NETS else SEEDS:
