@@ -166,7 +166,8 @@ def fit_energy_model(
     IllConditioned
         Design matrix condition number at or above ``COND_LIMIT``, or
         parameters, covariance or residual that are not finite in float64
-        (joules per event past the float range, or their variance).
+        (joules per event past the float range, or their variance), or a
+        covariance that is not one, which rows near collinear can give.
     MissingMeasurement
         An observation lacks a usable energy (or a duration when the
         floor-power term is requested).
@@ -229,6 +230,11 @@ def fit_energy_model(
         raise IllConditioned(
             "the fit's parameters, covariance or residual are not finite in "
             "float64; express S, U and E_joules in other units"
+        )
+    fault = _not_a_covariance(cov)
+    if fault:  # the normal equations square the design's condition number
+        raise IllConditioned(
+            f"the fit's covariance {fault}: the (S, U) rows are too nearly collinear"
         )
     model = EnergyModel(
         e_syn_J=float(params[0]),
@@ -368,6 +374,26 @@ def model_to_json(model: EnergyModel) -> bytes:
     return (json.dumps(obj, indent=2, sort_keys=True) + "\n").encode("utf-8")
 
 
+def _not_a_covariance(cov: np.ndarray) -> str | None:
+    """Why a finite 2x2 ``cov`` is not a covariance matrix, or ``None``.
+
+    It must be symmetric, with no negative diagonal entry or determinant. A
+    fit of nearly collinear rows rounds its determinant to a few ulps either
+    side of zero, so ``|cov[0, 1]|`` may exceed ``sqrt(cov[0, 0] * cov[1, 1])``
+    by a relative 4 epsilon: a shortfall within the rounding of
+    :func:`predict_energy`'s own product.
+    """
+    (a, b), (c, d) = np.asarray(cov, dtype=np.float64).tolist()
+    if b != c:
+        return "is not symmetric"
+    if a < 0 or d < 0:
+        return "has a negative diagonal entry"
+    # square roots neither overflow nor underflow, where products could
+    if abs(b) > np.sqrt(a) * np.sqrt(d) * (1 + 4 * sys.float_info.epsilon):
+        return "has a negative determinant"
+    return None
+
+
 def model_from_json(data: bytes | str) -> EnergyModel:
     try:
         obj = json.loads(data)
@@ -384,13 +410,19 @@ def model_from_json(data: bytes | str) -> EnergyModel:
     if type(obj["n_obs"]) is not int or obj["n_obs"] < 2:
         # a fit needs two observations, so no fitted model has fewer
         raise SchemaError(f"model n_obs must be an integer >= 2, got {obj['n_obs']!r}")
-    return EnergyModel(
+    model = EnergyModel(
         e_syn_J=_finite_number(obj["e_syn_J"], "e_syn_J"),
         e_upd_J=_finite_number(obj["e_upd_J"], "e_upd_J"),
         cov=np.array([_finite_number(v, "cov") for v in cov]).reshape(2, 2),
         residual_rms=_finite_number(obj["residual_rms"], "residual_rms"),
         n_obs=obj["n_obs"],
     )
+    fault = _not_a_covariance(model.cov)
+    if fault:
+        raise SchemaError(f"model cov must be a covariance matrix, but it {fault}: {cov!r}")
+    if model.residual_rms < 0:
+        raise SchemaError(f"model residual_rms must be >= 0, got {model.residual_rms!r}")
+    return model
 
 
 def _finite_number(value, field: str) -> float:

@@ -55,7 +55,7 @@ from dataclasses import dataclass
 from functools import reduce
 from math import inf, prod
 from operator import add
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
 
@@ -208,14 +208,19 @@ class LayerRates:
         object.__setattr__(self, "per_layer", per_layer)
 
 
+def _rates(neurons: Sequence[int], n_inputs: int, spikes, input_spikes) -> LayerRates:
+    """One inference's rates from its spike totals: each layer's ``spikes`` per
+    neuron, and ``input_spikes`` per input, or ``None`` for an analog input."""
+    return LayerRates(
+        input_rate=None if input_spikes is None else float(input_spikes / n_inputs),
+        per_layer=spikes / np.asarray(neurons, dtype=np.float64),
+    )
+
+
 def rates_from_trace(trace: "SpikeTrace") -> LayerRates:
-    """Measured per-inference spiking rates of a recorded run."""
-    neurons = np.asarray(trace.layer_neurons, dtype=np.float64)
-    per_layer = trace.counts.sum(axis=1) / neurons
-    input_rate = None
-    if trace.input_counts is not None:
-        input_rate = float(trace.input_counts.sum() / trace.n_inputs)
-    return LayerRates(input_rate=input_rate, per_layer=per_layer)
+    """Measured per-inference spiking rates of a recorded run (see :func:`_rates`)."""
+    inputs = None if trace.input_counts is None else trace.input_counts.sum()
+    return _rates(trace.layer_neurons, trace.n_inputs, trace.counts.sum(axis=1), inputs)
 
 
 def event_price(layer: LayerSpec) -> float:

@@ -129,11 +129,11 @@ that has decided leaves the group with its counters frozen, and a sample
 whose state leaves the finite range fails alone. Every sample keeps its row
 for the whole run: a sample that leaves only stops getting decisions,
 finiteness checks and drives, and nothing reads its row again, whatever the
-steps after it write there. A group's histories (spike counts, the events
-reaching layers of uneven fan-out, output spikes and voltages, rasters when
-recorded) are allocated once at the step budget, a row per sample; each
-tick writes every row, and one loop at the end decodes, traces and prices
-each sample from its own steps.
+steps after it write there. A group's histories (one int64 ledger of every
+per-step count, output spikes and voltages, rasters when recorded) are
+allocated once at the step budget, a row per sample; each tick writes every
+row, and one loop at the end decodes, traces and prices each sample from
+one sum over its own steps of the ledger.
 
 Over a dataset, :func:`run_dataset` reads the samples one group at a time
 and keeps each sample's outcome (step count and decision) and a row of
@@ -148,7 +148,7 @@ from dataclasses import dataclass, replace
 from functools import partial
 from itertools import accumulate, chain, groupby
 from math import isfinite, prod
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -688,9 +688,9 @@ def _group_size(rt: list[_LayerRT], t_max: int) -> int:
     """
     spiking = [r for r in rt if r.spiking]
     neurons = sum(r.neurons for r in spiking)
-    # each step keeps the input's and every layer's spike count, the events
-    # reaching each layer of uneven fan-out (but a rectifier, which never
-    # steps), and the output layer's voltages and spikes
+    # each step keeps a ledger row (the input's and every layer's spike
+    # counts, the events reaching each layer of uneven fan-out but a
+    # rectifier, which never steps) and the output layer's voltages and spikes
     uneven = sum(r.fanout is not None for r in rt if r.spiking or not r.weighted)
     counters = len(rt) + 1 + uneven
     history = (t_max if neurons else 1) * (8 * counters + 9 * rt[-1].neurons)
@@ -792,18 +792,18 @@ def _run_group(
     )
     table = _emac.price_table(net)
     analog_base = np.array(_emac.static_macs(net, mode), dtype=np.int64)
-    neurons = np.array(table.neurons, dtype=np.float64)
     rec_fanin = np.array([lp.recurrent_fanin for lp in table.layers], dtype=np.int64)
     even_fanout = np.array([r.even_fanout for r in rt], dtype=np.int64)
     poisson = mode is EncodingMode.POISSON
+    L = len(rt)
     for k in range(len(samples)):
         if k in run.failed:
             yield run.failed[k], None
             continue
         T = run.T_used[k]
-        counts = run.counts[:T, k]  # (steps, layers + 1)
-        totals = counts.sum(axis=0)  # [0]: the input's spikes
-        spikes = totals[1:]
+        ledger = run.ledger[:T, k]
+        totals = ledger.sum(axis=0)  # [0]: the input's spikes
+        spikes = totals[1 : L + 1]
         out_spikes = run.spikes[:T, k].T
         out_volt = run.volts[:T, k].T
         if start is not None and coding is Coding.ROC:
@@ -812,12 +812,12 @@ def _run_group(
             decision = decode_max_membrane(out_volt)
         # an input of a layer whose inputs all reach the same number of
         # neurons books that many events per spike
-        ff_events = even_fanout * totals[:-1]
+        ff_events = even_fanout * totals[:L]
         if run.uneven:
-            ff_events[run.uneven] += run.events[:T, k].sum(axis=0)
+            ff_events[run.uneven] += totals[L + 1 :]
         trace = SpikeTrace(
-            counts=counts[:, 1:].T,
-            input_counts=counts[:, 0] if poisson else None,
+            counts=ledger[:, 1 : L + 1].T,
+            input_counts=ledger[:, 0] if poisson else None,
             feedforward_events=ff_events,
             # each spike books its layer's recurrent fan-out
             recurrent_events=rec_fanin * spikes,
@@ -826,10 +826,8 @@ def _run_group(
             layer_neurons=table.neurons,
             n_inputs=table.n_inputs,
         )
-        # the rates of :func:`emac.rates_from_trace`, from the totals above
-        rates = _emac.LayerRates(
-            input_rate=float(totals[0] / table.n_inputs) if poisson else None,
-            per_layer=spikes / neurons,
+        rates = _emac._rates(
+            table.neurons, table.n_inputs, spikes, totals[0] if poisson else None
         )
         yield InferenceResult(
             decision=decision,
@@ -849,19 +847,19 @@ class _Histories:
     """What stepping one group leaves: a row per sample, at the step budget.
 
     Sample ``k``'s steps are ``[:T_used[k], k]``, unless it is in ``failed``.
-    ``counts[..., 0]`` are the input's spikes and ``counts[..., l + 1]``
-    layer ``l``'s; ``spikes`` and ``volts`` are the output layer's.
-    ``events[..., j]`` counts the events that reach layer ``uneven[j]``, one
-    whose inputs reach differing numbers of neurons.
+    The ledger holds every count of a step, for ``L`` layers:
+    ``ledger[..., 0]`` are the input's spikes, ``ledger[..., l + 1]`` layer
+    ``l``'s, and ``ledger[..., L + 1 + j]`` the events that reach layer
+    ``uneven[j]``, one whose inputs reach differing numbers of neurons.
+    ``spikes`` and ``volts`` are the output layer's.
     """
 
     T_used: list[int]
     failed: dict[int, NonFiniteState]
-    counts: np.ndarray
+    ledger: np.ndarray
     spikes: np.ndarray
     volts: np.ndarray
     rasters: list[np.ndarray]
-    events: np.ndarray
     uneven: list[int]
 
 
@@ -881,10 +879,10 @@ def _step_group(
     Every view and buffer a tick touches is bound once, before the first
     tick, in one walk over the stepped layers. Source 0 is the Poisson
     encoder and source ``k + 1`` spiking layer ``k``. Each source gets its
-    count column, its ``(rows, neurons)`` output view, the buffers of the
-    pools and the views of the flattens after it, and the event columns of
-    the layers of uneven fan-out its spikes reach, the next spiking layer
-    included, each with the input whose spikes it counts. Each spiking
+    ledger column, its ``(rows, neurons)`` output view, the buffers of the
+    pools and the views of the flattens after it, and the ledger columns of
+    the events its spikes bring to layers of uneven fan-out, the next spiking
+    layer included, each with the input whose spikes it counts. Each spiking
     layer gets its drive view, its input binder and its recurrent binder
     (:func:`_bind_drive`). A tick then emits the encoder and every active
     spiking layer through one
@@ -914,12 +912,12 @@ def _step_group(
     steps = T_max if start is not None else 1
     # the events that reach layers of uneven fan-out, one column each
     uneven = [r.index for r in stepped if r.fanout is not None]
-    # per step and sample: the counts ([..., 0]: the input), the output
-    # spikes and voltages, the uneven events and the rasters
-    layout = [(L + 1, np.int64), (rt[-1].neurons, bool), (rt[-1].neurons, np.float64),
-              (len(uneven), np.int64)] + [(r.neurons, bool) for r in rt if record_raster]
+    # per step and sample: the ledger (see _Histories), the output spikes and
+    # voltages, and the rasters
+    layout = [(L + 1 + len(uneven), np.int64), (rt[-1].neurons, bool),
+              (rt[-1].neurons, np.float64)] + [(r.neurons, bool) for r in rt if record_raster]
     try:
-        count_hist, spike_hist, volt_hist, ff_hist, *raster_hist = [
+        ledger, spike_hist, volt_hist, *raster_hist = [
             np.zeros((steps, B, n), dtype) for n, dtype in layout
         ]
     except (MemoryError, ValueError):  # numpy's own message names neither
@@ -975,9 +973,9 @@ def _step_group(
         # spikes per row: one row takes a plain count, which broadcasts alike
         # and costs several times less than a count along an axis
         count_rows = np.count_nonzero if B == 1 else partial(np.add.reduce, axis=1)
-        # counts[l][s - 1]: step s's row of history column l
-        counts = [count_hist[:, :, l] for l in range(L + 1)]
-        events = {index: ff_hist[:, :, j] for j, index in enumerate(uneven)}
+        # counts[c][s - 1]: step s's row of ledger column c (see _Histories)
+        counts = [ledger[:, :, c] for c in range(ledger.shape[2])]
+        events = dict(zip(uneven, counts[L + 1 :]))
         # every spiking layer's state, drive and spikes, flat and layer-major:
         # spiking layer k keeps its (B, neurons) values from B * cols[k] on, so
         # any span of layers is one contiguous range, which one numpy call steps
@@ -1042,6 +1040,7 @@ def _step_group(
                 x = out.reshape(B, *r.spec.output_shape)
                 stages, carried = [(counts[r.index + 1], out, None, raster)], []
                 sources.append((stages, carried))
+        out_spikes = fired[span(K - 1)].reshape(B, rt[-1].neurons) if K else None
         out_volt = state.v_peak[span(K - 1)].reshape(B, rt[-1].neurons) if K else None
         no_counts = np.zeros(B, dtype=np.int64)
         # the active positions (lo, hi) of the last tick, its block steps and
@@ -1138,7 +1137,7 @@ def _step_group(
             t = tau - K + 1  # the output layer's step
             if t < 1:
                 continue
-            spike_hist[t - 1] = out
+            spike_hist[t - 1] = out_spikes
             volt_hist[t - 1] = out_volt
 
             # A sample fails at its lowest non-finite (step, layer), known once
@@ -1167,9 +1166,7 @@ def _step_group(
                     reset(k)
             live = [k for k in live if k not in leaving]
 
-    return _Histories(
-        T_used, failed, count_hist, spike_hist, volt_hist, raster_hist, ff_hist, uneven
-    )
+    return _Histories(T_used, failed, ledger, spike_hist, volt_hist, raster_hist, uneven)
 
 
 # ---------------------------------------------------------------------------
@@ -1263,29 +1260,20 @@ def _reference_params(net: NetworkSpec) -> tuple[str | None, float, float]:
     return None, 1.0, 1.0
 
 
-def _groups(
-    samples: Sequence[EncodedInput],
-    size: int,
-    started: Callable[[EncodingMode], object] | None = None,
-) -> Iterator[list[EncodedInput]]:
-    """Consecutive runs of at most ``size`` samples that share an encoding mode.
+def _groups(samples: Iterable[EncodedInput], n: int, size: int) -> Iterator[list[EncodedInput]]:
+    """Consecutive runs of at most ``size`` of ``n`` samples that share an encoding mode.
 
-    ``n`` samples make ``ceil(n / size)`` groups of near-equal size, the
+    They make ``ceil(n / size)`` groups of near-equal size, the
     larger ones first (150 samples at most 54 a group: 50, 50, 50),
     so the largest group, which sets the memory peak, is as small as the
     group count allows; a change of encoding mode also ends a group. Each
     group is yielded as soon as it is full, before the sample that starts
-    the next one is read. ``started``, if given, is called with the first
-    sample's mode as soon as that sample is read, before the rest of its
-    group.
+    the next one is read.
     """
-    n = len(samples)
     count = -(-n // size)
     group: list[EncodedInput] = []
     boundary = 1  # the next even boundary: after ceil(boundary * n / count) samples
     for k, sample in enumerate(samples, 1):
-        if k == 1 and started is not None:
-            started(sample.mode)
         if group and sample.mode is not group[0].mode:
             yield group
             group = []
@@ -1331,6 +1319,14 @@ def run_dataset(
     ok = 0
     outcomes: list[SampleOutcome | None] = []
     failures: list[tuple[int, str]] = []
+    # the first spiking layer's form is built as soon as the first input is
+    # read: a parsed spec's float32 container lives until then, so the memory
+    # peak holds one input, not a group of them
+    inputs = iter(samples)
+    first = next(inputs)
+    _first_weights(net, rt, first.mode)
+    inputs = chain(iter([first]), inputs)  # an exhausted iterator drops its list,
+    del first  # and then only the first group holds the first input
     results = chain.from_iterable(
         _run_group(
             net,
@@ -1341,10 +1337,7 @@ def run_dataset(
             record_raster=False,
             encoder_per_step=encoder_per_step,
         )
-        # the first spiking layer's form is built as soon as the first input
-        # is read: a parsed spec's float32 container lives until then, so the
-        # memory peak holds one input, not a group of them
-        for group in _groups(samples, size, partial(_first_weights, net, rt))
+        for group in _groups(inputs, n, size)
     )
     for result, spikes in results:
         if isinstance(result, NonFiniteState):

@@ -122,6 +122,47 @@ def test_nearly_collinear_rows_are_ill_conditioned():
         fit_energy_model(obs)
 
 
+def test_a_fit_whose_covariance_is_not_one_is_ill_conditioned():
+    # a condition number of 5.4e8 passes COND_LIMIT, but the normal equations
+    # square it, and the covariance came out with both diagonal entries near
+    # -4.2e17, which predict would have priced as a sigma of 0.0
+    obs = [
+        Observation("a", S=1.0, U=1.0, E_joules=8.0),
+        Observation("b", S=1.0, U=1.0 + 1e-8, E_joules=8.0 + 5e-8),
+        Observation("c", S=2.0, U=2.0, E_joules=16.5),
+    ]
+    with pytest.raises(IllConditioned, match="covariance has a negative diagonal entry"):
+        fit_energy_model(obs)
+
+
+def test_every_fitted_model_round_trips_nearly_collinear_ones_too(caplog):
+    # what calibrate writes, predict reads: seeded designs from well spread to
+    # nearly collinear, of two observations or more, weighted or not, over ten
+    # decades of counts; some covariance entries are a rounding past a
+    # determinant of zero
+    rng = np.random.default_rng(30)
+    fitted = rounded = pairs = 0
+    with caplog.at_level(logging.ERROR, logger="emacprof.calib"):
+        for _ in range(3000):
+            n = int(rng.integers(2, 8))
+            S = rng.uniform(1, 100, n) * 10.0 ** rng.uniform(-5, 5)
+            U = S * (1 + 10.0 ** rng.uniform(-13, -2) * rng.standard_normal(n))
+            U *= 10.0 ** rng.uniform(-5, 5)
+            E = 3 * S + 5 * U + 10.0 ** rng.uniform(-14, 0) * (S + U) * rng.standard_normal(n)
+            obs = [Observation(f"o{i}", S=S[i], U=U[i], E_joules=E[i]) for i in range(n)]
+            variances = rng.uniform(0.5, 2.0, n) if rng.random() < 0.3 else None
+            try:
+                model = fit_energy_model(obs, variances=variances)
+            except (IllConditioned, RankDeficient):
+                continue
+            data = model_to_json(model)
+            assert model_to_json(model_from_json(data)) == data
+            (a, b), (_, d) = model.cov
+            rounded += abs(b) > np.sqrt(a) * np.sqrt(d)
+            fitted, pairs = fitted + 1, pairs + (n == 2)
+    assert fitted > 1500 and rounded > 0 and pairs > 200
+
+
 def test_unit_change_scales_parameters_exactly():
     # measuring in eighths of a joule must scale both parameters by
     # exactly 8: every fit operation is linear in y and 8 is a power of two

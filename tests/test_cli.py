@@ -542,6 +542,25 @@ def test_trace_covers_the_full_grid(tmp_path, capsys):
     assert "class 0 after" in capsys.readouterr().out
 
 
+def test_trace_of_a_sample_that_leaves_the_finite_range_exits_3(tmp_path, capsys):
+    # six rectifiers and an IFL layer, each of weight 3e38, on an input of
+    # 3e38: the static stage stays finite, and the IFL voltage does not
+    w = np.full((1, 1), 3e38, dtype=np.float32)
+    builder = NetworkBuilder((1,), coding=Coding.RATE, max_timesteps=4)
+    for _ in range(6):
+        builder = builder.dense(1, ANN, weights=w)
+    npath = write_net(tmp_path, builder.dense(1, IFL, weights=w).build())
+    ipath = tmp_path / "x.bin"
+    save_input_tensor(ipath, np.array([3e38]))
+    out = tmp_path / "t"
+    rc = main(["trace", "--network", str(npath), "--inputs", str(ipath), "--out", str(out)])
+    assert rc == 3
+    assert capsys.readouterr().err.startswith(
+        "error: non finite state: layer 6 left the finite range at step 2;"
+    )
+    assert not (out / "trace.csv").exists()
+
+
 def test_trace_roc_stops_at_the_first_output_spike(tmp_path):
     npath, ipath = single_chain(tmp_path)
     out = tmp_path / "roc"
@@ -828,7 +847,11 @@ def test_predict_missing_model_exits_2(tmp_path, capsys):
     "field, value",
     # a fit needs two observations, so a model of fewer was never fitted
     [("e_syn_J", None), ("n_obs", None), ("e_syn_J", [1]), ("n_obs", 0), ("n_obs", 1),
-     ("n_obs", -3)],
+     ("n_obs", -3),
+     # each breaks one rule of a covariance; x'cov x of the second at S = U = 1
+     # is -3e-20, which predicted a sigma of 0.0
+     ("cov", [1e-20, 5e-21, -5e-21, 1e-20]), ("cov", [1e-20, 0.0, 0.0, -4e-20]),
+     ("cov", [1e-20, 2e-20, 2e-20, 1e-20]), ("residual_rms", -1e-9)],
 )
 def test_predict_malformed_model_exits_2(tmp_path, capsys, field, value):
     model = json.loads(model_to_json(fit_energy_model(TWO_POINTS)))

@@ -568,7 +568,7 @@ def test_groups_are_near_equal_and_leave_as_soon_as_full():
     # first; a change of mode ends a group early, and a full group is
     # yielded before the next sample is read
     def sizes(n, size):
-        return [len(g) for g in engine._groups([always_on(1)] * n, size)]
+        return [len(g) for g in engine._groups([always_on(1)] * n, n, size)]
 
     assert sizes(64, 14) == [13, 13, 13, 13, 12]
     assert sizes(16, 6) == [6, 5, 5]
@@ -577,10 +577,10 @@ def test_groups_are_near_equal_and_leave_as_soon_as_full():
     assert sizes(7, 3) == [3, 2, 2]
     analog = encode(np.ones(1))
     modes = [always_on(1)] * 5 + [analog] * 2 + [always_on(1)] * 4
-    assert [len(g) for g in engine._groups(modes, 4)] == [4, 1, 2, 1, 3]
+    assert [len(g) for g in engine._groups(modes, len(modes), 4)] == [4, 1, 2, 1, 3]
 
     lazy = LoadedOnRead(lambda k: always_on(1), 10)
-    assert [len(lazy.reads) for _ in engine._groups(lazy, 4)] == [4, 7, 10]  # 4, 3, 3
+    assert [len(lazy.reads) for _ in engine._groups(lazy, len(lazy), 4)] == [4, 7, 10]  # 4, 3, 3
     assert lazy.reads == list(range(10))
 
 
@@ -2227,7 +2227,7 @@ def test_group_size_counts_the_state_a_group_allocates(monkeypatch):
             run = engine._step_group(
                 net, rt, [sample], 0, T_max=10, coding=Coding.ROC, record_raster=False,
             )
-        history = sum(a.nbytes for a in (run.counts, run.spikes, run.volts, run.events))
+        history = sum(a.nbytes for a in (run.ledger, run.spikes, run.volts))
         return buffers, history, binders, static
 
     def extra(sample, buffers, binders, static):
@@ -2413,6 +2413,27 @@ def test_dataset_statistics_are_numpys_mean_and_std(values):
         return
     assert got.mean.hex() == float(np.mean(x)).hex()
     assert got.std.hex() == float(np.std(x)).hex()
+
+
+def test_a_group_lets_its_inputs_go_before_the_next_group_steps(monkeypatch):
+    # the first input too, which run_dataset reads before it splits the rest
+    made, alive = [], []
+    step_group = engine._step_group
+
+    def watched(*args, **kwargs):
+        alive.append([ref() is not None for ref in made])
+        return step_group(*args, **kwargs)
+
+    def make(k):
+        sample = encode(np.array([0.5]))
+        made.append(weakref.ref(sample))
+        return sample
+
+    monkeypatch.setattr(engine, "_step_group", watched)
+    net = overflowing_dense(t_max=6)
+    force_group_size(monkeypatch, net, 6, 2)
+    assert run_dataset(net, LoadedOnRead(make, 6)).n_ok == 6
+    assert alive == [[True] * 2, [False] * 2 + [True] * 2, [False] * 4 + [True] * 2]
 
 
 def test_a_group_lets_its_histories_go_before_the_next_group_steps(monkeypatch):

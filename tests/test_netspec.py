@@ -351,6 +351,14 @@ def test_conv_structural_bound_against_enumeration():
             assert realized_connections(layer) == structural
 
 
+def test_a_flatten_reaches_no_neuron():
+    # a flatten re-emits its input, so it books no synaptic event
+    layer = LayerSpec(kind=LayerKind.FLATTEN, input_shape=(2, 3, 3), output_shape=(18,))
+    fan = fanout_map(layer)
+    assert fan.shape == (2, 3, 3) and not fan.any()
+    assert realized_connections(layer) == 0
+
+
 def test_fanout_map_totals_match_realized_connections():
     layer = LayerSpec(
         kind=LayerKind.CONV2D,
@@ -708,6 +716,23 @@ def test_a_parsed_spec_views_the_container_bytes():
                    for b in net.weights.values())
     buffer[-4:] = np.float32(np.nan).tobytes()
     assert networks_equal(net, parsed_spec())
+
+
+def test_networks_equal_tells_each_part_of_a_spec_apart():
+    net = built_spec()
+    blocks = dict(net.weights)
+    flipped = blocks["l3_w"].copy()
+    flipped.view(np.uint32)[5] ^= 1  # the last bit of one weight
+    spare = np.zeros(1, np.float32)
+    assert networks_equal(net, NetworkSpec(net.layers, blocks, net.coding, 8))
+    for other in (
+        NetworkSpec(net.layers, blocks, net.coding, 9),  # the step budget
+        NetworkSpec(net.layers, blocks, Coding.ROC, 8),
+        NetworkSpec(net.layers[:-1], blocks, net.coding, 8),  # l3_w unused
+        NetworkSpec(net.layers, {**blocks, "spare": spare}, net.coding, 8),  # a block name
+        NetworkSpec(net.layers, {**blocks, "l3_w": flipped}, net.coding, 8),
+    ):
+        assert not networks_equal(net, other) and not networks_equal(other, net)
 
 
 def test_a_spec_pickles_and_deep_copies_as_a_frozen_spec():
@@ -1109,6 +1134,8 @@ def assert_typed_failure(tmp_path, capsys, manifest, weights, error, message):
          r"layer 3 \(dense\): padding applies to conv2d only"),
         (lambda m: m["layers"][3].pop("neuron_model"), SchemaError,
          r"layer 3 \(dense\): neuron_model is required"),
+        (lambda m: m["layers"][3].pop("weights_ref"), SchemaError,
+         r"layer 3 \(dense\): weights_ref is required"),
         (lambda m: m["layers"][2].update(neuron_model={"kind": "ifl"}), SchemaError,
          r"layer 2 \(flatten\): flatten takes no neuron_model"),
         (lambda m: m["layers"][2].update(weights_ref="l3_w"), SchemaError,
@@ -1139,6 +1166,7 @@ def test_an_edited_manifest_is_a_typed_error(tmp_path, capsys, edit, error, mess
          "unsupported weights container version 2"),
         (None, lambda d: d[:12], "weights container truncated in entry table"),
         (None, lambda d: d.replace(b"l3_w", b"l0_w"), "duplicate weight block name 'l0_w'"),
+        (None, lambda d: d.replace(b"l3_w", b"l3\xff_"), "weight block name is not valid UTF-8"),
     ],
 )
 def test_an_edited_file_is_a_schema_error(tmp_path, capsys, edit_manifest, edit_weights,
@@ -1166,6 +1194,12 @@ def test_an_edited_file_is_a_schema_error(tmp_path, capsys, edit_manifest, edit_
          SchemaError, "a network needs at least one layer"),
         (lambda: NetworkBuilder((4,), max_timesteps=4).dense(3, IFL, weights=np.zeros(5)),
          ShapeMismatch, "expected 12 weights, got 5"),
+        # an object block has no buffer to freeze, so validation sees it as given
+        (lambda: NetworkSpec(
+            layers=NetworkBuilder((4,), max_timesteps=4).dense(3, IFL).build().layers,
+            weights={"l0_w": np.zeros(12, dtype=object)}, coding=Coding.RATE,
+            max_timesteps=4,
+         ), SchemaError, r"layer 0 \(dense\): weight blocks must be flat float32"),
         (lambda: NetworkBuilder((4,), max_timesteps=4).conv2d(2, (3, 3), IFL),
          ShapeMismatch, r"conv2d needs a \(C, H, W\) input, current shape is \(4,\)"),
     ],

@@ -41,6 +41,11 @@ which the engine drives in four row blocks of 128, and one of 300, which
 takes the whole product in one; ``mixed_analog_recurrent``'s recurrent
 layer of 256 neurons, in two row blocks, is the only other layer driven
 in blocks.
+:data:`UNEVEN_ANALOG_NETS` hold the one analog-input network whose step
+loop counts events into layers of uneven fan-out: an LIF convolution on
+the analog input, a 2x2 pool over its 11x11 map, whose last row and column
+reach no window, a padded LIF convolution and an LIF dense head; it also
+runs with ``--coding roc``, where samples decide at steps 9-10 of 32.
 :data:`MULTI_GROUP_NETS` run ``mixed_analog_recurrent``'s network over 150
 inputs, by ``profile`` at seed 0 only, so that a large-weight network
 crosses several lockstep group boundaries (four groups of 37 or 38 at 40
@@ -265,6 +270,30 @@ ANALOG_STACKS = {
 }
 
 
+def analog_conv_net(rng):
+    """Builder of an LIF convolution on an analog input, a 2x2 pool over its
+    odd-sized map, a padded LIF convolution and an LIF dense head: the
+    inputs of the pool and of the second convolution reach differing
+    numbers of neurons."""
+    return (
+        NetworkBuilder((1, 13, 13), coding=Coding.RATE, max_timesteps=32)
+        .conv2d(4, (3, 3), LIF, weights=rng.normal(0.2, 0.15, 4 * 9))
+        .max_pool((2, 2))  # 11x11 -> 5x5
+        .conv2d(6, (3, 3), LIF, padding=1, weights=rng.normal(0.05, 0.1, 6 * 4 * 9))
+        .flatten()
+        .dense(10, LIF, weights=rng.normal(0.05, 0.05, 10 * 150))
+        .build()
+    )
+
+
+#: an analog-input network whose step loop counts events of uneven fan-out
+UNEVEN_ANALOG_NETS = {
+    "analog_conv_net": Workload(
+        "analog_conv_net", "analog", (1, 13, 13), (0.0, 1.0), 8, 113, analog_conv_net
+    )
+}
+
+
 #: a large-weight network over more inputs than two lockstep groups hold
 MULTI_GROUP_NETS = {
     "mixed_analog_recurrent_150": replace(WORKLOADS["mixed_analog_recurrent"], n_samples=150)
@@ -321,7 +350,7 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     with tempfile.TemporaryDirectory() as tmp:
         nets = {**WORKLOADS, **POOL_NETS, **BLOCK_NETS, **OVERFLOW_NETS, **STEP_PATH_NETS,
-                **ANALOG_STACKS, **MULTI_GROUP_NETS}
+                **ANALOG_STACKS, **UNEVEN_ANALOG_NETS, **MULTI_GROUP_NETS}
         for name, workload in nets.items():
             codes = (0, 3) if name in OVERFLOW_NETS else (0,)
             for seed in SEEDS[:1] if name in MULTI_GROUP_NETS else SEEDS:
@@ -329,7 +358,7 @@ def main(argv: list[str] | None = None) -> int:
                 gen = generate(workload, seed, case / "data")
                 # None: the manifest's own coding
                 roc_too = name in {"conv_poisson_rate", "threshold_net", "block_edge_net",
-                                   *BLOCK_NETS}
+                                   *BLOCK_NETS, *UNEVEN_ANALOG_NETS}
                 profile = profile_argv(workload, gen, seed, Path("out"))
                 runs = {}  # output directory: (command, flags)
                 for coding in [None, "roc"] if roc_too else [None]:
