@@ -78,9 +78,13 @@ connected, and the recurrent term of a recurrent layer) is driven by events
 in the step loop: its binder (see :func:`_bind_drive`), the one event-sum
 path, adds up the weight rows of the inputs that spiked, in blocks of at
 most 64 rows, so the cost follows the spike count and the temporary stays
-at 64 rows whatever the spike rate. A dense-like plan only serves the float
-inputs of the static stage, with the full matrix-vector product. Both read
-the one float64 copy of the weights, stored input-major (see
+at 64 rows whatever the spike rate. In a group of several rows, a matrix
+whose sums are exact (see :func:`_exact_sums`, asked once per spec and
+matrix) drives the live rows by one GEMM instead, at a tick whose live rows
+spiked more than half its inputs, and at every tick for a small matrix:
+exact sums give the same bits in any order. A dense-like plan only serves
+the float inputs of the static stage, with the full matrix-vector product.
+Both read the one float64 copy of the weights, stored input-major (see
 :func:`~emacprof.netspec.weight_tensor`). An analog-fed first layer takes
 its drive once, before the first tick, for the whole group (see
 :func:`_bind_static_drive`): the static stage writes each sample's output
@@ -101,7 +105,7 @@ not finite; a weighted layer is checked after its bias add and before its
 rectification, which would turn a drive that overflowed to -inf into 0.0.
 The event sums add in another order than a dense product, so with arbitrary
 weights voltages may differ from one in the last bit; with sums that are
-exact (weights that are multiples of a power of two, say) they are equal.
+exact (float32 weights of a narrow enough range, say) they are equal.
 
 Samples run in lockstep groups. :func:`run_inference` runs a group of one,
 and :func:`run_dataset` runs consecutive groups of samples that share an
@@ -123,11 +127,11 @@ deprecates. A tick emits the encoder and each active spiking layer by one
 path, which counts and records their spikes, runs the pools and flattens
 after them, and counts the events reaching each layer of uneven fan-out
 where that layer's input is made. Each live sample's drive adds its sums in
-a lone run's order (see :func:`_bind_drive`), so every result is
-bit-identical whatever the group size. Under rank-order coding a sample
-that has decided leaves the group with its counters frozen, and a sample
-whose state leaves the finite range fails alone. Every sample keeps its row
-for the whole run: a sample that leaves only stops getting decisions,
+a lone run's order, or sums exactly (see :func:`_bind_drive`), so every
+result is bit-identical whatever the group size. Under rank-order coding a
+sample that has decided leaves the group with its counters frozen, and a
+sample whose state leaves the finite range fails alone. Every sample keeps
+its row for the whole run: a sample that leaves only stops getting decisions,
 finiteness checks and drives, and nothing reads its row again, whatever the
 steps after it write there. A group's histories (one int64 ledger of every
 per-step count, output spikes and voltages, rasters when recorded) are
@@ -147,7 +151,7 @@ import logging
 from dataclasses import dataclass, replace
 from functools import partial
 from itertools import accumulate, chain, groupby
-from math import isfinite, prod
+from math import frexp, isfinite, ldexp, prod
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -406,32 +410,95 @@ _EVENT_MIN_WEIGHTS = 1 << 14
 #: every binder and never written
 _ONES = np.ones(_EVENT_BLOCK)
 _ONES.flags.writeable = False
+#: a float64's bits without its sign, and its mantissa bits below a float32's
+_MAGNITUDE = (1 << 63) - 1
+_BELOW_FLOAT32 = (1 << 29) - 1
+
+
+def _exact_sums(weights: np.ndarray) -> bool:
+    """Whether spikes through ``weights``, a ``(neurons, inputs)`` float64
+    matrix, sum exactly, and so to the same bits in any order.
+
+    A spike multiplies a weight by exactly 1 or 0, so a neuron's drive is a
+    sum of some of its weights. Where every weight is a float32 value, each
+    is a multiple of ``q = 2**(floor(log2(min |w|)) - 23)`` over the nonzero
+    weights, the lowest bit any of them can set, and so is every sum of
+    them. With ``S`` the largest sum of a neuron's ``|w|``, every such sum
+    of magnitude below ``2**53 * q`` is a float64, so ``S < 2**53 * q``
+    makes every partial sum exact: per-row blocks of 64, one GEMM and a
+    threaded GEMM all give the same bits. ``S`` is summed in float64, and
+    can still be trusted: its terms are nonnegative multiples of ``q``, so
+    its partial sums are exact while below ``2**53 * q``, and rounding never
+    takes a sum at or above it back below. A weight that is no float32 value
+    (its float64 mantissa sets a bit below a float32's) fails the matrix,
+    and a matrix of zeros passes. The weights are read 64 inputs at a time,
+    so no temporary is the matrix's size.
+    """
+    columns = weights.T  # (inputs, neurons)
+    sums = np.zeros(len(weights))
+    below = 0  # every bit any weight's magnitude sets
+    least = _MAGNITUDE  # the least nonzero magnitude's bits, less one
+    for k in range(0, len(columns), _EVENT_BLOCK):
+        bits = np.bitwise_and(columns[k : k + _EVENT_BLOCK].view(np.uint64), _MAGNITUDE)
+        below |= int(np.bitwise_or.reduce(bits, axis=None))
+        sums += np.add.reduce(bits.view(np.float64), axis=0)
+        least = min(least, int(np.subtract(bits, 1, out=bits).min()))  # zeros wrap round
+    if below & _BELOW_FLOAT32:
+        return False
+    if least == _MAGNITUDE:  # no weight but zeros
+        return True
+    # min |w| = f * 2**e with 0.5 <= f < 1, so q = 2**(e - 24); capped in range
+    e = frexp(float(np.uint64(least + 1).view(np.float64)))[1]
+    return bool(sums.max() < ldexp(1.0, min(e + 29, 1023)))
+
+
+def _layer_sums_exact(net: NetworkSpec, index: int, recurrent: bool) -> bool:
+    """:func:`_exact_sums` of layer ``index``'s spike-fed weights, or its
+    recurrent ones; kept per spec by :func:`~emacprof.netspec.derived`."""
+    weights = recurrent_weight_tensor(net, index) if recurrent else weight_tensor(net, index)
+    return _exact_sums(weights)
 
 
 def _bind_drive(
-    plan: Callable | None, weights: np.ndarray | None, x: np.ndarray, out: np.ndarray
+    plan: Callable | None,
+    weights: np.ndarray | None,
+    x: np.ndarray,
+    out: np.ndarray,
+    exact: Callable[[], bool] | None = None,
 ) -> Callable[[np.ndarray, list[int]], None]:
     """A drive bound to a group's spike input ``x`` and drive ``out``, as ``drive(counts, live)``.
 
     ``x`` and ``out`` are contiguous ``(rows, ...)`` buffers that the group
     keeps for its whole run, so the binder is built once per drive and group
     and holds every view a tick needs. Each call writes, into its row of
-    ``out``, the drive of every row in ``live`` from what ``x`` holds.
-    ``plan`` is the layer's plan (see :func:`_step_plan`), which only a
-    convolution's binder calls, and ``weights`` a dense-like layer's
-    column-major ``(neurons, inputs)`` matrix, or ``None`` for a convolution.
+    ``out``, the drive of every row in ``live`` from what ``x`` holds, and
+    ``counts`` holds each row's spikes. ``plan`` is the layer's plan (see
+    :func:`_step_plan`), which only a convolution's binder calls, and
+    ``weights`` a dense-like layer's column-major ``(neurons, inputs)``
+    matrix, or ``None`` for a convolution. ``exact`` answers
+    :func:`_exact_sums` for ``weights`` (the engine passes the spec's memo,
+    and by default the binder asks itself); a group of more than one row
+    asks it once, the first time a tick would take the product.
 
-    A matrix of at most ``_EVENT_MIN_WEIGHTS`` weights takes the full product
-    of every row, live or not, in one stacked ``np.matmul`` of ``x`` copied
-    to float64, which numpy runs as one BLAS matrix-vector call per row, the
-    call ``np.dot`` makes for one row alone, so each row adds its sum in a
-    lone run's order (but for a 1x1 matrix, whose silent product is +0.0
-    where ``np.dot`` gives the weight times 0.0). Nothing reads a row that
-    has left, and its spikes through finite weights keep its drive finite
-    for the group's one-call finiteness check.
+    In a group of more than one row, a matrix whose sums are exact drives
+    the live rows by one product, ``np.matmul`` of their spikes copied to
+    float64 by ``weights.T``, one GEMM: a matrix of at most
+    ``_EVENT_MIN_WEIGHTS`` weights at every tick, a larger one at a tick
+    whose live rows spiked more than half its inputs in all. Its sums are
+    exact, so each row's is a lone run's, at any OpenBLAS thread count; a
+    silent row gets +0.0, and a row that has left keeps its bytes.
 
-    A larger matrix is the one event-sum path: for each live row with spikes
-    (``counts``) it gathers the rows of ``weights.T`` (one per input, each
+    Otherwise, and in a group of one, a small matrix takes the full product
+    of every row, live or not, in one stacked ``np.matmul``, which numpy
+    runs as one BLAS matrix-vector call per row, the call ``np.dot`` makes
+    for one row alone, so each row adds its sum in a lone run's order (but
+    for a 1x1 matrix, whose silent product is +0.0 where ``np.dot`` gives
+    the weight times 0.0). Nothing reads a row that has left, and its spikes
+    through finite weights keep its drive finite for the group's one-call
+    finiteness check.
+
+    A larger matrix there is the one event-sum path: for each live row with
+    spikes it gathers the rows of ``weights.T`` (one per input, each
     contiguous) of the inputs that spiked, in blocks of at most
     ``_EVENT_BLOCK``, sums each block by one ``np.dot`` with ones and adds
     the blocks left to right, so a row's sum is a lone run's whatever the
@@ -441,16 +508,6 @@ def _bind_drive(
     adds either zero alike.
     """
     rows = len(out)
-    if weights is not None and weights.size <= _EVENT_MIN_WEIGHTS:
-        operand = x.reshape(rows, -1, 1)
-        cast = np.empty(operand.shape)
-        product = out.reshape(rows, -1, 1)
-
-        def stacked(counts: np.ndarray, live: list[int]) -> None:
-            np.copyto(cast, operand)
-            np.matmul(weights, cast, product)
-
-        return stacked
     if weights is None:
         pairs = [(x[p], out[p]) for p in range(rows)]
 
@@ -463,29 +520,66 @@ def _bind_drive(
                     pairs[p][1].fill(0.0)
 
         return planned
-    # per row: its flat input's nonzero (x.reshape(-1).nonzero() dispatches
-    # faster than np.flatnonzero, which a narrow layer notices at every
-    # step) and its drive row
-    rows_of = [(flat.nonzero, row) for flat, row in zip(x.reshape(rows, -1), out)]
-    take, dot, ones = weights.T.take, np.dot, _ONES
+    flat = x.reshape(rows, -1)
+    small = weights.size <= _EVENT_MIN_WEIGHTS
+    cast = np.empty(flat.shape) if small or rows > 1 else None  # the float64 operand
+    if small:
+        source, operand = x.reshape(rows, -1, 1), cast.reshape(rows, -1, 1)
+        product = out.reshape(rows, -1, 1)
 
-    def events(counts: np.ndarray, live: list[int]) -> None:
-        counts = counts.tolist()
-        for p in live:
-            spiked, total = rows_of[p]
-            if not counts[p]:
-                total.fill(0.0)
-                continue
-            idx = spiked()[0]
-            if idx.size <= _EVENT_BLOCK:  # one block: idx takes no slicing
-                dot(ones[: idx.size], take(idx, 0), total)
-                continue
-            dot(ones, take(idx[:_EVENT_BLOCK], 0), total)
-            for k in range(_EVENT_BLOCK, idx.size, _EVENT_BLOCK):
-                block = idx[k : k + _EVENT_BLOCK]
-                total += dot(ones[: block.size], take(block, 0))
+        def stacked(counts: np.ndarray, live: list[int]) -> None:
+            np.copyto(operand, source)
+            np.matmul(weights, operand, product)
 
-    return events
+        fallback = stacked
+    else:
+        # per row: its flat input's nonzero (x.reshape(-1).nonzero() dispatches
+        # faster than np.flatnonzero, which a narrow layer notices at every
+        # step) and its drive row
+        rows_of = [(row.nonzero, total) for row, total in zip(flat, out)]
+        take, dot, ones = weights.T.take, np.dot, _ONES
+
+        def events(counts: np.ndarray, live: list[int]) -> None:
+            counts = counts.tolist()
+            for p in live:
+                spiked, total = rows_of[p]
+                if not counts[p]:
+                    total.fill(0.0)
+                    continue
+                idx = spiked()[0]
+                if idx.size <= _EVENT_BLOCK:  # one block: idx takes no slicing
+                    dot(ones[: idx.size], take(idx, 0), total)
+                    continue
+                dot(ones, take(idx[:_EVENT_BLOCK], 0), total)
+                for k in range(_EVENT_BLOCK, idx.size, _EVENT_BLOCK):
+                    block = idx[k : k + _EVENT_BLOCK]
+                    total += dot(ones[: block.size], take(block, 0))
+
+        fallback = events
+    if rows == 1:
+        return fallback
+    if exact is None:
+        exact = partial(_exact_sums, weights)
+    half, by_inputs = flat.shape[1] // 2, weights.T
+    verdict: list[bool] = []  # the check's answer, once asked
+
+    def grouped(counts: np.ndarray, live: list[int]) -> None:
+        # more spikes than half the inputs: 2 * spikes > inputs
+        if small or sum(counts[live].tolist()) > half:
+            if not verdict:
+                verdict.append(exact())
+            if verdict[0]:
+                if len(live) == rows:
+                    np.copyto(cast, flat)
+                    np.matmul(cast, by_inputs, out)
+                else:
+                    part = cast[: len(live)]
+                    np.copyto(part, flat[live])
+                    out[live] = np.matmul(part, by_inputs)
+                return
+        fallback(counts, live)
+
+    return grouped
 
 
 #: the output rows of each block of an analog-fed dense-like layer's product
@@ -668,19 +762,19 @@ def _group_size(rt: list[_LayerRT], t_max: int) -> int:
 
     A row holds the neuron state of every spiking layer, its step history,
     its encoded float64 input, a recurrent term, and the float64 operand of
-    each stacked product (see :func:`_bind_drive`) but the first spiking
-    layer's; and, whichever is larger, that layer's analog drive with the
-    float64 static output it is taken from (see
+    the product of each spike-fed dense-like matrix (see :func:`_bind_drive`)
+    but the first spiking layer's; and, whichever is larger, that layer's
+    analog drive with the float64 static output it is taken from (see
     :func:`_bind_static_drive`), or the Poisson input spikes with that
-    layer's stacked operand. Every size is read off the layers' shapes, so
+    layer's operand. Every size is read off the layers' shapes, so
     the first spiking layer's weights, which the compile leaves to the
     input, count as one float64 form. The history is
     counted as a group allocates it, at the step budget (one step without
     spiking layers), except that a pool of uneven fan-out before the first
     spiking layer is counted as if it stepped. Not counted: rasters, which
     only :func:`run_inference` records, and the one-byte outputs of the
-    pools that step. The reference workloads get 38 samples a group on
-    ``dense_poisson_roc`` (784-512-512-256-256-10), so one group of 16, 40
+    pools that step. The reference workloads get 34 samples a group on
+    ``dense_poisson_roc`` (784-512-512-256-256-10), so one group of 16, 38
     on ``mixed_analog_recurrent``, so groups of 32 and 32, and 1 on
     ``conv_poisson_rate``: a wide convolutional network has small weights
     and much state, and more samples a group, though faster per sample,
@@ -697,9 +791,9 @@ def _group_size(rt: list[_LayerRT], t_max: int) -> int:
     inputs = prod(rt[0].spec.input_shape)
     row = _NEURON_STATE_BYTES * neurons + history + 8 * inputs
     if spiking:
-        # each matrix's inputs: none for a convolution, which has no stacked product
+        # each spike-fed matrix's inputs: none for a convolution, which takes no product
         operands = [
-            8 * n_in if r.neurons * n_in <= _EVENT_MIN_WEIGHTS else 0
+            8 * n_in
             for r in spiking
             for n_in in (
                 0 if r.spec.kind is LayerKind.CONV2D else prod(r.spec.input_shape),
@@ -966,9 +1060,9 @@ def _step_group(
         # place for the whole run: a sample that decides or fails leaves
         # ``live``, and nothing reads its row again, so past its last step
         # the row's state, drives and histories may hold anything. Each live
-        # sample's drive sums in a lone run's order (see _bind_drive),
-        # whatever the group size; the neuron steps, the counters and the
-        # history writes serve all rows at once.
+        # sample's drive sums in a lone run's order, or exactly (see
+        # _bind_drive), whatever the group size; the neuron steps, the
+        # counters and the history writes serve all rows at once.
         draw = poisson_slice  # looked up per group: a traced run wraps it
         # spikes per row: one row takes a plain count, which broadcasts alike
         # and costs several times less than a count along an axis
@@ -1027,14 +1121,17 @@ def _step_group(
                 drive = drives[span(k)].reshape(B, r.neurons)
                 out = fired[span(k)].reshape(B, r.neurons)
                 ff = rec = None
+                # whether a matrix's sums are exact, asked of the spec's memo
+                exact = partial(derived, net, _layer_sums_exact, r.index)
                 if x is not None:  # spikes feed it
                     if r.spec.kind is LayerKind.CONV2D:
                         ff = _bind_drive(_step_plan(r), None, x, drive)
                     else:
-                        ff = _bind_drive(None, weights0 if k == 0 else r.weights, x, drive)
+                        weights = weights0 if k == 0 else r.weights
+                        ff = _bind_drive(None, weights, x, drive, partial(exact, False))
                 if r.rec_weights is not None:
                     term = rec_buf[: B * r.neurons].reshape(B, r.neurons)
-                    rec = _bind_drive(None, r.rec_weights, out, term), term
+                    rec = _bind_drive(None, r.rec_weights, out, term, partial(exact, True)), term
                     terms.append(term)
                 layers.append((drive, ff, counts[r.index], counts[r.index + 1], rec))
                 x = out.reshape(B, *r.spec.output_shape)
@@ -1273,11 +1370,14 @@ def _groups(samples: Iterable[EncodedInput], n: int, size: int) -> Iterator[list
     count = -(-n // size)
     group: list[EncodedInput] = []
     boundary = 1  # the next even boundary: after ceil(boundary * n / count) samples
-    for k, sample in enumerate(samples, 1):
+    k = 0  # samples read; enumerate would hold the last one while it reads on
+    for sample in samples:
         if group and sample.mode is not group[0].mode:
             yield group
             group = []
         group.append(sample)
+        del sample  # named, it would outlive its group while the next one is read
+        k += 1
         if k == -(-boundary * n // count):
             yield group
             group, boundary = [], boundary + 1
@@ -1295,11 +1395,12 @@ def run_dataset(
 
     Compilation happens once per network (see :func:`_compile`), and the
     samples run in lockstep groups (see :func:`_groups`). ``samples`` is
-    read once, in order, one group at a time, so it may load each sample
-    when indexed (as the command line does), and a run then holds one
-    group's inputs. Each success keeps its outcome and one row of per-layer
-    values in one array, which, sliced to the successes, makes one column
-    of ``kept`` per quantity. Each method's columns make one energy report,
+    read once, by index and in order, one group at a time, so it may load
+    each sample when indexed (as the command line does), and a run then
+    holds one group's inputs, while it reads the next group too. Each
+    success keeps its outcome and one row of per-layer values in one array,
+    which, sliced to the successes, makes one column of ``kept`` per
+    quantity. Each method's columns make one energy report,
     whose own totals add them as a report adds one sample's values. Each
     statistic is reduced once, over a 1-D array in sample order: a running
     sum or a 2-D reduction would change the last bits of the reported
@@ -1322,13 +1423,15 @@ def run_dataset(
     # the first spiking layer's form is built as soon as the first input is
     # read: a parsed spec's float32 container lives until then, so the memory
     # peak holds one input, not a group of them
-    inputs = iter(samples)
+    # read by index: a Sequence's own iterator holds each item while it reads
+    # the next one
+    inputs = (samples[k] for k in range(n))
     first = next(inputs)
     _first_weights(net, rt, first.mode)
     inputs = chain(iter([first]), inputs)  # an exhausted iterator drops its list,
     del first  # and then only the first group holds the first input
-    results = chain.from_iterable(
-        _run_group(
+    for group in _groups(inputs, n, size):
+        results = _run_group(
             net,
             rt,
             group,
@@ -1337,22 +1440,21 @@ def run_dataset(
             record_raster=False,
             encoder_per_step=encoder_per_step,
         )
-        for group in _groups(inputs, n, size)
-    )
-    for result, spikes in results:
-        if isinstance(result, NonFiniteState):
-            failures.append((len(outcomes), str(result)))
-            outcomes.append(None)
-            continue
-        outcomes.append(SampleOutcome(result.trace.T_used, result.decision))
-        rows[ok] = [
-            (e.E_syn, e.E_upd, e.E_rec, a.E_syn, a.E_upd, a.E_rec, s) for e, a, s in
-            zip(result.energy.per_layer, result.energy_analytic.per_layer, spikes.tolist())
-        ]
-        ok += 1
-        # a result views its group's histories: held here, a group's last
-        # one would keep them alive while the next group steps
-        del result
+        del group  # held here, it would live on while the splitter reads the next group
+        for result, spikes in results:
+            if isinstance(result, NonFiniteState):
+                failures.append((len(outcomes), str(result)))
+                outcomes.append(None)
+                continue
+            outcomes.append(SampleOutcome(result.trace.T_used, result.decision))
+            rows[ok] = [
+                (e.E_syn, e.E_upd, e.E_rec, a.E_syn, a.E_upd, a.E_rec, s) for e, a, s in
+                zip(result.energy.per_layer, result.energy_analytic.per_layer, spikes.tolist())
+            ]
+            ok += 1
+            # a result views its group's histories: held here, a group's last
+            # one would keep them alive while the next group steps
+            del result
     if failures:
         logger.warning("%d of %d samples aborted", len(failures), n)
 

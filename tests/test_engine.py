@@ -39,6 +39,7 @@ from emacprof.engine import (
     _EVENT_MIN_WEIGHTS,
     _compile,
     _bind_drive,
+    _exact_sums,
     _group_size,
     _max_pool,
     _run_group,
@@ -1157,10 +1158,7 @@ def test_a_drive_written_in_place_equals_a_new_one(kind, count):
         group[1] = x
         _bind_drive(None, w, group, buf)(group.sum(axis=1), [1])
     assert buf[1].tobytes() == want.tobytes()
-    if kind == "small dense":  # the stacked product writes every row
-        assert np.isfinite(buf[[0, 2]]).all()
-    else:
-        assert np.isnan(buf[[0, 2]]).all() or not x.any()
+    assert np.isnan(buf[[0, 2]]).all() or not x.any()
     if not x.any():
         assert not np.signbit(buf[1]).any()
 
@@ -1170,9 +1168,9 @@ def test_a_drive_written_in_place_equals_a_new_one(kind, count):
 )
 def test_a_group_drive_equals_each_row_alone(kind):
     # a group writes the drive of each row still stepping: an event-driven
-    # matrix or a convolution skips a row without spikes, and a row that has
-    # left keeps what it holds; a small matrix takes the product of every row
-    # at once, so a row that has left gets a finite drive
+    # matrix or a convolution skips a row without spikes, a small matrix of
+    # exact sums takes one product of the live rows, and a row that has left
+    # keeps what it holds
     rng = np.random.default_rng(17)
     if kind == "conv":
         shape = (2, 7, 6)
@@ -1209,10 +1207,7 @@ def test_a_group_drive_equals_each_row_alone(kind):
             assert out[p].tobytes() == lone_drive(w, x[p]).tobytes()
     # the silent row is not summed: the plan never sees its input
     assert not any(np.shares_memory(a, x[1]) for a in called)
-    if kind == "small dense":
-        assert np.isfinite(out[3]).all()
-    else:
-        assert np.isnan(out[3]).all()
+    assert np.isnan(out[3]).all()
 
 
 def wide_weights(rng, shape):
@@ -1300,6 +1295,102 @@ def test_a_small_matrix_drives_its_rows_by_one_stacked_product(kind, rows):
             else:
                 assert np.isfinite(out[p]).all()
     assert not calls
+
+
+def test_the_exact_sum_check_passes_float32_values_of_a_narrow_range():
+    rng = np.random.default_rng(31)
+    w = rng.normal(0.0, 0.3, (96, 300)).astype(np.float32).astype(np.float64)
+    assert _exact_sums(w) and _exact_sums(np.asfortranarray(w))
+    assert _exact_sums(np.zeros((5, 7))) and _exact_sums(np.full((3, 4), -0.0))
+    # 64 ones and a weight of 2**-k: the lowest bit is 2**-(k + 23), and the
+    # sums are exact while 64 < 2**53 * 2**-(k + 23), that is for k < 24
+    for k, exact in ((23, True), (24, False)):
+        edge = np.zeros((2, 64))
+        edge[0] = 1.0
+        edge[1, 5] = -(2.0**-k)
+        assert _exact_sums(edge) is exact
+
+
+def test_the_exact_sum_check_fails_wide_subnormal_and_float64_weights():
+    rng = np.random.default_rng(32)
+    assert not _exact_sums(wide_weights(rng, (96, 300)).astype(np.float64))
+    # one float32 subnormal among normals puts the lowest bit at 2**-149
+    w = rng.normal(0.0, 0.3, (20, 30)).astype(np.float32)
+    w[3, 4] = np.float32(1e-40)
+    assert not _exact_sums(w.astype(np.float64))
+    # a weight that is no float32 value
+    w = w.astype(np.float64)
+    w[3, 4] = 0.1
+    assert not _exact_sums(w)
+    # dense_poisson_roc's layer 1, drawn as benchmarks/workloads.py draws it:
+    # its sums need 53.8 bits
+    rng = np.random.default_rng(102)
+    rng.normal(0.0, 0.003, 512 * 784)
+    w = rng.normal(0.0, 0.003 * np.sqrt(784 / 512), (512, 512)).astype(np.float32)
+    assert not _exact_sums(np.asfortranarray(w, dtype=np.float64))
+
+
+#: spikes per row: none, one, either side of one 64-row block, and two blocks
+PRODUCT_COUNTS = (130, 0, 1, 64, 65)
+
+
+@pytest.mark.parametrize("rows", [2, 14, 38])
+@pytest.mark.parametrize("n_in, n_out", [(140, 100), (256, 96)])
+def test_a_group_of_exact_sums_drives_its_live_rows_by_one_product(n_in, n_out, rows):
+    # a small matrix takes the product at every tick, a larger one when the
+    # live rows spiked more than half its inputs; each live row gets a lone
+    # run's bytes, a silent one +0.0 (the matrix holds -0.0 weights), and a
+    # row that has left, or failed and was zeroed, keeps its bytes
+    rng = np.random.default_rng(40 + rows)
+    w = rng.normal(0.0, 0.3, (n_out, n_in)).astype(np.float32)
+    w[rng.random(w.shape) < 0.1] = -0.0
+    net = NetworkBuilder((n_in,)).dense(n_out, lif(), weights=w).build()
+    weights = spike_fed(net).weights
+    small = weights.size <= _EVENT_MIN_WEIGHTS
+    assert small == (n_in == 140) and _exact_sums(weights)
+    assert np.signbit(weights[weights == 0]).any()
+    counts = [PRODUCT_COUNTS[p % 5] for p in range(rows)]
+    x = np.stack([spike_vector(rng, n_in, c) for c in counts])
+    failed = rows - 1  # zeroed when it failed, and no longer live
+    quiet = [p for p in range(rows) if counts[p] <= 1]  # too few spikes for a large matrix
+    for live in (list(range(rows)), list(range(0, failed, 3)), list(range(failed)), quiet):
+        asked = []
+        out = np.full((rows, n_out), np.nan)
+        out[failed] = 0.0
+        drive = _bind_drive(None, weights, x, out, lambda: asked.append(1) or True)
+        for _ in range(2):
+            drive(np.array(counts), live)
+        assert asked == ([1] if small or live != quiet else [])
+        for p in range(rows):
+            if p in live:
+                assert out[p].tobytes() == lone_drive(weights, x[p]).tobytes()
+            elif p == failed:
+                assert out[p].tobytes() == np.zeros(n_out).tobytes()
+            else:
+                assert np.isnan(out[p]).all()
+        assert not np.signbit(out[[p for p in live if not counts[p]]]).any()
+
+
+def test_the_sum_check_runs_once_per_matrix_and_spec_and_only_for_a_product(monkeypatch):
+    # a lone run never asks; a dataset asks once per matrix that some tick
+    # would drive by the product, and a second dataset on the spec not again
+    rng = np.random.default_rng(33)
+    net = (
+        NetworkBuilder((200,), coding=Coding.RATE, max_timesteps=8)
+        .dense(150, lif(), weights=rng.normal(0.02, 0.05, (150, 200)))  # above the floor
+        .dense(10, lif(), weights=rng.normal(0.05, 0.1, (10, 150)))  # below it
+        .build()
+    )
+    asked, check = [], engine._exact_sums
+    monkeypatch.setattr(engine, "_exact_sums", lambda w: asked.append(w.shape) or check(w))
+    samples = [encode(rng.uniform(0.6, 1.0, 200), "poisson", seed=s) for s in range(6)]
+    lone = [run_inference(net, sample) for sample in samples]
+    assert asked == []
+    force_group_size(monkeypatch, net, 8, 3)
+    for _ in range(2):
+        stats = run_dataset(net, samples)
+        assert asked == [(150, 200), (10, 150)]
+        assert [o.T_used for o in stats.outcomes] == [r.trace.T_used for r in lone]
 
 
 @pytest.mark.parametrize("model", [lif(), ifl(0.5)])
@@ -2212,9 +2303,9 @@ def test_group_size_counts_the_state_a_group_allocates(monkeypatch):
         # and every binder reads an input and writes a drive or a term
         binders, static = [], []
 
-        def recorded_bind(plan, weights, x, out):
+        def recorded_bind(plan, weights, x, out, *exact):
             binders.append((weights, x, out))
-            return _bind_drive(plan, weights, x, out)
+            return _bind_drive(plan, weights, x, out, *exact)
 
         def recorded_static(plan, weights, x, out):
             static.append((x, out))
@@ -2434,6 +2525,22 @@ def test_a_group_lets_its_inputs_go_before_the_next_group_steps(monkeypatch):
     force_group_size(monkeypatch, net, 6, 2)
     assert run_dataset(net, LoadedOnRead(make, 6)).n_ok == 6
     assert alive == [[True] * 2, [False] * 2 + [True] * 2, [False] * 4 + [True] * 2]
+
+
+def test_a_group_lets_its_inputs_go_before_the_next_group_is_read(monkeypatch):
+    # when each sample is read, only the samples of its own group live
+    made, alive = [], []
+
+    def make(k):
+        alive.append([j for j, ref in enumerate(made) if ref() is not None])
+        sample = encode(np.array([0.5]))
+        made.append(weakref.ref(sample))
+        return sample
+
+    net = overflowing_dense(t_max=6)
+    force_group_size(monkeypatch, net, 6, 2)
+    assert run_dataset(net, LoadedOnRead(make, 6)).n_ok == 6
+    assert alive == [[], [0], [], [2], [], [4]]
 
 
 def test_a_group_lets_its_histories_go_before_the_next_group_steps(monkeypatch):

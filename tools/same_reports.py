@@ -46,6 +46,11 @@ loop counts events into layers of uneven fan-out: an LIF convolution on
 the analog input, a 2x2 pool over its 11x11 map, whose last row and column
 reach no window, a padded LIF convolution and an LIF dense head; it also
 runs with ``--coding roc``, where samples decide at steps 9-10 of 32.
+:data:`WIDE_NETS` hold a 784-256-256-10 IFL stack on Poisson inputs whose
+float32 weights span 2**-40 to 2**40, so that their sums round: in a group
+of several rows its dense ticks would take one product if the engine's
+exact-sum check passed, and since it fails them they keep their per-row
+drives; it also runs with ``--coding roc``.
 :data:`MULTI_GROUP_NETS` run ``mixed_analog_recurrent``'s network over 150
 inputs, by ``profile`` at seed 0 only, so that a large-weight network
 crosses several lockstep group boundaries (four groups of 37 or 38 at 40
@@ -61,6 +66,10 @@ file must match byte for byte. A run that fails on both sides counts as a
 difference too, since it would compare nothing, unless it is a run of
 :data:`OVERFLOW_NETS` that exits 3.
 
+Run it at the default OpenBLAS thread count and again with
+``OPENBLAS_NUM_THREADS=1``: a group's checked product runs OpenBLAS's
+threaded GEMM by default and another kernel at one thread.
+
 Exit 0 when every run matches; exit 1 naming the first difference; exit 2
 when ``BASE_SRC`` holds no ``emacprof`` package.
 """
@@ -74,6 +83,8 @@ import sys
 import tempfile
 from dataclasses import replace
 from pathlib import Path
+
+import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "benchmarks")]
@@ -294,6 +305,33 @@ UNEVEN_ANALOG_NETS = {
 }
 
 
+def wide_weight_stack(rng):
+    """Builder of a 784-256-256-10 IFL stack whose float32 weights span 2**-40
+    to 2**40, so that their sums round: every dense layer fails the engine's
+    exact-sum check and keeps its per-row drives in groups of several rows."""
+
+    def wide(shape):
+        return (rng.normal(0.0, 0.3, shape) * 2.0 ** rng.integers(-40, 40, shape)).astype(
+            np.float32
+        )
+
+    return (
+        NetworkBuilder((784,), coding=Coding.RATE, max_timesteps=32)
+        .dense(256, IFL, weights=wide((256, 784)))
+        .dense(256, IFL, weights=wide((256, 256)))
+        .dense(10, IFL, weights=wide((10, 256)))
+        .build()
+    )
+
+
+#: a network whose dense drives would take one product per tick if their sums were exact
+WIDE_NETS = {
+    "wide_weight_stack": Workload(
+        "wide_weight_stack", "poisson", (784,), (0.0, 0.6), 8, 114, wide_weight_stack
+    )
+}
+
+
 #: a large-weight network over more inputs than two lockstep groups hold
 MULTI_GROUP_NETS = {
     "mixed_analog_recurrent_150": replace(WORKLOADS["mixed_analog_recurrent"], n_samples=150)
@@ -350,7 +388,7 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     with tempfile.TemporaryDirectory() as tmp:
         nets = {**WORKLOADS, **POOL_NETS, **BLOCK_NETS, **OVERFLOW_NETS, **STEP_PATH_NETS,
-                **ANALOG_STACKS, **UNEVEN_ANALOG_NETS, **MULTI_GROUP_NETS}
+                **ANALOG_STACKS, **UNEVEN_ANALOG_NETS, **WIDE_NETS, **MULTI_GROUP_NETS}
         for name, workload in nets.items():
             codes = (0, 3) if name in OVERFLOW_NETS else (0,)
             for seed in SEEDS[:1] if name in MULTI_GROUP_NETS else SEEDS:
@@ -358,7 +396,7 @@ def main(argv: list[str] | None = None) -> int:
                 gen = generate(workload, seed, case / "data")
                 # None: the manifest's own coding
                 roc_too = name in {"conv_poisson_rate", "threshold_net", "block_edge_net",
-                                   *BLOCK_NETS, *UNEVEN_ANALOG_NETS}
+                                   *BLOCK_NETS, *UNEVEN_ANALOG_NETS, *WIDE_NETS}
                 profile = profile_argv(workload, gen, seed, Path("out"))
                 runs = {}  # output directory: (command, flags)
                 for coding in [None, "roc"] if roc_too else [None]:
