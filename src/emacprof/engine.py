@@ -82,9 +82,23 @@ at 64 rows whatever the spike rate. In a group of several rows, a matrix
 whose sums are exact (see :func:`_exact_sums`, asked once per spec and
 matrix) drives the live rows by one GEMM instead, at a tick whose live rows
 spiked more than half its inputs, and at every tick for a small matrix:
-exact sums give the same bits in any order. A dense-like plan only serves
-the float inputs of the static stage, with the full matrix-vector product.
-Both read the one float64 copy of the weights, stored input-major (see
+exact sums give the same bits in any order. A first spiking layer that the
+Poisson encoder feeds directly (or through flattens) has a drive that
+depends on the draws alone, never on the network's state, and the encoder's
+counter-based streams draw any step in isolation; so where such a layer is
+dense-like and its weights sum exactly, a group of any size, one row
+included, drives it a block of steps ahead (see :func:`_bind_block_drive`):
+at the block's first tick it draws every live row's spikes of each of the
+block's steps, writes their counts into the ledger at once, and takes one
+GEMM over the block's (step, row) pairs, of 64 pairs or more and at most
+16 steps (16 steps for one row, 4 for 16 rows); each tick then copies its
+step's drive. A block of a larger matrix whose pairs spiked fewer than one
+in 16 of their inputs keeps the event sums, step by step. Convolutions, a
+pool before the layer, an analog input, later layers (whose inputs depend
+on the state) and weights that fail the check keep the per-tick drive. A
+dense-like plan only serves the float inputs of the static stage, with the
+full matrix-vector product. All read the one float64 copy of the weights,
+stored input-major (see
 :func:`~emacprof.netspec.weight_tensor`). An analog-fed first layer takes
 its drive once, before the first tick, for the whole group (see
 :func:`_bind_static_drive`): the static stage writes each sample's output
@@ -459,6 +473,45 @@ def _layer_sums_exact(net: NetworkSpec, index: int, recurrent: bool) -> bool:
     return _exact_sums(weights)
 
 
+def _event_sums(
+    weights: np.ndarray, flat: np.ndarray, out: np.ndarray
+) -> Callable[[np.ndarray, list[int]], None]:
+    """The one event-sum path: the drive of ``flat``'s spike rows through
+    ``weights`` into ``out``'s rows, as ``drive(counts, live)``.
+
+    ``flat`` is a ``(rows, inputs)`` boolean buffer, ``out`` its ``(rows,
+    neurons)`` drives, and ``counts`` each row's spikes. For each row in
+    ``live`` with spikes it gathers the rows of ``weights.T`` (one per
+    input, each contiguous) of the inputs that spiked, in blocks of at most
+    ``_EVENT_BLOCK``, sums each block by one ``np.dot`` with ones and adds
+    the blocks left to right, so a row's sum is a lone run's whatever the
+    group size (see :func:`_bind_drive`); a silent row gets +0.0.
+    """
+    # per row: its flat input's nonzero (x.reshape(-1).nonzero() dispatches
+    # faster than np.flatnonzero, which a narrow layer notices at every
+    # step) and its drive row
+    rows_of = [(row.nonzero, total) for row, total in zip(flat, out)]
+    take, dot, ones = weights.T.take, np.dot, _ONES
+
+    def events(counts: np.ndarray, live: list[int]) -> None:
+        counts = counts.tolist()
+        for p in live:
+            spiked, total = rows_of[p]
+            if not counts[p]:
+                total.fill(0.0)
+                continue
+            idx = spiked()[0]
+            if idx.size <= _EVENT_BLOCK:  # one block: idx takes no slicing
+                dot(ones[: idx.size], take(idx, 0), total)
+                continue
+            dot(ones, take(idx[:_EVENT_BLOCK], 0), total)
+            for k in range(_EVENT_BLOCK, idx.size, _EVENT_BLOCK):
+                block = idx[k : k + _EVENT_BLOCK]
+                total += dot(ones[: block.size], take(block, 0))
+
+    return events
+
+
 def _bind_drive(
     plan: Callable | None,
     weights: np.ndarray | None,
@@ -497,15 +550,15 @@ def _bind_drive(
     through finite weights keep its drive finite for the group's one-call
     finiteness check.
 
-    A larger matrix there is the one event-sum path: for each live row with
-    spikes it gathers the rows of ``weights.T`` (one per input, each
-    contiguous) of the inputs that spiked, in blocks of at most
-    ``_EVENT_BLOCK``, sums each block by one ``np.dot`` with ones and adds
-    the blocks left to right, so a row's sum is a lone run's whatever the
-    group size. A convolution's plan is called once per live row with
-    spikes. A silent row is not summed, and its drive is the +0.0 an empty
-    sum gives, whatever sign of zero a product would have; a neuron step
-    adds either zero alike.
+    A larger matrix there takes the one event-sum path (see
+    :func:`_event_sums`), which sums each live row's spiking inputs alone,
+    so a row's sum is a lone run's whatever the group size. A convolution's
+    plan is called once per live row with spikes. A silent row is not
+    summed, and its drive is the +0.0 an empty sum gives, whatever sign of
+    zero a product would have; a neuron step adds either zero alike.
+
+    A Poisson-fed first layer whose sums are exact takes none of these,
+    but :func:`_bind_block_drive`, a block of steps ahead.
     """
     rows = len(out)
     if weights is None:
@@ -533,29 +586,7 @@ def _bind_drive(
 
         fallback = stacked
     else:
-        # per row: its flat input's nonzero (x.reshape(-1).nonzero() dispatches
-        # faster than np.flatnonzero, which a narrow layer notices at every
-        # step) and its drive row
-        rows_of = [(row.nonzero, total) for row, total in zip(flat, out)]
-        take, dot, ones = weights.T.take, np.dot, _ONES
-
-        def events(counts: np.ndarray, live: list[int]) -> None:
-            counts = counts.tolist()
-            for p in live:
-                spiked, total = rows_of[p]
-                if not counts[p]:
-                    total.fill(0.0)
-                    continue
-                idx = spiked()[0]
-                if idx.size <= _EVENT_BLOCK:  # one block: idx takes no slicing
-                    dot(ones[: idx.size], take(idx, 0), total)
-                    continue
-                dot(ones, take(idx[:_EVENT_BLOCK], 0), total)
-                for k in range(_EVENT_BLOCK, idx.size, _EVENT_BLOCK):
-                    block = idx[k : k + _EVENT_BLOCK]
-                    total += dot(ones[: block.size], take(block, 0))
-
-        fallback = events
+        fallback = _event_sums(weights, flat, out)
     if rows == 1:
         return fallback
     if exact is None:
@@ -580,6 +611,90 @@ def _bind_drive(
         fallback(counts, live)
 
     return grouped
+
+
+#: a first layer driven ahead takes blocks of the fewest steps that make at
+#: least this many (step, row) pairs of its group, ...
+_AHEAD_PAIRS = 64
+#: ... of at most this many steps
+_AHEAD_STEPS = 16
+#: a block of a matrix above ``_EVENT_MIN_WEIGHTS`` weights whose pairs
+#: spiked fewer than 1 in this many of their inputs keeps the event sums
+_AHEAD_SPARSE = 16
+
+
+def _ahead_layer(rt: list[_LayerRT]) -> _LayerRT | None:
+    """The first spiking layer, where spike inputs would drive it a block of
+    steps ahead: a dense-like layer (dense, locally connected or recurrent)
+    with nothing but flattens before it, whose feedforward drive depends on
+    the input spikes alone, never on the network's state; else ``None``."""
+    for r in rt:
+        if r.spiking:
+            return None if r.spec.kind is LayerKind.CONV2D else r
+        if r.spec.kind is not LayerKind.FLATTEN:
+            return None
+    return None
+
+
+def _block_steps(rows: int, t_max: int) -> int:
+    """The steps of each block of a first layer driven ahead in a group of
+    ``rows``: the fewest that make ``_AHEAD_PAIRS`` (step, row) pairs, at
+    most ``_AHEAD_STEPS`` and at most the step budget: 16 for one row, 4
+    for 16 rows."""
+    return min(_AHEAD_STEPS, t_max, -(-_AHEAD_PAIRS // rows))
+
+
+def _bind_block_drive(
+    weights: np.ndarray, x: np.ndarray, out: np.ndarray
+) -> Callable[[np.ndarray, list[int]], None]:
+    """A first layer's drive a block of steps ahead, bound to a group's spike
+    block ``x`` and drive block ``out``, as ``drive(counts, live)``.
+
+    ``x`` is a ``(steps, rows, ...)`` boolean buffer of the input spikes of
+    up to ``steps`` steps, and ``out`` their ``(steps, rows, neurons)``
+    drives, both kept for the group's whole run. ``weights`` is the layer's
+    column-major ``(neurons, inputs)`` matrix, whose sums the caller has
+    checked exact (see :func:`_exact_sums`). ``counts`` holds the spikes of
+    each row at each of the block's first ``n = len(counts)`` steps, and
+    each call writes those steps' drives of every row in ``live``.
+
+    The block takes one product, ``np.matmul`` of its live (step, row)
+    pairs' spikes copied to float64 by ``weights.T``, one GEMM. Its sums are
+    exact, so each pair's drive has the bits a lone run's event sums give
+    at that step, in any order and at any OpenBLAS thread count; a silent
+    pair gets +0.0. A matrix of more than ``_EVENT_MIN_WEIGHTS`` weights
+    whose pairs spiked fewer than one in ``_AHEAD_SPARSE`` of their inputs
+    keeps the event sums instead (see :func:`_event_sums`), step by step
+    into the block, where the gathers cost less than the product. A row
+    not in ``live`` keeps its bytes.
+    """
+    steps, rows = out.shape[:2]
+    flat = x.reshape(steps, rows, -1)
+    inputs = flat.shape[2]
+    cast = np.empty(flat.shape)  # the float64 operand
+    by_inputs = weights.T
+    events = None
+    if weights.size > _EVENT_MIN_WEIGHTS:
+        events = [_event_sums(weights, *pair) for pair in zip(flat, out)]
+
+    def drive(counts: np.ndarray, live: list[int]) -> None:
+        n = len(counts)
+        if events is not None:
+            if _AHEAD_SPARSE * int(counts[:, live].sum()) < n * len(live) * inputs:
+                for j in range(n):
+                    events[j](counts[j], live)
+                return
+        if len(live) == rows:
+            operand = cast[:n].reshape(n * rows, inputs)
+            np.copyto(operand, flat[:n].reshape(n * rows, inputs))
+            np.matmul(operand, by_inputs, out[:n].reshape(n * rows, -1))
+        else:
+            operand = cast.reshape(-1)[: n * len(live) * inputs].reshape(n, len(live), inputs)
+            np.copyto(operand, flat[:n, live])
+            product = np.matmul(operand.reshape(-1, inputs), by_inputs)
+            out[:n, live] = product.reshape(n, len(live), -1)
+
+    return drive
 
 
 #: the output rows of each block of an analog-fed dense-like layer's product
@@ -766,15 +881,21 @@ def _group_size(rt: list[_LayerRT], t_max: int) -> int:
     but the first spiking layer's; and, whichever is larger, that layer's
     analog drive with the float64 static output it is taken from (see
     :func:`_bind_static_drive`), or the Poisson input spikes with that
-    layer's operand. Every size is read off the layers' shapes, so
-    the first spiking layer's weights, which the compile leaves to the
-    input, count as one float64 form. The history is
+    layer's operand, and where that layer could be driven a block of steps
+    ahead (see :func:`_ahead_layer`), its drive too, at each step of a
+    block (see :func:`_bind_block_drive`). A block takes fewer steps in a
+    larger group (see :func:`_block_steps`), so the group is the largest
+    whose rows, at its own block's steps, fit the budget. Every size is
+    read off the layers' shapes, so a block is counted whether or not the
+    weights sum exactly, and the first spiking layer's weights, which the
+    compile leaves to the input, count as one float64 form. The history is
     counted as a group allocates it, at the step budget (one step without
     spiking layers), except that a pool of uneven fan-out before the first
     spiking layer is counted as if it stepped. Not counted: rasters, which
     only :func:`run_inference` records, and the one-byte outputs of the
-    pools that step. The reference workloads get 34 samples a group on
-    ``dense_poisson_roc`` (784-512-512-256-256-10), so one group of 16, 38
+    pools that step. The reference workloads get 28 samples a group on
+    ``dense_poisson_roc`` (784-512-512-256-256-10), whose blocks then take
+    3 steps, so one group of 16, in blocks of 4 steps, 38
     on ``mixed_analog_recurrent``, so groups of 32 and 32, and 1 on
     ``conv_poisson_rate``: a wide convolutional network has small weights
     and much state, and more samples a group, though faster per sample,
@@ -782,6 +903,7 @@ def _group_size(rt: list[_LayerRT], t_max: int) -> int:
     """
     spiking = [r for r in rt if r.spiking]
     neurons = sum(r.neurons for r in spiking)
+    ahead = _ahead_layer(rt) is not None
     # each step keeps a ledger row (the input's and every layer's spike
     # counts, the events reaching each layer of uneven fan-out but a
     # rectifier, which never steps) and the output layer's voltages and spikes
@@ -803,12 +925,30 @@ def _group_size(rt: list[_LayerRT], t_max: int) -> int:
         first = operands.pop(0)  # only spikes feed the first layer's binder
         term = max((r.neurons for r in spiking if r.rec_weights is not None), default=0)
         analog = 8 * (spiking[0].neurons + prod(spiking[0].spec.input_shape))
-        row += sum(operands) + 8 * term + max(analog, inputs + first)
+        row += sum(operands) + 8 * term
+        # a step's input spikes and the first layer's operand, and ahead, at
+        # each step of a block, that layer's drive
+        step = inputs + first + (8 * spiking[0].neurons if ahead else 0)
     weight_bytes = sum(
         8 * prod(weight_shape(r.spec)) + (0 if r.rec_weights is None else r.rec_weights.nbytes)
         for r in rt if r.weighted
     )
-    return max(1, max(_GROUP_STATE_BYTES, weight_bytes // 2) // row)
+    budget = max(_GROUP_STATE_BYTES, weight_bytes // 2)
+
+    def cost(steps: int) -> int:
+        """A row's bytes where a block ahead takes ``steps``."""
+        return row + max(analog, steps * step) if spiking else row
+
+    # A block takes at least one step, and no fewer in a smaller group, so
+    # no group larger than what fits at the steps of a group that does not
+    # fit can fit either.
+    size = budget // cost(1)
+    while size > 1:
+        fits = budget // cost(_block_steps(size, t_max) if ahead else 1)
+        if size <= fits:
+            break
+        size = fits
+    return max(1, size)
 
 
 def _settings(
@@ -983,7 +1123,11 @@ def _step_group(
     ``emit(source, step)``, the one place where spikes are counted and
     recorded, pools run, and the events reaching a layer of uneven fan-out
     are counted: where its input is made, at the step that input belongs
-    to, which the layer reads unchanged when it takes that step. One
+    to, which the layer reads unchanged when it takes that step. A first
+    layer driven a block of steps ahead gets :func:`_bind_block_drive`
+    instead of an input binder, and the encoder's output, the flattens
+    after it and its events are bound with a leading step axis, drawn and
+    emitted by ``emit_ahead`` once per block, at its first tick. One
     layer-major buffer set holds every spiking layer's state, drive and
     spikes, and a block is a range of its layers. The views each block steps
     of the active span, and that span's half-step voltages, which one dot
@@ -1023,14 +1167,24 @@ def _step_group(
     T_used = [1] * B
     failed: dict[int, NonFiniteState] = {}
     live: list[int] = []  # group rows still stepping, in order
-    # the analog-fed first layer's drive, the same at every step, and the
-    # static outputs it is taken from, which live until the first tick
-    drive0 = static_out = static_drive = None
+    # A Poisson-fed first layer whose sums are exact is driven a block of
+    # steps ahead (see _bind_block_drive), asked of the spec's memo.
+    ahead = (
+        poisson and first is not None and _ahead_layer(rt) is first
+        and derived(net, _layer_sums_exact, first.index, False)
+    )
+    # held[(s - 1) % len(held)]: the first layer's drive at step s, made
+    # before its tick: the analog drive, the same at every step, or the
+    # drives of a block ahead; the static outputs the analog one is taken
+    # from live until the first tick
+    held = static_out = static_drive = None
     if first is not None and not poisson:
-        drive0 = np.zeros((B, first.neurons))
+        held = np.zeros((1, B, first.neurons))
         static_out = np.empty((B, *first.spec.input_shape))
         plan = _step_plan(first) if weights0 is None else None
-        static_drive = _bind_static_drive(plan, weights0, static_out, drive0)
+        static_drive = _bind_static_drive(plan, weights0, static_out, held[0])
+    elif ahead:
+        held = np.zeros((_block_steps(B, T_max), B, first.neurons))
     # Overflow is expected where a sample leaves the finite range, and the
     # checks below report it per sample, so numpy stays quiet.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -1049,7 +1203,7 @@ def _step_group(
             if start is None:
                 volt_hist[0, k] = x.reshape(-1)
                 continue
-            if drive0 is not None:
+            if static_out is not None:
                 static_out[k] = x
             live.append(k)
         if static_drive is not None:
@@ -1084,7 +1238,9 @@ def _step_group(
 
         # looked up per group: a traced run wraps step_fn
         blocks = [(first, stop, step_fn(m.kind), m) for first, stop, m in _blocks(spiking)]
-        x_in = np.zeros((B, *net.input_shape), dtype=bool) if poisson else None
+        # the input spikes of a step, or of a block ahead, at each of its steps
+        lead = (len(held), B) if ahead else (B,)  # the leading axes of x below
+        x_in = np.zeros((*lead, *net.input_shape), dtype=bool) if poisson else None
         # one buffer serves every recurrent term, each added as soon as made
         rec_buf = np.empty(
             B * max((r.neurons for r in spiking if r.rec_weights is not None), default=0)
@@ -1093,12 +1249,13 @@ def _step_group(
         # sources[j]: source j's stages, each as (count column, rows view,
         # pool operands or None, raster column or None), and the events it
         # carries, as (event column, layer, input); layers[k]: spiking layer
-        # k's drive view, input binder (None for the analog-fed first layer,
-        # whose drive is drive0), input and own count columns, and recurrent
-        # binder with its term. x is what the next layer reads. Source 0 runs
-        # only under Poisson inputs, so an analog-fed first layer of uneven
-        # fan-out counts nothing.
-        stages = [(counts[0], x_in.reshape(B, -1), None, None)] if poisson else []
+        # k's drive view, input binder (None for a first layer whose drives
+        # are held), input and own count columns, and recurrent binder with
+        # its term. x is what the next layer reads. Source 0 runs only under
+        # Poisson inputs, so an analog-fed first layer of uneven fan-out
+        # counts nothing; ahead, its views and x have a leading step axis
+        # until the first spiking layer, and only flattens come before it.
+        stages = [(counts[0], x_in.reshape(*lead, -1), None, None)] if poisson else []
         carried: list[tuple] = []
         sources = [(stages, carried)]
         layers = []
@@ -1114,7 +1271,7 @@ def _step_group(
                 stages.append((counts[r.index + 1], y.reshape(B, -1), pool, raster))
                 x = y
             elif r.spec.kind is LayerKind.FLATTEN:  # a view that re-emits its input
-                x = x.reshape(B, -1)
+                x = x.reshape(*lead, -1)
                 stages.append((counts[r.index + 1], x, None, raster))
             else:
                 k = len(layers)
@@ -1123,7 +1280,9 @@ def _step_group(
                 ff = rec = None
                 # whether a matrix's sums are exact, asked of the spec's memo
                 exact = partial(derived, net, _layer_sums_exact, r.index)
-                if x is not None:  # spikes feed it
+                if ahead and k == 0:
+                    block_drive = _bind_block_drive(weights0, x, held)
+                elif x is not None:  # spikes feed it
                     if r.spec.kind is LayerKind.CONV2D:
                         ff = _bind_drive(_step_plan(r), None, x, drive)
                     else:
@@ -1134,7 +1293,7 @@ def _step_group(
                     rec = _bind_drive(None, r.rec_weights, out, term, partial(exact, True)), term
                     terms.append(term)
                 layers.append((drive, ff, counts[r.index], counts[r.index + 1], rec))
-                x = out.reshape(B, *r.spec.output_shape)
+                x, lead = out.reshape(B, *r.spec.output_shape), (B,)
                 stages, carried = [(counts[r.index + 1], out, None, raster)], []
                 sources.append((stages, carried))
         out_spikes = fired[span(K - 1)].reshape(B, rt[-1].neurons) if K else None
@@ -1170,8 +1329,8 @@ def _step_group(
                     a[span(k)].reshape(B, -1)[p] = 0
             for term in terms:
                 term[p] = 0.0
-            if drive0 is not None:
-                drive0[p] = 0.0
+            if held is not None:
+                held[:, p] = 0.0
 
         def emit(source: int, s: int) -> None:
             """Count and record the step-``s`` output of ``source`` and of the pools
@@ -1189,6 +1348,22 @@ def _step_group(
             for column, r, spikes in carried:
                 column[s - 1] = _synaptic_events(r, spikes)
 
+        def emit_ahead(s: int, n: int) -> np.ndarray:
+            """:func:`emit` of the encoder's block of ``n`` steps from step ``s``:
+            one count of every (step, row) pair, which it returns, and one dot
+            for each layer of uneven fan-out, whose integer sums are exact in
+            any order."""
+            stages, carried = sources[0]
+            block = slice(s - 1, s - 1 + n)
+            count = np.count_nonzero(stages[0][1][:n], axis=2)
+            for column, rows, _, raster in stages:  # the input and flattens
+                column[block] = count
+                if raster is not None:
+                    raster[block] = rows[:n]
+            for column, r, spikes in carried:
+                column[block] = _synaptic_events(r, spikes[:n]).reshape(n, B)
+            return count
+
         # Tick tau advances spiking layer k by step tau - k: every drive reads
         # outputs of the previous tick (the first layer's, the encoder's of
         # this one), so each block steps all its active layers at once.
@@ -1197,14 +1372,21 @@ def _step_group(
                 break
             lo, hi = max(0, tau - T_max), min(K, tau)  # the active positions
             if poisson and tau <= T_max:
-                for k in live:
-                    draw(samples[k], tau, x_in[k])
-                emit(0, tau)
+                if not ahead:
+                    for k in live:
+                        draw(samples[k], tau, x_in[k])
+                    emit(0, tau)
+                elif (tau - 1) % len(held) == 0:  # a block's first step
+                    n = min(len(held), T_max + 1 - tau)
+                    for j in range(n):
+                        for k in live:
+                            draw(samples[k], tau + j, x_in[j, k])
+                    block_drive(emit_ahead(tau, n), live)
             for k in range(lo, hi):
                 drive, ff, in_counts, own_counts, rec = layers[k]
                 s = tau - k
                 if ff is None:
-                    base = drive0
+                    base = held[(s - 1) % len(held)]
                 else:
                     ff(in_counts[s - 1], live)
                     base = drive

@@ -8,6 +8,7 @@ import tracemalloc
 import weakref
 from collections.abc import Sequence
 from dataclasses import replace
+from math import prod
 from pathlib import Path
 
 import numpy as np
@@ -828,11 +829,13 @@ def test_windows_and_the_poisson_stream_are_built_once_per_sample(monkeypatch):
 def test_a_group_binds_its_spike_buffers_and_drives_once(monkeypatch):
     # every tick hands each block's step a view of the group's one spike
     # buffer (one view per block and active span), and each drive is bound
-    # once per group, not once per tick
+    # once per group, not once per tick: the first layer's, driven a block
+    # of steps ahead, by its own binder, and the three others by _bind_drive
     rng = np.random.default_rng(19)
-    made = {"blocks": [], "binders": 0}
+    made = {"blocks": [], "binders": 0, "ahead": 0}
     spikes_seen = []
     blocks, bind_drive, compiled_step = engine._blocks, engine._bind_drive, engine.step_fn
+    bind_block = engine._bind_block_drive
 
     def recorded_blocks(*args):
         made["blocks"].append(blocks(*args))
@@ -841,6 +844,10 @@ def test_a_group_binds_its_spike_buffers_and_drives_once(monkeypatch):
     def counted_binder(*args):
         made["binders"] += 1
         return bind_drive(*args)
+
+    def counted_block_binder(*args):
+        made["ahead"] += 1
+        return bind_block(*args)
 
     def recorded_step_fn(kind):
         step = compiled_step(kind)
@@ -853,6 +860,7 @@ def test_a_group_binds_its_spike_buffers_and_drives_once(monkeypatch):
 
     monkeypatch.setattr(engine, "_blocks", recorded_blocks)
     monkeypatch.setattr(engine, "_bind_drive", counted_binder)
+    monkeypatch.setattr(engine, "_bind_block_drive", counted_block_binder)
     monkeypatch.setattr(engine, "step_fn", recorded_step_fn)
     net = (  # blocks [ifl] and [lif recurrent, lif]: four drives
         NetworkBuilder((6,), coding=Coding.RATE, max_timesteps=20)
@@ -864,7 +872,7 @@ def test_a_group_binds_its_spike_buffers_and_drives_once(monkeypatch):
     )
     samples = [encode(rng.uniform(0.2, 0.8, 6), "poisson", seed=s) for s in range(4)]
     assert run_inference(net, samples[0]).trace.T_used == 20
-    assert made["binders"] == 4
+    assert (made["binders"], made["ahead"]) == (3, 1)
     (group,) = made["blocks"]
     assert [(first, stop) for first, stop, _ in group] == [(0, 1), (1, 3)]
     # the first block steps at ticks 1-20, the second at 2-22; the second's
@@ -876,7 +884,7 @@ def test_a_group_binds_its_spike_buffers_and_drives_once(monkeypatch):
     assert len({(s.ctypes.data, s.size) for s in spikes_seen}) == 4
     force_group_size(monkeypatch, net, 20, 2)
     run_dataset(net, samples)
-    assert made["binders"] == 4 + 2 * 4
+    assert (made["binders"], made["ahead"]) == (3 + 2 * 3, 1 + 2 * 1)
     assert len(made["blocks"]) == 3
 
 
@@ -1372,8 +1380,10 @@ def test_a_group_of_exact_sums_drives_its_live_rows_by_one_product(n_in, n_out, 
 
 
 def test_the_sum_check_runs_once_per_matrix_and_spec_and_only_for_a_product(monkeypatch):
-    # a lone run never asks; a dataset asks once per matrix that some tick
-    # would drive by the product, and a second dataset on the spec not again
+    # a lone run asks only for its Poisson-fed first layer, which a block of
+    # steps ahead would drive by the product, and once per spec; a dataset
+    # asks once per matrix that some tick would drive by the product, and a
+    # second dataset on the spec not again
     rng = np.random.default_rng(33)
     net = (
         NetworkBuilder((200,), coding=Coding.RATE, max_timesteps=8)
@@ -1385,7 +1395,7 @@ def test_the_sum_check_runs_once_per_matrix_and_spec_and_only_for_a_product(monk
     monkeypatch.setattr(engine, "_exact_sums", lambda w: asked.append(w.shape) or check(w))
     samples = [encode(rng.uniform(0.6, 1.0, 200), "poisson", seed=s) for s in range(6)]
     lone = [run_inference(net, sample) for sample in samples]
-    assert asked == []
+    assert asked == [(150, 200)]
     force_group_size(monkeypatch, net, 8, 3)
     for _ in range(2):
         stats = run_dataset(net, samples)
@@ -2263,10 +2273,11 @@ def test_group_size_follows_the_state_budget():
 def test_group_size_counts_the_state_a_group_allocates(monkeypatch):
     # per sample: the group's one state, drive and spike buffer, the
     # histories, the recurrent term, the float64 operands of the stacked
-    # products and the encoded input, as a one-sample group allocates them,
-    # and whichever adds more of the Poisson input row with the first
-    # layer's stacked operand, or the analog drive with the static output it
-    # is taken from
+    # products and the encoded input, as a group allocates them, and
+    # whichever adds more of the Poisson input block with the first layer's
+    # operand and drives, at each step of a block ahead, or the analog drive
+    # with the static output it is taken from; a block takes fewer steps in
+    # a larger group
     rng = np.random.default_rng(18)
     lif_ = NeuronModelSpec(kind=NeuronKind.LIF, dt=1e-3, tau_syn=5e-3, tau_mem=1e-2)
     net = (  # two blocks, a recurrent layer, even fan-out only
@@ -2281,11 +2292,12 @@ def test_group_size_counts_the_state_a_group_allocates(monkeypatch):
     spiking = [r for r in rt if r.spiking]
     assert len(engine._blocks(spiking)) == 2
     compiled_step, bind_static = engine.step_fn, engine._bind_static_drive
+    bind_block = engine._bind_block_drive
 
-    def allocated(sample):
-        """The arrays stepping ``sample`` alone allocates: the state buffers,
-        the histories, and what each spike binder (and the static drive)
-        reads and writes."""
+    def allocated(samples):
+        """The arrays stepping ``samples`` as one group allocates: the state
+        buffers, the histories, and what each spike binder (and the static
+        drive) reads and writes."""
         # every block step views the group's buffers: the arrays they view
         # are what the group allocates
         buffers = {}
@@ -2307,6 +2319,10 @@ def test_group_size_counts_the_state_a_group_allocates(monkeypatch):
             binders.append((weights, x, out))
             return _bind_drive(plan, weights, x, out, *exact)
 
+        def recorded_block(weights, x, out):
+            binders.append((weights, x, out))
+            return bind_block(weights, x, out)
+
         def recorded_static(plan, weights, x, out):
             static.append((x, out))
             return bind_static(plan, weights, x, out)
@@ -2315,45 +2331,57 @@ def test_group_size_counts_the_state_a_group_allocates(monkeypatch):
             mp.setattr(engine, "step_fn", recorded_step_fn)
             mp.setattr(engine, "_bind_drive", recorded_bind)
             mp.setattr(engine, "_bind_static_drive", recorded_static)
+            mp.setattr(engine, "_bind_block_drive", recorded_block)
             run = engine._step_group(
-                net, rt, [sample], 0, T_max=10, coding=Coding.ROC, record_raster=False,
+                net, rt, samples, 0, T_max=10, coding=Coding.ROC, record_raster=False,
             )
         history = sum(a.nbytes for a in (run.ledger, run.spikes, run.volts))
         return buffers, history, binders, static
 
-    def extra(sample, buffers, binders, static):
+    def extra(samples, buffers, binders, static):
         """Bytes beyond the state and the histories, and their sizes."""
         operands = sum(8 * x.size for _, x, _ in binders)
         owners = [a if a.base is None else a.base for _, x, out in binders for a in (x, out)]
         owners += [a for pair in static for a in pair]
         held = list({id(a): a for a in owners if id(a) not in buffers}.values())
         sizes = sorted(a.nbytes for a in held)
-        return sum(sizes) + operands + sample.values.nbytes, sizes
+        return sum(sizes) + operands + sum(s.values.nbytes for s in samples), sizes
 
-    per_sample = []
-    for mode, binder_count, sizes in (
-        ("poisson", 5, [12, 40]),  # Poisson row, term
-        ("analog", 4, [40, 72, 96]),  # term, analog drive, static output
-    ):
-        sample = encode(rng.uniform(0.0, 1.0, 12), mode, seed=1)
-        buffers, history, binders, static = allocated(sample)
+    def per_sample(mode, rows, binder_count, sizes):
+        """What one row of a group of ``rows`` holds."""
+        samples = [encode(rng.uniform(0.0, 1.0, 12), mode, seed=k) for k in range(rows)]
+        buffers, history, binders, static = allocated(samples)
         assert len(buffers) == 6
         state = sum(a.nbytes for a in buffers.values())
-        assert state == engine._NEURON_STATE_BYTES * sum(r.neurons for r in spiking)
+        assert state == rows * engine._NEURON_STATE_BYTES * sum(r.neurons for r in spiking)
         # every matrix here is small, so each binder casts its input to
         # float64; an analog input feeds the first layer through no binder
         assert len(binders) == binder_count
         assert all(w.size <= _EVENT_MIN_WEIGHTS for w, _, _ in binders)
         assert len(static) == (mode == "analog")
-        more, held = extra(sample, buffers, binders, static)
-        assert held == sizes
-        per_sample.append(state + history + more)
-    per_sample = max(per_sample)
+        more, held = extra(samples, buffers, binders, static)
+        assert held == [rows * size for size in sizes]
+        total = state + history + more
+        assert total % rows == 0
+        return total // rows
+
+    # a block ahead of 10 steps (the budget) in a group of at most 7 rows,
+    # of 8 in one of 8: the Poisson spikes, their drives and the term, or
+    # the term, the analog drive and the static output
+    blocked = per_sample("poisson", 1, 5, [40, 120, 720])
+    assert per_sample("poisson", 5, 5, [40, 120, 720]) == blocked
+    assert per_sample("analog", 1, 4, [40, 72, 96]) < blocked
     for size in (1, 2, 5):
-        monkeypatch.setattr(engine, "_GROUP_STATE_BYTES", size * per_sample)
+        monkeypatch.setattr(engine, "_GROUP_STATE_BYTES", size * blocked)
         assert _group_size(rt, 10) == size
-        monkeypatch.setattr(engine, "_GROUP_STATE_BYTES", (size + 1) * per_sample - 1)
+        monkeypatch.setattr(engine, "_GROUP_STATE_BYTES", (size + 1) * blocked - 1)
         assert _group_size(rt, 10) == size
+    eight = per_sample("poisson", 8, 5, [40, 96, 576])
+    assert eight < blocked
+    monkeypatch.setattr(engine, "_GROUP_STATE_BYTES", 8 * eight)
+    assert _group_size(rt, 10) == 8
+    monkeypatch.setattr(engine, "_GROUP_STATE_BYTES", 8 * eight - 1)
+    assert _group_size(rt, 10) == 7
 
 
 def test_large_weights_raise_the_group_budget(monkeypatch):
@@ -2368,7 +2396,10 @@ def test_large_weights_raise_the_group_budget(monkeypatch):
     # the float32 bytes the compile released, half the float64 ones
     assert weight_bytes // 2 > engine._GROUP_STATE_BYTES
     size = _group_size(rt, 128)
-    # what a row costs, read off a budget that dwarfs the weights
+    # what a row costs, read off a budget that dwarfs the weights, with the
+    # first layer's block ahead at the steps it takes in a group of size
+    steps = engine._block_steps(size, 128)
+    monkeypatch.setattr(engine, "_block_steps", lambda rows, t_max: steps)
     monkeypatch.setattr(engine, "_GROUP_STATE_BYTES", 1 << 60)
     row = (1 << 60) // _group_size(rt, 128)
     monkeypatch.undo()
@@ -2376,6 +2407,199 @@ def test_large_weights_raise_the_group_budget(monkeypatch):
     assert size == weight_bytes // 2 // row > engine._GROUP_STATE_BYTES // row >= 1
     # a long step budget still shrinks the group
     assert _group_size(rt, 4096) < size
+
+
+# ---------------------------------------------------------------------------
+# a first layer driven a block of steps ahead
+
+
+def ahead_net(kind, t_max, coding, overflow=False):
+    """A Poisson-fed stack whose first spiking layer, of ``kind``, sums
+    exactly and so is driven a block of steps ahead, then an IFL layer and an
+    IFL head; with ``overflow``, the head's bias of 1e306 takes its voltage
+    past the float range at step 26, whatever the input."""
+    rng = np.random.default_rng(60)
+    model = ifl(0.5, spike_once=coding is Coding.ROC)
+    shape = {"local": (1, 12, 12), "flatten": (2, 10, 10), "small": (30,)}.get(kind, (200,))
+    builder = NetworkBuilder(shape, coding=coding, max_timesteps=t_max)
+    if kind == "local":
+        geometry = NetworkBuilder(shape).locally_connected(4, (3, 3), model)
+        mask = lcl_mask(geometry.build().layers[0])
+        builder.locally_connected(4, (3, 3), model, weights=rng.normal(0.1, 0.2, mask.shape) * mask)
+        builder.flatten()
+        n = 400
+    elif kind == "recurrent":
+        n = 90
+        builder.recurrent_dense(
+            n, lif(), weights=rng.normal(0.05, 0.1, (n, 200)),
+            recurrent_weights=rng.normal(0.0, 0.3, (n, n)),
+        )
+    else:
+        if kind == "flatten":
+            builder.flatten()
+        n = {"flatten": 96, "small": 20}.get(kind, 96)
+        n_in = prod(shape)
+        builder.dense(n, model, weights=rng.normal(0.0, 0.12, (n, n_in)))
+    head = ifl(1.7e308, bias=1e306) if overflow else model
+    built = (
+        builder.dense(8, model, weights=rng.normal(0.3, 0.3, (8, n)))
+        .dense(4, head, weights=rng.normal(0.4, 0.3, (4, 8)))
+        .build()
+    )
+    assert engine._ahead_layer(_compile(built)) is not None
+    return built
+
+
+def ahead_samples(net, rows):
+    """``rows`` Poisson samples of densities from about 1 % to 50 %, so that
+    blocks of both sides of ``_AHEAD_SPARSE`` meet in one group."""
+    rng = np.random.default_rng(61 + rows)
+    scales = [0.02, 1.0, 0.1, 0.6, 0.05, 0.3]
+    return [
+        encode(rng.uniform(0.0, scales[k % 6], net.input_shape), "poisson", seed=k)
+        for k in range(rows)
+    ]
+
+
+def group_run(net, samples, t_max, ahead):
+    """Each sample's result of one group, its first layer driven ahead or,
+    with ``ahead`` false, tick by tick; and the block binders it made."""
+    made = []
+    with pytest.MonkeyPatch.context() as mp:
+        bind_block = engine._bind_block_drive
+        mp.setattr(
+            engine, "_bind_block_drive", lambda *args: made.append(args) or bind_block(*args)
+        )
+        if not ahead:
+            mp.setattr(engine, "_ahead_layer", lambda rt: None)
+        results = [
+            result for result, _ in _run_group(
+                net, _compile(net), samples, T_max=t_max, coding=net.coding,
+                record_raster=True, encoder_per_step=False,
+            )
+        ]
+    return results, made
+
+
+@pytest.mark.parametrize("rows", [1, 3, 16, 17])
+@pytest.mark.parametrize("t_max", [1, 15, 16, 17, 37])
+@pytest.mark.parametrize("coding", [Coding.RATE, Coding.ROC])
+@pytest.mark.parametrize("kind", ["dense", "small", "recurrent", "local", "flatten"])
+def test_a_first_layer_driven_ahead_runs_as_tick_by_tick(kind, coding, t_max, rows):
+    # every history row (ledger, output spikes and voltages, rasters) of a
+    # group whose first layer takes a block of steps at a time is bitwise
+    # the tick-by-tick run's, from one step to 37, across block edges and
+    # with decisions in mid-block
+    net = ahead_net(kind, t_max, coding)
+    samples = ahead_samples(net, rows)
+    got, made = group_run(net, samples, t_max, ahead=True)
+    want, none = group_run(net, samples, t_max, ahead=False)
+    steps = engine._block_steps(rows, t_max)
+    assert none == [] and len(made) == 1 and made[0][2].shape[:2] == (steps, rows)
+    for a, b in zip(got, want):
+        assert_same_result(a, b)
+    if coding is Coding.ROC and t_max == 37:  # decisions in mid-block
+        assert any(r.trace.T_used % steps for r in got if r.trace.T_used < t_max)
+
+
+@pytest.mark.parametrize("rows", [1, 3, 16, 17])
+def test_a_row_that_fails_in_mid_block_fails_as_tick_by_tick(rows):
+    # a later layer leaves the float range at step 26, inside a block of 16
+    # steps (one or three rows) or of 4 (16 or 17)
+    net = ahead_net("dense", 37, Coding.RATE, overflow=True)
+    samples = ahead_samples(net, rows)
+    got, made = group_run(net, samples, 37, ahead=True)
+    want, _ = group_run(net, samples, 37, ahead=False)
+    assert made and 25 % engine._block_steps(rows, 37)
+    for a, b in zip(got, want):
+        assert isinstance(b, NonFiniteState)
+        assert str(b).startswith("layer 2 left the finite range at step 26;")
+        assert_same_result(a, b)
+
+
+@pytest.mark.parametrize("coding", [Coding.RATE, Coding.ROC])
+@pytest.mark.parametrize("rows", [1, 3, 16, 17])
+def test_a_block_draws_each_of_its_steps_once_and_none_past_the_budget(monkeypatch, coding, rows):
+    # the encoder draws, per row live at a block's first step, each step of
+    # the block, once, and no step past the budget
+    t_max = 37
+    net = ahead_net("dense", t_max, coding)
+    samples = ahead_samples(net, rows)
+    drawn = []
+    draw = engine.poisson_slice
+
+    def recorded(encoded, t, out):
+        drawn.append((encoded.seed, t))  # a sample's seed is its row
+        return draw(encoded, t, out)
+
+    monkeypatch.setattr(engine, "poisson_slice", recorded)
+    results, _ = group_run(net, samples, t_max, ahead=True)
+    steps, K = engine._block_steps(rows, t_max), 3
+    want = []
+    for k in range(rows):
+        # a row leaves at the end of the tick where the output takes its last step
+        last_tick = results[k].trace.T_used + K - 1
+        for first in range(1, t_max + 1, steps):
+            if first <= last_tick:
+                want += [(k, t) for t in range(first, min(first + steps, t_max + 1))]
+    assert sorted(drawn) == sorted(want)
+    assert len(set(drawn)) == len(drawn) and max(t for _, t in drawn) <= t_max
+
+
+def test_a_sparse_block_keeps_the_event_sums(monkeypatch):
+    # a block whose pairs spiked fewer than 1 in 16 of their inputs sums each
+    # step's events; a denser one takes the product; both as tick by tick
+    calls = []
+    event_sums = engine._event_sums
+
+    def counted(weights, flat, out):
+        events = event_sums(weights, flat, out)
+        return lambda counts, live: calls.append(len(live)) or events(counts, live)
+
+    net = ahead_net("dense", 16, Coding.RATE)
+    rng = np.random.default_rng(62)
+    for scale, sums in ((0.05, 16), (0.5, 0)):
+        samples = [
+            encode(rng.uniform(0.0, scale, 200), "poisson", seed=k) for k in range(3)
+        ]
+        calls.clear()
+        with monkeypatch.context() as mp:
+            mp.setattr(engine, "_event_sums", counted)
+            got, made = group_run(net, samples, 16, ahead=True)
+        assert made and len(calls) == sums  # one call per step of the one block
+        for a, b in zip(got, group_run(net, samples, 16, ahead=False)[0]):
+            assert_same_result(a, b)
+
+
+@pytest.mark.parametrize("case", ["conv", "pool", "wide", "analog"])
+def test_what_a_block_ahead_does_not_serve_keeps_the_tick_loop(case):
+    # a convolution, a pool before the first layer, a first layer whose
+    # sums round, and an analog input keep the per-tick drive
+    rng = np.random.default_rng(63)
+    mode = "analog" if case == "analog" else "poisson"
+    if case == "conv":
+        builder = NetworkBuilder((1, 8, 8), max_timesteps=16).conv2d(
+            2, (3, 3), lif(), weights=rng.normal(0.2, 0.1, 18)
+        ).flatten()
+        n = 72
+    elif case == "pool":
+        builder = NetworkBuilder((1, 8, 8), max_timesteps=16).max_pool((2, 2)).flatten()
+        builder.dense(20, lif(), weights=rng.normal(0.1, 0.1, (20, 16)))
+        n = 20
+    else:
+        w = wide_weights(rng, (96, 200)) if case == "wide" else rng.normal(0.0, 0.1, (96, 200))
+        builder = NetworkBuilder((200,), max_timesteps=16).dense(96, lif(), weights=w)
+        n = 96
+    net = builder.dense(4, lif(), weights=rng.normal(0.2, 0.2, (4, n))).build()
+    if case == "wide":
+        assert not engine._layer_sums_exact(net, 0, False)
+    samples = [
+        encode(rng.uniform(0.0, 0.6, net.input_shape), mode, seed=k) for k in range(3)
+    ]
+    got, made = group_run(net, samples, 16, ahead=True)
+    assert made == []
+    for sample, result in zip(samples, got):
+        assert_same_result(result, run_inference(net, sample, record_raster=True))
 
 
 # ---------------------------------------------------------------------------

@@ -51,6 +51,16 @@ float32 weights span 2**-40 to 2**40, so that their sums round: in a group
 of several rows its dense ticks would take one product if the engine's
 exact-sum check passed, and since it fails them they keep their per-row
 drives; it also runs with ``--coding roc``.
+:data:`AHEAD_NETS` hold Poisson-fed first layers whose sums are exact, which
+the engine drives a block of steps ahead: ``ahead_stack``, a 784-256-10 IFL
+stack run at ``--t-max 37`` over 17 inputs, in groups of 6, 6 and 5, whose
+blocks take 11 and 13 steps, the last one cut short by the budget, while
+``trace`` runs one row in blocks of 16, 16 and 5; ``ahead_recurrent``, a
+recurrent first layer after a flatten, whose recurrent term stays tick by
+tick; and ``ahead_local``, a locally connected one, whose inputs reach
+differing numbers of neurons. Their odd samples are sparse, so some blocks
+keep the event sums, and they also run with ``--coding roc``, where samples
+decide inside a block (at steps 7-17 of 37 on ``ahead_stack`` at seed 0).
 :data:`MULTI_GROUP_NETS` run ``mixed_analog_recurrent``'s network over 150
 inputs, by ``profile`` at seed 0 only, so that a large-weight network
 crosses several lockstep group boundaries (four groups of 37 or 38 at 40
@@ -90,6 +100,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "benchmarks")]
 
 from emacprof import Coding, NetworkBuilder, NeuronKind, NeuronModelSpec  # noqa: E402
+from emacprof.netspec import lcl_mask  # noqa: E402
 from workloads import LIF, RELU, WORKLOADS, Workload, generate, profile_argv  # noqa: E402
 
 IFL = NeuronModelSpec(kind=NeuronKind.IFL)
@@ -332,6 +343,72 @@ WIDE_NETS = {
 }
 
 
+def ahead_stack(rng):
+    """Builder of a 784-256-10 IFL stack of threshold 6.0 whose first layer's
+    weights are multiples of 2**-12, whose sums are exact, so that the
+    encoder drives it a block of steps ahead."""
+    model = replace(IFL, v_th=6.0)
+    return (
+        NetworkBuilder((784,), coding=Coding.RATE, max_timesteps=64)
+        .dense(256, model, weights=np.round(rng.normal(0.002, 0.02, (256, 784)) * 4096) / 4096)
+        .dense(10, model, weights=rng.normal(0.02, 0.1, (10, 256)))
+        .build()
+    )
+
+
+def ahead_recurrent(rng):
+    """Builder of a flatten of a 1x14x14 input, an LIF recurrent layer driven
+    a block of steps ahead (its recurrent term still tick by tick) and an LIF
+    head."""
+    return (
+        NetworkBuilder((1, 14, 14), coding=Coding.RATE, max_timesteps=32)
+        .flatten()
+        .recurrent_dense(128, LIF, weights=rng.normal(0.01, 0.04, (128, 196)),
+                         recurrent_weights=rng.normal(0.0, 0.1, (128, 128)))
+        .dense(10, LIF, weights=rng.normal(0.05, 0.1, (10, 128)))
+        .build()
+    )
+
+
+def ahead_local(rng):
+    """Builder of an LIF locally connected layer on a 2x12x12 input, driven a
+    block of steps ahead, whose inputs reach differing numbers of neurons,
+    and an LIF head."""
+    builder = NetworkBuilder((2, 12, 12), coding=Coding.RATE, max_timesteps=32)
+    mask = lcl_mask(NetworkBuilder((2, 12, 12)).locally_connected(4, (3, 3), LIF).build().layers[0])
+    return (
+        builder.locally_connected(4, (3, 3), LIF, weights=rng.normal(0.1, 0.15, mask.shape) * mask)
+        .flatten()
+        .dense(10, LIF, weights=rng.normal(0.05, 0.05, (10, 400)))
+        .build()
+    )
+
+
+class SparseInputs(Workload):
+    """A workload whose odd samples scale their uniform inputs by 0.15, so
+    that a group's blocks ahead spike more or less than one in 16 of their
+    inputs as its rows leave, and sample 1, which ``trace`` runs alone, is
+    sparse."""
+
+    def inputs(self, seed: int) -> list:
+        return [x * (0.15 if k % 2 else 1.0) for k, x in enumerate(super().inputs(seed))]
+
+
+#: Poisson-fed first layers that sum exactly, which the engine drives a block
+#: of steps ahead
+AHEAD_NETS = {
+    w.name: w
+    for w in (
+        SparseInputs("ahead_stack", "poisson", (784,), (0.0, 0.25), 17, 115, ahead_stack),
+        SparseInputs("ahead_recurrent", "poisson", (1, 14, 14), (0.0, 0.6), 8, 116,
+                     ahead_recurrent),
+        SparseInputs("ahead_local", "poisson", (2, 12, 12), (0.0, 0.6), 8, 117, ahead_local),
+    )
+}
+#: step budgets other than the manifest's, given by ``--t-max``
+T_MAX = {"ahead_stack": 37}
+
+
 #: a large-weight network over more inputs than two lockstep groups hold
 MULTI_GROUP_NETS = {
     "mixed_analog_recurrent_150": replace(WORKLOADS["mixed_analog_recurrent"], n_samples=150)
@@ -388,7 +465,8 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     with tempfile.TemporaryDirectory() as tmp:
         nets = {**WORKLOADS, **POOL_NETS, **BLOCK_NETS, **OVERFLOW_NETS, **STEP_PATH_NETS,
-                **ANALOG_STACKS, **UNEVEN_ANALOG_NETS, **WIDE_NETS, **MULTI_GROUP_NETS}
+                **ANALOG_STACKS, **UNEVEN_ANALOG_NETS, **WIDE_NETS, **AHEAD_NETS,
+                **MULTI_GROUP_NETS}
         for name, workload in nets.items():
             codes = (0, 3) if name in OVERFLOW_NETS else (0,)
             for seed in SEEDS[:1] if name in MULTI_GROUP_NETS else SEEDS:
@@ -396,8 +474,10 @@ def main(argv: list[str] | None = None) -> int:
                 gen = generate(workload, seed, case / "data")
                 # None: the manifest's own coding
                 roc_too = name in {"conv_poisson_rate", "threshold_net", "block_edge_net",
-                                   *BLOCK_NETS, *UNEVEN_ANALOG_NETS, *WIDE_NETS}
+                                   *BLOCK_NETS, *UNEVEN_ANALOG_NETS, *WIDE_NETS, *AHEAD_NETS}
                 profile = profile_argv(workload, gen, seed, Path("out"))
+                if name in T_MAX:
+                    profile += ["--t-max", str(T_MAX[name])]
                 runs = {}  # output directory: (command, flags)
                 for coding in [None, "roc"] if roc_too else [None]:
                     flags = [] if coding is None else ["--coding", coding]
