@@ -8,7 +8,13 @@ ordinary least squares through the origin,
     E_k ~ S_k * e_syn_J + U_k * e_upd_J,
 
 solved via the normal equations, with each column scaled by a power of two
-so that squaring it neither underflows nor overflows. The parameter
+so that squaring it neither underflows nor overflows. The normal equations
+square the scaled design's condition number, so a fit is refused unless
+that condition number is below ``COND_LIMIT`` and their parameters agree
+with one SVD least-squares solve of the same scaled rows
+(``np.linalg.lstsq``) to a relative 1e-6: the largest difference of the two
+parameters over the largest magnitude of the SVD's. The parameters written
+are the normal equations'. The parameter
 covariance is the standard linear-model estimate ``sigma2 * (X^T X)^-1``
 with ``sigma2 = RSS / max(n - 2, 1)``. Two observations interpolate
 exactly, so their covariance is rounding noise, which can even leave the
@@ -59,8 +65,11 @@ __all__ = [
 
 logger = logging.getLogger(__name__)
 
-#: Condition-number ceiling for the design matrix.
+#: Condition-number ceiling for the column-scaled design matrix.
 COND_LIMIT = 1e12
+#: the largest relative difference allowed between the normal equations'
+#: parameters and a least-squares solve of the same scaled rows
+_SOLVE_TOLERANCE = 1e-6
 
 
 @dataclass(frozen=True)
@@ -164,10 +173,14 @@ def fit_energy_model(
     RankDeficient
         Fewer than two observations, or collinear (S, U) rows.
     IllConditioned
-        Design matrix condition number at or above ``COND_LIMIT``, or
-        parameters, covariance or residual that are not finite in float64
-        (joules per event past the float range, or their variance), or a
-        covariance that is not one, which rows near collinear can give.
+        A condition number of the column-scaled design at or above
+        ``COND_LIMIT``; parameters of the normal equations that differ from
+        an SVD solve of the scaled rows by more than a relative 1e-6 (the
+        largest difference over the largest magnitude of the SVD's
+        parameters), which rows near collinear give; parameters, covariance
+        or residual that are not finite in float64 (joules per event past
+        the float range, or their variance); or a covariance that is not
+        one.
     MissingMeasurement
         An observation lacks a usable energy (or a duration when the
         floor-power term is requested).
@@ -195,22 +208,23 @@ def fit_energy_model(
             "the (S, U) rows are collinear; vary the workload mix between "
             "observations"
         )
-    cond = float(np.linalg.cond(Xw))
-    if cond >= COND_LIMIT:
-        raise IllConditioned(
-            f"design matrix condition number {cond:.3e} is unusable for a "
-            "two-parameter fit"
-        )
-
     # The normal equations square the counts, which can underflow or
     # overflow where the rows themselves are fine. So each column of Xw, and
     # yw, is first scaled by the power of two that brings its largest
     # magnitude into [0.5, 1). That is exact, and so is taking the scales
     # off the results: a fit whose products stay normal is bitwise the
-    # unscaled one. One that still leaves float64 fails below.
+    # unscaled one. One that still leaves float64 fails below. The scaled
+    # rows are what the solve sees, so their condition number is the one
+    # tested: counts in units far apart do not make a fit ill conditioned.
     x_exp = np.frexp(np.abs(Xw).max(axis=0))[1]
     y_exp = np.frexp(np.abs(yw).max())[1]
     Xs, ys = np.ldexp(Xw, -x_exp), np.ldexp(yw, -y_exp)
+    cond = float(np.linalg.cond(Xs))
+    if cond >= COND_LIMIT:
+        raise IllConditioned(
+            f"the scaled design matrix's condition number {cond:.3e} is unusable "
+            "for a two-parameter fit"
+        )
     with np.errstate(all="ignore"):
         xtx = Xs.T @ Xs
         xty = Xs.T @ ys
@@ -220,12 +234,22 @@ def fit_energy_model(
             / det
         )
         params = inv @ xty
+        # the normal equations lose about cond**2 * eps, an SVD solve cond * eps
+        svd = np.linalg.lstsq(Xs, ys, rcond=None)[0]
+        error, size = np.abs(params - svd).max(), np.abs(svd).max()
+        relative = error / size
         residuals = ys - Xs @ params
         rss = float(residuals @ residuals)
         sigma2 = rss / max(n - 2, 1)
         params = np.ldexp(params, y_exp - x_exp)
         cov = np.ldexp(sigma2 * inv, 2 * y_exp - x_exp[:, None] - x_exp[None, :])
         rms = float(np.ldexp(np.sqrt(rss / n), y_exp))
+    if not error <= _SOLVE_TOLERANCE * size:  # a NaN fails too
+        raise IllConditioned(
+            f"the normal equations' parameters differ from a least-squares solve by "
+            f"a relative {relative:.1e}, above {_SOLVE_TOLERANCE:.0e}: the (S, U) rows are "
+            f"too nearly collinear (scaled condition number {cond:.3e})"
+        )
     if not (np.isfinite(params).all() and np.isfinite(cov).all() and np.isfinite(rms)):
         raise IllConditioned(
             "the fit's parameters, covariance or residual are not finite in "

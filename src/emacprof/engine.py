@@ -91,9 +91,10 @@ included, drives it a block of steps ahead (see :func:`_bind_block_drive`):
 at the block's first tick it draws every live row's spikes of each of the
 block's steps, writes their counts into the ledger at once, and takes one
 GEMM over the block's (step, row) pairs, of 64 pairs or more and at most
-16 steps (16 steps for one row, 4 for 16 rows); each tick then copies its
-step's drive. A block of a larger matrix whose pairs spiked fewer than one
-in 16 of their inputs keeps the event sums, step by step. Convolutions, a
+16 steps where the group budget holds them (16 steps for one row, 4 for
+dense's 16 rows); each tick then copies its step's drive. A block of a
+larger matrix whose pairs spiked fewer than one in 16 of their inputs keeps
+the event sums, step by step. Convolutions, a
 pool before the layer, an analog input, later layers (whose inputs depend
 on the state) and weights that fail the check keep the per-tick drive. A
 dense-like plan only serves the float inputs of the static stage, with the
@@ -106,17 +107,23 @@ into a row of one buffer, and then, for each block of 128 output rows of the
 weights, every sample takes one matrix-vector product, so the block stays
 in the cache across the group and each weight is read from memory once per
 group, not once per sample; each row keeps the product a lone run makes.
-A convolution there is one block, its plan. A pool takes the elementwise
-maximum over each window's columns and then over its rows, of precomputed
-strided slices (``kw - 1 + kh - 1`` calls, where a pass over each tap would
-make ``kh * kw - 1``), and keeps the same one of equal values or NaNs as
-that pass. The static stage and the step loop use the same plans and pools,
-so results do not depend on which of them evaluates a layer. The static
-stage writes each layer's output into buffers allocated once per group and
-released before the first tick, and checks each layer as a tick does, by
-one sum of the squares of its values, scanning them only when that sum is
-not finite; a weighted layer is checked after its bias add and before its
-rectification, which would turn a drive that overflowed to -inf into 0.0.
+A convolution there is one block, its plan. A pool of the static stage
+takes the elementwise maximum of its floats over each window's columns and
+then over its rows, of precomputed strided slices (``kw - 1 + kh - 1``
+calls, where a pass over each tap would make ``kh * kw - 1``), and keeps
+the same one of equal values or NaNs as that pass. A pool in the step loop
+takes spikes, whose maximum is their OR, with no signed zero or NaN whose
+order could matter, so it ORs each window's rows over whole contiguous
+input rows first, and then its columns, a two-column window at stride 2 as
+the two bytes of one uint16 (see :func:`_bind_spike_pool`). The static
+stage and the step loop use the same plans, and both pools give the window
+maximum, so results do not depend on which of them evaluates a layer. The
+static stage writes each layer's output into buffers allocated once per
+group and released before the first tick, and checks each layer as a tick
+does, by one sum of the squares of its values, scanning them only when that
+sum is not finite; a weighted layer is checked after its bias add and
+before its rectification, which would turn a drive that overflowed to -inf
+into 0.0.
 The event sums add in another order than a dense product, so with arbitrary
 weights voltages may differ from one in the last bit; with sums that are
 exact (float32 weights of a narrow enough range, say) they are equal.
@@ -138,9 +145,10 @@ layers need: the Poisson encoder draws into the group's input buffer, and
 the ufuncs take their outputs positionally, which dispatches faster than
 the keyword, but for ``np.maximum``, whose positional output numpy 2.4
 deprecates. A tick emits the encoder and each active spiking layer by one
-path, which counts and records their spikes, runs the pools and flattens
-after them, and counts the events reaching each layer of uneven fan-out
-where that layer's input is made. Each live sample's drive adds its sums in
+path, which counts and records their spikes (a group of several rows sums
+each row's spike bytes into uint16), runs the pools and flattens after
+them, and counts the events reaching each layer of uneven fan-out where
+that layer's input is made. Each live sample's drive adds its sums in
 a lone run's order, or sums exactly (see :func:`_bind_drive`), so every
 result is bit-identical whatever the group size. Under rank-order coding a
 sample that has decided leaves the group with its counters frozen, and a
@@ -349,17 +357,76 @@ def _max_pool(
     x: np.ndarray, taps: tuple[tuple[tuple, ...], tuple[tuple, ...]],
     out: np.ndarray, rows: np.ndarray,
 ) -> np.ndarray:
-    """The max of each pool window of ``x``, into ``out``; on spikes, an OR.
+    """The max of each pool window of ``x``, floats of the static stage, into ``out``.
 
     ``taps`` are :func:`_window_taps`: the max over a window's columns goes
     into ``rows``, then the max over its rows into ``out``, in
     ``kw - 1 + kh - 1`` maximum calls. ``np.maximum`` keeps its first
     operand of two equal ones (+0.0 and -0.0) and the first NaN, so this
     keeps what a row-major fold over the taps one at a time keeps; rows
-    first would not.
+    first would not. Spikes, which have neither, take
+    :func:`_bind_spike_pool`.
     """
     columns, row_taps = taps
     return _fold_max(_fold_max(x, columns, rows), row_taps, out)
+
+
+def _bind_spike_pool(layer: LayerSpec, x: np.ndarray, out: np.ndarray) -> Callable[[], None]:
+    """A pool of spikes, bound to a group's boolean input ``x``, ``(rows, C,
+    H, W)``, and output ``out``, ``(rows, C, oh, ow)``, as ``pool()``.
+
+    The maximum of booleans is their OR, which has no signed zero or NaN
+    whose order could matter, so the pool takes rows first: one
+    ``np.logical_or`` per window row ORs whole contiguous input rows into
+    the ``kh`` rows of each output row's band, ``(rows, C, oh, width)``
+    with ``width = sw * (ow - 1) + kw`` the columns the windows cover, and
+    then the band's ``kw`` columns go into ``out``. Where ``kw == sw == 2``,
+    a window's two columns are two adjacent bytes of the band, one uint16,
+    nonzero exactly where either spiked, so one ``np.not_equal`` of the band
+    viewed as uint16 writes ``out``; otherwise strided ORs over the band
+    do. Each call is a one-type loop over bytes, where ``np.maximum`` over
+    strided column taps steps a byte at a time.
+    """
+    (kh, kw), (sh, sw) = layer.kernel, layer.stride
+    _, oh, ow = layer.output_shape
+    width = sw * (ow - 1) + kw
+    band = np.empty((*x.shape[:-2], oh, width), dtype=bool)
+    window_rows = [x[..., dy : dy + sh * (oh - 1) + 1 : sh, :width] for dy in range(kh)]
+    if kw == sw == 2:
+        pairs = band.view(np.uint16)
+        columns = partial(np.not_equal, pairs, 0, out)
+    else:
+        taps = [band[..., dx : dx + sw * (ow - 1) + 1 : sw] for dx in range(kw)]
+        columns = partial(_fold_or, taps, out)
+
+    def pool() -> None:
+        _fold_or(window_rows, band)
+        columns()
+
+    return pool
+
+
+def _bind_counts(spikes: np.ndarray) -> Callable[[], np.ndarray]:
+    """Each row's spike count of a ``(..., n)`` boolean buffer ``spikes``,
+    along its last axis, bound as ``count()``.
+
+    It sums the spike bytes: ``np.add.reduce`` of the buffer's uint8 view
+    into uint16, which holds every count of a row of fewer than 65,536
+    spikes (uint32 a wider row's), a one-type loop where a boolean sum casts
+    every byte to int64.
+    """
+    wide = np.uint16 if spikes.shape[-1] < 1 << 16 else np.uint32
+    return partial(np.add.reduce, spikes.view(np.uint8), -1, wide)
+
+
+def _fold_or(taps: list[np.ndarray], out: np.ndarray) -> None:
+    # the OR of the boolean taps, into ``out``
+    if len(taps) == 1:
+        np.copyto(out, taps[0])
+        return
+    np.logical_or(taps[0], taps[1], out)
+    for tap in taps[2:]:
+        np.logical_or(out, tap, out)
 
 
 def _step_plan(rt: _LayerRT) -> Callable:
@@ -637,10 +704,11 @@ def _ahead_layer(rt: list[_LayerRT]) -> _LayerRT | None:
 
 
 def _block_steps(rows: int, t_max: int) -> int:
-    """The steps of each block of a first layer driven ahead in a group of
-    ``rows``: the fewest that make ``_AHEAD_PAIRS`` (step, row) pairs, at
+    """The most steps of each block of a first layer driven ahead in a group
+    of ``rows``: the fewest that make ``_AHEAD_PAIRS`` (step, row) pairs, at
     most ``_AHEAD_STEPS`` and at most the step budget: 16 for one row, 4
-    for 16 rows."""
+    for 16 rows. A block takes fewer where the group budget holds fewer
+    (see :func:`_ahead_steps`)."""
     return min(_AHEAD_STEPS, t_max, -(-_AHEAD_PAIRS // rows))
 
 
@@ -864,16 +932,16 @@ _NEURON_STATE_BYTES = sum(
 )
 
 
-def _group_size(rt: list[_LayerRT], t_max: int) -> int:
-    """How many samples one lockstep group steps together.
+def _group_budget(rt: list[_LayerRT], t_max: int) -> tuple[int, Callable[[int], int]]:
+    """A lockstep group's budget of bytes, and ``cost(steps)``, what one row of
+    the group holds where a block ahead takes ``steps``.
 
-    As many as the group budget holds of what each sample's row of a group
-    holds, and at least one. The budget is the larger of
-    :data:`_GROUP_STATE_BYTES` (256 KiB) and the float32 bytes a run
-    releases, half the float64 weight bytes: a spec that has run keeps each
-    weight once, as float64 (see :class:`~emacprof.netspec.NetworkSpec`),
-    and the float32 blocks, which the memory peak held while the float64
-    forms were built, are what a group may spend without raising it.
+    The budget is the larger of :data:`_GROUP_STATE_BYTES` (256 KiB) and the
+    float32 bytes a run releases, half the float64 weight bytes: a spec
+    that has run keeps each weight once, as float64 (see
+    :class:`~emacprof.netspec.NetworkSpec`), and the float32 blocks, which
+    the memory peak held while the float64 forms were built, are what a
+    group may spend without raising it.
 
     A row holds the neuron state of every spiking layer, its step history,
     its encoded float64 input, a recurrent term, and the float64 operand of
@@ -883,23 +951,15 @@ def _group_size(rt: list[_LayerRT], t_max: int) -> int:
     :func:`_bind_static_drive`), or the Poisson input spikes with that
     layer's operand, and where that layer could be driven a block of steps
     ahead (see :func:`_ahead_layer`), its drive too, at each step of a
-    block (see :func:`_bind_block_drive`). A block takes fewer steps in a
-    larger group (see :func:`_block_steps`), so the group is the largest
-    whose rows, at its own block's steps, fit the budget. Every size is
-    read off the layers' shapes, so a block is counted whether or not the
-    weights sum exactly, and the first spiking layer's weights, which the
-    compile leaves to the input, count as one float64 form. The history is
-    counted as a group allocates it, at the step budget (one step without
-    spiking layers), except that a pool of uneven fan-out before the first
-    spiking layer is counted as if it stepped. Not counted: rasters, which
-    only :func:`run_inference` records, and the one-byte outputs of the
-    pools that step. The reference workloads get 28 samples a group on
-    ``dense_poisson_roc`` (784-512-512-256-256-10), whose blocks then take
-    3 steps, so one group of 16, in blocks of 4 steps, 38
-    on ``mixed_analog_recurrent``, so groups of 32 and 32, and 1 on
-    ``conv_poisson_rate``: a wide convolutional network has small weights
-    and much state, and more samples a group, though faster per sample,
-    would double its memory peak.
+    block (see :func:`_bind_block_drive`). Every size is read off the
+    layers' shapes, so a block is counted whether or not the weights sum
+    exactly, and the first spiking layer's weights, which the compile leaves
+    to the input, count as one float64 form. The history is counted as a
+    group allocates it, at the step budget (one step without spiking
+    layers), except that a pool of uneven fan-out before the first spiking
+    layer is counted as if it stepped. Not counted: rasters, which only
+    :func:`run_inference` records, and the one-byte outputs and row bands
+    of the pools that step (see :func:`_bind_spike_pool`).
     """
     spiking = [r for r in rt if r.spiking]
     neurons = sum(r.neurons for r in spiking)
@@ -933,22 +993,40 @@ def _group_size(rt: list[_LayerRT], t_max: int) -> int:
         8 * prod(weight_shape(r.spec)) + (0 if r.rec_weights is None else r.rec_weights.nbytes)
         for r in rt if r.weighted
     )
-    budget = max(_GROUP_STATE_BYTES, weight_bytes // 2)
 
     def cost(steps: int) -> int:
-        """A row's bytes where a block ahead takes ``steps``."""
         return row + max(analog, steps * step) if spiking else row
 
-    # A block takes at least one step, and no fewer in a smaller group, so
-    # no group larger than what fits at the steps of a group that does not
-    # fit can fit either.
-    size = budget // cost(1)
-    while size > 1:
-        fits = budget // cost(_block_steps(size, t_max) if ahead else 1)
-        if size <= fits:
-            break
-        size = fits
-    return max(1, size)
+    return max(_GROUP_STATE_BYTES, weight_bytes // 2), cost
+
+
+def _group_size(rt: list[_LayerRT], t_max: int) -> int:
+    """How many samples one lockstep group steps together.
+
+    As many as the group budget holds of what each sample's row of a group
+    holds with a block ahead of one step, and at least one (see
+    :func:`_group_budget`); a block ahead then takes the steps that the
+    rest of the budget holds (see :func:`_ahead_steps`). The reference
+    workloads get 34 samples a group on ``dense_poisson_roc``
+    (784-512-512-256-256-10), so one group of 16, in blocks of 4 steps, 38
+    on ``mixed_analog_recurrent``, so groups of 32 and 32, and 1 on
+    ``conv_poisson_rate``: a wide convolutional network has small weights
+    and much state, and more samples a group, though faster per sample,
+    would double its memory peak.
+    """
+    budget, cost = _group_budget(rt, t_max)
+    return max(1, budget // cost(1))
+
+
+def _ahead_steps(rt: list[_LayerRT], rows: int, t_max: int) -> int:
+    """The steps of each block ahead in a group of ``rows``: the most, up to
+    :func:`_block_steps`, whose rows fit the group budget, and at least one,
+    which every group that :func:`_group_size` allows fits."""
+    budget, cost = _group_budget(rt, t_max)
+    steps = _block_steps(rows, t_max)
+    while steps > 1 and rows * cost(steps) > budget:
+        steps -= 1
+    return steps
 
 
 def _settings(
@@ -1184,7 +1262,7 @@ def _step_group(
         plan = _step_plan(first) if weights0 is None else None
         static_drive = _bind_static_drive(plan, weights0, static_out, held[0])
     elif ahead:
-        held = np.zeros((_block_steps(B, T_max), B, first.neurons))
+        held = np.zeros((_ahead_steps(rt, B, T_max), B, first.neurons))
     # Overflow is expected where a sample leaves the finite range, and the
     # checks below report it per sample, so numpy stays quiet.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -1218,9 +1296,10 @@ def _step_group(
         # _bind_drive), whatever the group size; the neuron steps, the
         # counters and the history writes serve all rows at once.
         draw = poisson_slice  # looked up per group: a traced run wraps it
-        # spikes per row: one row takes a plain count, which broadcasts alike
-        # and costs several times less than a count along an axis
-        count_rows = np.count_nonzero if B == 1 else partial(np.add.reduce, axis=1)
+        # spikes per row, bound to a stage's rows: one row takes a plain
+        # count, which broadcasts alike and costs several times less than a
+        # count along an axis, and several rows sum their bytes
+        bind_count = (lambda rows: partial(np.count_nonzero, rows)) if B == 1 else _bind_counts
         # counts[c][s - 1]: step s's row of ledger column c (see _Histories)
         counts = [ledger[:, :, c] for c in range(ledger.shape[2])]
         events = dict(zip(uneven, counts[L + 1 :]))
@@ -1247,7 +1326,8 @@ def _step_group(
         )
         terms = []
         # sources[j]: source j's stages, each as (count column, rows view,
-        # pool operands or None, raster column or None), and the events it
+        # its counter or None for a flatten, which keeps its input's count,
+        # bound pool or None, raster column or None), and the events it
         # carries, as (event column, layer, input); layers[k]: spiking layer
         # k's drive view, input binder (None for a first layer whose drives
         # are held), input and own count columns, and recurrent binder with
@@ -1255,7 +1335,12 @@ def _step_group(
         # Poisson inputs, so an analog-fed first layer of uneven fan-out
         # counts nothing; ahead, its views and x have a leading step axis
         # until the first spiking layer, and only flattens come before it.
-        stages = [(counts[0], x_in.reshape(*lead, -1), None, None)] if poisson else []
+        if poisson:  # ahead, one call counts every (step, row) pair of a block
+            spikes_in = x_in.reshape(*lead, -1)
+            count_in = _bind_counts(spikes_in) if ahead else bind_count(spikes_in)
+            stages = [(counts[0], spikes_in, count_in, None, None)]
+        else:
+            stages = []
         carried: list[tuple] = []
         sources = [(stages, carried)]
         layers = []
@@ -1266,13 +1351,13 @@ def _step_group(
                 carried.append((events[r.index], r, x))
             if r.spec.kind is LayerKind.MAX_POOL2D:
                 y = np.zeros((B, *r.spec.output_shape), dtype=bool)
-                rows = np.empty(x[r.pool_taps[0][0]].shape, dtype=bool)  # the column max
-                pool = (x, r.pool_taps, y, rows)
-                stages.append((counts[r.index + 1], y.reshape(B, -1), pool, raster))
+                pool = _bind_spike_pool(r.spec, x, y)
+                rows = y.reshape(B, -1)
+                stages.append((counts[r.index + 1], rows, bind_count(rows), pool, raster))
                 x = y
             elif r.spec.kind is LayerKind.FLATTEN:  # a view that re-emits its input
                 x = x.reshape(*lead, -1)
-                stages.append((counts[r.index + 1], x, None, raster))
+                stages.append((counts[r.index + 1], x, None, None, raster))
             else:
                 k = len(layers)
                 drive = drives[span(k)].reshape(B, r.neurons)
@@ -1294,7 +1379,7 @@ def _step_group(
                     terms.append(term)
                 layers.append((drive, ff, counts[r.index], counts[r.index + 1], rec))
                 x, lead = out.reshape(B, *r.spec.output_shape), (B,)
-                stages, carried = [(counts[r.index + 1], out, None, raster)], []
+                stages, carried = [(counts[r.index + 1], out, bind_count(out), None, raster)], []
                 sources.append((stages, carried))
         out_spikes = fired[span(K - 1)].reshape(B, rt[-1].neurons) if K else None
         out_volt = state.v_peak[span(K - 1)].reshape(B, rt[-1].neurons) if K else None
@@ -1336,12 +1421,11 @@ def _step_group(
             """Count and record the step-``s`` output of ``source`` and of the pools
             and flattens after it, and the events it carries to uneven fan-outs."""
             stages, carried = sources[source]
-            count = None
-            for column, rows, pool, raster in stages:
+            for column, rows, counter, pool, raster in stages:
                 if pool is not None:
-                    _max_pool(*pool)
-                if count is None or pool is not None:  # a flatten keeps its input's
-                    count = count_rows(rows)
+                    pool()
+                if counter is not None:  # a flatten keeps its input's count
+                    count = counter()
                 column[s - 1] = count
                 if raster is not None:
                     raster[s - 1] = rows
@@ -1355,8 +1439,8 @@ def _step_group(
             any order."""
             stages, carried = sources[0]
             block = slice(s - 1, s - 1 + n)
-            count = np.count_nonzero(stages[0][1][:n], axis=2)
-            for column, rows, _, raster in stages:  # the input and flattens
+            count = stages[0][2]()[:n]  # the whole block's, of which n steps are drawn
+            for column, rows, _, _, raster in stages:  # the input and flattens
                 column[block] = count
                 if raster is not None:
                     raster[block] = rows[:n]

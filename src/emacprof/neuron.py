@@ -232,18 +232,20 @@ def _spike_and_reset(
     Each ufunc takes its output positionally, which dispatches faster than
     the keyword. Under ``spike_once`` the mask is one call with no
     temporary: on booleans, ``spike > has_spiked`` is ``spike & ~has_spiked``.
-    A threshold of 1.0 subtracts the spikes themselves, one pass instead of
-    two, which changes no bit: ``spike * 1.0`` is exactly +0.0 or 1.0, the
-    value the boolean takes when cast for the subtraction.
+    The reset copies the spikes into ``v`` as +0.0 and 1.0 (nothing there is
+    live once the half-step voltage is made), scales them by the threshold
+    unless it is 1.0, where ``spike * 1.0`` is the copy itself, and
+    subtracts float64 from float64: bitwise ``v_peak - spike * v_th``, by
+    one-type loops, where a ufunc of a boolean and a float64 operand runs
+    numpy's buffered casting loop.
     """
     spike = np.greater_equal(state.v_peak, model.v_th, spikes)
     if model.spike_once:
         np.greater(spike, state.has_spiked, spike)
-    if model.v_th == 1.0:
-        np.subtract(state.v_peak, spike, state.v)
-    else:
-        np.multiply(spike, model.v_th, state.v)
-        np.subtract(state.v_peak, state.v, state.v)
+    np.copyto(state.v, spike)
+    if model.v_th != 1.0:
+        np.multiply(state.v, model.v_th, state.v)
+    np.subtract(state.v_peak, state.v, state.v)
     np.logical_or(state.has_spiked, spike, state.has_spiked)
     return spike
 

@@ -1,6 +1,7 @@
 import json
 import logging
 from dataclasses import replace
+from fractions import Fraction
 from types import SimpleNamespace
 
 import numpy as np
@@ -124,26 +125,96 @@ def test_nearly_collinear_rows_are_ill_conditioned():
 
 def test_a_fit_whose_covariance_is_not_one_is_ill_conditioned():
     # a condition number of 5.4e8 passes COND_LIMIT, but the normal equations
-    # square it, and the covariance came out with both diagonal entries near
-    # -4.2e17, which predict would have priced as a sigma of 0.0
+    # square it: their covariance came out with both diagonal entries near
+    # -4.2e17, which predict would have priced as a sigma of 0.0, and their
+    # parameters, (-1.41e6, 1.41e6), are nowhere near a least-squares solve's
+    # (2.0e7, -2.0e7), which is what refuses them
     obs = [
         Observation("a", S=1.0, U=1.0, E_joules=8.0),
         Observation("b", S=1.0, U=1.0 + 1e-8, E_joules=8.0 + 5e-8),
         Observation("c", S=2.0, U=2.0, E_joules=16.5),
     ]
-    with pytest.raises(IllConditioned, match="covariance has a negative diagonal entry"):
+    with pytest.raises(IllConditioned, match="differ from a least-squares solve"):
         fit_energy_model(obs)
+
+
+def test_counts_in_units_far_apart_fit():
+    # the condition number of these rows is 1.4e13, past COND_LIMIT, but the
+    # solve sees their columns scaled by powers of two, whose condition
+    # number is about 3.6
+    S, U = np.array([1e13, 2e13, 3e13, 1.5e13]), np.array([1.0, 4.0, 2.0, 3.0])
+    assert np.linalg.cond(np.column_stack([S, U])) > 1e12
+    obs = [Observation(f"o{i}", S=S[i], U=U[i], E_joules=2e-12 * S[i] + 5.0 * U[i])
+           for i in range(4)]
+    model = fit_energy_model(obs)
+    assert model.e_syn_J == pytest.approx(2e-12, rel=1e-12)
+    assert model.e_upd_J == pytest.approx(5.0, rel=1e-12)
+
+
+def exact_lstsq(X, y):
+    """The least-squares solution of float rows ``X, y``, exactly, as fractions."""
+    X = [[Fraction(v) for v in row] for row in X.tolist()]
+    y = [Fraction(v) for v in y.tolist()]
+    a = sum(r[0] * r[0] for r in X)
+    b = sum(r[0] * r[1] for r in X)
+    d = sum(r[1] * r[1] for r in X)
+    p = sum(r[0] * v for r, v in zip(X, y))
+    q = sum(r[1] * v for r, v in zip(X, y))
+    det = a * d - b * b
+    return np.array([float((d * p - b * q) / det), float((a * q - b * p) / det)])
+
+
+def test_every_accepted_fit_agrees_with_an_svd_solve(caplog):
+    # ten decades of collinearity (U = S * (1 + delta), delta from 1e-12 to
+    # 1e-2) and of column scale (U then scaled by 1e-5 to 1e5), weighted and
+    # not: every accepted fit's parameters, with its columns scaled by
+    # powers of two as the fit scales them, are within a relative 1e-6 of an
+    # SVD solve of the same rows, and within 2e-6 of their exact solution;
+    # both sides of the gate are reached in every decade
+    rng = np.random.default_rng(33)
+    accepted, refused = np.zeros(10, int), np.zeros(10, int)
+    with caplog.at_level(logging.ERROR, logger="emacprof.calib"):
+        for _ in range(2000):
+            n = int(rng.integers(2, 8))
+            decade = int(rng.integers(0, 10))
+            S = rng.uniform(1, 3, n) * 10.0 ** rng.uniform(-3, 3)
+            U = S * (1 + 10.0 ** rng.uniform(-12 + decade, -11 + decade) * rng.standard_normal(n))
+            U *= 10.0 ** rng.uniform(-5, 5)
+            E = 2 * S + 7 * U + 1e-6 * (S + U) * rng.standard_normal(n)
+            variances = rng.uniform(0.5, 2.0, n) if rng.random() < 0.5 else None
+            obs = [Observation(f"o{i}", S=S[i], U=U[i], E_joules=E[i]) for i in range(n)]
+            try:
+                model = fit_energy_model(obs, variances=variances)
+            except (IllConditioned, RankDeficient):
+                refused[decade] += 1
+                continue
+            accepted[decade] += 1
+            w = 1.0 if variances is None else 1.0 / np.sqrt(variances)
+            X, y = np.column_stack([S, U]) * np.c_[w], E * w
+            x_exp = np.frexp(np.abs(X).max(axis=0))[1]
+            y_exp = np.frexp(np.abs(y).max())[1]
+            Xs, ys = np.ldexp(X, -x_exp), np.ldexp(y, -y_exp)
+            got = np.ldexp([model.e_syn_J, model.e_upd_J], x_exp - y_exp)
+            for want, tolerance in ((np.linalg.lstsq(Xs, ys, rcond=None)[0], 1e-6),
+                                    (exact_lstsq(Xs, ys), 2e-6)):
+                assert np.abs(got - want).max() <= tolerance * np.abs(want).max()
+    # near-collinear decades are refused, spread ones accepted, and three
+    # decades between see both
+    assert (accepted[7:] > 100).all() and (refused[:6] > 100).all()
+    assert ((accepted > 0) & (refused > 0)).sum() >= 3
 
 
 def test_every_fitted_model_round_trips_nearly_collinear_ones_too(caplog):
     # what calibrate writes, predict reads: seeded designs from well spread to
     # nearly collinear, of two observations or more, weighted or not, over ten
-    # decades of counts; some covariance entries are a rounding past a
-    # determinant of zero
+    # decades of counts; some covariances have a correlation within 1e-10 of
+    # one, and a covariance entry that is a rounding past a determinant of
+    # zero, which the normal equations gave before fits that disagree with a
+    # least-squares solve were refused, is read back too
     rng = np.random.default_rng(30)
-    fitted = rounded = pairs = 0
+    fitted = near = pairs = 0
     with caplog.at_level(logging.ERROR, logger="emacprof.calib"):
-        for _ in range(3000):
+        for _ in range(7000):
             n = int(rng.integers(2, 8))
             S = rng.uniform(1, 100, n) * 10.0 ** rng.uniform(-5, 5)
             U = S * (1 + 10.0 ** rng.uniform(-13, -2) * rng.standard_normal(n))
@@ -158,9 +229,13 @@ def test_every_fitted_model_round_trips_nearly_collinear_ones_too(caplog):
             data = model_to_json(model)
             assert model_to_json(model_from_json(data)) == data
             (a, b), (_, d) = model.cov
-            rounded += abs(b) > np.sqrt(a) * np.sqrt(d)
+            near += abs(b) > np.sqrt(a) * np.sqrt(d) * (1 - 1e-10)
             fitted, pairs = fitted + 1, pairs + (n == 2)
-    assert fitted > 1500 and rounded > 0 and pairs > 200
+    assert fitted > 1500 and near > 0 and pairs > 200
+    b = np.nextafter(1.0, 2.0)
+    rounded = replace(model, cov=np.array([[1.0, b], [b, 1.0]]))
+    data = model_to_json(rounded)
+    assert model_to_json(model_from_json(data)) == data
 
 
 def test_unit_change_scales_parameters_exactly():

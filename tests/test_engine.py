@@ -981,6 +981,70 @@ def test_pool_matches_a_per_tap_loop_byte_for_byte(shape, pool, stride, dtype):
             assert out.tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("kh, kw", [(kh, kw) for kh in (1, 2, 3) for kw in (1, 2, 3)])
+@pytest.mark.parametrize("sh, sw", [(sh, sw) for sh in (1, 2, 3) for sw in (1, 2, 3)])
+def test_a_spike_pool_equals_the_window_max(kh, kw, sh, sw):
+    # the step loop's pool ORs each window's rows over whole input rows and
+    # then its columns, by one uint16 test where kw == sw == 2 and by
+    # strided ORs otherwise: bitwise the window max over odd and even maps,
+    # for one row and three, through buffers bound once and written again
+    rng = np.random.default_rng(10 * kh + kw + 100 * (10 * sh + sw))
+    for shape in ((2, 7, 9), (2, 8, 10)):
+        net = NetworkBuilder(shape).max_pool((kh, kw), stride=(sh, sw)).flatten().dense(2, lif())
+        layer = net.build().layers[0]
+        for rows in (1, 3):
+            x = np.empty((rows, *shape), bool)
+            out = np.ones((rows, *layer.output_shape), bool)  # stale spikes
+            pool = engine._bind_spike_pool(layer, x, out)
+            for density in (0.3, 0.05, 0.9):
+                x[...] = rng.random(x.shape) < density
+                pool()
+                want = np.stack([window_view(row, layer).max(axis=(-2, -1)) for row in x])
+                assert out.dtype == want.dtype and out.tobytes() == want.tobytes()
+
+
+def test_the_static_stage_pools_floats_and_the_step_loop_pools_spikes(monkeypatch):
+    # _max_pool keeps the floats of the static stage, whose NaNs and signed
+    # zeros need its order; the step loop binds its pools of spikes
+    pooled, bound = [], []
+    max_pool, bind = engine._max_pool, engine._bind_spike_pool
+    monkeypatch.setattr(
+        engine, "_max_pool", lambda x, *args: pooled.append(x.dtype) or max_pool(x, *args)
+    )
+    monkeypatch.setattr(
+        engine, "_bind_spike_pool",
+        lambda layer, x, out: bound.append((x.dtype, out.dtype)) or bind(layer, x, out),
+    )
+    rng = np.random.default_rng(12)
+    net = (
+        NetworkBuilder((1, 10, 10), coding=Coding.RATE, max_timesteps=6)
+        .conv2d(2, (3, 3), ANN, weights=rng.normal(0.3, 0.2, 18))
+        .max_pool((2, 2))  # static: floats
+        .conv2d(3, (2, 2), lif(), weights=rng.normal(0.5, 0.3, 24))
+        .max_pool((2, 2), stride=(1, 1))  # stepped: spikes
+        .flatten()
+        .dense(2, lif())
+        .build()
+    )
+    run_inference(net, encode(rng.uniform(0.0, 1.0, (1, 10, 10))))
+    assert pooled == [np.dtype(np.float64)]
+    assert bound == [(np.dtype(bool), np.dtype(bool))]
+
+
+@pytest.mark.parametrize("width", [1, 65535, 65536])
+def test_byte_counts_equal_count_nonzero(width):
+    # a group's counts sum the spike bytes into uint16, or into uint32 from
+    # rows of 65,536 on, where a row of all spikes would wrap a uint16
+    rng = np.random.default_rng(width)
+    for lead in ((3,), (2, 3)):  # a group's rows, and a block's (step, row) pairs
+        spikes = np.ones((*lead, width), bool)
+        count = engine._bind_counts(spikes)
+        assert np.array_equal(count(), np.count_nonzero(spikes, axis=-1))
+        spikes[...] = rng.random(spikes.shape) < 0.5  # the bound buffer, written again
+        spikes[..., 0, :] = False
+        assert np.array_equal(count(), np.count_nonzero(spikes, axis=-1))
+
+
 def conv_net(height, width):
     """A padded 3x3 convolution with one filter: (3h - 2)(3w - 2) connections."""
     return NetworkBuilder((1, height, width)).conv2d(1, (3, 3), lif(), padding=1).build()
@@ -2276,8 +2340,8 @@ def test_group_size_counts_the_state_a_group_allocates(monkeypatch):
     # products and the encoded input, as a group allocates them, and
     # whichever adds more of the Poisson input block with the first layer's
     # operand and drives, at each step of a block ahead, or the analog drive
-    # with the static output it is taken from; a block takes fewer steps in
-    # a larger group
+    # with the static output it is taken from; a group is sized as if its
+    # block ahead took one step, and the block takes what the rest holds
     rng = np.random.default_rng(18)
     lif_ = NeuronModelSpec(kind=NeuronKind.LIF, dt=1e-3, tau_syn=5e-3, tau_mem=1e-2)
     net = (  # two blocks, a recurrent layer, even fan-out only
@@ -2365,23 +2429,36 @@ def test_group_size_counts_the_state_a_group_allocates(monkeypatch):
         assert total % rows == 0
         return total // rows
 
-    # a block ahead of 10 steps (the budget) in a group of at most 7 rows,
-    # of 8 in one of 8: the Poisson spikes, their drives and the term, or
-    # the term, the analog drive and the static output
-    blocked = per_sample("poisson", 1, 5, [40, 120, 720])
-    assert per_sample("poisson", 5, 5, [40, 120, 720]) == blocked
-    assert per_sample("analog", 1, 4, [40, 72, 96]) < blocked
-    for size in (1, 2, 5):
-        monkeypatch.setattr(engine, "_GROUP_STATE_BYTES", size * blocked)
-        assert _group_size(rt, 10) == size
-        monkeypatch.setattr(engine, "_GROUP_STATE_BYTES", (size + 1) * blocked - 1)
-        assert _group_size(rt, 10) == size
+    # a block ahead of 10 steps (the step budget) in a group of up to 6
+    # rows, of 8 in one of 8, where the group budget holds them: the Poisson
+    # spikes, their drives and the term, or the term, the analog drive and
+    # the static output
+    ten = per_sample("poisson", 1, 5, [40, 120, 720])
+    assert per_sample("poisson", 5, 5, [40, 120, 720]) == ten
+    assert per_sample("analog", 1, 4, [40, 72, 96]) < ten
     eight = per_sample("poisson", 8, 5, [40, 96, 576])
-    assert eight < blocked
-    monkeypatch.setattr(engine, "_GROUP_STATE_BYTES", 8 * eight)
-    assert _group_size(rt, 10) == 8
-    monkeypatch.setattr(engine, "_GROUP_STATE_BYTES", 8 * eight - 1)
-    assert _group_size(rt, 10) == 7
+    # each step of a block holds its input spikes, their float64 operand and
+    # the drives: a row with a block of one step holds ``one``
+    step = (ten - eight) // 2
+    assert step == 12 + 8 * 12 + 8 * 9
+    one = eight - 7 * step
+    # a group is sized as if its block took one step ...
+    for size in (1, 2, 5):
+        monkeypatch.setattr(engine, "_GROUP_STATE_BYTES", size * one)
+        assert _group_size(rt, 10) == size
+        # ... and then allocates that, the whole budget
+        assert per_sample("poisson", size, 5, [12, 40, 72]) == one
+        monkeypatch.setattr(engine, "_GROUP_STATE_BYTES", (size + 1) * one - 1)
+        assert _group_size(rt, 10) == size
+    # ... and its block takes the steps the rest of the budget holds: at
+    # most ten, and what five rows' budget holds beyond one step each
+    for budget, steps in ((5 * (one + 3 * step), 4), (5 * (one + 3 * step) - 1, 3)):
+        monkeypatch.setattr(engine, "_GROUP_STATE_BYTES", budget)
+        assert _group_size(rt, 10) >= 5
+        sizes = sorted([40, 12 * steps, 72 * steps])
+        assert 5 * per_sample("poisson", 5, 5, sizes) == 5 * (one + (steps - 1) * step) <= budget
+    monkeypatch.setattr(engine, "_GROUP_STATE_BYTES", 5 * (one + 20 * step))
+    assert per_sample("poisson", 5, 5, [40, 120, 720]) == ten
 
 
 def test_large_weights_raise_the_group_budget(monkeypatch):
@@ -2396,10 +2473,7 @@ def test_large_weights_raise_the_group_budget(monkeypatch):
     # the float32 bytes the compile released, half the float64 ones
     assert weight_bytes // 2 > engine._GROUP_STATE_BYTES
     size = _group_size(rt, 128)
-    # what a row costs, read off a budget that dwarfs the weights, with the
-    # first layer's block ahead at the steps it takes in a group of size
-    steps = engine._block_steps(size, 128)
-    monkeypatch.setattr(engine, "_block_steps", lambda rows, t_max: steps)
+    # what a row costs, read off a budget that dwarfs the weights
     monkeypatch.setattr(engine, "_GROUP_STATE_BYTES", 1 << 60)
     row = (1 << 60) // _group_size(rt, 128)
     monkeypatch.undo()
@@ -2407,6 +2481,44 @@ def test_large_weights_raise_the_group_budget(monkeypatch):
     assert size == weight_bytes // 2 // row > engine._GROUP_STATE_BYTES // row >= 1
     # a long step budget still shrinks the group
     assert _group_size(rt, 4096) < size
+
+
+def test_small_weight_networks_keep_their_groups():
+    # a group is sized as if a block ahead took one step, so networks of
+    # small weights keep the groups they had without one (their shapes are
+    # those of tools/same_reports.py), while the dense reference workload
+    # still runs its 16 samples as one group in blocks of 4 steps, and a
+    # lone run takes blocks of 16
+    def stack(shape, t_max, *layers, coding=Coding.RATE):
+        builder = NetworkBuilder(shape, coding=coding, max_timesteps=t_max)
+        for layer, *args in layers:
+            getattr(builder, layer)(*args)
+        return builder.build()
+
+    nets = {
+        "block_edge_net": (12, stack(
+            (256,), 32, ("dense", 160, lif()), ("dense", 112, lif()), ("dense", 10, lif()))),
+        "ahead_stack": (24, stack((784,), 64, ("dense", 256, ifl(6.0)), ("dense", 10, ifl(6.0)))),
+        "ahead_recurrent": (16, stack(
+            (1, 14, 14), 32, ("flatten",), ("recurrent_dense", 128, lif()), ("dense", 10, lif()))),
+        "ahead_local": (16, stack(
+            (2, 12, 12), 32, ("locally_connected", 4, (3, 3), lif()), ("flatten",),
+            ("dense", 10, lif()))),
+        "wide_weight_stack": (26, stack(
+            (784,), 32, ("dense", 256, ifl()), ("dense", 256, ifl()), ("dense", 10, ifl()))),
+    }
+    for name, (size, net) in nets.items():
+        rt = _compile(net)
+        assert engine._ahead_layer(rt) is not None
+        assert _group_size(rt, net.max_timesteps) == size, name
+    dense = stack(
+        (784,), 128, *[("dense", n, ifl(spike_once=True)) for n in (512, 512, 256, 256, 10)],
+        coding=Coding.ROC,
+    )
+    rt = _compile(dense)
+    assert _group_size(rt, 128) >= 16
+    assert engine._ahead_steps(rt, 16, 128) == 4
+    assert engine._ahead_steps(rt, 1, 128) == 16
 
 
 # ---------------------------------------------------------------------------
@@ -2494,23 +2606,25 @@ def test_a_first_layer_driven_ahead_runs_as_tick_by_tick(kind, coding, t_max, ro
     samples = ahead_samples(net, rows)
     got, made = group_run(net, samples, t_max, ahead=True)
     want, none = group_run(net, samples, t_max, ahead=False)
-    steps = engine._block_steps(rows, t_max)
+    # 16 or 17 rows hold blocks of fewer steps than _block_steps allows
+    steps = engine._ahead_steps(_compile(net), rows, t_max)
     assert none == [] and len(made) == 1 and made[0][2].shape[:2] == (steps, rows)
     for a, b in zip(got, want):
         assert_same_result(a, b)
-    if coding is Coding.ROC and t_max == 37:  # decisions in mid-block
+    if coding is Coding.ROC and t_max == 37 and steps > 1:  # decisions in mid-block
         assert any(r.trace.T_used % steps for r in got if r.trace.T_used < t_max)
 
 
 @pytest.mark.parametrize("rows", [1, 3, 16, 17])
 def test_a_row_that_fails_in_mid_block_fails_as_tick_by_tick(rows):
     # a later layer leaves the float range at step 26, inside a block of 16
-    # steps (one or three rows) or of 4 (16 or 17)
+    # steps (one or three rows), of 3 (16) or of 2 (17, which the group
+    # budget holds)
     net = ahead_net("dense", 37, Coding.RATE, overflow=True)
     samples = ahead_samples(net, rows)
     got, made = group_run(net, samples, 37, ahead=True)
     want, _ = group_run(net, samples, 37, ahead=False)
-    assert made and 25 % engine._block_steps(rows, 37)
+    assert made and 25 % engine._ahead_steps(_compile(net), rows, 37)
     for a, b in zip(got, want):
         assert isinstance(b, NonFiniteState)
         assert str(b).startswith("layer 2 left the finite range at step 26;")
@@ -2534,7 +2648,7 @@ def test_a_block_draws_each_of_its_steps_once_and_none_past_the_budget(monkeypat
 
     monkeypatch.setattr(engine, "poisson_slice", recorded)
     results, _ = group_run(net, samples, t_max, ahead=True)
-    steps, K = engine._block_steps(rows, t_max), 3
+    steps, K = engine._ahead_steps(_compile(net), rows, t_max), 3
     want = []
     for k in range(rows):
         # a row leaves at the end of the tick where the output takes its last step

@@ -18,7 +18,7 @@ from emacprof import (
     lif_step,
     state_zeros,
 )
-from emacprof.neuron import OP_WEIGHTS, step_fn
+from emacprof.neuron import OP_WEIGHTS, _spike_and_reset, step_fn
 
 
 def lif_model(q_syn=0.1, q_mem=0.1, v_th=1.0, bias=0.0, spike_once=False):
@@ -375,6 +375,34 @@ def test_steps_on_signed_zeros_and_subnormals_are_bitwise_the_array_expressions(
             assert same_state(state, want)
             assert same_bits(spike, want_spike)
             drive = drive[::-1].copy()
+
+
+@pytest.mark.parametrize("spike_once", [False, True])
+@pytest.mark.parametrize("v_th", [0.5, 1.0])
+def test_the_reset_is_bitwise_v_peak_minus_the_scaled_spikes(spike_once, v_th):
+    # the reset copies the spikes into v, whatever v held, scales them unless
+    # the threshold is 1.0, and subtracts float64 from float64: bitwise
+    # v_peak - spike * v_th on signed zeros, NaN, infinities and the
+    # threshold's own neighbours, with stale spikes in the output buffer
+    model = ifl_model(v_th=v_th, spike_once=spike_once)
+    near = [v_th, -v_th, np.nextafter(v_th, 0.0), np.nextafter(v_th, 2.0), 2 * v_th]
+    v_peak = np.concatenate([EDGE_VOLTAGES, near])
+    has_spiked = np.arange(v_peak.size) % 3 == 0
+    for stale in (np.nan, np.inf, -0.0, 1.0):
+        state = NeuronState(
+            i=np.zeros(v_peak.size), v=np.full(v_peak.size, stale),
+            has_spiked=has_spiked.copy(), v_peak=v_peak.copy(),
+        )
+        spikes = np.ones(v_peak.size, bool)
+        with np.errstate(invalid="ignore"):  # NaN >= v_th
+            spike = _spike_and_reset(state, model, spikes)
+            want = v_peak >= v_th
+        if spike_once:
+            want &= ~has_spiked
+        assert spike is spikes and same_bits(spike, want)
+        assert same_bits(state.v, v_peak - want * v_th)
+        assert same_bits(state.v_peak, v_peak)
+        assert same_bits(state.has_spiked, has_spiked | want)
 
 
 @settings(max_examples=80, deadline=None)

@@ -53,14 +53,22 @@ exact-sum check passed, and since it fails them they keep their per-row
 drives; it also runs with ``--coding roc``.
 :data:`AHEAD_NETS` hold Poisson-fed first layers whose sums are exact, which
 the engine drives a block of steps ahead: ``ahead_stack``, a 784-256-10 IFL
-stack run at ``--t-max 37`` over 17 inputs, in groups of 6, 6 and 5, whose
-blocks take 11 and 13 steps, the last one cut short by the budget, while
-``trace`` runs one row in blocks of 16, 16 and 5; ``ahead_recurrent``, a
-recurrent first layer after a flatten, whose recurrent term stays tick by
-tick; and ``ahead_local``, a locally connected one, whose inputs reach
-differing numbers of neurons. Their odd samples are sparse, so some blocks
-keep the event sums, and they also run with ``--coding roc``, where samples
-decide inside a block (at steps 7-17 of 37 on ``ahead_stack`` at seed 0).
+stack run at ``--t-max 37`` over 27 inputs, in groups of 14 and 13, whose
+blocks take the 4 steps the group budget holds (64 pairs would take 5),
+the last one cut short by the step budget, while ``trace`` runs one row in
+blocks of 16, 16 and 5; ``ahead_recurrent``, a recurrent first layer after
+a flatten, whose recurrent term stays tick by tick, in one group of 8 in
+blocks of 7 steps (8 for 64 pairs), the last one of 4; and ``ahead_local``,
+a locally connected one, whose inputs reach differing numbers of neurons,
+in blocks of 6 steps, the last one of 2. Their odd samples are sparse, so
+some blocks keep the event sums, and they also run with ``--coding roc``,
+where samples decide inside a block (at steps 7-17 of 37 on
+``ahead_stack`` at seed 0).
+:data:`SPIKE_POOL_NETS` hold a Poisson conv network small enough to step
+groups of 4 rows, whose pools take spikes in shapes the reference
+workload's 2x2 stride-2 pools over even maps do not: 2x2 stride 2 over an
+odd map, 2x2 stride 1 and 3x2 of stride (2, 1); it also runs with
+``--coding roc``, where rows leave the group while its pools still step.
 :data:`MULTI_GROUP_NETS` run ``mixed_analog_recurrent``'s network over 150
 inputs, by ``profile`` at seed 0 only, so that a large-weight network
 crosses several lockstep group boundaries (four groups of 37 or 38 at 40
@@ -131,6 +139,33 @@ POOL_NETS = {
     for w in (
         Workload("pool_net_analog", "analog", (1, 16, 16), (0.0, 1.0), 8, 104, pool_net(RELU)),
         Workload("pool_net_poisson", "poisson", (1, 16, 16), (0.0, 0.6), 8, 104, pool_net(LIF)),
+    )
+}
+
+
+def spike_pool_net(rng):
+    """Builder of a Poisson-fed LIF convolution, a 2x2 stride-2 pool over its
+    odd 13x13 map, whose last row and column reach no window, a 2x2
+    stride-1 pool, a padded LIF convolution, a 3x2 pool of stride (2, 1)
+    and an LIF dense head: every pool takes spikes in the step loop."""
+    return (
+        NetworkBuilder((1, 15, 15), coding=Coding.RATE, max_timesteps=32)
+        .conv2d(4, (3, 3), LIF, weights=rng.normal(0.1, 0.2, 4 * 9))  # 15x15 -> 13x13
+        .max_pool((2, 2))  # 13x13 -> 6x6
+        .max_pool((2, 2), stride=(1, 1))  # 6x6 -> 5x5
+        .conv2d(6, (3, 3), LIF, padding=1, weights=rng.normal(0.0, 0.15, 6 * 4 * 9))
+        .max_pool((3, 2), stride=(2, 1))  # 5x5 -> 2x4
+        .flatten()
+        .dense(10, LIF, weights=rng.normal(0.2, 0.1, 10 * 48))
+        .build()
+    )
+
+
+#: a Poisson conv network small enough to step several rows a group, whose
+#: pools take spikes in shapes the reference workload's 2x2 pools do not
+SPIKE_POOL_NETS = {
+    "spike_pool_net": Workload(
+        "spike_pool_net", "poisson", (1, 15, 15), (0.0, 0.6), 8, 118, spike_pool_net
     )
 }
 
@@ -399,7 +434,7 @@ class SparseInputs(Workload):
 AHEAD_NETS = {
     w.name: w
     for w in (
-        SparseInputs("ahead_stack", "poisson", (784,), (0.0, 0.25), 17, 115, ahead_stack),
+        SparseInputs("ahead_stack", "poisson", (784,), (0.0, 0.25), 27, 115, ahead_stack),
         SparseInputs("ahead_recurrent", "poisson", (1, 14, 14), (0.0, 0.6), 8, 116,
                      ahead_recurrent),
         SparseInputs("ahead_local", "poisson", (2, 12, 12), (0.0, 0.6), 8, 117, ahead_local),
@@ -466,7 +501,7 @@ def main(argv: list[str] | None = None) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         nets = {**WORKLOADS, **POOL_NETS, **BLOCK_NETS, **OVERFLOW_NETS, **STEP_PATH_NETS,
                 **ANALOG_STACKS, **UNEVEN_ANALOG_NETS, **WIDE_NETS, **AHEAD_NETS,
-                **MULTI_GROUP_NETS}
+                **SPIKE_POOL_NETS, **MULTI_GROUP_NETS}
         for name, workload in nets.items():
             codes = (0, 3) if name in OVERFLOW_NETS else (0,)
             for seed in SEEDS[:1] if name in MULTI_GROUP_NETS else SEEDS:
@@ -474,7 +509,8 @@ def main(argv: list[str] | None = None) -> int:
                 gen = generate(workload, seed, case / "data")
                 # None: the manifest's own coding
                 roc_too = name in {"conv_poisson_rate", "threshold_net", "block_edge_net",
-                                   *BLOCK_NETS, *UNEVEN_ANALOG_NETS, *WIDE_NETS, *AHEAD_NETS}
+                                   *BLOCK_NETS, *UNEVEN_ANALOG_NETS, *WIDE_NETS, *AHEAD_NETS,
+                                   *SPIKE_POOL_NETS}
                 profile = profile_argv(workload, gen, seed, Path("out"))
                 if name in T_MAX:
                     profile += ["--t-max", str(T_MAX[name])]
